@@ -567,137 +567,98 @@ let check_gate ppf ~tolerance ~baseline_file base rows =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Paired telemetry-overhead measurement (--stats-overhead)            *)
+(* Paired in-process measurements                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* Wall-clock noise between separate sweeps on this host swings far
-   above the effect being measured (see EXPERIMENTS.md, fusion study),
-   so the telemetry cost-model claim is taken the same way the fusion
-   tuning decisions were: paired interleaved best-of-N runs within one
-   process.  Each round times the compiled NBFORCE kernel once with the
-   registry disabled and once enabled; the overhead is the ratio of the
-   two minima. *)
-let run_stats_overhead ppf ~rounds =
-  let run = nbforce_runner ~p:engine_p in
+   above the effects measured here (see EXPERIMENTS.md, fusion study),
+   so --stats-overhead, --rangeopt-overhead and --cache-overhead take
+   their claims the way the fusion tuning decisions were taken: paired
+   interleaved best-of-N runs within one process.  After one warm-up run
+   of each arm, every round times arm [a] and then arm [b].  Returns the
+   median over the rounds of [a]'s time over [b]'s, and the best
+   (minimum) time of each arm in ns. *)
+let paired ~rounds a b =
   let time f =
     let t0 = Lf_obs.Stats.now_ns () in
     ignore (f ());
     Int64.to_float (Int64.sub (Lf_obs.Stats.now_ns ()) t0)
   in
-  (* warm-up: fault in code and heap for both arms *)
-  ignore (run `Compiled ());
-  Lf_obs.Stats.enable ();
-  ignore (run `Compiled ());
-  Lf_obs.Stats.disable ();
-  let best_off = ref infinity and best_on = ref infinity in
+  ignore (a ());
+  ignore (b ());
+  let best_a = ref infinity and best_b = ref infinity in
   let ratios =
     Array.init rounds (fun _ ->
-        let off = time (run `Compiled) in
-        let on =
-          Lf_obs.Stats.enable ();
-          Fun.protect ~finally:Lf_obs.Stats.disable (fun () ->
-              time (run `Compiled))
-        in
-        if off < !best_off then best_off := off;
-        if on < !best_on then best_on := on;
-        on /. off)
+        let ta = time a in
+        let tb = time b in
+        if ta < !best_a then best_a := ta;
+        if tb < !best_b then best_b := tb;
+        ta /. tb)
   in
   Array.sort compare ratios;
-  let median = ratios.(rounds / 2) in
+  (ratios.(rounds / 2), !best_a, !best_b)
+
+(* --stats-overhead: the compiled NBFORCE kernel with the telemetry
+   registry disabled, then enabled; the overhead is the on/off ratio. *)
+let run_stats_overhead ppf ~rounds =
+  let run = nbforce_runner ~p:engine_p in
+  let on () =
+    Lf_obs.Stats.enable ();
+    Fun.protect ~finally:Lf_obs.Stats.disable (run `Compiled)
+  in
+  let off_on, best_off, best_on = paired ~rounds (run `Compiled) on in
   Fmt.pf ppf
     "stats overhead on NBFORCE flat (compiled, p=%d), %d paired rounds:@.  \
      median of on/off ratios %+.2f%%   best-of-%d %.0f -> %.0f ns (%+.2f%%)@."
     engine_p rounds
-    (100.0 *. (median -. 1.0))
-    rounds !best_off !best_on
-    (100.0 *. (!best_on -. !best_off) /. !best_off)
+    (100.0 *. ((1.0 /. off_on) -. 1.0))
+    rounds best_off best_on
+    (100.0 *. (best_on -. best_off) /. best_off)
 
-(* Paired -O1/-O2 measurement (--rangeopt-overhead): same methodology —
-   the bounds-check-discharge and scatter-sharding effects are a few
-   percent, below this host's cross-process sweep noise, so each round
-   times -O1 then -O2 within one process and the claim is the median of
-   the per-round ratios (ratio > 1 = -O2 faster). *)
+(* --rangeopt-overhead: the bounds-check-discharge and scatter-sharding
+   effects are a few percent, below this host's cross-process sweep
+   noise, so each round times -O1 then -O2 (ratio > 1 = -O2 faster). *)
 let run_rangeopt_overhead ppf ~rounds =
-  let time f =
-    let t0 = Lf_obs.Stats.now_ns () in
-    ignore (f ());
-    Int64.to_float (Int64.sub (Lf_obs.Stats.now_ns ()) t0)
-  in
-  let paired name run =
-    (* warm-up both arms *)
-    ignore (run ~opt:1 ());
-    ignore (run ~opt:2 ());
-    let best1 = ref infinity and best2 = ref infinity in
-    let ratios =
-      Array.init rounds (fun _ ->
-          let o1 = time (run ~opt:1) in
-          let o2 = time (run ~opt:2) in
-          if o1 < !best1 then best1 := o1;
-          if o2 < !best2 then best2 := o2;
-          o1 /. o2)
-    in
-    Array.sort compare ratios;
+  let report name run =
+    let ratio, best1, best2 = paired ~rounds (run ~opt:1) (run ~opt:2) in
     Fmt.pf ppf
       "%s, %d paired rounds:@.  median -O1/-O2 ratio %.2fx   best-of-%d \
        %.0f -> %.0f ns (%.2fx)@."
-      name rounds
-      ratios.(rounds / 2)
-      rounds !best1 !best2 (!best1 /. !best2)
+      name rounds ratio rounds best1 best2 (best1 /. best2)
   in
   let nbforce = nbforce_runner ~p:engine_p in
   let scatter = scatter_runner ~p:engine_p in
-  paired
+  report
     (Printf.sprintf "NBFORCE flat (compiled, p=%d)" engine_p)
     (fun ~opt () -> nbforce ~opt `Compiled ());
-  paired
+  report
     (Printf.sprintf "scatter stride (compiled, p=%d)" engine_p)
     (fun ~opt () -> scatter ~opt `Compiled ());
-  paired
+  report
     (Printf.sprintf "scatter stride (parallel j4, p=%d)" engine_p)
     (fun ~opt () -> scatter ~jobs:4 ~opt `Parallel ())
 
-(* Paired cold-vs-warm measurement (--cache-overhead): same paired
-   interleaved best-of-N methodology.  Each round runs the small repeat
-   workload once from source with no cache (full parse -> lower ->
-   optimize front end) and once through a shared pre-filled cache (warm:
-   MD5 lookup + pooled frame + straight to emission).  Execution is
-   bit-identical between the arms, so the total-time ratio is a LOWER
-   bound on the front-end-overhead ratio: subtracting the common
-   execution time from both sides only increases it. *)
+(* --cache-overhead: the small repeat workload once from source with no
+   cache (full parse -> lower -> optimize front end) and once through a
+   shared cache (warm: MD5 lookup + pooled frame + straight to emission;
+   the warm-up run fills the cache, so every measured warm run is a
+   hit).  Execution is bit-identical between the arms, so the total-time
+   ratio is a LOWER bound on the front-end-overhead ratio: subtracting
+   the common execution time from both sides only increases it. *)
 let run_cache_overhead ppf ~rounds =
-  let time f =
-    let t0 = Lf_obs.Stats.now_ns () in
-    ignore (f ());
-    Int64.to_float (Int64.sub (Lf_obs.Stats.now_ns ()) t0)
-  in
   let cold () = Lf_simd.Vm.run_src ~engine:`Compiled ~p:small_p small_src in
   let cache = Lf_simd.Progcache.create () in
   let warm () =
     Lf_simd.Vm.run_src ~engine:`Compiled ~cache ~p:small_p small_src
   in
-  (* warm-up: fault in code and heap, and fill the cache so every
-     measured warm run is a hit *)
-  ignore (cold ());
-  ignore (warm ());
-  ignore (warm ());
-  let best_cold = ref infinity and best_warm = ref infinity in
-  let ratios =
-    Array.init rounds (fun _ ->
-        let c = time cold in
-        let w = time warm in
-        if c < !best_cold then best_cold := c;
-        if w < !best_warm then best_warm := w;
-        c /. w)
-  in
-  Array.sort compare ratios;
-  let median = ratios.(rounds / 2) in
+  let ratio, best_cold, best_warm = paired ~rounds cold warm in
   Fmt.pf ppf
     "cold vs warm on the small repeat workload (compiled, p=%d), %d paired \
      rounds:@.  median cold/warm ratio %.2fx   best-of-%d %.0f -> %.0f ns \
      (%.2fx)@.  per-run front-end overhead saved by a warm hit: ~%.0f ns@."
-    small_p rounds median rounds !best_cold !best_warm
-    (!best_cold /. !best_warm)
-    (!best_cold -. !best_warm)
+    small_p rounds ratio rounds best_cold best_warm
+    (best_cold /. best_warm)
+    (best_cold -. best_warm)
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)

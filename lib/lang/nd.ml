@@ -49,6 +49,9 @@ let rank a = Array.length a.dims
 let dims a = Array.copy a.dims
 let size a = Array.length a.data
 
+let index_error j dn k =
+  Errors.runtime_error "index %d out of bounds 1..%d in dimension %d" j dn k
+
 let linear_index a idx =
   let rank = Array.length a.dims in
   if Array.length idx <> rank then
@@ -57,9 +60,7 @@ let linear_index a idx =
   let off = ref 0 and stride = ref 1 in
   for k = 0 to rank - 1 do
     let i = idx.(k) in
-    if i < 1 || i > a.dims.(k) then
-      Errors.runtime_error "index %d out of bounds 1..%d in dimension %d" i
-        a.dims.(k) (k + 1);
+    if i < 1 || i > a.dims.(k) then index_error i a.dims.(k) (k + 1);
     off := !off + ((i - 1) * !stride);
     stride := !stride * a.dims.(k)
   done;

@@ -24,6 +24,11 @@ val get : 'a t -> int array -> 'a
 
 val set : 'a t -> int array -> 'a -> unit
 
+(** [index_error j dn k] raises the out-of-bounds error for index [j] in
+    dimension [k] (1-based) of extent [dn]: the one message every engine
+    reports for a subscript outside [1..dn]. *)
+val index_error : int -> int -> int -> 'a
+
 (** Flat column-major access, 0-based. *)
 val get_flat : 'a t -> int -> 'a
 

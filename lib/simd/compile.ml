@@ -140,28 +140,6 @@ let rv_to_pval ~exact (m : Frame.Mask.t) v =
         (Array.init p (fun i ->
              if exact || Frame.Mask.get m i then rv_lane v i else VInt 0))
 
-(* Typed lane "getters": [Some get] when the operand can be viewed as a
-   uniform int/float/bool vector (broadcasting front-end scalars). *)
-
-let int_get = function
-  | RI a -> Some (fun i -> Array.unsafe_get a i)
-  | RS (VInt n) -> Some (fun _ -> n)
-  | _ -> None
-
-let float_get = function
-  | RR a -> Some (fun i -> Array.unsafe_get a i)
-  | RI a -> Some (fun i -> float_of_int (Array.unsafe_get a i))
-  | RS (VReal x) -> Some (fun _ -> x)
-  | RS (VInt n) ->
-      let x = float_of_int n in
-      Some (fun _ -> x)
-  | _ -> None
-
-let bool_get = function
-  | RB a -> Some (fun i -> Array.unsafe_get a i)
-  | RS (VBool b) -> Some (fun _ -> b)
-  | _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Generic (boxed) fallbacks — the exact [Pval.lift1]/[lift2] semantics *)
 (* ------------------------------------------------------------------ *)
@@ -176,6 +154,504 @@ let box_lift2 (m : Frame.Mask.t) f a b =
   Array.init p (fun i ->
       if Frame.Mask.get m i then f (rv_lane a i) (rv_lane b i) else VInt 0)
 
+let first_active (m : Frame.Mask.t) =
+  let n = Frame.Mask.length m in
+  let rec go i = if i >= n || Frame.Mask.get m i then i else go (i + 1) in
+  go 0
+
+(* ------------------------------------------------------------------ *)
+(* The operator table                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(** A lane operation that can raise, by error identity.  A fused plan
+    admits at most one distinct class: every instance of the same class
+    raises the same message for the same lane inputs, so the fused
+    per-lane order hits the same first-failing-lane (serial and
+    lowest-shard alike) as the unfused per-operator passes.  Two
+    distinct classes could surface the {e other} error first, so such
+    regions fall back. *)
+type rclass =
+  | CDiv  (** integer division by zero *)
+  | CMod  (** MOD by zero *)
+  | CGather of int  (** bounds check of the gather op at this index *)
+
+(** How the typed paths treat a binary operator.  Every typed path — the
+    per-operator kernels, fused regions, fused stores and merged
+    scatter-accumulates — picks its kernel by [kind] and applies the
+    operator through the lane functions below, so the fused paths type
+    and compute exactly like the unfused dispatch: they run the same
+    code.  Whatever the table does not cover (mismatched operand types,
+    [**]) runs through the boxed [Scalar_ops] path. *)
+type kind =
+  | Arith  (** total on int and on real lanes *)
+  | Raising of rclass  (** [/] and MOD: int lanes fault on a zero divisor *)
+  | Cmp  (** int, real or bool lanes to bool, through [compare] *)
+  | Logic  (** bool lanes *)
+  | Boxed  (** [**]: the int/real result split is per lane *)
+
+let kind = function
+  | Add | Sub | Mul -> Arith
+  | Div -> Raising CDiv
+  | Mod -> Raising CMod
+  | Eq | Ne | Lt | Le | Gt | Ge -> Cmp
+  | And | Or -> Logic
+  | Pow -> Boxed
+
+(* The lane semantics of every operator, written once ([Scalar_ops] on
+   unboxed lanes).  The kernels take the operator as data; [@inline]
+   compiles each call site to a jump on it per lane — no closure call
+   and no float boxing in the loop. *)
+
+let[@inline] int_lane op x y =
+  match op with
+  | Add -> x + y
+  | Sub -> x - y
+  | Mul -> x * y
+  | Div ->
+      if y = 0 then Errors.runtime_error "integer division by zero" else x / y
+  | Mod -> if y = 0 then Errors.runtime_error "MOD by zero" else x mod y
+  | Eq | Ne | Lt | Le | Gt | Ge | And | Or | Pow -> invalid_arg "int_lane"
+
+let[@inline] real_lane op x y =
+  match op with
+  | Add -> x +. y
+  | Sub -> x -. y
+  | Mul -> x *. y
+  | Div -> x /. y
+  | Mod -> Float.rem x y
+  | Eq | Ne | Lt | Le | Gt | Ge | And | Or | Pow -> invalid_arg "real_lane"
+
+(** A comparison tests the sign of [compare] on its (promoted) operands. *)
+let[@inline] cmp_lane op c =
+  match op with
+  | Eq -> c = 0
+  | Ne -> c <> 0
+  | Lt -> c < 0
+  | Le -> c <= 0
+  | Gt -> c > 0
+  | Ge -> c >= 0
+  | Add | Sub | Mul | Div | Mod | And | Or | Pow -> invalid_arg "cmp_lane"
+
+let[@inline] bool_lane op x y =
+  match op with
+  | And -> x && y
+  | Or -> x || y
+  | Eq | Ne | Lt | Le | Gt | Ge -> cmp_lane op (Bool.compare x y)
+  | Add | Sub | Mul | Div | Mod | Pow -> invalid_arg "bool_lane"
+
+(* Unary lanes; [None] is the plain copy of a masked store. *)
+let[@inline] int_un op x =
+  match op with None -> x | Some Neg -> -x | Some Not -> invalid_arg "int_un"
+
+let[@inline] real_un op x =
+  match op with None -> x | Some Neg -> -.x | Some Not -> invalid_arg "real_un"
+
+let[@inline] bool_un op x =
+  match op with
+  | None -> x
+  | Some Not -> not x
+  | Some Neg -> invalid_arg "bool_un"
+
+(** The reduction folds, on int and real lanes, through the operators:
+    SUM adds, MAXVAL/MINVAL keep the accumulator while it compares
+    greater/less. *)
+type fold = Fold_sum | Fold_max | Fold_min
+
+let fold_of_key = function
+  | "sum" -> Some Fold_sum
+  | "maxval" -> Some Fold_max
+  | "minval" -> Some Fold_min
+  | _ -> None
+
+let[@inline] int_fold r a x =
+  match r with
+  | Fold_sum -> int_lane Add a x
+  | Fold_max -> if cmp_lane Gt (Int.compare a x) then a else x
+  | Fold_min -> if cmp_lane Lt (Int.compare a x) then a else x
+
+let[@inline] real_fold r a x =
+  match r with
+  | Fold_sum -> real_lane Add a x
+  | Fold_max -> if cmp_lane Gt (Float.compare a x) then a else x
+  | Fold_min -> if cmp_lane Lt (Float.compare a x) then a else x
+
+(* ------------------------------------------------------------------ *)
+(* Lane kernels                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The typed lane loops, once per element type; every dispatch site
+   calls these.  Each loop is monomorphic and runs through [run]
+   ([exec.x_run]: inline for the serial engines, one shard per pool
+   worker for the parallel one).  Shards write disjoint index ranges of
+   the result, so the loops need no further coordination; a shard that
+   raises surfaces as the lowest-shard — i.e. first-failing-lane — error,
+   exactly as the serial scan.  [bp] is the activity mask's bytes, or
+   [all_lanes] for a pass over every lane.
+
+   A kernel operand is a lane vector or a one-cell array broadcasting a
+   front-end scalar: lane [i] reads cell [i land bcast v], which is 0
+   for a one-cell array (at p = 1 a lane vector is one cell too, and
+   both readings agree).  Results may alias an operand: every loop
+   reads lane [i] before writing it. *)
+
+let all_lanes = Bytes.empty
+let[@inline] bcast a = if Array.length a = 1 then 0 else -1
+let is_int = function RI _ | RS (VInt _) -> true | _ -> false
+let is_num = function RI _ | RR _ | RS (VInt _ | VReal _) -> true | _ -> false
+let is_bool = function RB _ | RS (VBool _) -> true | _ -> false
+
+let int_view = function
+  | RI a -> a
+  | RS (VInt n) -> [| n |]
+  | _ -> invalid_arg "int_view"
+
+(* int lanes promote into a fresh vector: an operand of a mixed
+   int/real operation *)
+let real_view = function
+  | RR a -> a
+  | RI a -> Array.map float_of_int a
+  | RS (VReal x) -> [| x |]
+  | RS (VInt n) -> [| float_of_int n |]
+  | _ -> invalid_arg "real_view"
+
+let bool_view = function
+  | RB a -> a
+  | RS (VBool b) -> [| b |]
+  | _ -> invalid_arg "bool_view"
+
+(** [r.(i) <- op x.(i) y.(i)]. *)
+let map2_i run bp op (r : int array) (x : int array) (y : int array) =
+  run (fun _ lo hi ->
+      let all = bp == all_lanes and kx = bcast x and ky = bcast y in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i
+            (int_lane op
+               (Array.unsafe_get x (i land kx))
+               (Array.unsafe_get y (i land ky)))
+      done)
+
+let map2_r run bp op (r : float array) (x : float array) (y : float array) =
+  run (fun _ lo hi ->
+      let all = bp == all_lanes and kx = bcast x and ky = bcast y in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i
+            (real_lane op
+               (Array.unsafe_get x (i land kx))
+               (Array.unsafe_get y (i land ky)))
+      done)
+
+let map2_b run op (r : bool array) (x : bool array) (y : bool array) =
+  run (fun _ lo hi ->
+      let kx = bcast x and ky = bcast y in
+      for i = lo to hi - 1 do
+        Array.unsafe_set r i
+          (bool_lane op
+             (Array.unsafe_get x (i land kx))
+             (Array.unsafe_get y (i land ky)))
+      done)
+
+(** [r.(i) <- op (compare x.(i) y.(i))]. *)
+let cmp_i run op (r : bool array) (x : int array) (y : int array) =
+  run (fun _ lo hi ->
+      let kx = bcast x and ky = bcast y in
+      for i = lo to hi - 1 do
+        Array.unsafe_set r i
+          (cmp_lane op
+             (Int.compare
+                (Array.unsafe_get x (i land kx))
+                (Array.unsafe_get y (i land ky))))
+      done)
+
+let cmp_r run op (r : bool array) (x : float array) (y : float array) =
+  run (fun _ lo hi ->
+      let kx = bcast x and ky = bcast y in
+      for i = lo to hi - 1 do
+        Array.unsafe_set r i
+          (cmp_lane op
+             (Float.compare
+                (Array.unsafe_get x (i land kx))
+                (Array.unsafe_get y (i land ky))))
+      done)
+
+(** [r.(i) <- op x.(i)] for a unary op, or a copy when [op = None]. *)
+let map1_i run bp op (r : int array) (x : int array) =
+  run (fun _ lo hi ->
+      let all = bp == all_lanes and kx = bcast x in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i (int_un op (Array.unsafe_get x (i land kx)))
+      done)
+
+let map1_r run bp op (r : float array) (x : float array) =
+  run (fun _ lo hi ->
+      let all = bp == all_lanes and kx = bcast x in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i (real_un op (Array.unsafe_get x (i land kx)))
+      done)
+
+let map1_b run bp op (r : bool array) (x : bool array) =
+  run (fun _ lo hi ->
+      let all = bp == all_lanes and kx = bcast x in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i (bool_un op (Array.unsafe_get x (i land kx)))
+      done)
+
+(** [r.(i) <- f i]: a per-lane function (a fused region, a boxed vector
+    being re-specialized, a call). *)
+let fill_i run bp (r : int array) (f : int -> int) =
+  run (fun _ lo hi ->
+      let all = bp == all_lanes in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i (f i)
+      done)
+
+let fill_r run bp (r : float array) (f : int -> float) =
+  run (fun _ lo hi ->
+      let all = bp == all_lanes in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i (f i)
+      done)
+
+let fill_b run bp (r : bool array) (f : int -> bool) =
+  run (fun _ lo hi ->
+      let all = bp == all_lanes in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i (f i)
+      done)
+
+let fill_v run bp (r : value array) (f : int -> value) =
+  run (fun _ lo hi ->
+      for i = lo to hi - 1 do
+        if Bytes.unsafe_get bp i <> '\000' then Array.unsafe_set r i (f i)
+      done)
+
+(** Flat offset of the 1-based subscript [(j1, j2)] in a [d1 x d2]
+    array (rank 1: [d2 = 1], [j2 = 1]), bounds-checked in dimension
+    order like [Nd.linear_index] unless a discharged claim dropped the
+    check. *)
+let[@inline] offset ~check d1 d2 j1 j2 =
+  if check then begin
+    if j1 < 1 || j1 > d1 then Nd.index_error j1 d1 1;
+    if j2 < 1 || j2 > d2 then Nd.index_error j2 d2 2
+  end;
+  j1 - 1 + ((j2 - 1) * d1)
+
+(* Extent of dimension [k] of a rank-1 or rank-2 array (1 past its rank),
+   and the constant second subscript of a rank-1 access. *)
+let extent (d : _ Nd.t) k =
+  if k < Array.length d.Nd.dims then d.Nd.dims.(k) else 1
+
+let one = [| 1 |]
+
+(* the second subscript vector of a rank-2 typed access, [one] for rank 1 *)
+let subscript2 = function [ _; RI ix2 ] -> ix2 | _ -> one
+
+(** Gather [r.(i) <- d(ix1.(i), ix2.(i))] on the active lanes. *)
+let gather_i run bp ~check (r : int array) (d : int Nd.t) ix1 ix2 =
+  let d1 = extent d 0 and d2 = extent d 1 and data = d.Nd.data in
+  run (fun _ lo hi ->
+      let k2 = bcast ix2 in
+      for i = lo to hi - 1 do
+        if Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i
+            data.(offset ~check d1 d2 (Array.unsafe_get ix1 i)
+                    (Array.unsafe_get ix2 (i land k2)))
+      done)
+
+let gather_r run bp ~check (r : float array) (d : float Nd.t) ix1 ix2 =
+  let d1 = extent d 0 and d2 = extent d 1 and data = d.Nd.data in
+  run (fun _ lo hi ->
+      let k2 = bcast ix2 in
+      for i = lo to hi - 1 do
+        if Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i
+            data.(offset ~check d1 d2 (Array.unsafe_get ix1 i)
+                    (Array.unsafe_get ix2 (i land k2)))
+      done)
+
+(** Scatter [d(ix1.(i), ix2.(i)) <- x.(i)] — or [op x.(i) y.(i)] when
+    an [op] is given — on the active lanes, ascending within each shard
+    (the subscript is checked before the value is read). *)
+let scatter_i run bp ~check (d : int Nd.t) ix1 ix2 op (x : int array)
+    (y : int array) =
+  let d1 = extent d 0 and d2 = extent d 1 and data = d.Nd.data in
+  run (fun _ lo hi ->
+      let k2 = bcast ix2 and kx = bcast x and ky = bcast y in
+      for i = lo to hi - 1 do
+        if Bytes.unsafe_get bp i <> '\000' then begin
+          let o =
+            offset ~check d1 d2 (Array.unsafe_get ix1 i)
+              (Array.unsafe_get ix2 (i land k2))
+          in
+          let v = Array.unsafe_get x (i land kx) in
+          data.(o) <-
+            (match op with
+            | None -> v
+            | Some op -> int_lane op v (Array.unsafe_get y (i land ky)))
+        end
+      done)
+
+let scatter_r run bp ~check (d : float Nd.t) ix1 ix2 op (x : float array)
+    (y : float array) =
+  let d1 = extent d 0 and d2 = extent d 1 and data = d.Nd.data in
+  run (fun _ lo hi ->
+      let k2 = bcast ix2 and kx = bcast x and ky = bcast y in
+      for i = lo to hi - 1 do
+        if Bytes.unsafe_get bp i <> '\000' then begin
+          let o =
+            offset ~check d1 d2 (Array.unsafe_get ix1 i)
+              (Array.unsafe_get ix2 (i land k2))
+          in
+          let v = Array.unsafe_get x (i land kx) in
+          data.(o) <-
+            (match op with
+            | None -> v
+            | Some op -> real_lane op v (Array.unsafe_get y (i land ky)))
+        end
+      done)
+
+(** Per-site reduction scratch: one partial per chunk, one ANY per shard. *)
+type red_scratch = {
+  parts_i : int array;
+  parts_r : float array;
+  filled : Bytes.t;
+  sh_b : bool array;
+}
+
+let red_scratch (exec : Pool.exec) =
+  let nc = max 1 (Pool.nchunks exec.Pool.x_p) and ns = Pool.nshards exec in
+  {
+    parts_i = Array.make nc 0;
+    parts_r = Array.make nc 0.0;
+    filled = Bytes.make nc '\000';
+    sh_b = Array.make ns false;
+  }
+
+(* Left fold of [get] over the lanes of [l, h) that [bp] marks into
+   [parts.(c)]; false when there are none. *)
+let fold_span_i r bp (get : int -> int) parts l h c =
+  let acc = ref 0 and seen = ref false in
+  for i = l to h - 1 do
+    if Bytes.unsafe_get bp i <> '\000' then
+      if !seen then acc := int_fold r !acc (get i)
+      else begin
+        acc := get i;
+        seen := true
+      end
+  done;
+  if !seen then parts.(c) <- !acc;
+  !seen
+
+let fold_span_r r bp (get : int -> float) (parts : float array) l h c =
+  let acc = ref 0.0 and seen = ref false in
+  for i = l to h - 1 do
+    if Bytes.unsafe_get bp i <> '\000' then
+      if !seen then acc := real_fold r !acc (get i)
+      else begin
+        acc := get i;
+        seen := true
+      end
+  done;
+  if !seen then parts.(c) <- !acc;
+  !seen
+
+(** The canonical chunked fold (see [Pool] / [Pval.reduce]): one partial
+    per 64-lane chunk ([span l h c] folds chunk [c]), each seeded at its
+    first active lane (so e.g. a lone NaN or -0.0 survives verbatim),
+    then the partials merged left-to-right in ascending chunk order on
+    the control thread.  The chunk grid depends only on [p], never on
+    the shard layout (shard boundaries are chunk-aligned), so the result
+    — including a non-associative float SUM — is bitwise identical at
+    any jobs count and to the serial engines. *)
+let chunked run rs span =
+  Bytes.fill rs.filled 0 (Bytes.length rs.filled) '\000';
+  run (fun _ lo hi ->
+      for c = lo / Pool.chunk to ((hi + Pool.chunk - 1) / Pool.chunk) - 1 do
+        if span (c * Pool.chunk) (min hi ((c + 1) * Pool.chunk)) c then
+          Bytes.unsafe_set rs.filled c '\001'
+      done)
+
+(* Whether any lane was active; the result is left in [parts_*.(0)]. *)
+let fold_i run rs bp r ga =
+  let parts = rs.parts_i in
+  chunked run rs (fold_span_i r bp ga parts);
+  fold_span_i r rs.filled (Array.get parts) parts 0 (Bytes.length rs.filled) 0
+
+let fold_r run rs bp r ga =
+  let parts = rs.parts_r in
+  chunked run rs (fold_span_r r bp ga parts);
+  fold_span_r r rs.filled (Array.get parts) parts 0 (Bytes.length rs.filled) 0
+
+(** ANY over the active lanes.  A raising [f] visits every active lane
+    (a raising lane must still raise); a raise-free one stops at the
+    first true lane — the OR-fold order is then unobservable. *)
+let any_b run rs bp ~raising (f : int -> bool) =
+  run (fun s lo hi ->
+      let r = ref false and i = ref lo in
+      while (raising || not !r) && !i < hi do
+        if Bytes.unsafe_get bp !i <> '\000' && f !i then r := true;
+        incr i
+      done;
+      rs.sh_b.(s) <- !r);
+  Array.exists Fun.id rs.sh_b
+
+(** Typed per-lane closure over a fused region's postorder program: the
+    whole elementwise chain collapses into one [int -> _] evaluated once
+    per lane, with no intermediate plural temporaries.  Plain plural
+    operands are cells too, when they reach a reduction. *)
+type fcell =
+  | FI of (int -> int)
+  | FR of (int -> float)
+  | FB of (int -> bool)
+
+(** The typed reduction of [key] over a lane cell, or [None] when the
+    pair has no kernel.  The runner takes the mask's bytes and the
+    empty-mask result of SUM/MAXVAL/MINVAL. *)
+let lane_reduction run rs ~raising key cell :
+    (Bytes.t -> (unit -> value) -> value) option =
+  match (fold_of_key key, cell) with
+  | Some r, FI f ->
+      Some
+        (fun bp empty ->
+          if fold_i run rs bp r f then VInt rs.parts_i.(0) else empty ())
+  | Some r, FR f ->
+      Some
+        (fun bp empty ->
+          if fold_r run rs bp r f then VReal rs.parts_r.(0) else empty ())
+  | None, FB f -> (
+      match key with
+      | "count" ->
+          let one_if i = if f i then 1 else 0 in
+          Some
+            (fun bp _ ->
+              let some = fold_i run rs bp Fold_sum one_if in
+              VInt (if some then rs.parts_i.(0) else 0))
+      | "any" -> Some (fun bp _ -> VBool (any_b run rs bp ~raising f))
+      | "all" ->
+          let nf i = not (f i) in
+          Some (fun bp _ -> VBool (not (any_b run rs bp ~raising nf)))
+      | _ -> None)
+  | _ -> None
+
+(** A site's result buffers and their (reused) result values. *)
+type bufs = {
+  ri : int array;
+  rr : float array;
+  rb : bool array;
+  res_i : rv;
+  res_r : rv;
+  res_b : rv;
+}
+
+let bufs ri rr rb = { ri; rr; rb; res_i = RI ri; res_r = RR rr; res_b = RB rb }
+
 (** Re-specialize a boxed lane vector by its {e active} lanes: when every
     active lane holds the same scalar type, return the unboxed typed
     vector so downstream operators stay on their fast paths.  Inactive
@@ -183,264 +659,87 @@ let box_lift2 (m : Frame.Mask.t) f a b =
     launders them to inert [VInt 0]), so dropping their boxed
     representation is invisible. *)
 let renorm (m : Frame.Mask.t) (vs : value array) : rv =
-  let p = Array.length vs in
-  let rec first i =
-    if i >= p then p else if Frame.Mask.get m i then i else first (i + 1)
-  in
-  let f = first 0 in
-  if f >= p then RP vs
-  else
-    match vs.(f) with
-    | VInt _ ->
-        let r = Array.make p 0 in
-        let ok = ref true in
-        for i = f to p - 1 do
-          if Frame.Mask.get m i then
-            match vs.(i) with VInt x -> r.(i) <- x | _ -> ok := false
-        done;
-        if !ok then RI r else RP vs
-    | VReal _ ->
-        let r = Array.make p 0.0 in
-        let ok = ref true in
-        for i = f to p - 1 do
-          if Frame.Mask.get m i then
-            match vs.(i) with VReal x -> r.(i) <- x | _ -> ok := false
-        done;
-        if !ok then RR r else RP vs
-    | VBool _ ->
-        let r = Array.make p false in
-        let ok = ref true in
-        for i = f to p - 1 do
-          if Frame.Mask.get m i then
-            match vs.(i) with VBool x -> r.(i) <- x | _ -> ok := false
-        done;
-        if !ok then RB r else RP vs
-    | _ -> RP vs
+  let p = Array.length vs and bp = m.Frame.Mask.bits in
+  let run f = f 0 0 p in
+  let f = first_active m in
+  try
+    if f >= p then RP vs
+    else
+      match vs.(f) with
+      | VInt _ ->
+          let r = Array.make p 0 in
+          fill_i run bp r (fun i ->
+              match vs.(i) with VInt x -> x | _ -> raise Exit);
+          RI r
+      | VReal _ ->
+          let r = Array.make p 0.0 in
+          fill_r run bp r (fun i ->
+              match vs.(i) with VReal x -> x | _ -> raise Exit);
+          RR r
+      | VBool _ ->
+          let r = Array.make p false in
+          fill_b run bp r (fun i ->
+              match vs.(i) with VBool x -> x | _ -> raise Exit);
+          RB r
+      | _ -> RP vs
+  with Exit -> RP vs
 
 (* ------------------------------------------------------------------ *)
-(* Operator fast paths                                                 *)
+(* Operator dispatch                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(** Typed vector kernel for [op], or [None] to fall back to the boxed
-    path.  Division and MOD by zero are only checked on active lanes (the
-    tree-walker never computes inactive lanes); every other fast path is
-    exception-free, so it may compute all lanes.
-
-    Every lane loop dispatches through [exec.x_run]: one inline call for
-    the serial engines, one shard per pool worker for the parallel one.
-    Shards write disjoint index ranges of the shared result buffers, so
-    the loops need no further coordination; a shard that raises (division
-    by zero) surfaces as the lowest-shard — i.e. first-failing-lane —
-    error, exactly as the serial scan. *)
-let fast_binop ?buffers (exec : Pool.exec) op :
-    Frame.Mask.t -> rv -> rv -> rv option =
-  (* The shapes are matched directly (rather than through the [*_get]
-     closures) so the hot combinations run as monomorphic loops with a
-     single indirect call per lane.  [ri]/[rr]/[rb] are result buffers —
-     per-site by default, or the site's scratch-pool vectors when the
-     caller passes them: a site's previous result is always consumed
-     (copied into frame storage, a mask, a Pval, ...) before the site
-     can evaluate again, so reusing them is invisible — evaluation
-     allocates nothing on these paths beyond the dispatch closure. *)
-  let p = exec.Pool.x_p in
+(** A binary operator over two compiled values: front-end scalars fold
+    through [Scalar_ops], plural operands run the typed kernel their
+    [kind] and lane types select, anything else the boxed path.
+    Division and MOD by zero are only checked on active lanes (the
+    tree-walker never computes inactive lanes); every other kernel is
+    exception-free, so it computes all lanes.  The result lands in the
+    site's buffers [b] — per-site by default, or the site's scratch-pool
+    vectors at [-O1]: a site's previous result is always consumed
+    (copied into frame storage, a mask, a Pval, ...) before the site can
+    evaluate again, so reusing them is invisible. *)
+let binop_rv (exec : Pool.exec) b op : Frame.Mask.t -> rv -> rv -> rv =
   let run = exec.Pool.x_run in
-  let ri, rr, rb =
-    match buffers with
-    | Some b -> b
-    | None -> (Array.make p 0, Array.make p 0.0, Array.make p false)
+  let app = Scalar_ops.apply_binop op in
+  let typed =
+    match kind op with
+    | (Arith | Raising _) as k ->
+        let raising = k <> Arith in
+        fun m x y ->
+          if is_int x && is_int y then begin
+            let bp = if raising then m.Frame.Mask.bits else all_lanes in
+            map2_i run bp op b.ri (int_view x) (int_view y);
+            b.res_i
+          end
+          else if is_num x && is_num y then begin
+            map2_r run all_lanes op b.rr (real_view x) (real_view y);
+            b.res_r
+          end
+          else renorm m (box_lift2 m app x y)
+    | (Cmp | Logic) as k ->
+        fun m x y ->
+          if is_bool x && is_bool y then begin
+            map2_b run op b.rb (bool_view x) (bool_view y);
+            b.res_b
+          end
+          else if k = Logic then renorm m (box_lift2 m app x y)
+          else if is_int x && is_int y then begin
+            cmp_i run op b.rb (int_view x) (int_view y);
+            b.res_b
+          end
+          else if is_num x && is_num y then begin
+            cmp_r run op b.rb (real_view x) (real_view y);
+            b.res_b
+          end
+          else renorm m (box_lift2 m app x y)
+    | Boxed -> fun m x y -> renorm m (box_lift2 m app x y)
   in
-  let arith fi fr _m a b =
-    match (a, b) with
-    | RI x, RI y ->
-        let r = ri in
-        run (fun _ lo hi ->
-            for i = lo to hi - 1 do
-              Array.unsafe_set r i
-                (fi (Array.unsafe_get x i) (Array.unsafe_get y i))
-            done);
-        Some (RI r)
-    | RI x, RS (VInt n) ->
-        let r = ri in
-        run (fun _ lo hi ->
-            for i = lo to hi - 1 do
-              Array.unsafe_set r i (fi (Array.unsafe_get x i) n)
-            done);
-        Some (RI r)
-    | RS (VInt n), RI y ->
-        let r = ri in
-        run (fun _ lo hi ->
-            for i = lo to hi - 1 do
-              Array.unsafe_set r i (fi n (Array.unsafe_get y i))
-            done);
-        Some (RI r)
-    | RR x, RR y ->
-        let r = rr in
-        run (fun _ lo hi ->
-            for i = lo to hi - 1 do
-              Array.unsafe_set r i
-                (fr (Array.unsafe_get x i) (Array.unsafe_get y i))
-            done);
-        Some (RR r)
-    | RR x, RS (VReal c) ->
-        let r = rr in
-        run (fun _ lo hi ->
-            for i = lo to hi - 1 do
-              Array.unsafe_set r i (fr (Array.unsafe_get x i) c)
-            done);
-        Some (RR r)
-    | RS (VReal c), RR y ->
-        let r = rr in
-        run (fun _ lo hi ->
-            for i = lo to hi - 1 do
-              Array.unsafe_set r i (fr c (Array.unsafe_get y i))
-            done);
-        Some (RR r)
-    | _ -> (
-        (* remaining mixed promotions (int lanes with real operands, ...) *)
-        match (float_get a, float_get b) with
-        | Some ga, Some gb ->
-            let r = rr in
-            run (fun _ lo hi ->
-                for i = lo to hi - 1 do
-                  Array.unsafe_set r i (fr (ga i) (gb i))
-                done);
-            Some (RR r)
-        | _ -> None)
-  in
-  let cmp test _m a b =
-    match (a, b) with
-    | RI x, RI y ->
-        let r = rb in
-        run (fun _ lo hi ->
-            for i = lo to hi - 1 do
-              Array.unsafe_set r i
-                (test
-                   (Int.compare (Array.unsafe_get x i) (Array.unsafe_get y i)))
-            done);
-        Some (RB r)
-    | RI x, RS (VInt n) ->
-        let r = rb in
-        run (fun _ lo hi ->
-            for i = lo to hi - 1 do
-              Array.unsafe_set r i
-                (test (Int.compare (Array.unsafe_get x i) n))
-            done);
-        Some (RB r)
-    | RS (VInt n), RI y ->
-        let r = rb in
-        run (fun _ lo hi ->
-            for i = lo to hi - 1 do
-              Array.unsafe_set r i
-                (test (Int.compare n (Array.unsafe_get y i)))
-            done);
-        Some (RB r)
-    | RR x, RR y ->
-        let r = rb in
-        run (fun _ lo hi ->
-            for i = lo to hi - 1 do
-              Array.unsafe_set r i
-                (test
-                   (Float.compare (Array.unsafe_get x i)
-                      (Array.unsafe_get y i)))
-            done);
-        Some (RB r)
-    | RR x, RS (VReal c) ->
-        let r = rb in
-        run (fun _ lo hi ->
-            for i = lo to hi - 1 do
-              Array.unsafe_set r i
-                (test (Float.compare (Array.unsafe_get x i) c))
-            done);
-        Some (RB r)
-    | RS (VReal c), RR y ->
-        let r = rb in
-        run (fun _ lo hi ->
-            for i = lo to hi - 1 do
-              Array.unsafe_set r i
-                (test (Float.compare c (Array.unsafe_get y i)))
-            done);
-        Some (RB r)
-    | _ -> (
-        match (int_get a, int_get b) with
-        | Some ga, Some gb ->
-            let r = rb in
-            run (fun _ lo hi ->
-                for i = lo to hi - 1 do
-                  Array.unsafe_set r i (test (Int.compare (ga i) (gb i)))
-                done);
-            Some (RB r)
-        | _ -> (
-            match (float_get a, float_get b) with
-            | Some ga, Some gb ->
-                let r = rb in
-                run (fun _ lo hi ->
-                    for i = lo to hi - 1 do
-                      Array.unsafe_set r i
-                        (test (Float.compare (ga i) (gb i)))
-                    done);
-                Some (RB r)
-            | _ -> (
-                match (bool_get a, bool_get b) with
-                | Some ga, Some gb ->
-                    let r = rb in
-                    run (fun _ lo hi ->
-                        for i = lo to hi - 1 do
-                          Array.unsafe_set r i
-                            (test (Bool.compare (ga i) (gb i)))
-                        done);
-                    Some (RB r)
-                | _ -> None)))
-  in
-  let logic f _m a b =
-    match (bool_get a, bool_get b) with
-    | Some ga, Some gb ->
-        let r = rb in
-        run (fun _ lo hi ->
-            for i = lo to hi - 1 do
-              Array.unsafe_set r i (f (ga i) (gb i))
-            done);
-        Some (RB r)
-    | _ -> None
-  in
-  let div_like name fi fr m a b =
-    match (int_get a, int_get b) with
-    | Some ga, Some gb ->
-        let r = ri in
-        run (fun _ lo hi ->
-            for i = lo to hi - 1 do
-              if Frame.Mask.get m i then begin
-                let y = gb i in
-                if y = 0 then Errors.runtime_error "%s" name;
-                r.(i) <- fi (ga i) y
-              end
-            done);
-        Some (RI r)
-    | _ -> (
-        match (float_get a, float_get b) with
-        | Some ga, Some gb ->
-            let r = rr in
-            run (fun _ lo hi ->
-                for i = lo to hi - 1 do
-                  Array.unsafe_set r i (fr (ga i) (gb i))
-                done);
-            Some (RR r)
-        | _ -> None)
-  in
-  match op with
-  | Add -> arith ( + ) ( +. )
-  | Sub -> arith ( - ) ( -. )
-  | Mul -> arith ( * ) ( *. )
-  | Div -> div_like "integer division by zero" ( / ) ( /. )
-  | Mod -> div_like "MOD by zero" (fun x y -> x mod y) Float.rem
-  | Eq -> cmp (fun c -> c = 0)
-  | Ne -> cmp (fun c -> c <> 0)
-  | Lt -> cmp (fun c -> c < 0)
-  | Le -> cmp (fun c -> c <= 0)
-  | Gt -> cmp (fun c -> c > 0)
-  | Ge -> cmp (fun c -> c >= 0)
-  | And -> logic ( && )
-  | Or -> logic ( || )
-  | Pow -> fun _ _ _ -> None (* int/real result split is per-lane: boxed *)
+  fun m x y ->
+    match (x, y) with
+    | RS u, RS v -> RS (app u v)
+    | RA _, _ | _, RA _ ->
+        Errors.runtime_error "array operand in a lane-wise operation"
+    | _ -> typed m x y
 
 (* ------------------------------------------------------------------ *)
 (* Subscripts                                                          *)
@@ -459,21 +758,26 @@ let rv_sel v : (int -> int) * bool =
   | RP a -> ((fun i -> as_int a.(i)), true)
   | RA _ -> Errors.runtime_error "array-valued subscript"
 
+(** Stage lane [i]'s subscript vector in [sc] for [Nd.get]/[Nd.set]: a
+    plural array's leading subscript is the lane itself. *)
+let stage sc ~lane (fs : (int -> int) array) i =
+  let lead = Bool.to_int lane in
+  if lane then sc.(0) <- i + 1;
+  for k = 0 to Array.length fs - 1 do
+    sc.(k + lead) <- (Array.unsafe_get fs k) i
+  done;
+  sc
+
 (* ------------------------------------------------------------------ *)
 (* Mask splitting (WHERE / plural IF)                                  *)
 (* ------------------------------------------------------------------ *)
-
-let first_active (m : Frame.Mask.t) =
-  let n = Frame.Mask.length m in
-  let rec go i = if i >= n || Frame.Mask.get m i then i else go (i + 1) in
-  go 0
 
 (** Partition [parent] into [mt] (condition holds) and [mf] (does not),
     writing into the preallocated per-site buffers.  Only active lanes
     evaluate the condition, exactly like the tree-walker's [and_mask].
     The unboxed [RB] split shards over [exec]: each shard fills its own
-    byte range of the two masks and reports a partial active count,
-    summed on the control thread. *)
+    byte range of the two masks and reports how many lanes it sent to
+    [mt]; the control thread sums them and gives [mf] the rest. *)
 let split_mask (exec : Pool.exec) (parent : Frame.Mask.t) cv
     (mt : Frame.Mask.t) (mf : Frame.Mask.t) =
   Frame.Mask.clear mt;
@@ -492,43 +796,21 @@ let split_mask (exec : Pool.exec) (parent : Frame.Mask.t) cv
   | RB a ->
       let bp = parent.Frame.Mask.bits in
       let bt = mt.Frame.Mask.bits and bf = mf.Frame.Mask.bits in
-      let ns = Pool.nshards exec in
-      if ns = 1 then begin
-        let nt = ref 0 and nf = ref 0 in
-        for i = 0 to p - 1 do
-          if Bytes.unsafe_get bp i <> '\000' then
-            if Array.unsafe_get a i then begin
-              Bytes.unsafe_set bt i '\001';
-              incr nt
-            end
-            else begin
-              Bytes.unsafe_set bf i '\001';
-              incr nf
-            end
-        done;
-        mt.Frame.Mask.active_n <- !nt;
-        mf.Frame.Mask.active_n <- !nf
-      end
-      else begin
-        let nts = Array.make ns 0 and nfs = Array.make ns 0 in
-        exec.Pool.x_run (fun s lo hi ->
-            let nt = ref 0 and nf = ref 0 in
-            for i = lo to hi - 1 do
-              if Bytes.unsafe_get bp i <> '\000' then
-                if Array.unsafe_get a i then begin
-                  Bytes.unsafe_set bt i '\001';
-                  incr nt
-                end
-                else begin
-                  Bytes.unsafe_set bf i '\001';
-                  incr nf
-                end
-            done;
-            nts.(s) <- !nt;
-            nfs.(s) <- !nf);
-        mt.Frame.Mask.active_n <- Array.fold_left ( + ) 0 nts;
-        mf.Frame.Mask.active_n <- Array.fold_left ( + ) 0 nfs
-      end
+      let nts = Array.make (Pool.nshards exec) 0 in
+      exec.Pool.x_run (fun s lo hi ->
+          let nt = ref 0 in
+          for i = lo to hi - 1 do
+            if Bytes.unsafe_get bp i <> '\000' then
+              if Array.unsafe_get a i then begin
+                Bytes.unsafe_set bt i '\001';
+                incr nt
+              end
+              else Bytes.unsafe_set bf i '\001'
+          done;
+          nts.(s) <- !nt);
+      let nt = Array.fold_left ( + ) 0 nts in
+      mt.Frame.Mask.active_n <- nt;
+      mf.Frame.Mask.active_n <- Frame.Mask.active parent - nt
   | RP vs ->
       for i = 0 to p - 1 do
         if Frame.Mask.get parent i then
@@ -545,57 +827,27 @@ let split_mask (exec : Pool.exec) (parent : Frame.Mask.t) cv
 (* ------------------------------------------------------------------ *)
 
 (** Masked store into an existing plural slot.  Type-matched writes go
-    straight into the unboxed storage, sharded over [exec] (disjoint
-    lane ranges of the destination vector); a type-changing write
-    renormalizes through the boxed view on the control thread (producing
-    exactly the mixed array the tree-walker would hold, modulo
-    re-specialization). *)
+    straight into the unboxed storage (a masked copy, sharded over
+    [exec]); a type-changing write renormalizes through the boxed view
+    (producing exactly the mixed array the tree-walker would hold,
+    modulo re-specialization). *)
 let write_plural (exec : Pool.exec) frame si lanes (m : Frame.Mask.t) rhs =
-  let p = Frame.Mask.length m in
-  let run = exec.Pool.x_run in
-  let renorm () =
-    let vs = Frame.values_of_lanes lanes in
-    for i = 0 to p - 1 do
-      if Frame.Mask.get m i then vs.(i) <- rv_lane rhs i
-    done;
-    Frame.set frame si (Frame.Plural (Frame.lanes_of_values vs))
-  in
+  let run = exec.Pool.x_run and bp = m.Frame.Mask.bits in
   match (lanes, rhs) with
-  | Frame.LInt d, RI s ->
-      run (fun _ lo hi ->
-          for i = lo to hi - 1 do
-            if Frame.Mask.get m i then d.(i) <- Array.unsafe_get s i
-          done)
-  | Frame.LInt d, RS (VInt x) ->
-      run (fun _ lo hi ->
-          for i = lo to hi - 1 do
-            if Frame.Mask.get m i then d.(i) <- x
-          done)
-  | Frame.LReal d, RR s ->
-      run (fun _ lo hi ->
-          for i = lo to hi - 1 do
-            if Frame.Mask.get m i then d.(i) <- Array.unsafe_get s i
-          done)
-  | Frame.LReal d, RS (VReal x) ->
-      run (fun _ lo hi ->
-          for i = lo to hi - 1 do
-            if Frame.Mask.get m i then d.(i) <- x
-          done)
-  | Frame.LBool d, RB s ->
-      run (fun _ lo hi ->
-          for i = lo to hi - 1 do
-            if Frame.Mask.get m i then d.(i) <- Array.unsafe_get s i
-          done)
-  | Frame.LBool d, RS (VBool x) ->
-      run (fun _ lo hi ->
-          for i = lo to hi - 1 do
-            if Frame.Mask.get m i then d.(i) <- x
-          done)
-  | _ -> renorm ()
+  | Frame.LInt d, (RI _ | RS (VInt _)) -> map1_i run bp None d (int_view rhs)
+  | Frame.LReal d, (RR _ | RS (VReal _)) ->
+      map1_r run bp None d (real_view rhs)
+  | Frame.LBool d, (RB _ | RS (VBool _)) ->
+      map1_b run bp None d (bool_view rhs)
+  | _ ->
+      let vs = Frame.values_of_lanes lanes in
+      fill_v run bp vs (rv_lane rhs);
+      Frame.set frame si (Frame.Plural (Frame.lanes_of_values vs))
 
 (** First assignment to an unbound name: the tree-walker binds a scalar,
     a global, or a fresh plural whose inactive lanes are [VInt 0]. *)
 let bind_fresh frame si p (m : Frame.Mask.t) rhs =
+  let run f = f 0 0 p in
   match rhs with
   | RS v -> Frame.set frame si (Frame.Scalar (ref v))
   | RA a -> Frame.set frame si (Frame.Global a)
@@ -608,15 +860,11 @@ let bind_fresh frame si p (m : Frame.Mask.t) rhs =
         | RB a when full -> Frame.LBool (Array.copy a)
         | RI a ->
             let d = Array.make p 0 in
-            for i = 0 to p - 1 do
-              if Frame.Mask.get m i then d.(i) <- a.(i)
-            done;
+            map1_i run m.Frame.Mask.bits None d a;
             Frame.LInt d
         | _ ->
             let fresh = Array.make p (VInt 0) in
-            for i = 0 to p - 1 do
-              if Frame.Mask.get m i then fresh.(i) <- rv_lane rhs i
-            done;
+            fill_v run m.Frame.Mask.bits fresh (rv_lane rhs);
             Frame.lanes_of_values fresh
       in
       Frame.set frame si (Frame.Plural lanes)
@@ -630,6 +878,8 @@ type env = {
   frame : Frame.t;
   p : int;
   exec : Pool.exec;  (** lane-loop dispatcher: serial or pool-sharded *)
+  serial : (int -> int -> int -> unit) -> unit;
+      (** one pass over all lanes in lane order, whatever [exec] is *)
   mutable cur_loc : Errors.pos;
       (** location of the [SLoc] wrapper being compiled; every tick site
           captures it at compile time, so the run-time closures carry
@@ -660,12 +910,13 @@ let observe env (m : Frame.Mask.t) s =
 (** Result buffers for a buffer-owning site: at [-O1] the scratch-pool
     vectors of the site's [Opt.plan_scratch] group ([Ir.x_scr]); fresh
     per-site arrays at [-O0] or for a site the planner did not reach. *)
-let site_buffers env (scr : int) : int array * float array * bool array =
+let site_buffers env (scr : int) : bufs =
   if env.opt >= 1 && scr >= 0 then
-    ( Frame.scr_int env.frame scr,
-      Frame.scr_real env.frame scr,
-      Frame.scr_bool env.frame scr )
-  else (Array.make env.p 0, Array.make env.p 0.0, Array.make env.p false)
+    bufs
+      (Frame.scr_int env.frame scr)
+      (Frame.scr_real env.frame scr)
+      (Frame.scr_bool env.frame scr)
+  else bufs (Array.make env.p 0) (Array.make env.p 0.0) (Array.make env.p false)
 
 (* ------------------------------------------------------------------ *)
 (* -O2 claim discharge                                                 *)
@@ -711,28 +962,40 @@ let nocheck_stats m ndims =
     Stats.add st_checks_discharged (ndims * Frame.Mask.active m)
   end
 
+(** Whether a typed gather or scatter pass over [d] keeps its per-lane
+    bounds checks.  All or nothing: every dimension's claim must
+    discharge, or the checked loop keeps its dimension-ordered error
+    contract. *)
+let bounds_checked env (m : Frame.Mask.t) (d : _ Nd.t) claim0 claim1 =
+  let nochk =
+    discharges env claim0 (extent d 0)
+    && (Nd.rank d = 1 || discharges env claim1 (extent d 1))
+  in
+  if nochk then nocheck_stats m (Nd.rank d);
+  not nochk
+
+(** The lane runner of a typed store pass.  Several lanes may store to
+    the {e same} element of a global array, and the machine model
+    resolves the collision in lane order (last active lane wins), so the
+    pass runs serially on the control thread — unless a validated
+    [Ir.s_par] claim proves the index sets lane-disjoint, when no shard
+    order can differ from the serial lane order (shards check ascending
+    and the pool rethrows the lowest shard, preserving the
+    first-failing-lane error). *)
+let store_run env ~par =
+  if par && env.entry_ok then begin
+    Stats.incr st_par_scatter_runs;
+    env.exec.Pool.x_run
+  end
+  else env.serial
+
+
+(** Raised by the typed call path when a lane's result changes type. *)
+exception Retype of int * value
+
 (* ------------------------------------------------------------------ *)
 (* Fused regions (-O1)                                                 *)
 (* ------------------------------------------------------------------ *)
-
-(** Typed per-lane closure over a fused region's postorder program: the
-    whole elementwise chain collapses into one [int -> _] evaluated once
-    per lane, with no intermediate plural temporaries. *)
-type fcell =
-  | FI of (int -> int)
-  | FR of (int -> float)
-  | FB of (int -> bool)
-
-(** A fused op that can raise, by error identity.  A plan admits at most
-    one distinct class: every instance of the same class raises the same
-    message for the same lane inputs, so the fused per-lane order hits
-    the same first-failing-lane (serial and lowest-shard alike) as the
-    unfused per-operator passes.  Two distinct classes could surface the
-    {e other} error first, so such regions fall back. *)
-type rclass =
-  | CDiv  (** integer division by zero *)
-  | CMod  (** MOD by zero *)
-  | CGather of int  (** bounds check of the gather op at this index *)
 
 exception Not_fusible
 
@@ -750,13 +1013,13 @@ exception Not_fusible
     the same way, pinned by the bindings that made it unfusible, so the
     fallback closures run without re-planning until something changes.
 
-    The typing mirrors the unfused operator dispatch exactly: a
-    combination is only admitted when the [-O0] engine would take a
-    total (exception-free) fast path for it, every type mismatch the
-    [-O0] boxed paths would fault on falls back, and a raising op whose
-    operands are all front-end scalars falls back (the [-O0] scalar
-    path raises unconditionally, even under an empty mask, which a
-    masked fused loop would not replicate). *)
+    Operators apply through the operator table, so a cell computes what
+    the unfused kernel computes.  A combination is only admitted when
+    the [-O0] engine would take a total (exception-free) typed path for
+    it, every type mismatch the [-O0] boxed paths would fault on falls
+    back, and a raising op whose operands are all front-end scalars
+    falls back (the [-O0] scalar path raises unconditionally, even under
+    an empty mask, which a masked fused loop would not replicate). *)
 let region_plan env (rg : Ir.region) :
     (unit -> bool) array * (fcell * bool) option =
   let frame = env.frame in
@@ -783,41 +1046,26 @@ let region_plan env (rg : Ir.region) :
   let var_leaf slot =
     match Frame.get frame slot with
     | Frame.Scalar r as b0 -> (
+        (* the cell re-reads the binding's current value when the pin
+           accepts it *)
+        let pin refresh =
+          note (fun () -> Frame.get frame slot == b0 && refresh !r)
+        in
         match !r with
         | VInt x ->
             let c = ref x in
-            note (fun () ->
-                Frame.get frame slot == b0
-                && match !r with
-                   | VInt x ->
-                       c := x;
-                       true
-                   | _ -> false);
+            pin (function VInt x -> c := x; true | _ -> false);
             (FI (fun _ -> !c), false)
         | VReal x ->
             let c = ref x in
-            note (fun () ->
-                Frame.get frame slot == b0
-                && match !r with
-                   | VReal x ->
-                       c := x;
-                       true
-                   | _ -> false);
+            pin (function VReal x -> c := x; true | _ -> false);
             (FR (fun _ -> !c), false)
         | VBool x ->
             let c = ref x in
-            note (fun () ->
-                Frame.get frame slot == b0
-                && match !r with
-                   | VBool x ->
-                       c := x;
-                       true
-                   | _ -> false);
+            pin (function VBool x -> c := x; true | _ -> false);
             (FB (fun _ -> !c), false)
         | VArr _ ->
-            note (fun () ->
-                Frame.get frame slot == b0
-                && match !r with VArr _ -> true | _ -> false);
+            pin (function VArr _ -> true | _ -> false);
             raise Not_fusible)
     | Frame.Plural (Frame.LInt a) as b0 ->
         note (fun () -> Frame.get frame slot == b0);
@@ -835,113 +1083,67 @@ let region_plan env (rg : Ir.region) :
   let bin_cell op a b =
     let ca = cells.(a) and cb = cells.(b) in
     let pl = plural.(a) || plural.(b) in
-    let arith fi fr =
-      match (ca, cb) with
-      | FI fa, FI fb -> FI (fun i -> fi (fa i) (fb i))
-      | _ -> (
-          match (as_f ca, as_f cb) with
-          | Some fa, Some fb -> FR (fun i -> fr (fa i) (fb i))
-          | _ -> raise Not_fusible)
-    in
-    let cmp test =
-      match (ca, cb) with
-      | FI fa, FI fb -> FB (fun i -> test (Int.compare (fa i) (fb i)))
-      | FB fa, FB fb -> FB (fun i -> test (Bool.compare (fa i) (fb i)))
-      | _ -> (
-          match (as_f ca, as_f cb) with
-          | Some fa, Some fb -> FB (fun i -> test (Float.compare (fa i) (fb i)))
-          | _ -> raise Not_fusible)
-    in
-    let logic f =
-      match (ca, cb) with
-      | FB fa, FB fb -> FB (fun i -> f (fa i) (fb i))
+    let reals k =
+      match (as_f ca, as_f cb) with
+      | Some fa, Some fb -> k fa fb
       | _ -> raise Not_fusible
     in
-    let div_like cls cname fi fr =
-      match (ca, cb) with
-      | FI fa, FI fb ->
+    let cell =
+      match (kind op, ca, cb) with
+      | Arith, FI fa, FI fb -> FI (fun i -> int_lane op (fa i) (fb i))
+      | Raising cls, FI fa, FI fb ->
           if not pl then raise Not_fusible;
           add_class cls;
-          FI
-            (fun i ->
-              let y = fb i in
-              if y = 0 then Errors.runtime_error "%s" cname;
-              fi (fa i) y)
-      | _ -> (
-          match (as_f ca, as_f cb) with
-          | Some fa, Some fb -> FR (fun i -> fr (fa i) (fb i))
-          | _ -> raise Not_fusible)
-    in
-    let cell =
-      match op with
-      | Add -> arith ( + ) ( +. )
-      | Sub -> arith ( - ) ( -. )
-      | Mul -> arith ( * ) ( *. )
-      | Div -> div_like CDiv "integer division by zero" ( / ) ( /. )
-      | Mod -> div_like CMod "MOD by zero" (fun x y -> x mod y) Float.rem
-      | Eq -> cmp (fun c -> c = 0)
-      | Ne -> cmp (fun c -> c <> 0)
-      | Lt -> cmp (fun c -> c < 0)
-      | Le -> cmp (fun c -> c <= 0)
-      | Gt -> cmp (fun c -> c > 0)
-      | Ge -> cmp (fun c -> c >= 0)
-      | And -> logic ( && )
-      | Or -> logic ( || )
-      | Pow -> raise Not_fusible
+          FI (fun i -> int_lane op (fa i) (fb i))
+      | (Arith | Raising _), _, _ ->
+          reals (fun fa fb -> FR (fun i -> real_lane op (fa i) (fb i)))
+      | Cmp, FI fa, FI fb ->
+          FB (fun i -> cmp_lane op (Int.compare (fa i) (fb i)))
+      | (Cmp | Logic), FB fa, FB fb -> FB (fun i -> bool_lane op (fa i) (fb i))
+      | Cmp, _, _ ->
+          reals (fun fa fb ->
+              FB (fun i -> cmp_lane op (Float.compare (fa i) (fb i))))
+      | (Logic | Boxed), _, _ -> raise Not_fusible
     in
     (cell, pl)
   in
   let un_cell op a =
-    let c = cells.(a) in
+    let u = Some op in
     let cell =
-      match (op, c) with
-      | Neg, FI f -> FI (fun i -> -f i)
-      | Neg, FR f -> FR (fun i -> -.f i)
-      | Not, FB f -> FB (fun i -> not (f i))
+      match (op, cells.(a)) with
+      | Neg, FI f -> FI (fun i -> int_un u (f i))
+      | Neg, FR f -> FR (fun i -> real_un u (f i))
+      | Not, FB f -> FB (fun i -> bool_un u (f i))
       | _ -> raise Not_fusible
     in
     (cell, plural.(a))
   in
   let intr_cell key a =
-    (match host.h_find_func key with
-    | Some _ ->
-        note (fun () ->
-            match host.h_find_func key with Some _ -> true | None -> false);
-        raise Not_fusible
-    | None ->
-        note (fun () ->
-            match host.h_find_func key with None -> true | Some _ -> false));
+    let shadowed () = Option.is_some (host.h_find_func key) in
+    let s0 = shadowed () in
+    note (fun () -> shadowed () = s0);
+    if s0 then raise Not_fusible;
     let c = cells.(a) in
+    let real k = match as_f c with Some f -> k f | None -> raise Not_fusible in
     let cell =
       match (key, c) with
       | "abs", FI f -> FI (fun i -> abs (f i))
       | "abs", FR f -> FR (fun i -> Float.abs (f i))
       | _, FB _ -> raise Not_fusible
-      | "sqrt", _ -> (
-          match as_f c with
-          | Some f -> FR (fun i -> Float.sqrt (f i))
-          | None -> raise Not_fusible)
-      | "exp", _ -> (
-          match as_f c with
-          | Some f -> FR (fun i -> Float.exp (f i))
-          | None -> raise Not_fusible)
-      | "real", _ -> (
-          match as_f c with Some f -> FR f | None -> raise Not_fusible)
-      | "int", _ -> (
-          (* [-O0] round-trips through float even for INTEGER operands *)
-          match as_f c with
-          | Some f -> FI (fun i -> int_of_float (Float.trunc (f i)))
-          | None -> raise Not_fusible)
-      | "nint", _ -> (
-          match as_f c with
-          | Some f -> FI (fun i -> int_of_float (Float.round (f i)))
-          | None -> raise Not_fusible)
+      | "sqrt", _ -> real (fun f -> FR (fun i -> Float.sqrt (f i)))
+      | "exp", _ -> real (fun f -> FR (fun i -> Float.exp (f i)))
+      | "real", _ -> real (fun f -> FR f)
+      (* [-O0] round-trips through float even for INTEGER operands *)
+      | "int", _ ->
+          real (fun f -> FI (fun i -> int_of_float (Float.trunc (f i))))
+      | "nint", _ ->
+          real (fun f -> FI (fun i -> int_of_float (Float.round (f i))))
       | _ -> raise Not_fusible
     in
     (cell, plural.(a))
   in
+  (* a rank-1 or rank-2 gather, checked like the unfused gather kernel *)
   let gather_cell k slot ixs =
-    let nix = Array.length ixs in
     let fis =
       Array.map
         (fun j ->
@@ -949,73 +1151,27 @@ let region_plan env (rg : Ir.region) :
         ixs
     in
     let pl = Array.exists (fun j -> plural.(j)) ixs in
+    let nix = Array.length ixs in
+    let offset_of b0 d =
+      note (fun () -> Frame.get frame slot == b0);
+      if Nd.rank d <> nix || not pl then raise Not_fusible;
+      add_class (CGather k);
+      let f1 = fis.(0) and d1 = extent d 0 and d2 = extent d 1 in
+      if nix = 1 then fun i -> offset ~check:true d1 d2 (f1 i) 1
+      else
+        let f2 = fis.(1) in
+        fun i ->
+          let j1 = f1 i in
+          let j2 = f2 i in
+          offset ~check:true d1 d2 j1 j2
+    in
     match Frame.get frame slot with
-    | Frame.Global (AInt d) as b0 when Nd.rank d = 1 && nix = 1 ->
-        note (fun () -> Frame.get frame slot == b0);
-        if not pl then raise Not_fusible;
-        add_class (CGather k);
-        let f1 = fis.(0) in
-        let d1 = Nd.size d in
-        ( FI
-            (fun i ->
-              let j = f1 i in
-              if j < 1 || j > d1 then
-                Errors.runtime_error
-                  "index %d out of bounds 1..%d in dimension %d" j d1 1;
-              Nd.get_flat d (j - 1)),
-          true )
-    | Frame.Global (AReal d) as b0 when Nd.rank d = 1 && nix = 1 ->
-        note (fun () -> Frame.get frame slot == b0);
-        if not pl then raise Not_fusible;
-        add_class (CGather k);
-        let f1 = fis.(0) in
-        let d1 = Nd.size d in
-        ( FR
-            (fun i ->
-              let j = f1 i in
-              if j < 1 || j > d1 then
-                Errors.runtime_error
-                  "index %d out of bounds 1..%d in dimension %d" j d1 1;
-              Nd.get_flat d (j - 1)),
-          true )
-    | Frame.Global (AInt d) as b0 when Nd.rank d = 2 && nix = 2 ->
-        note (fun () -> Frame.get frame slot == b0);
-        if not pl then raise Not_fusible;
-        add_class (CGather k);
-        let f1 = fis.(0) and f2 = fis.(1) in
-        let dims = Nd.dims d in
-        let d1 = dims.(0) and d2 = dims.(1) in
-        ( FI
-            (fun i ->
-              let j1 = f1 i in
-              if j1 < 1 || j1 > d1 then
-                Errors.runtime_error
-                  "index %d out of bounds 1..%d in dimension %d" j1 d1 1;
-              let j2 = f2 i in
-              if j2 < 1 || j2 > d2 then
-                Errors.runtime_error
-                  "index %d out of bounds 1..%d in dimension %d" j2 d2 2;
-              Nd.get_flat d (j1 - 1 + ((j2 - 1) * d1))),
-          true )
-    | Frame.Global (AReal d) as b0 when Nd.rank d = 2 && nix = 2 ->
-        note (fun () -> Frame.get frame slot == b0);
-        if not pl then raise Not_fusible;
-        add_class (CGather k);
-        let f1 = fis.(0) and f2 = fis.(1) in
-        let dims = Nd.dims d in
-        let d1 = dims.(0) and d2 = dims.(1) in
-        ( FR
-            (fun i ->
-              let j1 = f1 i in
-              if j1 < 1 || j1 > d1 then
-                Errors.runtime_error
-                  "index %d out of bounds 1..%d in dimension %d" j1 d1 1;
-              let j2 = f2 i in
-              if j2 < 1 || j2 > d2 then
-                Errors.runtime_error
-                  "index %d out of bounds 1..%d in dimension %d" j2 d2 2;
-              Nd.get_flat d (j1 - 1 + ((j2 - 1) * d1))),
-          true )
+    | Frame.Global (AInt d) as b0 when nix <= 2 ->
+        let off = offset_of b0 d and data = d.Nd.data in
+        (FI (fun i -> data.(off i)), true)
+    | Frame.Global (AReal d) as b0 when nix <= 2 ->
+        let off = offset_of b0 d and data = d.Nd.data in
+        (FR (fun i -> data.(off i)), true)
     | b0 -> pin_bad slot b0
   in
   let go () =
@@ -1044,6 +1200,16 @@ let region_plan env (rg : Ir.region) :
   let res = try Some (go ()) with Not_fusible -> None in
   (Array.of_list !checks, res)
 
+(* an operand [compile_store_fused] reads straight from the frame *)
+let is_leaf (x : Ir.expr) =
+  match x.Ir.x_node with Ir.XConst _ | Ir.XVar (Some _, _) -> true | _ -> false
+
+(* an assignment's step: a vector step for a plural value, a
+   control-unit step for a front-end one *)
+let tick_assign host loc m rhs =
+  if rv_is_plural rhs then host.h_tick_vector ~loc ~kind:Lf_obs.Trace.Assign m
+  else host.h_tick_frontend ()
+
 let rec compile_expr env (e : Ir.expr) : cexpr =
   match e.Ir.x_fused with
   | Some (Ir.FRegion rg) -> compile_region env e rg
@@ -1055,67 +1221,26 @@ let rec compile_expr env (e : Ir.expr) : cexpr =
     and rebuilt when a pin fails; bindings the plan cannot fuse run the
     unoptimized per-operator closures instead, cached the same way.
     Raise-free plans run unmasked over all lanes exactly like the
-    unfused arithmetic fast paths (inactive-lane garbage is laundered at
+    unfused arithmetic kernels (inactive-lane garbage is laundered at
     every escape point); a raising class runs masked — unless the
     statement's context mask is provably full ([Ir.s_full]). *)
 and compile_region env (e : Ir.expr) (rg : Ir.region) : cexpr =
   let fallback = compile_expr_node env e in
   let full = env.cur_full in
   let run = env.exec.Pool.x_run in
-  let ri, rr, rb = site_buffers env e.Ir.x_scr in
-  let make_runner (root, raising) : Frame.Mask.t -> rv =
-    if (not raising) || full then
-      match root with
-      | FI f ->
-          fun _ ->
-            run (fun _ lo hi ->
-                for i = lo to hi - 1 do
-                  Array.unsafe_set ri i (f i)
-                done);
-            RI ri
-      | FR f ->
-          fun _ ->
-            run (fun _ lo hi ->
-                for i = lo to hi - 1 do
-                  Array.unsafe_set rr i (f i)
-                done);
-            RR rr
-      | FB f ->
-          fun _ ->
-            run (fun _ lo hi ->
-                for i = lo to hi - 1 do
-                  Array.unsafe_set rb i (f i)
-                done);
-            RB rb
-    else
-      match root with
-      | FI f ->
-          fun m ->
-            let bp = m.Frame.Mask.bits in
-            run (fun _ lo hi ->
-                for i = lo to hi - 1 do
-                  if Bytes.unsafe_get bp i <> '\000' then
-                    Array.unsafe_set ri i (f i)
-                done);
-            RI ri
-      | FR f ->
-          fun m ->
-            let bp = m.Frame.Mask.bits in
-            run (fun _ lo hi ->
-                for i = lo to hi - 1 do
-                  if Bytes.unsafe_get bp i <> '\000' then
-                    Array.unsafe_set rr i (f i)
-                done);
-            RR rr
-      | FB f ->
-          fun m ->
-            let bp = m.Frame.Mask.bits in
-            run (fun _ lo hi ->
-                for i = lo to hi - 1 do
-                  if Bytes.unsafe_get bp i <> '\000' then
-                    Array.unsafe_set rb i (f i)
-                done);
-            RB rb
+  let b = site_buffers env e.Ir.x_scr in
+  let make_runner (root, raising) (m : Frame.Mask.t) =
+    let bp = if raising && not full then m.Frame.Mask.bits else all_lanes in
+    match root with
+    | FI f ->
+        fill_i run bp b.ri f;
+        b.res_i
+    | FR f ->
+        fill_r run bp b.rr f;
+        b.res_r
+    | FB f ->
+        fill_b run bp b.rb f;
+        b.res_b
   in
   let checks = ref [||] in
   let runner = ref None in
@@ -1134,11 +1259,10 @@ and compile_region env (e : Ir.expr) (rg : Ir.region) : cexpr =
     | None -> fallback m)
 
 (** A reduction over a fused region folds the per-lane closure straight
-    into the canonical 64-lane-chunk merge tree — the argument vector is
-    never materialized.  Chunk grid, first-active initialization and
-    ascending merge are ported verbatim from the unfused folds, so the
-    result (including non-associative float SUM) stays bitwise identical
-    at any shard count. *)
+    into the canonical chunk fold ([fold_i]/[fold_r]) — the argument
+    vector is never materialized — so the result (including
+    non-associative float SUM) stays bitwise identical to the unfused
+    reduction at any shard count. *)
 and compile_fused_reduction env (e : Ir.expr) key rg : cexpr =
   let name, arg =
     match e.Ir.x_node with
@@ -1149,153 +1273,11 @@ and compile_fused_reduction env (e : Ir.expr) key rg : cexpr =
   let host = env.host in
   let loc = env.cur_loc in
   let exec = env.exec in
-  let p = env.p in
-  let run = exec.Pool.x_run in
-  let ns = Pool.nshards exec in
-  let nc = Pool.nchunks p in
-  let parts_i = Array.make (max 1 nc) 0 in
-  let parts_f = Array.make (max 1 nc) 0.0 in
-  let filled = Bytes.make (max 1 nc) '\000' in
-  let sh_i = Array.make ns 0 in
-  let sh_b = Array.make ns false in
-  let float_fold f (ga : int -> float) (m : Frame.Mask.t) =
-    Bytes.fill filled 0 (max 1 nc) '\000';
-    run (fun _ lo hi ->
-        for c = lo / Pool.chunk to ((hi + Pool.chunk - 1) / Pool.chunk) - 1 do
-          let l = c * Pool.chunk and h = min hi ((c + 1) * Pool.chunk) in
-          let acc = ref 0.0 and seen = ref false in
-          for i = l to h - 1 do
-            if Frame.Mask.get m i then
-              if !seen then acc := f !acc (ga i)
-              else begin
-                acc := ga i;
-                seen := true
-              end
-          done;
-          if !seen then begin
-            parts_f.(c) <- !acc;
-            Bytes.unsafe_set filled c '\001'
-          end
-        done);
-    let acc = ref 0.0 and seen = ref false in
-    for c = 0 to nc - 1 do
-      if Bytes.unsafe_get filled c <> '\000' then
-        if !seen then acc := f !acc parts_f.(c)
-        else begin
-          acc := parts_f.(c);
-          seen := true
-        end
-    done;
-    (* regions are never bare variable reads, so the empty-mask witness
-       is the tree-walker's inert [VInt 0] (lane 0 is inactive there) *)
-    if !seen then VReal !acc else Pval.reduction_identity key (VInt 0)
-  in
-  let int_fold f (ga : int -> int) (m : Frame.Mask.t) =
-    Bytes.fill filled 0 (max 1 nc) '\000';
-    run (fun _ lo hi ->
-        for c = lo / Pool.chunk to ((hi + Pool.chunk - 1) / Pool.chunk) - 1 do
-          let l = c * Pool.chunk and h = min hi ((c + 1) * Pool.chunk) in
-          let acc = ref 0 and seen = ref false in
-          for i = l to h - 1 do
-            if Frame.Mask.get m i then
-              if !seen then acc := f !acc (ga i)
-              else begin
-                acc := ga i;
-                seen := true
-              end
-          done;
-          if !seen then begin
-            parts_i.(c) <- !acc;
-            Bytes.unsafe_set filled c '\001'
-          end
-        done);
-    let acc = ref 0 and seen = ref false in
-    for c = 0 to nc - 1 do
-      if Bytes.unsafe_get filled c <> '\000' then
-        if !seen then acc := f !acc parts_i.(c)
-        else begin
-          acc := parts_i.(c);
-          seen := true
-        end
-    done;
-    if !seen then VInt !acc else Pval.reduction_identity key (VInt 0)
-  in
-  let make_runner ((root : fcell), raising) :
-      (Frame.Mask.t -> value) option =
-    match (key, root) with
-    | "sum", FI f -> Some (int_fold ( + ) f)
-    | "sum", FR f -> Some (float_fold ( +. ) f)
-    | "maxval", FI f -> Some (int_fold (fun a x -> if a > x then a else x) f)
-    | "maxval", FR f ->
-        Some (float_fold (fun a x -> if Float.compare a x > 0 then a else x) f)
-    | "minval", FI f -> Some (int_fold (fun a x -> if a < x then a else x) f)
-    | "minval", FR f ->
-        Some (float_fold (fun a x -> if Float.compare a x < 0 then a else x) f)
-    | "count", FB f ->
-        Some
-          (fun m ->
-            run (fun s lo hi ->
-                let n = ref 0 in
-                for i = lo to hi - 1 do
-                  if Frame.Mask.get m i && f i then incr n
-                done;
-                sh_i.(s) <- !n);
-            VInt (Array.fold_left ( + ) 0 sh_i))
-    | "any", FB f ->
-        Some
-          (fun m ->
-            run (fun s lo hi ->
-                let r = ref false in
-                if raising then
-                  for i = lo to hi - 1 do
-                    (* no short-circuit: a raising lane must still raise *)
-                    if Frame.Mask.get m i then
-                      let x = f i in
-                      r := !r || x
-                  done
-                else begin
-                  (* raise-free region: the OR-fold order is
-                     unobservable, so stop at the first true lane *)
-                  let i = ref lo in
-                  while (not !r) && !i < hi do
-                    if Frame.Mask.get m !i then r := f !i;
-                    incr i
-                  done
-                end;
-                sh_b.(s) <- !r);
-            VBool (Array.exists Fun.id sh_b))
-    | "all", FB f ->
-        Some
-          (fun m ->
-            run (fun s lo hi ->
-                let r = ref true in
-                if raising then
-                  for i = lo to hi - 1 do
-                    if Frame.Mask.get m i then
-                      let x = f i in
-                      r := !r && x
-                  done
-                else begin
-                  let i = ref lo in
-                  while !r && !i < hi do
-                    if Frame.Mask.get m !i then r := f !i;
-                    incr i
-                  done
-                end;
-                sh_b.(s) <- !r);
-            VBool (Array.for_all Fun.id sh_b))
-    | _ -> None
-  in
-  let fb m =
-    let v = carg m in
-    match v with
-    | RA a -> (
-        match Intrinsics.apply key [ VArr a ] with
-        | Some r -> RS r
-        | None -> Errors.runtime_error "bad reduction %s" name)
-    | RS s -> RS (reduce_scalar m name key s)
-    | v -> RS (reduce_plural exec ~is_var:false m name key v)
-  in
+  let rs = red_scratch exec in
+  (* regions are never bare variable reads, so the empty-mask witness
+     is the tree-walker's inert [VInt 0] (lane 0 is inactive there) *)
+  let empty () = Pval.reduction_identity key (VInt 0) in
+  let fb m = RS (reduce_rv exec rs ~is_var:false m name key (carg m)) in
   let checks = ref [||] in
   let runner = ref None in
   let sc_eligible = ref false in
@@ -1305,7 +1287,9 @@ and compile_fused_reduction env (e : Ir.expr) key rg : cexpr =
     if !fresh || not (Array.for_all (fun c -> c ()) !checks) then begin
       let cks, plan = region_plan env rg in
       checks := cks;
-      runner := Option.bind plan make_runner;
+      runner :=
+        Option.bind plan (fun (root, raising) ->
+            lane_reduction exec.Pool.x_run rs ~raising key root);
       sc_eligible :=
         Option.is_some !runner
         && (match plan with
@@ -1317,7 +1301,7 @@ and compile_fused_reduction env (e : Ir.expr) key rg : cexpr =
     | Some r ->
         Stats.incr st_reduce_runs;
         if !sc_eligible then Stats.incr st_short_circuits;
-        RS (r m)
+        RS (r m.Frame.Mask.bits empty)
     | None -> fb m)
 
 and compile_expr_node env (e : Ir.expr) : cexpr =
@@ -1350,66 +1334,34 @@ and compile_expr_node env (e : Ir.expr) : cexpr =
             | Frame.Global a | Frame.PluralArr a -> RA a))
   | Ir.XUn (op, a) -> compile_unop env e.Ir.x_scr op (compile_expr env a)
   | Ir.XBin (op, a, b) ->
-      compile_binop env e.Ir.x_scr op (compile_expr env a)
-        (compile_expr env b)
+      let ca = compile_expr env a and cb = compile_expr env b in
+      let apply = binop_rv env.exec (site_buffers env e.Ir.x_scr) op in
+      fun m ->
+        let a = ca m in
+        let b = cb m in
+        apply m a b
   | Ir.XCall (name, args) -> compile_call env e.Ir.x_scr name args
   | Ir.XIdx (si, name, args) -> compile_index env e.Ir.x_scr si name args
 
 and compile_unop env scr op ca : cexpr =
   let gen = Scalar_ops.apply_unop op in
   let run = env.exec.Pool.x_run in
-  let ri, rr, rb = site_buffers env scr in
-  match op with
-  | Neg -> (
-      fun m ->
-        match ca m with
-        | RS x -> RS (gen x)
-        | RI a ->
-            let r = ri in
-            run (fun _ lo hi ->
-                for i = lo to hi - 1 do
-                  Array.unsafe_set r i (-Array.unsafe_get a i)
-                done);
-            RI r
-        | RR a ->
-            let r = rr in
-            run (fun _ lo hi ->
-                for i = lo to hi - 1 do
-                  Array.unsafe_set r i (-.Array.unsafe_get a i)
-                done);
-            RR r
-        | RA _ ->
-            Errors.runtime_error "array operand in a lane-wise operation"
-        | v -> renorm m (box_lift1 m gen v))
-  | Not -> (
-      fun m ->
-        match ca m with
-        | RS x -> RS (gen x)
-        | RB a ->
-            let r = rb in
-            run (fun _ lo hi ->
-                for i = lo to hi - 1 do
-                  Array.unsafe_set r i (not (Array.unsafe_get a i))
-                done);
-            RB r
-        | RA _ ->
-            Errors.runtime_error "array operand in a lane-wise operation"
-        | v -> renorm m (box_lift1 m gen v))
-
-and compile_binop env scr op ca cb : cexpr =
-  let app = Scalar_ops.apply_binop op in
-  let fast = fast_binop ~buffers:(site_buffers env scr) env.exec op in
+  let b = site_buffers env scr in
+  let u = Some op in
   fun m ->
-    let a = ca m in
-    let b = cb m in
-    match (a, b) with
-    | RS x, RS y -> RS (app x y)
-    | RA _, _ | _, RA _ ->
-        Errors.runtime_error "array operand in a lane-wise operation"
-    | _ -> (
-        match fast m a b with
-        | Some r -> r
-        | None -> renorm m (box_lift2 m app a b))
+    match (op, ca m) with
+    | _, RS x -> RS (gen x)
+    | Neg, RI a ->
+        map1_i run all_lanes u b.ri a;
+        b.res_i
+    | Neg, RR a ->
+        map1_r run all_lanes u b.rr a;
+        b.res_r
+    | Not, RB a ->
+        map1_b run all_lanes u b.rb a;
+        b.res_b
+    | _, RA _ -> Errors.runtime_error "array operand in a lane-wise operation"
+    | _, v -> renorm m (box_lift1 m gen v)
 
 and compile_call env scr name args : cexpr =
   let key = String.lowercase_ascii name in
@@ -1429,70 +1381,43 @@ and compile_call env scr name args : cexpr =
        staged one) and finishing on the legacy path — still exactly one
        call per active lane, still ascending. *)
     let typed = env.opt >= 1 && Pool.nshards env.exec = 1 in
-    let tri, trr, trb =
-      if typed then site_buffers env scr else ([||], [||], [||])
-    in
+    let b = if typed then site_buffers env scr else bufs [||] [||] [||] in
     let call_typed (call : int -> value) (m : Frame.Mask.t) : rv =
       let bp = m.Frame.Mask.bits in
-      let bail rebox i0 v0 =
-        let vs = Array.make p (VInt 0) in
-        for k = 0 to i0 - 1 do
-          if Bytes.unsafe_get bp k <> '\000' then vs.(k) <- rebox k
-        done;
-        vs.(i0) <- v0;
-        for i = i0 + 1 to p - 1 do
-          if Bytes.unsafe_get bp i <> '\000' then
-            Array.unsafe_set vs i (call i)
-        done;
-        renorm m vs
-      in
-      let rec go_i i =
-        if i >= p then RI tri
-        else if Bytes.unsafe_get bp i = '\000' then go_i (i + 1)
-        else
-          match call i with
-          | VInt x ->
-              Array.unsafe_set tri i x;
-              go_i (i + 1)
-          | v -> bail (fun k -> VInt tri.(k)) i v
-      in
-      let rec go_r i =
-        if i >= p then RR trr
-        else if Bytes.unsafe_get bp i = '\000' then go_r (i + 1)
-        else
-          match call i with
-          | VReal x ->
-              Array.unsafe_set trr i x;
-              go_r (i + 1)
-          | v -> bail (fun k -> VReal trr.(k)) i v
-      in
-      let rec go_b i =
-        if i >= p then RB trb
-        else if Bytes.unsafe_get bp i = '\000' then go_b (i + 1)
-        else
-          match call i with
-          | VBool x ->
-              Array.unsafe_set trb i x;
-              go_b (i + 1)
-          | v -> bail (fun k -> VBool trb.(k)) i v
-      in
-      let rec start i =
-        if i >= p then RP (Array.make p (VInt 0))
-        else if Bytes.unsafe_get bp i = '\000' then start (i + 1)
-        else
-          match call i with
-          | VInt x ->
-              Array.unsafe_set tri i x;
-              go_i (i + 1)
-          | VReal x ->
-              Array.unsafe_set trr i x;
-              go_r (i + 1)
-          | VBool x ->
-              Array.unsafe_set trb i x;
-              go_b (i + 1)
-          | v -> bail (fun _ -> assert false) i v
-      in
-      start 0
+      let i0 = first_active m in
+      if i0 >= p then RP (Array.make p (VInt 0))
+      else
+        let v0 = call i0 in
+        let lane i = if i = i0 then v0 else call i in
+        let retype i v = raise (Retype (i, v)) in
+        try
+          match v0 with
+          | VInt _ ->
+              fill_i run bp b.ri (fun i ->
+                  match lane i with VInt x -> x | v -> retype i v);
+              b.res_i
+          | VReal _ ->
+              fill_r run bp b.rr (fun i ->
+                  match lane i with VReal x -> x | v -> retype i v);
+              b.res_r
+          | VBool _ ->
+              fill_b run bp b.rb (fun i ->
+                  match lane i with VBool x -> x | v -> retype i v);
+              b.res_b
+          | v -> retype i0 v
+        with Retype (i, v) ->
+          let vs = Array.make p (VInt 0) in
+          let stored =
+            match v0 with VInt _ -> b.res_i | VReal _ -> b.res_r | _ -> b.res_b
+          in
+          for k = i0 to i - 1 do
+            if Bytes.unsafe_get bp k <> '\000' then vs.(k) <- rv_lane stored k
+          done;
+          vs.(i) <- v;
+          for k = i + 1 to p - 1 do
+            if Bytes.unsafe_get bp k <> '\000' then vs.(k) <- call k
+          done;
+          renorm m vs
     in
     fun m ->
       match host.h_find_func key with
@@ -1503,41 +1428,16 @@ and compile_call env scr name args : cexpr =
                invocations); inactive lanes keep the static [VInt 0].
                Only [pure] functions may run lane-parallel — an impure
                callee observes the serial ascending application order. *)
-            if typed then
-              let call =
-                match vargs with
-                | [ a; b ] -> fun i -> f [ rv_lane a i; rv_lane b i ]
-                | _ -> fun i -> f (List.map (fun v -> rv_lane v i) vargs)
-              in
-              call_typed call m
+            let call =
+              match vargs with
+              | [ a; b ] -> fun i -> f [ rv_lane a i; rv_lane b i ]
+              | _ -> fun i -> f (List.map (fun v -> rv_lane v i) vargs)
+            in
+            if typed then call_typed call m
             else begin
-              let bp = m.Frame.Mask.bits in
               let vs = Array.make p (VInt 0) in
-              (match vargs with
-              | [ a; b ] when pure ->
-                  run (fun _ lo hi ->
-                      for i = lo to hi - 1 do
-                        if Bytes.unsafe_get bp i <> '\000' then
-                          Array.unsafe_set vs i (f [ rv_lane a i; rv_lane b i ])
-                      done)
-              | [ a; b ] ->
-                  for i = 0 to p - 1 do
-                    if Bytes.unsafe_get bp i <> '\000' then
-                      Array.unsafe_set vs i (f [ rv_lane a i; rv_lane b i ])
-                  done
-              | _ when pure ->
-                  run (fun _ lo hi ->
-                      for i = lo to hi - 1 do
-                        if Bytes.unsafe_get bp i <> '\000' then
-                          Array.unsafe_set vs i
-                            (f (List.map (fun v -> rv_lane v i) vargs))
-                      done)
-              | _ ->
-                  for i = 0 to p - 1 do
-                    if Bytes.unsafe_get bp i <> '\000' then
-                      Array.unsafe_set vs i
-                        (f (List.map (fun v -> rv_lane v i) vargs))
-                  done);
+              let run = if pure then run else env.serial in
+              fill_v run m.Frame.Mask.bits vs call;
               renorm m vs
             end
           end
@@ -1547,18 +1447,12 @@ and compile_call env scr name args : cexpr =
           if List.exists rv_is_plural vargs then begin
             (* intrinsics are pure by construction: shardable *)
             let vs = Array.make p (VInt 0) in
-            run (fun _ lo hi ->
-                for i = lo to hi - 1 do
-                  if Frame.Mask.get m i then
-                    Array.unsafe_set vs i
-                      (match
-                         Intrinsics.apply key
-                           (List.map (fun v -> rv_lane v i) vargs)
-                       with
-                      | Some r -> r
-                      | None ->
-                          Errors.runtime_error "unknown function %s" name)
-                done);
+            fill_v run m.Frame.Mask.bits vs (fun i ->
+                match
+                  Intrinsics.apply key (List.map (fun v -> rv_lane v i) vargs)
+                with
+                | Some r -> r
+                | None -> Errors.runtime_error "unknown function %s" name);
             renorm m vs
           end
           else
@@ -1577,8 +1471,12 @@ and compile_call env scr name args : cexpr =
 and compile_reduction env name key args : cexpr =
   let host = env.host in
   let loc = env.cur_loc in
+  let rs = red_scratch env.exec in
   let carg =
     match args with [ a ] -> Some (compile_expr env a) | _ -> None
+  in
+  let is_var =
+    match args with [ { Ir.x_ast = Ast.EVar _; _ } ] -> true | _ -> false
   in
   fun m ->
     host.h_reduction ~loc m;
@@ -1587,19 +1485,7 @@ and compile_reduction env name key args : cexpr =
       | Some c -> c m
       | None -> Errors.runtime_error "%s expects one argument" name
     in
-    match v with
-    | RA a -> (
-        match Intrinsics.apply key [ VArr a ] with
-        | Some r -> RS r
-        | None -> Errors.runtime_error "bad reduction %s" name)
-    | RS s -> RS (reduce_scalar m name key s)
-    | v ->
-        let is_var =
-          match args with
-          | [ { Ir.x_ast = Ast.EVar _; _ } ] -> true
-          | _ -> false
-        in
-        RS (reduce_plural env.exec ~is_var m name key v)
+    RS (reduce_rv env.exec rs ~is_var m name key v)
 
 (** Reduction over a broadcast front-end scalar — [Pval.reduce]'s
     [FScalar] case: the scalar itself if any lane is active, the identity
@@ -1614,20 +1500,13 @@ and reduce_scalar (m : Frame.Mask.t) name key s =
       if some_active then s else Pval.reduction_identity key s
   | _ -> Errors.runtime_error "unknown reduction %s" name
 
-and reduce_plural (exec : Pool.exec) ~is_var (m : Frame.Mask.t) name key v =
+(** Reduction of an evaluated argument: a front-end array through the
+    intrinsic, a broadcast scalar through [reduce_scalar]; typed plural
+    lanes fold through the [lane_reduction] kernels (the canonical chunk
+    grid), other plurals through the boxed fold below over the same
+    grid. *)
+and reduce_rv (exec : Pool.exec) rs ~is_var (m : Frame.Mask.t) name key v =
   let p = Frame.Mask.length m in
-  let run = exec.Pool.x_run in
-  let ns = Pool.nshards exec in
-  let nc = Pool.nchunks p in
-  (* Typed folds over the canonical chunked merge tree (see [Pool] /
-     [Pval.reduce]): one partial per 64-lane chunk, each initialized at
-     its first active lane (so e.g. a lone NaN or -0.0 survives
-     verbatim), merged left-to-right in ascending chunk order on the
-     control thread.  The chunk grid depends only on [p], never on the
-     shard layout, so the result — including a non-associative float
-     SUM — is bitwise identical at any jobs count, and identical to the
-     serial engines.  Shards fold whole chunks (shard boundaries are
-     chunk-aligned). *)
   (* The tree-walker's witness reads lane 0 of the evaluated argument
      regardless of activity.  A plural-variable read ([is_var]) exposes
      the stored lane 0; any computed temporary holds the inert [VInt 0]
@@ -1640,149 +1519,67 @@ and reduce_plural (exec : Pool.exec) ~is_var (m : Frame.Mask.t) name key v =
     else if (not is_var) && not (Frame.Mask.get m 0) then VInt 0
     else rv_lane v 0
   in
-  let float_fold f =
-    let ga = match float_get v with Some g -> g | None -> assert false in
-    let parts = Array.make (max 1 nc) 0.0 in
-    let filled = Bytes.make (max 1 nc) '\000' in
-    run (fun _ lo hi ->
-        for c = lo / Pool.chunk to ((hi + Pool.chunk - 1) / Pool.chunk) - 1 do
-          let l = c * Pool.chunk and h = min hi ((c + 1) * Pool.chunk) in
-          let acc = ref 0.0 and seen = ref false in
+  let empty () = Pval.reduction_identity key (witness ()) in
+  let cell =
+    match v with
+    | RI a -> Some (FI (fun i -> Array.unsafe_get a i))
+    | RR a -> Some (FR (fun i -> Array.unsafe_get a i))
+    | RB a -> Some (FB (fun i -> Array.unsafe_get a i))
+    | _ -> None
+  in
+  match
+    (v, Option.bind cell (lane_reduction exec.Pool.x_run rs ~raising:false key))
+  with
+  | RA a, _ -> (
+      match Intrinsics.apply key [ VArr a ] with
+      | Some r -> r
+      | None -> Errors.runtime_error "bad reduction %s" name)
+  | RS s, _ -> reduce_scalar m name key s
+  | _, Some r -> r m.Frame.Mask.bits empty
+  | _, None -> (
+      (* Boxed fallback: the same chunk grid, folded serially on the
+         control thread (mixed-type lanes are the slow path already) —
+         bit-identical to [Pval.reduce]'s grouping. *)
+      let generic f empty =
+        let acc = ref None in
+        for c = 0 to Pool.nchunks p - 1 do
+          let l = c * Pool.chunk and h = min p ((c + 1) * Pool.chunk) in
+          let part = ref None in
           for i = l to h - 1 do
             if Frame.Mask.get m i then
-              if !seen then acc := f !acc (ga i)
-              else begin
-                acc := ga i;
-                seen := true
-              end
+              let x = rv_lane v i in
+              part := Some (match !part with None -> x | Some a -> f a x)
           done;
-          if !seen then begin
-            parts.(c) <- !acc;
-            Bytes.unsafe_set filled c '\001'
-          end
-        done);
-    let acc = ref 0.0 and seen = ref false in
-    for c = 0 to nc - 1 do
-      if Bytes.unsafe_get filled c <> '\000' then
-        if !seen then acc := f !acc parts.(c)
-        else begin
-          acc := parts.(c);
-          seen := true
-        end
-    done;
-    if !seen then VReal !acc else Pval.reduction_identity key (witness ())
-  in
-  let int_fold f =
-    let ga = match int_get v with Some g -> g | None -> assert false in
-    let parts = Array.make (max 1 nc) 0 in
-    let filled = Bytes.make (max 1 nc) '\000' in
-    run (fun _ lo hi ->
-        for c = lo / Pool.chunk to ((hi + Pool.chunk - 1) / Pool.chunk) - 1 do
-          let l = c * Pool.chunk and h = min hi ((c + 1) * Pool.chunk) in
-          let acc = ref 0 and seen = ref false in
-          for i = l to h - 1 do
-            if Frame.Mask.get m i then
-              if !seen then acc := f !acc (ga i)
-              else begin
-                acc := ga i;
-                seen := true
-              end
-          done;
-          if !seen then begin
-            parts.(c) <- !acc;
-            Bytes.unsafe_set filled c '\001'
-          end
-        done);
-    let acc = ref 0 and seen = ref false in
-    for c = 0 to nc - 1 do
-      if Bytes.unsafe_get filled c <> '\000' then
-        if !seen then acc := f !acc parts.(c)
-        else begin
-          acc := parts.(c);
-          seen := true
-        end
-    done;
-    if !seen then VInt !acc else Pval.reduction_identity key (witness ())
-  in
-  (* Boxed fallback: the same chunk grid, folded serially on the control
-     thread (mixed-type lanes are the slow path already) — bit-identical
-     to [Pval.reduce]'s grouping. *)
-  let generic f empty =
-    let acc = ref None in
-    for c = 0 to nc - 1 do
-      let l = c * Pool.chunk and h = min p ((c + 1) * Pool.chunk) in
-      let part = ref None in
-      for i = l to h - 1 do
-        if Frame.Mask.get m i then
-          let x = rv_lane v i in
-          part := Some (match !part with None -> x | Some a -> f a x)
-      done;
-      match !part with
-      | None -> ()
-      | Some pv ->
-          acc := Some (match !acc with None -> pv | Some a -> f a pv)
-    done;
-    match !acc with Some r -> r | None -> empty
-  in
-  match (key, v) with
-  | "count", RB a ->
-      let parts = Array.make ns 0 in
-      run (fun s lo hi ->
+          match !part with
+          | None -> ()
+          | Some pv ->
+              acc := Some (match !acc with None -> pv | Some a -> f a pv)
+        done;
+        match !acc with Some r -> r | None -> empty
+      in
+      match key with
+      | "count" ->
           let n = ref 0 in
-          for i = lo to hi - 1 do
-            if Frame.Mask.get m i && Array.unsafe_get a i then incr n
+          for i = 0 to p - 1 do
+            if Frame.Mask.get m i && as_bool (rv_lane v i) then incr n
           done;
-          parts.(s) <- !n);
-      VInt (Array.fold_left ( + ) 0 parts)
-  | "count", _ ->
-      let n = ref 0 in
-      for i = 0 to p - 1 do
-        if Frame.Mask.get m i && as_bool (rv_lane v i) then incr n
-      done;
-      VInt !n
-  | "any", RB a ->
-      let parts = Array.make ns false in
-      run (fun s lo hi ->
-          let r = ref false in
-          for i = lo to hi - 1 do
-            if Frame.Mask.get m i then r := !r || Array.unsafe_get a i
-          done;
-          parts.(s) <- !r);
-      VBool (Array.exists Fun.id parts)
-  | "all", RB a ->
-      let parts = Array.make ns true in
-      run (fun s lo hi ->
-          let r = ref true in
-          for i = lo to hi - 1 do
-            if Frame.Mask.get m i then r := !r && Array.unsafe_get a i
-          done;
-          parts.(s) <- !r);
-      VBool (Array.for_all Fun.id parts)
-  | "sum", RI _ -> int_fold ( + )
-  | "sum", RR _ -> float_fold ( +. )
-  | "maxval", RI _ -> int_fold (fun a x -> if a > x then a else x)
-  | "maxval", RR _ ->
-      float_fold (fun a x -> if Float.compare a x > 0 then a else x)
-  | "minval", RI _ -> int_fold (fun a x -> if a < x then a else x)
-  | "minval", RR _ ->
-      float_fold (fun a x -> if Float.compare a x < 0 then a else x)
-  | "any", _ ->
-      generic (fun a b -> VBool (as_bool a || as_bool b)) (VBool false)
-  | "all", _ ->
-      generic (fun a b -> VBool (as_bool a && as_bool b)) (VBool true)
-  | "maxval", _ ->
-      generic
-        (fun a b -> if as_bool (Scalar_ops.apply_binop Gt a b) then a else b)
-        (Pval.reduction_identity key (witness ()))
-  | "minval", _ ->
-      generic
-        (fun a b -> if as_bool (Scalar_ops.apply_binop Lt a b) then a else b)
-        (Pval.reduction_identity key (witness ()))
-  | "sum", _ ->
-      generic
-        (fun a b -> Scalar_ops.apply_binop Add a b)
-        (Pval.reduction_identity key (witness ()))
-  | _ -> Errors.runtime_error "unknown reduction %s" name
+          VInt !n
+      | "any" ->
+          generic (fun a b -> VBool (as_bool a || as_bool b)) (VBool false)
+      | "all" ->
+          generic (fun a b -> VBool (as_bool a && as_bool b)) (VBool true)
+      | "maxval" ->
+          generic
+            (fun a b ->
+              if as_bool (Scalar_ops.apply_binop Gt a b) then a else b)
+            (empty ())
+      | "minval" ->
+          generic
+            (fun a b ->
+              if as_bool (Scalar_ops.apply_binop Lt a b) then a else b)
+            (empty ())
+      | "sum" -> generic (fun a b -> Scalar_ops.apply_binop Add a b) (empty ())
+      | _ -> Errors.runtime_error "unknown reduction %s" name)
 
 and compile_index env scr si name args : cexpr =
   let frame = env.frame in
@@ -1803,12 +1600,34 @@ and compile_index env scr si name args : cexpr =
   let ccall = compile_call env scr name args in
   let exec = env.exec in
   let run = exec.Pool.x_run in
-  (* gather result buffers, reused like [fast_binop]'s *)
-  let ri, rr, rb = site_buffers env scr in
-  (* the generic gather paths stage each lane's subscript vector in a
-     scratch buffer: the compile-time one serially, a fresh shard-local
-     one per shard under the pool *)
-  let local_scratch sc n = if Pool.nshards exec = 1 then sc else Array.make n 0
+  let b = site_buffers env scr in
+  let checked m d = bounds_checked env m d claim0 claim1 in
+  (* The generic gather: each lane's subscript vector is staged in a
+     scratch buffer (the compile-time one serially, a fresh shard-local
+     one per shard under the pool) and read through [Nd.get]. *)
+  let gather_boxed m a ~lane fs =
+    let go set =
+      run (fun _ lo hi ->
+          let sc =
+            if Pool.nshards exec > 1 then
+              Array.make (nargs + Bool.to_int lane) 0
+            else if lane then scratch1
+            else scratch
+          in
+          for i = lo to hi - 1 do
+            if Frame.Mask.get m i then set i (stage sc ~lane fs i)
+          done)
+    in
+    match a with
+    | AInt d ->
+        go (fun i sc -> b.ri.(i) <- Nd.get d sc);
+        b.res_i
+    | AReal d ->
+        go (fun i sc -> b.rr.(i) <- Nd.get d sc);
+        b.res_r
+    | ABool d ->
+        go (fun i sc -> b.rb.(i) <- Nd.get d sc);
+        b.res_b
   in
   fun m ->
     match Frame.get frame si with
@@ -1818,186 +1637,25 @@ and compile_index env scr si name args : cexpr =
     | Frame.Global a -> (
         let ivs = List.map (fun c -> c m) cargs in
         match (ivs, a) with
-        (* rank-1/rank-2 int-vector subscripts: gather via flat offsets,
-           replicating [Nd.linear_index]'s bounds checks (same message,
-           same dimension order, same first-failing-lane — shards check
-           ascending and the pool rethrows the lowest shard's error) *)
-        | [ RI ix ], AInt d when Nd.rank d = 1 ->
-            let d1 = Nd.size d in
-            if discharges env claim0 d1 then begin
-              nocheck_stats m 1;
-              run (fun _ lo hi ->
-                  for i = lo to hi - 1 do
-                    if Frame.Mask.get m i then
-                      Array.unsafe_set ri i
-                        (Nd.get_flat d (Array.unsafe_get ix i - 1))
-                  done)
-            end
-            else
-              run (fun _ lo hi ->
-                  for i = lo to hi - 1 do
-                    if Frame.Mask.get m i then begin
-                      let j = Array.unsafe_get ix i in
-                      if j < 1 || j > d1 then
-                        Errors.runtime_error
-                          "index %d out of bounds 1..%d in dimension %d" j d1
-                          1;
-                      Array.unsafe_set ri i (Nd.get_flat d (j - 1))
-                    end
-                  done);
-            RI ri
-        | [ RI ix ], AReal d when Nd.rank d = 1 ->
-            let d1 = Nd.size d in
-            if discharges env claim0 d1 then begin
-              nocheck_stats m 1;
-              run (fun _ lo hi ->
-                  for i = lo to hi - 1 do
-                    if Frame.Mask.get m i then
-                      Array.unsafe_set rr i
-                        (Nd.get_flat d (Array.unsafe_get ix i - 1))
-                  done)
-            end
-            else
-              run (fun _ lo hi ->
-                  for i = lo to hi - 1 do
-                    if Frame.Mask.get m i then begin
-                      let j = Array.unsafe_get ix i in
-                      if j < 1 || j > d1 then
-                        Errors.runtime_error
-                          "index %d out of bounds 1..%d in dimension %d" j d1
-                          1;
-                      Array.unsafe_set rr i (Nd.get_flat d (j - 1))
-                    end
-                  done);
-            RR rr
-        | [ RI ix1; RI ix2 ], AInt d when Nd.rank d = 2 ->
-            let dims = Nd.dims d in
-            let d1 = dims.(0) and d2 = dims.(1) in
-            (* all-or-nothing: both dimensions must discharge, or the
-               checked loop keeps its dimension-ordered error contract *)
-            if discharges env claim0 d1 && discharges env claim1 d2 then begin
-              nocheck_stats m 2;
-              run (fun _ lo hi ->
-                  for i = lo to hi - 1 do
-                    if Frame.Mask.get m i then begin
-                      let j1 = Array.unsafe_get ix1 i in
-                      let j2 = Array.unsafe_get ix2 i in
-                      Array.unsafe_set ri i
-                        (Nd.get_flat d (j1 - 1 + ((j2 - 1) * d1)))
-                    end
-                  done)
-            end
-            else
-              run (fun _ lo hi ->
-                  for i = lo to hi - 1 do
-                    if Frame.Mask.get m i then begin
-                      let j1 = Array.unsafe_get ix1 i in
-                      if j1 < 1 || j1 > d1 then
-                        Errors.runtime_error
-                          "index %d out of bounds 1..%d in dimension %d" j1
-                          d1 1;
-                      let j2 = Array.unsafe_get ix2 i in
-                      if j2 < 1 || j2 > d2 then
-                        Errors.runtime_error
-                          "index %d out of bounds 1..%d in dimension %d" j2
-                          d2 2;
-                      Array.unsafe_set ri i
-                        (Nd.get_flat d (j1 - 1 + ((j2 - 1) * d1)))
-                    end
-                  done);
-            RI ri
-        | [ RI ix1; RI ix2 ], AReal d when Nd.rank d = 2 ->
-            let dims = Nd.dims d in
-            let d1 = dims.(0) and d2 = dims.(1) in
-            if discharges env claim0 d1 && discharges env claim1 d2 then begin
-              nocheck_stats m 2;
-              run (fun _ lo hi ->
-                  for i = lo to hi - 1 do
-                    if Frame.Mask.get m i then begin
-                      let j1 = Array.unsafe_get ix1 i in
-                      let j2 = Array.unsafe_get ix2 i in
-                      Array.unsafe_set rr i
-                        (Nd.get_flat d (j1 - 1 + ((j2 - 1) * d1)))
-                    end
-                  done)
-            end
-            else
-              run (fun _ lo hi ->
-                  for i = lo to hi - 1 do
-                    if Frame.Mask.get m i then begin
-                      let j1 = Array.unsafe_get ix1 i in
-                      if j1 < 1 || j1 > d1 then
-                        Errors.runtime_error
-                          "index %d out of bounds 1..%d in dimension %d" j1
-                          d1 1;
-                      let j2 = Array.unsafe_get ix2 i in
-                      if j2 < 1 || j2 > d2 then
-                        Errors.runtime_error
-                          "index %d out of bounds 1..%d in dimension %d" j2
-                          d2 2;
-                      Array.unsafe_set rr i
-                        (Nd.get_flat d (j1 - 1 + ((j2 - 1) * d1)))
-                    end
-                  done);
-            RR rr
+        | ([ RI ix ] | [ RI ix; RI _ ]), AInt d when Nd.rank d = nargs ->
+            gather_i run m.Frame.Mask.bits ~check:(checked m d) b.ri d ix
+              (subscript2 ivs);
+            b.res_i
+        | ([ RI ix ] | [ RI ix; RI _ ]), AReal d when Nd.rank d = nargs ->
+            gather_r run m.Frame.Mask.bits ~check:(checked m d) b.rr d ix
+              (subscript2 ivs);
+            b.res_r
         | _ ->
-        let sels = List.map rv_sel ivs in
-        if List.exists snd sels then begin
-          (* gather: one element per active lane *)
-          let fs = Array.of_list (List.map fst sels) in
-          let gather get =
-            run (fun _ lo hi ->
-                let sc = local_scratch scratch nargs in
-                for i = lo to hi - 1 do
-                  if Frame.Mask.get m i then begin
-                    for k = 0 to nargs - 1 do
-                      sc.(k) <- (Array.unsafe_get fs k) i
-                    done;
-                    get i sc
-                  end
-                done)
-          in
-          match a with
-          | AInt d ->
-              gather (fun i sc -> ri.(i) <- Nd.get d sc);
-              RI ri
-          | AReal d ->
-              gather (fun i sc -> rr.(i) <- Nd.get d sc);
-              RR rr
-          | ABool d ->
-              gather (fun i sc -> rb.(i) <- Nd.get d sc);
-              RB rb
-        end
-        else begin
-          List.iteri (fun k (f, _) -> scratch.(k) <- f 0) sels;
-          RS (arr_get a scratch)
-        end)
-    | Frame.PluralArr a -> (
+            let sels = List.map rv_sel ivs in
+            if List.exists snd sels then
+              gather_boxed m a ~lane:false (Array.of_list (List.map fst sels))
+            else begin
+              List.iteri (fun k (f, _) -> scratch.(k) <- f 0) sels;
+              RS (arr_get a scratch)
+            end)
+    | Frame.PluralArr a ->
         let sels = List.map (fun c -> rv_sel (c m)) cargs in
-        let fs = Array.of_list (List.map fst sels) in
-        let gather get =
-          run (fun _ lo hi ->
-              let sc = local_scratch scratch1 (nargs + 1) in
-              for i = lo to hi - 1 do
-                if Frame.Mask.get m i then begin
-                  sc.(0) <- i + 1;
-                  for k = 0 to nargs - 1 do
-                    sc.(k + 1) <- (Array.unsafe_get fs k) i
-                  done;
-                  get i sc
-                end
-              done)
-        in
-        match a with
-        | AInt d ->
-            gather (fun i sc -> ri.(i) <- Nd.get d sc);
-            RI ri
-        | AReal d ->
-            gather (fun i sc -> rr.(i) <- Nd.get d sc);
-            RR rr
-        | ABool d ->
-            gather (fun i sc -> rb.(i) <- Nd.get d sc);
-            RB rb)
+        gather_boxed m a ~lane:true (Array.of_list (List.map fst sels))
 
 (* ------------------------------------------------------------------ *)
 (* Assignment                                                          *)
@@ -2039,50 +1697,35 @@ and compile_assign env ?(par = false) (l : Ir.lv) : Frame.Mask.t -> rv -> unit
       let nargs = List.length idxs in
       let scratch = Array.make nargs 0 in
       let scratch1 = Array.make (nargs + 1) 0 in
-      let p = env.p in
       let exec = env.exec in
       let run = exec.Pool.x_run in
       (* [-O2] interval claim on the store subscript; [par] is the
          statement's [Ir.s_par] (lane-disjoint index set), both gated
          by the entry prologue per execution *)
       let claim0 = match idxs with ix :: _ -> ix.Ir.x_range | [] -> None in
-      let scatter a m rhs (fs : (int -> int) array) ~plural_arr =
-        (* Several lanes may scatter to the {e same} element of a global
-           array, and the machine model resolves the collision in lane
-           order (last active lane wins), so global scatters always run
-           serially on the control thread.  A plural array's leading
-           subscript is the lane itself — element sets are shard-disjoint
-           by construction — so that scatter shards, with a fresh
-           subscript buffer per shard. *)
-        let put sc =
-          let off = if plural_arr then 1 else 0 in
-          let idx i =
-            if plural_arr then sc.(0) <- i + 1;
-            for k = 0 to nargs - 1 do
-              sc.(k + off) <- (Array.unsafe_get fs k) i
-            done;
-            sc
-          in
-          match (a, rhs) with
-          | AInt d, RI s -> fun i -> Nd.set d (idx i) (Array.unsafe_get s i)
-          | AReal d, RR s -> fun i -> Nd.set d (idx i) (Array.unsafe_get s i)
-          | AReal d, RI s ->
-              fun i -> Nd.set d (idx i) (float_of_int (Array.unsafe_get s i))
-          | ABool d, RB s -> fun i -> Nd.set d (idx i) (Array.unsafe_get s i)
-          | _ -> fun i -> arr_set a (idx i) (rv_lane rhs i)
-        in
-        if plural_arr && Pool.nshards exec > 1 then
-          run (fun _ lo hi ->
-              let f = put (Array.make (nargs + 1) 0) in
-              for i = lo to hi - 1 do
-                if Frame.Mask.get m i then f i
-              done)
-        else begin
-          let f = put (if plural_arr then scratch1 else scratch) in
-          for i = 0 to p - 1 do
-            if Frame.Mask.get m i then f i
-          done
-        end
+      (* typed stores; only rank-1 stores carry [par], and claims are
+         kept for the first subscript only, so a rank-2 store stays
+         checked and serial like the generic scatter below *)
+      let mode m d = (bounds_checked env m d claim0 None, store_run env ~par) in
+      let scatter a m rhs fs ~plural_arr =
+        (* The generic scatter: global-array scatters run serially on
+           the control thread (lane-order collisions, see [store_run]).
+           A plural array's leading subscript is the lane itself —
+           element sets are shard-disjoint by construction — so that
+           scatter shards, with a fresh subscript buffer per shard. *)
+        let shard = plural_arr && Pool.nshards exec > 1 in
+        (if shard then run else env.serial) (fun _ lo hi ->
+            let sc =
+              if shard then Array.make (nargs + 1) 0
+              else if plural_arr then scratch1
+              else scratch
+            in
+            for i = lo to hi - 1 do
+              if Frame.Mask.get m i then begin
+                let v = rv_lane rhs i in
+                arr_set a (stage sc ~lane:plural_arr fs i) v
+              end
+            done)
       in
       fun m rhs -> (
         match Frame.get frame si with
@@ -2092,134 +1735,20 @@ and compile_assign env ?(par = false) (l : Ir.lv) : Frame.Mask.t -> rv -> unit
             Errors.runtime_error "%s is scalar but indexed" name
         | Frame.Global a -> (
             let ivs = List.map (fun c -> c m) cidx in
+            let bp = m.Frame.Mask.bits in
             match (ivs, a, rhs) with
-            (* rank-1 int-vector scatter via flat offsets (bounds checks
-               as in [Nd.linear_index]).  A discharged claim drops the
-               per-lane check; a validated [Ir.s_par] claim lets the
-               store pass shard — the index sets are lane-disjoint, so
-               no shard order can differ from the serial lane order
-               (and shards check ascending with the pool rethrowing the
-               lowest shard, preserving the first-failing-lane error). *)
-            | [ RI ix ], AInt d, (RI _ | RS (VInt _)) when Nd.rank d = 1 ->
-                let d1 = Nd.size d in
-                let nochk = discharges env claim0 d1 in
-                if nochk then nocheck_stats m 1;
-                let bp = m.Frame.Mask.bits in
-                let check j =
-                  if j < 1 || j > d1 then
-                    Errors.runtime_error
-                      "index %d out of bounds 1..%d in dimension %d" j d1 1
-                in
-                let store : int -> int -> unit =
-                  match rhs with
-                  | RI s ->
-                      if nochk then fun lo hi ->
-                        for i = lo to hi - 1 do
-                          if Bytes.unsafe_get bp i <> '\000' then
-                            Nd.set_flat d
-                              (Array.unsafe_get ix i - 1)
-                              (Array.unsafe_get s i)
-                        done
-                      else fun lo hi ->
-                        for i = lo to hi - 1 do
-                          if Bytes.unsafe_get bp i <> '\000' then begin
-                            let j = Array.unsafe_get ix i in
-                            check j;
-                            Nd.set_flat d (j - 1) (Array.unsafe_get s i)
-                          end
-                        done
-                  | RS (VInt x) ->
-                      if nochk then fun lo hi ->
-                        for i = lo to hi - 1 do
-                          if Bytes.unsafe_get bp i <> '\000' then
-                            Nd.set_flat d (Array.unsafe_get ix i - 1) x
-                        done
-                      else fun lo hi ->
-                        for i = lo to hi - 1 do
-                          if Bytes.unsafe_get bp i <> '\000' then begin
-                            let j = Array.unsafe_get ix i in
-                            check j;
-                            Nd.set_flat d (j - 1) x
-                          end
-                        done
-                  | _ -> assert false
-                in
-                if par && env.entry_ok then begin
-                  Stats.incr st_par_scatter_runs;
-                  if Pool.nshards exec > 1 then
-                    run (fun _ lo hi -> store lo hi)
-                  else store 0 p
-                end
-                else store 0 p
-            | [ RI ix ], AReal d, (RR _ | RI _ | RS (VReal _))
-              when Nd.rank d = 1 ->
-                let d1 = Nd.size d in
-                let nochk = discharges env claim0 d1 in
-                if nochk then nocheck_stats m 1;
-                let bp = m.Frame.Mask.bits in
-                let check j =
-                  if j < 1 || j > d1 then
-                    Errors.runtime_error
-                      "index %d out of bounds 1..%d in dimension %d" j d1 1
-                in
-                let store : int -> int -> unit =
-                  match rhs with
-                  | RR s ->
-                      if nochk then fun lo hi ->
-                        for i = lo to hi - 1 do
-                          if Bytes.unsafe_get bp i <> '\000' then
-                            Nd.set_flat d
-                              (Array.unsafe_get ix i - 1)
-                              (Array.unsafe_get s i)
-                        done
-                      else fun lo hi ->
-                        for i = lo to hi - 1 do
-                          if Bytes.unsafe_get bp i <> '\000' then begin
-                            let j = Array.unsafe_get ix i in
-                            check j;
-                            Nd.set_flat d (j - 1) (Array.unsafe_get s i)
-                          end
-                        done
-                  | RI s ->
-                      if nochk then fun lo hi ->
-                        for i = lo to hi - 1 do
-                          if Bytes.unsafe_get bp i <> '\000' then
-                            Nd.set_flat d
-                              (Array.unsafe_get ix i - 1)
-                              (float_of_int (Array.unsafe_get s i))
-                        done
-                      else fun lo hi ->
-                        for i = lo to hi - 1 do
-                          if Bytes.unsafe_get bp i <> '\000' then begin
-                            let j = Array.unsafe_get ix i in
-                            check j;
-                            Nd.set_flat d (j - 1)
-                              (float_of_int (Array.unsafe_get s i))
-                          end
-                        done
-                  | RS (VReal x) ->
-                      if nochk then fun lo hi ->
-                        for i = lo to hi - 1 do
-                          if Bytes.unsafe_get bp i <> '\000' then
-                            Nd.set_flat d (Array.unsafe_get ix i - 1) x
-                        done
-                      else fun lo hi ->
-                        for i = lo to hi - 1 do
-                          if Bytes.unsafe_get bp i <> '\000' then begin
-                            let j = Array.unsafe_get ix i in
-                            check j;
-                            Nd.set_flat d (j - 1) x
-                          end
-                        done
-                  | _ -> assert false
-                in
-                if par && env.entry_ok then begin
-                  Stats.incr st_par_scatter_runs;
-                  if Pool.nshards exec > 1 then
-                    run (fun _ lo hi -> store lo hi)
-                  else store 0 p
-                end
-                else store 0 p
+            | ([ RI ix ] | [ RI ix; RI _ ]), AInt d, (RI _ | RS (VInt _))
+              when Nd.rank d = nargs ->
+                let check, run = mode m d in
+                let x = int_view rhs in
+                scatter_i run bp ~check d ix (subscript2 ivs) None x x
+            | ( ([ RI ix ] | [ RI ix; RI _ ]),
+                AReal d,
+                (RR _ | RI _ | RS (VReal _)) )
+              when Nd.rank d = nargs ->
+                let check, run = mode m d in
+                let x = real_view rhs in
+                scatter_r run bp ~check d ix (subscript2 ivs) None x x
             | _ ->
                 let sels = List.map rv_sel ivs in
                 if List.exists snd sels || rv_is_plural rhs then
@@ -2237,18 +1766,19 @@ and compile_assign env ?(par = false) (l : Ir.lv) : Frame.Mask.t -> rv -> unit
               ~plural_arr:true)
 
 (** [-O1] fused store: [v = a op b] over variable/literal operands with
-    a total operator, assigned to a typed plural.  The unfused engine
+    an [Arith] operator, assigned to a typed plural.  The unfused engine
     runs an {e unmasked} compute pass into the operator's buffer and a
     masked copy into the binding; this runs one masked compute-store
-    pass straight into the binding's lanes — active lanes get the same
-    values, inactive lanes keep their old ones, exactly like the copy.
-    Only total operators are admitted (the compute can slide past the
-    tick unobserved), and only operand/destination typings the unfused
-    path handles without rebinding; anything else — including a
-    front-end-scalar result, whose unfused tick is a front-end tick —
-    falls back to the factored unfused sequence.  In-place updates
-    ([v = v + 1]) alias destination and operand, which is safe: the
-    store is elementwise at the same lane. *)
+    pass ([map2_i]/[map2_r]) straight into the binding's lanes — active
+    lanes get the same values, inactive lanes keep their old ones,
+    exactly like the copy.  Only total operators are admitted (the
+    compute can slide past the tick unobserved), and only operand
+    typings the unfused kernels take for that destination type, with at
+    least one plural operand; anything else — including a front-end
+    scalar result, whose unfused tick is a front-end tick — falls back
+    to the factored unfused sequence.  In-place updates ([v = v + 1])
+    alias destination and operand, which is safe: the store is
+    elementwise at the same lane. *)
 and compile_store_fused env ast (l : Ir.lv) e op ea eb : cstmt =
   let host = env.host in
   let loc = env.cur_loc in
@@ -2257,268 +1787,89 @@ and compile_store_fused env ast (l : Ir.lv) e op ea eb : cstmt =
   let run = env.exec.Pool.x_run in
   let ce = compile_expr env e in
   let casgn = compile_assign env l in
-  let fii =
-    match (op : Ast.binop) with
-    | Ast.Add -> ( + )
-    | Ast.Sub -> ( - )
-    | Ast.Mul -> ( * )
-    | _ -> assert false
-  in
-  let frr =
-    match (op : Ast.binop) with
-    | Ast.Add -> ( +. )
-    | Ast.Sub -> ( -. )
-    | Ast.Mul -> ( *. )
-    | _ -> assert false
-  in
-  let resolve o =
-    match o with
-    | `C (VInt x) -> `KIc x
-    | `C (VReal x) -> `KRc x
-    | `C _ -> `KBad
-    | `V slot -> (
-        match Frame.get frame slot with
-        | Frame.Plural (Frame.LInt a) -> `KI a
-        | Frame.Plural (Frame.LReal a) -> `KR a
-        | Frame.Scalar r -> (
-            match !r with
-            | VInt x -> `KIc x
-            | VReal x -> `KRc x
-            | _ -> `KBad)
-        | _ -> `KBad)
-  in
-  let oa =
-    match ea.Ir.x_node with
-    | Ir.XConst v -> `C v
-    | Ir.XVar (Some s, _) -> `V s
-    | _ -> assert false
-  in
-  let ob =
-    match eb.Ir.x_node with
-    | Ir.XConst v -> `C v
-    | Ir.XVar (Some s, _) -> `V s
-    | _ -> assert false
-  in
-  (* per-lane float getter; constants broadcast, [float_of_int] promotes *)
-  let fget = function
-    | `KI a -> Some (fun i -> float_of_int (Array.unsafe_get a i))
-    | `KR (a : float array) -> Some (fun i -> Array.unsafe_get a i)
-    | `KIc c ->
-        let c = float_of_int c in
-        Some (fun _ -> c)
-    | `KRc c -> Some (fun (_ : int) -> c)
-    | `KBad -> None
-  in
-  let is_arr = function `KI _ | `KR _ -> true | _ -> false in
-  let is_real = function `KR _ | `KRc _ -> true | _ -> false in
+  (* the leaves are pure reads: a fallback may evaluate them again *)
+  let ca = compile_expr env ea and cb = compile_expr env eb in
+  let lanes = function RI _ | RR _ -> true | _ -> false in
   fun m ->
     observe env m ast;
-    (* resolve a compute-store pass first; the tick fires between the
-       decision and the store, exactly where the unfused tick sits
-       (a fuel fault at the tick must leave the binding untouched) *)
-    let fused : (unit -> unit) option =
-      match Frame.get frame si with
-      | Frame.Plural (Frame.LInt d) -> (
-          let iloop f =
-            Some
-              (fun () ->
-                let bp = m.Frame.Mask.bits in
-                run (fun _ lo hi ->
-                    for i = lo to hi - 1 do
-                      if Bytes.unsafe_get bp i <> '\000' then
-                        Array.unsafe_set d i (f i)
-                    done))
-          in
-          match (resolve oa, resolve ob) with
-          | `KI a, `KI b ->
-              iloop (fun i ->
-                  fii (Array.unsafe_get a i) (Array.unsafe_get b i))
-          | `KI a, `KIc c -> iloop (fun i -> fii (Array.unsafe_get a i) c)
-          | `KIc c, `KI b -> iloop (fun i -> fii c (Array.unsafe_get b i))
-          | _ -> None)
-      | Frame.Plural (Frame.LReal d) -> (
-          let rloop f =
-            Some
-              (fun () ->
-                let bp = m.Frame.Mask.bits in
-                run (fun _ lo hi ->
-                    for i = lo to hi - 1 do
-                      if Bytes.unsafe_get bp i <> '\000' then
-                        Array.unsafe_set d i (f i)
-                    done))
-          in
-          let ka = resolve oa and kb = resolve ob in
-          match (ka, kb) with
-          | `KR a, `KR b ->
-              rloop (fun i ->
-                  frr (Array.unsafe_get a i) (Array.unsafe_get b i))
-          | `KR a, `KRc c -> rloop (fun i -> frr (Array.unsafe_get a i) c)
-          | `KRc c, `KR b -> rloop (fun i -> frr c (Array.unsafe_get b i))
-          | _ ->
-              (* mixed int/real: the unfused op float-promotes whenever a
-                 real side is present; both-constant operands stay a
-                 front-end scalar there, so they must fall back *)
-              if (is_arr ka || is_arr kb) && (is_real ka || is_real kb) then
-                match (fget ka, fget kb) with
-                | Some fa, Some fb -> rloop (fun i -> frr (fa i) (fb i))
-                | _ -> None
-              else None)
-      | _ -> None
-    in
-    match fused with
-    | Some store ->
-        host.h_tick_vector ~loc ~kind:Lf_obs.Trace.Assign m;
-        store ()
-    | None ->
+    let a = ca m in
+    let b = cb m in
+    (* the tick fires between the decision and the store, exactly where
+       the unfused tick sits (a fuel fault at the tick must leave the
+       binding untouched) *)
+    let tick () = host.h_tick_vector ~loc ~kind:Lf_obs.Trace.Assign m in
+    match Frame.get frame si with
+    | Frame.Plural (Frame.LInt d)
+      when is_int a && is_int b && (lanes a || lanes b) ->
+        tick ();
+        map2_i run m.Frame.Mask.bits op d (int_view a) (int_view b)
+    | Frame.Plural (Frame.LReal d)
+      when is_num a && is_num b
+           && (lanes a || lanes b)
+           && not (is_int a && is_int b) ->
+        tick ();
+        map2_r run m.Frame.Mask.bits op d (real_view a) (real_view b)
+    | _ ->
         let rhs = ce m in
-        if rv_is_plural rhs then
-          host.h_tick_vector ~loc ~kind:Lf_obs.Trace.Assign m
-        else host.h_tick_frontend ();
+        tick_assign host loc m rhs;
         casgn m rhs
 
 (** [-O1] scatter-accumulate ([Ir.s_accum]): [a(ix) = a(ix) + rest] with
     a pure arithmetic subscript.  The gather keeps its own pass (both
     for its error order and because the scatter must see the {e
     pre-statement} values — colliding lanes overwrite, they do not
-    accumulate), but the final add is folded into the scatter loop, so
+    accumulate), but the final add is folded into the scatter kernel, so
     the sum is never materialized.  Evaluation order matches the
     unfused statement exactly: gather, rest, tick, subscript, store
     pass (the add is total on the typed shapes admitted here, so moving
-    it across the tick is invisible).  Shapes outside the typed
-    rank-1 fast paths — and the scalar-subscript case, whose unfused
-    tick is a front-end tick — run the factored unfused sequence. *)
+    it across the tick is invisible).  Shapes outside the typed rank-1
+    kernels — and the scalar-subscript case, whose unfused tick is a
+    front-end tick — run the factored unfused sequence. *)
 and compile_accum env ast (l : Ir.lv) ~par scr g rest : cstmt =
   let host = env.host in
   let loc = env.cur_loc in
   let frame = env.frame in
   let si = l.Ir.l_slot in
-  let p = env.p in
-  let exec = env.exec in
-  let run = exec.Pool.x_run in
   let cg = compile_expr env g in
   let crest = compile_expr env rest in
-  let cix =
-    match l.Ir.l_index with [ ix ] -> compile_expr env ix | _ -> assert false
-  in
-  (* [-O2] claims on the store subscript, as in [compile_assign] *)
-  let claim0 =
-    match l.Ir.l_index with [ ix ] -> ix.Ir.x_range | _ -> None
-  in
+  let sub = match l.Ir.l_index with [ ix ] -> ix | _ -> assert false in
+  let cix = compile_expr env sub in
   (* the factored unfused add: same dispatch, its own buffer site *)
-  let app = Scalar_ops.apply_binop Ast.Add in
-  let fast = fast_binop ~buffers:(site_buffers env scr) env.exec Ast.Add in
+  let add = binop_rv env.exec (site_buffers env scr) Ast.Add in
   let casgn = compile_assign env ~par l in
-  let bounds j d1 =
-    if j < 1 || j > d1 then
-      Errors.runtime_error "index %d out of bounds 1..%d in dimension %d" j d1
-        1
-  in
   fun m ->
     observe env m ast;
     let gv = cg m in
     let rv = crest m in
-    let fallback () =
-      let rhs =
-        match (gv, rv) with
-        | RS x, RS y -> RS (app x y)
-        | RA _, _ | _, RA _ ->
-            Errors.runtime_error "array operand in a lane-wise operation"
-        | _ -> (
-            match fast m gv rv with
-            | Some r -> r
-            | None -> renorm m (box_lift2 m app gv rv))
-      in
-      if rv_is_plural rhs then
-        host.h_tick_vector ~loc ~kind:Lf_obs.Trace.Assign m
-      else host.h_tick_frontend ();
-      casgn m rhs
-    in
-    (* the merged add-and-store pass.  [store i j] receives the lane
-       and its 1-based subscript; the bounds check stays here so a
-       discharged claim can drop it, and a validated [Ir.s_par] claim
-       shards the pass — each lane adds into its own element (the
-       gathered pre-statement values are already materialized in
-       [gv]), so shard order cannot show. *)
-    let merged d1 (store : int -> int -> unit) =
-      host.h_tick_vector ~loc ~kind:Lf_obs.Trace.Assign m;
+    let tick () = host.h_tick_vector ~loc ~kind:Lf_obs.Trace.Assign m in
+    (* the merged add-and-store pass; each lane adds into its own
+       element (the gathered pre-statement values are already
+       materialized in [gv]) *)
+    let merged d scatter =
+      tick ();
       match cix m with
       | RI ix ->
-          let bp = m.Frame.Mask.bits in
-          let nochk = discharges env claim0 d1 in
-          if nochk then nocheck_stats m 1;
-          let pass lo hi =
-            if nochk then
-              for i = lo to hi - 1 do
-                if Bytes.unsafe_get bp i <> '\000' then
-                  store i (Array.unsafe_get ix i)
-              done
-            else
-              for i = lo to hi - 1 do
-                if Bytes.unsafe_get bp i <> '\000' then begin
-                  let j = Array.unsafe_get ix i in
-                  bounds j d1;
-                  store i j
-                end
-              done
-          in
-          if par && env.entry_ok then begin
-            Stats.incr st_par_scatter_runs;
-            if Pool.nshards exec > 1 then run (fun _ lo hi -> pass lo hi)
-            else pass 0 p
-          end
-          else pass 0 p;
-          Stats.incr st_accum_merged;
-          true
-      | _ -> false
+          let check = bounds_checked env m d sub.Ir.x_range None in
+          scatter (store_run env ~par) m.Frame.Mask.bits ~check ix;
+          Stats.incr st_accum_merged
+      | _ ->
+          (* non-int-vector subscript: finish unfused (the vector tick
+             has fired — the unfused add result is plural) *)
+          casgn m (add m gv rv)
     in
-    match Frame.get frame si with
-    | Frame.Global (AReal d) when Nd.rank d = 1 -> (
-        let d1 = Nd.size d in
-        let fadd : (int -> float) option =
-          match (gv, rv) with
-          | RR x, RR y ->
-              Some
-                (fun i -> Array.unsafe_get x i +. Array.unsafe_get y i)
-          | RR x, RI y ->
-              Some
-                (fun i ->
-                  Array.unsafe_get x i +. float_of_int (Array.unsafe_get y i))
-          | RR x, RS (VReal c) -> Some (fun i -> Array.unsafe_get x i +. c)
-          | RR x, RS (VInt c) ->
-              let c = float_of_int c in
-              Some (fun i -> Array.unsafe_get x i +. c)
-          | _ -> None
-        in
-        match fadd with
-        | Some fadd ->
-            if not (merged d1 (fun i j -> Nd.set_flat d (j - 1) (fadd i)))
-            then
-              (* non-int-vector subscript: finish unfused (the vector
-                 tick has fired — the unfused add result is plural) *)
-              casgn m
-                (match fast m gv rv with
-                | Some r -> r
-                | None -> renorm m (box_lift2 m app gv rv))
-        | None -> fallback ())
-    | Frame.Global (AInt d) when Nd.rank d = 1 -> (
-        let d1 = Nd.size d in
-        let iadd : (int -> int) option =
-          match (gv, rv) with
-          | RI x, RI y ->
-              Some (fun i -> Array.unsafe_get x i + Array.unsafe_get y i)
-          | RI x, RS (VInt c) -> Some (fun i -> Array.unsafe_get x i + c)
-          | _ -> None
-        in
-        match iadd with
-        | Some iadd ->
-            if not (merged d1 (fun i j -> Nd.set_flat d (j - 1) (iadd i)))
-            then
-              casgn m
-                (match fast m gv rv with
-                | Some r -> r
-                | None -> renorm m (box_lift2 m app gv rv))
-        | None -> fallback ())
-    | _ -> fallback ()
+    match (Frame.get frame si, gv) with
+    | Frame.Global (AReal d), RR x when Nd.rank d = 1 && is_num rv ->
+        let y = real_view rv in
+        merged d (fun run bp ~check ix ->
+            scatter_r run bp ~check d ix one (Some Add) x y)
+    | Frame.Global (AInt d), RI x when Nd.rank d = 1 && is_int rv ->
+        let y = int_view rv in
+        merged d (fun run bp ~check ix ->
+            scatter_i run bp ~check d ix one (Some Add) x y)
+    | _ ->
+        let rhs = add m gv rv in
+        tick_assign host loc m rhs;
+        casgn m rhs
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
@@ -2548,29 +1899,17 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
       | Ir.XBin (Ast.Add, g, rest) ->
           compile_accum env ast l ~par:s.Ir.s_par e.Ir.x_scr g rest
       | _ -> assert false (* [Opt.mark_accum] only marks this shape *))
-  | Ir.LAssign (l, e)
-    when env.opt >= 1 && l.Ir.l_index = []
-         && (match e.Ir.x_node with
-            | Ir.XBin ((Ast.Add | Ast.Sub | Ast.Mul), a, b) ->
-                let leaf x =
-                  match x.Ir.x_node with
-                  | Ir.XConst _ | Ir.XVar (Some _, _) -> true
-                  | _ -> false
-                in
-                leaf a && leaf b
-            | _ -> false) -> (
-      match e.Ir.x_node with
-      | Ir.XBin (op, a, b) -> compile_store_fused env ast l e op a b
-      | _ -> assert false)
+  | Ir.LAssign (l, ({ Ir.x_node = Ir.XBin (op, a, b); _ } as e))
+    when env.opt >= 1 && l.Ir.l_index = [] && kind op = Arith
+         && is_leaf a && is_leaf b ->
+      compile_store_fused env ast l e op a b
   | Ir.LAssign (l, e) ->
       let ce = compile_expr env e in
       let casgn = compile_assign env ~par:s.Ir.s_par l in
       fun m ->
         observe env m ast;
         let rhs = ce m in
-        if rv_is_plural rhs then
-          host.h_tick_vector ~loc ~kind:Lf_obs.Trace.Assign m
-        else host.h_tick_frontend ();
+        tick_assign host loc m rhs;
         casgn m rhs
   | Ir.LScall (name, args) -> (
       let key = String.lowercase_ascii name in
@@ -2590,38 +1929,31 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
             host.h_flush ();
             f ~mask:(Frame.Mask.to_bool_array m) vargs;
             host.h_import ())
-  | Ir.LIf (c, t, f) -> (
+  | Ir.LIf (c, t, f) | Ir.LWhere (c, t, f) -> (
       let cc = compile_expr env c in
       let ct = compile_block env t and cf = compile_block env f in
       let mt = Frame.Mask.create_empty env.p in
       let mf = Frame.Mask.create_empty env.p in
-      let exec = env.exec in
-      fun m ->
-        match cc m with
-        | RS v ->
-            host.h_tick_frontend ();
-            if as_bool v then ct m else cf m
-        | RA _ -> Errors.runtime_error "array condition"
-        | _ ->
-            (* plural IF runs as WHERE, and like the tree-walker's
-               [SWhere] dispatch it re-evaluates the condition *)
-            let cv = cc m in
-            host.h_tick_vector ~loc ~kind:Lf_obs.Trace.Where m;
-            split_mask exec m cv mt mf;
-            ct mt;
-            cf mf)
-  | Ir.LWhere (c, t, f) ->
-      let cc = compile_expr env c in
-      let ct = compile_block env t and cf = compile_block env f in
-      let mt = Frame.Mask.create_empty env.p in
-      let mf = Frame.Mask.create_empty env.p in
-      let exec = env.exec in
-      fun m ->
+      let where m =
         let cv = cc m in
         host.h_tick_vector ~loc ~kind:Lf_obs.Trace.Where m;
-        split_mask exec m cv mt mf;
+        split_mask env.exec m cv mt mf;
         ct mt;
         cf mf
+      in
+      match s.Ir.s_node with
+      | Ir.LWhere _ -> where
+      | _ -> (
+          fun m ->
+            match cc m with
+            | RS v ->
+                host.h_tick_frontend ();
+                if as_bool v then ct m else cf m
+            | RA _ -> Errors.runtime_error "array condition"
+            | _ ->
+                (* plural IF runs as WHERE, and like the tree-walker's
+                   [SWhere] dispatch it re-evaluates the condition *)
+                where m))
   | Ir.LWhile (c, body) ->
       let cc = compile_expr env c in
       let cb = compile_block env body in
@@ -2741,20 +2073,11 @@ let var_names (prog : program) : string list =
   in
   add "iproc";
   List.iter (fun d -> add d.dc_name) prog.p_decls;
-  let rec ex = function
-    | EInt _ | EReal _ | EBool _ -> ()
-    | EVar v -> add v
-    | EIdx (v, es) ->
-        add v;
-        List.iter ex es
-    | EUn (_, a) -> ex a
-    | EBin (_, a, b) ->
-        ex a;
-        ex b
-    | ECall (_, es) -> List.iter ex es
-    | ERange (a, b) ->
-        ex a;
-        ex b
+  (* outside-in, left to right *)
+  let ex =
+    Ast_util.fold_expr
+      (fun () -> function EVar v | EIdx (v, _) -> add v | _ -> ())
+      ()
   in
   let rec st = function
     | SLoc (_, s) -> st s
@@ -2804,6 +2127,7 @@ let emit ~host ~frame ~exec ?(opt = 1) (ir : Ir.block) :
       frame;
       p = host.h_p;
       exec;
+      serial = (Pool.serial_exec ~p:host.h_p).Pool.x_run;
       cur_loc = Errors.no_pos;
       cur_full = false;
       opt;

@@ -242,10 +242,215 @@ let t_nbforce_corpus () =
       ("parallel -O2 j4", `Parallel, Some 4, Some 2);
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Shape matrix                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Random programs do not reliably reach every operand-shape pair of
+   every operator, so this matrix enumerates them: every binary
+   operator (arith, comparisons, logic, /, MOD, ** ) and both unary ones
+   against every pair of operand shapes — unboxed int/real/bool lanes
+   (ri/rr/rb), a boxed mixed-type plural (rp) and front-end int/real/bool
+   scalars (si/sr/sb) — under an empty, a partial and the full mask, as
+   plain assignments and inside fused regions and reductions.  [ri] is
+   zero on lane 2, which the partial mask [iproc > 2] switches off: every
+   / and MOD row divides by zero on an inactive lane before the full mask
+   makes it fault.  [bounds_cases] add out-of-bounds subscripts on
+   masked-off lanes and in dimension 2 of rank-2 gathers and scatters.
+   Each program runs on the tree-walker (the reference) and on the
+   compiled and parallel (jobs 1 and 3) engines at -O0, -O1 and -O2,
+   which must match its state, Metrics and error bytes. *)
+
+let matrix_ps = [ 5; 200 ]
+
+let matrix_setup ~p vm =
+  let n = p - 1 in
+  Vm.bind_scalar vm "n" (Values.VInt n);
+  Vm.bind_global vm "g"
+    (Values.AInt (Nd.of_array (Array.init n (fun i -> 10 * (i + 1)))));
+  Vm.bind_global vm "h"
+    (Values.AReal
+       (Nd.of_array (Array.init n (fun i -> 0.5 *. float_of_int (i + 1)))));
+  Vm.bind_global vm "g2"
+    (Values.AInt (Nd.init [| 2; n |] (fun ix -> ix.(0) + (10 * ix.(1)))))
+
+let matrix_prologue =
+  Parser.block_of_string
+    "ri = iproc - 2\n\
+     rr = iproc * 0.5 - 1.0\n\
+     rb = iproc > 2\n\
+     rp = iproc\n\
+     WHERE (iproc > 2)\n\
+    \  rp = iproc * 0.25\n\
+     ENDWHERE\n\
+     si = 3\n\
+     sr = 1.5\n\
+     sb = .TRUE."
+
+let shapes = [ "ri"; "rr"; "rb"; "rp"; "si"; "sr"; "sb" ]
+
+let binops =
+  Ast.[ Add; Sub; Mul; Div; Mod; Pow; Eq; Ne; Lt; Le; Gt; Ge; And; Or ]
+
+let op_name = function
+  | Ast.Add -> "+" | Ast.Sub -> "-" | Ast.Mul -> "*" | Ast.Div -> "/"
+  | Ast.Mod -> "MOD" | Ast.Pow -> "**" | Ast.Eq -> "==" | Ast.Ne -> "/="
+  | Ast.Lt -> "<" | Ast.Le -> "<=" | Ast.Gt -> ">" | Ast.Ge -> ">="
+  | Ast.And -> ".AND." | Ast.Or -> ".OR."
+
+let assign v e = Ast.SAssign ({ Ast.lv_name = v; lv_index = [] }, e)
+
+(* the body under an empty mask, then a partial one, then the full one;
+   every statement carries a line of its own, so an error message names
+   the mask it was raised under *)
+let under_masks body =
+  let located line =
+    List.mapi
+      (fun k s -> Ast.SLoc ({ Errors.line = line + k; col = 1 }, s))
+      body
+  in
+  let where c line =
+    Ast.SWhere
+      (Ast.EBin (Ast.Gt, Ast.EVar "iproc", Ast.EInt c), located line, [])
+  in
+  where 1000 100 :: where 2 200 :: located 300
+
+(* twice: the first assignment binds [z], the second stores into it *)
+let plain_form e = under_masks [ assign "z" e; assign "z" e ]
+
+let fused_form ~logical e =
+  let call f = Ast.ECall (f, [ e ]) in
+  under_masks
+    (if logical then
+       [ assign "c1" (call "count"); assign "c2" (call "any");
+         assign "c3" (call "all") ]
+     else
+       [ assign "w" (call "abs"); assign "s1" (call "sum");
+         assign "s2" (call "maxval"); assign "s3" (call "minval") ])
+
+let matrix_programs () =
+  let prog name body = (name, Ast.program name (matrix_prologue @ body)) in
+  let bin =
+    List.concat_map
+      (fun op ->
+        let logical =
+          match op with
+          | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.And
+          | Ast.Or ->
+              true
+          | _ -> false
+        in
+        List.concat_map
+          (fun x ->
+            List.concat_map
+              (fun y ->
+                let e = Ast.EBin (op, Ast.EVar x, Ast.EVar y) in
+                let name = Fmt.str "%s %s %s" x (op_name op) y in
+                [ prog (name ^ " plain") (plain_form e);
+                  prog (name ^ " fused") (fused_form ~logical e) ])
+              shapes)
+          shapes)
+      binops
+  in
+  let un =
+    List.concat_map
+      (fun x ->
+        let neg = Ast.EUn (Ast.Neg, Ast.EVar x)
+        and not_ = Ast.EUn (Ast.Not, Ast.EVar x) in
+        [ prog ("-" ^ x ^ " plain") (plain_form neg);
+          prog ("-" ^ x ^ " fused") (fused_form ~logical:false neg);
+          prog (".NOT. " ^ x ^ " plain") (plain_form not_);
+          prog (".NOT. " ^ x ^ " fused") (fused_form ~logical:true not_) ])
+      shapes
+  in
+  bin @ un
+
+(* gathers and scatters (plain, fused, accumulating) whose subscripts
+   leave the array on a lane the mask switches off, then on an active
+   lane; [g2] is 2 x n, so [g2(1, iproc)] faults in dimension 2 *)
+let bounds_cases =
+  [
+    ("gather rank 1", "y = g(iproc)\nx = h(iproc)");
+    ("gather rank 2 dim 2", "y = g2(1, iproc)\nx = g2(2, iproc) * 0.5");
+    ("gather rank 2 dim 1", "y = g2(iproc, 1)");
+    ("fused gather", "y = abs(g(iproc))\nx = abs(h(iproc) - g2(2, iproc))");
+    ("fused reduction gather", "y = sum(g(iproc))\nx = maxval(h(iproc))");
+    ( "scatter rank 1",
+      "g(iproc) = ri\nh(iproc) = rr\nh(iproc) = ri\ng(iproc) = si" );
+    ("scatter rank 2 dim 2", "g2(1, iproc) = ri\ng2(2, iproc) = si");
+    ("scatter rank 2 dim 1", "g2(iproc, 1) = ri");
+    ( "accumulate",
+      "g(iproc) = g(iproc) + ri\nh(iproc) = h(iproc) + rr\n\
+       h(iproc) = h(iproc) + si" );
+    ("zero divisor", "z = 12 / ri\nw = abs(7 / ri)\nc = sum(mod(5, ri))");
+  ]
+  |> List.map (fun (name, body) ->
+         (* one source text, so the guarded and the unguarded copy raise
+            at different lines *)
+         let src =
+           Printf.sprintf
+             "WHERE (iproc <= n .AND. iproc /= 2)\n%s\nENDWHERE\n%s" body body
+         in
+         ( "bounds: " ^ name,
+           Ast.program name (matrix_prologue @ Parser.block_of_string src) ))
+
+let matrix_run ?jobs ?(opt = 1) engine ~p prog : (Vm.t, string) result =
+  match
+    Vm.run ~fuel ~engine ?jobs ~opt ~verify:(opt = 2) ~p
+      ~setup:(matrix_setup ~p) prog
+  with
+  | vm -> Ok vm
+  | exception ((Errors.Runtime_error _ | Errors.Runtime_error_at _) as e) ->
+      Error (Errors.to_message e)
+
+let same a b =
+  match (a, b) with
+  | Ok x, Ok y ->
+      Vm.state_equal x y && Metrics.equal x.Vm.metrics y.Vm.metrics
+  | Error x, Error y -> String.equal x y
+  | _ -> false
+
+let t_shape_matrix () =
+  let failures = ref [] in
+  let faults = ref 0 and clean = ref 0 in
+  List.iter
+    (fun (name, prog) ->
+      List.iter
+        (fun p ->
+          let tree = matrix_run `Tree_walk ~p prog in
+          incr (if Result.is_error tree then faults else clean);
+          List.iter
+            (fun opt ->
+              List.iter
+                (fun (what, engine, jobs) ->
+                  if not (same tree (matrix_run ?jobs ~opt engine ~p prog))
+                  then
+                    failures :=
+                      Fmt.str "%s: %s -O%d differs from tree-walk at p=%d"
+                        name what opt p
+                      :: !failures)
+                [
+                  ("compiled", `Compiled, None);
+                  ("parallel j1", `Parallel, Some 1);
+                  ("parallel j3", `Parallel, Some 3);
+                ])
+            [ 0; 1; 2 ])
+        matrix_ps)
+    (matrix_programs () @ bounds_cases);
+  (* the matrix must reach both the error paths and clean runs *)
+  checkb "some matrix programs fault" (!faults > 0);
+  checkb "some matrix programs run clean" (!clean > 0);
+  match List.rev !failures with
+  | [] -> ()
+  | fs ->
+      Alcotest.failf "%d shape-matrix mismatches, first: %s"
+        (List.length fs) (List.hd fs)
+
 let suite =
   [
     t_random_programs;
     case "REAL sums are bitwise engine-identical" t_float_sum_bitwise;
     case "fixed corpus: flattened EXAMPLE" t_example_corpus;
     case "fixed corpus: flattened NBFORCE" t_nbforce_corpus;
+    case "shape matrix: operators x operand shapes x masks" t_shape_matrix;
   ]

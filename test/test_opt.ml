@@ -297,6 +297,104 @@ let t_typed_call_bail () =
     \  r = mix(iproc)\n\
      END"
 
+(* ------------------------------------------------------------------ *)
+(* Deterministic cost gate                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The flattened NBFORCE kernel at p = 1024 with a trivially cheap force
+   function (the bench harness's engine-comparison workload), so the run
+   measures the compiled engine rather than the force routine. *)
+let nbforce_1024 () =
+  let p = 1024 in
+  let mol = Lf_md.Workload.sod ~n:(2 * p) () in
+  let pl = Lf_md.Workload.pairlist mol ~cutoff:8.0 in
+  let n, maxp = Lf_kernels.Nbforce_src.params pl in
+  let opts =
+    {
+      Lf_core.Pipeline.default_options with
+      assume_inner_nonempty = true;
+      target =
+        Lf_core.Pipeline.Simd
+          { decomp = Lf_core.Simdize.Cyclic; p = Ast.EInt p };
+    }
+  in
+  let prog =
+    match
+      Lf_core.Pipeline.flatten_program ~opts
+        (Lf_kernels.Nbforce_src.program ())
+    with
+    | Ok o -> o.Lf_core.Pipeline.program
+    | Error e -> Alcotest.fail e
+  in
+  fun ~opt ->
+    ignore
+      (Vm.run ~engine:`Compiled ~opt ~p
+         ~setup:(fun vm ->
+           Vm.register_func vm ~pure:true "force" (fun _ -> Values.VReal 1.0);
+           Vm.bind_scalar vm "n" (Values.VInt n);
+           Vm.bind_scalar vm "maxp" (Values.VInt maxp);
+           Vm.bind_scalar vm "p" (Values.VInt p);
+           Lf_kernels.Nbforce_src.bind_arrays pl ~n ~maxp
+             ~set_global:(fun name a -> Vm.bind_global vm name a))
+         prog)
+
+module Stats = Lf_obs.Stats
+
+let opt_run_counters =
+  [
+    "opt.fused_region_runs";
+    "opt.fused_reduce_runs";
+    "opt.accum_merged_runs";
+    "opt.nocheck_runs";
+    "opt.bounds_checks_discharged";
+  ]
+
+(* One warm run (after a discarded warm-up run in the same process):
+   the [gc.minor_words] gauge the engine dispatch records, and the
+   [opt.*] run counters. *)
+let warm_reading run ~opt =
+  run ~opt;
+  Stats.enable ();
+  Stats.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Stats.disable ();
+      Stats.reset ())
+    (fun () ->
+      run ~opt;
+      ( Stats.gauge_value (Stats.gauge "gc.minor_words"),
+        List.map
+          (fun name ->
+            (name, Stats.counter_value (Stats.counter ~section:Stats.Opt name)))
+          opt_run_counters ))
+
+(* The budgets are the readings of the compiled engine as it stood
+   before its hand-written per-shape lane loops became the shared
+   kernels of [Compile] (default dev profile; a release build reads 2
+   words fewer).  The readings are deterministic, so the gate has no
+   tolerance: an allocation added to a per-lane path fails it. *)
+let alloc_budget = [ (1, 2_557_034.); (2, 2_596_942.) ]
+
+let opt_run_pins =
+  [
+    (1, [ 0; 389; 388; 0; 0 ]);
+    (2, [ 0; 389; 388; 1164; 517923 ]);
+  ]
+
+let t_alloc_gate () =
+  let run = nbforce_1024 () in
+  List.iter
+    (fun (opt, budget) ->
+      let words, counts = warm_reading run ~opt in
+      checkb
+        (Fmt.str "-O%d minor words %.0f within the budget %.0f" opt words
+           budget)
+        (words <= budget);
+      List.iter2
+        (fun (name, got) want -> checki (Fmt.str "-O%d %s" opt name) want got)
+        counts (List.assoc opt opt_run_pins))
+    alloc_budget
+
 let suite =
   [
     case "constant folding (and -O0 identity)" t_const_fold;
@@ -311,4 +409,5 @@ let suite =
     case "raising fused reduction never short-circuits"
       t_reduction_raises_like_o0;
     case "typed call path bails on mixed return types" t_typed_call_bail;
+    case "allocation and fused-run gate: warm NBFORCE p=1024" t_alloc_gate;
   ]
