@@ -3,14 +3,30 @@
 
 open Values
 
-let numeric2 name fi fr a b =
+(* The two-operand numeric intrinsics: [Stdlib.max] / [Stdlib.min] /
+   [mod] on integers, [Float.max] / [Float.min] / [Float.rem] on reals. *)
+type num2 = Max | Min | Mod
+
+let num2_name = function Max -> "max" | Min -> "min" | Mod -> "mod"
+
+let numeric2 op a b =
   match (a, b) with
-  | VInt x, VInt y -> VInt (fi x y)
+  | VInt x, VInt y ->
+      VInt
+        (match op with
+        | Max -> if x >= y then x else y
+        | Min -> if x <= y then x else y
+        | Mod -> if y = 0 then Errors.runtime_error "MOD by zero" else x mod y)
   | (VInt _ | VReal _), (VInt _ | VReal _) ->
-      VReal (fr (as_float a) (as_float b))
+      let x = as_float a and y = as_float b in
+      VReal
+        (match op with
+        | Max -> Float.max x y
+        | Min -> Float.min x y
+        | Mod -> Float.rem x y)
   | _ ->
-      Errors.runtime_error "%s: expected numeric scalars, got %s and %s" name
-        (type_name a) (type_name b)
+      Errors.runtime_error "%s: expected numeric scalars, got %s and %s"
+        (num2_name op) (type_name a) (type_name b)
 
 let fold1 name f d =
   if Array.length d = 0 then Errors.runtime_error "%s of empty array" name
@@ -30,91 +46,115 @@ let names =
 
 let is_intrinsic name = List.mem (String.lowercase_ascii name) names
 
-(** Apply intrinsic [name]; [None] if [name] is not an intrinsic. *)
-let apply name (args : value list) : value option =
-  let nargs = List.length args in
-  let arity n =
-    if nargs <> n then
-      Errors.runtime_error "%s expects %d argument(s), got %d" name n nargs
-  in
-  let the_arr () =
-    arity 1;
-    as_arr (List.hd args)
-  in
-  match (String.lowercase_ascii name, args) with
-  | "max", (_ :: _ :: _ as args) ->
-      Some
-        (List.fold_left
-           (fun acc v -> numeric2 "max" Stdlib.max Float.max acc v)
-           (List.hd args) (List.tl args))
-  | "min", (_ :: _ :: _ as args) ->
-      Some
-        (List.fold_left
-           (fun acc v -> numeric2 "min" Stdlib.min Float.min acc v)
-           (List.hd args) (List.tl args))
-  | ("max" | "maxval"), [ VArr a ] -> Some (fold_numeric "maxval" max Float.max a)
-  | ("min" | "minval"), [ VArr a ] -> Some (fold_numeric "minval" min Float.min a)
-  | ("max" | "maxval" | "min" | "minval"), [ ((VInt _ | VReal _) as v) ] ->
-      Some v
-  | "abs", [ VInt n ] -> Some (VInt (abs n))
-  | "abs", [ VReal f ] -> Some (VReal (Float.abs f))
-  | "mod", [ a; b ] ->
-      Some
-        (numeric2 "mod"
-           (fun x y ->
-             if y = 0 then Errors.runtime_error "MOD by zero" else x mod y)
-           (fun x y -> Float.rem x y)
-           a b)
-  | "sqrt", [ v ] -> Some (VReal (Float.sqrt (as_float v)))
-  | "exp", [ v ] -> Some (VReal (Float.exp (as_float v)))
-  | "real", [ v ] -> Some (VReal (as_float v))
-  | "int", [ v ] -> Some (VInt (int_of_float (Float.trunc (as_float v))))
-  | "nint", [ v ] -> Some (VInt (int_of_float (Float.round (as_float v))))
-  | ("any" | "all"), [ VBool b ] -> Some (VBool b)
-  | "count", [ VBool b ] -> Some (VInt (if b then 1 else 0))
-  | "any", _ -> (
-      match the_arr () with
-      | ABool a -> Some (VBool (Nd.exists Fun.id a))
-      | a ->
-          Errors.runtime_error "any: expected LOGICAL array, got %s"
-            (type_name (VArr a)))
-  | "all", _ -> (
-      match the_arr () with
-      | ABool a -> Some (VBool (Nd.for_all Fun.id a))
-      | a ->
-          Errors.runtime_error "all: expected LOGICAL array, got %s"
-            (type_name (VArr a)))
-  | "count", _ -> (
-      match the_arr () with
-      | ABool a ->
-          Some (VInt (Nd.fold (fun n b -> if b then n + 1 else n) 0 a))
-      | a ->
-          Errors.runtime_error "count: expected LOGICAL array, got %s"
-            (type_name (VArr a)))
-  | "sum", [ VArr a ] ->
-      Some
-        (match a with
-        | AInt a -> VInt (Nd.fold ( + ) 0 a)
-        | AReal a -> VReal (Nd.fold ( +. ) 0.0 a)
-        | ABool _ -> Errors.runtime_error "sum of LOGICAL array")
-  (* scalar degenerations: on one processor the reductions are the
-     identity, which keeps SIMDized code meaningful sequentially *)
-  | "sum", [ (VInt _ | VReal _) as v ] -> Some v
-  | "size", [ VArr a ] -> Some (VInt (arr_size a))
-  | "size", [ VArr a; VInt d ] ->
-      let dims = arr_dims a in
-      if d < 1 || d > Array.length dims then
-        Errors.runtime_error "size: dimension %d out of range" d
-      else Some (VInt dims.(d - 1))
-  | "merge", [ t; f; VBool c ] -> Some (if c then t else f)
-  | "vector", items ->
-      (* [a, b, lo:hi, ...] literal; items are scalars or AInt ranges *)
-      let expand = function
-        | VInt n -> [ n ]
-        | VArr (AInt a) -> Array.to_list (Nd.to_array a)
-        | v ->
-            Errors.runtime_error "vector literal: bad element %s" (type_name v)
-      in
-      let elems = List.concat_map expand items in
-      Some (VArr (AInt (Nd.of_array (Array.of_list elems))))
+(* MAXVAL / MINVAL: one array or scalar *)
+let reduction red fi fr = function
+  | [ VArr a ] -> Some (fold_numeric red fi fr a)
+  | [ ((VInt _ | VReal _) as v) ] -> Some v
   | _ -> None
+
+(* MAX / MIN: two or more scalars, else as MAXVAL / MINVAL *)
+let extremum op red fi fr = function
+  | [ a; b ] -> Some (numeric2 op a b)
+  | _ :: _ :: _ as args ->
+      Some (List.fold_left (numeric2 op) (List.hd args) (List.tl args))
+  | args -> reduction red fi fr args
+
+(* ANY / ALL / COUNT: a scalar LOGICAL, else exactly one LOGICAL array *)
+let logical name key scalar over = function
+  | [ VBool b ] -> Some (scalar b)
+  | args -> (
+      let nargs = List.length args in
+      if nargs <> 1 then
+        Errors.runtime_error "%s expects %d argument(s), got %d" name 1 nargs;
+      match as_arr (List.hd args) with
+      | ABool a -> Some (over a)
+      | a ->
+          Errors.runtime_error "%s: expected LOGICAL array, got %s" key
+            (type_name (VArr a)))
+
+let real1 f = function [ v ] -> Some (VReal (f (as_float v))) | _ -> None
+
+let int1 f = function
+  | [ v ] -> Some (VInt (int_of_float (f (as_float v))))
+  | _ -> None
+
+(* built once, so resolving a name allocates nothing (ANY / ALL / COUNT
+   capture the name for their arity message) *)
+let max_fn = extremum Max "maxval" max Float.max
+let min_fn = extremum Min "minval" min Float.min
+let maxval_fn = reduction "maxval" max Float.max
+let minval_fn = reduction "minval" min Float.min
+let sqrt_fn = real1 Float.sqrt
+let exp_fn = real1 Float.exp
+let real_fn = real1 Fun.id
+let int_fn = int1 Float.trunc
+let nint_fn = int1 Float.round
+let not_intrinsic (_ : value list) : value option = None
+
+(** Resolve intrinsic [name] once (case-insensitively) to the function
+    of its evaluated arguments; see the interface. *)
+let resolve name : value list -> value option =
+  match String.lowercase_ascii name with
+  | "max" -> max_fn
+  | "min" -> min_fn
+  | "maxval" -> maxval_fn
+  | "minval" -> minval_fn
+  | "abs" -> (
+      function
+      | [ VInt n ] -> Some (VInt (abs n))
+      | [ VReal f ] -> Some (VReal (Float.abs f))
+      | _ -> None)
+  | "mod" -> ( function [ a; b ] -> Some (numeric2 Mod a b) | _ -> None)
+  | "sqrt" -> sqrt_fn
+  | "exp" -> exp_fn
+  | "real" -> real_fn
+  | "int" -> int_fn
+  | "nint" -> nint_fn
+  | "any" ->
+      logical name "any" (fun b -> VBool b) (fun a -> VBool (Nd.exists Fun.id a))
+  | "all" ->
+      logical name "all"
+        (fun b -> VBool b)
+        (fun a -> VBool (Nd.for_all Fun.id a))
+  | "count" ->
+      logical name "count"
+        (fun b -> VInt (if b then 1 else 0))
+        (fun a -> VInt (Nd.fold (fun n b -> if b then n + 1 else n) 0 a))
+  | "sum" -> (
+      function
+      | [ VArr a ] ->
+          Some
+            (match a with
+            | AInt a -> VInt (Nd.fold ( + ) 0 a)
+            | AReal a -> VReal (Nd.fold ( +. ) 0.0 a)
+            | ABool _ -> Errors.runtime_error "sum of LOGICAL array")
+      (* scalar degenerations: on one processor the reductions are the
+         identity, which keeps SIMDized code meaningful sequentially *)
+      | [ ((VInt _ | VReal _) as v) ] -> Some v
+      | _ -> None)
+  | "size" -> (
+      function
+      | [ VArr a ] -> Some (VInt (arr_size a))
+      | [ VArr a; VInt d ] ->
+          let dims = arr_dims a in
+          if d < 1 || d > Array.length dims then
+            Errors.runtime_error "size: dimension %d out of range" d
+          else Some (VInt dims.(d - 1))
+      | _ -> None)
+  | "merge" -> ( function [ t; f; VBool c ] -> Some (if c then t else f) | _ -> None)
+  | "vector" ->
+      fun items ->
+        (* [a, b, lo:hi, ...] literal; items are scalars or AInt ranges *)
+        let expand = function
+          | VInt n -> [ n ]
+          | VArr (AInt a) -> Array.to_list (Nd.to_array a)
+          | v ->
+              Errors.runtime_error "vector literal: bad element %s"
+                (type_name v)
+        in
+        let elems = List.concat_map expand items in
+        Some (VArr (AInt (Nd.of_array (Array.of_list elems))))
+  | _ -> not_intrinsic
+
+(** Apply intrinsic [name]; [None] if [name] is not an intrinsic. *)
+let apply name (args : value list) : value option = resolve name args

@@ -115,8 +115,9 @@ let lex_word lx =
   in
   go ();
   let s = String.sub lx.src start (lx.pos - start) in
-  if is_keyword s then KEYWORD (String.uppercase_ascii s)
-  else IDENT (String.lowercase_ascii s)
+  match keyword s with
+  | Some w -> KEYWORD w
+  | None -> IDENT (String.lowercase_ascii s)
 
 (** Dotted operators: [.AND.] [.OR.] [.NOT.] [.TRUE.] [.FALSE.] [.EQ.] [.NE.]
     [.LT.] [.LE.] [.GT.] [.GE.] *)

@@ -26,13 +26,31 @@ let binop_info = function
   | Mod -> ("MOD", 6)
   | Pow -> ("**", 8)
 
+(** A REAL literal the lexer reads back as exactly [f]: the shortest
+    ["%.Ng"] form that round-trips, with a ['.'] always in the mantissa
+    (the lexer rejects ["1e-06"] but takes ["1.0e-06"]). *)
+let real_literal f =
+  if Float.is_integer f && Float.abs f < 1e16 then Printf.sprintf "%.1f" f
+  else if not (Float.is_finite f) then Printf.sprintf "%g" f
+  else
+    let rec shortest prec =
+      let s = Printf.sprintf "%.*g" prec f in
+      if prec >= 17 || float_of_string s = f then s else shortest (prec + 1)
+    in
+    let s = shortest 1 in
+    let mantissa_end =
+      Option.value (String.index_opt s 'e') ~default:(String.length s)
+    in
+    if String.contains (String.sub s 0 mantissa_end) '.' then s
+    else
+      String.sub s 0 mantissa_end
+      ^ ".0"
+      ^ String.sub s mantissa_end (String.length s - mantissa_end)
+
 let rec pp_expr_prec prec ppf e =
   match e with
   | EInt n -> Fmt.int ppf n
-  | EReal f ->
-      if Float.is_integer f && Float.abs f < 1e16 then
-        Fmt.pf ppf "%.1f" f
-      else Fmt.pf ppf "%g" f
+  | EReal f -> Fmt.string ppf (real_literal f)
   | EBool true -> Fmt.string ppf ".TRUE."
   | EBool false -> Fmt.string ppf ".FALSE."
   | EVar v -> Fmt.string ppf v

@@ -5,38 +5,53 @@
     must agree exactly on what [a + b] means for every value pair —
     promotion rules, division-by-zero behaviour, the integer/real [Pow]
     split.  Keeping a single definition here is what makes the engines
-    provably interchangeable: there is one [apply_binop], not three. *)
+    provably interchangeable: there is one [apply_binop], not three.
+
+    The tree-walking engine calls [apply_binop] once per active lane, so
+    it is written as a direct match that allocates nothing but its
+    result. *)
 
 open Values
 
-let promote2 fi fr fc a b =
-  match (a, b) with
-  | VInt x, VInt y -> fi x y
-  | VBool x, VBool y -> fc x y
-  | (VInt _ | VReal _), (VInt _ | VReal _) -> fr (as_float a) (as_float b)
-  | _ ->
-      Errors.runtime_error "type mismatch in binary operation: %s vs %s"
-        (type_name a) (type_name b)
+let mismatch a b =
+  Errors.runtime_error "type mismatch in binary operation: %s vs %s"
+    (type_name a) (type_name b)
+
+(* [op] is one of [Add], [Sub], [Mul] *)
+let[@inline] arith_int op x y =
+  match op with Ast.Add -> x + y | Ast.Sub -> x - y | _ -> x * y
+
+let[@inline] arith_real op (x : float) y =
+  match op with Ast.Add -> x +. y | Ast.Sub -> x -. y | _ -> x *. y
+
+(* [op] is a comparison; [c] the result of [compare], so NaN = NaN *)
+let[@inline] cmp_test op c =
+  match op with
+  | Ast.Eq -> c = 0
+  | Ast.Ne -> c <> 0
+  | Ast.Lt -> c < 0
+  | Ast.Le -> c <= 0
+  | Ast.Gt -> c > 0
+  | _ -> c >= 0
 
 let apply_binop op a b =
-  let arith fi fr =
-    promote2
-      (fun x y -> VInt (fi x y))
-      (fun x y -> VReal (fr x y))
-      (fun _ _ -> Errors.runtime_error "arithmetic on LOGICAL")
-      a b
-  in
-  let cmp fi fr =
-    promote2
-      (fun x y -> VBool (fi (compare x y) 0))
-      (fun x y -> VBool (fr (compare x y) 0))
-      (fun x y -> VBool (fi (compare x y) 0))
-      a b
-  in
   match op with
-  | Ast.Add -> arith ( + ) ( +. )
-  | Ast.Sub -> arith ( - ) ( -. )
-  | Ast.Mul -> arith ( * ) ( *. )
+  | Ast.Add | Ast.Sub | Ast.Mul -> (
+      match (a, b) with
+      | VInt x, VInt y -> VInt (arith_int op x y)
+      | VReal x, VReal y -> VReal (arith_real op x y)
+      | VInt x, VReal y -> VReal (arith_real op (float_of_int x) y)
+      | VReal x, VInt y -> VReal (arith_real op x (float_of_int y))
+      | VBool _, VBool _ -> Errors.runtime_error "arithmetic on LOGICAL"
+      | _ -> mismatch a b)
+  | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> (
+      match (a, b) with
+      | VInt x, VInt y -> VBool (cmp_test op (compare x y))
+      | VReal x, VReal y -> VBool (cmp_test op (compare x y))
+      | VInt x, VReal y -> VBool (cmp_test op (compare (float_of_int x) y))
+      | VReal x, VInt y -> VBool (cmp_test op (compare x (float_of_int y)))
+      | VBool x, VBool y -> VBool (cmp_test op (compare x y))
+      | _ -> mismatch a b)
   | Ast.Div -> (
       match (a, b) with
       | VInt x, VInt y ->
@@ -54,12 +69,6 @@ let apply_binop op a b =
           let rec go acc n = if n = 0 then acc else go (acc * x) (n - 1) in
           VInt (go 1 y)
       | _ -> VReal (Float.pow (as_float a) (as_float b)))
-  | Ast.Eq -> cmp ( = ) ( = )
-  | Ast.Ne -> cmp ( <> ) ( <> )
-  | Ast.Lt -> cmp ( < ) ( < )
-  | Ast.Le -> cmp ( <= ) ( <= )
-  | Ast.Gt -> cmp ( > ) ( > )
-  | Ast.Ge -> cmp ( >= ) ( >= )
   | Ast.And -> VBool (as_bool a && as_bool b)
   | Ast.Or -> VBool (as_bool a || as_bool b)
 

@@ -3,15 +3,5 @@
     [Ast.unop] means on runtime values (promotion, division by zero,
     integer vs real [Pow]). *)
 
-(** Numeric promotion combinator: int×int, bool×bool, and mixed
-    numeric-to-real cases; raises on any other pairing. *)
-val promote2 :
-  (int -> int -> 'a) ->
-  (float -> float -> 'a) ->
-  (bool -> bool -> 'a) ->
-  Values.value ->
-  Values.value ->
-  'a
-
 val apply_binop : Ast.binop -> Values.value -> Values.value -> Values.value
 val apply_unop : Ast.unop -> Values.value -> Values.value

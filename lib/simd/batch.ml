@@ -4,7 +4,7 @@
     touched between items only, the parallel engine shards lanes
     internally, and source reads are memoized per path — a grid of
     items over the same few programs reads and parses each source
-    once. *)
+    once.  Fill strings are parsed once per [run] as well. *)
 
 open Lf_lang
 module Json = Lf_obs.Json
@@ -225,7 +225,8 @@ let dump_state ppf (vm : Vm.t) =
          | Vm.VGlobal a | Vm.VPluralArr a ->
              Fmt.pf ppf "%s = %a@." name Values.pp (Values.VArr a))
 
-let run_item ~cache ~read ~setup (it : item) : (Vm.t, string) result =
+(* [fill] parses a fill string to a private array (see [run]). *)
+let run_item ~cache ~read ~fill ~setup (it : item) : (Vm.t, string) result =
   try
     let src = read it.bi_program in
     let deadline =
@@ -241,7 +242,7 @@ let run_item ~cache ~read ~setup (it : item) : (Vm.t, string) result =
         (fun (k, v) -> Vm.bind_scalar vm k (scalar_value v))
         it.bi_sets;
       List.iter
-        (fun (k, v) -> Vm.bind_global vm k (fill_array v))
+        (fun (k, v) -> Vm.bind_global vm k (fill v))
         it.bi_fills;
       Option.iter
         (fun dl ->
@@ -360,11 +361,25 @@ let run ?cache ?read ?(setup = fun _ _ -> ()) ?(emit = fun _ -> ())
               Hashtbl.add memo path s;
               s
   in
+  (* Fill strings are parsed once per [run], keyed by content: items of a
+     sweep usually share their inputs.  Every run binds its own copy,
+     since a program may write into a seeded array.  A token error is
+     not memoized, so every item it hits reports it the same way. *)
+  let parsed : (string, Values.arr) Hashtbl.t = Hashtbl.create 8 in
+  let fill v =
+    Values.arr_copy
+      (match Hashtbl.find_opt parsed v with
+      | Some a -> a
+      | None ->
+          let a = fill_array v in
+          Hashtbl.add parsed v a;
+          a)
+  in
   let any_failed = ref false in
   List.iteri
     (fun index it ->
       let t0 = Stats.now_ns () in
-      let outcome = run_item ~cache ~read ~setup it in
+      let outcome = run_item ~cache ~read ~fill ~setup it in
       let wall_ns = Int64.sub (Stats.now_ns ()) t0 in
       let src_opt =
         try Some (read it.bi_program) with Sys_error _ -> None

@@ -79,7 +79,9 @@ val load : string -> item list
     [Progcache.create ()] shared across all items; [read] (default
     file-system read, memoized per path) supplies source text; [setup]
     runs on each item's fresh VM before the seeds are bound (the CLI
-    uses it to interpret ["kernel"]); [emit] receives one JSONL record
+    uses it to interpret ["kernel"]); each distinct [fill] string is
+    parsed once per call, and every run binds its own copy of the
+    array; [emit] receives one JSONL record
     per item (status, timings, deterministic [Metrics] payload);
     [artifacts] names a directory (created if missing) receiving
     [item-NNN.metrics.json] and [item-NNN.state.txt] from each

@@ -774,7 +774,7 @@ let stage sc ~lane (fs : (int -> int) array) i =
 
 (** Partition [parent] into [mt] (condition holds) and [mf] (does not),
     writing into the preallocated per-site buffers.  Only active lanes
-    evaluate the condition, exactly like the tree-walker's [and_mask].
+    evaluate the condition, exactly like the tree-walker's [where_masks].
     The unboxed [RB] split shards over [exec]: each shard fills its own
     byte range of the two masks and reports how many lanes it sent to
     [mt]; the control thread sums them and gives [mf] the rest. *)

@@ -44,26 +44,29 @@ let as_front_scalar = function
 let as_front_bool v = Values.as_bool (as_front_scalar v)
 let as_front_int v = Values.as_int (as_front_scalar v)
 
-(** Lift a scalar binary operation lane-wise; computes only active lanes,
-    leaving an inert zero elsewhere. *)
+(** [f i] on every active lane [i], in ascending order (so the first
+    failing active lane raises); an inert zero on the others. *)
+let map_active ~(mask : bool array) f =
+  let r = Array.make (Array.length mask) (Values.VInt 0) in
+  for i = 0 to Array.length mask - 1 do
+    if mask.(i) then r.(i) <- f i
+  done;
+  Plural r
+
+(** Lift a scalar binary operation lane-wise; computes only active lanes.
+    The operand shapes are resolved once per vector, not per lane. *)
 let lift2 ~(mask : bool array) f a b =
   match (a, b) with
   | FScalar x, FScalar y -> FScalar (f x y)
-  | (Plural _ | FScalar _), (Plural _ | FScalar _) ->
-      let p = Array.length mask in
-      Plural
-        (Array.init p (fun i ->
-             if mask.(i) then f (lane a i) (lane b i) else Values.VInt 0))
+  | Plural xs, Plural ys -> map_active ~mask (fun i -> f xs.(i) ys.(i))
+  | Plural xs, FScalar y -> map_active ~mask (fun i -> f xs.(i) y)
+  | FScalar x, Plural ys -> map_active ~mask (fun i -> f x ys.(i))
   | _ -> Errors.runtime_error "array operand in a lane-wise operation"
 
 let lift1 ~(mask : bool array) f a =
   match a with
   | FScalar x -> FScalar (f x)
-  | Plural _ ->
-      let p = Array.length mask in
-      Plural
-        (Array.init p (fun i ->
-             if mask.(i) then f (lane a i) else Values.VInt 0))
+  | Plural xs -> map_active ~mask (fun i -> f xs.(i))
   | FArr _ -> Errors.runtime_error "array operand in a lane-wise operation"
 
 (** Witness value used to type a reduction's identity element: the first
@@ -110,20 +113,25 @@ let reduce ~(mask : bool array) ~empty f v =
   match v with
   | Plural vs ->
       let p = Array.length mask in
-      let acc = ref None in
+      let acc = ref empty and have_acc = ref false in
       for c = 0 to Pool.nchunks p - 1 do
         let l = c * Pool.chunk and h = min p ((c + 1) * Pool.chunk) in
-        let part = ref None in
+        let part = ref empty and have_part = ref false in
         for i = l to h - 1 do
           if mask.(i) then
-            part :=
-              Some (match !part with None -> vs.(i) | Some a -> f a vs.(i))
+            if !have_part then part := f !part vs.(i)
+            else begin
+              part := vs.(i);
+              have_part := true
+            end
         done;
-        match !part with
-        | None -> ()
-        | Some pv ->
-            acc := Some (match !acc with None -> pv | Some a -> f a pv)
+        if !have_part then
+          if !have_acc then acc := f !acc !part
+          else begin
+            acc := !part;
+            have_acc := true
+          end
       done;
-      Option.value ~default:empty !acc
+      !acc
   | FScalar s -> if Array.exists Fun.id mask then s else empty
   | FArr _ -> Errors.runtime_error "array operand in a plural reduction"

@@ -28,7 +28,13 @@ val as_front_scalar : t -> Values.value
 val as_front_bool : t -> bool
 val as_front_int : t -> int
 
-(** Lift a scalar binary operation lane-wise under the mask. *)
+(** [map_active ~mask f] is the plural whose lane [i] is [f i] on every
+    active lane, visited in ascending order (so the first failing lane
+    raises), and an inert zero on the others. *)
+val map_active : mask:bool array -> (int -> Values.value) -> t
+
+(** Lift a scalar binary operation lane-wise under the mask; the operand
+    shapes are resolved once per vector. *)
 val lift2 :
   mask:bool array ->
   (Values.value -> Values.value -> Values.value) ->

@@ -194,6 +194,30 @@ let is_reduction f =
   List.mem (String.lowercase_ascii f)
     [ "any"; "all"; "maxval"; "minval"; "sum"; "count" ]
 
+(* Sharing rule: a [Pval.Plural] returned by [eval] may be a variable's
+   own lane storage (an [EVar] read does not copy it), so values returned
+   by [eval] are read-only.  Variable storage is written only by
+   [assign], which reads its right-hand side completely before the
+   lanes it writes can alias it (lane [i] reads lane [i]), and external
+   procedures get copies of their plural arguments at [CALL]. *)
+
+(* A subscript resolved once per vector instruction: a front-end scalar
+   already converted to an index, or the lanes of a plural. *)
+type sub = Const of int | Lanes of value array
+
+(* Index buffer for lane [i]: the leading lane index [i + 1] when [lead],
+   then the subscripts in order — each lane converts its subscripts left
+   to right, so the first failing lane reports the same error as before. *)
+let fill_index idx ~lead (subs : sub array) i =
+  let off = if lead then 1 else 0 in
+  if lead then idx.(0) <- i + 1;
+  for k = 0 to Array.length subs - 1 do
+    idx.(off + k) <-
+      (match subs.(k) with Const n -> n | Lanes vs -> as_int vs.(i))
+  done
+
+let is_lanes = function Lanes _ -> true | Const _ -> false
+
 let rec eval vm ~(mask : bool array) (e : expr) : Pval.t =
   match e with
   | EInt n -> Pval.FScalar (VInt n)
@@ -210,16 +234,16 @@ let rec eval vm ~(mask : bool array) (e : expr) : Pval.t =
   | EVar v -> (
       match find vm v with
       | VScalar r -> Pval.FScalar !r
-      | VPlural vs -> Pval.Plural (Array.copy vs)
+      | VPlural vs -> Pval.Plural vs (* shared, read-only: see above *)
       | VGlobal a | VPluralArr a -> Pval.FArr a)
   | EUn (op, a) ->
-      Pval.lift1 ~mask (Interp.apply_unop op) (eval vm ~mask a)
+      Pval.lift1 ~mask (fun v -> Scalar_ops.apply_unop op v) (eval vm ~mask a)
   | EBin (op, a, b) ->
       (* left to right, matching the compiled engine: error order (which
          undefined variable is reported first) is observable *)
       let va = eval vm ~mask a in
       let vb = eval vm ~mask b in
-      Pval.lift2 ~mask (Interp.apply_binop op) va vb
+      Pval.lift2 ~mask (fun x y -> Scalar_ops.apply_binop op x y) va vb
   | ECall (name, args) -> eval_call vm ~mask name args
   | EIdx (name, args) -> (
       match find_opt vm name with
@@ -231,36 +255,36 @@ let rec eval vm ~(mask : bool array) (e : expr) : Pval.t =
 
 and front_int vm ~mask e = Pval.as_front_int (eval vm ~mask e)
 
-(** Per-lane integer view of an index expression. *)
-and lane_indices vm ~mask (e : expr) : (int -> int) * bool =
-  match eval vm ~mask e with
-  | Pval.FScalar v ->
-      let n = as_int v in
-      ((fun _ -> n), false)
-  | Pval.Plural vs -> ((fun i -> as_int vs.(i)), true)
-  | Pval.FArr _ -> Errors.runtime_error "array-valued subscript"
+(** Resolve the subscripts of one vector instruction, in order. *)
+and subscripts vm ~mask (args : expr list) : sub array =
+  Array.of_list
+    (List.map
+       (fun e ->
+         match eval vm ~mask e with
+         | Pval.FScalar v -> Const (as_int v)
+         | Pval.Plural vs -> Lanes vs
+         | Pval.FArr _ -> Errors.runtime_error "array-valued subscript")
+       args)
 
 and index_global vm ~mask (a : arr) (args : expr list) : Pval.t =
-  let sels = List.map (lane_indices vm ~mask) args in
-  if List.exists snd sels then
+  let subs = subscripts vm ~mask args in
+  let idx = Array.make (Array.length subs) 0 in
+  if Array.exists is_lanes subs then
     (* gather: one element per active lane *)
-    Pval.Plural
-      (Array.init vm.p (fun i ->
-           if mask.(i) then
-             arr_get a (Array.of_list (List.map (fun (f, _) -> f i) sels))
-           else VInt 0))
-  else
-    let idx = Array.of_list (List.map (fun (f, _) -> f 0) sels) in
+    Pval.map_active ~mask (fun i ->
+        fill_index idx ~lead:false subs i;
+        arr_get a idx)
+  else begin
+    fill_index idx ~lead:false subs 0;
     Pval.FScalar (arr_get a idx)
+  end
 
 and index_plural_arr vm ~mask (a : arr) (args : expr list) : Pval.t =
-  let sels = List.map (lane_indices vm ~mask) args in
-  Pval.Plural
-    (Array.init vm.p (fun i ->
-         if mask.(i) then
-           arr_get a
-             (Array.of_list ((i + 1) :: List.map (fun (f, _) -> f i) sels))
-         else VInt 0))
+  let subs = subscripts vm ~mask args in
+  let idx = Array.make (Array.length subs + 1) 0 in
+  Pval.map_active ~mask (fun i ->
+      fill_index idx ~lead:true subs i;
+      arr_get a idx)
 
 and eval_call vm ~mask name args : Pval.t =
   let key = String.lowercase_ascii name in
@@ -304,62 +328,58 @@ and eval_call vm ~mask name args : Pval.t =
           | "maxval" ->
               Pval.reduce ~mask
                 ~empty:(Pval.reduction_identity "maxval" (Pval.witness v))
-                (fun a b -> Interp.apply_binop Gt a b |> as_bool |> fun g ->
-                            if g then a else b)
+                (fun a b ->
+                  if as_bool (Scalar_ops.apply_binop Gt a b) then a else b)
                 v
           | "minval" ->
               Pval.reduce ~mask
                 ~empty:(Pval.reduction_identity "minval" (Pval.witness v))
-                (fun a b -> Interp.apply_binop Lt a b |> as_bool |> fun g ->
-                            if g then a else b)
+                (fun a b ->
+                  if as_bool (Scalar_ops.apply_binop Lt a b) then a else b)
                 v
           | "sum" ->
               Pval.reduce ~mask
                 ~empty:(Pval.reduction_identity "sum" (Pval.witness v))
-                (fun a b -> Interp.apply_binop Add a b)
+                (fun a b -> Scalar_ops.apply_binop Add a b)
                 v
           | _ -> Errors.runtime_error "unknown reduction %s" name
         in
         Pval.FScalar r
   end
   else
-    match Hashtbl.find_opt vm.funcs key with
-    | Some (f, _pure) ->
-        let vargs = List.map (eval vm ~mask) args in
-        if List.exists Pval.is_plural vargs then
-          Pval.Plural
-            (Array.init vm.p (fun i ->
-                 if mask.(i) then
-                   f (List.map (fun v -> Pval.lane v i) vargs)
-                 else VInt 0))
-        else Pval.FScalar (f (List.map Pval.as_front_scalar vargs))
-    | None -> (
-        let vargs = List.map (eval vm ~mask) args in
-        if List.exists Pval.is_plural vargs then
-          (* lane-wise intrinsic (max, abs, mod, ...) *)
-          Pval.Plural
-            (Array.init vm.p (fun i ->
-                 if mask.(i) then
-                   match
-                     Intrinsics.apply key
-                       (List.map (fun v -> Pval.lane v i) vargs)
-                   with
-                   | Some r -> r
-                   | None ->
-                       Errors.runtime_error "unknown function %s" name
-                 else VInt 0))
-        else
-          let scalar_args =
-            List.map
-              (function
-                | Pval.FScalar v -> v
-                | Pval.FArr a -> VArr a
-                | Pval.Plural _ -> assert false)
-              vargs
-          in
-          match Intrinsics.apply key scalar_args with
-          | Some r -> Pval.FScalar r
-          | None -> Errors.runtime_error "unknown function %s" name)
+    let func = Hashtbl.find_opt vm.funcs key in
+    let vargs = List.map (eval vm ~mask) args in
+    (* one function of the arguments, resolved once per vector: the
+       registered per-lane function, else the intrinsic *)
+    let f =
+      match func with
+      | Some (f, _pure) -> fun args -> Some (f args)
+      | None -> Intrinsics.resolve key
+    in
+    let apply args =
+      match f args with
+      | Some r -> r
+      | None -> Errors.runtime_error "unknown function %s" name
+    in
+    if List.exists Pval.is_plural vargs then
+      (* lane-wise call (max, abs, mod, a registered function, ...) *)
+      Pval.map_active ~mask (fun i -> apply (lane_args vargs i))
+    else
+      let front = function
+        | Pval.FScalar v -> v
+        (* intrinsics (SIZE, SUM, ...) take front-end arrays *)
+        | Pval.FArr a when Option.is_none func -> VArr a
+        | v -> Pval.as_front_scalar v
+      in
+      Pval.FScalar (apply (List.map front vargs))
+
+(* the arguments of one lane, in order *)
+and lane_args vargs i =
+  match vargs with
+  | [] -> []
+  | v :: rest ->
+      let x = Pval.lane v i in
+      x :: lane_args rest i
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
@@ -392,29 +412,33 @@ let assign vm ~mask (l : lvalue) (rhs : Pval.t) =
           Errors.runtime_error "unsupported whole-plural-array assignment to %s"
             l.lv_name)
   | Some (VGlobal a), idxs ->
-      let sels = List.map (fun e -> lane_indices vm ~mask e) idxs in
-      if List.exists snd sels || Pval.is_plural rhs then
+      (* per lane the value is read before the subscripts are converted *)
+      let subs = subscripts vm ~mask idxs in
+      let idx = Array.make (Array.length subs) 0 in
+      if Array.exists is_lanes subs || Pval.is_plural rhs then
         (* scatter per active lane *)
-        Array.iteri
-          (fun i active ->
-            if active then
-              arr_set a
-                (Array.of_list (List.map (fun (f, _) -> f i) sels))
-                (Pval.lane rhs i))
-          mask
-      else
-        arr_set a
-          (Array.of_list (List.map (fun (f, _) -> f 0) sels))
-          (Pval.as_front_scalar rhs)
+        for i = 0 to Array.length mask - 1 do
+          if mask.(i) then begin
+            let v = Pval.lane rhs i in
+            fill_index idx ~lead:false subs i;
+            arr_set a idx v
+          end
+        done
+      else begin
+        let v = Pval.as_front_scalar rhs in
+        fill_index idx ~lead:false subs 0;
+        arr_set a idx v
+      end
   | Some (VPluralArr a), idxs ->
-      let sels = List.map (fun e -> lane_indices vm ~mask e) idxs in
-      Array.iteri
-        (fun i active ->
-          if active then
-            arr_set a
-              (Array.of_list ((i + 1) :: List.map (fun (f, _) -> f i) sels))
-              (Pval.lane rhs i))
-        mask
+      let subs = subscripts vm ~mask idxs in
+      let idx = Array.make (Array.length subs + 1) 0 in
+      for i = 0 to Array.length mask - 1 do
+        if mask.(i) then begin
+          let v = Pval.lane rhs i in
+          fill_index idx ~lead:true subs i;
+          arr_set a idx v
+        end
+      done
   | None, [] ->
       (* implicit front-end scalar, or plural if the value is plural *)
       (match rhs with
@@ -429,8 +453,16 @@ let assign vm ~mask (l : lvalue) (rhs : Pval.t) =
   | Some (VScalar _), _ :: _ | Some (VPlural _), _ :: _ ->
       Errors.runtime_error "%s is scalar but indexed" l.lv_name
 
-let and_mask mask cond_lane =
-  Array.mapi (fun i a -> a && cond_lane i) mask
+(* The true- and false-branch masks of a WHERE over condition [cv]: one
+   pass, converting each active lane once in ascending order. *)
+let where_masks mask cv =
+  let p = Array.length mask in
+  let mt = Array.make p false and mf = Array.make p false in
+  for i = 0 to p - 1 do
+    if mask.(i) then
+      if as_bool (Pval.lane cv i) then mt.(i) <- true else mf.(i) <- true
+  done;
+  (mt, mf)
 
 let rec exec vm ~(mask : bool array) (s : stmt) : unit =
   match s with
@@ -462,7 +494,15 @@ let rec exec vm ~(mask : bool array) (s : stmt) : unit =
       | Some f ->
           Metrics.call vm.metrics key;
           tick_vector vm ~mask ~kind:Lf_obs.Trace.Call;
-          f vm ~mask (List.map (eval vm ~mask) args)
+          (* the procedure owns its arguments: plurals are copied, since
+             an [EVar] read shares the variable's lanes *)
+          f vm ~mask
+            (List.map
+               (fun e ->
+                 match eval vm ~mask e with
+                 | Pval.Plural vs -> Pval.Plural (Array.copy vs)
+                 | v -> v)
+               args)
       | None -> Errors.runtime_error "unknown subroutine %s" name)
   | SIf (c, t, f) -> (
       match eval vm ~mask c with
@@ -477,9 +517,7 @@ let rec exec vm ~(mask : bool array) (s : stmt) : unit =
   | SWhere (c, t, f) ->
       let cv = eval vm ~mask c in
       tick_vector vm ~mask ~kind:Lf_obs.Trace.Where;
-      let cond_lane i = as_bool (Pval.lane cv i) in
-      let mt = and_mask mask cond_lane in
-      let mf = and_mask mask (fun i -> not (cond_lane i)) in
+      let mt, mf = where_masks mask cv in
       if t <> [] then exec_block vm ~mask:mt t;
       if f <> [] then exec_block vm ~mask:mf f
   | SWhile (c, body) ->

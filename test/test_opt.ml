@@ -303,8 +303,8 @@ let t_typed_call_bail () =
 
 (* The flattened NBFORCE kernel at p = 1024 with a trivially cheap force
    function (the bench harness's engine-comparison workload), so the run
-   measures the compiled engine rather than the force routine. *)
-let nbforce_1024 () =
+   measures the engine rather than the force routine. *)
+let nbforce_1024 ?(engine = `Compiled) () =
   let p = 1024 in
   let mol = Lf_md.Workload.sod ~n:(2 * p) () in
   let pl = Lf_md.Workload.pairlist mol ~cutoff:8.0 in
@@ -328,7 +328,7 @@ let nbforce_1024 () =
   in
   fun ~opt ->
     ignore
-      (Vm.run ~engine:`Compiled ~opt ~p
+      (Vm.run ~engine ~opt ~p
          ~setup:(fun vm ->
            Vm.register_func vm ~pure:true "force" (fun _ -> Values.VReal 1.0);
            Vm.bind_scalar vm "n" (Values.VInt n);
@@ -395,6 +395,27 @@ let t_alloc_gate () =
         counts (List.assoc opt opt_run_pins))
     alloc_budget
 
+(* The tree-walking reference engine on the same run, read with
+   [Gc.minor_words], which is exact.  (The [gc.minor_words] gauge comes
+   from [Gc.quick_stat], whose minor count only advances at minor
+   collections on OCaml 5: it moves by tens of thousands of words with
+   the minor heap's fill level when the run starts.)  Budget = this
+   engine's reading (dev profile) since it stopped copying a plural on
+   every variable read and resolving names, operand shapes and index
+   lists per lane; it read 37,425,387 before. *)
+let treewalk_alloc_budget = 7_223_544.
+
+let t_treewalk_alloc_gate () =
+  let run = nbforce_1024 ~engine:`Tree_walk () in
+  run ~opt:0;
+  let w0 = Gc.minor_words () in
+  run ~opt:0;
+  let words = Gc.minor_words () -. w0 in
+  checkb
+    (Fmt.str "tree-walk minor words %.0f within the budget %.0f" words
+       treewalk_alloc_budget)
+    (words <= treewalk_alloc_budget)
+
 let suite =
   [
     case "constant folding (and -O0 identity)" t_const_fold;
@@ -410,4 +431,5 @@ let suite =
       t_reduction_raises_like_o0;
     case "typed call path bails on mixed return types" t_typed_call_bail;
     case "allocation and fused-run gate: warm NBFORCE p=1024" t_alloc_gate;
+    case "allocation gate: tree-walk NBFORCE p=1024" t_treewalk_alloc_gate;
   ]

@@ -223,6 +223,9 @@ let batch_read path =
       "PROGRAM loop\n  PLURAL INTEGER u\n  u = 0\n\
       \  WHILE (any(u < 10000000))\n    u = u + 1\n  ENDWHILE\nEND\n"
   | "bad-parse.f" -> "PROGRAM bad\n  u = (\nEND\n"
+  | "fillw.f" ->
+      (* writes into its seeded array *)
+      "PROGRAM fillw\n  INTEGER v(3)\n  v(1) = v(1) + 100\nEND\n"
   | "div0.f" ->
       "PROGRAM div\n  PLURAL INTEGER u\n  u = 1 / (iproc - iproc)\nEND\n"
   | p -> raise (Sys_error (p ^ ": No such file or directory"))
@@ -267,6 +270,53 @@ let t_batch_isolation () =
             | None -> false)
       | _ -> ())
     records
+
+(* Fill strings are parsed once per batch, but every run must start from
+   its own copy: the item after one that writes into a shared fill (and
+   the second repeat of a writing item) sees the pristine values. *)
+let t_batch_fill_private () =
+  let states items =
+    let dir = Filename.temp_dir "lf_batch" "" in
+    let failed =
+      Batch.run ~read:batch_read ~artifacts:dir items
+    in
+    checkb "no failures" (not failed);
+    List.mapi
+      (fun i _ ->
+        let path = Filename.concat dir (Printf.sprintf "item-%03d.state.txt" i) in
+        let ic = open_in_bin path in
+        let text = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        Sys.remove path;
+        Sys.remove
+          (Filename.concat dir (Printf.sprintf "item-%03d.metrics.json" i));
+        text)
+      items
+    |> fun texts ->
+    Sys.rmdir dir;
+    texts
+  in
+  let item ?repeat engine =
+    batch_item ~program:"fillw.f" ~engine ?repeat ~fills:[ ("v", "1,2,3") ] ()
+  in
+  let solo = states [ item `Compiled ] in
+  checkb "the program wrote into its fill"
+    (Astring_contains.contains (List.hd solo) "101");
+  let shared = states [ item `Compiled; item `Tree_walk; item ~repeat:2 `Compiled ] in
+  List.iteri
+    (fun i st -> checks (Fmt.str "item %d state equals a solo run" i) (List.hd solo) st)
+    shared;
+  (* a bad token is not memoized: each item sharing it reports it *)
+  let _, records =
+    run_batch
+      [
+        batch_item ~fills:[ ("v", "1,x") ] ();
+        batch_item ~fills:[ ("v", "1,x") ] ();
+      ]
+  in
+  let errors = List.filter_map (fun r -> str_field r "error") records in
+  checki "both items fail" 2 (List.length errors);
+  checks "same message" (List.nth errors 0) (List.nth errors 1)
 
 let t_batch_ok_all () =
   let any_failed, records =
@@ -381,6 +431,7 @@ let suite =
       Gen.simd_prog_gen prop_warm_equals_cold;
     case "batch: failing-item isolation" t_batch_isolation;
     case "batch: all-green returns false" t_batch_ok_all;
+    case "batch: fills parsed once, bound privately" t_batch_fill_private;
     case "batch: JSONL record schema" t_batch_schema;
     case "batch: per-item timeout" t_batch_timeout;
     case "batch: warm repeats keep metrics" t_batch_warm_metrics;

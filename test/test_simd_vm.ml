@@ -316,6 +316,102 @@ let t_compiled_errors () =
   Alcotest.(check string)
     "same error (parallel)" (msg `Tree_walk) (msg ~jobs:3 `Parallel)
 
+(* ------------------------------------------------------------------ *)
+(* Tree-walk aliasing: an [EVar] read shares the variable's lanes       *)
+(* ------------------------------------------------------------------ *)
+
+let t_alias_copy_then_write () =
+  (* [x = y] copies y's active lanes; a later partial write to [y] must
+     not show through [x], nor a swap through its temporary *)
+  let c =
+    check_agree "copy then partial write"
+      (run_both
+         {|
+  y = iproc * 10
+  x = iproc
+  x = y
+  v = iproc
+  v = y
+  u = y
+  WHERE (iproc <= 2)
+    w = y
+  ENDWHERE
+  WHERE (iproc >= 3)
+    y = 0
+  ENDWHERE
+  WHERE (iproc >= 3)
+    t = x
+    x = y
+    y = t
+  ENDWHERE
+|})
+  in
+  checkb "declared copy unchanged" (plural_ints c "v" = [| 10; 20; 30; 40 |]);
+  checkb "implicit copy unchanged" (plural_ints c "u" = [| 10; 20; 30; 40 |]);
+  checkb "masked implicit copy unchanged"
+    (Array.sub (plural_ints c "w") 0 2 = [| 10; 20 |]);
+  checkb "swapped: x" (plural_ints c "x" = [| 10; 20; 0; 0 |]);
+  checkb "swapped: y" (plural_ints c "y" = [| 10; 20; 30; 40 |])
+
+let t_alias_proc_arg () =
+  (* a procedure owns its arguments: clobbering a plural argument must
+     leave the variable it was read from unchanged, on every engine *)
+  let seen = ref [] in
+  let setup vm =
+    Vm.register_proc vm "clobber" (fun _ ~mask:_ args ->
+        List.iter
+          (function
+            | Pv.Plural vs ->
+                seen := Array.to_list (Array.map as_int vs) :: !seen;
+                Array.fill vs 0 (Array.length vs) (VInt (-1))
+            | _ -> ())
+          args)
+  in
+  let c =
+    check_agree "clobbering procedure"
+      (run_both ~setup "i = iproc
+CALL clobber(i, i)
+j = i + 0")
+  in
+  checkb "variable unchanged" (plural_ints c "i" = [| 1; 2; 3; 4 |]);
+  checkb "read after the call" (plural_ints c "j" = [| 1; 2; 3; 4 |]);
+  (* the second argument is its own copy too, on all three engines *)
+  checkb "each argument saw the variable"
+    (List.for_all (fun l -> l = [ 1; 2; 3; 4 ]) !seen && List.length !seen = 6)
+
+let t_nan_compare () =
+  (* comparisons use [compare], so NaN = NaN holds: the sequential
+     interpreter, the tree-walker and the compiled engines agree *)
+  let ops = [ "=="; "/="; "<"; "<="; ">"; ">=" ] in
+  let rhs = [ "z"; "1.0"; "1" ] in
+  let cases =
+    List.concat_map (fun op -> List.map (fun r -> (op, r)) rhs) ops
+  in
+  let body zdef =
+    zdef
+    :: List.mapi (fun k (op, r) -> Printf.sprintf "c%d = z %s %s" k op r) cases
+    @ List.mapi
+        (fun k (op, r) ->
+          Printf.sprintf "d%d = %s %s z" k (if r = "z" then "1.0" else r) op)
+        cases
+    |> String.concat "\n"
+  in
+  let names =
+    List.concat
+      (List.mapi (fun k _ -> [ Printf.sprintf "c%d" k; Printf.sprintf "d%d" k ]) cases)
+  in
+  let seq = Interp.run_block (parse_block (body "z = 0.0 / 0.0")) in
+  let t, c, par = run_both (body "z = iproc * 0.0 / 0.0") in
+  ignore (check_agree "NaN comparisons" (t, c, par));
+  List.iter
+    (fun n ->
+      let want = as_bool (Env.find seq.Interp.env n) in
+      Array.iter
+        (fun v -> checkb (n ^ " agrees with Interp") (as_bool v = want))
+        (Vm.read_plural t n))
+    names;
+  checkb "NaN == NaN" (as_bool (Env.find seq.Interp.env "c0"))
+
 let suite =
   [
     case "iproc and broadcast" t_iproc;
@@ -339,4 +435,7 @@ let suite =
     case "compiled: lanes changing element type" t_compiled_type_changes;
     case "compiled: vector subroutine calls" t_compiled_procs;
     case "compiled: identical runtime errors" t_compiled_errors;
+    case "aliasing: copy, then partial write to the source" t_alias_copy_then_write;
+    case "aliasing: procedures get copies of plural arguments" t_alias_proc_arg;
+    case "NaN comparisons agree with Interp and compiled" t_nan_compare;
   ]
