@@ -12,21 +12,6 @@
 
 open Cmdliner
 
-let read_source path =
-  let ic = if path = "-" then stdin else open_in path in
-  let buf = Buffer.create 65536 in
-  let chunk = Bytes.create 65536 in
-  let rec loop () =
-    let k = input ic chunk 0 (Bytes.length chunk) in
-    if k > 0 then begin
-      Buffer.add_subbytes buf chunk 0 k;
-      loop ()
-    end
-  in
-  loop ();
-  if path <> "-" then close_in ic;
-  Buffer.contents buf
-
 let variant_conv =
   Arg.enum
     [
@@ -60,7 +45,7 @@ let run path variant target decomp p olevel dump_ir naive assume_nonempty
     1
   end
   else
-  let src = read_source path in
+  let src = Input_file.read_or_exit ~tool:"flattenc" path in
   match Lf_lang.Parser.program_of_string src with
   | exception e ->
       Fmt.epr "%s@." (Lf_lang.Errors.to_message e);

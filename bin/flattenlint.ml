@@ -8,7 +8,7 @@
 
    Exit status: 0 when every input is lint-clean (no errors; warnings are
    allowed), 1 when any input has lint errors, 2 when an input fails to
-   parse.
+   parse, 124 when an input cannot be read.
 
    Examples:
      dune exec bin/flattenlint.exe -- examples/fortran/example.f
@@ -18,21 +18,6 @@
 open Cmdliner
 module Lint = Lf_analysis.Lint
 module Json = Lf_obs.Json
-
-let read_source path =
-  let ic = if path = "-" then stdin else open_in path in
-  let buf = Buffer.create 65536 in
-  let chunk = Bytes.create 65536 in
-  let rec loop () =
-    let k = input ic chunk 0 (Bytes.length chunk) in
-    if k > 0 then begin
-      Buffer.add_subbytes buf chunk 0 k;
-      loop ()
-    end
-  in
-  loop ();
-  if path <> "-" then close_in ic;
-  Buffer.contents buf
 
 (* One input to lint: a file path or a built-in kernel source. *)
 type input = {
@@ -96,7 +81,13 @@ let run files kernel json pure_subs impure_funcs explain rules quiet =
       0
   | None -> (
       let inputs =
-        List.map (fun f -> { i_name = f; i_source = read_source f }) files
+        List.map
+          (fun f ->
+            {
+              i_name = f;
+              i_source = Input_file.read_or_exit ~tool:"flattenlint" f;
+            })
+          files
         @
         match kernel with
         | Some `Nbforce ->

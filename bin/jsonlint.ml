@@ -1,31 +1,35 @@
 (* jsonlint: validate that files parse as JSON — or, with --jsonl, as one
-   JSON value per non-empty line.  The trace-smoke alias uses this to
-   check every file the observability layer emits (metrics dumps, JSONL
-   traces, occupancy timelines, Chrome trace events) without external
-   JSON tooling.
+   JSON value per non-empty line.  The smoke matrix
+   (examples/fortran/smoke.t) uses this to check every file the
+   observability layer emits (metrics dumps, JSONL traces, occupancy
+   timelines, Chrome trace events) without external JSON tooling.
 
    --cmp-ignoring KEY[,KEY...] A B compares two JSON files structurally
    after deleting the named keys from every object at any depth — how
-   the smoke aliases assert that metrics/stats dumps from different
+   the smoke matrix asserts that metrics/stats dumps from different
    engine configurations agree on everything except their provenance
    ("run") and scheduler-dependent ("volatile") parts.  Exit 1 when the
    stripped values differ.
 
    --assert-positive PATH FILE walks the /-separated object path in
    FILE and requires the value there to be a number > 0 — how the
-   cache-smoke alias asserts that a --stats-json dump recorded warm
+   smoke matrix asserts that a --stats-json dump recorded warm
    cache traffic (e.g. --assert-positive opt/cache.hits stats.json).
+
+   An unreadable or invalid file is reported on stderr and makes the
+   exit status 1.
 
    Usage: jsonlint [--jsonl] FILE...
           jsonlint --cmp-ignoring KEYS FILE1 FILE2
           jsonlint --assert-positive PATH FILE                          *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  text
+(* The single-file modes: an unreadable or invalid file is a failure. *)
+let parse_or_exit path =
+  match Result.bind (Input_file.read path) Lf_obs.Json.parse with
+  | Ok j -> j
+  | Error msg ->
+      Printf.eprintf "jsonlint: %s: %s\n" path msg;
+      exit 1
 
 let rec strip_keys keys (j : Lf_obs.Json.t) : Lf_obs.Json.t =
   match j with
@@ -40,16 +44,9 @@ let rec strip_keys keys (j : Lf_obs.Json.t) : Lf_obs.Json.t =
   | other -> other
 
 let cmp_ignoring keys a b =
-  let parse path =
-    match Lf_obs.Json.parse (read_file path) with
-    | Ok j -> j
-    | Error msg ->
-        Printf.eprintf "jsonlint: %s: %s\n" path msg;
-        exit 1
-  in
   let keys = String.split_on_char ',' keys in
-  let ja = strip_keys keys (parse a) in
-  let jb = strip_keys keys (parse b) in
+  let ja = strip_keys keys (parse_or_exit a) in
+  let jb = strip_keys keys (parse_or_exit b) in
   (* canonicalize field order so dumps that agree on content but not on
      emission order still compare equal *)
   let rec canon (j : Lf_obs.Json.t) : Lf_obs.Json.t =
@@ -74,13 +71,7 @@ let cmp_ignoring keys a b =
   end
 
 let assert_positive path_expr file =
-  let j =
-    match Lf_obs.Json.parse (read_file file) with
-    | Ok j -> j
-    | Error msg ->
-        Printf.eprintf "jsonlint: %s: %s\n" file msg;
-        exit 1
-  in
+  let j = parse_or_exit file in
   let keys = String.split_on_char '/' path_expr in
   let v =
     List.fold_left
@@ -136,31 +127,31 @@ let () =
     exit 2
   end;
   let failures = ref 0 in
+  let fail what msg =
+    incr failures;
+    Printf.eprintf "jsonlint: %s: %s\n" what msg
+  in
   let check what text =
-    match Lf_obs.Json.parse text with
-    | Ok _ -> ()
-    | Error msg ->
-        incr failures;
-        Printf.eprintf "jsonlint: %s: %s\n" what msg
+    match Lf_obs.Json.parse text with Ok _ -> () | Error msg -> fail what msg
   in
   List.iter
     (fun path ->
-      let text = read_file path in
-      let values =
-        if !jsonl then
-          String.split_on_char '\n' text
-          |> List.mapi (fun i line -> (Printf.sprintf "%s:%d" path (i + 1), line))
-          |> List.filter (fun (_, line) -> String.trim line <> "")
-        else [ (path, text) ]
-      in
-      if values = [] then begin
-        incr failures;
-        Printf.eprintf "jsonlint: %s: no JSON values found\n" path
-      end;
-      List.iter (fun (what, text) -> check what text) values;
-      if !failures = 0 then
-        Printf.printf "jsonlint: %s: %d JSON value%s OK\n" path
-          (List.length values)
-          (if List.length values = 1 then "" else "s"))
+      match Input_file.read path with
+      | Error reason -> fail path reason
+      | Ok text ->
+          let values =
+            if !jsonl then
+              String.split_on_char '\n' text
+              |> List.mapi (fun i line ->
+                     (Printf.sprintf "%s:%d" path (i + 1), line))
+              |> List.filter (fun (_, line) -> String.trim line <> "")
+            else [ (path, text) ]
+          in
+          if values = [] then fail path "no JSON values found";
+          List.iter (fun (what, text) -> check what text) values;
+          if !failures = 0 then
+            Printf.printf "jsonlint: %s: %d JSON value%s OK\n" path
+              (List.length values)
+              (if List.length values = 1 then "" else "s"))
     (List.rev !files);
   exit (if !failures = 0 then 0 else 1)

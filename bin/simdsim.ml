@@ -18,7 +18,11 @@
    original Figure 13 kernel on the asynchronous MIMD model with a block
    decomposition and reports TIME_SIMD vs TIME_MIMD per source region.
 
-   Examples:
+   Examples (in examples/fortran):
+     dune exec bin/flattenc.exe -- --target simd -p 4 \
+       --assume-inner-nonempty example.f > example_simd.f
+     dune exec bin/flattenc.exe -- --target simd -p 8 \
+       --assume-inner-nonempty nbforce.f > nbforce_flat_simd.f
      dune exec bin/simdsim.exe -- --lanes 4 --set k=8 \
        --fill l=4,1,2,1,1,3,1,3 --dump x example_simd.f
      dune exec bin/simdsim.exe -- --seq --set k=8 example.f
@@ -29,21 +33,6 @@ open Cmdliner
 open Lf_lang
 module Obs = Lf_report.Obs_report
 module Src = Lf_kernels.Nbforce_src
-
-let read_source path =
-  let ic = if path = "-" then stdin else open_in path in
-  let buf = Buffer.create 65536 in
-  let chunk = Bytes.create 65536 in
-  let rec loop () =
-    let k = input ic chunk 0 (Bytes.length chunk) in
-    if k > 0 then begin
-      Buffer.add_subbytes buf chunk 0 k;
-      loop ()
-    end
-  in
-  loop ();
-  if path <> "-" then close_in ic;
-  Buffer.contents buf
 
 let parse_binding s =
   match String.index_opt s '=' with
@@ -134,7 +123,7 @@ let run path seq engine jobs lanes olevel dump_ir dump_ir_phase verify_ir
       Fmt.epr "simdsim: --verify-ir requires a SIMD engine (drop --seq)@.";
       raise Exit
     end;
-    let src = read_source path in
+    let src = Input_file.read_or_exit ~tool:"simdsim" path in
     let prog = Parser.program_of_string src in
     if lint then begin
       let report = Lf_analysis.Lint.check_program prog in

@@ -642,10 +642,11 @@ let flush_frame vm (frame : Frame.t) =
     | Frame.PluralArr a -> Hashtbl.replace vm.vars name (VPluralArr a)
   done
 
-(** Frame name table: every variable the program mentions plus every
-    pre-seeded VM binding (setup-bound globals, parameters). *)
-let frame_names vm (prog : program) =
-  let from_ast = Compile.var_names prog in
+(** Frame name table: every variable the program mentions ([from_ast],
+    which the program cache precomputes so its warm path does not re-walk
+    the AST) plus every pre-seeded VM binding (setup-bound globals,
+    parameters). *)
+let frame_names vm from_ast =
   let seen = Hashtbl.create 64 in
   List.iter (fun n -> Hashtbl.replace seen n ()) from_ast;
   let extra =
@@ -732,7 +733,9 @@ let run_compiled vm ~(exec : Pool.exec) ?opt ?verify ?prepared
            irrelevant here — it gates [Opt.run], which is skipped. *)
         (frame, Compile.emit ~host:(make_host vm frame) ~frame ~exec ?opt ir)
     | None ->
-        let frame = Frame.create ~p:vm.p (frame_names vm prog) in
+        let frame =
+          Frame.create ~p:vm.p (frame_names vm (Compile.var_names prog))
+        in
         ( frame,
           Compile.compile ~host:(make_host vm frame) ~frame ~exec ?opt
             ?verify prog.p_body )
@@ -806,19 +809,6 @@ let run ?fuel ?engine ?jobs ?opt ?verify ~p ?(setup = fun _ -> ())
 (* Source-level entry with the program cache                           *)
 (* ------------------------------------------------------------------ *)
 
-(** [frame_names] reusing the entry's precomputed AST name list (the
-    warm path must not re-walk the AST). *)
-let layout_of vm (entry : Progcache.entry) =
-  let from_ast = entry.Progcache.e_ast_names in
-  let seen = Hashtbl.create 64 in
-  List.iter (fun n -> Hashtbl.replace seen n ()) from_ast;
-  let extra =
-    Hashtbl.fold
-      (fun n _ acc -> if Hashtbl.mem seen n then acc else n :: acc)
-      vm.vars []
-  in
-  from_ast @ List.sort compare extra
-
 let run_src ?fuel ?(engine = `Tree_walk) ?jobs ?(opt = 1) ?(verify = false)
     ?cache ?(dialect = "simd") ~p ?(setup = fun _ -> ()) (src : string) : t =
   match cache with
@@ -846,7 +836,7 @@ let run_src ?fuel ?(engine = `Tree_walk) ?jobs ?(opt = 1) ?(verify = false)
           if hit then Progcache.credit_warm entry;
           run_on vm ~engine ?jobs ~opt ~verify prog
       | `Compiled | `Parallel ->
-          let layout = layout_of vm entry in
+          let layout = frame_names vm entry.Progcache.e_ast_names in
           let ir, warm =
             match entry.Progcache.e_lowered with
             | Some (lay, ir) when lay = layout -> (ir, true)
@@ -874,27 +864,30 @@ let run_src ?fuel ?(engine = `Tree_walk) ?jobs ?(opt = 1) ?(verify = false)
                 prog));
       vm
 
-let dump_ir ?(opt = 1) ~p ?(setup = fun _ -> ()) (prog : program) :
-    Lf_obs.Json.t =
+(* The frame and unoptimized IR [run] would lower [prog] to: a fresh VM
+   set up and declared as for a run, nothing executed. *)
+let lower_standalone ~p ~setup (prog : program) =
   let vm = create ~p () in
   setup vm;
   declare vm prog.p_decls;
-  let frame = Frame.create ~p (frame_names vm prog) in
-  Ir.to_json ~opt (Opt.run ~level:opt ~frame (Ir.of_block frame prog.p_body))
+  let frame = Frame.create ~p (frame_names vm (Compile.var_names prog)) in
+  (frame, Ir.of_block frame prog.p_body)
+
+let dump_ir ?(opt = 1) ~p ?(setup = fun _ -> ()) (prog : program) :
+    Lf_obs.Json.t =
+  let frame, ir = lower_standalone ~p ~setup prog in
+  Ir.to_json ~opt (Opt.run ~level:opt ~frame ir)
 
 let dump_ir_phases ?(opt = 1) ~p ?(setup = fun _ -> ()) (prog : program) :
     (string * Lf_obs.Json.t) list =
-  let vm = create ~p () in
-  setup vm;
-  declare vm prog.p_decls;
-  let frame = Frame.create ~p (frame_names vm prog) in
+  let frame, ir = lower_standalone ~p ~setup prog in
   let acc = ref [] in
   (* the pipeline annotates one mutable tree in place; converting to
      JSON inside the callback snapshots each phase's state *)
   ignore
     (Opt.run ~level:opt ~frame
        ~dump:(fun name b -> acc := (name, Ir.to_json ~opt b) :: !acc)
-       (Ir.of_block frame prog.p_body));
+       ir);
   List.rev !acc
 
 (** Standalone verification without executing: lower against the same
@@ -902,12 +895,8 @@ let dump_ir_phases ?(opt = 1) ~p ?(setup = fun _ -> ()) (prog : program) :
     with the IR verifier enabled at every phase boundary.
     @raise Verify.Error on a broken invariant. *)
 let verify_ir ?(opt = 1) ~p ?(setup = fun _ -> ()) (prog : program) : unit =
-  let vm = create ~p () in
-  setup vm;
-  declare vm prog.p_decls;
-  let frame = Frame.create ~p (frame_names vm prog) in
-  ignore
-    (Opt.run ~level:opt ~frame ~verify:true (Ir.of_block frame prog.p_body))
+  let frame, ir = lower_standalone ~p ~setup prog in
+  ignore (Opt.run ~level:opt ~frame ~verify:true ir)
 
 (* ------------------------------------------------------------------ *)
 (* Engine-equivalence checks                                           *)
