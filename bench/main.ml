@@ -283,26 +283,28 @@ let engine_tests () =
             Lf_simd.Vm.run_src ~engine:`Compiled ~cache ~p:small_p small_src)));
   ]
 
-(* The --jobs sweep: flat NBFORCE at MasPar scale (p = 4096) on the
-   serial compiled engine vs the lane-sharded parallel engine at each
-   requested shard count.  The chunk-aligned shard grid guarantees the
-   results are bitwise identical at every point of the sweep; only the
-   wall-clock changes. *)
-let sweep_p = 4096
+(* The --jobs sweep: flat NBFORCE at p = 1024 and at MasPar scale
+   (p = 4096) on the serial compiled engine vs the lane-sharded parallel
+   engine at each requested shard count.  The chunk-aligned shard grid
+   guarantees the results are bitwise identical at every point of the
+   sweep; only the wall-clock changes. *)
+let sweep_ps = [ 1024; 4096 ]
 
 let sweep_tests ~jobs () =
   let open Bechamel in
-  let run_nbforce = nbforce_runner ~p:sweep_p in
-  Test.make
-    ~name:(Printf.sprintf "vm NBFORCE flat p%d (compiled)" sweep_p)
-    (Staged.stage (run_nbforce `Compiled))
-  :: List.map
-       (fun j ->
-         Test.make
-           ~name:
-             (Printf.sprintf "vm NBFORCE flat p%d (parallel j%d)" sweep_p j)
-           (Staged.stage (run_nbforce ~jobs:j `Parallel)))
-       jobs
+  List.concat_map
+    (fun p ->
+      let run_nbforce = nbforce_runner ~p in
+      Test.make
+        ~name:(Printf.sprintf "vm NBFORCE flat p%d (compiled)" p)
+        (Staged.stage (run_nbforce `Compiled))
+      :: List.map
+           (fun j ->
+             Test.make
+               ~name:(Printf.sprintf "vm NBFORCE flat p%d (parallel j%d)" p j)
+               (Staged.stage (run_nbforce ~jobs:j `Parallel)))
+           jobs)
+    sweep_ps
 
 let run_micro ~jobs ~quick ppf =
   let open Bechamel in
@@ -409,21 +411,23 @@ let run_micro ~jobs ~quick ppf =
       Fmt.pf ppf "  stats overhead on NBFORCE flat (compiled): %+.2f%%@."
         (100.0 *. (on -. off) /. off)
   | _ -> ());
-  (match est_of (Printf.sprintf "vm NBFORCE flat p%d (compiled)" sweep_p) with
-  | Some serial when serial > 0.0 ->
-      List.iter
-        (fun j ->
-          match
-            est_of
-              (Printf.sprintf "vm NBFORCE flat p%d (parallel j%d)" sweep_p j)
-          with
-          | Some par when par > 0.0 ->
-              Fmt.pf ppf
-                "  parallel speedup on NBFORCE flat p%d, jobs=%d: %.2fx@."
-                sweep_p j (serial /. par)
-          | _ -> ())
-        jobs
-  | _ -> ());
+  List.iter
+    (fun p ->
+      match est_of (Printf.sprintf "vm NBFORCE flat p%d (compiled)" p) with
+      | Some serial when serial > 0.0 ->
+          List.iter
+            (fun j ->
+              match
+                est_of (Printf.sprintf "vm NBFORCE flat p%d (parallel j%d)" p j)
+              with
+              | Some par when par > 0.0 ->
+                  Fmt.pf ppf
+                    "  parallel speedup on NBFORCE flat p%d, jobs=%d: %.2fx@."
+                    p j (serial /. par)
+              | _ -> ())
+            jobs
+      | _ -> ())
+    sweep_ps;
   rows
 
 (* ------------------------------------------------------------------ *)
@@ -459,11 +463,12 @@ let print_baseline_table ppf ~baseline_file baseline rows =
    baseline loader keeps only numeric fields, so a "header" object is
    invisible to --baseline / --check and older dumps without one load
    unchanged. *)
-let dump_header ~experiment ~jobs ~quick =
+let dump_header ~experiment ~jobs ~quick ~paired =
   Lf_obs.Json.Obj
     [
       ("p", Lf_obs.Json.Int engine_p);
-      ("sweep_p", Lf_obs.Json.Int sweep_p);
+      ( "sweep_p",
+        Lf_obs.Json.List (List.map (fun p -> Lf_obs.Json.Int p) sweep_ps) );
       ("jobs", Lf_obs.Json.List (List.map (fun j -> Lf_obs.Json.Int j) jobs));
       ( "experiment",
         match experiment with
@@ -473,6 +478,7 @@ let dump_header ~experiment ~jobs ~quick =
         Lf_obs.Json.Str
           (Option.value ~default:"unknown" (Sys.getenv_opt "DUNE_PROFILE")) );
       ("quick", Lf_obs.Json.Bool quick);
+      ("paired_jobs", Lf_obs.Json.List paired);
     ]
 
 (* one decimal, like the historical hand-rolled dumps *)
@@ -572,13 +578,14 @@ let check_gate ppf ~tolerance ~baseline_file base rows =
 
 (* Wall-clock noise between separate sweeps on this host swings far
    above the effects measured here (see EXPERIMENTS.md, fusion study),
-   so --stats-overhead, --rangeopt-overhead and --cache-overhead take
-   their claims the way the fusion tuning decisions were taken: paired
-   interleaved best-of-N runs within one process.  After one warm-up run
-   of each arm, every round times arm [a] and then arm [b].  Returns the
-   median over the rounds of [a]'s time over [b]'s, and the best
-   (minimum) time of each arm in ns. *)
-let paired ~rounds a b =
+   so --stats-overhead, --rangeopt-overhead, --cache-overhead and the
+   --jobs sweep take their claims the way the fusion tuning decisions
+   were taken: paired interleaved best-of-N runs within one process.
+   After one warm-up run of each arm, every round times arm [a] and then
+   arm [b].  [paired_ratios] returns the rounds' ratios of [a]'s time
+   over [b]'s, sorted, and the best (minimum) time of each arm in ns;
+   [paired] the median ratio in place of the array. *)
+let paired_ratios ~rounds a b =
   let time f =
     let t0 = Lf_obs.Stats.now_ns () in
     ignore (f ());
@@ -596,7 +603,49 @@ let paired ~rounds a b =
         ta /. tb)
   in
   Array.sort compare ratios;
-  (ratios.(rounds / 2), !best_a, !best_b)
+  (ratios, !best_a, !best_b)
+
+let paired ~rounds a b =
+  let ratios, best_a, best_b = paired_ratios ~rounds a b in
+  (ratios.(rounds / 2), best_a, best_b)
+
+(* The paired half of the --jobs sweep: at every sweep width and jobs
+   count, rounds of one parallel run then one serial compiled run; the
+   parallel/serial time ratio's median and quartiles, printed and
+   returned for the JSON header (below 1.0 = parallel faster). *)
+let rounds_jobs = 15
+
+let run_paired_jobs ppf ~jobs =
+  List.concat_map
+    (fun p ->
+      let run = nbforce_runner ~p in
+      List.map
+        (fun j ->
+          let ratios, best_par, best_ser =
+            paired_ratios ~rounds:rounds_jobs
+              (run ~jobs:j `Parallel)
+              (run `Compiled)
+          in
+          let q k = ratios.(k * (rounds_jobs - 1) / 4) in
+          Fmt.pf ppf
+            "  paired parallel/serial on NBFORCE flat p%d, jobs=%d, %d \
+             rounds: median %.3f [q1 %.3f, q3 %.3f], min %.3f max %.3f   \
+             best %.0f / %.0f ns@."
+            p j rounds_jobs (q 2) (q 1) (q 3) ratios.(0)
+            ratios.(rounds_jobs - 1) best_par best_ser;
+          Lf_obs.Json.Obj
+            [
+              ("p", Lf_obs.Json.Int p);
+              ("jobs", Lf_obs.Json.Int j);
+              ("rounds", Lf_obs.Json.Int rounds_jobs);
+              ("median", Lf_obs.Json.Float (q 2));
+              ("q1", Lf_obs.Json.Float (q 1));
+              ("q3", Lf_obs.Json.Float (q 3));
+              ("min", Lf_obs.Json.Float ratios.(0));
+              ("max", Lf_obs.Json.Float ratios.(rounds_jobs - 1));
+            ])
+        jobs)
+    sweep_ps
 
 (* --stats-overhead: the compiled NBFORCE kernel with the telemetry
    registry disabled, then enabled; the overhead is the on/off ratio. *)
@@ -846,11 +895,12 @@ let () =
       || json_file <> None || baseline <> None
     then begin
       let rows = run_micro ~jobs ~quick ppf in
+      let paired = if quick then [] else run_paired_jobs ppf ~jobs in
       Option.iter
         (fun (file, base) ->
           print_baseline_table ppf ~baseline_file:file base rows)
         baseline;
-      let header = dump_header ~experiment ~jobs ~quick in
+      let header = dump_header ~experiment ~jobs ~quick ~paired in
       Option.iter
         (fun file ->
           (match baseline with

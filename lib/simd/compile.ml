@@ -144,12 +144,15 @@ let rv_to_pval ~exact (m : Frame.Mask.t) v =
 (* Generic (boxed) fallbacks — the exact [Pval.lift1]/[lift2] semantics *)
 (* ------------------------------------------------------------------ *)
 
-let box_lift1 (m : Frame.Mask.t) f v =
+(* Both read operand lanes on the control thread: a join. *)
+let box_lift1 exec (m : Frame.Mask.t) f v =
+  Pool.sync exec;
   let p = Frame.Mask.length m in
   Array.init p (fun i ->
       if Frame.Mask.get m i then f (rv_lane v i) else VInt 0)
 
-let box_lift2 (m : Frame.Mask.t) f a b =
+let box_lift2 exec (m : Frame.Mask.t) f a b =
+  Pool.sync exec;
   let p = Frame.Mask.length m in
   Array.init p (fun i ->
       if Frame.Mask.get m i then f (rv_lane a i) (rv_lane b i) else VInt 0)
@@ -281,12 +284,14 @@ let[@inline] real_fold r a x =
 
 (* The typed lane loops, once per element type; every dispatch site
    calls these.  Each loop is monomorphic and runs through [run]
-   ([exec.x_run]: inline for the serial engines, one shard per pool
-   worker for the parallel one).  Shards write disjoint index ranges of
-   the result, so the loops need no further coordination; a shard that
-   raises surfaces as the lowest-shard — i.e. first-failing-lane — error,
-   exactly as the serial scan.  [bp] is the activity mask's bytes, or
-   [all_lanes] for a pass over every lane.
+   ([exec.x_run]: inline for the serial engines, an entry of the pending
+   join region for the parallel one, which runs it per shard at the next
+   [Pool.sync]).  Shards write disjoint index ranges of the result, so
+   the loops need no further coordination; a shard that raises surfaces
+   as the first-failing-lane error, exactly as the serial scan.  A
+   result is only read on the control thread after a join.  [bp] is
+   the activity mask's bytes, or [all_lanes] for a pass over every
+   lane.
 
    A kernel operand is a lane vector or a one-cell array broadcasting a
    front-end scalar: lane [i] reads cell [i land bcast v], which is 0
@@ -305,11 +310,17 @@ let int_view = function
   | RS (VInt n) -> [| n |]
   | _ -> invalid_arg "int_view"
 
-(* int lanes promote into a fresh vector: an operand of a mixed
-   int/real operation *)
-let real_view = function
+(* int lanes promote into a fresh vector, a lane loop of its own: an
+   operand of a mixed int/real operation *)
+let real_view run = function
   | RR a -> a
-  | RI a -> Array.map float_of_int a
+  | RI a ->
+      let r = Array.make (Array.length a) 0.0 in
+      run (fun _ lo hi ->
+          for i = lo to hi - 1 do
+            Array.unsafe_set r i (float_of_int (Array.unsafe_get a i))
+          done);
+      r
   | RS (VReal x) -> [| x |]
   | RS (VInt n) -> [| float_of_int n |]
   | _ -> invalid_arg "real_view"
@@ -430,6 +441,70 @@ let fill_v run bp (r : value array) (f : int -> value) =
   run (fun _ lo hi ->
       for i = lo to hi - 1 do
         if Bytes.unsafe_get bp i <> '\000' then Array.unsafe_set r i (f i)
+      done)
+
+(** The numeric intrinsics with typed lane kernels, by [Intrinsics]'
+    own lane functions: [as_float] promotion, [Float.max]/[Float.min] on
+    reals, [int_of_float] of the truncated or rounded real. *)
+type intr = Sqrt | Exp | Real | Int | Nint | Abs | Max | Min
+
+let intr_of_key = function
+  | "sqrt" -> Some Sqrt
+  | "exp" -> Some Exp
+  | "real" -> Some Real
+  | "int" -> Some Int
+  | "nint" -> Some Nint
+  | "abs" -> Some Abs
+  | "max" -> Some Max
+  | "min" -> Some Min
+  | _ -> None
+
+let[@inline] real_intr k x y =
+  match k with
+  | Sqrt -> Float.sqrt x
+  | Exp -> Float.exp x
+  | Real -> x
+  | Abs -> Float.abs x
+  | Max -> Float.max x y
+  | Min -> Float.min x y
+  | Int | Nint -> invalid_arg "real_intr"
+
+let[@inline] int_intr k x y =
+  match k with
+  | Abs -> abs x
+  | Max -> if x >= y then x else y
+  | Min -> if x <= y then x else y
+  | Sqrt | Exp | Real | Int | Nint -> invalid_arg "int_intr"
+
+(** [r.(i) <- k x.(i) y.(i)] on every lane (a unary [k] ignores [y]);
+    all total. *)
+let intr_r run k (r : float array) (x : float array) (y : float array) =
+  run (fun _ lo hi ->
+      let kx = bcast x and ky = bcast y in
+      for i = lo to hi - 1 do
+        Array.unsafe_set r i
+          (real_intr k
+             (Array.unsafe_get x (i land kx))
+             (Array.unsafe_get y (i land ky)))
+      done)
+
+let intr_i run k (r : int array) (x : int array) (y : int array) =
+  run (fun _ lo hi ->
+      let kx = bcast x and ky = bcast y in
+      for i = lo to hi - 1 do
+        Array.unsafe_set r i
+          (int_intr k
+             (Array.unsafe_get x (i land kx))
+             (Array.unsafe_get y (i land ky)))
+      done)
+
+(** INT and NINT: real lanes to int lanes. *)
+let intr_ri run ~round (r : int array) (x : float array) =
+  run (fun _ lo hi ->
+      for i = lo to hi - 1 do
+        let v = Array.unsafe_get x i in
+        Array.unsafe_set r i
+          (int_of_float (if round then Float.round v else Float.trunc v))
       done)
 
 (** Flat offset of the 1-based subscript [(j1, j2)] in a [d1 x d2]
@@ -570,36 +645,38 @@ let fold_span_r r bp (get : int -> float) (parts : float array) l h c =
     the shard layout (shard boundaries are chunk-aligned), so the result
     — including a non-associative float SUM — is bitwise identical at
     any jobs count and to the serial engines. *)
-let chunked run rs span =
+let chunked (exec : Pool.exec) rs span =
   Bytes.fill rs.filled 0 (Bytes.length rs.filled) '\000';
-  run (fun _ lo hi ->
+  exec.Pool.x_run (fun _ lo hi ->
       for c = lo / Pool.chunk to ((hi + Pool.chunk - 1) / Pool.chunk) - 1 do
         if span (c * Pool.chunk) (min hi ((c + 1) * Pool.chunk)) c then
           Bytes.unsafe_set rs.filled c '\001'
-      done)
+      done);
+  Pool.sync exec
 
 (* Whether any lane was active; the result is left in [parts_*.(0)]. *)
-let fold_i run rs bp r ga =
+let fold_i exec rs bp r ga =
   let parts = rs.parts_i in
-  chunked run rs (fold_span_i r bp ga parts);
+  chunked exec rs (fold_span_i r bp ga parts);
   fold_span_i r rs.filled (Array.get parts) parts 0 (Bytes.length rs.filled) 0
 
-let fold_r run rs bp r ga =
+let fold_r exec rs bp r ga =
   let parts = rs.parts_r in
-  chunked run rs (fold_span_r r bp ga parts);
+  chunked exec rs (fold_span_r r bp ga parts);
   fold_span_r r rs.filled (Array.get parts) parts 0 (Bytes.length rs.filled) 0
 
 (** ANY over the active lanes.  A raising [f] visits every active lane
     (a raising lane must still raise); a raise-free one stops at the
     first true lane — the OR-fold order is then unobservable. *)
-let any_b run rs bp ~raising (f : int -> bool) =
-  run (fun s lo hi ->
+let any_b (exec : Pool.exec) rs bp ~raising (f : int -> bool) =
+  exec.Pool.x_run (fun s lo hi ->
       let r = ref false and i = ref lo in
       while (raising || not !r) && !i < hi do
         if Bytes.unsafe_get bp !i <> '\000' && f !i then r := true;
         incr i
       done;
       rs.sh_b.(s) <- !r);
+  Pool.sync exec;
   Array.exists Fun.id rs.sh_b
 
 (** Typed per-lane closure over a fused region's postorder program: the
@@ -614,29 +691,29 @@ type fcell =
 (** The typed reduction of [key] over a lane cell, or [None] when the
     pair has no kernel.  The runner takes the mask's bytes and the
     empty-mask result of SUM/MAXVAL/MINVAL. *)
-let lane_reduction run rs ~raising key cell :
+let lane_reduction exec rs ~raising key cell :
     (Bytes.t -> (unit -> value) -> value) option =
   match (fold_of_key key, cell) with
   | Some r, FI f ->
       Some
         (fun bp empty ->
-          if fold_i run rs bp r f then VInt rs.parts_i.(0) else empty ())
+          if fold_i exec rs bp r f then VInt rs.parts_i.(0) else empty ())
   | Some r, FR f ->
       Some
         (fun bp empty ->
-          if fold_r run rs bp r f then VReal rs.parts_r.(0) else empty ())
+          if fold_r exec rs bp r f then VReal rs.parts_r.(0) else empty ())
   | None, FB f -> (
       match key with
       | "count" ->
           let one_if i = if f i then 1 else 0 in
           Some
             (fun bp _ ->
-              let some = fold_i run rs bp Fold_sum one_if in
+              let some = fold_i exec rs bp Fold_sum one_if in
               VInt (if some then rs.parts_i.(0) else 0))
-      | "any" -> Some (fun bp _ -> VBool (any_b run rs bp ~raising f))
+      | "any" -> Some (fun bp _ -> VBool (any_b exec rs bp ~raising f))
       | "all" ->
           let nf i = not (f i) in
-          Some (fun bp _ -> VBool (not (any_b run rs bp ~raising nf)))
+          Some (fun bp _ -> VBool (not (any_b exec rs bp ~raising nf)))
       | _ -> None)
   | _ -> None
 
@@ -657,8 +734,10 @@ let bufs ri rr rb = { ri; rr; rb; res_i = RI ri; res_r = RR rr; res_b = RB rb }
     vector so downstream operators stay on their fast paths.  Inactive
     lanes of computed temporaries are unobservable (every escape point
     launders them to inert [VInt 0]), so dropping their boxed
-    representation is invisible. *)
-let renorm (m : Frame.Mask.t) (vs : value array) : rv =
+    representation is invisible.  The type decision reads the lanes on
+    the control thread: a join. *)
+let renorm exec (m : Frame.Mask.t) (vs : value array) : rv =
+  Pool.sync exec;
   let p = Array.length vs and bp = m.Frame.Mask.bits in
   let run f = f 0 0 p in
   let f = first_active m in
@@ -688,6 +767,33 @@ let renorm (m : Frame.Mask.t) (vs : value array) : rv =
 (* Operator dispatch                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(** A numeric intrinsic over plural operands on unboxed lanes, or [None]
+    when [k] and the operand shapes have no kernel.  Every active lane
+    holds the value the boxed path computes, and the result has the one
+    type the boxed path's [renorm] picks for a non-empty mask. *)
+let intrinsic_kernel run b k (args : rv list) : rv option =
+  match (k, args) with
+  | (Sqrt | Exp | Real), [ ((RI _ | RR _) as a) ] ->
+      let x = real_view run a in
+      intr_r run k b.rr x x;
+      Some b.res_r
+  | (Int | Nint), [ ((RI _ | RR _) as a) ] ->
+      intr_ri run ~round:(k = Nint) b.ri (real_view run a);
+      Some b.res_i
+  | Abs, [ RI a ] ->
+      intr_i run k b.ri a a;
+      Some b.res_i
+  | Abs, [ RR a ] ->
+      intr_r run k b.rr a a;
+      Some b.res_r
+  | (Max | Min), [ x; y ] when is_int x && is_int y ->
+      intr_i run k b.ri (int_view x) (int_view y);
+      Some b.res_i
+  | (Max | Min), [ x; y ] when is_num x && is_num y ->
+      intr_r run k b.rr (real_view run x) (real_view run y);
+      Some b.res_r
+  | _ -> None
+
 (** A binary operator over two compiled values: front-end scalars fold
     through [Scalar_ops], plural operands run the typed kernel their
     [kind] and lane types select, anything else the boxed path.
@@ -712,27 +818,27 @@ let binop_rv (exec : Pool.exec) b op : Frame.Mask.t -> rv -> rv -> rv =
             b.res_i
           end
           else if is_num x && is_num y then begin
-            map2_r run all_lanes op b.rr (real_view x) (real_view y);
+            map2_r run all_lanes op b.rr (real_view run x) (real_view run y);
             b.res_r
           end
-          else renorm m (box_lift2 m app x y)
+          else renorm exec m (box_lift2 exec m app x y)
     | (Cmp | Logic) as k ->
         fun m x y ->
           if is_bool x && is_bool y then begin
             map2_b run op b.rb (bool_view x) (bool_view y);
             b.res_b
           end
-          else if k = Logic then renorm m (box_lift2 m app x y)
+          else if k = Logic then renorm exec m (box_lift2 exec m app x y)
           else if is_int x && is_int y then begin
             cmp_i run op b.rb (int_view x) (int_view y);
             b.res_b
           end
           else if is_num x && is_num y then begin
-            cmp_r run op b.rb (real_view x) (real_view y);
+            cmp_r run op b.rb (real_view run x) (real_view run y);
             b.res_b
           end
-          else renorm m (box_lift2 m app x y)
-    | Boxed -> fun m x y -> renorm m (box_lift2 m app x y)
+          else renorm exec m (box_lift2 exec m app x y)
+    | Boxed -> fun m x y -> renorm exec m (box_lift2 exec m app x y)
   in
   fun m x y ->
     match (x, y) with
@@ -775,29 +881,22 @@ let stage sc ~lane (fs : (int -> int) array) i =
 (** Partition [parent] into [mt] (condition holds) and [mf] (does not),
     writing into the preallocated per-site buffers.  Only active lanes
     evaluate the condition, exactly like the tree-walker's [where_masks].
-    The unboxed [RB] split shards over [exec]: each shard fills its own
-    byte range of the two masks and reports how many lanes it sent to
-    [mt]; the control thread sums them and gives [mf] the rest. *)
-let split_mask (exec : Pool.exec) (parent : Frame.Mask.t) cv
+    The unboxed [RB] split is one lane loop: each shard clears and fills
+    its own byte range of the two masks and reports in [nts] how many
+    lanes it sent to [mt]; the control thread joins, sums them and gives
+    [mf] the rest.  Every other split reads lanes on the control thread,
+    after a join.  Either way no mask is left pending: the control
+    thread may read any mask's bits and count at any time. *)
+let split_mask (exec : Pool.exec) nts (parent : Frame.Mask.t) cv
     (mt : Frame.Mask.t) (mf : Frame.Mask.t) =
-  Frame.Mask.clear mt;
-  Frame.Mask.clear mf;
   let p = Frame.Mask.length parent in
   match cv with
-  | RS s ->
-      if Frame.Mask.active parent > 0 then begin
-        let dst = if as_bool s then mt else mf in
-        Bytes.blit parent.Frame.Mask.bits 0 dst.Frame.Mask.bits 0 p;
-        dst.Frame.Mask.active_n <- parent.Frame.Mask.active_n
-      end
-  | RA _ ->
-      if Frame.Mask.active parent > 0 then
-        Errors.runtime_error "front-end array used as a plural value"
   | RB a ->
       let bp = parent.Frame.Mask.bits in
       let bt = mt.Frame.Mask.bits and bf = mf.Frame.Mask.bits in
-      let nts = Array.make (Pool.nshards exec) 0 in
       exec.Pool.x_run (fun s lo hi ->
+          Bytes.fill bt lo (hi - lo) '\000';
+          Bytes.fill bf lo (hi - lo) '\000';
           let nt = ref 0 in
           for i = lo to hi - 1 do
             if Bytes.unsafe_get bp i <> '\000' then
@@ -808,50 +907,69 @@ let split_mask (exec : Pool.exec) (parent : Frame.Mask.t) cv
               else Bytes.unsafe_set bf i '\001'
           done;
           nts.(s) <- !nt);
+      Pool.sync exec;
       let nt = Array.fold_left ( + ) 0 nts in
       mt.Frame.Mask.active_n <- nt;
       mf.Frame.Mask.active_n <- Frame.Mask.active parent - nt
-  | RP vs ->
-      for i = 0 to p - 1 do
-        if Frame.Mask.get parent i then
-          if as_bool vs.(i) then Frame.Mask.set mt i true
-          else Frame.Mask.set mf i true
-      done
-  | (RI _ | RR _) when Frame.Mask.active parent > 0 ->
-      (* as_bool on the first active lane raises the tree-walker's error *)
-      ignore (as_bool (rv_lane cv (first_active parent)))
-  | RI _ | RR _ -> ()
+  | _ -> (
+      Pool.sync exec;
+      Frame.Mask.clear mt;
+      Frame.Mask.clear mf;
+      match cv with
+      | RS s ->
+          if Frame.Mask.active parent > 0 then begin
+            let dst = if as_bool s then mt else mf in
+            Bytes.blit parent.Frame.Mask.bits 0 dst.Frame.Mask.bits 0 p;
+            dst.Frame.Mask.active_n <- parent.Frame.Mask.active_n
+          end
+      | RA _ ->
+          if Frame.Mask.active parent > 0 then
+            Errors.runtime_error "front-end array used as a plural value"
+      | RP vs ->
+          for i = 0 to p - 1 do
+            if Frame.Mask.get parent i then
+              if as_bool vs.(i) then Frame.Mask.set mt i true
+              else Frame.Mask.set mf i true
+          done
+      | (RI _ | RR _) when Frame.Mask.active parent > 0 ->
+          (* as_bool on the first active lane raises the tree-walker's
+             error *)
+          ignore (as_bool (rv_lane cv (first_active parent)))
+      | RI _ | RR _ | RB _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Variable writes                                                     *)
 (* ------------------------------------------------------------------ *)
 
 (** Masked store into an existing plural slot.  Type-matched writes go
-    straight into the unboxed storage (a masked copy, sharded over
+    straight into the unboxed storage (a masked copy, a lane loop over
     [exec]); a type-changing write renormalizes through the boxed view
     (producing exactly the mixed array the tree-walker would hold,
-    modulo re-specialization). *)
+    modulo re-specialization) on the control thread, after a join. *)
 let write_plural (exec : Pool.exec) frame si lanes (m : Frame.Mask.t) rhs =
   let run = exec.Pool.x_run and bp = m.Frame.Mask.bits in
   match (lanes, rhs) with
   | Frame.LInt d, (RI _ | RS (VInt _)) -> map1_i run bp None d (int_view rhs)
   | Frame.LReal d, (RR _ | RS (VReal _)) ->
-      map1_r run bp None d (real_view rhs)
+      map1_r run bp None d (real_view run rhs)
   | Frame.LBool d, (RB _ | RS (VBool _)) ->
       map1_b run bp None d (bool_view rhs)
   | _ ->
+      Pool.sync exec;
       let vs = Frame.values_of_lanes lanes in
-      fill_v run bp vs (rv_lane rhs);
+      fill_v (fun f -> f 0 0 (Array.length vs)) bp vs (rv_lane rhs);
       Frame.set frame si (Frame.Plural (Frame.lanes_of_values vs))
 
 (** First assignment to an unbound name: the tree-walker binds a scalar,
-    a global, or a fresh plural whose inactive lanes are [VInt 0]. *)
-let bind_fresh frame si p (m : Frame.Mask.t) rhs =
+    a global, or a fresh plural whose inactive lanes are [VInt 0] (copied
+    on the control thread, after a join). *)
+let bind_fresh exec frame si p (m : Frame.Mask.t) rhs =
   let run f = f 0 0 p in
   match rhs with
   | RS v -> Frame.set frame si (Frame.Scalar (ref v))
   | RA a -> Frame.set frame si (Frame.Global a)
   | _ ->
+      Pool.sync exec;
       let full = Frame.Mask.active m = p in
       let lanes =
         match rhs with
@@ -903,7 +1021,9 @@ let observe env (m : Frame.Mask.t) s =
   match env.host.h_observer () with
   | None -> ()
   | Some f ->
-      (* observers read VM state (occupancy traces): expose it first *)
+      (* observers read VM state (occupancy traces): join, then expose
+         it *)
+      Pool.sync env.exec;
       env.host.h_flush ();
       f ~mask:(Frame.Mask.to_bool_array m) s
 
@@ -974,24 +1094,35 @@ let bounds_checked env (m : Frame.Mask.t) (d : _ Nd.t) claim0 claim1 =
   if nochk then nocheck_stats m (Nd.rank d);
   not nochk
 
-(** The lane runner of a typed store pass.  Several lanes may store to
-    the {e same} element of a global array, and the machine model
-    resolves the collision in lane order (last active lane wins), so the
-    pass runs serially on the control thread — unless a validated
-    [Ir.s_par] claim proves the index sets lane-disjoint, when no shard
-    order can differ from the serial lane order (shards check ascending
-    and the pool rethrows the lowest shard, preserving the
-    first-failing-lane error). *)
-let store_run env ~par =
+(** The lane runner of a typed store pass into global storage [data].
+    Several lanes may store to the {e same} element of a global array,
+    and the machine model resolves the collision in lane order (last
+    active lane wins), so the pass runs serially on the control thread,
+    after a join — unless a validated [Ir.s_par] claim proves the index
+    sets lane-disjoint, when no shard order can differ from the serial
+    lane order (shards check ascending and the pool raises the first
+    failing lane's error).  The sharded pass is a region entry that
+    writes [data] at other lanes' elements too: [Pool.note_write] joins
+    first when a pending entry reads or writes [data] ([own]: every such
+    read is this statement's own gather of the elements it stores). *)
+let store_run env ~par ~own data =
   if par && env.entry_ok then begin
     Stats.incr st_par_scatter_runs;
+    Pool.note_write env.exec ~own data;
     env.exec.Pool.x_run
   end
-  else env.serial
+  else begin
+    Pool.sync env.exec;
+    env.serial
+  end
 
+(* A gather pass reads [a]'s storage at other lanes' elements. *)
+let note_gather exec (a : arr) =
+  match a with
+  | AInt d -> Pool.note_read exec d.Nd.data
+  | AReal d -> Pool.note_read exec d.Nd.data
+  | ABool d -> Pool.note_read exec d.Nd.data
 
-(** Raised by the typed call path when a lane's result changes type. *)
-exception Retype of int * value
 
 (* ------------------------------------------------------------------ *)
 (* Fused regions (-O1)                                                 *)
@@ -1012,6 +1143,10 @@ exception Not_fusible
     When a pin fails the plan is rebuilt; an unfusible result is cached
     the same way, pinned by the bindings that made it unfusible, so the
     fallback closures run without re-planning until something changes.
+    A scalar cell is read when the lane loop runs, so a refresh that
+    changes it joins first.  A fusible plan also returns one
+    [Pool.note_read] per gathered array, to run before each issue of its
+    loop.
 
     Operators apply through the operator table, so a cell computes what
     the unfused kernel computes.  A combination is only admitted when
@@ -1021,8 +1156,10 @@ exception Not_fusible
     falls back (the [-O0] scalar path raises unconditionally, even under
     an empty mask, which a masked fused loop would not replicate). *)
 let region_plan env (rg : Ir.region) :
-    (unit -> bool) array * (fcell * bool) option =
+    (unit -> bool) array * (fcell * bool * (unit -> unit) array) option =
   let frame = env.frame in
+  let exec = env.exec in
+  let notes = ref [] in
   let host = env.host in
   let ops = rg.Ir.rg_ops in
   let nops = Array.length ops in
@@ -1043,6 +1180,16 @@ let region_plan env (rg : Ir.region) :
     | FR f -> Some f
     | FB _ -> None
   in
+  (* a changed scalar cell joins first: pending loops of this site still
+     read the old value *)
+  let set c x same =
+    if not (same x !c) then begin
+      Pool.sync exec;
+      c := x
+    end;
+    true
+  in
+  let same_bits x y = x = y && Float.sign_bit x = Float.sign_bit y in
   let var_leaf slot =
     match Frame.get frame slot with
     | Frame.Scalar r as b0 -> (
@@ -1054,15 +1201,15 @@ let region_plan env (rg : Ir.region) :
         match !r with
         | VInt x ->
             let c = ref x in
-            pin (function VInt x -> c := x; true | _ -> false);
+            pin (function VInt x -> set c x Int.equal | _ -> false);
             (FI (fun _ -> !c), false)
         | VReal x ->
             let c = ref x in
-            pin (function VReal x -> c := x; true | _ -> false);
+            pin (function VReal x -> set c x same_bits | _ -> false);
             (FR (fun _ -> !c), false)
         | VBool x ->
             let c = ref x in
-            pin (function VBool x -> c := x; true | _ -> false);
+            pin (function VBool x -> set c x Bool.equal | _ -> false);
             (FB (fun _ -> !c), false)
         | VArr _ ->
             pin (function VArr _ -> true | _ -> false);
@@ -1165,12 +1312,18 @@ let region_plan env (rg : Ir.region) :
           let j2 = f2 i in
           offset ~check:true d1 d2 j1 j2
     in
+    let gathers a =
+      if Option.is_some exec.Pool.x_rg then
+        notes := (fun () -> note_gather exec a) :: !notes
+    in
     match Frame.get frame slot with
-    | Frame.Global (AInt d) as b0 when nix <= 2 ->
+    | Frame.Global (AInt d as a) as b0 when nix <= 2 ->
         let off = offset_of b0 d and data = d.Nd.data in
+        gathers a;
         (FI (fun i -> data.(off i)), true)
-    | Frame.Global (AReal d) as b0 when nix <= 2 ->
+    | Frame.Global (AReal d as a) as b0 when nix <= 2 ->
         let off = offset_of b0 d and data = d.Nd.data in
+        gathers a;
         (FR (fun i -> data.(off i)), true)
     | b0 -> pin_bad slot b0
   in
@@ -1195,10 +1348,21 @@ let region_plan env (rg : Ir.region) :
     (* a front-end-scalar root means the [-O0] result is an [RS] (one
        [h_tick_frontend] instead of a vector tick downstream) *)
     if not plural.(nops - 1) then raise Not_fusible;
-    (cells.(nops - 1), !classes <> [])
+    (cells.(nops - 1), !classes <> [], Array.of_list !notes)
   in
   let res = try Some (go ()) with Not_fusible -> None in
   (Array.of_list !checks, res)
+
+(* whether [e] reads frame slot [si] *)
+let rec mentions_slot si (e : Ir.expr) =
+  match e.Ir.x_node with
+  | Ir.XConst _ | Ir.XVar (None, _) -> false
+  | Ir.XVar (Some s, _) -> s = si
+  | Ir.XIdx (s, _, args) -> s = si || List.exists (mentions_slot si) args
+  | Ir.XCall (_, args) -> List.exists (mentions_slot si) args
+  | Ir.XUn (_, a) -> mentions_slot si a
+  | Ir.XRange (a, b) | Ir.XBin (_, a, b) ->
+      mentions_slot si a || mentions_slot si b
 
 (* an operand [compile_store_fused] reads straight from the frame *)
 let is_leaf (x : Ir.expr) =
@@ -1229,8 +1393,9 @@ and compile_region env (e : Ir.expr) (rg : Ir.region) : cexpr =
   let full = env.cur_full in
   let run = env.exec.Pool.x_run in
   let b = site_buffers env e.Ir.x_scr in
-  let make_runner (root, raising) (m : Frame.Mask.t) =
+  let make_runner (root, raising, notes) (m : Frame.Mask.t) =
     let bp = if raising && not full then m.Frame.Mask.bits else all_lanes in
+    Array.iter (fun note -> note ()) notes;
     match root with
     | FI f ->
         fill_i run bp b.ri f;
@@ -1288,12 +1453,17 @@ and compile_fused_reduction env (e : Ir.expr) key rg : cexpr =
       let cks, plan = region_plan env rg in
       checks := cks;
       runner :=
-        Option.bind plan (fun (root, raising) ->
-            lane_reduction exec.Pool.x_run rs ~raising key root);
+        Option.bind plan (fun (root, raising, notes) ->
+            Option.map
+              (fun r bp empty ->
+                Array.iter (fun note -> note ()) notes;
+                r bp empty)
+              (lane_reduction exec rs ~raising key root));
       sc_eligible :=
         Option.is_some !runner
         && (match plan with
-           | Some (_, raising) -> (not raising) && (key = "any" || key = "all")
+           | Some (_, raising, _) ->
+               (not raising) && (key = "any" || key = "all")
            | None -> false);
       fresh := false
     end;
@@ -1330,7 +1500,9 @@ and compile_expr_node env (e : Ir.expr) : cexpr =
             | Frame.Plural (Frame.LInt a) -> RI a
             | Frame.Plural (Frame.LReal a) -> RR a
             | Frame.Plural (Frame.LBool a) -> RB a
-            | Frame.Plural (Frame.LBox a) -> RP (Array.copy a)
+            | Frame.Plural (Frame.LBox a) ->
+                Pool.sync env.exec;
+                RP (Array.copy a)
             | Frame.Global a | Frame.PluralArr a -> RA a))
   | Ir.XUn (op, a) -> compile_unop env e.Ir.x_scr op (compile_expr env a)
   | Ir.XBin (op, a, b) ->
@@ -1361,7 +1533,7 @@ and compile_unop env scr op ca : cexpr =
         map1_b run all_lanes u b.rb a;
         b.res_b
     | _, RA _ -> Errors.runtime_error "array operand in a lane-wise operation"
-    | _, v -> renorm m (box_lift1 m gen v)
+    | _, v -> renorm env.exec m (box_lift1 env.exec m gen v)
 
 and compile_call env scr name args : cexpr =
   let key = String.lowercase_ascii name in
@@ -1370,59 +1542,87 @@ and compile_call env scr name args : cexpr =
     let cargs = List.map (compile_expr env) args in
     let p = env.p in
     let host = env.host in
-    let run = env.exec.Pool.x_run in
-    (* [-O1], serial engine: results of a plural call are almost always
-       one scalar type across the active lanes — store them straight
-       into per-site unboxed buffers, skipping the boxed staging vector
-       and the [renorm] re-specialization pass.  The first active lane's
-       result picks the buffer; a mismatching lane falls back mid-loop
-       by re-boxing the already-stored prefix (value boxes carry no
-       identity, so the rebuilt vector is indistinguishable from the
-       staged one) and finishing on the legacy path — still exactly one
-       call per active lane, still ascending. *)
-    let typed = env.opt >= 1 && Pool.nshards env.exec = 1 in
-    let b = if typed then site_buffers env scr else bufs [||] [||] [||] in
-    let call_typed (call : int -> value) (m : Frame.Mask.t) : rv =
-      let bp = m.Frame.Mask.bits in
-      let i0 = first_active m in
-      if i0 >= p then RP (Array.make p (VInt 0))
-      else
-        let v0 = call i0 in
-        let lane i = if i = i0 then v0 else call i in
-        let retype i v = raise (Retype (i, v)) in
-        try
-          match v0 with
-          | VInt _ ->
-              fill_i run bp b.ri (fun i ->
-                  match lane i with VInt x -> x | v -> retype i v);
-              b.res_i
-          | VReal _ ->
-              fill_r run bp b.rr (fun i ->
-                  match lane i with VReal x -> x | v -> retype i v);
-              b.res_r
-          | VBool _ ->
-              fill_b run bp b.rb (fun i ->
-                  match lane i with VBool x -> x | v -> retype i v);
-              b.res_b
-          | v -> retype i0 v
-        with Retype (i, v) ->
+    let exec = env.exec in
+    let run = exec.Pool.x_run in
+    (* [-O1]: results of a plural call are almost always one scalar type
+       across the active lanes — store them straight into per-site
+       unboxed buffers, skipping the boxed staging vector and the
+       [renorm] pass.  Each shard's first active lane picks its buffer; a
+       shard that meets a second type re-boxes what it stored (value
+       boxes carry no identity) and stages the rest boxed in [side].
+       After the join the control thread takes the typed buffer when
+       every shard agrees, else renormalizes the boxed vector — what the
+       boxed path computes.  Still exactly one call per active lane,
+       ascending within a shard, and over all lanes for an impure callee
+       (one serial pass). *)
+    let typed = env.opt >= 1 in
+    let intr = intr_of_key key in
+    let b =
+      if typed || Option.is_some intr then site_buffers env scr
+      else bufs [||] [||] [||]
+    in
+    let tags = Array.make (Pool.nshards exec) 0 in
+    let side = lazy (Array.make p (VInt 0)) in
+    let typed_lane t i =
+      match t with 1 -> VInt b.ri.(i) | 2 -> VReal b.rr.(i) | _ -> VBool b.rb.(i)
+    in
+    let call_typed ~pure (call : int -> value) (m : Frame.Mask.t) : rv =
+      let bp = m.Frame.Mask.bits and side = Lazy.force side in
+      let run, ranges =
+        if pure then (run, exec.Pool.x_ranges) else (env.serial, [| (0, p) |])
+      in
+      Array.fill tags 0 (Array.length tags) 0;
+      run (fun s lo hi ->
+          let tag = ref 0 in
+          for i = lo to hi - 1 do
+            if Bytes.unsafe_get bp i <> '\000' then
+              match (call i, !tag) with
+              | VInt x, (0 | 1) ->
+                  tag := 1;
+                  Array.unsafe_set b.ri i x
+              | VReal x, (0 | 2) ->
+                  tag := 2;
+                  Array.unsafe_set b.rr i x
+              | VBool x, (0 | 3) ->
+                  tag := 3;
+                  Array.unsafe_set b.rb i x
+              | v, 4 -> side.(i) <- v
+              | v, t ->
+                  for k = lo to i - 1 do
+                    if Bytes.unsafe_get bp k <> '\000' then
+                      side.(k) <- typed_lane t k
+                  done;
+                  side.(i) <- v;
+                  tag := 4
+          done;
+          tags.(s) <- !tag);
+      Pool.sync exec;
+      (* 0: no active lane; 1-3: one scalar type everywhere; 4: mixed *)
+      let agreed t x = if x = 0 || x = t then t else if t = 0 then x else 4 in
+      match Array.fold_left agreed 0 tags with
+      | 0 -> RP (Array.make p (VInt 0))
+      | 1 -> b.res_i
+      | 2 -> b.res_r
+      | 3 -> b.res_b
+      | _ ->
           let vs = Array.make p (VInt 0) in
-          let stored =
-            match v0 with VInt _ -> b.res_i | VReal _ -> b.res_r | _ -> b.res_b
-          in
-          for k = i0 to i - 1 do
-            if Bytes.unsafe_get bp k <> '\000' then vs.(k) <- rv_lane stored k
-          done;
-          vs.(i) <- v;
-          for k = i + 1 to p - 1 do
-            if Bytes.unsafe_get bp k <> '\000' then vs.(k) <- call k
-          done;
-          renorm m vs
+          Array.iteri
+            (fun s (lo, hi) ->
+              for i = lo to hi - 1 do
+                if Bytes.unsafe_get bp i <> '\000' then
+                  vs.(i) <-
+                    (if tags.(s) = 4 then side.(i) else typed_lane tags.(s) i)
+              done)
+            ranges;
+          renorm exec m vs
     in
     fun m ->
       match host.h_find_func key with
       | Some (f, pure) ->
           let vargs = List.map (fun c -> c m) cargs in
+          (* an impure callee may observe any state: it runs after a
+             join; a pure one depends on its arguments alone *)
+          if not pure then Pool.sync exec;
           if List.exists rv_is_plural vargs then begin
             (* exactly one call per active lane (callees may count
                invocations); inactive lanes keep the static [VInt 0].
@@ -1433,29 +1633,44 @@ and compile_call env scr name args : cexpr =
               | [ a; b ] -> fun i -> f [ rv_lane a i; rv_lane b i ]
               | _ -> fun i -> f (List.map (fun v -> rv_lane v i) vargs)
             in
-            if typed then call_typed call m
+            if typed then call_typed ~pure call m
             else begin
               let vs = Array.make p (VInt 0) in
               let run = if pure then run else env.serial in
               fill_v run m.Frame.Mask.bits vs call;
-              renorm m vs
+              renorm exec m vs
             end
           end
           else RS (f (List.map rv_front_scalar vargs))
       | None -> (
           let vargs = List.map (fun c -> c m) cargs in
-          if List.exists rv_is_plural vargs then begin
-            (* intrinsics are pure by construction: shardable *)
-            let vs = Array.make p (VInt 0) in
-            fill_v run m.Frame.Mask.bits vs (fun i ->
-                match
-                  Intrinsics.apply key (List.map (fun v -> rv_lane v i) vargs)
-                with
-                | Some r -> r
-                | None -> Errors.runtime_error "unknown function %s" name);
-            renorm m vs
-          end
+          if List.exists rv_is_plural vargs then (
+            (* an empty mask keeps the boxed path's all-[VInt 0] result *)
+            let typed_result =
+              match intr with
+              | Some k when Frame.Mask.active m > 0 ->
+                  intrinsic_kernel run b k vargs
+              | _ -> None
+            in
+            match typed_result with
+            | Some r -> r
+            | None ->
+                (* intrinsics are pure by construction: shardable *)
+                let vs = Array.make p (VInt 0) in
+                fill_v run m.Frame.Mask.bits vs (fun i ->
+                    match
+                      Intrinsics.apply key
+                        (List.map (fun v -> rv_lane v i) vargs)
+                    with
+                    | Some r -> r
+                    | None -> Errors.runtime_error "unknown function %s" name);
+                renorm exec m vs)
           else
+            (* a front-end array argument is read on the control thread *)
+            let () =
+              if List.exists (function RA _ -> true | _ -> false) vargs then
+                Pool.sync exec
+            in
             let scalar_args =
               List.map
                 (function
@@ -1527,10 +1742,9 @@ and reduce_rv (exec : Pool.exec) rs ~is_var (m : Frame.Mask.t) name key v =
     | RB a -> Some (FB (fun i -> Array.unsafe_get a i))
     | _ -> None
   in
-  match
-    (v, Option.bind cell (lane_reduction exec.Pool.x_run rs ~raising:false key))
-  with
+  match (v, Option.bind cell (lane_reduction exec rs ~raising:false key)) with
   | RA a, _ -> (
+      Pool.sync exec;
       match Intrinsics.apply key [ VArr a ] with
       | Some r -> r
       | None -> Errors.runtime_error "bad reduction %s" name)
@@ -1538,8 +1752,9 @@ and reduce_rv (exec : Pool.exec) rs ~is_var (m : Frame.Mask.t) name key v =
   | _, Some r -> r m.Frame.Mask.bits empty
   | _, None -> (
       (* Boxed fallback: the same chunk grid, folded serially on the
-         control thread (mixed-type lanes are the slow path already) —
-         bit-identical to [Pval.reduce]'s grouping. *)
+         control thread after a join (mixed-type lanes are the slow path
+         already) — bit-identical to [Pval.reduce]'s grouping. *)
+      Pool.sync exec;
       let generic f empty =
         let acc = ref None in
         for c = 0 to Pool.nchunks p - 1 do
@@ -1604,8 +1819,11 @@ and compile_index env scr si name args : cexpr =
   let checked m d = bounds_checked env m d claim0 claim1 in
   (* The generic gather: each lane's subscript vector is staged in a
      scratch buffer (the compile-time one serially, a fresh shard-local
-     one per shard under the pool) and read through [Nd.get]. *)
+     one per shard under the pool) and read through [Nd.get].  A plural
+     array's leading subscript is the lane itself: it reads its own
+     lanes' elements only. *)
   let gather_boxed m a ~lane fs =
+    if not lane then note_gather exec a;
     let go set =
       run (fun _ lo hi ->
           let sc =
@@ -1638,10 +1856,12 @@ and compile_index env scr si name args : cexpr =
         let ivs = List.map (fun c -> c m) cargs in
         match (ivs, a) with
         | ([ RI ix ] | [ RI ix; RI _ ]), AInt d when Nd.rank d = nargs ->
+            Pool.note_read exec d.Nd.data;
             gather_i run m.Frame.Mask.bits ~check:(checked m d) b.ri d ix
               (subscript2 ivs);
             b.res_i
         | ([ RI ix ] | [ RI ix; RI _ ]), AReal d when Nd.rank d = nargs ->
+            Pool.note_read exec d.Nd.data;
             gather_r run m.Frame.Mask.bits ~check:(checked m d) b.rr d ix
               (subscript2 ivs);
             b.res_r
@@ -1650,6 +1870,8 @@ and compile_index env scr si name args : cexpr =
             if List.exists snd sels then
               gather_boxed m a ~lane:false (Array.of_list (List.map fst sels))
             else begin
+              (* a scalar read of global storage *)
+              Pool.sync exec;
               List.iteri (fun k (f, _) -> scratch.(k) <- f 0) sels;
               RS (arr_get a scratch)
             end)
@@ -1674,6 +1896,8 @@ and compile_assign env ?(par = false) (l : Ir.lv) : Frame.Mask.t -> rv -> unit
         | Frame.Scalar r -> r := rv_front_scalar rhs
         | Frame.Plural lanes -> write_plural env.exec frame si lanes m rhs
         | Frame.Global a -> (
+            (* whole-array stores run on the control thread *)
+            Pool.sync env.exec;
             match rhs with
             | RS v -> arr_fill a v
             | RA src ->
@@ -1686,12 +1910,13 @@ and compile_assign env ?(par = false) (l : Ir.lv) : Frame.Mask.t -> rv -> unit
                 Errors.runtime_error "plural value assigned to whole array %s"
                   name)
         | Frame.PluralArr a -> (
+            Pool.sync env.exec;
             match rhs with
             | RS v -> arr_fill a v
             | _ ->
                 Errors.runtime_error
                   "unsupported whole-plural-array assignment to %s" name)
-        | Frame.Unbound -> bind_fresh frame si p m rhs)
+        | Frame.Unbound -> bind_fresh env.exec frame si p m rhs)
   | idxs ->
       let cidx = List.map (compile_expr env) idxs in
       let nargs = List.length idxs in
@@ -1706,14 +1931,19 @@ and compile_assign env ?(par = false) (l : Ir.lv) : Frame.Mask.t -> rv -> unit
       (* typed stores; only rank-1 stores carry [par], and claims are
          kept for the first subscript only, so a rank-2 store stays
          checked and serial like the generic scatter below *)
-      let mode m d = (bounds_checked env m d claim0 None, store_run env ~par) in
+      let mode m d =
+        ( bounds_checked env m d claim0 None,
+          store_run env ~par ~own:false d.Nd.data )
+      in
       let scatter a m rhs fs ~plural_arr =
         (* The generic scatter: global-array scatters run serially on
-           the control thread (lane-order collisions, see [store_run]).
-           A plural array's leading subscript is the lane itself —
-           element sets are shard-disjoint by construction — so that
-           scatter shards, with a fresh subscript buffer per shard. *)
+           the control thread, after a join (lane-order collisions, see
+           [store_run]).  A plural array's leading subscript is the lane
+           itself — element sets are shard-disjoint by construction — so
+           that scatter is a lane loop, with a fresh subscript buffer per
+           shard. *)
         let shard = plural_arr && Pool.nshards exec > 1 in
+        if not shard then Pool.sync exec;
         (if shard then run else env.serial) (fun _ lo hi ->
             let sc =
               if shard then Array.make (nargs + 1) 0
@@ -1747,7 +1977,7 @@ and compile_assign env ?(par = false) (l : Ir.lv) : Frame.Mask.t -> rv -> unit
                 (RR _ | RI _ | RS (VReal _)) )
               when Nd.rank d = nargs ->
                 let check, run = mode m d in
-                let x = real_view rhs in
+                let x = real_view run rhs in
                 scatter_r run bp ~check d ix (subscript2 ivs) None x x
             | _ ->
                 let sels = List.map rv_sel ivs in
@@ -1756,6 +1986,7 @@ and compile_assign env ?(par = false) (l : Ir.lv) : Frame.Mask.t -> rv -> unit
                     (Array.of_list (List.map fst sels))
                     ~plural_arr:false
                 else begin
+                  Pool.sync exec;
                   List.iteri (fun k (f, _) -> scratch.(k) <- f 0) sels;
                   arr_set a scratch (rv_front_scalar rhs)
                 end)
@@ -1808,7 +2039,7 @@ and compile_store_fused env ast (l : Ir.lv) e op ea eb : cstmt =
            && (lanes a || lanes b)
            && not (is_int a && is_int b) ->
         tick ();
-        map2_r run m.Frame.Mask.bits op d (real_view a) (real_view b)
+        map2_r run m.Frame.Mask.bits op d (real_view run a) (real_view run b)
     | _ ->
         let rhs = ce m in
         tick_assign host loc m rhs;
@@ -1824,7 +2055,14 @@ and compile_store_fused env ast (l : Ir.lv) e op ea eb : cstmt =
     pass (the add is total on the typed shapes admitted here, so moving
     it across the tick is invisible).  Shapes outside the typed rank-1
     kernels — and the scalar-subscript case, whose unfused tick is a
-    front-end tick — run the factored unfused sequence. *)
+    front-end tick — run the factored unfused sequence.
+
+    Under the parallel engine the sharded store may share a join region
+    with the statement's own gather: each lane reads and then writes the
+    same element, and a lane-disjoint [par] store leaves every element
+    to one lane.  That is [own] for [store_run], unless some other
+    pending entry read the array before the statement began, or [rest]
+    or the subscript mention it. *)
 and compile_accum env ast (l : Ir.lv) ~par scr g rest : cstmt =
   let host = env.host in
   let loc = env.cur_loc in
@@ -1837,8 +2075,17 @@ and compile_accum env ast (l : Ir.lv) ~par scr g rest : cstmt =
   (* the factored unfused add: same dispatch, its own buffer site *)
   let add = binop_rv env.exec (site_buffers env scr) Ast.Add in
   let casgn = compile_assign env ~par l in
+  let exec = env.exec in
+  let own_ok = not (mentions_slot si rest || mentions_slot si sub) in
+  let unread () =
+    match Frame.get frame si with
+    | Frame.Global (AReal d) -> not (Pool.has_read exec d.Nd.data)
+    | Frame.Global (AInt d) -> not (Pool.has_read exec d.Nd.data)
+    | _ -> false
+  in
   fun m ->
     observe env m ast;
+    let own = own_ok && unread () in
     let gv = cg m in
     let rv = crest m in
     let tick () = host.h_tick_vector ~loc ~kind:Lf_obs.Trace.Assign m in
@@ -1850,7 +2097,8 @@ and compile_accum env ast (l : Ir.lv) ~par scr g rest : cstmt =
       match cix m with
       | RI ix ->
           let check = bounds_checked env m d sub.Ir.x_range None in
-          scatter (store_run env ~par) m.Frame.Mask.bits ~check ix;
+          scatter (store_run env ~par ~own d.Nd.data) m.Frame.Mask.bits ~check
+            ix;
           Stats.incr st_accum_merged
       | _ ->
           (* non-int-vector subscript: finish unfused (the vector tick
@@ -1859,7 +2107,9 @@ and compile_accum env ast (l : Ir.lv) ~par scr g rest : cstmt =
     in
     match (Frame.get frame si, gv) with
     | Frame.Global (AReal d), RR x when Nd.rank d = 1 && is_num rv ->
-        let y = real_view rv in
+        (* a serial store run joins first, so the promotion loop is
+           complete when the store reads it *)
+        let y = real_view exec.Pool.x_run rv in
         merged d (fun run bp ~check ix ->
             scatter_r run bp ~check d ix one (Some Add) x y)
     | Frame.Global (AInt d), RI x when Nd.rank d = 1 && is_int rv ->
@@ -1889,10 +2139,16 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
       env.cur_loc <- loc;
       let cs = compile_stmt env s in
       env.cur_loc <- saved;
+      (* the lane loops this statement issues carry its location to the
+         join that runs them (an exception leaving it ends the run) *)
+      let exec = env.exec and here = Some loc in
       fun m ->
+        let outer = Pool.issue_loc exec in
+        Pool.set_issue_loc exec here;
         (try cs m
          with Errors.Runtime_error msg ->
-           raise (Errors.Runtime_error_at (loc, msg)))
+           raise (Errors.Runtime_error_at (loc, msg)));
+        Pool.set_issue_loc exec outer
   | Ir.LNop -> fun _ -> ()
   | Ir.LAssign (l, e) when s.Ir.s_accum -> (
       match e.Ir.x_node with
@@ -1917,6 +2173,8 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
         List.map (fun (e, exact) -> (compile_expr env e, exact)) args
       in
       fun m ->
+        (* a CALL is a join: the procedure sees the whole state *)
+        Pool.sync env.exec;
         observe env m ast;
         match host.h_find_proc key with
         | None -> Errors.runtime_error "unknown subroutine %s" name
@@ -1934,10 +2192,11 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
       let ct = compile_block env t and cf = compile_block env f in
       let mt = Frame.Mask.create_empty env.p in
       let mf = Frame.Mask.create_empty env.p in
+      let nts = Array.make (Pool.nshards env.exec) 0 in
       let where m =
         let cv = cc m in
         host.h_tick_vector ~loc ~kind:Lf_obs.Trace.Where m;
-        split_mask env.exec m cv mt mf;
+        split_mask env.exec nts m cv mt mf;
         ct mt;
         cf mf
       in
@@ -1967,8 +2226,9 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
           | RA _ -> Errors.runtime_error "array condition"
           | RB a ->
               (* vector-controlled WHILE (§2): active lanes must agree;
-                 unboxed comparison, no per-lane boxing *)
+                 unboxed comparison, no per-lane boxing, after a join *)
               host.h_tick_vector ~loc ~kind:Lf_obs.Trace.While m;
+              Pool.sync env.exec;
               let seen = ref false and v0 = ref false in
               for i = 0 to p - 1 do
                 if Frame.Mask.get m i then
@@ -1983,6 +2243,7 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
               !seen && !v0
           | cv ->
               host.h_tick_vector ~loc ~kind:Lf_obs.Trace.While m;
+              Pool.sync env.exec;
               let first = ref None in
               for i = 0 to p - 1 do
                 if Frame.Mask.get m i then
@@ -2134,7 +2395,11 @@ let emit ~host ~frame ~exec ?(opt = 1) (ir : Ir.block) :
       entry_ok = false;
     }
   in
-  let cbody = compile_block env ir in
+  let cbody =
+    let body = compile_block env ir in
+    (* the end of the run is a join; so is an exception leaving it *)
+    fun m -> Pool.settle exec body m
+  in
   if opt < 2 then cbody
   else begin
     (* [-O2] entry prologue: every interval and disjointness claim may

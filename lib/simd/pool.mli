@@ -1,10 +1,13 @@
 (** Lane-sharded execution for the compiled SIMD engine: a persistent
-    Domain pool plus the [exec] dispatch record.
+    Domain pool plus the [exec] record.
 
     Control flow, scalar state, [Metrics], fuel and trace emission stay
     on the calling domain (the paper's single control unit); only the
-    per-lane loop of each vector instruction fans out, over contiguous
-    chunk-aligned shards of the [p] lanes.
+    per-lane loops fan out, over contiguous chunk-aligned shards of the
+    [p] lanes.  A pool-backed executor collects the lane loops issued
+    between two cross-lane joins into one {e join region} and runs the
+    whole region in one dispatch when the engine reaches the next join
+    ([sync]).
 
     All reductions — in every engine — fold one partial per 64-lane
     {e chunk} and merge partials in ascending chunk order.  The chunk
@@ -24,15 +27,19 @@ val ranges : p:int -> jobs:int -> (int * int) array
     covering.  A single (possibly empty) shard when [p <= chunk] or
     [jobs = 1].  @raise Invalid_argument when [jobs < 1]. *)
 
+type region
+(** The pending lane loops of a pool-backed executor. *)
+
 type exec = {
   x_p : int;  (** number of lanes *)
   x_ranges : (int * int) array;  (** the shard partition of [0, p) *)
   x_run : (int -> int -> int -> unit) -> unit;
-      (** [x_run f] applies [f shard lo hi] to every shard, concurrently
-          when pool-backed.  All shards complete before [x_run] returns;
-          if several raise, the lowest shard's exception is rethrown —
-          the error of the globally first failing lane, matching the
-          serial engines. *)
+      (** [x_run f] applies [f shard lo hi] to every shard.  An inline
+          executor runs it before returning.  A pool-backed one appends
+          it to the pending region: it runs at the next [sync], after
+          every entry issued before it, on the same lanes.  [f] may only
+          touch lanes [lo, hi) of lane vectors and masks. *)
+  x_rg : region option;  (** [Some] iff pool-backed *)
 }
 
 val nshards : exec -> int
@@ -41,11 +48,41 @@ val serial_exec : p:int -> exec
 (** One shard, run inline — the serial compiled engine's executor. *)
 
 val parallel_exec : p:int -> jobs:int -> exec
-(** Shard over the persistent pool ([jobs - 1] workers grown on demand;
-    the caller runs shard 0).  Degenerates to [serial_exec] when the
-    partition has a single shard ([jobs = 1] or [p <= chunk]).  Workers
-    block on a condition variable between dispatches and are joined at
-    process exit.  @raise Invalid_argument when [jobs < 1]. *)
+(** Shard over the persistent pool.  Degenerates to [serial_exec] when
+    the partition has a single shard ([jobs = 1] or [p <= chunk]).  A
+    flush posts [min (nshards - 1) (cores - 1)] workers and drains
+    shards itself; with no spare core it runs the shards inline, in
+    order.  Workers spin briefly, then block on a condition variable
+    between flushes, and are joined at process exit.
+    @raise Invalid_argument when [jobs < 1]. *)
+
+val sync : exec -> unit
+(** Join: run every pending entry (one dispatch), then raise the error of
+    the first failing (entry, shard), if any — the serial engines'
+    first failing lane.  A no-op on an inline executor. *)
+
+val note_read : exec -> _ array -> unit
+(** The next entry reads this global array's storage at lanes other
+    than its own: joins first if a pending entry writes it. *)
+
+val note_write : exec -> own:bool -> _ array -> unit
+(** The next entry writes this global array's storage: joins first if a
+    pending entry writes it, or reads it — unless [own], which promises
+    every pending read of it is the writing lanes' read of the very
+    elements they write. *)
+
+val has_read : exec -> _ array -> bool
+(** A pending entry reads this global array. *)
+
+val issue_loc : exec -> Lf_lang.Errors.pos option
+val set_issue_loc : exec -> Lf_lang.Errors.pos option -> unit
+(** The innermost located statement now executing; an entry's
+    [Runtime_error] is located there.  [None] on an inline executor. *)
+
+val settle : exec -> ('a -> unit) -> 'a -> unit
+(** [settle e body x] runs a whole program: [body x], then a final join.
+    If [body] raises, the region is still flushed first, and a pending
+    lane error — earlier in program order — replaces the exception. *)
 
 val default_jobs : unit -> int
 (** [min 8 (Domain.recommended_domain_count ())], at least 1. *)

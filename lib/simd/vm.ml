@@ -670,12 +670,16 @@ let frame_names vm from_ast =
    fuel, trace emission, front-end state — stays on this thread. *)
 (** The host callback record tying a compiled body to this VM and
     [frame] (shared by the cold compile path and the cache's re-emission
-    path). *)
-let make_host vm (frame : Frame.t) =
+    path).  A trace event reads the step's mask and happens at its place
+    in program order, so with a sink attached every vector step and
+    reduction is a join of [exec]'s pending lane loops: an earlier lane
+    error is raised before the event is emitted. *)
+let make_host vm (frame : Frame.t) (exec : Pool.exec) =
   {
       Compile.h_p = vm.p;
       h_tick_vector =
         (fun ~loc ~kind m ->
+          if vm.trace.Lf_obs.Trace.enabled then Pool.sync exec;
           let active = Frame.Mask.active m in
           Metrics.vector_step vm.metrics ~active ~p:vm.p;
           stats_vector_step ~active ~p:vm.p ~kind;
@@ -694,6 +698,7 @@ let make_host vm (frame : Frame.t) =
       h_tick_frontend = (fun () -> tick_frontend vm);
       h_reduction =
         (fun ~loc m ->
+          if vm.trace.Lf_obs.Trace.enabled then Pool.sync exec;
           Metrics.reduction vm.metrics;
           stats_reduction ();
           if vm.trace.Lf_obs.Trace.enabled then
@@ -731,13 +736,14 @@ let run_compiled vm ~(exec : Pool.exec) ?opt ?verify ?prepared
            built; re-emit the cached IR against a (pooled) frame created
            with the exact layout it was lowered for.  [verify] is
            irrelevant here — it gates [Opt.run], which is skipped. *)
-        (frame, Compile.emit ~host:(make_host vm frame) ~frame ~exec ?opt ir)
+        ( frame,
+          Compile.emit ~host:(make_host vm frame exec) ~frame ~exec ?opt ir )
     | None ->
         let frame =
           Frame.create ~p:vm.p (frame_names vm (Compile.var_names prog))
         in
         ( frame,
-          Compile.compile ~host:(make_host vm frame) ~frame ~exec ?opt
+          Compile.compile ~host:(make_host vm frame exec) ~frame ~exec ?opt
             ?verify prog.p_body )
   in
   import_frame vm frame;
@@ -776,18 +782,23 @@ let run_on vm ?(engine = `Tree_walk) ?jobs ?opt ?verify ?prepared
    else
      (* GC and wall/CPU telemetry bracket the whole engine dispatch; the
         [finally] records even when the run dies (fuel, runtime error) so
-        manifests of failing runs still carry the cost up to the fault. *)
+        manifests of failing runs still carry the cost up to the fault.
+        Minor words are the control domain's exact [Gc.minor_words]
+        count: [Gc.quick_stat]'s minor count only moves at minor
+        collections on OCaml 5. *)
      let g0 = Gc.quick_stat () in
      let c0 = Sys.time () in
      let t0 = Stats.now_ns () in
+     let w0 = Gc.minor_words () in
      Fun.protect
        ~finally:(fun () ->
+         let w1 = Gc.minor_words () in
          let t1 = Stats.now_ns () in
          let c1 = Sys.time () in
          let g1 = Gc.quick_stat () in
          Stats.add_span_ns st_run_wall (Int64.sub t1 t0);
          Stats.add_gauge st_run_cpu (c1 -. c0);
-         Stats.add_gauge st_minor_words (g1.minor_words -. g0.minor_words);
+         Stats.add_gauge st_minor_words (w1 -. w0);
          Stats.add_gauge st_promoted_words
            (g1.promoted_words -. g0.promoted_words);
          Stats.add_gauge st_major_words (g1.major_words -. g0.major_words);

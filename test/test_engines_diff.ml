@@ -410,7 +410,9 @@ let same a b =
   | Error x, Error y -> String.equal x y
   | _ -> false
 
-let t_shape_matrix () =
+(* Every program on every engine and level against the tree-walker;
+   returns the mismatches and how many reference runs fault. *)
+let matrix_check programs =
   let failures = ref [] in
   let faults = ref 0 and clean = ref 0 in
   List.iter
@@ -436,15 +438,53 @@ let t_shape_matrix () =
                 ])
             [ 0; 1; 2 ])
         matrix_ps)
-    (matrix_programs () @ bounds_cases);
-  (* the matrix must reach both the error paths and clean runs *)
-  checkb "some matrix programs fault" (!faults > 0);
-  checkb "some matrix programs run clean" (!clean > 0);
-  match List.rev !failures with
+    programs;
+  (List.rev !failures, !faults, !clean)
+
+let report_mismatches what = function
   | [] -> ()
   | fs ->
-      Alcotest.failf "%d shape-matrix mismatches, first: %s"
-        (List.length fs) (List.hd fs)
+      Alcotest.failf "%d %s mismatches, first: %s" (List.length fs) what
+        (List.hd fs)
+
+let t_shape_matrix () =
+  let failures, faults, clean =
+    matrix_check (matrix_programs () @ bounds_cases)
+  in
+  (* the matrix must reach both the error paths and clean runs *)
+  checkb "some matrix programs fault" (faults > 0);
+  checkb "some matrix programs run clean" (clean > 0);
+  report_mismatches "shape-matrix" failures
+
+(* The numeric intrinsics with typed lane kernels (SQRT, EXP, REAL, INT,
+   NINT, ABS, MAX, MIN) against the tree-walker's boxed intrinsics, over
+   every operand shape and pair of shapes, under the empty, partial and
+   full masks: the kernels must pick the same result type and compute
+   the same lanes, and shapes without a kernel must still fault or
+   compute exactly as before. *)
+let intrinsic_programs () =
+  let prog name e =
+    (name, Ast.program name (matrix_prologue @ plain_form e))
+  in
+  let call f args = Ast.ECall (f, List.map (fun x -> Ast.EVar x) args) in
+  List.concat_map
+    (fun f -> List.map (fun x -> prog (f ^ " " ^ x) (call f [ x ])) shapes)
+    [ "sqrt"; "exp"; "real"; "int"; "nint"; "abs" ]
+  @ List.concat_map
+      (fun f ->
+        List.concat_map
+          (fun x ->
+            List.map
+              (fun y -> prog (Fmt.str "%s %s %s" f x y) (call f [ x; y ]))
+              shapes)
+          shapes)
+      [ "max"; "min" ]
+
+let t_intrinsic_kernels () =
+  let failures, faults, clean = matrix_check (intrinsic_programs ()) in
+  checkb "some intrinsic programs fault" (faults > 0);
+  checkb "some intrinsic programs run clean" (clean > 0);
+  report_mismatches "intrinsic" failures
 
 let suite =
   [
@@ -453,4 +493,5 @@ let suite =
     case "fixed corpus: flattened EXAMPLE" t_example_corpus;
     case "fixed corpus: flattened NBFORCE" t_nbforce_corpus;
     case "shape matrix: operators x operand shapes x masks" t_shape_matrix;
+    case "typed intrinsic kernels x operand shapes x masks" t_intrinsic_kernels;
   ]

@@ -304,7 +304,7 @@ let t_typed_call_bail () =
 (* The flattened NBFORCE kernel at p = 1024 with a trivially cheap force
    function (the bench harness's engine-comparison workload), so the run
    measures the engine rather than the force routine. *)
-let nbforce_1024 ?(engine = `Compiled) () =
+let nbforce_1024 ?(engine = `Compiled) ?jobs () =
   let p = 1024 in
   let mol = Lf_md.Workload.sod ~n:(2 * p) () in
   let pl = Lf_md.Workload.pairlist mol ~cutoff:8.0 in
@@ -327,16 +327,15 @@ let nbforce_1024 ?(engine = `Compiled) () =
     | Error e -> Alcotest.fail e
   in
   fun ~opt ->
-    ignore
-      (Vm.run ~engine ~opt ~p
-         ~setup:(fun vm ->
-           Vm.register_func vm ~pure:true "force" (fun _ -> Values.VReal 1.0);
-           Vm.bind_scalar vm "n" (Values.VInt n);
-           Vm.bind_scalar vm "maxp" (Values.VInt maxp);
-           Vm.bind_scalar vm "p" (Values.VInt p);
-           Lf_kernels.Nbforce_src.bind_arrays pl ~n ~maxp
-             ~set_global:(fun name a -> Vm.bind_global vm name a))
-         prog)
+    Vm.run ~engine ?jobs ~opt ~p
+      ~setup:(fun vm ->
+        Vm.register_func vm ~pure:true "force" (fun _ -> Values.VReal 1.0);
+        Vm.bind_scalar vm "n" (Values.VInt n);
+        Vm.bind_scalar vm "maxp" (Values.VInt maxp);
+        Vm.bind_scalar vm "p" (Values.VInt p);
+        Lf_kernels.Nbforce_src.bind_arrays pl ~n ~maxp
+          ~set_global:(fun name a -> Vm.bind_global vm name a))
+      prog
 
 module Stats = Lf_obs.Stats
 
@@ -353,7 +352,7 @@ let opt_run_counters =
    the [gc.minor_words] gauge the engine dispatch records, and the
    [opt.*] run counters. *)
 let warm_reading run ~opt =
-  run ~opt;
+  ignore (run ~opt);
   Stats.enable ();
   Stats.reset ();
   Fun.protect
@@ -361,19 +360,18 @@ let warm_reading run ~opt =
       Stats.disable ();
       Stats.reset ())
     (fun () ->
-      run ~opt;
+      ignore (run ~opt);
       ( Stats.gauge_value (Stats.gauge "gc.minor_words"),
         List.map
           (fun name ->
             (name, Stats.counter_value (Stats.counter ~section:Stats.Opt name)))
           opt_run_counters ))
 
-(* The budgets are the readings of the compiled engine as it stood
-   before its hand-written per-shape lane loops became the shared
-   kernels of [Compile] (default dev profile; a release build reads 2
-   words fewer).  The readings are deterministic, so the gate has no
+(* The budgets are the compiled engine's readings (default dev profile)
+   of the gauge, the control domain's exact [Gc.minor_words] delta over
+   the run.  The readings are deterministic, so the gate has no
    tolerance: an allocation added to a per-lane path fails it. *)
-let alloc_budget = [ (1, 2_557_034.); (2, 2_596_942.) ]
+let alloc_budget = [ (1, 1_836_114.); (2, 1_876_798.) ]
 
 let opt_run_pins =
   [
@@ -396,10 +394,7 @@ let t_alloc_gate () =
     alloc_budget
 
 (* The tree-walking reference engine on the same run, read with
-   [Gc.minor_words], which is exact.  (The [gc.minor_words] gauge comes
-   from [Gc.quick_stat], whose minor count only advances at minor
-   collections on OCaml 5: it moves by tens of thousands of words with
-   the minor heap's fill level when the run starts.)  Budget = this
+   [Gc.minor_words] around the whole [Vm.run], setup included.  Budget = this
    engine's reading (dev profile) since it stopped copying a plural on
    every variable read and resolving names, operand shapes and index
    lists per lane; it read 37,425,387 before. *)
@@ -407,14 +402,51 @@ let treewalk_alloc_budget = 7_223_544.
 
 let t_treewalk_alloc_gate () =
   let run = nbforce_1024 ~engine:`Tree_walk () in
-  run ~opt:0;
+  ignore (run ~opt:0);
   let w0 = Gc.minor_words () in
-  run ~opt:0;
+  ignore (run ~opt:0);
   let words = Gc.minor_words () -. w0 in
   checkb
     (Fmt.str "tree-walk minor words %.0f within the budget %.0f" words
        treewalk_alloc_budget)
     (words <= treewalk_alloc_budget)
+
+(* The parallel engine's pool hand-offs on the same run at 2 jobs: one
+   per join region, a function of the program alone (not of the cores or
+   the scheduler), pinned exactly.  Per WHILE iteration the regions end
+   at the ANY test, the two WHERE splits and the [renorm] of the plural
+   [force] call, so at most 4, plus the final ANY test that leaves the
+   loop.  The count stays in the Volatile section
+   ([Counters] must be identical across engines, and the serial engines
+   never dispatch). *)
+let dispatch_pins = [ (1, 1553); (2, 1553) ]
+
+let t_dispatch_gate () =
+  let run = nbforce_1024 ~engine:`Parallel ~jobs:2 () in
+  List.iter
+    (fun (opt, pin) ->
+      ignore (run ~opt);
+      Stats.enable ();
+      Stats.reset ();
+      let vm, dispatches =
+        Fun.protect
+          ~finally:(fun () ->
+            Stats.disable ();
+            Stats.reset ())
+          (fun () ->
+            let vm = run ~opt in
+            ( vm,
+              Stats.counter_value
+                (Stats.counter ~section:Stats.Volatile "pool.dispatches") ))
+      in
+      (* one ANY per WHILE test, the last one false *)
+      let iterations = vm.Vm.metrics.Lf_simd.Metrics.reductions - 1 in
+      checki (Fmt.str "-O%d pool.dispatches" opt) pin dispatches;
+      checkb
+        (Fmt.str "-O%d %d dispatches over %d WHILE iterations, at most 4 each"
+           opt dispatches iterations)
+        (dispatches <= (4 * iterations) + 1))
+    dispatch_pins
 
 let suite =
   [
@@ -432,4 +464,5 @@ let suite =
     case "typed call path bails on mixed return types" t_typed_call_bail;
     case "allocation and fused-run gate: warm NBFORCE p=1024" t_alloc_gate;
     case "allocation gate: tree-walk NBFORCE p=1024" t_treewalk_alloc_gate;
+    case "dispatch gate: parallel NBFORCE p=1024, 2 jobs" t_dispatch_gate;
   ]

@@ -85,7 +85,7 @@ let t_degenerate_serial () =
   checkb "one inline shard" (!seen = [ (0, 0, 1000) ])
 
 (* every shard of a pool-backed executor runs exactly once, covering
-   the whole range *)
+   the whole range, by the join that ends the region *)
 let t_pool_dispatch_covers () =
   let p = 1024 in
   let exec = Pool.parallel_exec ~p ~jobs:4 in
@@ -96,6 +96,7 @@ let t_pool_dispatch_covers () =
         (* each lane belongs to exactly one shard: no racing writes *)
         hits.(i) <- hits.(i) + 1
       done);
+  Pool.sync exec;
   checkb "every lane executed exactly once"
     (Array.for_all (fun c -> c = 1) hits)
 
@@ -106,7 +107,8 @@ let t_exception_ordering () =
   checkb "enough shards for the test" (Pool.nshards exec >= 3);
   (match
      exec.Pool.x_run (fun s _ _ ->
-         if s >= 1 then failwith (Printf.sprintf "shard %d" s))
+         if s >= 1 then failwith (Printf.sprintf "shard %d" s));
+     Pool.sync exec
    with
   | exception Failure m -> checks "lowest failing shard wins" "shard 1" m
   | () -> Alcotest.fail "expected a rethrown shard failure");
@@ -117,6 +119,7 @@ let t_exception_ordering () =
       Mutex.lock mu;
       total := !total + (hi - lo);
       Mutex.unlock mu);
+  Pool.sync exec;
   checki "pool usable after a failure" 1024 !total
 
 (* dividing by (iproc - c) fails first on lane c-1; at jobs > 1 that
@@ -136,6 +139,183 @@ let t_first_failing_lane () =
   List.iter
     (fun jobs -> checks "parallel error" reference (msg ~jobs `Parallel))
     [ 1; 2; 7; 16 ]
+
+(* Within one join region the parallel engine runs every shard's
+   pending lane loops before it looks at errors, so a later instruction
+   can fail on a low shard while an earlier one fails on a high shard.
+   Here line 5's gather leaves [g] on the last two lanes only (the
+   highest shard at every jobs count) and line 6 divides by zero on the
+   first lane (shard 0); the plurals are declared, so nothing between
+   them joins.  The serial engines raise line 5's error, and so must
+   the parallel one: the lowest pending instruction wins, not the
+   lowest shard.  The fuel sweep
+   moves a fuel fault (raised by the control unit, not a lane) through
+   the region: before, on and after each failing instruction, the first
+   fault in program order must win — a pending lane error that comes
+   earlier beats the fuel fault, a later one never runs. *)
+let region_error_src =
+  {|PROGRAM t
+  PLURAL INTEGER a, b, c, d
+  INTEGER g(1023)
+  a = iproc * 2
+  b = g(iproc + 1)
+  c = 7 / (iproc - 1)
+  d = a + c
+END
+|}
+
+let t_region_error_order () =
+  let prog = Parser.program_of_string region_error_src in
+  let p = 1024 in
+  let setup vm =
+    Vm.bind_global vm "g"
+      (Values.AInt (Nd.of_array (Array.init (p - 1) Fun.id)))
+  in
+  let msg ?fuel ?jobs ?opt engine =
+    match Vm.run ?fuel ~engine ?jobs ?opt ~p ~setup prog with
+    | _ -> "no error"
+    | exception ((Errors.Runtime_error _ | Errors.Runtime_error_at _) as e) ->
+        Errors.to_message e
+  in
+  let reference = msg `Tree_walk in
+  checkb
+    (Fmt.str "the reference fails at line 5: %s" reference)
+    (Astring_contains.contains reference "at 5:");
+  List.iter
+    (fun fuel ->
+      let reference = msg ?fuel `Tree_walk in
+      let fuel_s = Option.fold ~none:"no fuel limit" ~some:string_of_int fuel in
+      List.iter
+        (fun opt ->
+          checks
+            (Fmt.str "compiled -O%d, %s" opt fuel_s)
+            reference
+            (msg ?fuel ~opt `Compiled);
+          List.iter
+            (fun jobs ->
+              checks
+                (Fmt.str "parallel -O%d jobs=%d, %s" opt jobs fuel_s)
+                reference
+                (msg ?fuel ~jobs ~opt `Parallel))
+            [ 2; 3; 7 ])
+        [ 0; 1; 2 ])
+    (None :: List.init 6 (fun k -> Some (k + 1)))
+
+(* DO loops issue lane loops without a join.  In the first loop the
+   regions grow past the 512-entry cap, and a fused region reads the
+   loop variable [k] through a cell that changes every iteration while
+   the earlier iterations' loops are still pending.  In the second, a
+   global array is gathered at other lanes' elements and then scattered
+   lane-disjointly (sharded at [-O2]), so the scatter must wait for the
+   pending gathers.  State and Metrics must match the tree-walker at
+   every jobs count. *)
+let long_region_src =
+  {|PROGRAM t
+  INTEGER k
+  INTEGER g(1024)
+  PLURAL INTEGER w, y, z
+  w = 0
+  y = 0
+  z = 0
+  DO k = 1, 300
+    y = y + abs(k - 150)
+    w = w + k
+  ENDDO
+  DO k = 1, 100
+    z = z + g(1025 - iproc)
+    g(iproc) = y + k
+  ENDDO
+END
+|}
+
+let t_long_regions () =
+  let prog = Parser.program_of_string long_region_src in
+  let p = 1024 in
+  let setup vm =
+    Vm.bind_global vm "g" (Values.AInt (Nd.of_array (Array.init p Fun.id)))
+  in
+  let run ?jobs ?opt engine = Vm.run ?jobs ?opt ~engine ~p ~setup prog in
+  let tree = run `Tree_walk in
+  List.iter
+    (fun opt ->
+      List.iter
+        (fun jobs ->
+          let vm = run ~jobs ~opt `Parallel in
+          let what = Fmt.str "parallel -O%d jobs=%d" opt jobs in
+          checkb (what ^ " state") (Vm.state_equal tree vm);
+          checkb (what ^ " metrics")
+            (Lf_simd.Metrics.equal tree.Vm.metrics vm.Vm.metrics))
+        [ 2; 3 ])
+    [ 1; 2 ]
+
+(* Plural calls of user functions at [-O1] fill unboxed per-site
+   buffers shard by shard; the result is typed only when every shard saw
+   one scalar type.  [within] mixes types inside shard 0, [across] is
+   uniform in each shard but int in shard 0 and real elsewhere, [boxed]
+   returns an array on one lane, and [order] is impure: it records the
+   order it is called in, which must stay the serial ascending order.
+   Each runs under an empty, a partial and the full mask; state, Metrics
+   and the call order must match the tree-walker at every jobs count. *)
+let typed_call_src =
+  {|PROGRAM t
+  PLURAL REAL a, b, c, d
+  WHERE (iproc > 1000)
+    a = within(iproc)
+  ENDWHERE
+  WHERE (iproc > 3)
+    a = within(iproc)
+    b = across(iproc)
+    c = boxed(iproc)
+    d = order(iproc)
+  ENDWHERE
+  a = within(iproc)
+  b = across(iproc)
+  d = order(iproc)
+END
+|}
+
+let t_typed_calls_sharded () =
+  let prog = Parser.program_of_string typed_call_src in
+  let p = 200 in
+  let calls = ref [] in
+  let setup vm =
+    let num n = if n <= 2 then Values.VInt n else Values.VReal (float n) in
+    let arg = function [ Values.VInt n ] -> n | _ -> 0 in
+    Vm.register_func vm ~pure:true "within" (fun a -> num (arg a));
+    Vm.register_func vm ~pure:true "across" (fun a ->
+        let n = arg a in
+        if n <= 64 then Values.VInt n else Values.VReal (float n));
+    Vm.register_func vm ~pure:true "boxed" (fun a ->
+        let n = arg a in
+        if n = 150 then Values.VArr (Values.AInt (Nd.of_array [| n |]))
+        else Values.VReal (float n));
+    Vm.register_func vm "order" (fun a ->
+        calls := arg a :: !calls;
+        Values.VReal 1.0)
+  in
+  let run ?jobs ?opt engine =
+    calls := [];
+    let vm = Vm.run ?jobs ?opt ~engine ~p ~setup prog in
+    (vm, !calls)
+  in
+  let tree, tree_calls = run `Tree_walk in
+  List.iter
+    (fun opt ->
+      List.iter
+        (fun (what, engine, jobs) ->
+          let vm, calls = run ?jobs ~opt engine in
+          let what = Fmt.str "%s -O%d" what opt in
+          checkb (what ^ " state") (Vm.state_equal tree vm);
+          checkb (what ^ " metrics")
+            (Lf_simd.Metrics.equal tree.Vm.metrics vm.Vm.metrics);
+          checkb (what ^ " impure call order") (calls = tree_calls))
+        [
+          ("compiled", `Compiled, None);
+          ("parallel j2", `Parallel, Some 2);
+          ("parallel j3", `Parallel, Some 3);
+          ("parallel j7", `Parallel, Some 7);
+        ])
+    [ 0; 1; 2 ]
 
 (* empty-mask reductions at multi-chunk widths: some shards (and some
    chunks inside a shard) have no active lane, so their partials are
@@ -237,6 +417,9 @@ let suite =
     case "pool dispatch covers every lane once" t_pool_dispatch_covers;
     case "lowest shard's exception wins" t_exception_ordering;
     case "first failing lane reported at any jobs" t_first_failing_lane;
+    case "region errors: first failing instruction wins" t_region_error_order;
+    case "long regions: cap, scalar cells, global arrays" t_long_regions;
+    case "typed plural calls across shards" t_typed_calls_sharded;
     case "empty per-shard reduction partials" t_empty_partials;
     case "Vm.run validates jobs" t_vm_jobs_validation;
     case "Trace.Sharded concurrent emission" t_sharded_trace;
