@@ -124,14 +124,12 @@ let run path variant target decomp p olevel dump_ir naive assume_nonempty
                 Lf_simd.Vm.dump_ir ~opt:olevel ~p
                   o.Lf_core.Pipeline.program
               in
-              let s = Lf_obs.Json.to_string json in
-              if f = "-" then Fmt.pr "%s@." s
-              else begin
-                let oc = open_out f in
-                output_string oc s;
-                output_char oc '\n';
-                close_out oc
-              end)
+              let write oc =
+                Lf_obs.Json.to_channel oc json;
+                output_char oc '\n'
+              in
+              if f = "-" then write stdout
+              else Input_file.write_or_exit ~tool:"flattenc" f write)
             dump_ir;
           print_string
             (Lf_lang.Pretty.program_to_string o.Lf_core.Pipeline.program);

@@ -49,11 +49,12 @@ let parse_binding s =
 let scalar_value = Lf_simd.Batch.scalar_value
 let fill_array = Lf_simd.Batch.fill_array
 
+let write_out path f = Input_file.write_or_exit ~tool:"simdsim" path f
+
 let write_json path json =
-  let oc = open_out path in
-  output_string oc (Lf_obs.Json.to_string json);
-  output_char oc '\n';
-  close_out oc
+  write_out path (fun oc ->
+      Lf_obs.Json.to_channel oc json;
+      output_char oc '\n')
 
 (* ------------------------------------------------------------------ *)
 (* NBFORCE kernel mode                                                 *)
@@ -180,13 +181,14 @@ let run path seq engine jobs lanes olevel dump_ir dump_ir_phase verify_ir
       Option.iter (fun f -> write_json f (Lf_obs.Stats.to_json ())) stats_json;
       Option.iter
         (fun f ->
-          Lf_obs.Manifest.write f
-            (Lf_obs.Manifest.make ~program:path ~source:src ~engine:"seq"
-               ~opt:0 ~jobs:1 ~p:1 ~wall_ns ~cpu_s
-               ~metrics:
-                 (Lf_obs.Json.Obj
-                    [ ("steps", Lf_obs.Json.Int ctx.Interp.steps) ])
-               ~stats:(Lf_obs.Stats.to_json ())))
+          write_json f
+            (Lf_obs.Manifest.to_json
+               (Lf_obs.Manifest.make ~program:path ~source:src ~engine:"seq"
+                  ~opt:0 ~jobs:1 ~p:1 ~wall_ns ~cpu_s
+                  ~metrics:
+                    (Lf_obs.Json.Obj
+                       [ ("steps", Lf_obs.Json.Int ctx.Interp.steps) ])
+                  ~stats:(Lf_obs.Stats.to_json ()))))
         manifest;
       if profile then begin
         let rows =
@@ -214,7 +216,9 @@ let run path seq engine jobs lanes olevel dump_ir dump_ir_phase verify_ir
       in
       let trace_oc =
         Option.map
-          (fun f -> if f = "-" then stdout else open_out f)
+          (fun f ->
+            if f = "-" then stdout
+            else Input_file.open_out_or_exit ~tool:"simdsim" f)
           trace_file
       in
       let bind_inputs vm =
@@ -238,7 +242,9 @@ let run path seq engine jobs lanes olevel dump_ir dump_ir_phase verify_ir
         dump_ir;
       Option.iter
         (fun dir ->
-          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+          (if not (Sys.file_exists dir) then
+             try Sys.mkdir dir 0o755
+             with Sys_error msg -> Input_file.fail ~tool:"simdsim" dir msg);
           let phases =
             Lf_simd.Vm.dump_ir_phases ~opt:olevel ~p:lanes
               ~setup:bind_inputs prog
@@ -386,14 +392,15 @@ let run path seq engine jobs lanes olevel dump_ir dump_ir_phase verify_ir
       Option.iter (fun f -> write_json f (Lf_obs.Stats.to_json ())) stats_json;
       Option.iter
         (fun f ->
-          Lf_obs.Manifest.write f
-            (Lf_obs.Manifest.make ~program:path ~source:src
-               ~engine:engine_name ~opt:opt_used ~jobs:jobs_used ~p:lanes
-               ~wall_ns ~cpu_s
-               ~metrics:
-                 (Lf_simd.Metrics.to_json ~engine:engine_name ~opt:opt_used
-                    ~jobs:jobs_used metrics)
-               ~stats:(Lf_obs.Stats.to_json ())))
+          write_json f
+            (Lf_obs.Manifest.to_json
+               (Lf_obs.Manifest.make ~program:path ~source:src
+                  ~engine:engine_name ~opt:opt_used ~jobs:jobs_used ~p:lanes
+                  ~wall_ns ~cpu_s
+                  ~metrics:
+                    (Lf_simd.Metrics.to_json ~engine:engine_name ~opt:opt_used
+                       ~jobs:jobs_used metrics)
+                  ~stats:(Lf_obs.Stats.to_json ()))))
         manifest;
       Option.iter
         (fun path ->
@@ -406,7 +413,9 @@ let run path seq engine jobs lanes olevel dump_ir dump_ir_phase verify_ir
           write_json path (Lf_obs.Occupancy.to_json (Option.get occ)))
         occupancy_json;
       Option.iter
-        (fun path -> Lf_obs.Chrome.write_file (Option.get chrome) path)
+        (fun path ->
+          write_out path (fun oc ->
+              output_string oc (Lf_obs.Chrome.contents (Option.get chrome))))
         chrome_file;
       List.iter
         (fun name ->

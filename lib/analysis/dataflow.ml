@@ -3,9 +3,14 @@
 
     Both are union ("may") problems over finite fact sets, so the solver
     works with integer-indexed facts ([IntSet]) and a per-node gen/kill
-    pair; transfer is the usual [out = gen ∪ (in \ kill)].  A simple
-    round-robin worklist converges quickly on these statement-grained
-    CFGs (tens of nodes). *)
+    pair; transfer is the usual [out = gen ∪ (in \ kill)].  The solver
+    sweeps round-robin until nothing changes, visiting nodes in the
+    problem's direction: forward problems in index order, backward ones
+    in reverse.  [Cfg.build] numbers nodes in statement order, so a fact
+    crosses a straight-line run in one sweep and the number of sweeps
+    grows with loop nesting, not with program length — which matters
+    because a CFG can be a whole receiving-loop body of hundreds of
+    statements (the lint's liveness). *)
 
 open Lf_lang
 
@@ -46,7 +51,8 @@ let solve (cfg : Cfg.t) (p : problem) : solution =
   let changed = ref true in
   while !changed do
     changed := false;
-    for i = 0 to n - 1 do
+    for k = 0 to n - 1 do
+      let i = match p.dir with Forward -> k | Backward -> n - 1 - k in
       let meet =
         List.fold_left
           (fun acc j -> IntSet.union acc from.(j))

@@ -222,6 +222,34 @@ let references (b : block) : ref_info list =
   Ast_util.fold_stmts stmt_collect () b;
   List.rev !refs
 
+(** The affine forms of [r]'s subscripts with respect to [var] ([None]
+    where a subscript is not affine). *)
+let forms var invariant (r : ref_info) : affine option list =
+  List.map (extract var invariant) r.r_subs
+
+(** The loop-carried verdict for two references to the same array, at
+    least one a write, given their subscripts' affine forms: [None] when
+    the pair cannot touch the same element in different iterations
+    (proven independent, or dependence distance 0), and [Some v] with the
+    offending verdict otherwise.  The one place the pair verdict is
+    decided. *)
+let forms_conflict ?bounds (f1 : affine option list) (f2 : affine option list)
+    : verdict option =
+  if List.length f1 <> List.length f2 then Some Unknown
+  else
+    let verdicts =
+      List.map2
+        (fun a b ->
+          match (a, b) with
+          | Some a, Some b -> siv_test ?bounds a b
+          | _ -> Unknown)
+        f1 f2
+    in
+    match combine verdicts with
+    | Independent -> None
+    | Distance 0 -> None (* same iteration only *)
+    | (Distance _ | Unknown) as v -> Some v
+
 (** [refs_conflict ?bounds var invariant r1 r2] — the loop-carried verdict
     for one pair of references: [None] when the pair cannot touch the same
     element in different iterations of the loop over [var] (different
@@ -231,36 +259,77 @@ let refs_conflict ?bounds var invariant (r1 : ref_info) (r2 : ref_info) :
     verdict option =
   if not (r1.r_array = r2.r_array && (r1.r_is_write || r2.r_is_write)) then
     None
-  else if List.length r1.r_subs <> List.length r2.r_subs then Some Unknown
+  else forms_conflict ?bounds (forms var invariant r1) (forms var invariant r2)
+
+(** One distinct reference — an (array, subscripts, is-write) key — of a
+    reference list, with the payload of its first occurrence and that
+    occurrence's position in the list. *)
+type 'a distinct = {
+  d_ref : ref_info;
+  d_first : 'a;
+  d_pos : int;
+}
+
+(** [group_refs refs] — the distinct references of [refs], one array
+    per group, each group in first-occurrence order.  Repeats of a key
+    add nothing to a pair scan: a verdict depends only on the two keys,
+    and a repeated write is covered by testing the key against itself. *)
+let group_refs (refs : (ref_info * 'a) list) : 'a distinct array list =
+  let seen = Hashtbl.create 64 in
+  let groups = Hashtbl.create 16 in
+  let order = ref [] in
+  List.iteri
+    (fun pos ((r : ref_info), payload) ->
+      let key = (r.r_array, r.r_subs, r.r_is_write) in
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.add seen key ();
+        let d = { d_ref = r; d_first = payload; d_pos = pos } in
+        match Hashtbl.find_opt groups r.r_array with
+        | Some g -> g := d :: !g
+        | None ->
+            Hashtbl.add groups r.r_array (ref [ d ]);
+            order := r.r_array :: !order
+      end)
+    refs;
+  List.rev_map
+    (fun a -> Array.of_list (List.rev !(Hashtbl.find groups a)))
+    !order
+
+(** [group_conflict ?bounds var invariant g] — the first loop-carried
+    conflict of one group in source order, as [(d1, d2, v)]: [d1] is the
+    earliest reference that conflicts with itself (a write, [d2 == d1])
+    or with a later reference, [d2] the earliest such later reference.
+    This is the pair an all-pairs scan in source order reports first. *)
+let group_conflict ?bounds var invariant (g : 'a distinct array) :
+    ('a distinct * 'a distinct * verdict) option =
+  if not (Array.exists (fun d -> d.d_ref.r_is_write) g) then None
   else
-    let verdicts =
-      List.map2
-        (fun s1 s2 ->
-          match (extract var invariant s1, extract var invariant s2) with
-          | Some a, Some b -> siv_test ?bounds a b
-          | _ -> Unknown)
-        r1.r_subs r2.r_subs
+    let fs = Array.map (fun d -> forms var invariant d.d_ref) g in
+    let n = Array.length g in
+    let rec later i j =
+      if j >= n then None
+      else if not (g.(i).d_ref.r_is_write || g.(j).d_ref.r_is_write) then
+        later i (j + 1)
+      else
+        match forms_conflict ?bounds fs.(i) fs.(j) with
+        | Some v -> Some (g.(i), g.(j), v)
+        | None -> later i (j + 1)
     in
-    match combine verdicts with
-    | Independent -> None
-    | Distance 0 -> None (* same iteration only *)
-    | (Distance _ | Unknown) as v -> Some v
+    let rec from i =
+      if i >= n then None
+      else
+        let self =
+          if g.(i).d_ref.r_is_write then later i i else later i (i + 1)
+        in
+        match self with Some _ -> self | None -> from (i + 1)
+    in
+    from 0
 
 (** [loop_carried_array_dependence var invariant body] — true when some
     pair of references to the same array (at least one a write) may touch
     the same element in *different* iterations of the loop over [var]. *)
 let loop_carried_array_dependence ?bounds var invariant (body : block) : bool =
-  let refs = references body in
-  let pairs_conflict r1 r2 =
-    refs_conflict ?bounds var invariant r1 r2 <> None
-  in
-  let rec any_pair = function
-    | [] -> false
-    | r :: rest ->
-        (* compare r with itself too: a single write ref can conflict with
-           itself across iterations (e.g. A(1) = ... every iteration) *)
-        pairs_conflict r r && r.r_is_write
-        || List.exists (pairs_conflict r) rest
-        || any_pair rest
-  in
-  any_pair refs
+  references body
+  |> List.map (fun r -> (r, ()))
+  |> group_refs
+  |> List.exists (fun g -> group_conflict ?bounds var invariant g <> None)

@@ -208,49 +208,20 @@ let located_refs (cfg : Cfg.t) : (Depend.ref_info * Errors.pos option) list =
     pipeline uses, fed with the loop bounds when they are constant. *)
 let carried_array_diags ?bounds ~rule ~severity ~what var invariant cfg :
     diag list =
-  let refs = located_refs cfg in
-  let conflict (r1, _) (r2, _) =
-    Depend.refs_conflict ?bounds var invariant r1 r2
-  in
-  let rec scan seen acc = function
-    | [] -> List.rev acc
-    | ((r, loc) as rf) :: rest ->
-        let hit =
-          if List.mem r.Depend.r_array seen then None
-          else
-            let self =
-              if r.Depend.r_is_write then conflict rf rf else None
-            in
-            match self with
-            | Some v -> Some (v, loc)
-            | None ->
-                List.find_map
-                  (fun ((r2, loc2) as rf2) ->
-                    match conflict rf rf2 with
-                    | Some v ->
-                        (* cite the write side of the pair *)
-                        let loc =
-                          if r.Depend.r_is_write then loc
-                          else if r2.Depend.r_is_write then loc2
-                          else loc
-                        in
-                        Some (v, loc)
-                    | None -> None)
-                  rest
-        in
-        (match hit with
-        | Some (v, loc) ->
-            scan
-              (r.Depend.r_array :: seen)
-              (diag ~loc rule severity
-                 "%s: references to %s may touch the same element in \
-                  different iterations of the %s loop (%a)"
-                 what r.Depend.r_array var Depend.pp_verdict v
-              :: acc)
-              rest
-        | None -> scan seen acc rest)
-  in
-  scan [] [] refs
+  located_refs cfg |> Depend.group_refs
+  |> List.filter_map (Depend.group_conflict ?bounds var invariant)
+  |> List.sort (fun (d1, _, _) (d2, _, _) ->
+         compare d1.Depend.d_pos d2.Depend.d_pos)
+  |> List.map (fun ((d1 : _ Depend.distinct), (d2 : _ Depend.distinct), v) ->
+         (* cite the write side of the pair *)
+         let loc =
+           if d1.d_ref.r_is_write || not d2.d_ref.r_is_write then d1.d_first
+           else d2.d_first
+         in
+         diag ~loc rule severity
+           "%s: references to %s may touch the same element in different \
+            iterations of the %s loop (%a)"
+           what d1.d_ref.r_array var Depend.pp_verdict v)
 
 (** Scalars carried around the back edge of the receiving loop (LF003):
     written in the body yet live on entry to it — the chain-driven

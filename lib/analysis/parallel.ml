@@ -107,9 +107,9 @@ let has_gotos (b : block) =
     dependence is therefore acceptable). *)
 let check ?bounds ?(pure_subroutines = []) ?(invariants = [])
     ?(reductions = []) (var : string) (body : block) : result =
-  let assigned = Ast_util.assigned_vars body in
+  let assigned = SS.of_list (Ast_util.assigned_vars body) in
   let invariant v =
-    v <> var && (List.mem v invariants || not (List.mem v assigned))
+    v <> var && (List.mem v invariants || not (SS.mem v assigned))
   in
   let obstacles = ref [] in
   if has_gotos body then obstacles := IrregularControl :: !obstacles;

@@ -226,13 +226,15 @@ let flatten_program ?(opts = default_options) (p : program) :
                   (Fmt.str "variant %s not applicable to this nest"
                      (Flatten.variant_to_string variant_used))
             | Some flat_block -> (
+                let known = Hashtbl.create 64 in
+                List.iter
+                  (fun v -> Hashtbl.replace known v ())
+                  (List.map (fun d -> d.dc_name) p.p_decls
+                  @ Ast_util.assigned_vars p.p_body
+                  @ Ast_util.read_vars p.p_body);
                 let new_vars =
                   List.filter
-                    (fun v ->
-                      not
-                        (List.exists (fun d -> d.dc_name = v) p.p_decls
-                        || List.mem v (Ast_util.assigned_vars p.p_body)
-                        || List.mem v (Ast_util.read_vars p.p_body)))
+                    (fun v -> not (Hashtbl.mem known v))
                     (Ast_util.assigned_vars flat_block)
                 in
                 let decl_of v =

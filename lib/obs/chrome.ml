@@ -102,8 +102,3 @@ let contents t =
       | None -> ())
     t.open_;
   Buffer.contents t.buf ^ "]}"
-
-let write_file t path =
-  let oc = open_out path in
-  output_string oc (contents t);
-  close_out oc

@@ -51,39 +51,53 @@ let float_literal f =
     Printf.sprintf "%.1f" f
   else Printf.sprintf "%.12g" f
 
-let rec write b = function
-  | Null -> Buffer.add_string b "null"
-  | Bool v -> Buffer.add_string b (if v then "true" else "false")
-  | Int n -> Buffer.add_string b (string_of_int n)
-  | Float f -> Buffer.add_string b (float_literal f)
-  | Str s -> escape_string b s
-  | List items ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char b ',';
-          write b x)
-        items;
-      Buffer.add_char b ']'
-  | Obj fields ->
-      Buffer.add_char b '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char b ',';
-          escape_string b k;
-          Buffer.add_char b ':';
-          write b v)
-        fields;
-      Buffer.add_char b '}'
+(* [spill b] runs after every list item and object field: [to_channel]
+   drains the buffer there, so a large document never sits whole in
+   memory. *)
+let write ~spill b j =
+  let rec go = function
+    | Null -> Buffer.add_string b "null"
+    | Bool v -> Buffer.add_string b (if v then "true" else "false")
+    | Int n -> Buffer.add_string b (string_of_int n)
+    | Float f -> Buffer.add_string b (float_literal f)
+    | Str s -> escape_string b s
+    | List items ->
+        Buffer.add_char b '[';
+        List.iteri
+          (fun i x ->
+            if i > 0 then Buffer.add_char b ',';
+            go x;
+            spill b)
+          items;
+        Buffer.add_char b ']'
+    | Obj fields ->
+        Buffer.add_char b '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char b ',';
+            escape_string b k;
+            Buffer.add_char b ':';
+            go v;
+            spill b)
+          fields;
+        Buffer.add_char b '}'
+  in
+  go j
 
 let to_string j =
   let b = Buffer.create 256 in
-  write b j;
+  write ~spill:ignore b j;
   Buffer.contents b
 
 let to_channel oc j =
-  let b = Buffer.create 4096 in
-  write b j;
+  let b = Buffer.create 65536 in
+  let spill b =
+    if Buffer.length b >= 65536 then begin
+      Buffer.output_buffer oc b;
+      Buffer.clear b
+    end
+  in
+  write ~spill b j;
   Buffer.output_buffer oc b
 
 (* ------------------------------------------------------------------ *)

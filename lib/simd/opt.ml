@@ -29,11 +29,12 @@
       the per-lane mask test;
     + {b scratch planning} — every buffer-bearing site (binary/unary
       operators, gathers, calls, fused regions) is assigned a recycled
-      scratch group in [Frame] by a liveness analysis over the
-      linearized evaluation order, reusing [Lf_analysis.Dataflow]'s
-      worklist solver: sites whose result buffers are never
-      simultaneously live share a group, so steady-state vector-op
-      execution allocates nothing even for unfused residue.
+      scratch group in [Frame] by one walk over the linearized
+      evaluation order: a site lives from its definition to its last
+      use (never past its statement), and each new site takes the
+      smallest group no live site holds, so sites whose result buffers
+      are never simultaneously live share a group and steady-state
+      vector-op execution allocates nothing even for unfused residue.
 
     At [-O2] two further phases run off a single value-range abstract
     interpretation ([Lf_analysis.Range]): {b range claims} ([x_range])
@@ -53,8 +54,6 @@
 
 open Lf_lang
 open Ir
-module Dataflow = Lf_analysis.Dataflow
-module Cfg = Lf_analysis.Cfg
 module Range = Lf_analysis.Range
 
 (* ------------------------------------------------------------------ *)
@@ -299,7 +298,7 @@ let rec walk_stmts f (s : stmt) : unit =
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Scratch planning (liveness over the linearized evaluation order)    *)
+(* Scratch planning (live intervals over the evaluation order)         *)
 (* ------------------------------------------------------------------ *)
 
 (** A site is an IR node whose evaluation owns result buffers (the
@@ -315,7 +314,10 @@ type step = {
   st_def : int option;
 }
 
-let plan_scratch (b : block) : int * int =
+(** The evaluation steps of [b] and its sites, numbered in definition
+    order; each site's number is written to its [x_scr] for the
+    scatter-accumulate step to read. *)
+let scratch_steps (b : block) : step array * expr array =
   let sites : expr list ref = ref [] in
   let nsites = ref 0 in
   let steps : step list ref = ref [] in
@@ -427,79 +429,33 @@ let plan_scratch (b : block) : int * int =
         Array.iter st b
   in
   Array.iter st b;
-  let steps = Array.of_list (List.rev !steps) in
-  let sites = Array.of_list (List.rev !sites) in
-  let ntemps = !nsites in
-  if ntemps = 0 then (0, 0)
-  else begin
-    (* Linear CFG over the evaluation steps: entry -> s0 -> ... -> exit.
-       Liveness is exact within a statement and conservative across
-       control flow (no temp is live across a statement boundary, so
-       branch and back edges carry no facts). *)
-    let nsteps = Array.length steps in
-    let nnodes = nsteps + 2 in
-    let nodes =
-      Array.init nnodes (fun id ->
-          {
-            Cfg.id;
-            kind =
-              (if id = 0 then Cfg.Entry
-               else if id = nnodes - 1 then Cfg.Exit
-               else Cfg.Join);
-            loc = None;
-            masked = false;
-            succ = (if id = nnodes - 1 then [] else [ id + 1 ]);
-            pred = (if id = 0 then [] else [ id - 1 ]);
-          })
-    in
-    let cfg = { Cfg.nodes; entry = 0; exit_ = nnodes - 1 } in
-    let set_of l = List.fold_left (fun s x -> Dataflow.IntSet.add x s)
-        Dataflow.IntSet.empty l
-    in
-    let gen i =
-      if i = 0 || i = nnodes - 1 then Dataflow.IntSet.empty
-      else set_of steps.(i - 1).st_uses
-    in
-    let kill i =
-      if i = 0 || i = nnodes - 1 then Dataflow.IntSet.empty
-      else
-        match steps.(i - 1).st_def with
-        | Some d -> Dataflow.IntSet.singleton d
-        | None -> Dataflow.IntSet.empty
-    in
-    let sol =
-      Dataflow.solve cfg
-        { Dataflow.dir = Dataflow.Backward; nfacts = ntemps; gen; kill }
-    in
-    (* Interference: a temp defined at a step conflicts with every other
-       temp still live after that step. *)
-    let conflict = Array.make ntemps Dataflow.IntSet.empty in
-    Array.iteri
-      (fun i step ->
-        match step.st_def with
-        | None -> ()
-        | Some d ->
-            let live = Dataflow.IntSet.remove d sol.Dataflow.out.(i + 1) in
-            conflict.(d) <- Dataflow.IntSet.union conflict.(d) live;
-            Dataflow.IntSet.iter
-              (fun o -> conflict.(o) <- Dataflow.IntSet.add d conflict.(o))
-              live)
-      steps;
-    (* Greedy coloring in definition order: the smallest group not taken
-       by an interfering, already-colored temp. *)
-    let color = Array.make ntemps (-1) in
-    for t = 0 to ntemps - 1 do
-      let taken =
-        Dataflow.IntSet.fold
-          (fun o acc -> if color.(o) >= 0 then color.(o) :: acc else acc)
-          conflict.(t) []
-      in
-      let rec first g = if List.mem g taken then first (g + 1) else g in
-      color.(t) <- first 0
-    done;
-    Array.iteri (fun t site -> site.x_scr <- color.(t)) sites;
-    (ntemps, 1 + Array.fold_left max (-1) color)
-  end
+  (Array.of_list (List.rev !steps), Array.of_list (List.rev !sites))
+
+let plan_scratch (b : block) : int * int =
+  let steps, sites = scratch_steps b in
+  let ntemps = Array.length sites in
+  (* Temps are numbered in definition order and every use follows its
+     definition, so a temp is live from its def step up to its last use.
+     One walk assigns each new temp the smallest group no live temp
+     holds; a temp last used at a def step is dead there, so the result
+     may alias an operand. *)
+  let last = Array.make ntemps (-1) in
+  Array.iteri (fun i st -> List.iter (fun t -> last.(t) <- i) st.st_uses) steps;
+  let color = Array.make ntemps (-1) in
+  let held = Array.make ntemps false in
+  Array.iteri
+    (fun i st ->
+      List.iter (fun t -> if last.(t) = i then held.(color.(t)) <- false)
+        st.st_uses;
+      Option.iter
+        (fun d ->
+          let rec first g = if held.(g) then first (g + 1) else g in
+          color.(d) <- first 0;
+          held.(color.(d)) <- last.(d) > i)
+        st.st_def)
+    steps;
+  Array.iteri (fun t site -> site.x_scr <- color.(t)) sites;
+  (ntemps, 1 + Array.fold_left max (-1) color)
 
 (* ------------------------------------------------------------------ *)
 (* Range analysis and parallel scatters ([-O2])                        *)

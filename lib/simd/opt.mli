@@ -6,9 +6,9 @@
     subtrees — see the rationale in the implementation) and reduction
     fusion ([Ir.FReduce]) ("fuse"), scatter-accumulate marking
     ([Ir.s_accum], "accum"), mask simplification ([Ir.s_full],
-    "fullmask") and scratch planning ([Ir.x_scr], "scratch", a liveness
-    analysis over the linearized evaluation order reusing
-    [Lf_analysis.Dataflow]'s worklist solver).
+    "fullmask") and scratch planning ([Ir.x_scr], "scratch", one walk
+    over the linearized evaluation order that gives each site the
+    smallest group no live site holds).
 
     At level 2 a value-range / lane-congruence abstract interpretation
     ([Lf_analysis.Range]) feeds two more phases: "range" claims
@@ -49,3 +49,24 @@ val chaos_phase : string option ref
     pass).  The fuzzer's acceptance test sets this to prove the
     differential oracles catch — and the reducer minimizes — a broken
     optimizer phase.  Must be [None] outside tests. *)
+
+(** {1 Scratch planning} *)
+
+(** One step of the linearized evaluation order, over site numbers:
+    the sites whose result buffers it reads and the site it defines. *)
+type step = {
+  st_uses : int list;
+  st_def : int option;
+}
+
+val scratch_steps : Ir.block -> step array * Ir.expr array
+(** The evaluation steps of a block, mirroring the emitter's order, and
+    its buffer-bearing sites numbered in definition order (every use
+    follows its definition).  Writes each site's number to its
+    [Ir.x_scr]; [plan_scratch] then replaces it with a group.  Exposed
+    so tests can check the planner against an independent colouring. *)
+
+val plan_scratch : Ir.block -> int * int
+(** Assign every site of the block a scratch group ([Ir.x_scr]): the
+    smallest group that no site live at its definition holds.  Returns
+    the number of sites and of groups.  Idempotent. *)

@@ -91,6 +91,167 @@ let t_chains () =
   checkb "a has no upward-exposed use (defined on every path)"
     (Ch.upward_exposed ch "a" = [])
 
+(* ------------------------------------------------------------------ *)
+(* Differential oracle: a naive fixpoint                               *)
+(* ------------------------------------------------------------------ *)
+
+module SS = Set.Make (String)
+
+module PS = Set.Make (struct
+  type t = int * string
+
+  let compare = compare
+end)
+
+(* Iterate [step] over every node, in index order, until no node's
+   facts change. *)
+let naive_fixpoint n step =
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for i = 0 to n - 1 do
+      if step i then changed := true
+    done
+  done
+
+let must_kills nd =
+  List.filter_map
+    (fun (d : Cfg.def) -> if d.Cfg.def_must then Some d.Cfg.def_var else None)
+    (Cfg.defs nd)
+
+(* Liveness straight from its equations, over string sets. *)
+let naive_liveness (cfg : Cfg.t) =
+  let n = Cfg.size cfg in
+  let live_in = Array.make n SS.empty and live_out = Array.make n SS.empty in
+  naive_fixpoint n (fun i ->
+      let nd = Cfg.node cfg i in
+      let out =
+        List.fold_left (fun acc s -> SS.union acc live_in.(s)) SS.empty
+          nd.Cfg.succ
+      in
+      let in_ =
+        SS.union (SS.of_list (Cfg.uses nd))
+          (SS.diff out (SS.of_list (must_kills nd)))
+      in
+      let changed =
+        not (SS.equal out live_out.(i) && SS.equal in_ live_in.(i))
+      in
+      live_out.(i) <- out;
+      live_in.(i) <- in_;
+      changed);
+  (live_in, live_out)
+
+(* Reaching definitions from their equations, a definition being its
+   (node, variable) pair. *)
+let naive_reaching (cfg : Cfg.t) =
+  let n = Cfg.size cfg in
+  let rin = Array.make n PS.empty and rout = Array.make n PS.empty in
+  naive_fixpoint n (fun i ->
+      let nd = Cfg.node cfg i in
+      let in_ =
+        List.fold_left (fun acc p -> PS.union acc rout.(p)) PS.empty
+          nd.Cfg.pred
+      in
+      let kills = must_kills nd in
+      let out =
+        PS.union
+          (PS.of_list (List.map (fun (d : Cfg.def) -> (i, d.Cfg.def_var))
+                         (Cfg.defs nd)))
+          (PS.filter (fun (m, v) -> m = i || not (List.mem v kills)) in_)
+      in
+      let changed = not (PS.equal in_ rin.(i) && PS.equal out rout.(i)) in
+      rin.(i) <- in_;
+      rout.(i) <- out;
+      changed);
+  rin
+
+(* Random graphs: arbitrary edges (back edges, irreducible loops,
+   unreachable nodes) over assignment, header and join nodes, beside
+   the CFGs of random structured blocks. *)
+let random_cfg_gen =
+  let open QCheck.Gen in
+  let var = oneofl [ "a"; "b"; "c"; "d" ] in
+  let kind =
+    frequency
+      [
+        ( 4,
+          map3
+            (fun v idx rhs ->
+              Cfg.Stmt
+                (SAssign
+                   ( { lv_name = v; lv_index = (if idx then [ EVar "c" ] else []) },
+                     rhs )))
+            var bool
+            (map2 (fun x y -> EBin (Add, EVar x, EVar y)) var var) );
+        ( 1,
+          map2
+            (fun v hi -> Cfg.Head (do_control v (EInt 1) (EVar hi), false))
+            var var );
+        (1, return Cfg.Join);
+      ]
+  in
+  let graph =
+    let* n = 2 -- 14 in
+    let* kinds = list_repeat (n - 2) kind in
+    let* masked = list_repeat (n - 2) (frequency [ (4, return false); (1, return true) ]) in
+    let* succs = list_repeat (n - 1) (list_size (1 -- 3) (1 -- (n - 1))) in
+    let nodes =
+      Array.init n (fun id ->
+          {
+            Cfg.id;
+            kind =
+              (if id = 0 then Cfg.Entry
+               else if id = n - 1 then Cfg.Exit
+               else List.nth kinds (id - 1));
+            loc = None;
+            masked = id > 0 && id < n - 1 && List.nth masked (id - 1);
+            succ = [];
+            pred = [];
+          })
+    in
+    List.iteri
+      (fun i ss ->
+        List.iter
+          (fun j ->
+            let a = nodes.(i) and b = nodes.(j) in
+            if not (List.mem j a.Cfg.succ) then begin
+              a.Cfg.succ <- a.Cfg.succ @ [ j ];
+              b.Cfg.pred <- b.Cfg.pred @ [ i ]
+            end)
+          ss)
+      succs;
+    return { Cfg.nodes; entry = 0; exit_ = n - 1 }
+  in
+  frequency [ (2, graph); (1, map Cfg.build Gen.block) ]
+
+let prop_solver_equals_naive =
+  qcheck_case ~count:500 "liveness and reaching defs equal a naive fixpoint"
+    random_cfg_gen (fun cfg ->
+      let n = Cfg.size cfg in
+      let live = D.liveness cfg and reach = D.reaching_definitions cfg in
+      let live_in, live_out = naive_liveness cfg in
+      let rin = naive_reaching cfg in
+      let vars =
+        Array.to_list cfg.Cfg.nodes
+        |> List.concat_map (fun nd ->
+               Cfg.uses nd
+               @ List.map (fun (d : Cfg.def) -> d.Cfg.def_var) (Cfg.defs nd))
+        |> List.sort_uniq String.compare
+      in
+      List.for_all
+        (fun i ->
+          D.live_in live i = SS.elements live_in.(i)
+          && D.live_out live i = SS.elements live_out.(i)
+          && List.for_all
+               (fun var ->
+                 List.map
+                   (fun d -> (d.D.ds_node, d.D.ds_var))
+                   (D.reaching_defs_of reach ~node:i ~var)
+                 |> List.sort compare
+                 = PS.elements (PS.filter (fun (_, v) -> v = var) rin.(i)))
+               vars)
+        (List.init n Fun.id))
+
 let suite =
   [
     case "reaching defs: must-defs kill" t_reaching_kill;
@@ -99,4 +260,5 @@ let suite =
     case "liveness on straight-line code" t_liveness;
     case "liveness across a loop" t_liveness_loop;
     case "use-def and def-use chains" t_chains;
+    prop_solver_equals_naive;
   ]

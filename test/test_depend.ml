@@ -122,6 +122,138 @@ let t_references () =
   checki "write count" 1
     (List.length (List.filter (fun r -> r.D.r_is_write) refs))
 
+(* ------------------------------------------------------------------ *)
+(* Differential oracle: the all-pairs scan                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The scan [loop_carried_array_dependence] made before it grouped
+   references by array: every pair in source order, each reference
+   against itself when it writes.  Returns the first offending pair
+   of every array, as positions in the reference list, with its
+   verdict — the pair the lint reports. *)
+let all_pairs_first_conflicts ?bounds var invariant refs =
+  let refs = Array.of_list refs in
+  let n = Array.length refs in
+  let hits = ref [] and seen = ref [] in
+  for i = 0 to n - 1 do
+    let r = refs.(i) in
+    if not (List.mem r.D.r_array !seen) then begin
+      let hit = ref None in
+      if r.D.r_is_write then
+        Option.iter
+          (fun v -> hit := Some (i, i, v))
+          (D.refs_conflict ?bounds var invariant r r);
+      let j = ref (i + 1) in
+      while !hit = None && !j < n do
+        Option.iter
+          (fun v -> hit := Some (i, !j, v))
+          (D.refs_conflict ?bounds var invariant r refs.(!j));
+        incr j
+      done;
+      Option.iter
+        (fun h ->
+          seen := r.D.r_array :: !seen;
+          hits := h :: !hits)
+        !hit
+    end
+  done;
+  List.rev !hits
+
+(* Loop bodies: [Lf_testgen]'s random blocks, and assignment lists over
+   arrays whose subscripts the SIV tests can decide (so the verdicts
+   cover independence and distances, not just Unknown). *)
+let body_gen =
+  let open QCheck.Gen in
+  let sub =
+    oneofl
+      [
+        "i"; "i + 1"; "i - 1"; "2 * i"; "2 * i + 1"; "3"; "4"; "n";
+        "i + n"; "9 - i"; "p(i)"; "i * i"; "-i + 2";
+      ]
+  in
+  let aref =
+    let* a = oneofl [ "a"; "b"; "x" ] in
+    if a = "x" then
+      map2 (fun s1 s2 -> Printf.sprintf "x(%s, %s)" s1 s2) sub
+        (oneofl [ "j"; "1"; "2"; "i" ])
+    else map (fun s -> Printf.sprintf "%s(%s)" a s) sub
+  in
+  let assign =
+    let* lhs = frequency [ (3, aref); (1, return "s") ] in
+    let* reads = list_size (0 -- 2) aref in
+    return (lhs ^ " = " ^ String.concat " + " ("1" :: reads))
+  in
+  frequency
+    [
+      (1, Gen.block);
+      ( 3,
+        map
+          (fun stmts -> parse_block (String.concat "\n" stmts))
+          (list_size (1 -- 12) assign) );
+    ]
+
+(* The lint's LF004/LF007 scan before it shared the grouped scan: one
+   diagnostic per array, for the first offending reference in source
+   order, citing the write side of the pair. *)
+let all_pairs_carried_diags ?bounds var invariant cfg =
+  let module L = Lf_analysis.Lint in
+  let conflict (r1, _) (r2, _) = D.refs_conflict ?bounds var invariant r1 r2 in
+  let rec scan seen acc = function
+    | [] -> List.rev acc
+    | ((r, loc) as rf) :: rest -> (
+        let hit =
+          if List.mem r.D.r_array seen then None
+          else
+            match if r.D.r_is_write then conflict rf rf else None with
+            | Some v -> Some (v, loc)
+            | None ->
+                List.find_map
+                  (fun ((r2, loc2) as rf2) ->
+                    Option.map
+                      (fun v ->
+                        ( v,
+                          if r.D.r_is_write then loc
+                          else if r2.D.r_is_write then loc2
+                          else loc ))
+                      (conflict rf rf2))
+                  rest
+        in
+        match hit with
+        | Some (v, loc) ->
+            scan (r.D.r_array :: seen)
+              (L.diag ~loc "LF004" L.Error
+                 "%s: references to %s may touch the same element in \
+                  different iterations of the %s loop (%a)"
+                 "carried" r.D.r_array var D.pp_verdict v
+              :: acc)
+              rest
+        | None -> scan seen acc rest)
+  in
+  scan [] [] (L.located_refs cfg)
+
+let prop_grouped_equals_all_pairs =
+  qcheck_case ~count:500 "grouped scan and lint equal the all-pairs scan"
+    QCheck.Gen.(pair body_gen (opt (return (1, 8))))
+    (fun (body, bounds) ->
+      let assigned = Lf_lang.Ast_util.assigned_vars body in
+      let invariant v = v <> "i" && not (List.mem v assigned) in
+      let refs = D.references body in
+      let oracle = all_pairs_first_conflicts ?bounds "i" invariant refs in
+      let grouped =
+        List.mapi (fun pos r -> (r, pos)) refs
+        |> D.group_refs
+        |> List.filter_map (D.group_conflict ?bounds "i" invariant)
+        |> List.map (fun (d1, d2, v) -> (d1.D.d_first, d2.D.d_first, v))
+        |> List.sort compare
+      in
+      let cfg = Lf_analysis.Cfg.build body in
+      D.loop_carried_array_dependence ?bounds "i" invariant body
+      = (oracle <> [])
+      && grouped = oracle
+      && Lf_analysis.Lint.carried_array_diags ?bounds ~rule:"LF004"
+           ~severity:Lf_analysis.Lint.Error ~what:"carried" "i" invariant cfg
+         = all_pairs_carried_diags ?bounds "i" invariant cfg)
+
 let suite =
   [
     case "affine extraction" t_extract;
@@ -131,4 +263,5 @@ let suite =
     case "verdict combination" t_combine;
     case "loop-carried decisions" t_loop_carried;
     case "reference collection" t_references;
+    prop_grouped_equals_all_pairs;
   ]

@@ -301,6 +301,22 @@ let t_typed_call_bail () =
 (* Deterministic cost gate                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* [prog] flattened and SIMDized for [p] lanes, as [flattenc --target
+   simd] does. *)
+let simd_flatten ?(assume_inner_nonempty = false) ~p prog =
+  let opts =
+    {
+      Lf_core.Pipeline.default_options with
+      assume_inner_nonempty;
+      target =
+        Lf_core.Pipeline.Simd
+          { decomp = Lf_core.Simdize.Cyclic; p = Ast.EInt p };
+    }
+  in
+  match Lf_core.Pipeline.flatten_program ~opts prog with
+  | Ok o -> o.Lf_core.Pipeline.program
+  | Error e -> Alcotest.fail e
+
 (* The flattened NBFORCE kernel at p = 1024 with a trivially cheap force
    function (the bench harness's engine-comparison workload), so the run
    measures the engine rather than the force routine. *)
@@ -309,22 +325,9 @@ let nbforce_1024 ?(engine = `Compiled) ?jobs () =
   let mol = Lf_md.Workload.sod ~n:(2 * p) () in
   let pl = Lf_md.Workload.pairlist mol ~cutoff:8.0 in
   let n, maxp = Lf_kernels.Nbforce_src.params pl in
-  let opts =
-    {
-      Lf_core.Pipeline.default_options with
-      assume_inner_nonempty = true;
-      target =
-        Lf_core.Pipeline.Simd
-          { decomp = Lf_core.Simdize.Cyclic; p = Ast.EInt p };
-    }
-  in
   let prog =
-    match
-      Lf_core.Pipeline.flatten_program ~opts
-        (Lf_kernels.Nbforce_src.program ())
-    with
-    | Ok o -> o.Lf_core.Pipeline.program
-    | Error e -> Alcotest.fail e
+    simd_flatten ~assume_inner_nonempty:true ~p
+      (Lf_kernels.Nbforce_src.program ())
   in
   fun ~opt ->
     Vm.run ~engine ?jobs ~opt ~p
@@ -448,6 +451,172 @@ let t_dispatch_gate () =
         (dispatches <= (4 * iterations) + 1))
     dispatch_pins
 
+(* ------------------------------------------------------------------ *)
+(* Scratch planning against the interference colouring                 *)
+(* ------------------------------------------------------------------ *)
+
+module Dataflow = Lf_analysis.Dataflow
+module Cfg = Lf_analysis.Cfg
+
+(* The planner before it became one interval walk, kept as the oracle:
+   backward liveness over a chain CFG of the steps ([Dataflow.solve]),
+   an interference relation (a site defined at a step conflicts with
+   every other site live after it) and greedy colouring in definition
+   order. *)
+let interference_colours (steps : Opt.step array) ntemps =
+  let module S = Dataflow.IntSet in
+  let nnodes = Array.length steps + 2 in
+  let nodes =
+    Array.init nnodes (fun id ->
+        {
+          Cfg.id;
+          kind =
+            (if id = 0 then Cfg.Entry
+             else if id = nnodes - 1 then Cfg.Exit
+             else Cfg.Join);
+          loc = None;
+          masked = false;
+          succ = (if id = nnodes - 1 then [] else [ id + 1 ]);
+          pred = (if id = 0 then [] else [ id - 1 ]);
+        })
+  in
+  let cfg = { Cfg.nodes; entry = 0; exit_ = nnodes - 1 } in
+  let inner i = i > 0 && i < nnodes - 1 in
+  let gen i = if inner i then S.of_list steps.(i - 1).Opt.st_uses else S.empty in
+  let kill i =
+    if inner i then
+      Option.fold ~none:S.empty ~some:S.singleton steps.(i - 1).Opt.st_def
+    else S.empty
+  in
+  let sol =
+    Dataflow.solve cfg
+      { Dataflow.dir = Dataflow.Backward; nfacts = ntemps; gen; kill }
+  in
+  let conflict = Array.make ntemps S.empty in
+  Array.iteri
+    (fun i (st : Opt.step) ->
+      Option.iter
+        (fun d ->
+          let live = S.remove d sol.Dataflow.out.(i + 1) in
+          conflict.(d) <- S.union conflict.(d) live;
+          S.iter (fun o -> conflict.(o) <- S.add d conflict.(o)) live)
+        st.Opt.st_def)
+    steps;
+  let color = Array.make ntemps (-1) in
+  for t = 0 to ntemps - 1 do
+    let taken =
+      S.fold
+        (fun o acc -> if color.(o) >= 0 then color.(o) :: acc else acc)
+        conflict.(t) []
+    in
+    let rec first g = if List.mem g taken then first (g + 1) else g in
+    color.(t) <- first 0
+  done;
+  color
+
+(* Lower [prog] and run the [-O1] pipeline, then re-plan its scratch
+   groups: they must be the oracle's colours, site for site. *)
+let plan_matches_oracle ~p (prog : Ast.program) =
+  let frame = Lf_simd.Frame.create ~p (Lf_simd.Compile.var_names prog) in
+  let b = Opt.run ~level:1 ~frame (Ir.of_block frame prog.Ast.p_body) in
+  let steps, sites = Opt.scratch_steps b in
+  let oracle = interference_colours steps (Array.length sites) in
+  let nsites, groups = Opt.plan_scratch b in
+  nsites = Array.length sites
+  && groups = 1 + Array.fold_left max (-1) oracle
+  && Array.for_all2 (fun (site : Ir.expr) c -> site.Ir.x_scr = c) sites oracle
+
+let prop_scratch_oracle =
+  qcheck_case ~count:300 "scratch groups equal the interference colouring"
+    Gen.simd_prog_gen (plan_matches_oracle ~p:5)
+
+let t_scratch_oracle_nbforce () =
+  let prog =
+    simd_flatten ~assume_inner_nonempty:true ~p:128
+      (Lf_kernels.Nbforce_src.program ())
+  in
+  checkb "NBFORCE scratch groups equal the interference colouring"
+    (plan_matches_oracle ~p:128 prog)
+
+(* ------------------------------------------------------------------ *)
+(* Compile-time cost gates                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A 2-deep nest whose inner body repeats one guarded-update block [n]
+   times, the shape of a generated 240-statement nest. *)
+let guarded_nest n =
+  let block =
+    "      t1 = x(i) * 0.5 + y(j)\n\
+    \      IF (t1 > w(i)) THEN\n\
+    \        a(i) = a(i) + MIN(t1, w(i)) * 0.25\n\
+    \      ELSE\n\
+    \        b(i) = b(i) - MAX(w(i), t1)\n\
+    \      ENDIF\n"
+  in
+  parse_program
+    ("PROGRAM guarded\n\
+     \  INTEGER n, m, i, j\n\
+     \  INTEGER cnt(n)\n\
+     \  REAL a(n)\n\
+     \  REAL b(n)\n\
+     \  REAL x(n)\n\
+     \  REAL w(n)\n\
+     \  REAL y(m)\n\
+     \  REAL t1\n\
+     \  DO i = 1, n\n\
+     \    DO j = 1, cnt(i)\n"
+    ^ String.concat "" (List.init n (fun _ -> block))
+    ^ "    ENDDO\n  ENDDO\nEND\n")
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
+let rec outer_loop = function
+  | Ast.SLoc (_, s) -> outer_loop s
+  | s -> s
+
+let check_loop_words n =
+  let prog = guarded_nest n in
+  let loop =
+    List.find
+      (fun s -> match outer_loop s with Ast.SDo _ -> true | _ -> false)
+      prog.Ast.p_body
+  in
+  minor_words (fun () -> Lf_analysis.Parallel.check_loop loop)
+
+let opt_words n =
+  let prog = simd_flatten ~p:8 (guarded_nest n) in
+  let frame = Lf_simd.Frame.create ~p:8 (Lf_simd.Compile.var_names prog) in
+  let b = Ir.of_block frame prog.Ast.p_body in
+  minor_words (fun () -> Opt.run ~level:1 ~frame b)
+
+(* Exact readings (dev profile) at N = 60, pinned with no tolerance as
+   for the engine gate above.  Before the grouped dependence test and
+   the one-walk scratch planner, [check_loop] read 306,069 words here
+   (1,130,091 at N = 120) and [Opt.run] 231,221. *)
+let check_loop_budget = 48_730.
+let opt_budget = 57_191.
+
+let t_compile_cost_gate () =
+  let w60 = check_loop_words 60 in
+  checkb
+    (Fmt.str "check_loop minor words %.0f within the budget %.0f" w60
+       check_loop_budget)
+    (w60 <= check_loop_budget);
+  let o60 = opt_words 60 in
+  checkb
+    (Fmt.str "Opt.run -O1 minor words %.0f within the budget %.0f" o60
+       opt_budget)
+    (o60 <= opt_budget);
+  (* an all-pairs scan does 4x the pair work per doubling *)
+  let w120 = check_loop_words 120 in
+  checkb
+    (Fmt.str "check_loop words grow linearly: N=120 %.0f <= 2.2 x N=60 %.0f"
+       w120 w60)
+    (w120 <= 2.2 *. w60)
+
 let suite =
   [
     case "constant folding (and -O0 identity)" t_const_fold;
@@ -457,6 +626,9 @@ let suite =
     case "scatter-accumulate marking" t_scatter_accumulate;
     case "full-mask marking" t_full_mask;
     case "scratch planning shares dead buffers" t_scratch_plan;
+    prop_scratch_oracle;
+    case "scratch groups on NBFORCE equal the colouring"
+      t_scratch_oracle_nbforce;
     case "-O2 range claims and parallel-scatter marks" t_range_annotations;
     case "direct-store shapes and fallbacks" t_direct_store_shapes;
     case "raising fused reduction never short-circuits"
@@ -465,4 +637,6 @@ let suite =
     case "allocation and fused-run gate: warm NBFORCE p=1024" t_alloc_gate;
     case "allocation gate: tree-walk NBFORCE p=1024" t_treewalk_alloc_gate;
     case "dispatch gate: parallel NBFORCE p=1024, 2 jobs" t_dispatch_gate;
+    case "compile cost gate: check_loop and -O1 on a guarded nest"
+      t_compile_cost_gate;
   ]
