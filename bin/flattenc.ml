@@ -120,12 +120,12 @@ let run path variant target decomp p olevel dump_ir naive assume_nonempty
           end;
           Option.iter
             (fun f ->
-              let json =
+              let dump =
                 Lf_simd.Vm.dump_ir ~opt:olevel ~p
                   o.Lf_core.Pipeline.program
               in
               let write oc =
-                Lf_obs.Json.to_channel oc json;
+                dump oc;
                 output_char oc '\n'
               in
               if f = "-" then write stdout

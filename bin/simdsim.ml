@@ -51,10 +51,14 @@ let fill_array = Lf_simd.Batch.fill_array
 
 let write_out path f = Input_file.write_or_exit ~tool:"simdsim" path f
 
-let write_json path json =
+(* [path] gets the JSON [write] streams, then a newline. *)
+let write_json_with path write =
   write_out path (fun oc ->
-      Lf_obs.Json.to_channel oc json;
+      write oc;
       output_char oc '\n')
+
+let write_json path json =
+  write_json_with path (fun oc -> Lf_obs.Json.to_channel oc json)
 
 (* ------------------------------------------------------------------ *)
 (* NBFORCE kernel mode                                                 *)
@@ -233,12 +237,17 @@ let run path seq engine jobs lanes olevel dump_ir dump_ir_phase verify_ir
       in
       Option.iter
         (fun f ->
-          let json =
+          let dump =
             Lf_simd.Vm.dump_ir ~opt:olevel ~p:lanes ~setup:bind_inputs prog
           in
-          if f = "-" then
-            Fmt.pr "%s@." (Lf_obs.Json.to_string json)
-          else write_json f json)
+          if f = "-" then begin
+            (* after any pending formatter output, as Fmt.pr would *)
+            Format.print_flush ();
+            dump stdout;
+            print_char '\n';
+            flush stdout
+          end
+          else write_json_with f dump)
         dump_ir;
       Option.iter
         (fun dir ->
@@ -251,9 +260,9 @@ let run path seq engine jobs lanes olevel dump_ir dump_ir_phase verify_ir
           in
           List.iteri
             (fun i (name, json) ->
-              write_json
+              write_json_with
                 (Filename.concat dir (Fmt.str "%02d-%s.json" i name))
-                json)
+                (fun oc -> output_string oc json))
             phases)
         dump_ir_phase;
       if verify_ir then begin

@@ -44,7 +44,18 @@ let names =
     "any"; "all"; "count"; "maxval"; "minval"; "sum"; "size"; "merge";
     "vector" ]
 
-let is_intrinsic name = List.mem (String.lowercase_ascii name) names
+let name_table =
+  let t = Hashtbl.create 32 in
+  List.iter (fun n -> Hashtbl.replace t n ()) names;
+  t
+
+(* Parsed identifiers are already lower-case, so only a name holding an
+   upper-case letter pays for a lowered copy. *)
+let is_intrinsic name =
+  Hashtbl.mem name_table
+    (if String.exists (fun c -> c >= 'A' && c <= 'Z') name then
+       String.lowercase_ascii name
+     else name)
 
 (* MAXVAL / MINVAL: one array or scalar *)
 let reduction red fi fr = function

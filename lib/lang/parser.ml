@@ -10,35 +10,43 @@ open Ast
 open Token
 
 type t = {
-  toks : (Errors.pos * Token.t) array;
+  toks : Token.t array;
+  locs : int array;
+  last : int;  (** index of the final [EOF] *)
   mutable cur : int;
 }
 
-let make toks = { toks = Array.of_list toks; cur = 0 }
+let make src =
+  let t = Lexer.scan src in
+  { toks = t.Lexer.toks; locs = t.Lexer.locs; last = t.Lexer.count - 1; cur = 0 }
 
-let peek p = snd p.toks.(p.cur)
-let peek_pos p = fst p.toks.(p.cur)
+let peek p = Array.unsafe_get p.toks p.cur
+let peek_pos p = Lexer.pos_of_loc (Array.unsafe_get p.locs p.cur)
 
-let advance p = if p.cur < Array.length p.toks - 1 then p.cur <- p.cur + 1
+let advance p = if p.cur < p.last then p.cur <- p.cur + 1
 
 let error p fmt = Errors.parse_error (peek_pos p) fmt
 
+(* [tok] is always a constant constructor (punctuation or an operator),
+   an immediate value, so physical equality decides. *)
+let at p (tok : Token.t) = peek p == tok
+
 let expect p tok =
-  if peek p = tok then advance p
+  if at p tok then advance p
   else
     error p "expected %s but found %s" (Token.to_string tok)
       (Token.to_string (peek p))
 
 let expect_keyword p kw =
   match peek p with
-  | KEYWORD k when k = kw -> advance p
+  | KEYWORD k when String.equal k kw -> advance p
   | t -> error p "expected %s but found %s" kw (Token.to_string t)
 
-let accept p tok = if peek p = tok then (advance p; true) else false
+let accept p tok = if at p tok then (advance p; true) else false
 
 let accept_keyword p kw =
   match peek p with
-  | KEYWORD k when k = kw ->
+  | KEYWORD k when String.equal k kw ->
       advance p;
       true
   | _ -> false
@@ -50,7 +58,7 @@ let ident p =
       s
   | t -> error p "expected identifier, found %s" (Token.to_string t)
 
-let skip_newlines p = while peek p = NEWLINE do advance p done
+let skip_newlines p = while at p NEWLINE do advance p done
 
 let end_of_stmt p =
   match peek p with
@@ -131,7 +139,7 @@ and parse_atom p =
          only the range form appears in the paper's codes *)
       advance p;
       let e = parse_range p in
-      if peek p = COMMA then begin
+      if at p COMMA then begin
         let items = ref [ e ] in
         while accept p COMMA do items := parse_range p :: !items done;
         expect p RBRACKET;
@@ -145,7 +153,7 @@ and parse_atom p =
       end
   | IDENT name ->
       advance p;
-      if peek p = LPAREN then begin
+      if at p LPAREN then begin
         advance p;
         let args = parse_index_list p in
         expect p RPAREN;
@@ -162,7 +170,7 @@ and parse_range p =
   if accept p COLON then ERange (lo, parse_expr p) else lo
 
 and parse_index_list p =
-  if peek p = RPAREN then []
+  if at p RPAREN then []
   else
     let items = ref [ parse_range p ] in
     while accept p COMMA do items := parse_range p :: !items done;
@@ -189,8 +197,9 @@ let parse_declarators p plural ty =
       end
       else []
     in
-    if dims = [] then { (scalar ~plural ty name) with dc_dims = [] }
-    else array ~plural ty name dims
+    match dims with
+    | [] -> { (scalar ~plural ty name) with dc_dims = [] }
+    | _ -> array ~plural ty name dims
   in
   let ds = ref [ one () ] in
   while accept p COMMA do ds := one () :: !ds done;
@@ -387,20 +396,20 @@ and parse_block p closers = fst (parse_block_until p closers)
 
 and parse_block_until p closers =
   skip_newlines p;
-  let stmts = ref [] in
-  let closed = ref None in
-  while !closed = None do
+  let rec go stmts =
     match peek p with
-    | KEYWORD k when List.mem k closers ->
+    | KEYWORD k when List.exists (String.equal k) closers ->
         advance p;
-        closed := Some k
-    | EOF -> error p "unexpected end of input, expected %s" (String.concat "/" closers)
+        (List.rev stmts, k)
+    | EOF ->
+        error p "unexpected end of input, expected %s"
+          (String.concat "/" closers)
     | _ ->
         let ss = parse_stmt p in
         end_of_stmt p;
-        stmts := List.rev_append ss !stmts
-  done;
-  (List.rev !stmts, Option.get !closed)
+        go (List.rev_append ss stmts)
+  in
+  go []
 
 (* ------------------------------------------------------------------ *)
 (* Programs                                                            *)
@@ -482,14 +491,14 @@ let parse_program p =
 (* ------------------------------------------------------------------ *)
 
 (** Parse a complete program (with or without a PROGRAM header). *)
-let program_of_string src = parse_program (make (Lexer.tokenize src))
+let program_of_string src = parse_program (make src)
 
 (** Parse a statement block (no declarations), e.g. a test snippet. *)
 let block_of_string src =
-  let p = make (Lexer.tokenize src) in
+  let p = make src in
   let stmts = ref [] in
   skip_newlines p;
-  while peek p <> EOF do
+  while not (at p EOF) do
     let ss = parse_stmt p in
     end_of_stmt p;
     stmts := List.rev_append ss !stmts
@@ -498,7 +507,7 @@ let block_of_string src =
 
 (** Parse a single expression. *)
 let expr_of_string src =
-  let p = make (Lexer.tokenize src) in
+  let p = make src in
   let e = parse_expr p in
   skip_newlines p;
   (match peek p with

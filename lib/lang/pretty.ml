@@ -1,7 +1,10 @@
 (** Pretty-printer for [Ast] terms, producing parseable pseudo-Fortran.
 
     The printer and [Parser] form a round-trip: [parse (print ast)]
-    re-produces [ast] up to comments (property-tested in the test suite). *)
+    re-produces [ast] up to comments (property-tested in the test suite).
+
+    One printer appends text to a [Buffer]; the [*_to_string] functions
+    run it on a fresh buffer and the [pp_*] formatters print its string. *)
 
 open Ast
 
@@ -26,15 +29,22 @@ let binop_info = function
   | Mod -> ("MOD", 6)
   | Pow -> ("**", 8)
 
+(* The C formatter behind [Printf]'s [%f] and [%g]: the same text,
+   without building a format closure per literal. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* ["%.<prec>g"] for every precision [real_literal] tries *)
+let precision_g = Array.init 18 (Printf.sprintf "%%.%dg")
+
 (** A REAL literal the lexer reads back as exactly [f]: the shortest
     ["%.Ng"] form that round-trips, with a ['.'] always in the mantissa
     (the lexer rejects ["1e-06"] but takes ["1.0e-06"]). *)
 let real_literal f =
-  if Float.is_integer f && Float.abs f < 1e16 then Printf.sprintf "%.1f" f
-  else if not (Float.is_finite f) then Printf.sprintf "%g" f
+  if Float.is_integer f && Float.abs f < 1e16 then format_float "%.1f" f
+  else if not (Float.is_finite f) then format_float "%g" f
   else
     let rec shortest prec =
-      let s = Printf.sprintf "%.*g" prec f in
+      let s = format_float precision_g.(prec) f in
       if prec >= 17 || float_of_string s = f then s else shortest (prec + 1)
     in
     let s = shortest 1 in
@@ -47,26 +57,36 @@ let real_literal f =
       ^ ".0"
       ^ String.sub s mantissa_end (String.length s - mantissa_end)
 
-let rec pp_expr_prec prec ppf e =
+let add = Buffer.add_string
+
+let rec add_expr_prec b prec e =
   match e with
-  | EInt n -> Fmt.int ppf n
-  | EReal f -> Fmt.string ppf (real_literal f)
-  | EBool true -> Fmt.string ppf ".TRUE."
-  | EBool false -> Fmt.string ppf ".FALSE."
-  | EVar v -> Fmt.string ppf v
-  | EIdx (v, idxs) -> Fmt.pf ppf "%s(%a)" v pp_index_list idxs
-  | ECall ("vector", [ (ERange _ as r) ]) -> Fmt.pf ppf "[%a]" pp_range r
+  | EInt n -> add b (string_of_int n)
+  | EReal f -> add b (real_literal f)
+  | EBool true -> add b ".TRUE."
+  | EBool false -> add b ".FALSE."
+  | EVar v -> add b v
+  | EIdx (v, idxs) -> add_applied b v idxs
   | ECall ("vector", items) ->
-      Fmt.pf ppf "[%a]" Fmt.(list ~sep:(any ", ") (pp_expr_prec 0)) items
-  | ECall (f, args) -> Fmt.pf ppf "%s(%a)" f pp_index_list args
+      Buffer.add_char b '[';
+      add_sep_list b add_range items;
+      Buffer.add_char b ']'
+  | ECall (f, args) -> add_applied b f args
   | EUn (Neg, a) ->
-      if prec > 7 then Fmt.pf ppf "(-%a)" (pp_expr_prec 7) a
-      else Fmt.pf ppf "-%a" (pp_expr_prec 7) a
+      if prec > 7 then add b "(-" else Buffer.add_char b '-';
+      add_expr_prec b 7 a;
+      if prec > 7 then Buffer.add_char b ')'
   | EUn (Not, a) ->
-      if prec > 3 then Fmt.pf ppf "(.NOT. %a)" (pp_expr_prec 3) a
-      else Fmt.pf ppf ".NOT. %a" (pp_expr_prec 3) a
-  | EBin (Mod, a, b) -> Fmt.pf ppf "mod(%a, %a)" (pp_expr_prec 0) a (pp_expr_prec 0) b
-  | EBin (op, a, b) ->
+      add b (if prec > 3 then "(.NOT. " else ".NOT. ");
+      add_expr_prec b 3 a;
+      if prec > 3 then Buffer.add_char b ')'
+  | EBin (Mod, x, y) ->
+      add b "mod(";
+      add_expr_prec b 0 x;
+      add b ", ";
+      add_expr_prec b 0 y;
+      Buffer.add_char b ')'
+  | EBin (op, x, y) ->
       let sym, p = binop_info op in
       let lhs, rhs =
         match op with
@@ -74,114 +94,244 @@ let rec pp_expr_prec prec ppf e =
         | Eq | Ne | Lt | Le | Gt | Ge -> (p + 1, p + 1)  (* non-associative *)
         | _ -> (p, p + 1)  (* left-associative *)
       in
-      if prec > p then
-        Fmt.pf ppf "(%a %s %a)" (pp_expr_prec lhs) a sym (pp_expr_prec rhs) b
-      else Fmt.pf ppf "%a %s %a" (pp_expr_prec lhs) a sym (pp_expr_prec rhs) b
+      if prec > p then Buffer.add_char b '(';
+      add_expr_prec b lhs x;
+      Buffer.add_char b ' ';
+      add b sym;
+      Buffer.add_char b ' ';
+      add_expr_prec b rhs y;
+      if prec > p then Buffer.add_char b ')'
+  | ERange _ -> add_range b e
+
+and add_range b = function
   | ERange (lo, hi) ->
-      Fmt.pf ppf "%a:%a" (pp_expr_prec 0) lo (pp_expr_prec 0) hi
+      add_expr_prec b 0 lo;
+      Buffer.add_char b ':';
+      add_expr_prec b 0 hi
+  | e -> add_expr_prec b 0 e
 
-and pp_range ppf = function
-  | ERange (lo, hi) -> Fmt.pf ppf "%a:%a" (pp_expr_prec 0) lo (pp_expr_prec 0) hi
-  | e -> pp_expr_prec 0 ppf e
+(* [name(i, j, ...)] *)
+and add_applied b name idxs =
+  add b name;
+  Buffer.add_char b '(';
+  add_sep_list b add_range idxs;
+  Buffer.add_char b ')'
 
-and pp_index_list ppf idxs =
-  Fmt.(list ~sep:(any ", ") pp_range) ppf idxs
+and add_sep_list b f = function
+  | [] -> ()
+  | [ x ] -> f b x
+  | x :: rest ->
+      f b x;
+      add b ", ";
+      add_sep_list b f rest
 
-let pp_expr = pp_expr_prec 0
-let expr_to_string e = Fmt.str "%a" pp_expr e
-
-let pp_lvalue ppf (l : lvalue) =
+let add_lvalue b (l : lvalue) =
   match l.lv_index with
-  | [] -> Fmt.string ppf l.lv_name
-  | idxs -> Fmt.pf ppf "%s(%a)" l.lv_name pp_index_list idxs
+  | [] -> add b l.lv_name
+  | idxs -> add_applied b l.lv_name idxs
 
-let pp_do_control ppf (c : do_control) =
-  Fmt.pf ppf "%s = %a, %a" c.d_var pp_expr c.d_lo pp_expr c.d_hi;
-  match c.d_step with
-  | Some s -> Fmt.pf ppf ", %a" pp_expr s
-  | None -> ()
-
-let pp_forall_control ppf (c : do_control) =
-  Fmt.pf ppf "(%s = %a:%a" c.d_var pp_expr c.d_lo pp_expr c.d_hi;
+(* [v = lo, hi[, step]], or the FORALL form [(v = lo:hi[, step])] *)
+let add_control b ~forall (c : do_control) =
+  if forall then Buffer.add_char b '(';
+  add b c.d_var;
+  add b " = ";
+  add_expr_prec b 0 c.d_lo;
+  add b (if forall then ":" else ", ");
+  add_expr_prec b 0 c.d_hi;
   (match c.d_step with
-  | Some s -> Fmt.pf ppf ", %a" pp_expr s
+  | Some s ->
+      add b ", ";
+      add_expr_prec b 0 s
   | None -> ());
-  Fmt.string ppf ")"
+  if forall then Buffer.add_char b ')'
 
-let rec pp_stmt ind ppf s =
-  let pad = String.make (2 * ind) ' ' in
-  let block = pp_block (ind + 1) in
-  match s with
-  | SLoc (_, s) -> pp_stmt ind ppf s
-  | SAssign (l, e) -> Fmt.pf ppf "%s%a = %a" pad pp_lvalue l pp_range e
-  | SDo (c, b) ->
-      Fmt.pf ppf "%sDO %a@\n%a@\n%sENDDO" pad pp_do_control c block b pad
-  | SWhile (e, b) ->
-      Fmt.pf ppf "%sWHILE (%a)@\n%a@\n%sENDWHILE" pad pp_expr e block b pad
-  | SDoWhile (b, e) ->
-      Fmt.pf ppf "%sREPEAT@\n%a@\n%sUNTIL (%a)" pad block b pad pp_expr e
-  | SIf (e, t, []) ->
-      Fmt.pf ppf "%sIF (%a) THEN@\n%a@\n%sENDIF" pad pp_expr e block t pad
-  | SIf (e, t, f) ->
-      Fmt.pf ppf "%sIF (%a) THEN@\n%a@\n%sELSE@\n%a@\n%sENDIF" pad pp_expr e
-        block t pad block f pad
-  | SForall (c, b) ->
-      Fmt.pf ppf "%sFORALL %a@\n%a@\n%sENDFORALL" pad pp_forall_control c
-        block b pad
-  | SWhere (e, t, []) ->
-      Fmt.pf ppf "%sWHERE (%a)@\n%a@\n%sENDWHERE" pad pp_expr e block t pad
-  | SWhere (e, t, f) ->
-      Fmt.pf ppf "%sWHERE (%a)@\n%a@\n%sELSEWHERE@\n%a@\n%sENDWHERE" pad
-        pp_expr e block t pad block f pad
-  | SCall (n, []) -> Fmt.pf ppf "%sCALL %s" pad n
-  | SCall (n, args) -> Fmt.pf ppf "%sCALL %s(%a)" pad n pp_index_list args
-  | SGoto l -> Fmt.pf ppf "%sGOTO %s" pad l
-  | SCondGoto (e, l) -> Fmt.pf ppf "%sIF (%a) GOTO %s" pad pp_expr e l
-  | SLabel l -> Fmt.pf ppf "%s CONTINUE" l
-  | SComment c -> Fmt.pf ppf "%s! %s" pad c
+let add_pad b ind =
+  for _ = 1 to 2 * ind do
+    Buffer.add_char b ' '
+  done
 
-and pp_block ind ppf (b : block) =
-  (* a label is printed fused with the following statement when possible *)
-  let rec go ppf = function
-    | [] -> ()
-    | [ s ] -> pp_stmt ind ppf s
-    | a :: (b :: rest as tail) -> (
-        (* look through SLoc so labels still fuse with located statements *)
-        match (strip_loc a, strip_loc b) with
-        | SLabel l, (SAssign _ | SCall _ | SGoto _ | SCondGoto _) ->
-            let body = Fmt.str "%a" (pp_stmt 0) b in
-            Fmt.pf ppf "%s %s@\n%a" l (String.trim body) go rest
-        | _ -> Fmt.pf ppf "%a@\n%a" (pp_stmt ind) a go tail)
+(* The text of a single-line statement at depth 0 may still carry
+   surrounding blanks (a name that ends in one); a label fused with it
+   is followed by the trimmed text. *)
+let trim_from b start =
+  let len = Buffer.length b in
+  let blank i =
+    match Buffer.nth b i with ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
   in
-  go ppf b
+  if len > start && (blank start || blank (len - 1)) then begin
+    let text = String.trim (Buffer.sub b start (len - start)) in
+    Buffer.truncate b start;
+    add b text
+  end
 
-let pp_decl ppf (d : decl) =
-  let plural = if d.dc_plural then "PLURAL " else "" in
+(* [KW (e)] at depth [ind] *)
+let add_cond b ind kw e =
+  add_pad b ind;
+  add b kw;
+  add b " (";
+  add_expr_prec b 0 e;
+  Buffer.add_char b ')'
+
+let rec add_stmt b ind s =
+  match s with
+  | SLoc (_, s) -> add_stmt b ind s
+  | SAssign (l, e) ->
+      add_pad b ind;
+      add_lvalue b l;
+      add b " = ";
+      add_range b e
+  | SDo (c, body) ->
+      add_pad b ind;
+      add b "DO ";
+      add_control b ~forall:false c;
+      add_body b ind body;
+      add b "ENDDO"
+  | SWhile (e, body) ->
+      add_cond b ind "WHILE" e;
+      add_body b ind body;
+      add b "ENDWHILE"
+  | SDoWhile (body, e) ->
+      add_pad b ind;
+      add b "REPEAT";
+      add_body b ind body;
+      add b "UNTIL (";
+      add_expr_prec b 0 e;
+      Buffer.add_char b ')'
+  | SIf (e, t, f) ->
+      add_cond b ind "IF" e;
+      add b " THEN";
+      add_body b ind t;
+      (match f with
+      | [] -> ()
+      | f ->
+          add b "ELSE";
+          add_body b ind f);
+      add b "ENDIF"
+  | SForall (c, body) ->
+      add_pad b ind;
+      add b "FORALL ";
+      add_control b ~forall:true c;
+      add_body b ind body;
+      add b "ENDFORALL"
+  | SWhere (e, t, f) ->
+      add_cond b ind "WHERE" e;
+      add_body b ind t;
+      (match f with
+      | [] -> ()
+      | f ->
+          add b "ELSEWHERE";
+          add_body b ind f);
+      add b "ENDWHERE"
+  | SCall (n, args) -> (
+      add_pad b ind;
+      add b "CALL ";
+      match args with [] -> add b n | _ -> add_applied b n args)
+  | SGoto l ->
+      add_pad b ind;
+      add b "GOTO ";
+      add b l
+  | SCondGoto (e, l) ->
+      add_cond b ind "IF" e;
+      add b " GOTO ";
+      add b l
+  | SLabel l ->
+      add b l;
+      add b " CONTINUE"
+  | SComment c ->
+      add_pad b ind;
+      add b "! ";
+      add b c
+
+(* A nested block on its own lines, then the pad of the closing line. *)
+and add_body b ind body =
+  Buffer.add_char b '\n';
+  add_block b (ind + 1) body;
+  Buffer.add_char b '\n';
+  add_pad b ind
+
+and add_block b ind (body : block) =
+  (* a label is printed fused with the following statement when possible *)
+  let rec go = function
+    | [] -> ()
+    | [ s ] -> add_stmt b ind s
+    | a :: (s :: rest as tail) -> (
+        (* look through SLoc so labels still fuse with located statements *)
+        match (strip_loc a, strip_loc s) with
+        | SLabel l, (SAssign _ | SCall _ | SGoto _ | SCondGoto _) ->
+            add b l;
+            Buffer.add_char b ' ';
+            let start = Buffer.length b in
+            add_stmt b 0 s;
+            trim_from b start;
+            Buffer.add_char b '\n';
+            go rest
+        | _ ->
+            add_stmt b ind a;
+            Buffer.add_char b '\n';
+            go tail)
+  in
+  go body
+
+let add_decl b (d : decl) =
+  if d.dc_plural then add b "PLURAL ";
+  add b (dtype_to_string d.dc_type);
+  Buffer.add_char b ' ';
   match d.dc_dims with
-  | [] -> Fmt.pf ppf "%s%s %s" plural (dtype_to_string d.dc_type) d.dc_name
-  | dims ->
-      Fmt.pf ppf "%s%s %s(%a)" plural (dtype_to_string d.dc_type) d.dc_name
-        pp_index_list dims
+  | [] -> add b d.dc_name
+  | dims -> add_applied b d.dc_name dims
 
 let distribution_to_string = function
   | DistBlock -> "BLOCK"
   | DistCyclic -> "CYCLIC"
   | DistSerial -> "*"
 
-let pp_directive ppf = function
+let add_directive b = function
   | DDecomposition (n, dims) ->
-      Fmt.pf ppf "DECOMPOSITION %s(%a)" n pp_index_list dims
-  | DAlign (a, d) -> Fmt.pf ppf "ALIGN %s WITH %s" a d
+      add b "DECOMPOSITION ";
+      add_applied b n dims
+  | DAlign (a, d) ->
+      add b "ALIGN ";
+      add b a;
+      add b " WITH ";
+      add b d
   | DDistribute (d, dists) ->
-      Fmt.pf ppf "DISTRIBUTE %s(%s)" d
-        (String.concat ", " (List.map distribution_to_string dists))
+      add b "DISTRIBUTE ";
+      add b d;
+      Buffer.add_char b '(';
+      add b (String.concat ", " (List.map distribution_to_string dists));
+      Buffer.add_char b ')'
 
-let pp_program ppf (p : program) =
-  Fmt.pf ppf "PROGRAM %s@\n" p.p_name;
-  List.iter (fun d -> Fmt.pf ppf "  %a@\n" pp_decl d) p.p_decls;
-  List.iter (fun d -> Fmt.pf ppf "  %a@\n" pp_directive d) p.p_directives;
-  Fmt.pf ppf "%a@\nEND@\n" (pp_block 1) p.p_body
+let add_program b (p : program) =
+  add b "PROGRAM ";
+  add b p.p_name;
+  Buffer.add_char b '\n';
+  List.iter
+    (fun d ->
+      add b "  ";
+      add_decl b d;
+      Buffer.add_char b '\n')
+    p.p_decls;
+  List.iter
+    (fun d ->
+      add b "  ";
+      add_directive b d;
+      Buffer.add_char b '\n')
+    p.p_directives;
+  add_block b 1 p.p_body;
+  add b "\nEND\n"
 
-let program_to_string p = Fmt.str "%a" pp_program p
-let block_to_string b = Fmt.str "%a" (pp_block 0) b
-let stmt_to_string s = Fmt.str "%a" (pp_stmt 0) s
+let to_string size add x =
+  let b = Buffer.create size in
+  add b x;
+  Buffer.contents b
+
+let expr_to_string e = to_string 64 (fun b e -> add_expr_prec b 0 e) e
+let stmt_to_string s = to_string 256 (fun b s -> add_stmt b 0 s) s
+let block_to_string body = to_string 1024 (fun b body -> add_block b 0 body) body
+let program_to_string p = to_string 4096 add_program p
+
+let pp_expr ppf e = Fmt.string ppf (expr_to_string e)
+let pp_stmt ind ppf s = Fmt.string ppf (to_string 256 (fun b s -> add_stmt b ind s) s)
+let pp_block ind ppf body =
+  Fmt.string ppf (to_string 1024 (fun b body -> add_block b ind body) body)
+let pp_program ppf p = Fmt.string ppf (program_to_string p)

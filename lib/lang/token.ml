@@ -38,16 +38,6 @@ let keywords =
     "ENDWHERE"; "CALL"; "GOTO"; "CONTINUE"; "DECOMPOSITION"; "ALIGN"; "WITH";
     "DISTRIBUTE"; "BLOCK"; "CYCLIC" ]
 
-let keyword_table =
-  let t = Hashtbl.create 64 in
-  List.iter (fun k -> Hashtbl.replace t k ()) keywords;
-  t
-
-(** [Some w] when [s] is a reserved word in any case, [w] upper-cased. *)
-let keyword s =
-  let w = String.uppercase_ascii s in
-  if Hashtbl.mem keyword_table w then Some w else None
-
 let to_string = function
   | INT n -> string_of_int n
   | FLOAT f -> string_of_float f

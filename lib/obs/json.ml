@@ -6,7 +6,12 @@
     so this module provides just enough of one.  Printing is
     deterministic (object fields keep insertion order) and the parser
     accepts exactly the JSON this printer can produce plus ordinary
-    whitespace, which is all the validation needs. *)
+    whitespace, which is all the validation needs.
+
+    The printing pieces ([escape_string], [add_int], [float_literal],
+    [stream]) are shared with writers that stream a document straight
+    from their own data, as [Ir.write_json] does, byte-compatible with
+    printing the equivalent tree. *)
 
 type t =
   | Null
@@ -21,21 +26,46 @@ type t =
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let rec escape_from b s i =
+  if i < String.length s then begin
+    (match String.unsafe_get s i with
+    | '"' -> Buffer.add_string b "\\\""
+    | '\\' -> Buffer.add_string b "\\\\"
+    | '\n' -> Buffer.add_string b "\\n"
+    | '\r' -> Buffer.add_string b "\\r"
+    | '\t' -> Buffer.add_string b "\\t"
+    | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+    | c -> Buffer.add_char b c);
+    escape_from b s (i + 1)
+  end
+
+(** Append [s] as a JSON string literal; a string with nothing to escape
+    is copied whole. *)
 let escape_string b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  if String.exists needs_escape s then escape_from b s 0
+  else Buffer.add_string b s;
   Buffer.add_char b '"'
+
+(** Append [n] in decimal, as [string_of_int] spells it, without an
+    intermediate string. *)
+let rec add_int b n =
+  if n < 0 && n > min_int then begin
+    Buffer.add_char b '-';
+    add_int b (-n)
+  end
+  else if n < 0 then Buffer.add_string b (string_of_int n)
+  else begin
+    if n >= 10 then add_int b (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+  end
+
+(* The C formatter behind [Printf]'s [%f] and [%g]: the same text, without
+   building a format closure per number. *)
+external format_float : string -> float -> string = "caml_format_float"
 
 (* JSON has no NaN/infinity literals.  Mapping them to null (the old
    behavior) is lossy: the empty-mask reduction identities (minval =
@@ -47,9 +77,8 @@ let float_literal f =
   if Float.is_nan f then "\"nan\""
   else if f = Float.infinity then "\"inf\""
   else if f = Float.neg_infinity then "\"-inf\""
-  else if Float.is_integer f && Float.abs f < 1e16 then
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.12g" f
+  else if Float.is_integer f && Float.abs f < 1e16 then format_float "%.1f" f
+  else format_float "%.12g" f
 
 (* [spill b] runs after every list item and object field: [to_channel]
    drains the buffer there, so a large document never sits whole in
@@ -58,7 +87,7 @@ let write ~spill b j =
   let rec go = function
     | Null -> Buffer.add_string b "null"
     | Bool v -> Buffer.add_string b (if v then "true" else "false")
-    | Int n -> Buffer.add_string b (string_of_int n)
+    | Int n -> add_int b n
     | Float f -> Buffer.add_string b (float_literal f)
     | Str s -> escape_string b s
     | List items ->
@@ -89,7 +118,10 @@ let to_string j =
   write ~spill:ignore b j;
   Buffer.contents b
 
-let to_channel oc j =
+(** [stream oc write] runs [write ~spill b] on a fresh buffer [b] and
+    sends its bytes to [oc]: [write] calls [spill b] at its item
+    boundaries, which drains the buffer whenever it holds 64 KB. *)
+let stream oc write =
   let b = Buffer.create 65536 in
   let spill b =
     if Buffer.length b >= 65536 then begin
@@ -97,8 +129,10 @@ let to_channel oc j =
       Buffer.clear b
     end
   in
-  write ~spill b j;
+  write ~spill b;
   Buffer.output_buffer oc b
+
+let to_channel oc j = stream oc (fun ~spill b -> write ~spill b j)
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
@@ -131,8 +165,7 @@ let parse (s : string) : (t, string) result =
     end
     else fail (Printf.sprintf "expected %s" word)
   in
-  let parse_string () =
-    expect '"';
+  let parse_escaped () =
     let b = Buffer.create 16 in
     let rec go () =
       if !pos >= n then fail "unterminated string"
@@ -171,6 +204,22 @@ let parse (s : string) : (t, string) result =
     in
     go ();
     Buffer.contents b
+  in
+  (* Fast path: a string with no backslash before its closing quote is
+     one [String.sub]; anything else (an escape, or no closing quote)
+     takes the character loop from the start, with the same errors. *)
+  let parse_string () =
+    expect '"';
+    let stop = ref !pos in
+    while !stop < n && s.[!stop] <> '"' && s.[!stop] <> '\\' do
+      incr stop
+    done;
+    if !stop < n && s.[!stop] = '"' then begin
+      let text = String.sub s !pos (!stop - !pos) in
+      pos := !stop + 1;
+      text
+    end
+    else parse_escaped ()
   in
   let parse_number () =
     let start = !pos in

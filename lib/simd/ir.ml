@@ -201,14 +201,21 @@ let of_block = lower_block
 (* JSON dump (--dump-ir)                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The writer streams the annotated tree straight into a buffer, field
+   by field in a fixed order, with no intermediate [Json.t] tree.  Field
+   names and operator names need no escaping and are written as literal
+   text; source names and range strings go through [Json.escape_string]. *)
+
 module J = Lf_obs.Json
 
-let value_json (v : Values.value) =
+let add = Buffer.add_string
+
+let add_value b (v : Values.value) =
   match v with
-  | Values.VInt n -> J.Int n
-  | Values.VReal f -> J.Float f
-  | Values.VBool b -> J.Bool b
-  | Values.VArr _ -> J.Str "<array>"
+  | Values.VInt n -> J.add_int b n
+  | Values.VReal f -> add b (J.float_literal f)
+  | Values.VBool v -> add b (if v then "true" else "false")
+  | Values.VArr _ -> add b "\"<array>\""
 
 let unop_name = function Ast.Neg -> "neg" | Ast.Not -> "not"
 
@@ -228,153 +235,211 @@ let binop_name = function
   | Ast.And -> "and"
   | Ast.Or -> "or"
 
-let rop_json = function
-  | OConst v -> J.Obj [ ("op", J.Str "const"); ("value", value_json v) ]
+(* ["name":"value"] with a value that needs no escaping *)
+let add_tag b field value =
+  add b field;
+  Buffer.add_char b '"';
+  add b value;
+  Buffer.add_char b '"'
+
+let add_rop b = function
+  | OConst v ->
+      add b "{\"op\":\"const\",\"value\":";
+      add_value b v;
+      Buffer.add_char b '}'
   | OVar (slot, name) ->
-      J.Obj [ ("op", J.Str "var"); ("name", J.Str name); ("slot", J.Int slot) ]
+      add b "{\"op\":\"var\",\"name\":";
+      J.escape_string b name;
+      add b ",\"slot\":";
+      J.add_int b slot;
+      Buffer.add_char b '}'
   | OUn (op, a) ->
-      J.Obj [ ("op", J.Str (unop_name op)); ("arg", J.Int a) ]
-  | OBin (op, a, b) ->
-      J.Obj [ ("op", J.Str (binop_name op)); ("lhs", J.Int a); ("rhs", J.Int b) ]
+      add_tag b "{\"op\":" (unop_name op);
+      add b ",\"arg\":";
+      J.add_int b a;
+      Buffer.add_char b '}'
+  | OBin (op, x, y) ->
+      add_tag b "{\"op\":" (binop_name op);
+      add b ",\"lhs\":";
+      J.add_int b x;
+      add b ",\"rhs\":";
+      J.add_int b y;
+      Buffer.add_char b '}'
   | OIntr (key, a) ->
-      J.Obj [ ("op", J.Str "intrinsic"); ("name", J.Str key); ("arg", J.Int a) ]
+      add b "{\"op\":\"intrinsic\",\"name\":";
+      J.escape_string b key;
+      add b ",\"arg\":";
+      J.add_int b a;
+      Buffer.add_char b '}'
   | OGather (slot, name, ix) ->
-      J.Obj
-        [
-          ("op", J.Str "gather");
-          ("array", J.Str name);
-          ("slot", J.Int slot);
-          ("index", J.List (Array.to_list (Array.map (fun i -> J.Int i) ix)));
-        ]
+      add b "{\"op\":\"gather\",\"array\":";
+      J.escape_string b name;
+      add b ",\"slot\":";
+      J.add_int b slot;
+      add b ",\"index\":[";
+      Array.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_char b ',';
+          J.add_int b x)
+        ix;
+      add b "]}"
 
-let region_json rg =
-  J.List (Array.to_list (Array.map rop_json rg.rg_ops))
+let add_region b rg =
+  Buffer.add_char b '[';
+  Array.iteri
+    (fun i op ->
+      if i > 0 then Buffer.add_char b ',';
+      add_rop b op)
+    rg.rg_ops;
+  Buffer.add_char b ']'
 
-let with_annots e fields =
-  let fields =
-    match e.x_fused with
-    | None -> fields
-    | Some (FRegion rg) -> fields @ [ ("fused", region_json rg) ]
-    | Some (FReduce (key, rg)) ->
-        fields
-        @ [ ("fused_reduce", J.Str key); ("fused", region_json rg) ]
-  in
-  let fields =
-    if e.x_scr >= 0 then fields @ [ ("scratch", J.Int e.x_scr) ] else fields
-  in
-  let fields =
-    match e.x_range with
-    | None -> fields
-    | Some iv ->
-        fields @ [ ("range", J.Str (Lf_analysis.Range.iv_to_string iv)) ]
-  in
-  J.Obj fields
+(* The optimizer's annotations, after an expression's own fields. *)
+let add_annots b e =
+  (match e.x_fused with
+  | None -> ()
+  | Some (FRegion rg) ->
+      add b ",\"fused\":";
+      add_region b rg
+  | Some (FReduce (key, rg)) ->
+      add b ",\"fused_reduce\":";
+      J.escape_string b key;
+      add b ",\"fused\":";
+      add_region b rg);
+  if e.x_scr >= 0 then begin
+    add b ",\"scratch\":";
+    J.add_int b e.x_scr
+  end;
+  (match e.x_range with
+  | None -> ()
+  | Some iv ->
+      add b ",\"range\":";
+      J.escape_string b (Lf_analysis.Range.iv_to_string iv));
+  Buffer.add_char b '}'
 
-let rec expr_json e =
-  match e.x_node with
-  | XConst v -> with_annots e [ ("expr", J.Str "const"); ("value", value_json v) ]
-  | XVar (slot, name) ->
-      with_annots e
-        [
-          ("expr", J.Str "var");
-          ("name", J.Str name);
-          ( "slot",
-            match slot with Some i -> J.Int i | None -> J.Null );
-        ]
+let rec add_expr b e =
+  (match e.x_node with
+  | XConst v ->
+      add b "{\"expr\":\"const\",\"value\":";
+      add_value b v
+  | XVar (slot, name) -> (
+      add b "{\"expr\":\"var\",\"name\":";
+      J.escape_string b name;
+      add b ",\"slot\":";
+      match slot with Some i -> J.add_int b i | None -> add b "null")
   | XRange (lo, hi) ->
-      with_annots e
-        [ ("expr", J.Str "range"); ("lo", expr_json lo); ("hi", expr_json hi) ]
+      add b "{\"expr\":\"range\",\"lo\":";
+      add_expr b lo;
+      add b ",\"hi\":";
+      add_expr b hi
   | XUn (op, a) ->
-      with_annots e [ ("expr", J.Str (unop_name op)); ("arg", expr_json a) ]
-  | XBin (op, a, b) ->
-      with_annots e
-        [
-          ("expr", J.Str (binop_name op));
-          ("lhs", expr_json a);
-          ("rhs", expr_json b);
-        ]
+      add_tag b "{\"expr\":" (unop_name op);
+      add b ",\"arg\":";
+      add_expr b a
+  | XBin (op, x, y) ->
+      add_tag b "{\"expr\":" (binop_name op);
+      add b ",\"lhs\":";
+      add_expr b x;
+      add b ",\"rhs\":";
+      add_expr b y
   | XCall (name, args) ->
-      with_annots e
-        [
-          ("expr", J.Str "call");
-          ("name", J.Str name);
-          ("args", J.List (List.map expr_json args));
-        ]
+      add b "{\"expr\":\"call\",\"name\":";
+      J.escape_string b name;
+      add b ",\"args\":";
+      add_exprs b args
   | XIdx (slot, name, args) ->
-      with_annots e
-        [
-          ("expr", J.Str "index");
-          ("name", J.Str name);
-          ("slot", J.Int slot);
-          ("args", J.List (List.map expr_json args));
-        ]
+      add b "{\"expr\":\"index\",\"name\":";
+      J.escape_string b name;
+      add b ",\"slot\":";
+      J.add_int b slot;
+      add b ",\"args\":";
+      add_exprs b args);
+  add_annots b e
 
-let rec stmt_json s =
-  let base =
-    match s.s_node with
-    | LLoc (loc, inner) ->
-        [
-          ("stmt", J.Str "loc");
-          ("line", J.Int loc.Errors.line);
-          ("body", stmt_json inner);
-        ]
-    | LNop -> [ ("stmt", J.Str "nop") ]
-    | LAssign (l, e) ->
-        [
-          ("stmt", J.Str "assign");
-          ("target", J.Str l.l_name);
-          ("slot", J.Int l.l_slot);
-          ("index", J.List (List.map expr_json l.l_index));
-          ("rhs", expr_json e);
-        ]
-    | LScall (name, args) ->
-        [
-          ("stmt", J.Str "call");
-          ("name", J.Str name);
-          ("args", J.List (List.map (fun (a, _) -> expr_json a) args));
-        ]
-    | LIf (c, t, f) ->
-        [
-          ("stmt", J.Str "if");
-          ("cond", expr_json c);
-          ("then", block_json t);
-          ("else", block_json f);
-        ]
-    | LWhere (c, t, f) ->
-        [
-          ("stmt", J.Str "where");
-          ("cond", expr_json c);
-          ("then", block_json t);
-          ("else", block_json f);
-        ]
-    | LWhile (c, b) ->
-        [ ("stmt", J.Str "while"); ("cond", expr_json c); ("body", block_json b) ]
-    | LDoWhile (b, c) ->
-        [
-          ("stmt", J.Str "dowhile");
-          ("body", block_json b);
-          ("cond", expr_json c);
-        ]
-    | LDo (_, v, lo, hi, step, b) ->
-        [
-          ("stmt", J.Str "do");
-          ("var", J.Str v);
-          ("lo", expr_json lo);
-          ("hi", expr_json hi);
-          ( "step",
-            match step with Some s -> expr_json s | None -> J.Null );
-          ("body", block_json b);
-        ]
-    | LGoto -> [ ("stmt", J.Str "goto") ]
-  in
-  let base = if s.s_full then base @ [ ("full_mask", J.Bool true) ] else base in
-  let base = if s.s_accum then base @ [ ("accum", J.Bool true) ] else base in
-  let base =
-    if s.s_par then base @ [ ("par_scatter", J.Bool true) ] else base
-  in
-  J.Obj base
+and add_exprs b = function
+  | [] -> add b "[]"
+  | e :: rest ->
+      Buffer.add_char b '[';
+      add_expr b e;
+      List.iter
+        (fun e ->
+          Buffer.add_char b ',';
+          add_expr b e)
+        rest;
+      Buffer.add_char b ']'
 
-and block_json b = J.List (Array.to_list (Array.map stmt_json b))
+let rec add_stmt ~spill b s =
+  (match s.s_node with
+  | LLoc (loc, inner) ->
+      add b "{\"stmt\":\"loc\",\"line\":";
+      J.add_int b loc.Errors.line;
+      add b ",\"body\":";
+      add_stmt ~spill b inner
+  | LNop -> add b "{\"stmt\":\"nop\""
+  | LAssign (l, e) ->
+      add b "{\"stmt\":\"assign\",\"target\":";
+      J.escape_string b l.l_name;
+      add b ",\"slot\":";
+      J.add_int b l.l_slot;
+      add b ",\"index\":";
+      add_exprs b l.l_index;
+      add b ",\"rhs\":";
+      add_expr b e
+  | LScall (name, args) ->
+      add b "{\"stmt\":\"call\",\"name\":";
+      J.escape_string b name;
+      add b ",\"args\":";
+      add_exprs b (List.map fst args)
+  | LIf (c, t, f) -> add_branches ~spill b "if" c t f
+  | LWhere (c, t, f) -> add_branches ~spill b "where" c t f
+  | LWhile (c, body) ->
+      add b "{\"stmt\":\"while\",\"cond\":";
+      add_expr b c;
+      add b ",\"body\":";
+      add_block ~spill b body
+  | LDoWhile (body, c) ->
+      add b "{\"stmt\":\"dowhile\",\"body\":";
+      add_block ~spill b body;
+      add b ",\"cond\":";
+      add_expr b c
+  | LDo (_, v, lo, hi, step, body) ->
+      add b "{\"stmt\":\"do\",\"var\":";
+      J.escape_string b v;
+      add b ",\"lo\":";
+      add_expr b lo;
+      add b ",\"hi\":";
+      add_expr b hi;
+      add b ",\"step\":";
+      (match step with Some e -> add_expr b e | None -> add b "null");
+      add b ",\"body\":";
+      add_block ~spill b body
+  | LGoto -> add b "{\"stmt\":\"goto\"");
+  if s.s_full then add b ",\"full_mask\":true";
+  if s.s_accum then add b ",\"accum\":true";
+  if s.s_par then add b ",\"par_scatter\":true";
+  Buffer.add_char b '}'
 
-let to_json ~opt (b : block) =
-  J.Obj [ ("opt_level", J.Int opt); ("body", block_json b) ]
+and add_branches ~spill b kind c t f =
+  add_tag b "{\"stmt\":" kind;
+  add b ",\"cond\":";
+  add_expr b c;
+  add b ",\"then\":";
+  add_block ~spill b t;
+  add b ",\"else\":";
+  add_block ~spill b f
+
+and add_block ~spill b body =
+  Buffer.add_char b '[';
+  Array.iteri
+    (fun i s ->
+      if i > 0 then Buffer.add_char b ',';
+      add_stmt ~spill b s;
+      spill b)
+    body;
+  Buffer.add_char b ']'
+
+let write_json ?(spill = ignore) ~opt b (body : block) =
+  add b "{\"opt_level\":";
+  J.add_int b opt;
+  add b ",\"body\":";
+  add_block ~spill b body;
+  Buffer.add_char b '}'

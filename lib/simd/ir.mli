@@ -12,7 +12,10 @@
     it {e annotates} it: [x_fused] (fused region / fused reduction),
     [x_scr] (scratch-pool group for the site's result buffers),
     [s_full] (context mask provably full) and [s_accum]
-    (scatter-accumulate assignment). *)
+    (scatter-accumulate assignment).
+
+    [write_json] renders the annotated tree for [--dump-ir], streaming
+    it into a buffer with no intermediate [Json.t] tree. *)
 
 open Lf_lang
 
@@ -107,6 +110,10 @@ val exact_lanes : Ast.expr -> bool
     @raise Invalid_argument on a name absent from the frame. *)
 val of_block : Frame.t -> Ast.block -> block
 
-(** The [--dump-ir] rendering: the annotated tree as JSON, tagged with
-    the optimizer level that produced the annotations. *)
-val to_json : opt:int -> block -> Lf_obs.Json.t
+(** The [--dump-ir] rendering: append the annotated tree to the buffer
+    as JSON, tagged with the optimizer level that produced the
+    annotations.  [spill] (default [ignore]) runs after every statement
+    of every block; [Json.stream] passes one that drains the buffer to a
+    channel. *)
+val write_json :
+  ?spill:(Buffer.t -> unit) -> opt:int -> Buffer.t -> block -> unit

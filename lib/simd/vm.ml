@@ -884,20 +884,25 @@ let lower_standalone ~p ~setup (prog : program) =
   let frame = Frame.create ~p (frame_names vm (Compile.var_names prog)) in
   (frame, Ir.of_block frame prog.p_body)
 
-let dump_ir ?(opt = 1) ~p ?(setup = fun _ -> ()) (prog : program) :
-    Lf_obs.Json.t =
+let dump_ir ?(opt = 1) ~p ?(setup = fun _ -> ()) (prog : program) =
   let frame, ir = lower_standalone ~p ~setup prog in
-  Ir.to_json ~opt (Opt.run ~level:opt ~frame ir)
+  let ir = Opt.run ~level:opt ~frame ir in
+  fun oc -> Lf_obs.Json.stream oc (fun ~spill b -> Ir.write_json ~spill ~opt b ir)
 
 let dump_ir_phases ?(opt = 1) ~p ?(setup = fun _ -> ()) (prog : program) :
-    (string * Lf_obs.Json.t) list =
+    (string * string) list =
   let frame, ir = lower_standalone ~p ~setup prog in
   let acc = ref [] in
-  (* the pipeline annotates one mutable tree in place; converting to
-     JSON inside the callback snapshots each phase's state *)
+  (* the pipeline annotates one mutable tree in place; writing the JSON
+     inside the callback snapshots each phase's state *)
+  let snapshot b =
+    let buf = Buffer.create 4096 in
+    Ir.write_json ~opt buf b;
+    Buffer.contents buf
+  in
   ignore
     (Opt.run ~level:opt ~frame
-       ~dump:(fun name b -> acc := (name, Ir.to_json ~opt b) :: !acc)
+       ~dump:(fun name b -> acc := (name, snapshot b) :: !acc)
        ir);
   List.rev !acc
 

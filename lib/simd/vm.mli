@@ -130,16 +130,20 @@ val run_src :
 
 (** The compiled engine's annotated IR for [prog] as JSON (the
     [--dump-ir] payload), without executing anything: lower against the
-    same frame name table [run] would use, run the [Opt] pipeline at
-    [opt] (default 1), render with [Ir.to_json]. *)
+    same frame name table [run] would use and run the [Opt] pipeline at
+    [opt] (default 1), then return the writer that streams the tree to a
+    channel with [Ir.write_json].  Lowering and [Opt] run before the
+    writer is returned, so their errors come before any output. *)
 val dump_ir :
-  ?opt:int -> p:int -> ?setup:(t -> unit) -> Ast.program -> Lf_obs.Json.t
+  ?opt:int -> p:int -> ?setup:(t -> unit) -> Ast.program -> out_channel ->
+  unit
 
-(** Per-phase variant (the [--dump-ir-phase] payload): the annotated IR
-    after each named [Opt] phase, in execution order ("lower" first). *)
+(** Per-phase variant (the [--dump-ir-phase] payload): the JSON text of
+    the annotated IR after each named [Opt] phase, in execution order
+    ("lower" first). *)
 val dump_ir_phases :
   ?opt:int -> p:int -> ?setup:(t -> unit) -> Ast.program ->
-  (string * Lf_obs.Json.t) list
+  (string * string) list
 
 (** Standalone verification without executing: lower against the same
     frame name table [run] would use and run the [Opt] pipeline at [opt]

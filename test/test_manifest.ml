@@ -128,6 +128,82 @@ let t_non_finite () =
         (Json.to_string (Manifest.to_json m))
         (Json.to_string (Manifest.to_json m'))
 
+(* The shared writer pieces against the forms they replaced: a
+   per-character [String.iter] escape, [string_of_int], and [Printf]. *)
+let old_escape s =
+  let b = Buffer.create 16 in
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+let old_float_literal f =
+  if Float.is_nan f then "\"nan\""
+  else if f = Float.infinity then "\"inf\""
+  else if f = Float.neg_infinity then "\"-inf\""
+  else if Float.is_integer f && Float.abs f < 1e16 then Printf.sprintf "%.1f" f
+  else Printf.sprintf "%.12g" f
+
+let via add x =
+  let b = Buffer.create 16 in
+  add b x;
+  Buffer.contents b
+
+let t_writer_pieces () =
+  List.iter
+    (fun n -> checks (string_of_int n) (string_of_int n) (via Json.add_int n))
+    [ 0; 7; 10; 99; -1; -10; 1234567; max_int; min_int; min_int + 1 ];
+  List.iter
+    (fun s -> checks (Fmt.str "%S" s) (old_escape s) (via Json.escape_string s))
+    [ ""; "abc"; "a\"b"; "back\\slash"; "tab\tnl\ncr\r"; "\000\031\127\200" ]
+
+let prop_escape =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000 ~name:"escape_string equals the old escape"
+       QCheck.(string_gen QCheck.Gen.char)
+       (fun s -> String.equal (old_escape s) (via Json.escape_string s)))
+
+let prop_float_literal =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:2000 ~name:"float_literal equals the Printf form"
+       QCheck.float
+       (fun f -> String.equal (old_float_literal f) (Json.float_literal f)))
+
+(* The parser's fast path for escape-free strings keeps every result and
+   every error message and offset of the character loop. *)
+let t_parse_strings () =
+  let parsed s =
+    match Json.parse s with
+    | Ok j -> "ok " ^ Json.to_string j
+    | Error e -> e
+  in
+  List.iter
+    (fun (input, want) -> checks (Fmt.str "%S" input) want (parsed input))
+    [
+      ({|"abc|}, "unterminated string at offset 4");
+      ({|"ab\|}, "unterminated escape at offset 4");
+      ({|"a\"b"|}, {|ok "a\"b"|});
+      ({|"a\qb"|}, "bad escape \\'q' at offset 3");
+      ({|{"k":"v","w":"x\ny"}|}, {|ok {"k":"v","w":"x\ny"}|});
+      ({|"\u00|}, "truncated \\u escape at offset 2");
+      ({|["a","b\\c",  "d"]|}, {|ok ["a","b\\c","d"]|});
+      ({|"x" y|}, "trailing input at offset 4");
+      ({|"|}, "unterminated string at offset 1");
+      ({|""|}, {|ok ""|});
+      ({|"inf"|}, {|ok "inf"|});
+    ]
+
 let suite =
   [
     case "JSON round trip" t_round_trip;
@@ -135,4 +211,8 @@ let suite =
     case "program identity: md5 + byte count" t_md5;
     case "disk write/read round trip" t_write_read;
     case "malformed input rejected" t_rejects;
+    case "JSON writer pieces equal the old forms" t_writer_pieces;
+    prop_escape;
+    prop_float_literal;
+    case "JSON strings: fast path keeps results and errors" t_parse_strings;
   ]

@@ -539,6 +539,46 @@ let t_scratch_oracle_nbforce () =
     (plan_matches_oracle ~p:128 prog)
 
 (* ------------------------------------------------------------------ *)
+(* Differential oracle: the [Json.t] tree the IR writer replaced        *)
+(* ------------------------------------------------------------------ *)
+
+let ir_json ~opt b =
+  let buf = Buffer.create 4096 in
+  Ir.write_json ~opt buf b;
+  Buffer.contents buf
+
+(* After every [Opt] phase at -O0/1/2, the streamed bytes equal the old
+   tree's printed bytes. *)
+let ir_json_matches_oracle ~p (prog : Ast.program) =
+  List.for_all
+    (fun opt ->
+      let frame = Lf_simd.Frame.create ~p (Lf_simd.Compile.var_names prog) in
+      let bad = ref [] in
+      let compare_phase name b =
+        let want = Lf_obs.Json.to_string (Oracle_ir_json.to_json ~opt b) in
+        if not (String.equal (ir_json ~opt b) want) then bad := name :: !bad
+      in
+      ignore
+        (Opt.run ~level:opt ~frame ~dump:compare_phase
+           (Ir.of_block frame prog.Ast.p_body));
+      !bad = []
+      || QCheck.Test.fail_reportf "-O%d phases %s differ" opt
+           (String.concat ", " !bad))
+    [ 0; 1; 2 ]
+
+let prop_ir_json_oracle =
+  qcheck_case ~count:300 "oracle: streamed IR JSON equals the old tree's"
+    Gen.simd_prog_gen (ir_json_matches_oracle ~p:5)
+
+let t_ir_json_oracle_nbforce () =
+  let prog =
+    simd_flatten ~assume_inner_nonempty:true ~p:128
+      (Lf_kernels.Nbforce_src.program ())
+  in
+  checkb "NBFORCE IR JSON equals the old tree's"
+    (ir_json_matches_oracle ~p:128 prog)
+
+(* ------------------------------------------------------------------ *)
 (* Compile-time cost gates                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -577,6 +617,15 @@ let rec outer_loop = function
   | Ast.SLoc (_, s) -> outer_loop s
   | s -> s
 
+(* The 2-deep nest as text, and SIMDized at p = 8 as flattenc would. *)
+let guarded_src n = Pretty.program_to_string (guarded_nest n)
+let guarded_simd n = simd_flatten ~p:8 (parse_program (guarded_src n))
+
+let guarded_ir n =
+  let prog = guarded_simd n in
+  let frame = Lf_simd.Frame.create ~p:8 (Lf_simd.Compile.var_names prog) in
+  Opt.run ~level:1 ~frame (Ir.of_block frame prog.Ast.p_body)
+
 let check_loop_words n =
   let prog = guarded_nest n in
   let loop =
@@ -599,6 +648,30 @@ let opt_words n =
 let check_loop_budget = 48_730.
 let opt_budget = 57_191.
 
+(* The text layers at N = 60, with the same exact readings: parsing the
+   printed source (9,628 bytes), writing the -O1 IR of its SIMDized form
+   as JSON, and printing that SIMDized program (11,168 bytes).  With the
+   list-building lexer, the [Json.t] tree and the Format printer they
+   read 144,893 (286,853 at N = 120), 147,721 and 190,721 words. *)
+let parse_budget = 40_657.
+let ir_json_budget = 13_362.
+let print_budget = 2_241.
+
+let parse_words n =
+  let src = guarded_src n in
+  minor_words (fun () -> Parser.program_of_string src)
+
+let ir_json_words n =
+  let ir = guarded_ir n in
+  minor_words (fun () ->
+      let b = Buffer.create 65536 in
+      Ir.write_json ~opt:1 b ir;
+      b)
+
+let print_words n =
+  let prog = guarded_simd n in
+  minor_words (fun () -> Pretty.program_to_string prog)
+
 let t_compile_cost_gate () =
   let w60 = check_loop_words 60 in
   checkb
@@ -615,7 +688,38 @@ let t_compile_cost_gate () =
   checkb
     (Fmt.str "check_loop words grow linearly: N=120 %.0f <= 2.2 x N=60 %.0f"
        w120 w60)
-    (w120 <= 2.2 *. w60)
+    (w120 <= 2.2 *. w60);
+  let budget what words budget =
+    checkb
+      (Fmt.str "%s minor words %.0f within the budget %.0f" what words budget)
+      (words <= budget)
+  in
+  let p60 = parse_words 60 in
+  budget "Parser.program_of_string" p60 parse_budget;
+  budget "Ir.write_json -O1" (ir_json_words 60) ir_json_budget;
+  budget "Pretty.program_to_string" (print_words 60) print_budget;
+  let p120 = parse_words 120 in
+  checkb
+    (Fmt.str "parse words grow linearly: N=120 %.0f <= 2.2 x N=60 %.0f" p120
+       p60)
+    (p120 <= 2.2 *. p60)
+
+(* The streamed --dump-ir file of the guarded nest (larger than the 64 KB
+   drain threshold) equals the old tree's bytes. *)
+let t_dump_ir_file () =
+  let prog = guarded_simd 60 in
+  let want =
+    Lf_obs.Json.to_string (Oracle_ir_json.to_json ~opt:1 (guarded_ir 60))
+  in
+  checkb "the dump spans more than one 64 KB chunk"
+    (String.length want > 65536);
+  let path = Filename.temp_file "lf_ir" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (Vm.dump_ir ~opt:1 ~p:8 prog);
+      checks "Vm.dump_ir bytes" want
+        (In_channel.with_open_bin path In_channel.input_all))
 
 let suite =
   [
@@ -637,6 +741,9 @@ let suite =
     case "allocation and fused-run gate: warm NBFORCE p=1024" t_alloc_gate;
     case "allocation gate: tree-walk NBFORCE p=1024" t_treewalk_alloc_gate;
     case "dispatch gate: parallel NBFORCE p=1024, 2 jobs" t_dispatch_gate;
+    prop_ir_json_oracle;
+    case "oracle: NBFORCE IR JSON" t_ir_json_oracle_nbforce;
+    case "oracle: --dump-ir file of a large nest" t_dump_ir_file;
     case "compile cost gate: check_loop and -O1 on a guarded nest"
       t_compile_cost_gate;
   ]

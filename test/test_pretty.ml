@@ -133,6 +133,160 @@ let t_real_literals () =
       checkb "flattened program re-parses to itself"
         (Ast.equal_program o.Lf_core.Pipeline.program (parse_program txt))
 
+(* ------------------------------------------------------------------ *)
+(* Differential oracle: the Format printer [Pretty] replaced            *)
+(* ------------------------------------------------------------------ *)
+
+(* Every constructor the printer has a case for, at every precedence
+   (the round-trip generator [Gen.block] stays inside what re-parses). *)
+let wide_expr =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        map (fun i -> EInt i) (-20 -- 20);
+        map (fun f -> EReal f) float;
+        map (fun v -> EVar v) Gen.ident;
+        map (fun b -> EBool b) bool;
+      ]
+  in
+  let binops =
+    [ Add; Sub; Mul; Div; Mod; Pow; Eq; Ne; Lt; Le; Gt; Ge; And; Or ]
+  in
+  fix
+    (fun self n ->
+      if n <= 0 then leaf
+      else
+        let sub = self (n / 2) in
+        frequency
+          [
+            (1, leaf);
+            (4, map3 (fun op a b -> EBin (op, a, b)) (oneofl binops) sub sub);
+            (1, map2 (fun op a -> EUn (op, a)) (oneofl [ Neg; Not ]) sub);
+            (1, map2 (fun a b -> ERange (a, b)) sub sub);
+            (1, map2 (fun a b -> ECall ("vector", [ ERange (a, b) ])) sub sub);
+            (1, map (fun l -> ECall ("vector", l)) (list_size (0 -- 3) sub));
+            ( 1,
+              map2 (fun f l -> ECall (f, l)) (oneofl [ "max"; "sum"; "f" ])
+                (list_size (0 -- 3) sub) );
+            (1, map2 (fun v l -> EIdx (v, l)) Gen.ident (list_size (1 -- 3) sub));
+          ])
+    4
+
+let wide_block =
+  let open QCheck.Gen in
+  let label = map string_of_int (1 -- 99) in
+  let lv = map2 (fun v l -> { lv_name = v; lv_index = l }) Gen.ident
+      (list_size (0 -- 2) wide_expr) in
+  fix
+    (fun self n ->
+      let blk = if n <= 0 then return [] else self (n / 2) in
+      let ctl = map3 (fun v lo (hi, step) -> do_control ?step v lo hi)
+          Gen.ident wide_expr (pair wide_expr (opt wide_expr)) in
+      let stmt =
+        frequency
+          [
+            (4, map2 (fun l e -> SAssign (l, e)) lv wide_expr);
+            (2, map3 (fun c t f -> SIf (c, t, f)) wide_expr blk blk);
+            (1, map3 (fun c t f -> SWhere (c, t, f)) wide_expr blk blk);
+            (1, map2 (fun c b -> SDo (c, b)) ctl blk);
+            (1, map2 (fun c b -> SForall (c, b)) ctl blk);
+            (1, map2 (fun c b -> SWhile (c, b)) wide_expr blk);
+            (1, map2 (fun c b -> SDoWhile (b, c)) wide_expr blk);
+            ( 1,
+              map2 (fun f a -> SCall (f, a)) (oneofl [ "f"; "g "; " h" ])
+                (list_size (0 -- 2) wide_expr) );
+            (2, map (fun l -> SLabel l) label);
+            (1, map (fun l -> SGoto l) label);
+            (1, map2 (fun c l -> SCondGoto (c, l)) wide_expr label);
+            (1, map (fun c -> SComment c) (oneofl [ "note"; ""; "a  b" ]));
+          ]
+      in
+      let located =
+        map2
+          (fun s wrap -> if wrap then Ast.with_loc (Errors.pos 3 5) s else s)
+          stmt bool
+      in
+      list_size (0 -- 4) located)
+    4
+
+let wide_program =
+  let open QCheck.Gen in
+  let decl =
+    map3
+      (fun (plural, ty) name dims ->
+        match dims with
+        | [] -> { (Ast.scalar ~plural ty name) with dc_dims = [] }
+        | dims -> Ast.array ~plural ty name dims)
+      (pair bool (oneofl [ TInt; TReal; TLogical ]))
+      Gen.ident (list_size (0 -- 2) wide_expr)
+  in
+  let directive =
+    oneof
+      [
+        map2 (fun n d -> DDecomposition (n, d)) Gen.ident
+          (list_size (1 -- 2) wide_expr);
+        map2 (fun a d -> DAlign (a, d)) Gen.ident Gen.ident;
+        map2 (fun d l -> DDistribute (d, l)) Gen.ident
+          (list_size (1 -- 3) (oneofl [ DistBlock; DistCyclic; DistSerial ]));
+      ]
+  in
+  map3
+    (fun decls dirs body ->
+      { p_name = "wide"; p_decls = decls; p_directives = dirs; p_body = body })
+    (list_size (0 -- 3) decl) (list_size (0 -- 2) directive) wide_block
+
+let same what got want =
+  String.equal got want
+  || QCheck.Test.fail_reportf "%s differs:@.new:@.%s@.old:@.%s" what got want
+
+let prop_program_oracle p =
+  same "program" (Pretty.program_to_string p) (Oracle_pretty.program_to_string p)
+  && List.for_all
+       (fun s ->
+         same "statement" (Pretty.stmt_to_string s) (Oracle_pretty.stmt_to_string s)
+         && same "depth-2 statement"
+              (Fmt.str "%a" (Pretty.pp_stmt 2) s)
+              (Fmt.str "%a" (Oracle_pretty.pp_stmt 2) s))
+       p.p_body
+  && same "block" (Pretty.block_to_string p.p_body)
+       (Oracle_pretty.block_to_string p.p_body)
+
+let prop_expr_oracle e =
+  same "expression" (Pretty.expr_to_string e) (Oracle_pretty.expr_to_string e)
+
+(* The programs flattenc prints: the paper's codes and every example and
+   corpus file, flattened and SIMDized. *)
+let t_oracle_flattened () =
+  let opts =
+    {
+      Lf_core.Pipeline.default_options with
+      assume_inner_nonempty = true;
+      target =
+        Lf_core.Pipeline.Simd { decomp = Lf_core.Simdize.Cyclic; p = EInt 8 };
+    }
+  in
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  let files dir =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".f")
+    |> List.map (fun f -> parse_program (read (Filename.concat dir f)))
+  in
+  let progs =
+    Lf_kernels.Nbforce_src.program ()
+    :: parse_program Lf_report.Experiments.example_source
+    :: (files "../examples/fortran" @ files "corpus")
+  in
+  List.iter
+    (fun p ->
+      checkb "source program prints as before" (prop_program_oracle p);
+      match Lf_core.Pipeline.flatten_program ~opts p with
+      | Ok o ->
+          checkb "flattened program prints as before"
+            (prop_program_oracle o.Lf_core.Pipeline.program)
+      | Error _ -> ())
+    progs
+
 let suite =
   [
     case "expression golden output" t_expr_golden;
@@ -143,6 +297,11 @@ let suite =
     qcheck_case ~count:500 "random block round-trip" Gen.block
       prop_roundtrip_block;
     case "REAL literals: shortest round-trip form" t_real_literals;
+    qcheck_case ~count:500 "oracle: random programs print as before"
+      wide_program prop_program_oracle;
+    qcheck_case ~count:500 "oracle: random expressions print as before"
+      wide_expr prop_expr_oracle;
+    case "oracle: flattened programs print as before" t_oracle_flattened;
     qcheck_case ~count:2000 "REAL literal print/parse identity"
       nonneg_finite_float real_roundtrips;
   ]
