@@ -113,10 +113,7 @@ let cmd =
              $(docv), creating it if needed.")
   in
   let atoms =
-    Arg.(
-      value & opt int 96
-      & info [ "atoms" ] ~docv:"N"
-          ~doc:"Number of atoms for items with \"kernel\": \"nbforce\".")
+    Cli.atoms ~doc:"Number of atoms for items with \"kernel\": \"nbforce\"."
   in
   let stats =
     Arg.(

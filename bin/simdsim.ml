@@ -512,7 +512,10 @@ let cmd =
              count.")
   in
   let lanes =
-    Arg.(value & opt int 4 & info [ "lanes" ] ~doc:"SIMD lane count (P).")
+    Arg.(
+      value
+      & opt (Cli.int_at_least ~name:"p" 1) 4
+      & info [ "lanes" ] ~doc:"SIMD lane count (P), at least 1.")
   in
   let olevel =
     let olevel_conv =
@@ -607,12 +610,7 @@ let cmd =
              parameters, so the original or flattened NBFORCE kernel runs \
              as-is; forces are checked against the sequential reference.")
   in
-  let atoms =
-    Arg.(
-      value & opt int 96
-      & info [ "atoms" ] ~docv:"N"
-          ~doc:"Number of atoms for --kernel nbforce.")
-  in
+  let atoms = Cli.atoms ~doc:"Number of atoms for --kernel nbforce." in
   let trace_file =
     Arg.(
       value

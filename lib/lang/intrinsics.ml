@@ -3,27 +3,40 @@
 
 open Values
 
+(* The numeric intrinsics' lane functions, written once: the boxed
+   [numeric2] and [resolve] apply them to scalars, the lane-vector loops
+   below to whole unboxed vectors (the operator is data, the lane
+   function [@inline], so a loop allocates nothing per lane). *)
+
 (* The two-operand numeric intrinsics: [Stdlib.max] / [Stdlib.min] /
    [mod] on integers, [Float.max] / [Float.min] / [Float.rem] on reals. *)
 type num2 = Max | Min | Mod
 
 let num2_name = function Max -> "max" | Min -> "min" | Mod -> "mod"
 
+let[@inline] int_num2 op x y =
+  match op with
+  | Max -> if x >= y then x else y
+  | Min -> if x <= y then x else y
+  | Mod -> if y = 0 then Errors.runtime_error "MOD by zero" else x mod y
+
+let[@inline] real_num2 op (x : float) y =
+  match op with
+  | Max -> Float.max x y
+  | Min -> Float.min x y
+  | Mod -> Float.rem x y
+
+(* The one-operand real intrinsics (ABS also has an integer form). *)
+type num1 = Sqrt | Exp | Abs
+
+let[@inline] real_num1 op x =
+  match op with Sqrt -> Float.sqrt x | Exp -> Float.exp x | Abs -> Float.abs x
+
 let numeric2 op a b =
   match (a, b) with
-  | VInt x, VInt y ->
-      VInt
-        (match op with
-        | Max -> if x >= y then x else y
-        | Min -> if x <= y then x else y
-        | Mod -> if y = 0 then Errors.runtime_error "MOD by zero" else x mod y)
+  | VInt x, VInt y -> VInt (int_num2 op x y)
   | (VInt _ | VReal _), (VInt _ | VReal _) ->
-      let x = as_float a and y = as_float b in
-      VReal
-        (match op with
-        | Max -> Float.max x y
-        | Min -> Float.min x y
-        | Mod -> Float.rem x y)
+      VReal (real_num2 op (as_float a) (as_float b))
   | _ ->
       Errors.runtime_error "%s: expected numeric scalars, got %s and %s"
         (num2_name op) (type_name a) (type_name b)
@@ -95,8 +108,8 @@ let max_fn = extremum Max "maxval" max Float.max
 let min_fn = extremum Min "minval" min Float.min
 let maxval_fn = reduction "maxval" max Float.max
 let minval_fn = reduction "minval" min Float.min
-let sqrt_fn = real1 Float.sqrt
-let exp_fn = real1 Float.exp
+let sqrt_fn = real1 (real_num1 Sqrt)
+let exp_fn = real1 (real_num1 Exp)
 let real_fn = real1 Fun.id
 let int_fn = int1 Float.trunc
 let nint_fn = int1 Float.round
@@ -113,7 +126,7 @@ let resolve name : value list -> value option =
   | "abs" -> (
       function
       | [ VInt n ] -> Some (VInt (abs n))
-      | [ VReal f ] -> Some (VReal (Float.abs f))
+      | [ VReal f ] -> Some (VReal (real_num1 Abs f))
       | _ -> None)
   | "mod" -> ( function [ a; b ] -> Some (numeric2 Mod a b) | _ -> None)
   | "sqrt" -> sqrt_fn
@@ -169,3 +182,59 @@ let resolve name : value list -> value option =
 
 (** Apply intrinsic [name]; [None] if [name] is not an intrinsic. *)
 let apply name (args : value list) : value option = resolve name args
+
+(* ------------------------------------------------------------------ *)
+(* Lane-vector loops                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(** The intrinsics with unboxed lane loops, by lower-case name. *)
+type lane_fn = Num1 of num1 | Num2 of num2
+
+let lane_fn = function
+  | "sqrt" -> Some (Num1 Sqrt)
+  | "exp" -> Some (Num1 Exp)
+  | "abs" -> Some (Num1 Abs)
+  | "max" -> Some (Num2 Max)
+  | "min" -> Some (Num2 Min)
+  | _ -> None
+
+(* As [Scalar_ops]' loops: the active lanes of [mask], ascending; an
+   operand is a lane vector or a broadcast one-cell array. *)
+
+let[@inline] bcast a = if Array.length a = 1 then 0 else -1
+
+let real_map1 ~(mask : bool array) op (r : float array) (x : float array) =
+  let kx = bcast x in
+  for i = 0 to Array.length mask - 1 do
+    if Array.unsafe_get mask i then
+      Array.unsafe_set r i (real_num1 op (Array.unsafe_get x (i land kx)))
+  done
+
+let int_abs ~(mask : bool array) (r : int array) (x : int array) =
+  let kx = bcast x in
+  for i = 0 to Array.length mask - 1 do
+    if Array.unsafe_get mask i then
+      Array.unsafe_set r i (abs (Array.unsafe_get x (i land kx)))
+  done
+
+let int_map2 ~(mask : bool array) op (r : int array) (x : int array)
+    (y : int array) =
+  let kx = bcast x and ky = bcast y in
+  for i = 0 to Array.length mask - 1 do
+    if Array.unsafe_get mask i then
+      Array.unsafe_set r i
+        (int_num2 op
+           (Array.unsafe_get x (i land kx))
+           (Array.unsafe_get y (i land ky)))
+  done
+
+let real_map2 ~(mask : bool array) op (r : float array) (x : float array)
+    (y : float array) =
+  let kx = bcast x and ky = bcast y in
+  for i = 0 to Array.length mask - 1 do
+    if Array.unsafe_get mask i then
+      Array.unsafe_set r i
+        (real_num2 op
+           (Array.unsafe_get x (i land kx))
+           (Array.unsafe_get y (i land ky)))
+  done

@@ -24,6 +24,11 @@ val get : 'a t -> int array -> 'a
 
 val set : 'a t -> int array -> 'a -> unit
 
+(** The flat offset [get] and [set] use for a 1-based multi-index, with
+    the same rank and bounds errors: a caller that knows the element
+    type reads [data] at it without boxing a float. *)
+val linear_index : 'a t -> int array -> int
+
 (** [index_error j dn k] raises the out-of-bounds error for index [j] in
     dimension [k] (1-based) of extent [dn]: the one message every engine
     reports for a subscript outside [1..dn]. *)

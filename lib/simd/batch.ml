@@ -48,27 +48,85 @@ let scalar_value v =
                        or false"
                       v))))
 
+(* Whether [v.[s .. e - 1]] is a plain decimal integer -- an optional
+   '-' and 1 to 18 digits, so it cannot overflow -- storing its value in
+   [ints.(k)].  It is then the value [int_of_string] reads, and
+   [float_of_string] reads its [float_of_int] (negated zero apart). *)
+let plain_int v s e (ints : int array) k =
+  let neg = s < e && String.unsafe_get v s = '-' in
+  let d = if neg then s + 1 else s in
+  e - d >= 1
+  && e - d <= 18
+  &&
+  let acc = ref 0 and i = ref d in
+  while
+    !i < e
+    &&
+    let c = String.unsafe_get v !i in
+    c >= '0' && c <= '9'
+  do
+    acc := (!acc * 10) + (Char.code (String.unsafe_get v !i) - 48);
+    incr i
+  done;
+  !i = e
+  && begin
+       ints.(k) <- (if neg then - !acc else !acc);
+       true
+     end
+
+(* One pass over the comma positions; plain decimal integers are read in
+   place, every other token goes through [int_of_string_opt] /
+   [float_of_string_opt] as a substring, so the result (and the first
+   bad token named) is the split-then-convert reading's. *)
 let fill_array v =
-  let items = String.split_on_char ',' v in
-  let ints = List.filter_map int_of_string_opt items in
-  if List.length ints = List.length items then
-    Values.AInt (Nd.of_array (Array.of_list ints))
-  else
-    Values.AReal
-      (Nd.of_array
-         (Array.of_list
-            (List.map
-               (fun tok ->
-                 match float_of_string_opt tok with
-                 | Some f -> f
-                 | None ->
-                     raise
-                       (Bad_value
-                          (Printf.sprintf
-                             "invalid array element %S: expected int or \
-                              real"
-                             tok)))
-               items)))
+  let n = String.length v in
+  let count =
+    1 + String.fold_left (fun k c -> if c = ',' then k + 1 else k) 0 v
+  in
+  (* token [k] is [v.[start.(k) .. start.(k + 1) - 2]] *)
+  let start = Array.make (count + 1) (n + 1) in
+  start.(0) <- 0;
+  let k = ref 1 in
+  String.iteri
+    (fun i c ->
+      if c = ',' then begin
+        start.(!k) <- i + 1;
+        incr k
+      end)
+    v;
+  let tok k = String.sub v start.(k) (start.(k + 1) - 1 - start.(k)) in
+  let ints = Array.make count 0 in
+  let rec all_ints k =
+    k >= count
+    || (plain_int v start.(k) (start.(k + 1) - 1) ints k
+       ||
+       match int_of_string_opt (tok k) with
+       | Some x ->
+           ints.(k) <- x;
+           true
+       | None -> false)
+       && all_ints (k + 1)
+  in
+  if all_ints 0 then Values.AInt (Nd.of_array ints)
+  else begin
+    let reals = Array.make count 0.0 in
+    for k = 0 to count - 1 do
+      let s = start.(k) in
+      reals.(k) <-
+        (if plain_int v s (start.(k + 1) - 1) ints k then
+           if ints.(k) = 0 && v.[s] = '-' then -0.0 else float_of_int ints.(k)
+         else
+           match float_of_string_opt (tok k) with
+           | Some f -> f
+           | None ->
+               raise
+                 (Bad_value
+                    (Printf.sprintf
+                       "invalid array element %S: expected int or real"
+                       (tok k))))
+    done;
+    Values.AReal (Nd.of_array reals)
+  end
 
 (* -- work-list parsing --------------------------------------------- *)
 

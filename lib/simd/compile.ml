@@ -20,12 +20,12 @@
     - user functions are looked up before intrinsics, reductions before
       both.
 
-    One observable relaxation: the tree-walker leaves [VInt 0] in the
-    inactive lanes of every {e computed} temporary, while the unboxed fast
-    paths here may compute all lanes.  The difference is laundered away at
-    every point where a temporary's inactive lanes can escape (fresh
-    binds, external-procedure arguments), where the tree-walker's [VInt 0]
-    is reinstated.
+    One relaxation, shared with the tree-walker: the inactive lanes of a
+    {e computed} temporary are unspecified (the unboxed fast paths here
+    may compute all lanes, the tree-walker leaves an inert zero).  Every
+    point where they can escape — fresh binds, external-procedure
+    arguments, a reduction's witness — reads them as the inert
+    [VInt 0].
 
     The engine is parameterized over a [host] record of callbacks
     (metrics, fuel, procedure/function lookup, frame<->VM
@@ -134,11 +134,18 @@ let rv_to_pval ~exact (m : Frame.Mask.t) v =
   match v with
   | RS s -> Pval.FScalar s
   | RA a -> Pval.FArr a
+  | RI a when exact || Frame.Mask.active m = Array.length a ->
+      Pval.Plural (Frame.LInt (Array.copy a))
+  | RR a when exact || Frame.Mask.active m = Array.length a ->
+      Pval.Plural (Frame.LReal (Array.copy a))
+  | RB a when exact || Frame.Mask.active m = Array.length a ->
+      Pval.Plural (Frame.LBool (Array.copy a))
   | _ ->
       let p = Frame.Mask.length m in
       Pval.Plural
-        (Array.init p (fun i ->
-             if exact || Frame.Mask.get m i then rv_lane v i else VInt 0))
+        (Frame.lanes_of_values
+           (Array.init p (fun i ->
+                if exact || Frame.Mask.get m i then rv_lane v i else VInt 0)))
 
 (* ------------------------------------------------------------------ *)
 (* Generic (boxed) fallbacks — the exact [Pval.lift1]/[lift2] semantics *)
@@ -200,10 +207,12 @@ let kind = function
   | And | Or -> Logic
   | Pow -> Boxed
 
-(* The lane semantics of every operator, written once ([Scalar_ops] on
-   unboxed lanes).  The kernels take the operator as data; [@inline]
-   compiles each call site to a jump on it per lane — no closure call
-   and no float boxing in the loop. *)
+(* The lane semantics of every operator, restating [Scalar_ops]' lane
+   functions over this engine's kernels (the tree-walker runs
+   [Scalar_ops]' own, so each engine checks the other).  The kernels
+   take the operator as data; [@inline] compiles each call site to a
+   jump on it per lane — no closure call and no float boxing in the
+   loop. *)
 
 let[@inline] int_lane op x y =
   match op with

@@ -1,14 +1,14 @@
-(** Execution frame of the compiled SIMD engine.
+(** Execution frame of the compiled SIMD engine, and the lane vectors
+    both SIMD engines store plural scalars in.
 
     The tree-walking VM resolves every variable access through a
-    [(string, entry) Hashtbl.t] and represents plural scalars as boxed
-    [Values.value array]s.  The compiled engine instead resolves each
-    name {e once}, at compile time, to a dense integer slot in a frame,
-    and stores plural int/real/logical scalars unboxed as [int array] /
-    [float array] / [bool array] lane vectors.  A boxed [LBox] fallback
-    keeps the data model exactly as permissive as the tree-walker's: a
-    plural scalar whose lanes hold mixed types (e.g. a REAL written under
-    a partial mask over an INTEGER-initialized variable) degrades to the
+    [(string, entry) Hashtbl.t].  The compiled engine instead resolves
+    each name {e once}, at compile time, to a dense integer slot in a
+    frame.  Both store plural int/real/logical scalars unboxed as
+    [int array] / [float array] / [bool array] lane vectors ([lanes]).
+    A boxed [LBox] fallback keeps the data model permissive: a plural
+    scalar whose lanes hold mixed types (e.g. a REAL written under a
+    partial mask over an INTEGER-initialized variable) degrades to the
     boxed representation and re-specializes when it becomes uniform
     again.
 
@@ -19,8 +19,8 @@
 open Lf_lang
 
 (** Unboxed plural-scalar storage; the boxed view of lane [i] of [LInt a]
-    is [VInt a.(i)], etc. — conversions are value-preserving, so frame
-    state is always bit-identical to the tree-walker's [value array]s. *)
+    is [VInt a.(i)], etc. — conversions are value-preserving, so two
+    lane vectors with equal boxed views are interchangeable. *)
 type lanes =
   | LInt of int array
   | LReal of float array
@@ -151,6 +151,28 @@ let values_of_lanes (l : lanes) : Values.value array =
   | LReal a -> Array.map (fun x -> Values.VReal x) a
   | LBool a -> Array.map (fun x -> Values.VBool x) a
   | LBox a -> Array.copy a
+
+(** A private copy. *)
+let copy_lanes (l : lanes) : lanes =
+  match l with
+  | LInt a -> LInt (Array.copy a)
+  | LReal a -> LReal (Array.copy a)
+  | LBool a -> LBool (Array.copy a)
+  | LBox a -> LBox (Array.copy a)
+
+(** [p] lanes holding [v]: unboxed for a scalar. *)
+let make_lanes p (v : Values.value) : lanes =
+  match v with
+  | Values.VInt n -> LInt (Array.make p n)
+  | Values.VReal x -> LReal (Array.make p x)
+  | Values.VBool b -> LBool (Array.make p b)
+  | Values.VArr _ -> LBox (Array.make p v)
+
+let lanes_length = function
+  | LInt a -> Array.length a
+  | LReal a -> Array.length a
+  | LBool a -> Array.length a
+  | LBox a -> Array.length a
 
 (** Boxed view of one lane (allocates for int/real). *)
 let lane_value (l : lanes) i : Values.value =

@@ -3,10 +3,11 @@
     [float array] / [bool array]) with a boxed fallback for mixed-type
     lanes, and reusable activity masks with a cached active count.
 
-    Conversions between the unboxed lane vectors and the tree-walker's
-    boxed [Values.value array]s are value-preserving in both directions,
-    which is what makes the two engines bit-identical on variable
-    state. *)
+    The lane vectors ([lanes]) are the plural-scalar storage of both
+    SIMD engines: the tree-walker's [Vm] variables and [Pval] plurals
+    hold them too, so moving state between a frame and the VM copies
+    lane vectors.  Conversions to and from boxed [Values.value array]s
+    are value-preserving in both directions. *)
 
 open Lf_lang
 
@@ -68,6 +69,14 @@ val lanes_of_values : Values.value array -> lanes
 
 (** Boxed view of a lane vector (fresh array). *)
 val values_of_lanes : lanes -> Values.value array
+
+(** A private copy. *)
+val copy_lanes : lanes -> lanes
+
+(** [make_lanes p v]: [p] lanes holding [v], unboxed for a scalar. *)
+val make_lanes : int -> Values.value -> lanes
+
+val lanes_length : lanes -> int
 
 (** Boxed view of one lane. *)
 val lane_value : lanes -> int -> Values.value

@@ -10,7 +10,9 @@
     step count exactly as Equations 2 and 1′ predict.
 
     Data model:
-    - plural scalars: one value per lane ([Pval.Plural]);
+    - plural scalars: one typed lane vector per variable ([Frame.lanes]:
+      unboxed int/real/logical lanes, boxed when their types are mixed),
+      so each vector instruction is one monomorphic lane loop;
     - plural arrays (declared [PLURAL t a(d)]): per-lane storage, realized
       as a global array with a leading lane dimension;
     - front-end scalars and global (distributed) arrays: shared storage;
@@ -25,7 +27,7 @@ open Values
 
 type entry =
   | VScalar of value ref
-  | VPlural of value array
+  | VPlural of Frame.lanes
   | VGlobal of arr
   | VPluralArr of arr  (** leading dimension is the lane index *)
 
@@ -67,7 +69,7 @@ let create ?(fuel = default_fuel) ~p () =
   in
   (* the predefined plural processor index, matching Lf_core.Simdize.iproc *)
   Hashtbl.replace vm.vars "iproc"
-    (VPlural (Array.init p (fun i -> VInt (i + 1))));
+    (VPlural (Frame.LInt (Array.init p (fun i -> i + 1))));
   vm
 
 let register_proc vm name f =
@@ -159,7 +161,7 @@ let bind_plural vm name vs =
   if Array.length vs <> vm.p then
     Errors.runtime_error "plural %s has %d lanes, machine has %d" name
       (Array.length vs) vm.p;
-  Hashtbl.replace vm.vars name (VPlural vs)
+  Hashtbl.replace vm.vars name (VPlural (Frame.lanes_of_values vs))
 
 let bind_global vm name a = Hashtbl.replace vm.vars name (VGlobal a)
 
@@ -177,7 +179,7 @@ let find_opt vm name = Hashtbl.find_opt vm.vars name
 (** Read back a plural variable (e.g. for assertions in tests). *)
 let read_plural vm name =
   match find vm name with
-  | VPlural vs -> Array.copy vs
+  | VPlural l -> Frame.values_of_lanes l
   | _ -> Errors.runtime_error "%s is not a plural scalar" name
 
 let read_global vm name =
@@ -195,15 +197,117 @@ let is_reduction f =
     [ "any"; "all"; "maxval"; "minval"; "sum"; "count" ]
 
 (* Sharing rule: a [Pval.Plural] returned by [eval] may be a variable's
-   own lane storage (an [EVar] read does not copy it), so values returned
+   own lane vector (an [EVar] read does not copy it), so values returned
    by [eval] are read-only.  Variable storage is written only by
    [assign], which reads its right-hand side completely before the
-   lanes it writes can alias it (lane [i] reads lane [i]), and external
-   procedures get copies of their plural arguments at [CALL]. *)
+   lanes it writes can alias it (lane [i] reads lane [i]); a write that
+   changes a lane's type replaces the variable's vector instead.  Fresh
+   bindings and external procedures get private copies ([Pval.expose]).
+
+   Typed lanes: every vector instruction whose operands have unboxed
+   lanes runs one monomorphic loop from [Scalar_ops] / [Intrinsics];
+   anything else goes through the boxed view and re-specializes its
+   active lanes ([Pval.map_active]).  Inactive lanes of a computed
+   plural hold an inert zero: nothing reads them except the reduction
+   witness, fresh bindings and procedure arguments, which see them as
+   the inert [VInt 0] unless the plural is [exact]. *)
+
+(* A variable read or a range: a plural whose every lane holds real
+   contents, not a temporary computed under the mask. *)
+let is_exact = function EVar _ | ERange _ -> true | _ -> false
+
+(* The unboxed view of an operand: its lane vector, or a one-cell array
+   broadcasting a front-end scalar (the loops' operand convention). *)
+type view = VI of int array | VR of float array | VB of bool array | Other
+
+let view = function
+  | Pval.Plural (Frame.LInt a) -> VI a
+  | Pval.Plural (Frame.LReal a) -> VR a
+  | Pval.Plural (Frame.LBool a) -> VB a
+  | Pval.FScalar (VInt n) -> VI [| n |]
+  | Pval.FScalar (VReal x) -> VR [| x |]
+  | Pval.FScalar (VBool b) -> VB [| b |]
+  | _ -> Other
+
+(* a numeric view promoted to real lanes *)
+let real_of = function
+  | VR a -> a
+  | VI a -> Scalar_ops.to_real a
+  | VB _ | Other -> invalid_arg "Vm.real_of"
+
+let int_lanes mask f =
+  let r = Array.make (Array.length mask) 0 in
+  f r;
+  Pval.Plural (Frame.LInt r)
+
+let real_lanes mask f =
+  let r = Array.make (Array.length mask) 0.0 in
+  f r;
+  Pval.Plural (Frame.LReal r)
+
+let bool_lanes mask f =
+  let r = Array.make (Array.length mask) false in
+  f r;
+  Pval.Plural (Frame.LBool r)
+
+(** A binary operator, lane-wise under the mask.  Int, real and mixed
+    arithmetic and comparisons, and LOGICAL comparisons and [.AND.] /
+    [.OR.], run as unboxed loops; the rest ([**], type errors, boxed
+    lanes) per lane through [Scalar_ops.apply_binop]. *)
+let binop ~mask op va vb =
+  match (va, vb) with
+  | Pval.FScalar x, Pval.FScalar y ->
+      Pval.FScalar (Scalar_ops.apply_binop op x y)
+  | Pval.FArr _, _ | _, Pval.FArr _ ->
+      Errors.runtime_error "array operand in a lane-wise operation"
+  | _ -> (
+      let arith = Scalar_ops.is_arith op and cmp = Scalar_ops.is_cmp op in
+      match (view va, view vb) with
+      | VI x, VI y when arith ->
+          int_lanes mask (fun r -> Scalar_ops.int_map2 ~mask op r x y)
+      | VI x, VI y when cmp ->
+          bool_lanes mask (fun r -> Scalar_ops.int_cmp2 ~mask op r x y)
+      | ((VI _ | VR _) as x), ((VI _ | VR _) as y) when arith ->
+          let x = real_of x and y = real_of y in
+          real_lanes mask (fun r -> Scalar_ops.real_map2 ~mask op r x y)
+      | ((VI _ | VR _) as x), ((VI _ | VR _) as y) when cmp ->
+          let x = real_of x and y = real_of y in
+          bool_lanes mask (fun r -> Scalar_ops.real_cmp2 ~mask op r x y)
+      | VB x, VB y when cmp || op = And || op = Or ->
+          bool_lanes mask (fun r -> Scalar_ops.bool_map2 ~mask op r x y)
+      | _ -> Pval.lift2 ~mask (Scalar_ops.apply_binop op) va vb)
+
+let unop ~mask op v =
+  match (op, v) with
+  | _, Pval.FScalar x -> Pval.FScalar (Scalar_ops.apply_unop op x)
+  | Neg, Pval.Plural (Frame.LInt x) ->
+      int_lanes mask (fun r -> Scalar_ops.int_neg ~mask r x)
+  | Neg, Pval.Plural (Frame.LReal x) ->
+      real_lanes mask (fun r -> Scalar_ops.real_neg ~mask r x)
+  | Not, Pval.Plural (Frame.LBool x) ->
+      bool_lanes mask (fun r -> Scalar_ops.bool_not ~mask r x)
+  | _ -> Pval.lift1 ~mask (Scalar_ops.apply_unop op) v
+
+(** SQRT / EXP / ABS of one numeric plural, MAX / MIN of two numeric
+    operands, as unboxed loops; [None] for every other call. *)
+let lane_intrinsic ~mask key vargs =
+  match (Intrinsics.lane_fn key, List.map view vargs) with
+  | Some (Intrinsics.Num1 Intrinsics.Abs), [ VI x ] ->
+      Some (int_lanes mask (fun r -> Intrinsics.int_abs ~mask r x))
+  | Some (Intrinsics.Num1 k), [ ((VI _ | VR _) as x) ] ->
+      let x = real_of x in
+      Some (real_lanes mask (fun r -> Intrinsics.real_map1 ~mask k r x))
+  | Some (Intrinsics.Num2 k), [ VI x; VI y ] ->
+      Some (int_lanes mask (fun r -> Intrinsics.int_map2 ~mask k r x y))
+  | Some (Intrinsics.Num2 k), [ ((VI _ | VR _) as x); ((VI _ | VR _) as y) ]
+    ->
+      let x = real_of x and y = real_of y in
+      Some (real_lanes mask (fun r -> Intrinsics.real_map2 ~mask k r x y))
+  | _ -> None
 
 (* A subscript resolved once per vector instruction: a front-end scalar
    already converted to an index, or the lanes of a plural. *)
-type sub = Const of int | Lanes of value array
+type sub = Const of int | Lanes of Frame.lanes
 
 (* Index buffer for lane [i]: the leading lane index [i + 1] when [lead],
    then the subscripts in order — each lane converts its subscripts left
@@ -213,10 +317,80 @@ let fill_index idx ~lead (subs : sub array) i =
   if lead then idx.(0) <- i + 1;
   for k = 0 to Array.length subs - 1 do
     idx.(off + k) <-
-      (match subs.(k) with Const n -> n | Lanes vs -> as_int vs.(i))
+      (match subs.(k) with
+      | Const n -> n
+      | Lanes (Frame.LInt a) -> a.(i)
+      | Lanes l -> as_int (Frame.lane_value l i))
   done
 
 let is_lanes = function Lanes _ -> true | Const _ -> false
+
+(* The flat offset of each lane's element, resolved once per
+   instruction: a rank-1 access by one unboxed subscript checks its
+   bound inline, with [Nd.linear_index]'s message; any other fills the
+   index buffer and goes through [Nd.linear_index]. *)
+let offsets (d : _ Nd.t) idx ~lead subs : int -> int =
+  match subs with
+  | [| Lanes (Frame.LInt ix) |] when (not lead) && Array.length d.Nd.dims = 1
+    ->
+      let n = d.Nd.dims.(0) in
+      fun i ->
+        let j = ix.(i) in
+        if j < 1 || j > n then Nd.index_error j n 1 else j - 1
+  | _ ->
+      fun i ->
+        fill_index idx ~lead subs i;
+        Nd.linear_index d idx
+
+(** Gather one element per active lane into a lane vector of the array's
+    element type. *)
+let gather ~mask (a : arr) idx ~lead subs : Pval.t =
+  let p = Array.length mask in
+  match a with
+  | AInt d ->
+      let data = d.Nd.data and off = offsets d idx ~lead subs in
+      int_lanes mask (fun r ->
+          for i = 0 to p - 1 do
+            if mask.(i) then r.(i) <- data.(off i)
+          done)
+  | AReal d ->
+      let data = d.Nd.data and off = offsets d idx ~lead subs in
+      real_lanes mask (fun r ->
+          for i = 0 to p - 1 do
+            if mask.(i) then r.(i) <- data.(off i)
+          done)
+  | ABool d ->
+      let data = d.Nd.data and off = offsets d idx ~lead subs in
+      bool_lanes mask (fun r ->
+          for i = 0 to p - 1 do
+            if mask.(i) then r.(i) <- data.(off i)
+          done)
+
+(** Scatter [rhs] per active lane, ascending: a lane's value is read
+    before its subscripts are converted. *)
+let scatter ~mask (a : arr) idx ~lead subs rhs =
+  let p = Array.length mask in
+  match (a, view rhs) with
+  | AReal d, VR x ->
+      let data = d.Nd.data and off = offsets d idx ~lead subs in
+      let kx = if Array.length x = 1 then 0 else -1 in
+      for i = 0 to p - 1 do
+        if mask.(i) then data.(off i) <- x.(i land kx)
+      done
+  | AInt d, VI x ->
+      let data = d.Nd.data and off = offsets d idx ~lead subs in
+      let kx = if Array.length x = 1 then 0 else -1 in
+      for i = 0 to p - 1 do
+        if mask.(i) then data.(off i) <- x.(i land kx)
+      done
+  | _ ->
+      for i = 0 to p - 1 do
+        if mask.(i) then begin
+          let v = Pval.lane rhs i in
+          fill_index idx ~lead subs i;
+          arr_set a idx v
+        end
+      done
 
 let rec eval vm ~(mask : bool array) (e : expr) : Pval.t =
   match e with
@@ -229,21 +403,20 @@ let rec eval vm ~(mask : bool array) (e : expr) : Pval.t =
       (* [1:P]-style ranges of exactly P elements denote plural vectors
          (Figure 7's i = [1,5]); other ranges are front-end arrays *)
       let n = max 0 (hi - lo + 1) in
-      if n = vm.p then Pval.Plural (Array.init n (fun i -> VInt (lo + i)))
+      if n = vm.p then Pval.Plural (Frame.LInt (Array.init n (fun i -> lo + i)))
       else Pval.FArr (AInt (Nd.of_array (Array.init n (fun i -> lo + i)))))
   | EVar v -> (
       match find vm v with
       | VScalar r -> Pval.FScalar !r
-      | VPlural vs -> Pval.Plural vs (* shared, read-only: see above *)
+      | VPlural l -> Pval.Plural l (* shared, read-only: see above *)
       | VGlobal a | VPluralArr a -> Pval.FArr a)
-  | EUn (op, a) ->
-      Pval.lift1 ~mask (fun v -> Scalar_ops.apply_unop op v) (eval vm ~mask a)
+  | EUn (op, a) -> unop ~mask op (eval vm ~mask a)
   | EBin (op, a, b) ->
       (* left to right, matching the compiled engine: error order (which
          undefined variable is reported first) is observable *)
       let va = eval vm ~mask a in
       let vb = eval vm ~mask b in
-      Pval.lift2 ~mask (fun x y -> Scalar_ops.apply_binop op x y) va vb
+      binop ~mask op va vb
   | ECall (name, args) -> eval_call vm ~mask name args
   | EIdx (name, args) -> (
       match find_opt vm name with
@@ -262,18 +435,14 @@ and subscripts vm ~mask (args : expr list) : sub array =
        (fun e ->
          match eval vm ~mask e with
          | Pval.FScalar v -> Const (as_int v)
-         | Pval.Plural vs -> Lanes vs
+         | Pval.Plural l -> Lanes l
          | Pval.FArr _ -> Errors.runtime_error "array-valued subscript")
        args)
 
 and index_global vm ~mask (a : arr) (args : expr list) : Pval.t =
   let subs = subscripts vm ~mask args in
   let idx = Array.make (Array.length subs) 0 in
-  if Array.exists is_lanes subs then
-    (* gather: one element per active lane *)
-    Pval.map_active ~mask (fun i ->
-        fill_index idx ~lead:false subs i;
-        arr_get a idx)
+  if Array.exists is_lanes subs then gather ~mask a idx ~lead:false subs
   else begin
     fill_index idx ~lead:false subs 0;
     Pval.FScalar (arr_get a idx)
@@ -282,9 +451,7 @@ and index_global vm ~mask (a : arr) (args : expr list) : Pval.t =
 and index_plural_arr vm ~mask (a : arr) (args : expr list) : Pval.t =
   let subs = subscripts vm ~mask args in
   let idx = Array.make (Array.length subs + 1) 0 in
-  Pval.map_active ~mask (fun i ->
-      fill_index idx ~lead:true subs i;
-      arr_get a idx)
+  gather ~mask a idx ~lead:true subs
 
 and eval_call vm ~mask name args : Pval.t =
   let key = String.lowercase_ascii name in
@@ -292,59 +459,13 @@ and eval_call vm ~mask name args : Pval.t =
     Metrics.reduction vm.metrics;
     stats_reduction ();
     trace_reduction vm ~mask;
-    let v =
+    let a =
       match args with
-      | [ a ] -> eval vm ~mask a
+      | [ a ] -> a
       | _ -> Errors.runtime_error "%s expects one argument" name
     in
-    match v with
-    | Pval.FArr a -> (
-        match Intrinsics.apply key [ VArr a ] with
-        | Some r -> Pval.FScalar r
-        | None -> Errors.runtime_error "bad reduction %s" name)
-    | v ->
-        let r =
-          match key with
-          | "any" ->
-              Pval.reduce ~mask ~empty:(VBool false)
-                (fun a b -> VBool (as_bool a || as_bool b))
-                v
-          | "all" ->
-              Pval.reduce ~mask ~empty:(VBool true)
-                (fun a b -> VBool (as_bool a && as_bool b))
-                v
-          | "count" -> (
-              match v with
-              | Pval.Plural vs ->
-                  let n = ref 0 in
-                  Array.iteri
-                    (fun i active ->
-                      if active && as_bool vs.(i) then incr n)
-                    mask;
-                  VInt !n
-              | Pval.FScalar s ->
-                  VInt (if as_bool s then active_count mask else 0)
-              | _ -> Errors.runtime_error "count: bad operand")
-          | "maxval" ->
-              Pval.reduce ~mask
-                ~empty:(Pval.reduction_identity "maxval" (Pval.witness v))
-                (fun a b ->
-                  if as_bool (Scalar_ops.apply_binop Gt a b) then a else b)
-                v
-          | "minval" ->
-              Pval.reduce ~mask
-                ~empty:(Pval.reduction_identity "minval" (Pval.witness v))
-                (fun a b ->
-                  if as_bool (Scalar_ops.apply_binop Lt a b) then a else b)
-                v
-          | "sum" ->
-              Pval.reduce ~mask
-                ~empty:(Pval.reduction_identity "sum" (Pval.witness v))
-                (fun a b -> Scalar_ops.apply_binop Add a b)
-                v
-          | _ -> Errors.runtime_error "unknown reduction %s" name
-        in
-        Pval.FScalar r
+    let v = eval vm ~mask a in
+    Pval.FScalar (Pval.reduction ~mask ~exact:(is_exact a) ~name key v)
   end
   else
     let func = Hashtbl.find_opt vm.funcs key in
@@ -362,8 +483,13 @@ and eval_call vm ~mask name args : Pval.t =
       | None -> Errors.runtime_error "unknown function %s" name
     in
     if List.exists Pval.is_plural vargs then
-      (* lane-wise call (max, abs, mod, a registered function, ...) *)
-      Pval.map_active ~mask (fun i -> apply (lane_args vargs i))
+      (* lane-wise call: an intrinsic with a lane loop unless a
+         registered function overrides it, else one call per lane *)
+      match
+        if Option.is_none func then lane_intrinsic ~mask key vargs else None
+      with
+      | Some r -> r
+      | None -> Pval.map_active ~mask (fun i -> apply (lane_args vargs i))
     else
       let front = function
         | Pval.FScalar v -> v
@@ -385,13 +511,27 @@ and lane_args vargs i =
 (* Statements                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(** Masked store into a plural variable: in place when the right-hand
+    side has the variable's lane type, else through the boxed view into
+    a fresh, re-specialized vector. *)
+let write_plural vm name (lanes : Frame.lanes) ~mask rhs =
+  match (lanes, view rhs) with
+  | Frame.LInt d, VI x -> Scalar_ops.int_blit ~mask d x
+  | Frame.LReal d, VR x -> Scalar_ops.real_blit ~mask d x
+  | Frame.LBool d, VB x -> Scalar_ops.bool_blit ~mask d x
+  | _ ->
+      if Array.exists Fun.id mask then begin
+        let vs = Frame.values_of_lanes lanes in
+        Array.iteri
+          (fun i active -> if active then vs.(i) <- Pval.lane rhs i)
+          mask;
+        Hashtbl.replace vm.vars name (VPlural (Frame.lanes_of_values vs))
+      end
+
 let assign vm ~mask (l : lvalue) (rhs : Pval.t) =
   match (find_opt vm l.lv_name, l.lv_index) with
   | Some (VScalar r), [] -> r := Pval.as_front_scalar rhs
-  | Some (VPlural vs), [] ->
-      Array.iteri
-        (fun i active -> if active then vs.(i) <- Pval.lane rhs i)
-        mask
+  | Some (VPlural lanes), [] -> write_plural vm l.lv_name lanes ~mask rhs
   | Some (VGlobal a), [] -> (
       (* whole-array assignment, e.g. F = 0 *)
       match rhs with
@@ -412,18 +552,10 @@ let assign vm ~mask (l : lvalue) (rhs : Pval.t) =
           Errors.runtime_error "unsupported whole-plural-array assignment to %s"
             l.lv_name)
   | Some (VGlobal a), idxs ->
-      (* per lane the value is read before the subscripts are converted *)
       let subs = subscripts vm ~mask idxs in
       let idx = Array.make (Array.length subs) 0 in
       if Array.exists is_lanes subs || Pval.is_plural rhs then
-        (* scatter per active lane *)
-        for i = 0 to Array.length mask - 1 do
-          if mask.(i) then begin
-            let v = Pval.lane rhs i in
-            fill_index idx ~lead:false subs i;
-            arr_set a idx v
-          end
-        done
+        scatter ~mask a idx ~lead:false subs rhs
       else begin
         let v = Pval.as_front_scalar rhs in
         fill_index idx ~lead:false subs 0;
@@ -432,21 +564,15 @@ let assign vm ~mask (l : lvalue) (rhs : Pval.t) =
   | Some (VPluralArr a), idxs ->
       let subs = subscripts vm ~mask idxs in
       let idx = Array.make (Array.length subs + 1) 0 in
-      for i = 0 to Array.length mask - 1 do
-        if mask.(i) then begin
-          let v = Pval.lane rhs i in
-          fill_index idx ~lead:true subs i;
-          arr_set a idx v
-        end
-      done
+      scatter ~mask a idx ~lead:true subs rhs
   | None, [] ->
       (* implicit front-end scalar, or plural if the value is plural *)
       (match rhs with
       | Pval.FScalar v -> bind_scalar vm l.lv_name v
-      | Pval.Plural vs ->
-          let fresh = Array.make vm.p (VInt 0) in
-          Array.iteri (fun i active -> if active then fresh.(i) <- vs.(i)) mask;
-          bind_plural vm l.lv_name fresh
+      | Pval.Plural lanes ->
+          (* lanes outside the mask are bound to the inert [VInt 0] *)
+          Hashtbl.replace vm.vars l.lv_name
+            (VPlural (Pval.expose ~exact:false ~mask lanes))
       | Pval.FArr a -> bind_global vm l.lv_name a)
   | None, _ :: _ ->
       Errors.runtime_error "assignment to undeclared array %s" l.lv_name
@@ -458,11 +584,44 @@ let assign vm ~mask (l : lvalue) (rhs : Pval.t) =
 let where_masks mask cv =
   let p = Array.length mask in
   let mt = Array.make p false and mf = Array.make p false in
-  for i = 0 to p - 1 do
-    if mask.(i) then
-      if as_bool (Pval.lane cv i) then mt.(i) <- true else mf.(i) <- true
-  done;
+  (match cv with
+  | Pval.Plural (Frame.LBool a) ->
+      for i = 0 to p - 1 do
+        if mask.(i) then if a.(i) then mt.(i) <- true else mf.(i) <- true
+      done
+  | _ ->
+      for i = 0 to p - 1 do
+        if mask.(i) then
+          if as_bool (Pval.lane cv i) then mt.(i) <- true else mf.(i) <- true
+      done);
   (mt, mf)
+
+(* A vector-controlled WHILE test (§2): all active lanes must agree. *)
+let while_test mask (l : Frame.lanes) =
+  let divergent () =
+    Errors.runtime_error "vector-controlled WHILE with divergent lane values"
+  in
+  match l with
+  | Frame.LBool a ->
+      let first = ref None in
+      Array.iteri
+        (fun i active ->
+          if active then
+            match !first with
+            | None -> first := Some a.(i)
+            | Some b -> if a.(i) <> b then divergent ())
+        mask;
+      Option.value !first ~default:false
+  | _ -> (
+      let vals = ref [] in
+      for i = Array.length mask - 1 downto 0 do
+        if mask.(i) then vals := Frame.lane_value l i :: !vals
+      done;
+      match !vals with
+      | [] -> false
+      | v :: rest ->
+          if List.for_all (Values.equal_value v) rest then as_bool v
+          else divergent ())
 
 let rec exec vm ~(mask : bool array) (s : stmt) : unit =
   match s with
@@ -500,7 +659,8 @@ let rec exec vm ~(mask : bool array) (s : stmt) : unit =
             (List.map
                (fun e ->
                  match eval vm ~mask e with
-                 | Pval.Plural vs -> Pval.Plural (Array.copy vs)
+                 | Pval.Plural l ->
+                     Pval.Plural (Pval.expose ~exact:(is_exact e) ~mask l)
                  | v -> v)
                args)
       | None -> Errors.runtime_error "unknown subroutine %s" name)
@@ -526,19 +686,9 @@ let rec exec vm ~(mask : bool array) (s : stmt) : unit =
         | Pval.FScalar v ->
             tick_frontend vm;
             as_bool v
-        | Pval.Plural vs ->
-            (* vector-controlled WHILE (§2): all active lanes must agree *)
+        | Pval.Plural l ->
             tick_vector vm ~mask ~kind:Lf_obs.Trace.While;
-            let vals =
-              List.filteri (fun i _ -> mask.(i)) (Array.to_list vs)
-            in
-            (match vals with
-            | [] -> false
-            | v :: rest ->
-                if List.for_all (Values.equal_value v) rest then as_bool v
-                else
-                  Errors.runtime_error
-                    "vector-controlled WHILE with divergent lane values")
+            while_test mask l
         | Pval.FArr _ -> Errors.runtime_error "array condition"
       in
       while continue_ () do
@@ -605,7 +755,8 @@ let declare vm (decls : decl list) =
         | false, [] -> bind_scalar vm d.dc_name (zero_of d.dc_type)
         | false, _ -> bind_global vm d.dc_name (alloc_arr d.dc_type (dims ()))
         | true, [] ->
-            bind_plural vm d.dc_name (Array.make vm.p (zero_of d.dc_type))
+            Hashtbl.replace vm.vars d.dc_name
+              (VPlural (Frame.make_lanes vm.p (zero_of d.dc_type)))
         | true, _ -> bind_plural_arr vm d.dc_name d.dc_type (dims ()))
     decls
 
@@ -615,21 +766,25 @@ let declare vm (decls : decl list) =
 
 type engine = [ `Tree_walk | `Compiled | `Parallel ]
 
-(** VM variable table -> frame.  Names absent from the table keep their
-    current slot (at run start every slot is [Unbound]). *)
+(** VM variable table -> frame: plural lanes are copied, array and scalar
+    storage is shared.  Names absent from the table keep their current
+    slot (at run start every slot is [Unbound]). *)
 let import_frame vm (frame : Frame.t) =
   for si = 0 to Frame.n_slots frame - 1 do
     match Hashtbl.find_opt vm.vars (Frame.name_of frame si) with
     | None -> ()
     | Some (VScalar r) -> Frame.set frame si (Frame.Scalar r)
-    | Some (VPlural vs) ->
-        Frame.set frame si (Frame.Plural (Frame.lanes_of_values (Array.copy vs)))
+    | Some (VPlural l) -> Frame.set frame si (Frame.Plural (Frame.copy_lanes l))
     | Some (VGlobal a) -> Frame.set frame si (Frame.Global a)
     | Some (VPluralArr a) -> Frame.set frame si (Frame.PluralArr a)
   done
 
-(** Frame -> VM variable table: plural slots are boxed back, array and
-    scalar storage is shared. *)
+(** Frame -> VM variable table: plural lane vectors, array and scalar
+    storage are all handed over, not copied.  The frame writes a plural
+    slot in place again only until the next flush: a flush before an
+    observer exposes each statement's state as it runs, and one before a
+    CALL is followed by [import_frame], which gives the frame its own
+    copies back. *)
 let flush_frame vm (frame : Frame.t) =
   for si = 0 to Frame.n_slots frame - 1 do
     let name = Frame.name_of frame si in
@@ -637,7 +792,7 @@ let flush_frame vm (frame : Frame.t) =
     | Frame.Unbound -> ()
     | Frame.Scalar r -> Hashtbl.replace vm.vars name (VScalar r)
     | Frame.Plural lanes ->
-        Hashtbl.replace vm.vars name (VPlural (Frame.values_of_lanes lanes))
+        Hashtbl.replace vm.vars name (VPlural lanes)
     | Frame.Global a -> Hashtbl.replace vm.vars name (VGlobal a)
     | Frame.PluralArr a -> Hashtbl.replace vm.vars name (VPluralArr a)
   done
@@ -921,9 +1076,16 @@ let verify_ir ?(opt = 1) ~p ?(setup = fun _ -> ()) (prog : program) : unit =
 let entry_equal a b =
   match (a, b) with
   | VScalar r1, VScalar r2 -> Values.equal_value !r1 !r2
-  | VPlural v1, VPlural v2 ->
-      Array.length v1 = Array.length v2
-      && Array.for_all2 Values.equal_value v1 v2
+  | VPlural l1, VPlural l2 ->
+      let n = Frame.lanes_length l1 in
+      n = Frame.lanes_length l2
+      &&
+      let rec go i =
+        i >= n
+        || Values.equal_value (Frame.lane_value l1 i) (Frame.lane_value l2 i)
+           && go (i + 1)
+      in
+      go 0
   | VGlobal a1, VGlobal a2 | VPluralArr a1, VPluralArr a2 ->
       Values.equal_value (VArr a1) (VArr a2)
   | _ -> false

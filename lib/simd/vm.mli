@@ -12,7 +12,7 @@ open Lf_lang
 
 type entry =
   | VScalar of Values.value ref  (** front-end scalar *)
-  | VPlural of Values.value array  (** plural scalar, one slot per lane *)
+  | VPlural of Frame.lanes  (** plural scalar, one typed lane vector *)
   | VGlobal of Values.arr  (** global (distributed) array *)
   | VPluralArr of Values.arr  (** per-lane array; leading dim is the lane *)
 

@@ -22,6 +22,7 @@ let () =
       ("simdize", Test_simdize.suite);
       ("pipeline", Test_pipeline.suite);
       ("simd-vm", Test_simd_vm.suite);
+      ("treewalk", Test_treewalk.suite);
       ("opt", Test_opt.suite);
       ("verify", Test_verify.suite);
       ("pool", Test_pool.suite);

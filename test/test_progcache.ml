@@ -421,6 +421,79 @@ let t_seed_tokens () =
   | Values.AReal _ -> ()
   | _ -> Alcotest.fail "mixed fill should be real"
 
+(* The split-then-convert [fill_array] the one-pass parser replaced,
+   kept as its oracle. *)
+let old_fill_array v =
+  let items = String.split_on_char ',' v in
+  let ints = List.filter_map int_of_string_opt items in
+  if List.length ints = List.length items then
+    Values.AInt (Nd.of_array (Array.of_list ints))
+  else
+    Values.AReal
+      (Nd.of_array
+         (Array.of_list
+            (List.map
+               (fun tok ->
+                 match float_of_string_opt tok with
+                 | Some f -> f
+                 | None ->
+                     raise
+                       (Batch.Bad_value
+                          (Printf.sprintf
+                             "invalid array element %S: expected int or \
+                              real"
+                             tok)))
+               items)))
+
+(* Bitwise outcome: element type, exact elements (reals by their bits,
+   so -0.0 and NaN payloads count) or the error message. *)
+let fill_outcome f v =
+  match f v with
+  | Values.AInt a -> `Int (Nd.to_array a)
+  | Values.AReal a -> `Real (Array.map Int64.bits_of_float (Nd.to_array a))
+  | Values.ABool _ -> `Bool
+  | exception Batch.Bad_value m -> `Error m
+
+let fill_tokens =
+  [ "+5"; "1_000"; "0x1F"; "0b101"; "0o17"; "nan"; "-nan"; "inf"; "1e5";
+    "1E-3"; ""; " 5"; "5 "; " 1.5 "; "-0"; "-00"; "0"; "-0.0"; "1.5"; "-";
+    "+"; "."; "12."; ".5"; "007"; "bogus"; "999999999999999999";
+    "-999999999999999999"; "9999999999999999999"; "4611686018427387903";
+    "4611686018427387904"; "-4611686018427387904"; "0.12345678901234568";
+    "1_0.5"; "1__0"; "0x1p3"; "true" ]
+
+let fill_string_gen =
+  let open QCheck.Gen in
+  let token =
+    oneof
+      [
+        oneofl fill_tokens;
+        map string_of_int int;
+        map string_of_int small_signed_int;
+        map (Printf.sprintf "%.17g") float;
+        map (Printf.sprintf "%g") float;
+      ]
+  in
+  map (String.concat ",") (list_size (1 -- 6) token)
+
+let t_fill_array_edges () =
+  List.iter
+    (fun v ->
+      checkb (Fmt.str "fill %S" v)
+        (fill_outcome Batch.fill_array v = fill_outcome old_fill_array v))
+    (fill_tokens
+    @ [ "1,2,3"; "1,2.5,3"; "1,,3"; ","; "1,2,"; "-0,1.5"; "0b101,1.5";
+        "1,2,bogus,nan"; "1_000,2"; " 1,2" ])
+
+let prop_fill_array_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500
+       ~name:"fill_array equals the split-then-convert reading"
+       (QCheck.make ~print:(Fmt.str "%S") fill_string_gen)
+       (fun v ->
+         fill_outcome Batch.fill_array v = fill_outcome old_fill_array v
+         || QCheck.Test.fail_reportf "fill_array disagrees on %S" v))
+
 let suite =
   [
     case "content-addressed keys" t_content_keys;
@@ -437,4 +510,6 @@ let suite =
     case "batch: warm repeats keep metrics" t_batch_warm_metrics;
     case "batch: work-list parsing" t_items_of_json;
     case "seed-token parsing" t_seed_tokens;
+    case "fill_array: edge tokens match the old parser" t_fill_array_edges;
+    prop_fill_array_oracle;
   ]

@@ -233,7 +233,7 @@ let prop_intervals_sound prog =
                             Option.iter note
                               (check_value ~resolve v av ~lane:(i + 1) n)
                         | _ -> ())
-                      lanes
+                      (Lf_simd.Frame.values_of_lanes lanes)
                 | Some (Vm.VScalar { contents = Values.VInt n }) ->
                     Array.iteri
                       (fun i active ->

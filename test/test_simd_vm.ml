@@ -297,7 +297,8 @@ let t_compiled_procs () =
   (match !record with
   | [ ([ false; true ], [ Pv.Plural lanes ]) ] ->
       (* the inactive lane of a variable argument keeps its true value *)
-      checkb "proc arg lanes" (Array.map as_int lanes = [| 1; 2 |])
+      checkb "proc arg lanes"
+        (Array.map as_int (Lf_simd.Frame.values_of_lanes lanes) = [| 1; 2 |])
   | _ -> Alcotest.fail "proc mask/args");
   checki "compiled call metric" 1
     (Lf_simd.Metrics.call_count vm.Vm.metrics "probe")
@@ -361,9 +362,15 @@ let t_alias_proc_arg () =
     Vm.register_proc vm "clobber" (fun _ ~mask:_ args ->
         List.iter
           (function
-            | Pv.Plural vs ->
+            | Pv.Plural l -> (
+                let vs = Lf_simd.Frame.values_of_lanes l in
                 seen := Array.to_list (Array.map as_int vs) :: !seen;
-                Array.fill vs 0 (Array.length vs) (VInt (-1))
+                let n = Array.length vs in
+                match l with
+                | Lf_simd.Frame.LInt a -> Array.fill a 0 n (-1)
+                | Lf_simd.Frame.LReal a -> Array.fill a 0 n (-1.0)
+                | Lf_simd.Frame.LBool a -> Array.fill a 0 n false
+                | Lf_simd.Frame.LBox a -> Array.fill a 0 n (VInt (-1)))
             | _ -> ())
           args)
   in

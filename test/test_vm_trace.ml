@@ -22,7 +22,8 @@ let record_body_trace prog =
       | SAssign ({ lv_name = "x"; _ }, _) ->
           let lane_val name lane =
             match Lf_simd.Vm.find vm name with
-            | Lf_simd.Vm.VPlural vs -> Values.as_int vs.(lane)
+            | Lf_simd.Vm.VPlural vs ->
+                Values.as_int (Lf_simd.Frame.lane_value vs lane)
             | Lf_simd.Vm.VScalar r -> Values.as_int !r
             | _ -> Alcotest.fail (name ^ " has unexpected shape")
           in
