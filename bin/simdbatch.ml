@@ -1,14 +1,16 @@
 (* simdbatch: execute a JSON work list of (program × p × engine × -O ×
-   jobs) items on the simulated SIMD machine through one shared
-   compiled-program cache, streaming one manifest-style JSONL record per
-   item.
+   jobs) items on the simulated SIMD machine through the compiled-program
+   cache, streaming one manifest-style JSONL record per item in
+   work-list order.
 
    Items sharing (source bytes, -O, verify, p) pay the front end once
-   and run warm afterwards; "repeat": N re-runs an item N times, so a
-   repeat grid demonstrates the warm path inside a single item too.  A
-   failing item reports ("status": "error") and the batch continues;
-   the exit status is 1 iff any item failed, 124 for a malformed work
-   list or CLI usage.
+   and run warm afterwards; items under different keys run concurrently
+   on the host's cores (one at a time with --stats or --stats-json).
+   "repeat": N re-runs an item N times, so a repeat grid demonstrates
+   the warm path inside a single item too.  A failing item reports
+   ("status": "error") and the batch continues; the exit status is 1 iff
+   any item failed, 124 for a malformed work list, an unusable
+   --artifacts directory or CLI usage.
 
    Examples:
      dune exec bin/simdbatch.exe -- jobs.json
@@ -19,25 +21,19 @@ open Cmdliner
 module Batch = Lf_simd.Batch
 module Src = Lf_kernels.Nbforce_src
 
-let nbforce_setup atoms =
-  (* One workload per atom count, shared by every nbforce item: the
-     pairlist build dominates setup and is identical across items. *)
-  let memo : (int, Lf_md.Molecule.t * Lf_md.Pairlist.t) Hashtbl.t =
-    Hashtbl.create 4
+(* The NBFORCE workload is built once, before any item runs, and only
+   read afterwards: items may run on any domain. *)
+let nbforce_setup atoms items =
+  let workload =
+    if List.exists (fun it -> it.Batch.bi_kernel = Some "nbforce") items then
+      let mol = Lf_md.Workload.sod ~n:atoms ~seed:13 () in
+      Some (mol, Lf_md.Workload.pairlist mol ~cutoff:7.0)
+    else None
   in
   fun (it : Batch.item) vm ->
-    match it.Batch.bi_kernel with
-    | None -> ()
-    | Some "nbforce" ->
-        let mol, pl =
-          match Hashtbl.find_opt memo atoms with
-          | Some w -> w
-          | None ->
-              let mol = Lf_md.Workload.sod ~n:atoms ~seed:13 () in
-              let pl = Lf_md.Workload.pairlist mol ~cutoff:7.0 in
-              Hashtbl.add memo atoms (mol, pl);
-              (mol, pl)
-        in
+    match (it.Batch.bi_kernel, workload) with
+    | None, _ -> ()
+    | Some "nbforce", Some (mol, pl) ->
         let n, maxp = Src.params pl in
         Lf_simd.Vm.register_func vm ~pure:true "force" (Src.force_fn mol);
         Lf_simd.Vm.register_proc vm "onef" (Src.onef_simd mol);
@@ -45,7 +41,7 @@ let nbforce_setup atoms =
         Lf_simd.Vm.bind_scalar vm "maxp" (Lf_lang.Values.VInt maxp);
         Src.bind_arrays pl ~n ~maxp ~set_global:(fun name a ->
             Lf_simd.Vm.bind_global vm name a)
-    | Some k -> raise (Batch.Bad_jobs (Printf.sprintf "unknown kernel %S" k))
+    | Some k, _ -> raise (Batch.Bad_jobs (Printf.sprintf "unknown kernel %S" k))
 
 let write_json path json =
   let oc = open_out path in
@@ -70,7 +66,7 @@ let run jobs_path jsonl artifacts atoms stats stats_json =
     in
     let any_failed =
       Fun.protect ~finally:close (fun () ->
-          Batch.run ~setup:(nbforce_setup atoms) ~emit ?artifacts items)
+          Batch.run ~setup:(nbforce_setup atoms items) ~emit ?artifacts items)
     in
     if stats then Fmt.pr "%a" Lf_obs.Stats.pp ();
     Option.iter (fun f -> write_json f (Lf_obs.Stats.to_json ())) stats_json;

@@ -24,16 +24,25 @@ let calibrate (m : Molecule.t) : Molecule.t =
   in
   go m 3
 
+(* The memos below may be reached from any domain; one lock guards
+   both, held while a missing entry is built so it is built once. *)
+let memo_mu = Mutex.create ()
+
+let memo tbl key build =
+  Mutex.protect memo_mu (fun () ->
+      match Hashtbl.find_opt tbl key with
+      | Some v -> v
+      | None ->
+          let v = build () in
+          Hashtbl.replace tbl key v;
+          v)
+
 let sod_cache : (int * int, Molecule.t) Hashtbl.t = Hashtbl.create 4
 
 (** The calibrated synthetic SOD molecule (memoized per (seed, n)). *)
 let sod ?(seed = 1992) ?(n = 6968) () : Molecule.t =
-  match Hashtbl.find_opt sod_cache (seed, n) with
-  | Some m -> m
-  | None ->
-      let m = calibrate (Molecule.sod_uncalibrated ~seed ~n ()) in
-      Hashtbl.replace sod_cache (seed, n) m;
-      m
+  memo sod_cache (seed, n) (fun () ->
+      calibrate (Molecule.sod_uncalibrated ~seed ~n ()))
 
 (** The paper's cutoff radii for Tables 1 and 2. *)
 let table_cutoffs = [ 4.0; 8.0; 12.0; 16.0 ]
@@ -46,10 +55,5 @@ let pairlist_cache : (string * float, Pairlist.t) Hashtbl.t = Hashtbl.create 16
 (** Pairlist with the pCnt >= 1 guarantee the flattened kernels rely on,
     memoized per (molecule, cutoff). *)
 let pairlist (m : Molecule.t) ~cutoff : Pairlist.t =
-  let key = (m.Molecule.name, cutoff) in
-  match Hashtbl.find_opt pairlist_cache key with
-  | Some pl -> pl
-  | None ->
-      let pl = Pairlist.ensure_nonempty m (Pairlist.build m ~cutoff) in
-      Hashtbl.replace pairlist_cache key pl;
-      pl
+  memo pairlist_cache (m.Molecule.name, cutoff) (fun () ->
+      Pairlist.ensure_nonempty m (Pairlist.build m ~cutoff))

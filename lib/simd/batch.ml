@@ -1,10 +1,10 @@
 (** Batch run driver (see batch.mli).
 
-    Everything sequential runs on the control thread: the cache is
-    touched between items only, the parallel engine shards lanes
-    internally, and source reads are memoized per path — a grid of
-    items over the same few programs reads and parses each source
-    once.  Fill strings are parsed once per [run] as well. *)
+    Items run by program-cache key: the items sharing one form a chain,
+    run in work-list order on one domain with a cache of their own, and
+    up to [workers] domains take chains in turn.  Sources are read and
+    fill strings parsed once, on the calling domain, before any item
+    runs; records leave in index order, one at a time. *)
 
 open Lf_lang
 module Json = Lf_obs.Json
@@ -264,6 +264,21 @@ let engine_name = function
   | `Compiled -> "compiled"
   | `Parallel -> "parallel"
 
+(* The jobs count and -O level an item's record reports. *)
+let jobs_used it =
+  match it.bi_engine with
+  | `Parallel -> Option.value it.bi_jobs ~default:(Pool.default_jobs ())
+  | _ -> 1
+
+let opt_used it = match it.bi_engine with `Tree_walk -> 0 | _ -> it.bi_opt
+
+(* Whether the item shards its lanes over the domain pool itself. *)
+let shards_lanes it =
+  it.bi_engine = `Parallel
+  &&
+  let jobs = jobs_used it in
+  jobs > 1 && Array.length (Pool.ranges ~p:it.bi_p ~jobs) > 1
+
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -283,10 +298,11 @@ let dump_state ppf (vm : Vm.t) =
          | Vm.VGlobal a | Vm.VPluralArr a ->
              Fmt.pf ppf "%s = %a@." name Values.pp (Values.VArr a))
 
-(* [fill] parses a fill string to a private array (see [run]). *)
-let run_item ~cache ~read ~fill ~setup (it : item) : (Vm.t, string) result =
+(* [src] is the item's source text, or what reading it raised; [fill]
+   returns a private copy of a parsed fill string (see [run]). *)
+let run_item ~cache ~src ~fill ~setup (it : item) : (Vm.t, string) result =
   try
-    let src = read it.bi_program in
+    let src = match src with Ok s -> s | Error e -> raise e in
     let deadline =
       Option.map
         (fun ms ->
@@ -335,30 +351,25 @@ let run_item ~cache ~read ~fill ~setup (it : item) : (Vm.t, string) result =
     | Errors.Runtime_error _ | Errors.Runtime_error_at _ ) as e ->
       Error (Errors.to_message e)
 
-let record ~index (it : item) ~src_opt ~wall_ns outcome =
-  let jobs_used =
-    match it.bi_engine with
-    | `Parallel -> Option.value it.bi_jobs ~default:(Pool.default_jobs ())
-    | _ -> 1
-  in
-  let opt_used = match it.bi_engine with `Tree_walk -> 0 | _ -> it.bi_opt in
+(* [src] is the item's source text and its digest, when it was read. *)
+let record ~index (it : item) ~src ~wall_ns outcome =
   let base =
     [
       ("schema", Json.Int 1);
       ("index", Json.Int index);
       ("program", Json.Str it.bi_program);
     ]
-    @ (match src_opt with
-      | Some src ->
+    @ (match src with
+      | Some (text, md5) ->
           [
-            ("program_md5", Json.Str (Digest.to_hex (Digest.string src)));
-            ("program_bytes", Json.Int (String.length src));
+            ("program_md5", Json.Str (Digest.to_hex md5));
+            ("program_bytes", Json.Int (String.length text));
           ]
       | None -> [])
     @ [
         ("engine", Json.Str (engine_name it.bi_engine));
-        ("opt", Json.Int opt_used);
-        ("jobs", Json.Int jobs_used);
+        ("opt", Json.Int (opt_used it));
+        ("jobs", Json.Int (jobs_used it));
         ("p", Json.Int it.bi_p);
         ("repeat", Json.Int it.bi_repeat);
         ("wall_ns", Json.Int (Int64.to_int wall_ns));
@@ -372,79 +383,251 @@ let record ~index (it : item) ~src_opt ~wall_ns outcome =
             ("status", Json.Str "ok");
             ( "metrics",
               Metrics.to_json ~engine:(engine_name it.bi_engine)
-                ~opt:opt_used ~jobs:jobs_used vm.Vm.metrics );
+                ~opt:(opt_used it) ~jobs:(jobs_used it) vm.Vm.metrics );
           ])
   | Error msg ->
       Json.Obj (base @ [ ("status", Json.Str "error"); ("error", Json.Str msg) ])
 
-let write_artifacts dir ~index (vm : Vm.t) (it : item) =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let jobs_used =
-    match it.bi_engine with
-    | `Parallel -> Option.value it.bi_jobs ~default:(Pool.default_jobs ())
-    | _ -> 1
-  in
-  let opt_used = match it.bi_engine with `Tree_walk -> 0 | _ -> it.bi_opt in
-  let mpath = Filename.concat dir (Printf.sprintf "item-%03d.metrics.json" index) in
-  let oc = open_out mpath in
-  output_string oc
-    (Json.to_string
-       (Metrics.to_json ~engine:(engine_name it.bi_engine) ~opt:opt_used
-          ~jobs:jobs_used vm.Vm.metrics));
-  output_char oc '\n';
-  close_out oc;
-  let spath = Filename.concat dir (Printf.sprintf "item-%03d.state.txt" index) in
-  let oc = open_out spath in
-  let ppf = Format.formatter_of_out_channel oc in
-  dump_state ppf vm;
-  Format.pp_print_flush ppf ();
-  close_out oc
+(* The texts of [item-NNN.metrics.json] and [item-NNN.state.txt]. *)
+let artifact_texts (vm : Vm.t) (it : item) =
+  ( Json.to_string
+      (Metrics.to_json ~engine:(engine_name it.bi_engine) ~opt:(opt_used it)
+         ~jobs:(jobs_used it) vm.Vm.metrics)
+    ^ "\n",
+    Format.asprintf "%a" dump_state vm )
 
-let run ?cache ?read ?(setup = fun _ _ -> ()) ?(emit = fun _ -> ())
-    ?artifacts items =
-  let cache = match cache with Some c -> c | None -> Progcache.create () in
-  let read =
-    match read with
-    | Some f -> f
-    | None ->
-        (* Memoize source reads: a sweep over one program re-reads it
-           zero times after the first item (the cache dedupes the parse
-           by content; this dedupes the IO by path). *)
-        let memo : (string, string) Hashtbl.t = Hashtbl.create 8 in
-        fun path ->
-          match Hashtbl.find_opt memo path with
-          | Some s -> s
-          | None ->
-              let s = read_file path in
-              Hashtbl.add memo path s;
-              s
-  in
-  (* Fill strings are parsed once per [run], keyed by content: items of a
-     sweep usually share their inputs.  Every run binds its own copy,
-     since a program may write into a seeded array.  A token error is
-     not memoized, so every item it hits reports it the same way. *)
-  let parsed : (string, Values.arr) Hashtbl.t = Hashtbl.create 8 in
-  let fill v =
-    Values.arr_copy
-      (match Hashtbl.find_opt parsed v with
-      | Some a -> a
-      | None ->
-          let a = fill_array v in
-          Hashtbl.add parsed v a;
-          a)
-  in
-  let any_failed = ref false in
-  List.iteri
-    (fun index it ->
-      let t0 = Stats.now_ns () in
-      let outcome = run_item ~cache ~read ~fill ~setup it in
-      let wall_ns = Int64.sub (Stats.now_ns ()) t0 in
-      let src_opt =
-        try Some (read it.bi_program) with Sys_error _ -> None
+(* An unusable directory fails here, before any item runs. *)
+let prepare_artifacts dir =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+  else if not (Sys.is_directory dir) then
+    raise (Sys_error (dir ^ ": Not a directory"))
+
+let write_artifacts dir ~index (metrics, state) =
+  List.iter
+    (fun (suffix, text) ->
+      let oc =
+        open_out (Filename.concat dir (Printf.sprintf "item-%03d.%s" index suffix))
       in
-      (match outcome with
-      | Ok vm -> Option.iter (fun d -> write_artifacts d ~index vm it) artifacts
-      | Error _ -> any_failed := true);
-      emit (record ~index it ~src_opt ~wall_ns outcome))
+      output_string oc text;
+      close_out oc)
+    [ ("metrics.json", metrics); ("state.txt", state) ]
+
+(* -- scheduling ----------------------------------------------------- *)
+
+(* What a finished item hands to the emitter: its record and artifact
+   texts, or the exception that escaped it (re-raised in index order,
+   so the records before it still leave). *)
+type finished =
+  | Done of { record : Json.t; texts : (string * string) option; ok : bool }
+  | Raised of exn * Printexc.raw_backtrace
+
+(* The state the workers and the emitter share, under [mu]; [cv] is
+   broadcast on every change. *)
+type sched = {
+  mu : Mutex.t;
+  cv : Condition.t;
+  results : finished option array;  (** by index, until emitted *)
+  mutable next_chain : int;
+  mutable cutoff : int;  (** no item at or past this index starts *)
+  mutable in_flight : int;
+  mutable sharding : bool;  (** the item in flight shards its lanes *)
+  mutable sharders_waiting : int;
+}
+
+(* Items sharing a program-cache key form one chain (see [run]); a
+   source that could not be read has no key, only its path. *)
+type chain_key =
+  | Key of Digest.t * int * bool * int  (** source MD5, -O, verify, p *)
+  | Unread of string
+
+(* Admit item [i], or refuse it once the batch is cut off before it.
+   An item that shards lanes waits for every other item to finish and
+   holds off any item that has not started yet. *)
+let enter s i ~shards =
+  Mutex.protect s.mu (fun () ->
+      if shards then s.sharders_waiting <- s.sharders_waiting + 1;
+      let blocked () =
+        if shards then s.in_flight > 0
+        else s.sharding || s.sharders_waiting > 0
+      in
+      while i < s.cutoff && blocked () do
+        Condition.wait s.cv s.mu
+      done;
+      let go = i < s.cutoff in
+      if shards then begin
+        s.sharders_waiting <- s.sharders_waiting - 1;
+        if not go then Condition.broadcast s.cv
+      end;
+      if go then begin
+        s.in_flight <- s.in_flight + 1;
+        s.sharding <- shards
+      end;
+      go)
+
+let leave s i r =
+  Mutex.protect s.mu (fun () ->
+      s.in_flight <- s.in_flight - 1;
+      s.sharding <- false;
+      s.results.(i) <- Some r;
+      (match r with Raised _ -> s.cutoff <- min s.cutoff i | Done _ -> ());
+      Condition.broadcast s.cv)
+
+let run ?read ?(setup = fun _ _ -> ()) ?(emit = fun _ -> ()) ?artifacts
+    ?(workers = Pool.default_jobs ()) items =
+  if workers < 1 then invalid_arg "Batch.run: workers < 1";
+  let read = Option.value read ~default:read_file in
+  Option.iter prepare_artifacts artifacts;
+  let items = Array.of_list items in
+  let n = Array.length items in
+  (* Everything the items share is made here, on the calling domain, and
+     only read afterwards: each source is read once per path, each fill
+     string parsed once (every run binds its own copy, since a program
+     may write into a seeded array; a bad token fails every item that
+     uses it with the same message). *)
+  let sources = Hashtbl.create 8 in
+  let source path =
+    match Hashtbl.find_opt sources path with
+    | Some s -> s
+    | None ->
+        let s =
+          match read path with
+          | text -> Ok (text, Digest.string text)
+          | exception e -> Error e
+        in
+        Hashtbl.add sources path s;
+        s
+  in
+  let fills = Hashtbl.create 8 in
+  let fill v =
+    match Hashtbl.find fills v with
+    | Ok a -> Values.arr_copy a
+    | Error msg -> raise (Bad_value msg)
+  in
+  (* Chains, in order of their first item; each keeps work-list order. *)
+  let by_key = Hashtbl.create 16 and order = ref [] in
+  Array.iteri
+    (fun i it ->
+      List.iter
+        (fun (_, v) ->
+          if not (Hashtbl.mem fills v) then
+            Hashtbl.add fills v
+              (match fill_array v with
+              | a -> Ok a
+              | exception Bad_value msg -> Error msg))
+        it.bi_fills;
+      let k =
+        match source it.bi_program with
+        | Ok (_, md5) -> Key (md5, it.bi_opt, it.bi_verify, it.bi_p)
+        | Error _ -> Unread it.bi_program
+      in
+      match Hashtbl.find_opt by_key k with
+      | Some c -> c := i :: !c
+      | None ->
+          let c = ref [ i ] in
+          Hashtbl.add by_key k c;
+          order := c :: !order)
     items;
+  let chains = Array.of_list (List.rev_map (fun c -> List.rev !c) !order) in
+  let s =
+    {
+      mu = Mutex.create ();
+      cv = Condition.create ();
+      results = Array.make n None;
+      next_chain = 0;
+      cutoff = n;
+      in_flight = 0;
+      sharding = false;
+      sharders_waiting = 0;
+    }
+  in
+  let execute cache i =
+    let it = items.(i) in
+    try
+      let src = Hashtbl.find sources it.bi_program in
+      let t0 = Stats.now_ns () in
+      let outcome =
+        run_item ~cache ~src:(Result.map fst src) ~fill ~setup it
+      in
+      let wall_ns = Int64.sub (Stats.now_ns ()) t0 in
+      Done
+        {
+          record =
+            record ~index:i it ~src:(Result.to_option src) ~wall_ns outcome;
+          texts =
+            (match (outcome, artifacts) with
+            | Ok vm, Some _ -> Some (artifact_texts vm it)
+            | _ -> None);
+          ok = Result.is_ok outcome;
+        }
+    with e -> Raised (e, Printexc.get_raw_backtrace ())
+  in
+  (* Records (and artifacts) leave in index order, each as soon as it
+     and every earlier item are done, from the worker that finished the
+     last of them; [emit_mu] keeps them in sequence.  The first
+     exception — an item's, or one from [emit] or an artifact write —
+     stops the emission and is raised once the workers are done. *)
+  let emit_mu = Mutex.create () in
+  let emitted = ref 0 and any_failed = ref false and failure = ref None in
+  let rec drain () =
+    if !emitted < n && Option.is_none !failure then
+      match
+        Mutex.protect s.mu (fun () ->
+            let r = s.results.(!emitted) in
+            s.results.(!emitted) <- None;
+            r)
+      with
+      | None -> ()
+      | Some (Raised (e, bt)) -> failure := Some (e, bt)
+      | Some (Done d) -> (
+          match
+            Option.iter
+              (fun dir ->
+                Option.iter (write_artifacts dir ~index:!emitted) d.texts)
+              artifacts;
+            emit d.record
+          with
+          | () ->
+              if not d.ok then any_failed := true;
+              incr emitted;
+              drain ()
+          | exception e ->
+              failure := Some (e, Printexc.get_raw_backtrace ());
+              Mutex.protect s.mu (fun () ->
+                  s.cutoff <- -1;
+                  Condition.broadcast s.cv))
+  in
+  (* A worker takes the next chain until none is left and runs it with a
+     cache of its own, dropped when the chain ends. *)
+  let rec worker () =
+    match
+      Mutex.protect s.mu (fun () ->
+          if s.next_chain < Array.length chains then begin
+            s.next_chain <- s.next_chain + 1;
+            Some chains.(s.next_chain - 1)
+          end
+          else None)
+    with
+    | None -> ()
+    | Some chain ->
+        let cache = Progcache.create () in
+        List.iter
+          (fun i ->
+            if enter s i ~shards:(shards_lanes items.(i)) then begin
+              leave s i (execute cache i);
+              Mutex.protect emit_mu drain
+            end)
+          chain;
+        worker ()
+  in
+  (* The calling domain is one of the workers.  The telemetry registry's
+     fields are plain mutable ones: with it on, it is the only one. *)
+  let workers =
+    if Stats.enabled () then 1
+    else max 1 (min workers (Array.length chains))
+  in
+  let domains = List.init (workers - 1) (fun _ -> Domain.spawn worker) in
+  Fun.protect
+    ~finally:(fun () -> List.iter Domain.join domains)
+    worker;
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !failure;
   !any_failed

@@ -1,6 +1,7 @@
 (** Batch run driver: execute a list of (program × p × engine × [-O] ×
-    jobs) work items through one shared program cache ([Progcache]),
-    streaming one jsonlint-valid manifest-style JSONL record per item.
+    jobs) work items through the program cache ([Progcache]), running
+    independent items on several domains and streaming one
+    jsonlint-valid manifest-style JSONL record per item.
 
     The driver exists for sweep workloads — bench grids, corpus replays,
     CI smoke matrices — where the same sources are executed many times
@@ -75,24 +76,46 @@ val fill_array : string -> Values.arr
 val items_of_json : Lf_obs.Json.t -> item list
 val load : string -> item list
 
-(** Run the items in order.  [cache] defaults to a fresh
-    [Progcache.create ()] shared across all items; [read] (default
-    file-system read, memoized per path) supplies source text; [setup]
-    runs on each item's fresh VM before the seeds are bound (the CLI
-    uses it to interpret ["kernel"]); each distinct [fill] string is
-    parsed once per call, and every run binds its own copy of the
-    array; [emit] receives one JSONL record
-    per item (status, timings, deterministic [Metrics] payload);
-    [artifacts] names a directory (created if missing) receiving
+(** Run the items and return [true] iff any item failed.
+
+    Items that share a program-cache key — (source MD5, -O, verify, p)
+    — form one {e chain}.  A chain runs in work-list order on one
+    domain, with a [Progcache] of its own that is dropped when the chain
+    ends, so every chain sees the cold/warm pattern one shared cache
+    would give it.  Up to [workers] domains (default
+    [Pool.default_jobs ()]) take chains in order of their first item.
+    An item that shards its lanes itself (engine [parallel] with more
+    than one [Pool.ranges] shard) runs with no other item in flight.
+    While the [Lf_obs.Stats] registry is enabled the calling domain is
+    the only worker, since the registry's fields are plain mutable ones.
+
+    [read] (default: read the file) supplies source text; it is called
+    once per distinct path before any item runs.  Each distinct [fill]
+    string is parsed once, and every run binds its own copy of the
+    array.  [setup] runs on each item's fresh VM before the seeds are
+    bound (the CLI uses it to interpret ["kernel"]).  [read] and
+    [setup] may run on any domain, so they must not share unguarded
+    mutable state.
+
+    [emit] receives one JSONL record per item (status, timings,
+    deterministic [Metrics] payload) in index order, each as soon as it
+    and every earlier item are done.  It is called from the worker that
+    finished the last of those items, so on any domain, but never twice
+    at once.  ["wall_ns"] is the item's own wall time, including any
+    contention with the items running beside it.  [artifacts] names a directory
+    (created if missing; one that cannot be made, or a path that is not
+    a directory, raises [Sys_error] before any item runs) receiving
     [item-NNN.metrics.json] and [item-NNN.state.txt] from each
     successful item's final repeat — deterministic artifacts that
-    warm-vs-cold smoke tests byte-compare.  Returns [true] iff any item
-    failed. *)
+    warm-vs-cold smoke tests byte-compare.  An exception other than an
+    item failure (say, from [setup]) is raised after the records of
+    every earlier item have been emitted.
+    @raise Invalid_argument when [workers < 1]. *)
 val run :
-  ?cache:Progcache.t ->
   ?read:(string -> string) ->
   ?setup:(item -> Vm.t -> unit) ->
   ?emit:(Lf_obs.Json.t -> unit) ->
   ?artifacts:string ->
+  ?workers:int ->
   item list ->
   bool

@@ -5,7 +5,8 @@
     eviction scans for the minimum stamp.  Scanning is O(entries) but
     eviction is rare and the entry bound is small (default 128), which
     keeps the implementation free of intrusive lists.  Nothing here
-    locks: the cache lives on the control thread only. *)
+    locks: one domain at a time uses a cache (the batch driver gives
+    each chain of items its own). *)
 
 open Lf_lang
 module Stats = Lf_obs.Stats
@@ -46,6 +47,12 @@ let st_bytes = Stats.gauge ~section:Stats.Opt "cache.bytes"
 let st_warm_saved = Stats.timer "cache.warm_saved_ns"
 
 (* ------------------------------------------------------------------ *)
+
+(* Every change of a cache's byte total goes through here, so the
+   [cache.bytes] gauge sums the totals of every cache in the process. *)
+let charge c delta =
+  c.cur_bytes <- c.cur_bytes + delta;
+  Stats.add_gauge st_bytes (float_of_int delta)
 
 let create ?(max_entries = 128) ?(max_bytes = 64 * 1024 * 1024) () =
   if max_entries < 1 then invalid_arg "Progcache.create: max_entries < 1";
@@ -96,7 +103,7 @@ let evict_lru c =
   | None -> ()
   | Some (k, s) ->
       Hashtbl.remove c.tbl k;
-      c.cur_bytes <- c.cur_bytes - s.s_entry.e_bytes;
+      charge c (-s.s_entry.e_bytes);
       Stats.incr st_evictions
 
 (* Deterministic size estimate: the AST/IR/frame footprint scales with
@@ -110,7 +117,7 @@ let insert c ~src ~dialect ~opt ~verify ~p ~front_ns prog =
   (match Hashtbl.find_opt c.tbl k with
   | Some old ->
       Hashtbl.remove c.tbl k;
-      c.cur_bytes <- c.cur_bytes - old.s_entry.e_bytes
+      charge c (-old.s_entry.e_bytes)
   | None -> ());
   let entry =
     {
@@ -134,8 +141,7 @@ let insert c ~src ~dialect ~opt ~verify ~p ~front_ns prog =
   let s = { s_entry = entry; s_tick = 0 } in
   touch c s;
   Hashtbl.replace c.tbl k s;
-  c.cur_bytes <- c.cur_bytes + entry.e_bytes;
-  Stats.set_gauge st_bytes (float_of_int c.cur_bytes);
+  charge c entry.e_bytes;
   entry
 
 let add_front_ns e ns = e.e_front_ns <- Int64.add e.e_front_ns ns

@@ -17,15 +17,16 @@
     frame).
 
     Replacement is LRU, bounded by both entry count and an estimated
-    byte budget.  The cache is confined to the control thread (the
-    parallel engine shards lanes internally; it never touches the
-    cache), so there is no locking.
+    byte budget.  One domain at a time uses a cache (the parallel engine
+    shards lanes internally and never touches it; the batch driver gives
+    each chain of items a cache of its own), so there is no locking.
 
     Telemetry ([Lf_obs.Stats], recorded only while stats are enabled):
     [cache.hits]/[cache.misses]/[cache.evictions] counters and the
-    [cache.bytes] gauge live in the jobs-invariant [Opt] section (their
-    values depend on the run mix and cache configuration, not on the
-    shard count); [cache.warm_saved_ns] is a timer in the volatile
+    [cache.bytes] gauge (the bytes inserted and not evicted, summed over
+    every cache) live in the jobs-invariant [Opt] section (their values
+    depend on the run mix and cache configuration, not on the shard
+    count); [cache.warm_saved_ns] is a timer in the volatile
     section crediting, per hit, the front-end nanoseconds measured when
     the entry was built. *)
 

@@ -352,8 +352,8 @@ let opt_run_counters =
   ]
 
 (* One warm run (after a discarded warm-up run in the same process):
-   the [gc.minor_words] gauge the engine dispatch records, and the
-   [opt.*] run counters. *)
+   the [gc.minor_words] gauge the engine dispatch records, the [opt.*]
+   run counters and the per-opcode [dispatch.*] Counters. *)
 let warm_reading run ~opt =
   ignore (run ~opt);
   Stats.enable ();
@@ -368,7 +368,10 @@ let warm_reading run ~opt =
         List.map
           (fun name ->
             (name, Stats.counter_value (Stats.counter ~section:Stats.Opt name)))
-          opt_run_counters ))
+          opt_run_counters,
+        List.filter
+          (fun (name, _) -> String.starts_with ~prefix:"dispatch." name)
+          (Stats.snapshot ~sections:[ Stats.Counters ] ()) ))
 
 (* The budgets are the compiled engine's readings (default dev profile)
    of the gauge, the control domain's exact [Gc.minor_words] delta over
@@ -382,11 +385,32 @@ let opt_run_pins =
     (2, [ 0; 389; 388; 1164; 517923 ]);
   ]
 
+(* The per-opcode dispatch counts of the same run, exactly (the
+   Counters section, so identical at every -O level and on every
+   engine): a statement dispatched more or less often fails the gate
+   even when the allocation budget still holds. *)
+let dispatch_count_pins =
+  let pins =
+    [
+      ("dispatch.assign", 1553);
+      ("dispatch.call", 0);
+      ("dispatch.frontend", 778);
+      ("dispatch.reduce", 389);
+      ("dispatch.where", 776);
+      ("dispatch.while", 0);
+    ]
+  in
+  [ (1, pins); (2, pins) ]
+
 let t_alloc_gate () =
   let run = nbforce_1024 () in
   List.iter
     (fun (opt, budget) ->
-      let words, counts = warm_reading run ~opt in
+      let words, counts, dispatch = warm_reading run ~opt in
+      Alcotest.(check (list (pair string int)))
+        (Fmt.str "-O%d dispatch.* counters" opt)
+        (List.assoc opt dispatch_count_pins)
+        dispatch;
       checkb
         (Fmt.str "-O%d minor words %.0f within the budget %.0f" opt words
            budget)

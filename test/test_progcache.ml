@@ -7,8 +7,11 @@
     tentpole contract: warm (cache-hit) runs are bit-identical to cold
     runs — state, [Metrics], error strings — on tree-walk/compiled/
     parallel at -O0/-O1/-O2.  Batch cases: failing-item isolation, the
-    any-failed flag the CLI turns into exit 1, JSONL record schema, and
-    malformed work lists / seed tokens. *)
+    any-failed flag the CLI turns into exit 1, JSONL record schema,
+    malformed work lists / seed tokens, and the concurrent scheduler:
+    one and two workers give the same records and artifacts, a
+    lane-sharding item never overlaps another item, and an exception
+    from [setup] leaves after every earlier record. *)
 
 open Helpers
 open Lf_lang
@@ -494,6 +497,164 @@ let prop_fill_array_oracle =
          fill_outcome Batch.fill_array v = fill_outcome old_fill_array v
          || QCheck.Test.fail_reportf "fill_array disagrees on %S" v))
 
+(* -- concurrent batch items ---------------------------------------- *)
+
+let spin_src =
+  "PROGRAM spin\n  PLURAL INTEGER u\n  u = 0\n\
+  \  WHILE (any(u < 40 + iproc))\n    WHERE (u < 40 + iproc)\n\
+  \      u = u + 1\n    ENDWHERE\n  ENDWHILE\nEND\n"
+
+let mixed_read = function
+  | "good2.f" -> src_b
+  | "spin.f" -> spin_src
+  | path -> batch_read path
+
+(* Run [items] on [workers] workers; the records without "wall_ns", the
+   artifact files by name, and the any-failed flag. *)
+let batch_outputs ~workers items =
+  let dir = Filename.temp_dir "lf_batch" "" in
+  let records = ref [] in
+  let failed =
+    Batch.run ~read:mixed_read ~workers ~artifacts:dir
+      ~emit:(fun j -> records := j :: !records)
+      items
+  in
+  let strip = function
+    | Json.Obj fields ->
+        Json.to_string
+          (Json.Obj (List.filter (fun (k, _) -> k <> "wall_ns") fields))
+    | j -> Json.to_string j
+  in
+  let files =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.map (fun f ->
+           let path = Filename.concat dir f in
+           let ic = open_in_bin path in
+           let text = really_input_string ic (in_channel_length ic) in
+           close_in ic;
+           Sys.remove path;
+           (f, text))
+  in
+  Sys.rmdir dir;
+  (List.rev_map strip !records, files, failed)
+
+let t_batch_workers_agree () =
+  let fills = [ ("v", "1,2,3") ] in
+  let items =
+    [
+      batch_item ();
+      batch_item ~program:"bad-parse.f" ();
+      batch_item ~program:"fillw.f" ~fills ~repeat:2 ();
+      batch_item ~program:"good2.f" ~p:128 ~repeat:2 ();
+      batch_item ~program:"div0.f" ();
+      batch_item ~program:"good2.f" ~p:128 ~engine:`Parallel ~jobs:2 ~opt:2 ();
+      batch_item ~engine:`Tree_walk ();
+      batch_item ~program:"missing.f" ();
+      batch_item ~opt:2 ~repeat:2 ();
+      batch_item ~program:"loop.f" ~engine:`Tree_walk ~timeout_ms:1 ();
+      batch_item ~program:"good2.f" ~p:128 ~engine:`Parallel ~jobs:1 ~opt:2 ();
+      batch_item ~p:128 ~engine:`Parallel ~jobs:2 ~repeat:2 ();
+      batch_item ~program:"fillw.f" ~fills ~engine:`Tree_walk ();
+      batch_item ~program:"good2.f" ~engine:`Parallel ~jobs:2 ~opt:2 ();
+      batch_item ~program:"good2.f" ~p:128 ~engine:`Tree_walk ();
+      batch_item ~p:128 ~opt:2 ();
+      batch_item ~program:"good2.f" ~repeat:3 ();
+      batch_item ~program:"missing.f" ~p:128 ();
+      batch_item ~engine:`Parallel ~jobs:1 ();
+    ]
+  in
+  let r1, a1, f1 = batch_outputs ~workers:1 items in
+  let r2, a2, f2 = batch_outputs ~workers:2 items in
+  checki "one record per item" (List.length items) (List.length r1);
+  checkb "any_failed set" f1;
+  checkb "same any_failed" (f1 = f2);
+  List.iteri
+    (fun i (x, y) -> checks (Fmt.str "record %d" i) x y)
+    (List.combine r1 r2);
+  checki "two artifacts per successful item" 28 (List.length a1);
+  checkb "same artifact names" (List.map fst a1 = List.map fst a2);
+  List.iter2 (fun (f, x) (_, y) -> checks f x y) a1 a2
+
+(* An exception that is not an item failure (here from [setup]) leaves
+   after the records of every earlier item, at any worker count. *)
+let t_batch_raise_in_order () =
+  let items =
+    [
+      batch_item ~program:"spin.f" ();
+      batch_item ~program:"good2.f" ~p:16 ();
+      batch_item ~kernel:"zap" ();
+      batch_item ~program:"good2.f" ~p:128 ();
+    ]
+  in
+  let setup (it : Batch.item) _ =
+    if it.Batch.bi_kernel = Some "zap" then raise (Batch.Bad_jobs "zap")
+  in
+  List.iter
+    (fun workers ->
+      let indices = ref [] in
+      let emit j =
+        match Json.member "index" j with
+        | Some (Json.Int i) -> indices := i :: !indices
+        | _ -> ()
+      in
+      match Batch.run ~read:mixed_read ~setup ~emit ~workers items with
+      | exception Batch.Bad_jobs "zap" ->
+          checkb
+            (Fmt.str "%d workers: records 0 and 1, then the exception" workers)
+            (List.rev !indices = [ 0; 1 ])
+      | _ -> Alcotest.fail "the setup exception was not raised")
+    [ 1; 2 ]
+
+(* Every item stamps a global clock when its setup runs and, through an
+   observer, at every statement it executes: no other item may stamp
+   inside the interval of the item that shards its lanes. *)
+let t_batch_sharding_alone () =
+  let items =
+    [
+      batch_item ~program:"spin.f" ~repeat:2 ();
+      batch_item ~program:"spin.f" ~opt:2 ~engine:`Tree_walk ~repeat:2 ();
+      batch_item ~program:"spin.f" ~p:128 ~opt:0 ~repeat:2 ();
+      batch_item ~program:"spin.f" ~p:128 ~engine:`Parallel ~jobs:2 ~repeat:3
+        ();
+      batch_item ~program:"good2.f" ~p:8 ~repeat:2 ();
+      batch_item ~program:"spin.f" ~p:16 ~engine:`Tree_walk ~repeat:2 ();
+      batch_item ~program:"spin.f" ~p:64 ~opt:2 ~repeat:2 ();
+    ]
+  in
+  let sharder = 3 in
+  let arr = Array.of_list items in
+  let n = Array.length arr in
+  let clock = Atomic.make 0 and setups = Atomic.make 0 in
+  let lo = Array.make n max_int and hi = Array.make n min_int in
+  let stamp k =
+    let t = Atomic.fetch_and_add clock 1 in
+    lo.(k) <- min lo.(k) t;
+    hi.(k) <- max hi.(k) t
+  in
+  let setup it vm =
+    Atomic.incr setups;
+    let k = ref 0 in
+    while arr.(!k) != it do
+      incr k
+    done;
+    let k = !k in
+    stamp k;
+    Vm.set_observer vm (fun _ ~mask:_ _ -> stamp k)
+  in
+  let failed = Batch.run ~read:mixed_read ~setup ~workers:2 items in
+  checkb "no failures" (not failed);
+  checki "one setup per run"
+    (List.fold_left (fun a it -> a + it.Batch.bi_repeat) 0 items)
+    (Atomic.get setups);
+  Array.iteri
+    (fun k _ ->
+      if k <> sharder then
+        checkb
+          (Fmt.str "item %d [%d, %d] outside the sharding item [%d, %d]" k
+             lo.(k) hi.(k) lo.(sharder) hi.(sharder))
+          (hi.(k) < lo.(sharder) || lo.(k) > hi.(sharder)))
+    arr
+
 let suite =
   [
     case "content-addressed keys" t_content_keys;
@@ -508,6 +669,11 @@ let suite =
     case "batch: JSONL record schema" t_batch_schema;
     case "batch: per-item timeout" t_batch_timeout;
     case "batch: warm repeats keep metrics" t_batch_warm_metrics;
+    case "batch: 1 and 2 workers write the same records and artifacts"
+      t_batch_workers_agree;
+    case "batch: a lane-sharding item runs alone" t_batch_sharding_alone;
+    case "batch: a setup exception leaves in index order"
+      t_batch_raise_in_order;
     case "batch: work-list parsing" t_items_of_json;
     case "seed-token parsing" t_seed_tokens;
     case "fill_array: edge tokens match the old parser" t_fill_array_edges;
