@@ -118,7 +118,7 @@ let cmd =
           ~doc:
             "Enable the engine telemetry registry for the whole batch and \
              print it afterwards (includes the cache.hits / cache.misses \
-             / cache.evictions counters).")
+             counters).")
   in
   let stats_json =
     Arg.(

@@ -84,7 +84,7 @@ let skip_digits lx =
   done
 
 let lex_number lx =
-  let start = lx.pos in
+  let start = lx.pos and l = loc lx in
   skip_digits lx;
   let is_real =
     peek lx = '.'
@@ -115,7 +115,11 @@ let lex_number lx =
     in
     FLOAT (float_of_string s)
   end
-  else INT (int_of_string (String.sub lx.src start (lx.pos - start)))
+  else
+    match int_of_string (String.sub lx.src start (lx.pos - start)) with
+    | n -> INT n
+    | exception Failure _ ->
+        Errors.lex_error (pos_of_loc l) "integer literal out of range"
 
 (* Does [src.[start + i .. start + len - 1]] spell the rest of the
    upper-case [word] in any case? *)

@@ -70,42 +70,6 @@ let detach_all t =
 let emit t ev = List.iter (fun sink -> sink ev) t.sinks
 
 (* ------------------------------------------------------------------ *)
-(* Ring-buffer sink                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(** Bounded in-memory trace: keeps the last [capacity] events, dropping
-    the oldest.  Useful for post-mortems on long runs where a full trace
-    would not fit. *)
-module Ring = struct
-  type ring = {
-    capacity : int;
-    buf : event option array;
-    mutable next : int;  (** total events ever written *)
-  }
-
-  let create capacity =
-    if capacity <= 0 then invalid_arg "Trace.Ring.create: capacity <= 0";
-    { capacity; buf = Array.make capacity None; next = 0 }
-
-  let sink r : sink =
-   fun ev ->
-    r.buf.(r.next mod r.capacity) <- Some ev;
-    r.next <- r.next + 1
-
-  let length r = min r.next r.capacity
-  let dropped r = max 0 (r.next - r.capacity)
-
-  (** Events still in the buffer, oldest first. *)
-  let to_list r =
-    let n = length r in
-    let first = r.next - n in
-    List.init n (fun i ->
-        match r.buf.((first + i) mod r.capacity) with
-        | Some ev -> ev
-        | None -> assert false)
-end
-
-(* ------------------------------------------------------------------ *)
 (* Streaming sinks                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -117,58 +81,6 @@ module Log = struct
   let create () = { events = [] }
   let sink l : sink = fun ev -> l.events <- ev :: l.events
   let to_list l = List.rev l.events
-end
-
-(* ------------------------------------------------------------------ *)
-(* Shard-buffered sink (concurrent emission)                           *)
-(* ------------------------------------------------------------------ *)
-
-(** Deterministic tracing under concurrent emission: each shard (Domain)
-    appends to its own private buffer — no locks, no cross-shard
-    traffic — and [flush] replays the buffered events into a downstream
-    sink in ascending shard order, then ascending emission order within
-    each shard.  As long as the shard partition is deterministic (the
-    lane-sharded engine's is: contiguous ascending lane ranges), the
-    flushed stream is identical run over run, so JSONL/Chrome traces
-    written through a [Sharded] buffer are byte-stable at any jobs
-    count.
-
-    The parallel SIMD engine itself emits all events from its control
-    thread (emission is sequenced with [Metrics] accounting), so it
-    never {e needs} this buffer; it exists for sinks that genuinely
-    receive events from several domains — custom per-shard
-    instrumentation, or future SPMD engines. *)
-module Sharded = struct
-  type buffer = {
-    shards : event list array;  (** per-shard reversed event lists *)
-  }
-
-  let create ~shards =
-    if shards < 1 then invalid_arg "Trace.Sharded.create: shards < 1";
-    { shards = Array.make shards [] }
-
-  let n_shards b = Array.length b.shards
-
-  (** The emitting side for one shard: safe to call concurrently with
-      other shards' sinks (each writes only its own slot). *)
-  let sink b ~shard : sink =
-    if shard < 0 || shard >= Array.length b.shards then
-      invalid_arg "Trace.Sharded.sink: shard out of range";
-    fun ev -> b.shards.(shard) <- ev :: b.shards.(shard)
-
-  (** Replay everything into [out] (shard order, then emission order)
-      and clear the buffers.  Call only after the emitting domains have
-      been joined or synchronized. *)
-  let flush b (out : sink) =
-    Array.iteri
-      (fun s evs ->
-        List.iter out (List.rev evs);
-        b.shards.(s) <- [])
-      b.shards
-
-  (** Buffered events without flushing, in flush order. *)
-  let to_list b =
-    List.concat_map List.rev (Array.to_list b.shards)
 end
 
 let event_to_json ev : Json.t =

@@ -436,9 +436,7 @@ type sched = {
 
 (* Items sharing a program-cache key form one chain (see [run]); a
    source that could not be read has no key, only its path. *)
-type chain_key =
-  | Key of Digest.t * int * bool * int  (** source MD5, -O, verify, p *)
-  | Unread of string
+type chain_key = Key of Progcache.key | Unread of string
 
 (* Admit item [i], or refuse it once the batch is cut off before it.
    An item that shards lanes waits for every other item to finish and
@@ -517,7 +515,10 @@ let run ?read ?(setup = fun _ _ -> ()) ?(emit = fun _ -> ()) ?artifacts
         it.bi_fills;
       let k =
         match source it.bi_program with
-        | Ok (_, md5) -> Key (md5, it.bi_opt, it.bi_verify, it.bi_p)
+        | Ok (_, md5) ->
+            Key
+              (Progcache.key ~md5 ~opt:it.bi_opt ~verify:it.bi_verify
+                 ~p:it.bi_p)
         | Error _ -> Unread it.bi_program
       in
       match Hashtbl.find_opt by_key k with

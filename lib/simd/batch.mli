@@ -78,11 +78,10 @@ val load : string -> item list
 
 (** Run the items and return [true] iff any item failed.
 
-    Items that share a program-cache key — (source MD5, -O, verify, p)
-    — form one {e chain}.  A chain runs in work-list order on one
-    domain, with a [Progcache] of its own that is dropped when the chain
-    ends, so every chain sees the cold/warm pattern one shared cache
-    would give it.  Up to [workers] domains (default
+    Items that share a [Progcache.key] — (source MD5, -O, verify, p) —
+    form one {e chain}.  A chain runs in work-list order on one domain,
+    with a [Progcache] of its own that is dropped when the chain ends,
+    so a chain's first run is its only cold one.  Up to [workers] domains (default
     [Pool.default_jobs ()]) take chains in order of their first item.
     An item that shards its lanes itself (engine [parallel] with more
     than one [Pool.ranges] shard) runs with no other item in flight.

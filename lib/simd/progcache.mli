@@ -1,34 +1,36 @@
-(** Content-addressed cache of compiled-program front ends.
+(** One-program cache of a compiled program's front end.
 
     A [Vm.run] pays parse -> lower -> [Opt.run] -> [Verify.check] on
     every invocation, which dominates wall time for small programs that
-    are executed repeatedly (bench sweeps, fuzz corpora, batch grids).
-    This cache keys that work by {e content}: [(source MD5, dialect, opt
-    level, verify flag, p)].  A hit returns the parsed AST plus — once
-    lowered — the post-[Opt]/post-[Verify] IR and the frame layout it
-    was lowered against, so a warm run skips the entire front end and
-    goes straight to emission/execution.  Emission never mutates the IR
-    (all annotation writes live in [Opt]), which is what makes one
-    cached IR safe to re-emit on every warm run.
+    are executed repeatedly (bench sweeps, batch grids).  A cache holds
+    that work for one program, the way one control unit runs one
+    program: it remembers the {!key} — [(source MD5, opt level, verify
+    flag, p)] — its entry was built under.  A run under the same key is
+    a hit and gets the parsed AST plus — once lowered — the
+    post-[Opt]/post-[Verify] IR and the frame layout it was lowered
+    against, so it skips the entire front end and goes straight to
+    emission/execution.  A run under any other key is a miss and
+    replaces the entry.  Emission never mutates the IR (all annotation
+    writes live in [Opt]), which is what makes one cached IR safe to
+    re-emit on every warm run.
 
-    Entries also pool frames: a released frame is [Frame.reset] and
+    One entry suffices because every user re-runs one program: the
+    batch driver gives each chain of items that share a key a cache of
+    its own, and [simdsim --warm] and the bench cache experiment each
+    repeat one source.  One domain at a time uses a cache, so there is
+    no locking.
+
+    The entry also pools frames: a released frame is [Frame.reset] and
     handed back on the next warm run, so steady-state warm execution is
     allocation-free up to lane data (scratch vectors persist inside the
     frame).
 
-    Replacement is LRU, bounded by both entry count and an estimated
-    byte budget.  One domain at a time uses a cache (the parallel engine
-    shards lanes internally and never touches it; the batch driver gives
-    each chain of items a cache of its own), so there is no locking.
-
     Telemetry ([Lf_obs.Stats], recorded only while stats are enabled):
-    [cache.hits]/[cache.misses]/[cache.evictions] counters and the
-    [cache.bytes] gauge (the bytes inserted and not evicted, summed over
-    every cache) live in the jobs-invariant [Opt] section (their values
-    depend on the run mix and cache configuration, not on the shard
-    count); [cache.warm_saved_ns] is a timer in the volatile
-    section crediting, per hit, the front-end nanoseconds measured when
-    the entry was built. *)
+    the [cache.hits]/[cache.misses] counters live in the jobs-invariant
+    [Opt] section (their values depend on the run mix, not on the shard
+    count); [cache.warm_saved_ns] is a timer in the volatile section
+    crediting, per hit, the front-end nanoseconds measured when the
+    entry was built. *)
 
 open Lf_lang
 
@@ -44,31 +46,29 @@ type entry = {
       (** measured front-end cost (parse + lower) paid building this
           entry; credited to [cache.warm_saved_ns] on every hit *)
   mutable e_frames : Frame.t list;  (** reusable frame pool *)
-  e_bytes : int;  (** deterministic size estimate used for the budget *)
 }
+
+(** What makes two runs share a front end.  Keys compare with [=] and
+    hash with [Hashtbl.hash]. *)
+type key
+
+(** [key ~md5 ~opt ~verify ~p]: [md5] is [Digest.string] of the exact
+    source bytes. *)
+val key : md5:Digest.t -> opt:int -> verify:bool -> p:int -> key
 
 type t
 
-(** [create ()] makes an empty cache.  [max_entries] (default 128)
-    bounds the entry count; [max_bytes] (default 64 MiB) bounds the sum
-    of the entries' size estimates.  Whichever is exceeded first evicts
-    least-recently-used entries. *)
-val create : ?max_entries:int -> ?max_bytes:int -> unit -> t
+(** An empty cache. *)
+val create : unit -> t
 
-val length : t -> int
-val bytes : t -> int
+(** The entry if it was built under [key] (a hit), else [None] (a
+    miss); bumps the hit/miss counters. *)
+val find : t -> key -> entry option
 
-(** Lookup by content key; bumps recency and the hit/miss counters. *)
-val find :
-  t -> src:string -> dialect:string -> opt:int -> verify:bool -> p:int ->
-  entry option
-
-(** Insert a freshly parsed program (replacing any entry under the same
-    key), evicting LRU entries as needed.  [front_ns] is the measured
-    parse cost so far; lowering cost is added later via [add_front_ns]. *)
-val insert :
-  t -> src:string -> dialect:string -> opt:int -> verify:bool -> p:int ->
-  front_ns:int64 -> Ast.program -> entry
+(** Replace the entry with a freshly parsed program built under [key].
+    [front_ns] is the measured parse cost so far; lowering cost is added
+    later via [add_front_ns]. *)
+val insert : t -> key -> front_ns:int64 -> Ast.program -> entry
 
 val add_front_ns : entry -> int64 -> unit
 

@@ -976,22 +976,21 @@ let run ?fuel ?engine ?jobs ?opt ?verify ~p ?(setup = fun _ -> ())
 (* ------------------------------------------------------------------ *)
 
 let run_src ?fuel ?(engine = `Tree_walk) ?jobs ?(opt = 1) ?(verify = false)
-    ?cache ?(dialect = "simd") ~p ?(setup = fun _ -> ()) (src : string) : t =
+    ?cache ~p ?(setup = fun _ -> ()) (src : string) : t =
   match cache with
   | None ->
       run ?fuel ~engine ?jobs ~opt ~verify ~p ~setup
         (Lf_lang.Parser.program_of_string src)
   | Some cache ->
+      let key = Progcache.key ~md5:(Digest.string src) ~opt ~verify ~p in
       let entry, hit =
-        match Progcache.find cache ~src ~dialect ~opt ~verify ~p with
+        match Progcache.find cache key with
         | Some e -> (e, true)
         | None ->
             let t0 = Stats.now_ns () in
             let prog = Lf_lang.Parser.program_of_string src in
             let front_ns = Int64.sub (Stats.now_ns ()) t0 in
-            ( Progcache.insert cache ~src ~dialect ~opt ~verify ~p ~front_ns
-                prog,
-              false )
+            (Progcache.insert cache key ~front_ns prog, false)
       in
       let prog = entry.Progcache.e_prog in
       let vm = create ?fuel ~p () in

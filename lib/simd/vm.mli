@@ -111,8 +111,8 @@ val run :
 
 (** [run_src] is [run] from source text, optionally through a program
     cache ([Progcache]).  Without [cache] it parses and delegates to
-    [run].  With [cache], the run is keyed by [(MD5 of the source,
-    dialect, opt, verify, p)]: a cold run parses, lowers and optimizes
+    [run].  With [cache], the run is keyed by [Progcache.key] — (MD5 of
+    the source, opt, verify, p): a cold run parses, lowers and optimizes
     exactly as [run] would and stores the parse plus the post-[Opt] IR
     and its frame layout; a warm run skips the whole front end and goes
     straight to emission (compiled engines) or straight to the parsed
@@ -120,13 +120,11 @@ val run :
     bit-identical — state, [Metrics], error strings, trace/profile
     events — on every engine at every [-O] level; only the [opt.*]
     compile-time telemetry (and the wall clock) can differ, because the
-    optimizer genuinely does not run again.  [dialect] (default
-    ["simd"]) namespaces keys for callers that cache several source
-    languages in one cache. *)
+    optimizer genuinely does not run again.  A run under another key
+    than the cache's entry is cold and replaces it. *)
 val run_src :
   ?fuel:int -> ?engine:engine -> ?jobs:int -> ?opt:int -> ?verify:bool ->
-  ?cache:Progcache.t -> ?dialect:string ->
-  p:int -> ?setup:(t -> unit) -> string -> t
+  ?cache:Progcache.t -> p:int -> ?setup:(t -> unit) -> string -> t
 
 (** The compiled engine's annotated IR for [prog] as JSON (the
     [--dump-ir] payload), without executing anything: lower against the

@@ -1,8 +1,10 @@
 (** Differential oracle for [Lexer]: the list-building, [char option]
-    lexer it replaced, kept verbatim apart from two edits.  A [C] starts
-    a comment only in column 1 (the old lexer also took an indented
-    [C(i) = 1] for one), and keywords are found by a list scan, so the
-    oracle does not share [Lexer]'s keyword table. *)
+    lexer it replaced, kept verbatim apart from three edits.  A [C]
+    starts a comment only in column 1 (the old lexer also took an
+    indented [C(i) = 1] for one), an integer literal past [max_int] is a
+    located lexical error (the old lexer raised [Failure]), and keywords
+    are found by a list scan, so the oracle does not share [Lexer]'s
+    keyword table. *)
 
 open Lf_lang
 open Token
@@ -57,7 +59,7 @@ let skip_to_eol lx =
   go ()
 
 let lex_number lx =
-  let start = lx.pos in
+  let start = lx.pos and p = position lx in
   let rec digits () =
     match peek lx with
     | Some c when is_digit c ->
@@ -96,7 +98,10 @@ let lex_number lx =
     in
     FLOAT (float_of_string s)
   end
-  else INT (int_of_string (String.sub lx.src start (lx.pos - start)))
+  else
+    match int_of_string (String.sub lx.src start (lx.pos - start)) with
+    | n -> INT n
+    | exception Failure _ -> Errors.lex_error p "integer literal out of range"
 
 let lex_word lx =
   let start = lx.pos in

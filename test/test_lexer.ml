@@ -113,6 +113,17 @@ let t_errors () =
   checkb "bad dotted op" (lex_fails "a .NAND. b");
   checkb "unterminated dotted op" (lex_fails "a .AND b")
 
+(* An integer literal past [max_int] is a lexical error at the literal. *)
+let t_int_overflow () =
+  check tok_list "max_int still lexes" [ INT max_int ]
+    (toks (string_of_int max_int));
+  match toks "a = 1\nx = 99999999999999999999" with
+  | exception Errors.Lex_error (p, m) ->
+      checki "line" 2 p.Errors.line;
+      checki "col" 5 p.Errors.col;
+      check Alcotest.string "message" "integer literal out of range" m
+  | _ -> Alcotest.fail "an out-of-range literal must not lex"
+
 let t_positions () =
   match Lexer.tokenize "a = 1\n  b = 2" with
   | (_ :: _ :: _ :: _ :: (p, IDENT "b") :: _) ->
@@ -229,6 +240,7 @@ let suite =
     case "newlines and continuations" t_newlines;
     case "vector brackets" t_brackets;
     case "lexical errors" t_errors;
+    case "integer literal out of range" t_int_overflow;
     case "source positions" t_positions;
     case "oracle: character-rule edge cases" t_oracle_edges;
     case "oracle: example and corpus files" t_oracle_files;

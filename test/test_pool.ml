@@ -2,13 +2,11 @@
     of [Pool.ranges] (p not divisible by jobs, jobs > p, jobs = 1,
     p = 0), the partition invariants as a QCheck property, exception
     ordering across shards (lowest shard wins = globally first failing
-    lane), empty-mask reductions with empty per-shard partials, and the
-    [Trace.Sharded] buffer under genuinely concurrent emission. *)
+    lane), and empty-mask reductions with empty per-shard partials. *)
 
 open Helpers
 module Pool = Lf_simd.Pool
 module Vm = Lf_simd.Vm
-module Trace = Lf_obs.Trace
 open Lf_lang
 
 let pp_ranges ppf rs =
@@ -362,53 +360,6 @@ let t_vm_jobs_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "jobs=0 must be rejected"
 
-(* Trace.Sharded: concurrent emission from several domains, flushed in
-   deterministic shard order *)
-let t_sharded_trace () =
-  let mk_ev shard i =
-    {
-      Trace.loc = { Errors.line = shard; col = i };
-      step = i;
-      active = 1;
-      p = 4;
-      kind = Trace.Assign;
-      mask = [| true |];
-    }
-  in
-  (match Trace.Sharded.create ~shards:0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "shards=0 must be rejected");
-  let b = Trace.Sharded.create ~shards:3 in
-  checki "shard count" 3 (Trace.Sharded.n_shards b);
-  (try
-     let _sink : Trace.sink = Trace.Sharded.sink b ~shard:3 in
-     Alcotest.fail "out-of-range shard must be rejected"
-   with Invalid_argument _ -> ());
-  let domains =
-    List.init 3 (fun shard ->
-        let sink = Trace.Sharded.sink b ~shard in
-        Domain.spawn (fun () ->
-            for i = 0 to 9 do
-              sink (mk_ev shard i)
-            done))
-  in
-  List.iter Domain.join domains;
-  let evs = Trace.Sharded.to_list b in
-  checki "all events buffered" 30 (List.length evs);
-  (* flush order: ascending shard, then emission order within a shard *)
-  let expected =
-    List.concat_map
-      (fun shard -> List.init 10 (fun i -> mk_ev shard i))
-      [ 0; 1; 2 ]
-  in
-  List.iter2
-    (fun a b -> checkb "deterministic flush order" (Trace.equal_event a b))
-    expected evs;
-  let log = Trace.Log.create () in
-  Trace.Sharded.flush b (Trace.Log.sink log);
-  checki "flush replays everything" 30 (List.length (Trace.Log.to_list log));
-  checki "flush clears the buffers" 0 (List.length (Trace.Sharded.to_list b))
-
 let suite =
   [
     case "ranges: edge cases" t_ranges_edges;
@@ -422,5 +373,4 @@ let suite =
     case "typed plural calls across shards" t_typed_calls_sharded;
     case "empty per-shard reduction partials" t_empty_partials;
     case "Vm.run validates jobs" t_vm_jobs_validation;
-    case "Trace.Sharded concurrent emission" t_sharded_trace;
   ]

@@ -1,9 +1,10 @@
 (** The program cache ([Lf_simd.Progcache] / [Vm.run_src]) and the
     batch driver ([Lf_simd.Batch]).
 
-    Units: content keying (identical bytes under different dialect/-O/
-    verify/p are distinct entries), LRU eviction order, both budget
-    axes, and frame-pool layout safety.  The QCheck property is the
+    Units: content keying of the one entry (identical bytes under a
+    different -O/verify/p miss, and a miss's insert replaces the entry),
+    frame-pool layout safety, and the batch driver's cache traffic (one
+    miss per chain, a hit for every other run).  The QCheck property is the
     tentpole contract: warm (cache-hit) runs are bit-identical to cold
     runs — state, [Metrics], error strings — on tree-walk/compiled/
     parallel at -O0/-O1/-O2.  Batch cases: failing-item isolation, the
@@ -43,75 +44,49 @@ let with_stats f =
 let cache_counters () =
   let snap = Stats.snapshot ~sections:[ Stats.Opt ] () in
   let get k = Option.value ~default:0 (List.assoc_opt k snap) in
-  (get "cache.hits", get "cache.misses", get "cache.evictions")
+  (get "cache.hits", get "cache.misses")
 
 (* ------------------------------------------------------------------ *)
-(* Keying / LRU units                                                  *)
+(* Keying units                                                        *)
 (* ------------------------------------------------------------------ *)
 
 let src_a = "PROGRAM a\n  PLURAL INTEGER u\n  u = iproc * 2\nEND\n"
 let src_b = "PROGRAM b\n  PLURAL INTEGER v\n  v = iproc + 1\nEND\n"
-let src_c = "PROGRAM c\n  PLURAL INTEGER w\n  w = iproc - 1\nEND\n"
 
-let insert c ~src ?(dialect = "simd") ?(opt = 1) ?(verify = false) ?(p = 4) ()
-    =
-  Progcache.insert c ~src ~dialect ~opt ~verify ~p ~front_ns:1L
+let key ~src ?(opt = 1) ?(verify = false) ?(p = 4) () =
+  Progcache.key ~md5:(Digest.string src) ~opt ~verify ~p
+
+let insert c ~src ?opt ?verify ?p () =
+  Progcache.insert c (key ~src ?opt ?verify ?p ()) ~front_ns:1L
     (parse_program src)
 
-let find c ~src ?(dialect = "simd") ?(opt = 1) ?(verify = false) ?(p = 4) () =
-  Progcache.find c ~src ~dialect ~opt ~verify ~p
+let find c ~src ?opt ?verify ?p () =
+  Progcache.find c (key ~src ?opt ?verify ?p ())
 
 let t_content_keys () =
   with_stats (fun () ->
       let c = Progcache.create () in
-      ignore (insert c ~src:src_a ());
-      (* identical bytes under a different dialect, -O, verify flag or p
-         are different programs as far as the cache is concerned *)
-      checkb "other dialect misses" (find c ~src:src_a ~dialect:"nest" () = None);
+      checkb "empty cache misses" (find c ~src:src_a () = None);
+      let e = insert c ~src:src_a () in
+      (* identical bytes under a different -O, verify flag or p are
+         different programs as far as the cache is concerned *)
       checkb "other -O misses" (find c ~src:src_a ~opt:2 () = None);
       checkb "verify flag misses" (find c ~src:src_a ~verify:true () = None);
       checkb "other p misses" (find c ~src:src_a ~p:8 () = None);
-      checkb "exact key hits" (find c ~src:src_a () <> None);
-      ignore (insert c ~src:src_a ~dialect:"nest" ());
+      checkb "other source misses" (find c ~src:src_b () = None);
+      (* a miss leaves the entry in place, and the key is the content,
+         not the identity, of the bytes *)
+      checkb "fresh equal bytes hit the entry"
+        (match find c ~src:(String.concat "" [ src_a ]) () with
+        | Some e' -> e' == e
+        | None -> false);
+      (* an insert under another key replaces the one entry *)
       ignore (insert c ~src:src_a ~opt:2 ());
-      ignore (insert c ~src:src_a ~p:8 ());
-      checki "distinct entries per key" 4 (Progcache.length c);
-      (* and the key is the content, not the identity, of the bytes *)
-      checkb "fresh equal bytes hit"
-        (find c ~src:(String.concat "" [ src_a ]) () <> None);
-      let hits, misses, _ = cache_counters () in
+      checkb "replaced entry misses" (find c ~src:src_a () = None);
+      checkb "new entry hits" (find c ~src:src_a ~opt:2 () <> None);
+      let hits, misses = cache_counters () in
       checki "hits counted" 2 hits;
-      checki "misses counted" 4 misses)
-
-let t_lru_eviction () =
-  with_stats (fun () ->
-      let c = Progcache.create ~max_entries:2 () in
-      ignore (insert c ~src:src_a ());
-      ignore (insert c ~src:src_b ());
-      (* touch A so B becomes the LRU victim *)
-      checkb "A hits" (find c ~src:src_a () <> None);
-      ignore (insert c ~src:src_c ());
-      checki "capacity respected" 2 (Progcache.length c);
-      checkb "recently-used survived" (find c ~src:src_a () <> None);
-      checkb "LRU evicted" (find c ~src:src_b () = None);
-      let _, _, evictions = cache_counters () in
-      checki "eviction counted" 1 evictions;
-      (* re-inserting an existing key replaces, never duplicates *)
-      ignore (insert c ~src:src_a ());
-      checki "replacement keeps length" 2 (Progcache.length c))
-
-let t_byte_budget () =
-  (* each entry is estimated at 512 + 8 * |src| ≈ 900 bytes, so a 1000
-     byte budget admits exactly one of them *)
-  let c = Progcache.create ~max_bytes:1000 () in
-  ignore (insert c ~src:src_a ());
-  checki "first entry fits" 1 (Progcache.length c);
-  ignore (insert c ~src:src_b ());
-  (* the budget only holds one entry of this size: A must have been
-     evicted to admit B *)
-  checki "budget enforced" 1 (Progcache.length c);
-  checkb "newest survives" (find c ~src:src_b () <> None);
-  checkb "bytes tracked" (Progcache.bytes c > 0)
+      checki "misses counted" 6 misses)
 
 let t_frame_pool () =
   let c = Progcache.create () in
@@ -358,7 +333,7 @@ let t_batch_timeout () =
   | _ -> Alcotest.fail "expected one record"
 
 let t_batch_warm_metrics () =
-  (* repeats run warm through the shared cache; the driver's metrics
+  (* repeats run warm through the chain's cache; the driver's metrics
      must come out identical to a fresh cold driver's *)
   let _, cold = run_batch [ batch_item () ] in
   let _, warm = run_batch [ batch_item ~repeat:4 () ] in
@@ -655,11 +630,50 @@ let t_batch_sharding_alone () =
           (hi.(k) < lo.(sharder) || lo.(k) > hi.(sharder)))
     arr
 
+(* Each chain gets a cache of its own, and a one-entry cache is enough
+   for it: over a mixed work list, the first run of a chain whose source
+   could be read is its only miss, and every other run hits. *)
+let t_batch_cache_traffic () =
+  let items =
+    List.concat_map
+      (fun program ->
+        [
+          batch_item ~program ~repeat:2 ();
+          batch_item ~program ~engine:`Tree_walk ~opt:2 ();
+          batch_item ~program ~p:8 ~engine:`Parallel ~jobs:1 ~repeat:3 ();
+          batch_item ~program ~opt:2 ~repeat:2 ();
+          batch_item ~program ~engine:`Tree_walk ~repeat:2 ();
+          batch_item ~program ~p:8 ~opt:2 ();
+        ])
+      [ "good.f"; "good2.f" ]
+    @ [
+        batch_item ~program:"missing.f" ~repeat:2 ();
+        batch_item ~program:"good.f" ~p:8 ~engine:`Tree_walk ();
+      ]
+  in
+  let readable =
+    List.filter (fun it -> it.Batch.bi_program <> "missing.f") items
+  in
+  let chains =
+    List.sort_uniq compare
+      (List.map
+         (fun it ->
+           (it.Batch.bi_program, it.Batch.bi_opt, it.Batch.bi_verify,
+            it.Batch.bi_p))
+         readable)
+  in
+  let runs = List.fold_left (fun a it -> a + it.Batch.bi_repeat) 0 readable in
+  with_stats (fun () ->
+      let failed = Batch.run ~read:mixed_read items in
+      checkb "the unreadable item fails the batch" failed;
+      let hits, misses = cache_counters () in
+      checki "chains" 8 (List.length chains);
+      checki "one miss per readable chain" (List.length chains) misses;
+      checki "every other run hits" (runs - List.length chains) hits)
+
 let suite =
   [
     case "content-addressed keys" t_content_keys;
-    case "LRU eviction" t_lru_eviction;
-    case "byte budget" t_byte_budget;
     case "frame pool layout safety" t_frame_pool;
     qcheck_case ~count:60 "warm runs bit-identical to cold"
       Gen.simd_prog_gen prop_warm_equals_cold;
@@ -669,12 +683,13 @@ let suite =
     case "batch: JSONL record schema" t_batch_schema;
     case "batch: per-item timeout" t_batch_timeout;
     case "batch: warm repeats keep metrics" t_batch_warm_metrics;
+    case "batch: work-list parsing" t_items_of_json;
+    case "batch: one cache miss per chain" t_batch_cache_traffic;
     case "batch: 1 and 2 workers write the same records and artifacts"
       t_batch_workers_agree;
     case "batch: a lane-sharding item runs alone" t_batch_sharding_alone;
     case "batch: a setup exception leaves in index order"
       t_batch_raise_in_order;
-    case "batch: work-list parsing" t_items_of_json;
     case "seed-token parsing" t_seed_tokens;
     case "fill_array: edge tokens match the old parser" t_fill_array_edges;
     prop_fill_array_oracle;

@@ -238,25 +238,6 @@ let t_parallel_profile_multishard () =
         (Lf_simd.Vm.state_equal ref_vm vm))
     [ 1; 2; 3; 7 ]
 
-(* ring buffer: keeps the last [capacity] events, reports the drop count *)
-let t_ring_buffer () =
-  let log = Trace.Log.create () in
-  let ring = Trace.Ring.create 8 in
-  let _vm = run_traced `Compiled [ Trace.Log.sink log; Trace.Ring.sink ring ] in
-  let all = Trace.Log.to_list log in
-  let total = List.length all in
-  checkb "enough events to overflow the ring" (total > 8);
-  checki "ring is full" 8 (Trace.Ring.length ring);
-  checki "ring reports drops" (total - 8) (Trace.Ring.dropped ring);
-  let kept = Trace.Ring.to_list ring in
-  let expected =
-    List.filteri (fun i _ -> i >= total - 8) all
-  in
-  checki "ring keeps 8 events" 8 (List.length kept);
-  List.iter2
-    (fun a b -> checkb "ring keeps the newest events" (Trace.equal_event a b))
-    expected kept
-
 (* occupancy: streaming downsampling keeps its invariants even when the
    run overflows the bucket array many times *)
 let t_occupancy_downsampling () =
@@ -423,7 +404,6 @@ let suite =
       t_profile_ties_out_optimized;
     case "parallel profile ties out at multi-shard widths"
       t_parallel_profile_multishard;
-    case "ring buffer keeps the newest events" t_ring_buffer;
     case "occupancy downsampling invariants" t_occupancy_downsampling;
     case "JSON round-trip (values and events)" t_json_roundtrip;
     case "trace collector disarmed by default" t_trace_disabled_by_default;
