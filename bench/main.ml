@@ -165,11 +165,8 @@ let engine_p = 1024
 
 (* A scatter-dominated kernel in the flattened shape: a strided
    induction vector walking a global array with a gather-modify-scatter
-   in the guarded body.  The subscript is loop-carried, so the syntactic
-   SIV prover cannot see it; only the flow-sensitive congruence domain
-   ([i ≡ lane (mod p)]) proves the lanes disjoint.  Under the parallel
-   engine the store is serial at -O1 and sharded at -O2; the WHERE
-   guard's [i <= n] bound also discharges both per-lane bounds checks. *)
+   in the guarded body.  At -O2 the WHERE guard's [i <= n] bound
+   discharges both per-lane bounds checks. *)
 let scatter_runner ~p =
   let n = 64 * p in
   let src =
@@ -184,8 +181,8 @@ let scatter_runner ~p =
       p
   in
   let prog = Ast.program "scatter" (Parser.block_of_string src) in
-  fun ?jobs ?opt engine () ->
-    Lf_simd.Vm.run ~engine ?jobs ?opt ~p
+  fun ?opt engine () ->
+    Lf_simd.Vm.run ~engine ?opt ~p
       ~setup:(fun vm ->
         Lf_simd.Vm.bind_scalar vm "n" (Values.VInt n);
         Lf_simd.Vm.bind_global vm "g" (Values.AInt (Nd.create [| n |] 0)))
@@ -252,17 +249,13 @@ let engine_tests () =
       (Staged.stage (run_nbforce ~jobs:4 ~opt:0 `Parallel));
     Test.make ~name:"vm NBFORCE flat (parallel j4 -O2)"
       (Staged.stage (run_nbforce ~jobs:4 ~opt:2 `Parallel));
-    (* the scatter kernel: the global-array store serializes on the
-       control thread at -O1 and shards at -O2 once the congruence
-       domain proves the index sets pairwise lane-disjoint *)
+    (* the scatter kernel: -O2 discharges the gather's and the store's
+       bounds checks; the global-array store runs serially on the
+       control thread at every level *)
     Test.make ~name:"vm scatter stride (compiled)"
       (Staged.stage (run_scatter `Compiled));
     Test.make ~name:"vm scatter stride (compiled -O2)"
       (Staged.stage (run_scatter ~opt:2 `Compiled));
-    Test.make ~name:"vm scatter stride (parallel j4)"
-      (Staged.stage (run_scatter ~jobs:4 `Parallel));
-    Test.make ~name:"vm scatter stride (parallel j4 -O2)"
-      (Staged.stage (run_scatter ~jobs:4 ~opt:2 `Parallel));
     Test.make ~name:"vm example naive (tree-walk)"
       (Staged.stage (run_example `Tree_walk));
     Test.make ~name:"vm example naive (compiled)"
@@ -394,15 +387,6 @@ let run_micro ~jobs ~quick ppf =
             kernel (o1 /. o2)
       | _ -> ())
     [ "NBFORCE flat"; "scatter stride" ];
-  (match
-     ( est_of "vm scatter stride (parallel j4)",
-       est_of "vm scatter stride (parallel j4 -O2)" )
-   with
-  | Some o1, Some o2 when o2 > 0.0 ->
-      Fmt.pf ppf
-        "  scatter sharding speedup (parallel j4, -O1 vs -O2): %.2fx@."
-        (o1 /. o2)
-  | _ -> ());
   (match
      ( est_of "vm NBFORCE flat (compiled)",
        est_of "vm NBFORCE flat (compiled, stats)" )
@@ -664,9 +648,9 @@ let run_stats_overhead ppf ~rounds =
     rounds best_off best_on
     (100.0 *. (best_on -. best_off) /. best_off)
 
-(* --rangeopt-overhead: the bounds-check-discharge and scatter-sharding
-   effects are a few percent, below this host's cross-process sweep
-   noise, so each round times -O1 then -O2 (ratio > 1 = -O2 faster). *)
+(* --rangeopt-overhead: the bounds-check-discharge effect is a few
+   percent, below this host's cross-process sweep noise, so each round
+   times -O1 then -O2 (ratio > 1 = -O2 faster). *)
 let run_rangeopt_overhead ppf ~rounds =
   let report name run =
     let ratio, best1, best2 = paired ~rounds (run ~opt:1) (run ~opt:2) in
@@ -682,10 +666,7 @@ let run_rangeopt_overhead ppf ~rounds =
     (fun ~opt () -> nbforce ~opt `Compiled ());
   report
     (Printf.sprintf "scatter stride (compiled, p=%d)" engine_p)
-    (fun ~opt () -> scatter ~opt `Compiled ());
-  report
-    (Printf.sprintf "scatter stride (parallel j4, p=%d)" engine_p)
-    (fun ~opt () -> scatter ~jobs:4 ~opt `Parallel ())
+    (fun ~opt () -> scatter ~opt `Compiled ())
 
 (* --cache-overhead: the small repeat workload once from source with no
    cache (full parse -> lower -> optimize front end) and once through a

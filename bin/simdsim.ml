@@ -539,8 +539,7 @@ let cmd =
              per-operator closures, $(b,1) (the default) enables fusion, \
              fused reductions, scratch-slot reuse and the peephole passes, \
              $(b,2) adds value-range analysis (bounds-check discharge on \
-             gathers and scatters, and lane-disjointness proofs that let \
-             the parallel engine shard global-array scatters).  All levels \
+             gathers and scatters).  All levels \
              are bit-identical on state, metrics, traces and errors; only \
              the wall-clock changes.  Ignored by $(b,tree-walk) and \
              $(b,--seq).")
@@ -574,8 +573,8 @@ let cmd =
           ~doc:
             "Run the typed IR verifier after lowering and after every \
              optimizer phase (slot typing, def-before-use, scratch \
-             interference, mask shapes, and every $(b,-O2) range and \
-             disjointness claim re-proved from scratch); print \
+             interference, mask shapes, and every $(b,-O2) range claim \
+             re-proved from scratch); print \
              rule-coded diagnostics and exit 1 on a broken invariant.  \
              Requires a SIMD engine (conflicts with $(b,--seq)).")
   in

@@ -1,30 +1,24 @@
-(** Value-range and lane-affine congruence analysis over the SIMD
-    dialect, instantiated on [Dataflow.solve_fix].
+(** Value-range analysis over the SIMD dialect, instantiated on
+    [Dataflow.solve_fix].
 
     The analysis runs on the original AST (the slot-resolved IR shares
     its statements physically, so results are keyed by statement
     identity) and computes, for every statement, an abstract environment
-    mapping variable names to:
+    mapping variable names to an {b integer interval} with symbolic
+    bounds: a bound is either a constant, ±infinity, or [Sym (v, c)] =
+    "the value of the front-end integer scalar [v] at this point, plus
+    [c]".  Symbolic bounds are what flattened programs need — the guard
+    the flattener emits is [WHERE (at1 <= n)] against a runtime-bound
+    dimension [n], so the provable upper bound of [at1] inside the
+    branch is [n], not a literal.  When the named variable is not bound
+    to a front-end integer scalar at run time, a symbolic bound is
+    vacuous (reads as ±infinity); consumers resolve bounds against the
+    live frame and fall back to checked execution when resolution fails.
 
-    - an {b integer interval} with symbolic bounds: a bound is either a
-      constant, ±infinity, or [Sym (v, c)] = "the value of the front-end
-      integer scalar [v] at this point, plus [c]".  Symbolic bounds are
-      what flattened programs need — the guard the flattener emits is
-      [WHERE (at1 <= n)] against a runtime-bound dimension [n], so the
-      provable upper bound of [at1] inside the branch is [n], not a
-      literal.  When the named variable is not bound to a front-end
-      integer scalar at run time, a symbolic bound is vacuous (reads as
-      ±infinity); consumers resolve bounds against the live frame and
-      fall back to checked execution when resolution fails.
-    - a {b lane-affine congruence} [coeff*lane + base + mod*Z] where
-      [lane] is the 1-based lane index (the canonical value of [iproc]).
-      This is the fact that proves scatter index sets pairwise-disjoint
-      across lanes: flattening strides induction vectors by P, so
-      [at1 = iproc + P*k] gives [{coeff = 1; mod = P}], disjoint at any
-      lane count.  Congruence facts seeded from [iproc] are valid only
-      when the entry binding of [iproc] is canonical ([1..p]); the
-      compiled engine validates that once per run before trusting any
-      claim ([Compile]'s prologue).
+    The entry environment binds [iproc] to [[1, p]], which holds only
+    while the entry binding of [iproc] is the canonical lane vector; the
+    compiled engine validates that once per run before trusting any
+    claim ([Compile]'s prologue).
 
     Interval semantics are over the {e active lanes} of the statement's
     mask context: WHERE / plural-IF branch entries refine the written
@@ -58,29 +52,13 @@ type iv = {
   hi : bound;
 }
 
-(** Lane-affine congruence: value ∈ coeff*lane + base + mod*Z, lane the
-    1-based lane index.  [co_mod = 0] means the value is exactly
-    [coeff*lane + base]. *)
-type cong = {
-  co_coeff : int;
-  co_base : int;
-  co_mod : int;
-}
-
-type av = {
-  a_iv : iv;
-  a_cg : cong option;
-}
-
 (** Abstract environment: [Bot] = unreachable; in [Env m] an absent
     binding is top (unconstrained). *)
 type env =
   | Bot
-  | Env of av SMap.t
+  | Env of iv SMap.t
 
 let top_iv = { lo = NegInf; hi = PosInf }
-let top_av = { a_iv = top_iv; a_cg = None }
-let is_top_av a = a.a_iv = top_iv && a.a_cg = None
 
 (* ------------------------------------------------------------------ *)
 (* Bound arithmetic                                                    *)
@@ -194,9 +172,6 @@ let bound_to_string = function
 let iv_to_string i =
   Printf.sprintf "[%s, %s]" (bound_to_string i.lo) (bound_to_string i.hi)
 
-let cong_to_string c =
-  Printf.sprintf "%d*lane%+d mod %d" c.co_coeff c.co_base c.co_mod
-
 (** [subsumes a b]: interval [a] contains interval [b] (decidable only
     bound-wise; incomparable bounds answer [false]). *)
 let lo_le a b =
@@ -239,194 +214,94 @@ let mem ~(resolve : string -> int option) n i =
   lo_ok && hi_ok
 
 (* ------------------------------------------------------------------ *)
-(* Congruence arithmetic                                               *)
-(* ------------------------------------------------------------------ *)
-
-let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
-
-let cg_norm c =
-  if c.co_mod = 0 then c
-  else
-    let b = c.co_base mod c.co_mod in
-    { c with co_base = (if b < 0 then b + c.co_mod else b) }
-
-let cg_join a b =
-  if a.co_coeff <> b.co_coeff then None
-  else
-    let m = gcd (gcd a.co_mod b.co_mod) (abs (a.co_base - b.co_base)) in
-    Some (cg_norm { co_coeff = a.co_coeff; co_base = a.co_base; co_mod = m })
-
-let cg_add a b =
-  cg_norm
-    {
-      co_coeff = sat_add a.co_coeff b.co_coeff;
-      co_base = sat_add a.co_base b.co_base;
-      co_mod = gcd a.co_mod b.co_mod;
-    }
-
-let cg_neg a =
-  cg_norm
-    { co_coeff = -a.co_coeff; co_base = -a.co_base; co_mod = a.co_mod }
-
-let cg_scale a k =
-  cg_norm
-    {
-      co_coeff = sat_mul a.co_coeff k;
-      co_base = sat_mul a.co_base k;
-      co_mod = abs (sat_mul a.co_mod k);
-    }
-
-(** Pairwise lane-disjointness of a congruence class over [p] lanes:
-    lanes [i <> j] get values differing by [coeff*(i-j) (mod m)], so the
-    class is disjoint iff no distance [d] in [1..p-1] has
-    [coeff*d ≡ 0 (mod m)] ([m = 0]: exact values, [coeff <> 0]
-    suffices). *)
-let cg_lane_disjoint ~p c =
-  p <= 1
-  || c.co_coeff <> 0
-     && (c.co_mod = 0
-        ||
-        let m = c.co_mod in
-        let rec chk d =
-          d >= p || (sat_mul c.co_coeff d mod m <> 0 && chk (d + 1))
-        in
-        chk 1)
-
-(* ------------------------------------------------------------------ *)
 (* Abstract evaluation                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let singleton a =
-  match (a.a_iv.lo, a.a_iv.hi) with
-  | Fin x, Fin y when x = y -> Some x
-  | _ -> None
+let singleton i =
+  match (i.lo, i.hi) with Fin x, Fin y when x = y -> Some x | _ -> None
 
-let av_join a b =
-  {
-    a_iv = { lo = join_lo a.a_iv.lo b.a_iv.lo; hi = join_hi a.a_iv.hi b.a_iv.hi };
-    a_cg =
-      (match (a.a_cg, b.a_cg) with
-      | Some x, Some y -> cg_join x y
-      | _ -> None);
-  }
+let iv_join a b = { lo = join_lo a.lo b.lo; hi = join_hi a.hi b.hi }
 
-let rec eval (m : av SMap.t) (e : expr) : av =
+let rec eval (m : iv SMap.t) (e : expr) : iv =
   match e with
-  | EInt n ->
-      {
-        a_iv = { lo = Fin n; hi = Fin n };
-        a_cg = Some { co_coeff = 0; co_base = n; co_mod = 0 };
-      }
+  | EInt n -> { lo = Fin n; hi = Fin n }
   | EVar v ->
       (* missing interval sides fall back to the variable's own symbolic
          value: an unconstrained scalar [n] still evaluates to [n, n],
          which is exactly the handle dimension guards resolve later *)
-      let a = Option.value (SMap.find_opt v m) ~default:top_av in
-      let lo = match a.a_iv.lo with NegInf -> Sym (v, 0) | b -> b in
-      let hi = match a.a_iv.hi with PosInf -> Sym (v, 0) | b -> b in
-      { a_iv = { lo; hi }; a_cg = a.a_cg }
+      let a = Option.value (SMap.find_opt v m) ~default:top_iv in
+      let lo = match a.lo with NegInf -> Sym (v, 0) | b -> b in
+      let hi = match a.hi with PosInf -> Sym (v, 0) | b -> b in
+      { lo; hi }
   | EUn (Neg, a) ->
       let x = eval m a in
-      {
-        a_iv = { lo = neg_as_lo x.a_iv.hi; hi = neg_as_hi x.a_iv.lo };
-        a_cg = Option.map cg_neg x.a_cg;
-      }
+      { lo = neg_as_lo x.hi; hi = neg_as_hi x.lo }
   | EBin (Add, a, b) ->
       let x = eval m a and y = eval m b in
-      {
-        a_iv =
-          { lo = add_lo x.a_iv.lo y.a_iv.lo; hi = add_hi x.a_iv.hi y.a_iv.hi };
-        a_cg =
-          (match (x.a_cg, y.a_cg) with
-          | Some p, Some q -> Some (cg_add p q)
-          | _ -> None);
-      }
+      { lo = add_lo x.lo y.lo; hi = add_hi x.hi y.hi }
   | EBin (Sub, a, b) -> eval m (EBin (Add, a, EUn (Neg, b)))
   | EBin (Mul, a, b) -> (
       let x = eval m a and y = eval m b in
       match (singleton x, singleton y) with
       | Some k, _ -> scale y k
       | _, Some k -> scale x k
-      | _ -> top_av)
+      | _ -> top_iv)
   | EBin (Mod, a, b) -> (
       let x = eval m a in
       match singleton (eval m b) with
       | Some mm when mm > 0 ->
-          let nonneg = match x.a_iv.lo with Fin l -> l >= 0 | _ -> false in
+          let nonneg = match x.lo with Fin l -> l >= 0 | _ -> false in
           let hi =
-            match x.a_iv.hi with
+            match x.hi with
             | Fin h when nonneg && h < mm -> Fin h
             | _ -> Fin (mm - 1)
           in
           let lo = if nonneg then Fin 0 else Fin (-(mm - 1)) in
-          {
-            a_iv = { lo; hi };
-            a_cg =
-              (* OCaml rem keeps the residue class: x mod m ≡ x (mod m) *)
-              Option.map
-                (fun c -> cg_norm { c with co_mod = gcd c.co_mod mm })
-                x.a_cg;
-          }
-      | _ -> top_av)
+          { lo; hi }
+      | _ -> top_iv)
   | ECall (f, [ a ]) when String.lowercase_ascii f = "abs" -> (
       let x = eval m a in
-      match (x.a_iv.lo, x.a_iv.hi) with
-      | Fin l, Fin h when l >= 0 -> { a_iv = { lo = Fin l; hi = Fin h }; a_cg = None }
-      | Fin l, Fin h when h <= 0 ->
-          { a_iv = { lo = Fin (-h); hi = Fin (-l) }; a_cg = None }
-      | Fin l, Fin h ->
-          { a_iv = { lo = Fin 0; hi = Fin (max (-l) h) }; a_cg = None }
-      | _ -> { a_iv = { lo = Fin 0; hi = PosInf }; a_cg = None })
+      match (x.lo, x.hi) with
+      | Fin l, Fin h when l >= 0 -> { lo = Fin l; hi = Fin h }
+      | Fin l, Fin h when h <= 0 -> { lo = Fin (-h); hi = Fin (-l) }
+      | Fin l, Fin h -> { lo = Fin 0; hi = Fin (max (-l) h) }
+      | _ -> { lo = Fin 0; hi = PosInf })
   | ECall (f, [ a; b ]) when String.lowercase_ascii f = "max" ->
       let x = eval m a and y = eval m b in
       (* lower bound of max: either operand's lower bound is sound; the
          upper bound needs the comparable maximum *)
       let lo =
-        match (x.a_iv.lo, y.a_iv.lo) with
+        match (x.lo, y.lo) with
         | Fin p, Fin q -> Fin (max p q)
         | NegInf, o | o, NegInf -> o
         | o, _ -> o
       in
-      { a_iv = { lo; hi = join_hi x.a_iv.hi y.a_iv.hi }; a_cg = None }
+      { lo; hi = join_hi x.hi y.hi }
   | ECall (f, [ a; b ]) when String.lowercase_ascii f = "min" ->
       let x = eval m a and y = eval m b in
       let hi =
-        match (x.a_iv.hi, y.a_iv.hi) with
+        match (x.hi, y.hi) with
         | Fin p, Fin q -> Fin (min p q)
         | PosInf, o | o, PosInf -> o
         | o, _ -> o
       in
-      { a_iv = { lo = join_lo x.a_iv.lo y.a_iv.lo; hi }; a_cg = None }
-  | ERange (a, b) -> (
+      { lo = join_lo x.lo y.lo; hi }
+  | ERange (a, b) ->
       (* a [lo:hi] section of exactly P elements is a plural vector whose
-         lane i (1-based) holds lo + i - 1; other lengths build front-end
-         arrays, for which per-lane facts are vacuous *)
-      let x = eval m a and y = eval m b in
-      let a_iv = { lo = x.a_iv.lo; hi = y.a_iv.hi } in
-      match singleton x with
-      | Some la ->
-          {
-            a_iv;
-            a_cg = Some { co_coeff = 1; co_base = la - 1; co_mod = 0 };
-          }
-      | None -> { a_iv; a_cg = None })
-  | EReal _ | EBool _ | EUn (Not, _) | EBin _ | ECall _ | EIdx _ -> top_av
+         lane i (1-based) holds lo + i - 1, so every lane lies in
+         [lo, hi]; other lengths build front-end arrays *)
+      { lo = (eval m a).lo; hi = (eval m b).hi }
+  | EReal _ | EBool _ | EUn (Not, _) | EBin _ | ECall _ | EIdx _ -> top_iv
 
 and scale a k =
-  if k = 0 then
-    {
-      a_iv = { lo = Fin 0; hi = Fin 0 };
-      a_cg = Some { co_coeff = 0; co_base = 0; co_mod = 0 };
-    }
+  if k = 0 then { lo = Fin 0; hi = Fin 0 }
   else
     (* negative factors swap which source bound feeds which result
        bound; an unrepresentable product (Sym * k, k <> 1) must drop
        toward the infinity of the {e result} role — a symbolic lower
        bound scaled up is still a lower bound, so it weakens to -inf,
        never +inf *)
-    let lo_src, hi_src =
-      if k > 0 then (a.a_iv.lo, a.a_iv.hi) else (a.a_iv.hi, a.a_iv.lo)
-    in
+    let lo_src, hi_src = if k > 0 then (a.lo, a.hi) else (a.hi, a.lo) in
     let exact = function
       | Fin n -> Some (Fin (sat_mul n k))
       | Sym _ as b when k = 1 -> Some b
@@ -436,21 +311,19 @@ and scale a k =
     in
     let lo = match exact lo_src with Some b -> b | None -> NegInf in
     let hi = match exact hi_src with Some b -> b | None -> PosInf in
-    { a_iv = { lo; hi }; a_cg = Option.map (fun c -> cg_scale c k) a.a_cg }
+    { lo; hi }
 
 (* ------------------------------------------------------------------ *)
 (* Environments                                                        *)
 (* ------------------------------------------------------------------ *)
-
-let av_eq (a : av) (b : av) = a = b
 
 let map_join m1 m2 =
   SMap.merge
     (fun _ a b ->
       match (a, b) with
       | Some x, Some y ->
-          let j = av_join x y in
-          if is_top_av j then None else Some j
+          let j = iv_join x y in
+          if j = top_iv then None else Some j
       | _ -> None (* absent = top; top joins to top *))
     m1 m2
 
@@ -462,15 +335,14 @@ let env_join e1 e2 =
 let env_equal e1 e2 =
   match (e1, e2) with
   | Bot, Bot -> true
-  | Env m1, Env m2 -> SMap.equal av_eq m1 m2
+  | Env m1, Env m2 -> SMap.equal ( = ) m1 m2
   | _ -> false
 
 let widen_bound_lo old nu = if old = nu then nu else NegInf
 let widen_bound_hi old nu = if old = nu then nu else PosInf
 
 (* Widening: any interval bound still moving after the visit budget
-   jumps to infinity; congruence facts descend a finite divisor chain
-   and need no widening. *)
+   jumps to infinity. *)
 let env_widen old nu =
   match (old, nu) with
   | Bot, e | e, Bot -> e
@@ -482,41 +354,30 @@ let env_widen old nu =
              | Some x, Some y ->
                  let w =
                    {
-                     a_iv =
-                       {
-                         lo = widen_bound_lo x.a_iv.lo y.a_iv.lo;
-                         hi = widen_bound_hi x.a_iv.hi y.a_iv.hi;
-                       };
-                     a_cg = y.a_cg;
+                     lo = widen_bound_lo x.lo y.lo;
+                     hi = widen_bound_hi x.hi y.hi;
                    }
                  in
-                 if is_top_av w then None else Some w
+                 if w = top_iv then None else Some w
              | _ -> None)
            mo mn)
+
+let strip_self v a =
+  {
+    lo = (if bound_mentions v a.lo then NegInf else a.lo);
+    hi = (if bound_mentions v a.hi then PosInf else a.hi);
+  }
 
 (** Drop every symbolic bound that mentions [v]: its recorded value is
     about to change, so bounds naming it would silently shift meaning. *)
 let kill_sym v m =
   SMap.filter_map
     (fun _ a ->
-      let lo = if bound_mentions v a.a_iv.lo then NegInf else a.a_iv.lo in
-      let hi = if bound_mentions v a.a_iv.hi then PosInf else a.a_iv.hi in
-      let a = { a with a_iv = { lo; hi } } in
-      if is_top_av a then None else Some a)
+      let a = strip_self v a in
+      if a = top_iv then None else Some a)
     m
 
-let strip_self v a =
-  {
-    a with
-    a_iv =
-      {
-        lo = (if bound_mentions v a.a_iv.lo then NegInf else a.a_iv.lo);
-        hi = (if bound_mentions v a.a_iv.hi then PosInf else a.a_iv.hi);
-      };
-  }
-
-let set_var m v a =
-  if is_top_av a then SMap.remove v m else SMap.add v a m
+let set_var m v a = if a = top_iv then SMap.remove v m else SMap.add v a m
 
 (* ------------------------------------------------------------------ *)
 (* Condition refinement                                                *)
@@ -543,30 +404,22 @@ let flip_rel = function
    (they would change meaning when [v] is next written). *)
 let refine_var m v rel e =
   let x = eval m e in
-  let cur = Option.value (SMap.find_opt v m) ~default:top_av in
+  let cur = Option.value (SMap.find_opt v m) ~default:top_iv in
   let keep b = if bound_mentions v b then None else Some b in
   let refined =
     match rel with
     | Le | Lt ->
-        let hi = if rel = Lt then bound_add_k x.a_iv.hi (-1) else x.a_iv.hi in
-        Option.map
-          (fun h -> { cur with a_iv = { cur.a_iv with hi = meet_hi cur.a_iv.hi h } })
-          (keep hi)
+        let hi = if rel = Lt then bound_add_k x.hi (-1) else x.hi in
+        Option.map (fun h -> { cur with hi = meet_hi cur.hi h }) (keep hi)
     | Ge | Gt ->
-        let lo = if rel = Gt then bound_add_k x.a_iv.lo 1 else x.a_iv.lo in
-        Option.map
-          (fun l -> { cur with a_iv = { cur.a_iv with lo = meet_lo cur.a_iv.lo l } })
-          (keep lo)
+        let lo = if rel = Gt then bound_add_k x.lo 1 else x.lo in
+        Option.map (fun l -> { cur with lo = meet_lo cur.lo l }) (keep lo)
     | Eq ->
-        let lo = keep x.a_iv.lo and hi = keep x.a_iv.hi in
+        let lo = keep x.lo and hi = keep x.hi in
         Some
           {
-            a_iv =
-              {
-                lo = (match lo with Some l -> meet_lo cur.a_iv.lo l | None -> cur.a_iv.lo);
-                hi = (match hi with Some h -> meet_hi cur.a_iv.hi h | None -> cur.a_iv.hi);
-              };
-            a_cg = (match cur.a_cg with None -> x.a_cg | c -> c);
+            lo = (match lo with Some l -> meet_lo cur.lo l | None -> cur.lo);
+            hi = (match hi with Some h -> meet_hi cur.hi h | None -> cur.hi);
           }
     | _ -> None
   in
@@ -608,7 +461,8 @@ let transfer_assign m lv e masked =
   else
     let nu = strip_self v (eval m e) in
     let nu =
-      if masked then av_join (Option.value (SMap.find_opt v m) ~default:top_av) nu
+      if masked then
+        iv_join (Option.value (SMap.find_opt v m) ~default:top_iv) nu
       else nu
     in
     set_var (kill_sym v m) v nu
@@ -629,24 +483,10 @@ let transfer_head m (dc : do_control) =
   let a =
     match step with
     | Some k when k > 0 ->
-        {
-          a_iv =
-            {
-              lo = lo.a_iv.lo;
-              hi = join_hi (bound_add_k hi.a_iv.hi k) lo.a_iv.hi;
-            };
-          a_cg = None;
-        }
+        { lo = lo.lo; hi = join_hi (bound_add_k hi.hi k) lo.hi }
     | Some k when k < 0 ->
-        {
-          a_iv =
-            {
-              lo = join_lo (bound_add_k hi.a_iv.lo k) lo.a_iv.lo;
-              hi = lo.a_iv.hi;
-            };
-          a_cg = None;
-        }
-    | _ -> top_av
+        { lo = join_lo (bound_add_k hi.lo k) lo.lo; hi = lo.hi }
+    | _ -> top_iv
   in
   set_var m' v (strip_self v a)
 
@@ -666,7 +506,6 @@ let apply_tr t e =
 (* ------------------------------------------------------------------ *)
 
 type result = {
-  r_p : int;
   r_envs : (stmt * env) list;
       (** IN-environment per statement, keyed by physical identity *)
 }
@@ -682,7 +521,7 @@ let rec has_goto_stmt = function
 and has_goto b = List.exists has_goto_stmt b
 
 let analyze ~p (block : Ast.block) : result =
-  if has_goto block then { r_p = p; r_envs = [] }
+  if has_goto block then { r_envs = [] }
   else begin
     let trs = ref [] and nn = ref 0 in
     let edges = ref [] in
@@ -774,14 +613,7 @@ let analyze ~p (block : Ast.block) : result =
     let trs = Array.of_list (List.rev !trs) in
     let succs = Array.make nnodes [] in
     List.iter (fun (a, b) -> succs.(a) <- b :: succs.(a)) !edges;
-    let init =
-      Env
-        (SMap.singleton "iproc"
-           {
-             a_iv = { lo = Fin 1; hi = Fin p };
-             a_cg = Some { co_coeff = 1; co_base = 0; co_mod = 0 };
-           })
-    in
+    let init = Env (SMap.singleton "iproc" { lo = Fin 1; hi = Fin p }) in
     let fp =
       Dataflow.solve_fix ~nnodes ~succs ~entry ~init ~bottom:Bot
         ~join:env_join ~equal:env_equal
@@ -825,13 +657,13 @@ let analyze ~p (block : Ast.block) : result =
         end
       done
     done;
-    { r_p = p; r_envs = List.map (fun (s, n) -> (s, fin.(n))) !keyed }
+    { r_envs = List.map (fun (s, n) -> (s, fin.(n))) !keyed }
   end
 
-(** Abstract value of [e] at the program point just before [stmt]
-    (physical identity); [None] when the statement is unknown to the
-    analysis or unreachable. *)
-let eval_at (r : result) (stmt : Ast.stmt) (e : expr) : av option =
+(** Interval of [e] at the program point just before [stmt] (physical
+    identity); [None] when the statement is unknown to the analysis or
+    unreachable. *)
+let eval_at (r : result) (stmt : Ast.stmt) (e : expr) : iv option =
   let rec find = function
     | [] -> None
     | (s, env) :: rest -> if s == stmt then Some env else find rest
@@ -839,29 +671,3 @@ let eval_at (r : result) (stmt : Ast.stmt) (e : expr) : av option =
   match find r.r_envs with
   | Some (Env m) -> Some (eval m e)
   | Some Bot | None -> None
-
-(* ------------------------------------------------------------------ *)
-(* Scatter disjointness                                                *)
-(* ------------------------------------------------------------------ *)
-
-(** Syntactic prover reusing the SIV machinery: a subscript affine in
-    [iproc] with no symbolic residue collides across lanes only at
-    dependence distance 0 (the same lane). *)
-let affine_disjoint ~p (e : expr) : bool =
-  match Depend.extract "iproc" (fun _ -> false) e with
-  | Some af when af.Depend.sym = None -> (
-      match Depend.siv_test ~bounds:(1, p) af af with
-      | Depend.Independent -> true
-      | Depend.Distance 0 -> af.Depend.coeff <> 0
-      | _ -> false)
-  | _ -> false
-
-(** Can two distinct active lanes evaluate [ix] (at [stmt]) to the same
-    value?  [false] = possibly; [true] = provably not, by either the
-    syntactic SIV prover or the flow-sensitive congruence domain. *)
-let scatter_disjoint (r : result) ~p (stmt : Ast.stmt) (ix : expr) : bool =
-  p <= 1 || affine_disjoint ~p ix
-  ||
-  match eval_at r stmt ix with
-  | Some { a_cg = Some c; _ } -> cg_lane_disjoint ~p c
-  | _ -> false

@@ -30,9 +30,24 @@ exception Bad_value of string
 
 (* -- seed-value parsing (shared with simdsim's --set/--fill) -------- *)
 
+(* Whether [v] is an optionally signed run of decimal digits that
+   [int_of_string] refuses: an integer past the int range.  Such a token
+   is an error, never the REAL [float_of_string] would read it as. *)
+let int_overflow v =
+  let n = String.length v in
+  let d = if n > 0 && (v.[0] = '-' || v.[0] = '+') then 1 else 0 in
+  let rec digits i =
+    i = n || (v.[i] >= '0' && v.[i] <= '9' && digits (i + 1))
+  in
+  d < n && digits d && int_of_string_opt v = None
+
+let out_of_range what v =
+  Bad_value (Printf.sprintf "invalid %s %S: integer out of range" what v)
+
 let scalar_value v =
   match int_of_string_opt v with
   | Some n -> Values.VInt n
+  | None when int_overflow v -> raise (out_of_range "scalar value" v)
   | None -> (
       match float_of_string_opt v with
       | Some f -> Values.VReal f
@@ -116,14 +131,15 @@ let fill_array v =
         (if plain_int v s (start.(k + 1) - 1) ints k then
            if ints.(k) = 0 && v.[s] = '-' then -0.0 else float_of_int ints.(k)
          else
-           match float_of_string_opt (tok k) with
+           let t = tok k in
+           if int_overflow t then raise (out_of_range "array element" t);
+           match float_of_string_opt t with
            | Some f -> f
            | None ->
                raise
                  (Bad_value
                     (Printf.sprintf
-                       "invalid array element %S: expected int or real"
-                       (tok k))))
+                       "invalid array element %S: expected int or real" t)))
     done;
     Values.AReal (Nd.of_array reals)
   end

@@ -64,13 +64,15 @@ exception Bad_value of string
 
 (** ["8"] -> [VInt], ["0.5"] -> [VReal], ["true"]/["false"] -> [VBool];
     anything else raises [Bad_value] naming the token (the old behavior
-    silently coerced unknown tokens to [VBool false]). *)
+    silently coerced unknown tokens to [VBool false]), as does a decimal
+    integer past the int range (it would otherwise read as a REAL). *)
 val scalar_value : string -> Values.value
 
 (** Comma-separated literals -> 1-D int array when every item parses as
-    int, else 1-D real array; a token that parses as neither raises
-    [Bad_value] naming it (the old behavior was an uncaught [Failure]
-    from [float_of_string]). *)
+    int, else 1-D real array; a token that parses as neither, or a
+    decimal integer past the int range, raises [Bad_value] naming the
+    first such token (the old behavior was an uncaught [Failure] from
+    [float_of_string]). *)
 val fill_array : string -> Values.arr
 
 val items_of_json : Lf_obs.Json.t -> item list

@@ -79,19 +79,13 @@ let st_accum_merged =
    [opt.nocheck_runs] counts executions of a gather/scatter loop whose
    bounds checks the claim discharged, [opt.bounds_checks_discharged]
    the per-lane checks those executions skipped (active lanes times
-   discharged dimensions), and [opt.par_scatter_runs] executions of a
-   scatter whose lane-disjointness claim was honoured — counted
-   whenever the claim's runtime guard passes, whether or not the pool
-   actually has more than one shard, so the value is jobs-invariant. *)
+   discharged dimensions). *)
 module Range = Lf_analysis.Range
 
 let st_nocheck_runs = Stats.counter ~section:Stats.Opt "opt.nocheck_runs"
 
 let st_checks_discharged =
   Stats.counter ~section:Stats.Opt "opt.bounds_checks_discharged"
-
-let st_par_scatter_runs =
-  Stats.counter ~section:Stats.Opt "opt.par_scatter_runs"
 
 (* ------------------------------------------------------------------ *)
 (* Runtime values                                                      *)
@@ -1019,9 +1013,9 @@ type env = {
   mutable entry_ok : bool;
       (** set by the [-O2] entry prologue, once per application of the
           compiled body: the frame's [iproc] binding is the canonical
-          lane vector [1..P] this run.  Every interval or disjointness
-          claim may descend from the analysis' [iproc] seed, so no
-          claim-gated fast path fires while this is [false] *)
+          lane vector [1..P] this run.  Every interval claim may descend
+          from the analysis' [iproc] seed, so no claim-gated fast path
+          fires while this is [false] *)
 }
 type cexpr = Frame.Mask.t -> rv
 type cstmt = Frame.Mask.t -> unit
@@ -1103,35 +1097,15 @@ let bounds_checked env (m : Frame.Mask.t) (d : _ Nd.t) claim0 claim1 =
   if nochk then nocheck_stats m (Nd.rank d);
   not nochk
 
-(** The lane runner of a typed store pass into global storage [data].
-    Several lanes may store to the {e same} element of a global array,
-    and the machine model resolves the collision in lane order (last
-    active lane wins), so the pass runs serially on the control thread,
-    after a join — unless a validated [Ir.s_par] claim proves the index
-    sets lane-disjoint, when no shard order can differ from the serial
-    lane order (shards check ascending and the pool raises the first
-    failing lane's error).  The sharded pass is a region entry that
-    writes [data] at other lanes' elements too: [Pool.note_write] joins
-    first when a pending entry reads or writes [data] ([own]: every such
-    read is this statement's own gather of the elements it stores). *)
-let store_run env ~par ~own data =
-  if par && env.entry_ok then begin
-    Stats.incr st_par_scatter_runs;
-    Pool.note_write env.exec ~own data;
-    env.exec.Pool.x_run
-  end
-  else begin
-    Pool.sync env.exec;
-    env.serial
-  end
-
-(* A gather pass reads [a]'s storage at other lanes' elements. *)
-let note_gather exec (a : arr) =
-  match a with
-  | AInt d -> Pool.note_read exec d.Nd.data
-  | AReal d -> Pool.note_read exec d.Nd.data
-  | ABool d -> Pool.note_read exec d.Nd.data
-
+(** The lane runner of a typed store pass into global storage.  Several
+    lanes may store to the {e same} element of a global array, and the
+    machine model resolves the collision in lane order (last active lane
+    wins), so the pass runs serially on the control thread, after a
+    join.  Pending region entries therefore never write global storage,
+    and a gather never has to join before it reads. *)
+let store_run env =
+  Pool.sync env.exec;
+  env.serial
 
 (* ------------------------------------------------------------------ *)
 (* Fused regions (-O1)                                                 *)
@@ -1153,9 +1127,7 @@ exception Not_fusible
     the same way, pinned by the bindings that made it unfusible, so the
     fallback closures run without re-planning until something changes.
     A scalar cell is read when the lane loop runs, so a refresh that
-    changes it joins first.  A fusible plan also returns one
-    [Pool.note_read] per gathered array, to run before each issue of its
-    loop.
+    changes it joins first.
 
     Operators apply through the operator table, so a cell computes what
     the unfused kernel computes.  A combination is only admitted when
@@ -1165,10 +1137,9 @@ exception Not_fusible
     falls back (the [-O0] scalar path raises unconditionally, even under
     an empty mask, which a masked fused loop would not replicate). *)
 let region_plan env (rg : Ir.region) :
-    (unit -> bool) array * (fcell * bool * (unit -> unit) array) option =
+    (unit -> bool) array * (fcell * bool) option =
   let frame = env.frame in
   let exec = env.exec in
-  let notes = ref [] in
   let host = env.host in
   let ops = rg.Ir.rg_ops in
   let nops = Array.length ops in
@@ -1321,18 +1292,12 @@ let region_plan env (rg : Ir.region) :
           let j2 = f2 i in
           offset ~check:true d1 d2 j1 j2
     in
-    let gathers a =
-      if Option.is_some exec.Pool.x_rg then
-        notes := (fun () -> note_gather exec a) :: !notes
-    in
     match Frame.get frame slot with
-    | Frame.Global (AInt d as a) as b0 when nix <= 2 ->
+    | Frame.Global (AInt d) as b0 when nix <= 2 ->
         let off = offset_of b0 d and data = d.Nd.data in
-        gathers a;
         (FI (fun i -> data.(off i)), true)
-    | Frame.Global (AReal d as a) as b0 when nix <= 2 ->
+    | Frame.Global (AReal d) as b0 when nix <= 2 ->
         let off = offset_of b0 d and data = d.Nd.data in
-        gathers a;
         (FR (fun i -> data.(off i)), true)
     | b0 -> pin_bad slot b0
   in
@@ -1357,21 +1322,10 @@ let region_plan env (rg : Ir.region) :
     (* a front-end-scalar root means the [-O0] result is an [RS] (one
        [h_tick_frontend] instead of a vector tick downstream) *)
     if not plural.(nops - 1) then raise Not_fusible;
-    (cells.(nops - 1), !classes <> [], Array.of_list !notes)
+    (cells.(nops - 1), !classes <> [])
   in
   let res = try Some (go ()) with Not_fusible -> None in
   (Array.of_list !checks, res)
-
-(* whether [e] reads frame slot [si] *)
-let rec mentions_slot si (e : Ir.expr) =
-  match e.Ir.x_node with
-  | Ir.XConst _ | Ir.XVar (None, _) -> false
-  | Ir.XVar (Some s, _) -> s = si
-  | Ir.XIdx (s, _, args) -> s = si || List.exists (mentions_slot si) args
-  | Ir.XCall (_, args) -> List.exists (mentions_slot si) args
-  | Ir.XUn (_, a) -> mentions_slot si a
-  | Ir.XRange (a, b) | Ir.XBin (_, a, b) ->
-      mentions_slot si a || mentions_slot si b
 
 (* an operand [compile_store_fused] reads straight from the frame *)
 let is_leaf (x : Ir.expr) =
@@ -1402,9 +1356,8 @@ and compile_region env (e : Ir.expr) (rg : Ir.region) : cexpr =
   let full = env.cur_full in
   let run = env.exec.Pool.x_run in
   let b = site_buffers env e.Ir.x_scr in
-  let make_runner (root, raising, notes) (m : Frame.Mask.t) =
+  let make_runner (root, raising) (m : Frame.Mask.t) =
     let bp = if raising && not full then m.Frame.Mask.bits else all_lanes in
-    Array.iter (fun note -> note ()) notes;
     match root with
     | FI f ->
         fill_i run bp b.ri f;
@@ -1462,16 +1415,12 @@ and compile_fused_reduction env (e : Ir.expr) key rg : cexpr =
       let cks, plan = region_plan env rg in
       checks := cks;
       runner :=
-        Option.bind plan (fun (root, raising, notes) ->
-            Option.map
-              (fun r bp empty ->
-                Array.iter (fun note -> note ()) notes;
-                r bp empty)
-              (lane_reduction exec rs ~raising key root));
+        Option.bind plan (fun (root, raising) ->
+            lane_reduction exec rs ~raising key root);
       sc_eligible :=
         Option.is_some !runner
         && (match plan with
-           | Some (_, raising, _) ->
+           | Some (_, raising) ->
                (not raising) && (key = "any" || key = "all")
            | None -> false);
       fresh := false
@@ -1832,7 +1781,6 @@ and compile_index env scr si name args : cexpr =
      array's leading subscript is the lane itself: it reads its own
      lanes' elements only. *)
   let gather_boxed m a ~lane fs =
-    if not lane then note_gather exec a;
     let go set =
       run (fun _ lo hi ->
           let sc =
@@ -1865,12 +1813,10 @@ and compile_index env scr si name args : cexpr =
         let ivs = List.map (fun c -> c m) cargs in
         match (ivs, a) with
         | ([ RI ix ] | [ RI ix; RI _ ]), AInt d when Nd.rank d = nargs ->
-            Pool.note_read exec d.Nd.data;
             gather_i run m.Frame.Mask.bits ~check:(checked m d) b.ri d ix
               (subscript2 ivs);
             b.res_i
         | ([ RI ix ] | [ RI ix; RI _ ]), AReal d when Nd.rank d = nargs ->
-            Pool.note_read exec d.Nd.data;
             gather_r run m.Frame.Mask.bits ~check:(checked m d) b.rr d ix
               (subscript2 ivs);
             b.res_r
@@ -1892,8 +1838,7 @@ and compile_index env scr si name args : cexpr =
 (* Assignment                                                          *)
 (* ------------------------------------------------------------------ *)
 
-and compile_assign env ?(par = false) (l : Ir.lv) : Frame.Mask.t -> rv -> unit
-    =
+and compile_assign env (l : Ir.lv) : Frame.Mask.t -> rv -> unit =
   let frame = env.frame in
   let si = l.Ir.l_slot in
   let name = l.Ir.l_name in
@@ -1933,17 +1878,12 @@ and compile_assign env ?(par = false) (l : Ir.lv) : Frame.Mask.t -> rv -> unit
       let scratch1 = Array.make (nargs + 1) 0 in
       let exec = env.exec in
       let run = exec.Pool.x_run in
-      (* [-O2] interval claim on the store subscript; [par] is the
-         statement's [Ir.s_par] (lane-disjoint index set), both gated
-         by the entry prologue per execution *)
+      (* [-O2] interval claim on the store subscript, gated by the
+         entry prologue per execution *)
       let claim0 = match idxs with ix :: _ -> ix.Ir.x_range | [] -> None in
-      (* typed stores; only rank-1 stores carry [par], and claims are
-         kept for the first subscript only, so a rank-2 store stays
-         checked and serial like the generic scatter below *)
-      let mode m d =
-        ( bounds_checked env m d claim0 None,
-          store_run env ~par ~own:false d.Nd.data )
-      in
+      (* typed stores; claims are kept for the first subscript only, so
+         a rank-2 store stays checked like the generic scatter below *)
+      let mode m d = (bounds_checked env m d claim0 None, store_run env) in
       let scatter a m rhs fs ~plural_arr =
         (* The generic scatter: global-array scatters run serially on
            the control thread, after a join (lane-order collisions, see
@@ -2064,15 +2004,8 @@ and compile_store_fused env ast (l : Ir.lv) e op ea eb : cstmt =
     pass (the add is total on the typed shapes admitted here, so moving
     it across the tick is invisible).  Shapes outside the typed rank-1
     kernels — and the scalar-subscript case, whose unfused tick is a
-    front-end tick — run the factored unfused sequence.
-
-    Under the parallel engine the sharded store may share a join region
-    with the statement's own gather: each lane reads and then writes the
-    same element, and a lane-disjoint [par] store leaves every element
-    to one lane.  That is [own] for [store_run], unless some other
-    pending entry read the array before the statement began, or [rest]
-    or the subscript mention it. *)
-and compile_accum env ast (l : Ir.lv) ~par scr g rest : cstmt =
+    front-end tick — run the factored unfused sequence. *)
+and compile_accum env ast (l : Ir.lv) scr g rest : cstmt =
   let host = env.host in
   let loc = env.cur_loc in
   let frame = env.frame in
@@ -2083,18 +2016,10 @@ and compile_accum env ast (l : Ir.lv) ~par scr g rest : cstmt =
   let cix = compile_expr env sub in
   (* the factored unfused add: same dispatch, its own buffer site *)
   let add = binop_rv env.exec (site_buffers env scr) Ast.Add in
-  let casgn = compile_assign env ~par l in
+  let casgn = compile_assign env l in
   let exec = env.exec in
-  let own_ok = not (mentions_slot si rest || mentions_slot si sub) in
-  let unread () =
-    match Frame.get frame si with
-    | Frame.Global (AReal d) -> not (Pool.has_read exec d.Nd.data)
-    | Frame.Global (AInt d) -> not (Pool.has_read exec d.Nd.data)
-    | _ -> false
-  in
   fun m ->
     observe env m ast;
-    let own = own_ok && unread () in
     let gv = cg m in
     let rv = crest m in
     let tick () = host.h_tick_vector ~loc ~kind:Lf_obs.Trace.Assign m in
@@ -2106,8 +2031,7 @@ and compile_accum env ast (l : Ir.lv) ~par scr g rest : cstmt =
       match cix m with
       | RI ix ->
           let check = bounds_checked env m d sub.Ir.x_range None in
-          scatter (store_run env ~par ~own d.Nd.data) m.Frame.Mask.bits ~check
-            ix;
+          scatter (store_run env) m.Frame.Mask.bits ~check ix;
           Stats.incr st_accum_merged
       | _ ->
           (* non-int-vector subscript: finish unfused (the vector tick
@@ -2162,7 +2086,7 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
   | Ir.LAssign (l, e) when s.Ir.s_accum -> (
       match e.Ir.x_node with
       | Ir.XBin (Ast.Add, g, rest) ->
-          compile_accum env ast l ~par:s.Ir.s_par e.Ir.x_scr g rest
+          compile_accum env ast l e.Ir.x_scr g rest
       | _ -> assert false (* [Opt.mark_accum] only marks this shape *))
   | Ir.LAssign (l, ({ Ir.x_node = Ir.XBin (op, a, b); _ } as e))
     when env.opt >= 1 && l.Ir.l_index = [] && kind op = Arith
@@ -2170,7 +2094,7 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
       compile_store_fused env ast l e op a b
   | Ir.LAssign (l, e) ->
       let ce = compile_expr env e in
-      let casgn = compile_assign env ~par:s.Ir.s_par l in
+      let casgn = compile_assign env l in
       fun m ->
         observe env m ast;
         let rhs = ce m in
@@ -2411,11 +2335,11 @@ let emit ~host ~frame ~exec ?(opt = 1) (ir : Ir.block) :
   in
   if opt < 2 then cbody
   else begin
-    (* [-O2] entry prologue: every interval and disjointness claim may
-       descend from the analysis' [iproc = 1..P] seed, so each
-       application of the compiled body revalidates that the frame's
-       [iproc] binding is still the canonical lane vector before any
-       claim-gated fast path may fire.  The engines import the VM's
+    (* [-O2] entry prologue: every interval claim may descend from the
+       analysis' [iproc = 1..P] seed, so each application of the
+       compiled body revalidates that the frame's [iproc] binding is
+       still the canonical lane vector before any claim-gated fast path
+       may fire.  The engines import the VM's
        variable table before applying the body, so a caller-rebound
        [iproc] is visible here; within a run, claims downstream of a
        CALL never rely on [iproc] (the analysis havocs at calls). *)

@@ -55,8 +55,8 @@ val var_names : Ast.program -> string list
     slot-resolved IR ([Ir] / [Opt]) before emission: 0 compiles each AST
     node to its own lane loop; 1 fuses elementwise chains and reductions,
     recycles scratch buffers and simplifies provably-full masks; 2 adds
-    range-analysis bounds-check discharge and parallel-scatter sharding
-    — all with the same bit-identity contract as the engine itself.
+    range-analysis bounds-check discharge — all with the same
+    bit-identity contract as the engine itself.
 
     [verify] (default false) runs the independent IR verifier
     ([Verify.check_ir]) after lowering and after every optimizer phase;

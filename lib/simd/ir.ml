@@ -91,11 +91,6 @@ type stmt = {
   s_node : snode;
   mutable s_full : bool;  (** context mask provably full (set by [Opt]) *)
   mutable s_accum : bool;  (** scatter-accumulate peephole (set by [Opt]) *)
-  mutable s_par : bool;
-      (** scatter subscripts proven pairwise lane-disjoint (set by
-          [Opt.run] at [-O2]), so the store may be sharded across
-          domains; valid only while the entry [iproc] binding is
-          canonical, which the emitter validates once per run *)
 }
 
 and snode =
@@ -190,7 +185,7 @@ let rec lower_stmt frame (s : Ast.stmt) : stmt =
             lower_block frame b )
     | Ast.SGoto _ | Ast.SCondGoto _ -> LGoto
   in
-  { s_ast = s; s_node = node; s_full = false; s_accum = false; s_par = false }
+  { s_ast = s; s_node = node; s_full = false; s_accum = false }
 
 and lower_block frame (b : Ast.block) : block =
   Array.of_list (List.map (lower_stmt frame) b)
@@ -415,7 +410,6 @@ let rec add_stmt ~spill b s =
   | LGoto -> add b "{\"stmt\":\"goto\"");
   if s.s_full then add b ",\"full_mask\":true";
   if s.s_accum then add b ",\"accum\":true";
-  if s.s_par then add b ",\"par_scatter\":true";
   Buffer.add_char b '}'
 
 and add_branches ~spill b kind c t f =

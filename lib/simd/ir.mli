@@ -73,10 +73,6 @@ type stmt = {
   s_node : snode;
   mutable s_full : bool;  (** context mask provably full (set by [Opt]) *)
   mutable s_accum : bool;  (** scatter-accumulate peephole (set by [Opt]) *)
-  mutable s_par : bool;
-      (** scatter subscripts proven pairwise lane-disjoint (set by
-          [Opt.run] at [-O2]); valid only while the entry [iproc]
-          binding is canonical *)
 }
 
 and snode =

@@ -36,16 +36,14 @@
       are never simultaneously live share a group and steady-state
       vector-op execution allocates nothing even for unfused residue.
 
-    At [-O2] two further phases run off a single value-range abstract
+    At [-O2] one further phase runs off a value-range abstract
     interpretation ([Lf_analysis.Range]): {b range claims} ([x_range])
     on gather/scatter subscripts, letting the emitter discharge per-lane
-    bounds checks, and {b parallel-scatter marking} ([s_par]) on rank-1
-    stores with provably lane-disjoint subscripts, letting the parallel
-    engine shard global-array scatters it otherwise keeps serial.
+    bounds checks.
 
     Every annotation is advisory: the emitter re-validates fusibility
-    against runtime operand shapes (and range/parallel claims against
-    resolved dimensions and the canonical entry [iproc] binding) and
+    against runtime operand shapes (and range claims against resolved
+    dimensions and the canonical entry [iproc] binding) and
     falls back to the unoptimized evaluation order whenever the typed
     plan does not apply, which is what keeps [-O1]/[-O2] bit-identical
     to [-O0].  Under [?verify] every phase boundary additionally runs
@@ -458,40 +456,31 @@ let plan_scratch (b : block) : int * int =
   (ntemps, 1 + Array.fold_left max (-1) color)
 
 (* ------------------------------------------------------------------ *)
-(* Range analysis and parallel scatters ([-O2])                        *)
+(* Range claims ([-O2])                                               *)
 (* ------------------------------------------------------------------ *)
 
 (* At [-O2] the value-range abstract interpretation ([Range], over the
-   original AST the IR shares physically) runs once; its per-statement
-   environments feed two annotation passes:
+   original AST the IR shares physically) runs once, and every
+   gather/scatter {e subscript} whose derived interval is not top gets
+   an [x_range] claim.  The emitter resolves the claim's (possibly
+   symbolic) bounds against the target dimension at run time and drops
+   the per-lane bounds branch when [1 <= lo && hi <= dim] — claimed ⊇
+   derived ⊇ concrete per-lane values, so a discharged check can never
+   have fired.  Claims are advisory and revalidated: the verifier
+   re-derives them at the phase boundary, and the emitter additionally
+   validates at run time that the entry [iproc] binding is canonical
+   ([1..p]) before trusting any of them. *)
 
-   - every gather/scatter {e subscript} whose derived interval is not
-     top gets an [x_range] claim.  The emitter resolves the claim's
-     (possibly symbolic) bounds against the target dimension at run time
-     and drops the per-lane bounds branch when [1 <= lo && hi <= dim] —
-     claimed ⊇ derived ⊇ concrete per-lane values, so a discharged check
-     can never have fired;
-   - every rank-1 store whose subscript is provably pairwise
-     lane-disjoint (the SIV prover over [iproc], or the flow-sensitive
-     lane-affine congruence) is marked [s_par], letting the parallel
-     engine shard a global-array scatter it otherwise keeps serial.
-
-   Both claims are advisory and revalidated: the verifier re-derives
-   them at the phase boundary, and the emitter additionally validates at
-   run time that the entry [iproc] binding is canonical ([1..p]) before
-   trusting any lane-indexed fact. *)
+let claim res count stmt_ast (ix : expr) =
+  match Range.eval_at res stmt_ast ix.x_ast with
+  | Some iv when iv <> Range.top_iv ->
+      ix.x_range <- Some iv;
+      incr count
+  | _ -> ()
 
 let rec claim_ranges res count stmt_ast (e : expr) : unit =
   (match e.x_node with
-  | XIdx (_, _, args) ->
-      List.iter
-        (fun (ix : expr) ->
-          match Range.eval_at res stmt_ast ix.x_ast with
-          | Some av when av.Range.a_iv <> Range.top_iv ->
-              ix.x_range <- Some av.Range.a_iv;
-              incr count
-          | _ -> ())
-        args
+  | XIdx (_, _, args) -> List.iter (claim res count stmt_ast) args
   | _ -> ());
   match e.x_node with
   | XConst _ | XVar _ -> ()
@@ -504,19 +493,12 @@ let rec claim_ranges res count stmt_ast (e : expr) : unit =
 
 let annotate_ranges res (b : block) : int =
   let count = ref 0 in
-  let claim_store stmt_ast (ix : expr) =
-    match Range.eval_at res stmt_ast ix.x_ast with
-    | Some av when av.Range.a_iv <> Range.top_iv ->
-        ix.x_range <- Some av.Range.a_iv;
-        incr count
-    | _ -> ()
-  in
   let rec st (s : stmt) : unit =
     match s.s_node with
     | LLoc (_, inner) -> st inner
     | LNop | LGoto -> ()
     | LAssign (l, e) ->
-        List.iter (claim_store s.s_ast) l.l_index;
+        List.iter (claim res count s.s_ast) l.l_index;
         claim_ranges res count s.s_ast e;
         List.iter (claim_ranges res count s.s_ast) l.l_index
     | LScall (_, args) ->
@@ -536,26 +518,6 @@ let annotate_ranges res (b : block) : int =
         claim_ranges res count s.s_ast hi;
         Option.iter (claim_ranges res count s.s_ast) step;
         Array.iter st b
-  in
-  Array.iter st b;
-  !count
-
-let mark_par_scatters res ~p (b : block) : int =
-  let count = ref 0 in
-  let rec st (s : stmt) : unit =
-    match s.s_node with
-    | LLoc (_, inner) -> st inner
-    | LAssign ({ l_index = [ ix ]; _ }, _) ->
-        if Range.scatter_disjoint res ~p s.s_ast ix.x_ast then begin
-          s.s_par <- true;
-          incr count
-        end
-    | LIf (_, t, f) | LWhere (_, t, f) ->
-        Array.iter st t;
-        Array.iter st f
-    | LWhile (_, bl) | LDoWhile (bl, _) | LDo (_, _, _, _, _, bl) ->
-        Array.iter st bl
-    | LNop | LGoto | LAssign _ | LScall _ -> ()
   in
   Array.iter st b;
   !count
@@ -584,9 +546,6 @@ let st_scratch_reused =
   Stats.counter ~section:Stats.Opt "opt.scratch_reused"
 
 let st_range_sites = Stats.counter ~section:Stats.Opt "opt.range_sites"
-
-let st_par_sites =
-  Stats.counter ~section:Stats.Opt "opt.par_scatter_sites"
 
 let record_stats (b : block) ~sites ~groups =
   let regions = ref 0 and reduces = ref 0 in
@@ -625,9 +584,9 @@ let record_stats (b : block) ~sites ~groups =
 
 (** The named phase sequence: each entry is checked/dumped separately
     under [?verify]/[?dump].  "lower" is the un-optimized input (the
-    only phase at [-O0]); "range"/"parscatter" only run at [-O2]. *)
-let phases = [ "lower"; "fold"; "fuse"; "accum"; "fullmask"; "scratch";
-               "range"; "parscatter" ]
+    only phase at [-O0]); "range" only runs at [-O2]. *)
+let phases =
+  [ "lower"; "fold"; "fuse"; "accum"; "fullmask"; "scratch"; "range" ]
 
 (* Test-only fault injection (the fuzzer's acceptance check and the
    verifier suite drive it): when set to a phase name, the pipeline
@@ -671,14 +630,9 @@ let run ~level ~(frame : Frame.t) ?(verify = false) ?dump (b : block) : block
     if level >= 2 then begin
       let ast = Array.to_list (Array.map (fun s -> s.s_ast) b) in
       let res = Range.analyze ~p:frame.Frame.p ast in
-      let nranges = ref 0 and npar = ref 0 in
+      let nranges = ref 0 in
       phase "range" (fun () -> nranges := annotate_ranges res b);
-      phase "parscatter" (fun () ->
-          npar := mark_par_scatters res ~p:frame.Frame.p b);
-      if Stats.enabled () then begin
-        Stats.add st_range_sites !nranges;
-        Stats.add st_par_sites !npar
-      end
+      if Stats.enabled () then Stats.add st_range_sites !nranges
     end;
     let sites, groups = !sg in
     if Stats.enabled () then record_stats b ~sites ~groups

@@ -10,17 +10,14 @@
     over the linearized evaluation order that gives each site the
     smallest group no live site holds).
 
-    At level 2 a value-range / lane-congruence abstract interpretation
-    ([Lf_analysis.Range]) feeds two more phases: "range" claims
+    At level 2 a value-range abstract interpretation
+    ([Lf_analysis.Range]) feeds one more phase: "range" claims
     intervals for gather/scatter subscripts ([Ir.x_range], letting the
-    emitter discharge per-lane bounds checks) and "parscatter" marks
-    rank-1 stores with provably pairwise lane-disjoint subscripts
-    ([Ir.s_par], letting the parallel engine shard global-array
-    scatters).
+    emitter discharge per-lane bounds checks).
 
     Every annotation is advisory: the emitter ([Compile]) re-validates
     them against runtime shapes, resolved dimensions and the canonical
-    entry [iproc] binding, and falls back to checked/serial execution
+    entry [iproc] binding, and falls back to unfused or checked execution
     whenever a claim does not apply — which is what keeps [-O1]/[-O2]
     bit-identical to [-O0] on state, metrics, error strings,
     first-failing-lane semantics and trace events. *)

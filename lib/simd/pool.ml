@@ -18,10 +18,10 @@
     {e one} dispatch in which each shard runs every pending entry, in
     issue order, over its own lanes.  Shards only touch their own lanes
     of lane vectors and masks, so per-shard program order is the only
-    order entries need — except through global arrays, whose element
-    sets are shared.  The engine reports those accesses ([note_read],
-    [note_write]); a read of an array a pending entry writes, or a write
-    of an array a pending entry reads or writes, flushes first.
+    order entries need.  Entries may read global arrays at other lanes'
+    elements, but never write them: every store into global storage is
+    a serial run on the control thread after a join, so no read inside
+    a region can race a write.
 
     {b Errors.}  Each shard stops at its first failing entry and records
     it.  After the join the error of the lowest (entry, shard) pair is
@@ -235,10 +235,6 @@ type region = {
   mutable r_locs : Errors.pos option array;  (** each entry's statement *)
   mutable r_n : int;
   mutable r_loc : Errors.pos option;  (** innermost located statement *)
-  mutable r_reads : Obj.t array;  (** global arrays pending entries read *)
-  mutable r_nr : int;
-  mutable r_writes : Obj.t array;  (** ... and write *)
-  mutable r_nw : int;
   r_err_at : int array;  (** per shard: first failing entry, or max_int *)
   r_err : exn array;
   r_next : int Atomic.t;  (** next unclaimed shard of this flush *)
@@ -346,8 +342,6 @@ let located loc x =
     first failing (entry, shard)'s error, if any. *)
 let flush rg =
   let n = rg.r_n in
-  rg.r_nr <- 0;
-  rg.r_nw <- 0;
   if n > 0 then begin
     Stats.incr st_dispatches;
     let ns = Array.length rg.r_ranges in
@@ -379,8 +373,7 @@ let flush rg =
     Option.iter raise failure
   end
 
-(* A full region is flushed right after its last entry is appended, so
-   the entry and the global-array accesses noted for it leave together. *)
+(* A full region is flushed right after its last entry is appended. *)
 let issue rg f =
   let n = rg.r_n in
   if n = Array.length rg.r_fs then begin
@@ -422,51 +415,6 @@ let issue_loc e = match e.x_rg with None -> None | Some rg -> rg.r_loc
 
 let set_issue_loc e loc =
   match e.x_rg with None -> () | Some rg -> rg.r_loc <- loc
-
-let rec mem (keys : Obj.t array) n k i =
-  i < n && (Array.unsafe_get keys i == k || mem keys n k (i + 1))
-
-let push keys n k =
-  let keys =
-    if n < Array.length keys then keys
-    else begin
-      let b = Array.make (2 * n) (Obj.repr 0) in
-      Array.blit keys 0 b 0 n;
-      b
-    end
-  in
-  keys.(n) <- k;
-  keys
-
-let note_read e (a : _ array) =
-  match e.x_rg with
-  | None -> ()
-  | Some rg ->
-      let k = Obj.repr a in
-      if mem rg.r_writes rg.r_nw k 0 then flush rg;
-      if not (mem rg.r_reads rg.r_nr k 0) then begin
-        rg.r_reads <- push rg.r_reads rg.r_nr k;
-        rg.r_nr <- rg.r_nr + 1
-      end
-
-let note_write e ~own (a : _ array) =
-  match e.x_rg with
-  | None -> ()
-  | Some rg ->
-      let k = Obj.repr a in
-      if
-        mem rg.r_writes rg.r_nw k 0
-        || ((not own) && mem rg.r_reads rg.r_nr k 0)
-      then flush rg;
-      if not (mem rg.r_writes rg.r_nw k 0) then begin
-        rg.r_writes <- push rg.r_writes rg.r_nw k;
-        rg.r_nw <- rg.r_nw + 1
-      end
-
-let has_read e (a : _ array) =
-  match e.x_rg with
-  | None -> false
-  | Some rg -> mem rg.r_reads rg.r_nr (Obj.repr a) 0
 
 let settle e body x =
   match e.x_rg with
@@ -510,10 +458,6 @@ let parallel_exec ~p ~jobs =
         r_locs = Array.make 64 None;
         r_n = 0;
         r_loc = None;
-        r_reads = Array.make 8 (Obj.repr 0);
-        r_nr = 0;
-        r_writes = Array.make 8 (Obj.repr 0);
-        r_nw = 0;
         r_err_at = Array.make ns max_int;
         r_err = Array.make ns Exit;
         r_next = Atomic.make ns;

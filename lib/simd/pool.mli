@@ -38,7 +38,9 @@ type exec = {
           executor runs it before returning.  A pool-backed one appends
           it to the pending region: it runs at the next [sync], after
           every entry issued before it, on the same lanes.  [f] may only
-          touch lanes [lo, hi) of lane vectors and masks. *)
+          touch lanes [lo, hi) of lane vectors and masks; it may read
+          global arrays at any element but never write them (a global
+          store is a serial run after [sync]). *)
   x_rg : region option;  (** [Some] iff pool-backed *)
 }
 
@@ -60,19 +62,6 @@ val sync : exec -> unit
 (** Join: run every pending entry (one dispatch), then raise the error of
     the first failing (entry, shard), if any — the serial engines'
     first failing lane.  A no-op on an inline executor. *)
-
-val note_read : exec -> _ array -> unit
-(** The next entry reads this global array's storage at lanes other
-    than its own: joins first if a pending entry writes it. *)
-
-val note_write : exec -> own:bool -> _ array -> unit
-(** The next entry writes this global array's storage: joins first if a
-    pending entry writes it, or reads it — unless [own], which promises
-    every pending read of it is the writing lanes' read of the very
-    elements they write. *)
-
-val has_read : exec -> _ array -> bool
-(** A pending entry reads this global array. *)
 
 val issue_loc : exec -> Lf_lang.Errors.pos option
 val set_issue_loc : exec -> Lf_lang.Errors.pos option -> unit

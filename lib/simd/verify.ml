@@ -14,8 +14,7 @@
     own backward liveness over the linearized evaluation order, the
     range rule re-runs the abstract interpretation ([Lf_analysis.Range])
     and requires each claimed interval to {e contain} the re-derived one
-    (claimed ⊇ derived ⊇ actual), and the parallel-scatter rule re-runs
-    both disjointness provers.  Diagnostics reuse the [Lint] record so
+    (claimed ⊇ derived ⊇ actual).  Diagnostics reuse the [Lint] record so
     the CLIs render them with the same file/line/caret style as
     flattenlint, under a distinct IR-prefixed rule family. *)
 
@@ -41,8 +40,6 @@ let rules =
                shape with a pure subscript");
     ("IR007", "every range claim contains the interval re-derived by \
                the value-range analysis");
-    ("IR008", "every parallel-scatter claim is re-proved pairwise \
-               lane-disjoint");
   ]
 
 let rule_doc code = List.assoc_opt code rules
@@ -203,13 +200,11 @@ let rec check_expr ctx ~loc (e : expr) : unit =
       check_slot ctx ~loc ~what:"gather" slot name;
       List.iter (check_expr ctx ~loc) args
 
-(** [claims]: per bare statement, the range-claimed subscript sites and
-    the parallel-scatter marks, collected during the structural walk so
-    the semantic rules (IR007/IR008) re-derive them in one analysis
-    pass. *)
+(** [claims]: per bare statement, the range-claimed subscript sites,
+    collected during the structural walk so the semantic rule (IR007)
+    re-derives them in one analysis pass. *)
 type claims = {
   mutable c_range : (Errors.pos option * Ast.stmt * expr) list;
-  mutable c_par : (Errors.pos option * Ast.stmt * stmt) list;
 }
 
 let rec collect_ranges acc (e : expr) : expr list =
@@ -229,9 +224,7 @@ let rec check_stmt ctx cl ~loc ~full (s : stmt) : unit =
         (s.s_full = inner.s_full)
         ~loc "IR005" "location wrapper and payload disagree on full-mask";
       check ctx (not s.s_accum) ~loc "IR006"
-        "accum claim on a location wrapper";
-      check ctx (not s.s_par) ~loc "IR008"
-        "parallel-scatter claim on a location wrapper"
+        "accum claim on a location wrapper"
   | _ ->
       check ctx
         ((not s.s_full) || full)
@@ -243,8 +236,7 @@ let rec check_stmt ctx cl ~loc ~full (s : stmt) : unit =
           List.iter
             (fun site -> cl.c_range <- (loc, s.s_ast, site) :: cl.c_range)
             (collect_ranges [] e))
-        (own_exprs s);
-      if s.s_par then cl.c_par <- (loc, s.s_ast, s) :: cl.c_par);
+        (own_exprs s));
   List.iter (check_expr ctx ~loc) (own_exprs s);
   match s.s_node with
   | LLoc (pos, inner) -> check_stmt ctx cl ~loc:(Some pos) ~full inner
@@ -396,11 +388,11 @@ let check_scratch ctx (b : block) : unit =
     !steps
 
 (* ------------------------------------------------------------------ *)
-(* IR007/IR008 — semantic claims against the re-derived analysis       *)
+(* IR007 — range claims against the re-derived analysis               *)
 (* ------------------------------------------------------------------ *)
 
 let check_claims ctx ~p (b : block) (cl : claims) : unit =
-  if cl.c_range <> [] || cl.c_par <> [] then begin
+  if cl.c_range <> [] then begin
     let ast = Array.to_list (Array.map (fun s -> s.s_ast) b) in
     let res = Range.analyze ~p ast in
     List.iter
@@ -409,30 +401,15 @@ let check_claims ctx ~p (b : block) (cl : claims) : unit =
         | None -> ()
         | Some claim -> (
             match Range.eval_at res stmt site.x_ast with
-            | Some av ->
-                check ctx
-                  (Range.subsumes claim av.Range.a_iv)
-                  ~loc "IR007"
+            | Some iv ->
+                check ctx (Range.subsumes claim iv) ~loc "IR007"
                   "range claim %s does not contain the derived interval %s"
-                  (Range.iv_to_string claim)
-                  (Range.iv_to_string av.Range.a_iv)
+                  (Range.iv_to_string claim) (Range.iv_to_string iv)
             | None ->
                 fail ctx ~loc "IR007"
                   "range claim %s at a statement the analysis cannot reach"
                   (Range.iv_to_string claim)))
-      cl.c_range;
-    List.iter
-      (fun (loc, stmt, s) ->
-        match s.s_node with
-        | LAssign ({ l_index = [ ix ]; _ }, _) ->
-            check ctx
-              (Range.scatter_disjoint res ~p stmt ix.x_ast)
-              ~loc "IR008"
-              "parallel-scatter claim not re-provable lane-disjoint"
-        | _ ->
-            fail ctx ~loc "IR008"
-              "parallel-scatter claim on a non-rank-1 store")
-      cl.c_par
+      cl.c_range
   end
 
 (* ------------------------------------------------------------------ *)
@@ -445,7 +422,7 @@ let st_time = Stats.timer ~section:Stats.Volatile "verify.time_ns"
 
 let run_checks frame (b : block) : ctx =
   let ctx = { frame; diags = []; nchecks = 0 } in
-  let cl = { c_range = []; c_par = [] } in
+  let cl = { c_range = [] } in
   Array.iter (check_stmt ctx cl ~loc:None ~full:true) b;
   check_scratch ctx b;
   check_claims ctx ~p:frame.Frame.p b cl;

@@ -12,8 +12,7 @@
     - IR005 — full-mask claims only outside WHERE/plural-IF branches
     - IR006 — scatter-accumulate claims match the required shape
     - IR007 — range claims contain the re-derived abstract interval
-      (claimed ⊇ derived ⊇ concrete per-lane values)
-    - IR008 — parallel-scatter claims re-prove pairwise lane-disjoint *)
+      (claimed ⊇ derived ⊇ concrete per-lane values) *)
 
 (** Rule codes with one-line summaries, for [flattenlint --rules]. *)
 val rules : (string * string) list

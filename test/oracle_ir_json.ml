@@ -174,9 +174,6 @@ let rec stmt_json s =
   in
   let base = if s.s_full then base @ [ ("full_mask", J.Bool true) ] else base in
   let base = if s.s_accum then base @ [ ("accum", J.Bool true) ] else base in
-  let base =
-    if s.s_par then base @ [ ("par_scatter", J.Bool true) ] else base
-  in
   J.Obj base
 
 and block_json b = J.List (Array.to_list (Array.map stmt_json b))

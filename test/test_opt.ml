@@ -197,14 +197,16 @@ let t_range_annotations () =
       checks "store subscript claims the iproc interval" "[1, 8]"
         (Lf_analysis.Range.iv_to_string iv)
   | None -> Alcotest.fail "store subscript carries no claim at -O2");
-  checkb "iproc-indexed scatter marked lane-disjoint" (nth b 2).Ir.s_par;
-  checkb "constant-indexed scatter never marked" (not (nth b 3).Ir.s_par);
+  (match (store_sub b.(3)).Ir.x_range with
+  | Some iv ->
+      checks "constant store subscript claims its value" "[2, 2]"
+        (Lf_analysis.Range.iv_to_string iv)
+  | None -> Alcotest.fail "constant store subscript carries no claim");
   (* -O1 leaves the -O2 annotations unset *)
   let b1 = ir_of ~level:1 ~p:8 src in
   checkb "-O1 sets no range claims"
     ((sub_of_gather (nth b1 1)).Ir.x_range = None
-    && (store_sub b1.(2)).Ir.x_range = None);
-  checkb "-O1 marks no parallel scatters" (not (nth b1 2).Ir.s_par)
+    && (store_sub b1.(2)).Ir.x_range = None)
 
 (* ------------------------------------------------------------------ *)
 (* Targeted -O0/-O1/-O2 behavioural equalities                         *)
@@ -759,7 +761,8 @@ let suite =
     prop_scratch_oracle;
     case "scratch groups on NBFORCE equal the colouring"
       t_scratch_oracle_nbforce;
-    case "-O2 range claims and parallel-scatter marks" t_range_annotations;
+    case "-O2 range claims on gather and store subscripts"
+      t_range_annotations;
     case "direct-store shapes and fallbacks" t_direct_store_shapes;
     case "raising fused reduction never short-circuits"
       t_reduction_raises_like_o0;

@@ -204,9 +204,9 @@ let t_region_error_order () =
    loop variable [k] through a cell that changes every iteration while
    the earlier iterations' loops are still pending.  In the second, a
    global array is gathered at other lanes' elements and then scattered
-   lane-disjointly (sharded at [-O2]), so the scatter must wait for the
-   pending gathers.  State and Metrics must match the tree-walker at
-   every jobs count. *)
+   lane-disjointly, a serial store run that must wait for the pending
+   gathers.  State and Metrics must match the tree-walker at every jobs
+   count. *)
 let long_region_src =
   {|PROGRAM t
   INTEGER k

@@ -395,12 +395,40 @@ let t_seed_tokens () =
   | exception Batch.Bad_value m ->
       checkb "fill message names token" (contains_sub m "bogus")
   | _ -> Alcotest.fail "bad fill accepted");
+  (* a decimal integer past the int range is an error, not a REAL *)
+  List.iter
+    (fun tok ->
+      match Batch.scalar_value tok with
+      | exception Batch.Bad_value m ->
+          checkb "out-of-range scalar names token" (contains_sub m tok)
+      | _ -> Alcotest.fail (Fmt.str "out-of-range scalar %s accepted" tok))
+    [ "99999999999999999999"; "-99999999999999999999"; "+4611686018427387904" ];
+  checkb "max_int still an int"
+    (Batch.scalar_value "4611686018427387903" = Values.VInt max_int);
+  (match Batch.fill_array "1,99999999999999999999,bogus" with
+  | exception Batch.Bad_value m ->
+      checkb "first bad fill token named"
+        (contains_sub m "99999999999999999999" && contains_sub m "range")
+  | _ -> Alcotest.fail "out-of-range fill accepted");
   match Batch.fill_array "1,2.5,3" with
   | Values.AReal _ -> ()
   | _ -> Alcotest.fail "mixed fill should be real"
 
 (* The split-then-convert [fill_array] the one-pass parser replaced,
-   kept as its oracle. *)
+   kept as its oracle, with the rule added since: a decimal integer
+   token [int_of_string] refuses is out of range, never a REAL. *)
+let out_of_range tok =
+  let digits = function
+    | "" -> false
+    | d -> String.for_all (fun c -> c >= '0' && c <= '9') d
+  in
+  let body =
+    if tok <> "" && (tok.[0] = '-' || tok.[0] = '+') then
+      String.sub tok 1 (String.length tok - 1)
+    else tok
+  in
+  digits body && int_of_string_opt tok = None
+
 let old_fill_array v =
   let items = String.split_on_char ',' v in
   let ints = List.filter_map int_of_string_opt items in
@@ -412,6 +440,12 @@ let old_fill_array v =
          (Array.of_list
             (List.map
                (fun tok ->
+                 if out_of_range tok then
+                   raise
+                     (Batch.Bad_value
+                        (Printf.sprintf
+                           "invalid array element %S: integer out of range"
+                           tok));
                  match float_of_string_opt tok with
                  | Some f -> f
                  | None ->
@@ -438,7 +472,8 @@ let fill_tokens =
     "+"; "."; "12."; ".5"; "007"; "bogus"; "999999999999999999";
     "-999999999999999999"; "9999999999999999999"; "4611686018427387903";
     "4611686018427387904"; "-4611686018427387904"; "0.12345678901234568";
-    "1_0.5"; "1__0"; "0x1p3"; "true" ]
+    "1_0.5"; "1__0"; "0x1p3"; "true"; "99999999999999999999";
+    "-99999999999999999999"; "+99999999999999999999" ]
 
 let fill_string_gen =
   let open QCheck.Gen in

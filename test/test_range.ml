@@ -1,17 +1,17 @@
-(** The value-range / lane-congruence analysis ([Lf_analysis.Range]).
+(** The value-range analysis ([Lf_analysis.Range]).
 
     Three layers:
     - lattice units: join widens, refinement meet keeps the established
       bound on incomparable facts, subsumption and symbolic membership;
-    - driver units on a flattened-style loop: the claims the [-O2]
+    - driver units on a flattened-style loop: the claim the [-O2]
       optimizer consumes ([at1 ∈ [1, n]] inside the [WHERE (at1 <= n)]
-      guard, the stride-[P] lane congruence, scatter disjointness);
+      guard of a stride-8 loop);
     - the soundness property, as QCheck over random SIMD programs: the
-      abstract interval (and congruence class) recorded before every
-      assignment contains each concrete active-lane value the tree-walk
-      engine observes there, resolving symbolic bounds against the live
-      front-end scalars — the exact contract the compiled engine's
-      bounds-check discharge relies on. *)
+      abstract interval recorded before every assignment contains each
+      concrete active-lane value the tree-walk engine observes there,
+      resolving symbolic bounds against the live front-end scalars — the
+      exact contract the compiled engine's bounds-check discharge relies
+      on. *)
 
 open Helpers
 open Lf_lang
@@ -58,20 +58,6 @@ let t_subsumes_mem () =
     (not (mem ~resolve 9 (iv (Fin 1) (Sym ("n", 0)))));
   checkb "unresolvable symbols are vacuous"
     (mem ~resolve 1000 (iv (Fin 1) (Sym ("m", 0))))
-
-let t_congruence () =
-  let open Range in
-  let c coeff base m = { co_coeff = coeff; co_base = base; co_mod = m } in
-  checkb "stride-P class is lane-disjoint up to P lanes"
-    (cg_lane_disjoint ~p:8 (c 1 0 8));
-  checkb "but collides past P lanes (lanes 1 and 9 agree mod 8)"
-    (not (cg_lane_disjoint ~p:64 (c 1 0 8)));
-  checkb "coeff 0 collides" (not (cg_lane_disjoint ~p:8 (c 0 3 8)));
-  checkb "coeff sharing a factor with the modulus collides"
-    (not (cg_lane_disjoint ~p:8 (c 2 0 4)));
-  checkb "exact affine (mod 0) is disjoint when coeff <> 0"
-    (cg_lane_disjoint ~p:1024 (c 3 7 0));
-  checkb "p <= 1 is trivially disjoint" (cg_lane_disjoint ~p:1 (c 0 0 0))
 
 (* ------------------------------------------------------------------ *)
 (* Driver units: the flattened-loop shape                              *)
@@ -120,35 +106,11 @@ let t_flattened_claims () =
   in
   match Range.eval_at r site (Ast.EVar "at1") with
   | None -> Alcotest.fail "analysis reached no fact at the store"
-  | Some av ->
+  | Some iv ->
       (* the guard's symbolic upper bound survives loop widening: this
          is the claim that discharges the bounds check on f(at1) *)
       checks "interval inside the WHERE guard" "[1, n]"
-        (Range.iv_to_string av.Range.a_iv);
-      (match av.Range.a_cg with
-      | Some c ->
-          checks "stride-8 lane congruence" "1*lane+0 mod 8"
-            (Range.cong_to_string c)
-      | None -> Alcotest.fail "no congruence fact on at1");
-      checkb "store subscript proves pairwise lane-disjoint"
-        (Range.scatter_disjoint r ~p:8 site (Ast.EVar "at1"))
-
-let t_scatter_disjoint_negative () =
-  let block = parse_block "i = iproc\ng(1) = i\ng(i - i + 2) = i" in
-  let r = Range.analyze ~p:8 block in
-  List.iter
-    (fun (what, ix) ->
-      let site = List.nth block 1 in
-      checkb what (not (Range.scatter_disjoint r ~p:8 site ix)))
-    [
-      ("constant subscript collides", Ast.EInt 1);
-      ( "lane-independent subscript collides",
-        Ast.EBin (Ast.Add, Ast.EBin (Ast.Sub, Ast.EVar "i", Ast.EVar "i"),
-                  Ast.EInt 2) );
-    ];
-  checkb "iproc-affine subscript is disjoint"
-    (Range.affine_disjoint ~p:8
-       (Ast.EBin (Ast.Add, Ast.EVar "iproc", Ast.EInt 3)))
+        (Range.iv_to_string iv)
 
 let t_call_havocs () =
   let block = parse_block "i = iproc\nCALL foo(i)\nj = i" in
@@ -160,14 +122,12 @@ let t_call_havocs () =
   in
   match Range.eval_at r site (Ast.EVar "i") with
   | None -> Alcotest.fail "analysis reached no fact after the call"
-  | Some av ->
-      (* the [1, 4] interval and the lane congruence from [i = iproc]
-         are gone; what remains is the vacuous symbolic self-value that
-         expression evaluation substitutes for an unconstrained name *)
-      checkb "CALL havocs the lane congruence" (av.Range.a_cg = None);
+  | Some iv ->
+      (* the [1, 4] interval from [i = iproc] is gone; what remains is
+         the vacuous symbolic self-value that expression evaluation
+         substitutes for an unconstrained name *)
       checkb "CALL havocs the interval"
-        (av.Range.a_iv
-        = Range.{ lo = Sym ("i", 0); hi = Sym ("i", 0) })
+        (iv = Range.{ lo = Sym ("i", 0); hi = Sym ("i", 0) })
 
 (* ------------------------------------------------------------------ *)
 (* Soundness property                                                  *)
@@ -178,28 +138,12 @@ let prop_p = 8
 
 (* check one concrete active-lane value of [v] against its abstract
    fact, resolving symbolic bounds through the live front-end scalars *)
-let check_value ~resolve v (av : Range.av) ~lane n : string option =
-  if not (Range.mem ~resolve n av.Range.a_iv) then
-    Some
-      (Fmt.str "%s = %d escapes %s at lane %d" v n
-         (Range.iv_to_string av.Range.a_iv)
-         lane)
+let check_value ~resolve v (iv : Range.iv) ~lane n : string option =
+  if Range.mem ~resolve n iv then None
   else
-    match av.Range.a_cg with
-    | None -> None
-    | Some c ->
-        let anchor =
-          Range.sat_add (Range.sat_mul c.Range.co_coeff lane) c.Range.co_base
-        in
-        let ok =
-          if c.Range.co_mod = 0 then n = anchor
-          else (n - anchor) mod c.Range.co_mod = 0
-        in
-        if ok then None
-        else
-          Some
-            (Fmt.str "%s = %d escapes congruence %s at lane %d" v n
-               (Range.cong_to_string c) lane)
+    Some
+      (Fmt.str "%s = %d escapes %s at lane %d" v n (Range.iv_to_string iv)
+         lane)
 
 let prop_intervals_sound prog =
   let r = Range.analyze ~p:prop_p prog.Ast.p_body in
@@ -222,7 +166,7 @@ let prop_intervals_sound prog =
               | _ -> None
             in
             Range.SMap.iter
-              (fun v av ->
+              (fun v iv ->
                 match Vm.find_opt vm v with
                 | Some (Vm.VPlural lanes) ->
                     Array.iteri
@@ -231,7 +175,7 @@ let prop_intervals_sound prog =
                         | Values.VInt n when i < Array.length mask && mask.(i)
                           ->
                             Option.iter note
-                              (check_value ~resolve v av ~lane:(i + 1) n)
+                              (check_value ~resolve v iv ~lane:(i + 1) n)
                         | _ -> ())
                       (Lf_simd.Frame.values_of_lanes lanes)
                 | Some (Vm.VScalar { contents = Values.VInt n }) ->
@@ -239,7 +183,7 @@ let prop_intervals_sound prog =
                       (fun i active ->
                         if active then
                           Option.iter note
-                            (check_value ~resolve v av ~lane:(i + 1) n))
+                            (check_value ~resolve v iv ~lane:(i + 1) n))
                       mask
                 | _ -> ())
               m
@@ -273,10 +217,8 @@ let suite =
   [
     case "bound lattice: join widens, meet keeps established" t_bounds;
     case "subsumption and symbolic membership" t_subsumes_mem;
-    case "lane-congruence disjointness" t_congruence;
-    case "flattened loop: [1, n] claim, stride congruence" t_flattened_claims;
-    case "scatter disjointness rejects colliding subscripts"
-      t_scatter_disjoint_negative;
+    case "flattened loop: [1, n] claim, stride-8 guard survives widening"
+      t_flattened_claims;
     case "CALL havocs" t_call_havocs;
     t_soundness;
   ]

@@ -4,8 +4,7 @@
     so each test here plays the broken phase: build a well-formed
     annotated IR, corrupt one annotation the way a buggy pass would
     (full-mask inside a branch, a range claim that no longer contains
-    the derived interval, a parallel-scatter mark on a colliding
-    subscript, a dangling slot), and assert [Verify.check_ir] raises a
+    the derived interval, a dangling slot), and assert [Verify.check_ir] raises a
     located diagnostic carrying the right rule code and the phase name.
     Clean IR at every level must verify silently — that contract is also
     exercised end-to-end by the [--verify-ir] legs of the dune smoke
@@ -63,7 +62,7 @@ let expect_rule what rule (frame, b) =
 (* ------------------------------------------------------------------ *)
 
 let t_rules_table () =
-  checki "eight IR rules" 8 (List.length Verify.rules);
+  checki "seven IR rules" 7 (List.length Verify.rules);
   List.iteri
     (fun i (code, doc) ->
       checks "codes are dense and ordered"
@@ -156,14 +155,6 @@ let t_broken_range_claim () =
   checkb "mutation reached at least one gather subscript" (!hit > 0);
   expect_rule "range claim excludes the derived interval" "IR007" (frame, b)
 
-let t_broken_parscatter () =
-  let frame, b =
-    ir_of "PROGRAM t\n  PLURAL INTEGER i\n  INTEGER g(8)\n  i = iproc\n  g(1) = i\nEND"
-  in
-  (unloc b.(1)).Ir.s_par <- true;
-  expect_rule "parallel-scatter claim on a colliding subscript" "IR008"
-    (frame, b)
-
 let t_broken_slot () =
   let frame, b = ir_of "PROGRAM t\n  PLURAL INTEGER i\n  i = iproc + 1\nEND" in
   let rec clobber (e : Ir.expr) =
@@ -195,11 +186,10 @@ let t_no_spurious_diags () =
 
 let suite =
   [
-    case "rules table: IR001..IR008, rule_doc" t_rules_table;
+    case "rules table: IR001..IR007, rule_doc" t_rules_table;
     case "clean IR verifies at every level and engine" t_clean_ir;
     case "broken phase: full-mask inside a branch" t_broken_fullmask;
     case "broken phase: stale range claim" t_broken_range_claim;
-    case "broken phase: bogus parallel-scatter mark" t_broken_parscatter;
     case "broken phase: dangling slot" t_broken_slot;
     case "flattened -O2 loop is diagnostic-free" t_no_spurious_diags;
   ]
