@@ -187,10 +187,9 @@ let cmd =
           ~doc:
             "Optimizer level for $(b,--dump-ir): $(b,0) dumps the \
              unannotated slot-resolved IR, $(b,1) (the default) the IR \
-             after fusion, reduction fusion, scratch planning and the \
-             peephole passes, $(b,2) additionally the range and \
-             parallel-scatter annotations.  Has no effect on the printed \
-             program.")
+             after reduction fusion, scatter-accumulate marking and \
+             scratch planning, $(b,2) additionally the range claims.  Has \
+             no effect on the printed program.")
   in
   let dump_ir =
     Arg.(

@@ -18,7 +18,7 @@
    Examples:
      dune exec bin/simdfuzz.exe -- --fuzz 200 --seed 7 --corpus test/corpus
      dune exec bin/simdfuzz.exe -- --replay test/corpus/*.f
-     dune exec bin/simdfuzz.exe -- --fuzz 60 --chaos fullmask --minimize *)
+     dune exec bin/simdfuzz.exe -- --fuzz 60 --chaos scratch --minimize *)
 
 open Cmdliner
 module Fuzz = Lf_fuzz.Fuzz
@@ -244,11 +244,11 @@ let cmd =
       & opt (some string) None
       & info [ "chaos" ] ~docv:"TARGET"
           ~doc:
-            "Fault injection for self-tests: an optimizer phase name \
-             (e.g. $(b,fullmask)) mis-annotates the IR after that phase; \
-             $(b,oracle) installs a deliberately broken oracle.  The \
-             campaign is then expected to find and minimize the planted \
-             bug.")
+            "Fault injection for self-tests: $(b,scratch) makes the \
+             optimizer's scratch phase give every buffer-owning site the \
+             same group; $(b,oracle) installs a deliberately broken \
+             oracle.  The campaign is then expected to find and minimize \
+             the planted bug.")
   in
   let replay =
     Arg.(

@@ -536,9 +536,9 @@ let cmd =
       & info [ "O"; "opt-level" ] ~docv:"LEVEL"
           ~doc:
             "Compiled-engine optimizer level: $(b,0) runs the unoptimized \
-             per-operator closures, $(b,1) (the default) enables fusion, \
-             fused reductions, scratch-slot reuse and the peephole passes, \
-             $(b,2) adds value-range analysis (bounds-check discharge on \
+             per-operator closures, $(b,1) (the default) enables fused \
+             reductions, merged scatter-accumulates and scratch-slot \
+             reuse, $(b,2) adds value-range analysis (bounds-check discharge on \
              gathers and scatters).  All levels \
              are bit-identical on state, metrics, traces and errors; only \
              the wall-clock changes.  Ignored by $(b,tree-walk) and \

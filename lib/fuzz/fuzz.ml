@@ -162,14 +162,15 @@ let broken_where_oracle (i : Input.t) : Oracle.verdict =
       }
   else Oracle.Pass
 
-(** Install the named fault: a phase name from [Lf_simd.Opt.phases]
-    mis-annotates the optimizer's output after that phase; ["oracle"]
-    installs [broken_where_oracle].  Returns an uninstaller. *)
+(** Install the named fault: ["scratch"] makes the optimizer's scratch
+    phase give every buffer-owning site group 0
+    ([Lf_simd.Opt.chaos_scratch]); ["oracle"] installs
+    [broken_where_oracle].  Returns an uninstaller. *)
 let install_chaos = function
   | "oracle" ->
       Oracle.extra_oracle := Some broken_where_oracle;
       fun () -> Oracle.extra_oracle := None
-  | phase when List.mem phase Lf_simd.Opt.phases ->
-      Lf_simd.Opt.chaos_phase := Some phase;
-      fun () -> Lf_simd.Opt.chaos_phase := None
+  | "scratch" ->
+      Lf_simd.Opt.chaos_scratch := true;
+      fun () -> Lf_simd.Opt.chaos_scratch := false
   | other -> invalid_arg ("unknown chaos target: " ^ other)

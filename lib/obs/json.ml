@@ -140,7 +140,11 @@ let to_channel oc j = stream oc (fun ~spill b -> write ~spill b j)
 
 exception Bad of string
 
-let parse (s : string) : (t, string) result =
+(* [big_int] maps the text of an integer literal past the int range
+   (default: its nearest [Float]); a reader that must not confuse such a
+   literal with a real number keeps the token instead. *)
+let parse ?(big_int = fun text -> Float (float_of_string text)) (s : string) :
+    (t, string) result =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
@@ -250,10 +254,7 @@ let parse (s : string) : (t, string) result =
     else
       match int_of_string_opt text with
       | Some i -> Int i
-      | None -> (
-          match float_of_string_opt text with
-          | Some f -> Float f
-          | None -> fail "malformed number")
+      | None -> big_int text
   in
   let rec parse_value () =
     skip_ws ();

@@ -106,8 +106,12 @@ val cell_add : sharded -> cell:int -> int -> unit
 val merged_value : sharded -> int
 (** Sum of the cells in ascending cell order. *)
 
-val now_ns : unit -> int64
-(** The monotonic clock (ns); usable even when disabled. *)
+external now_ns : unit -> (int64[@unboxed])
+  = "clock_linux_get_time_bytecode" "clock_linux_get_time_native"
+[@@noalloc]
+(** The monotonic clock (ns); usable even when disabled.  An external,
+    so a read allocates nothing in any module (a run-time deadline check
+    reads it on every VM step). *)
 
 (* ------------------------------------------------------------------ *)
 (* Shared key helpers (both engines must bucket identically)           *)

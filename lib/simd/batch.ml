@@ -269,7 +269,10 @@ let load path =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  match Json.parse text with
+  (* an integer literal past the int range stays its token, so a seed
+     written that way fails its item with the message the quoted form
+     gets, instead of seeding the REAL it would round to *)
+  match Json.parse ~big_int:(fun tok -> Json.Str tok) text with
   | Ok j -> items_of_json j
   | Error msg -> bad "%s: %s" path msg
 
@@ -322,7 +325,8 @@ let run_item ~cache ~src ~fill ~setup (it : item) : (Vm.t, string) result =
     let deadline =
       Option.map
         (fun ms ->
-          Int64.add (Stats.now_ns ()) (Int64.of_int (ms * 1_000_000)))
+          ( Int64.add (Stats.now_ns ()) (Int64.of_int (ms * 1_000_000)),
+            Printf.sprintf "batch item timeout after %d ms" ms ))
         it.bi_timeout_ms
     in
     let vm_setup vm =
@@ -334,13 +338,7 @@ let run_item ~cache ~src ~fill ~setup (it : item) : (Vm.t, string) result =
       List.iter
         (fun (k, v) -> Vm.bind_global vm k (fill v))
         it.bi_fills;
-      Option.iter
-        (fun dl ->
-          Vm.set_observer vm (fun _ ~mask:_ _ ->
-              if Int64.compare (Stats.now_ns ()) dl > 0 then
-                Errors.runtime_error "batch item timeout after %d ms"
-                  (Option.get it.bi_timeout_ms)))
-        deadline
+      Option.iter (fun (at_ns, msg) -> Vm.set_deadline vm ~at_ns msg) deadline
     in
     let vm = ref None in
     for _ = 1 to it.bi_repeat do
@@ -352,8 +350,7 @@ let run_item ~cache ~src ~fill ~setup (it : item) : (Vm.t, string) result =
     done;
     Ok (Option.get !vm)
   with
-  | Sys_error msg -> Error msg
-  | Bad_value msg -> Error msg
+  | Sys_error msg | Bad_value msg | Vm.Timed_out msg -> Error msg
   | Verify.Error diags ->
       Error
         (String.concat "; "

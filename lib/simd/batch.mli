@@ -24,8 +24,8 @@
                                      machine count; serial engines: omit)
         "verify": false,
         "fuel": 50000000,
-        "timeout_ms": 1000,         (wall-clock cutoff, enforced between
-                                     vector steps via the VM observer)
+        "timeout_ms": 1000,         (wall-clock cutoff, checked where
+                                     the VM charges fuel)
         "repeat": 3,                (run the item N times — repeats > 1
                                      run warm; default 1)
         "kernel": "nbforce",        (opaque to the library; interpreted
@@ -76,6 +76,12 @@ val scalar_value : string -> Values.value
 val fill_array : string -> Values.arr
 
 val items_of_json : Lf_obs.Json.t -> item list
+
+(** Read and parse a work-list file.  A JSON integer literal past the
+    int range is kept as its token, so in ["set"]/["fill"] it fails its
+    item with the same [integer out of range] message as the quoted
+    form; a real literal such as [1e20] still seeds a REAL.
+    @raise Bad_jobs on malformed JSON or a malformed work list. *)
 val load : string -> item list
 
 (** Run the items and return [true] iff any item failed.

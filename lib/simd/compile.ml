@@ -57,9 +57,7 @@ type host = {
   h_import : unit -> unit;  (** VM variable table -> frame *)
 }
 
-let is_reduction = Ir.is_reduction
-
-(* Runtime optimizer telemetry (section [Opt]).  All four counters tick
+(* Runtime optimizer telemetry (section [Opt]).  The counters tick
    on the control thread only, once per fused construct {e executed}
    (not per lane and not per shard), so they are deterministic across
    jobs; they vary with [-O] by construction.  [opt.short_circuits]
@@ -68,7 +66,11 @@ let is_reduction = Ir.is_reduction
    the latter depends on shard geometry. *)
 module Stats = Lf_obs.Stats
 
-let st_region_runs = Stats.counter ~section:Stats.Opt "opt.fused_region_runs"
+(* No elementwise region runs any more, so this key always reads 0.  It
+   stays registered because perfbench's [--trace 1] mode reads it from
+   the stats dump and sums it into [fused_runs]. *)
+let _ = Stats.counter ~section:Stats.Opt "opt.fused_region_runs"
+
 let st_reduce_runs = Stats.counter ~section:Stats.Opt "opt.fused_reduce_runs"
 let st_short_circuits = Stats.counter ~section:Stats.Opt "opt.short_circuits"
 
@@ -180,7 +182,7 @@ type rclass =
   | CGather of int  (** bounds check of the gather op at this index *)
 
 (** How the typed paths treat a binary operator.  Every typed path — the
-    per-operator kernels, fused regions, fused stores and merged
+    per-operator kernels, fused reductions, fused stores and merged
     scatter-accumulates — picks its kernel by [kind] and applies the
     operator through the lane functions below, so the fused paths type
     and compute exactly like the unfused dispatch: they run the same
@@ -414,8 +416,8 @@ let map1_b run bp op (r : bool array) (x : bool array) =
           Array.unsafe_set r i (bool_un op (Array.unsafe_get x (i land kx)))
       done)
 
-(** [r.(i) <- f i]: a per-lane function (a fused region, a boxed vector
-    being re-specialized, a call). *)
+(** [r.(i) <- f i]: a per-lane function (a boxed vector being
+    re-specialized). *)
 let fill_i run bp (r : int array) (f : int -> int) =
   run (fun _ lo hi ->
       let all = bp == all_lanes in
@@ -1005,10 +1007,6 @@ type env = {
       (** location of the [SLoc] wrapper being compiled; every tick site
           captures it at compile time, so the run-time closures carry
           their source attribution for free *)
-  mutable cur_full : bool;
-      (** [Ir.s_full] of the statement being compiled: its context mask
-          is provably the full entry mask, so fused loops under it may
-          skip the per-lane mask test *)
   opt : int;  (** optimizer level; gates the [-O1]-only emitter paths *)
   mutable entry_ok : bool;
       (** set by the [-O2] entry prologue, once per application of the
@@ -1024,8 +1022,8 @@ let observe env (m : Frame.Mask.t) s =
   match env.host.h_observer () with
   | None -> ()
   | Some f ->
-      (* observers read VM state (occupancy traces): join, then expose
-         it *)
+      (* observers read VM state (the state probes of the tests): join,
+         then expose it *)
       Pool.sync env.exec;
       env.host.h_flush ();
       f ~mask:(Frame.Mask.to_bool_array m) s
@@ -1108,7 +1106,7 @@ let store_run env =
   env.serial
 
 (* ------------------------------------------------------------------ *)
-(* Fused regions (-O1)                                                 *)
+(* Fused-reduction regions (-O1)                                       *)
 (* ------------------------------------------------------------------ *)
 
 exception Not_fusible
@@ -1339,51 +1337,8 @@ let tick_assign host loc m rhs =
 
 let rec compile_expr env (e : Ir.expr) : cexpr =
   match e.Ir.x_fused with
-  | Some (Ir.FRegion rg) -> compile_region env e rg
   | Some (Ir.FReduce (key, rg)) -> compile_fused_reduction env e key rg
   | None -> compile_expr_node env e
-
-(** A fused elementwise region: one lane loop over the whole subtree.
-    The plan (typed closure tree + validation pins) is cached per site
-    and rebuilt when a pin fails; bindings the plan cannot fuse run the
-    unoptimized per-operator closures instead, cached the same way.
-    Raise-free plans run unmasked over all lanes exactly like the
-    unfused arithmetic kernels (inactive-lane garbage is laundered at
-    every escape point); a raising class runs masked — unless the
-    statement's context mask is provably full ([Ir.s_full]). *)
-and compile_region env (e : Ir.expr) (rg : Ir.region) : cexpr =
-  let fallback = compile_expr_node env e in
-  let full = env.cur_full in
-  let run = env.exec.Pool.x_run in
-  let b = site_buffers env e.Ir.x_scr in
-  let make_runner (root, raising) (m : Frame.Mask.t) =
-    let bp = if raising && not full then m.Frame.Mask.bits else all_lanes in
-    match root with
-    | FI f ->
-        fill_i run bp b.ri f;
-        b.res_i
-    | FR f ->
-        fill_r run bp b.rr f;
-        b.res_r
-    | FB f ->
-        fill_b run bp b.rb f;
-        b.res_b
-  in
-  let checks = ref [||] in
-  let runner = ref None in
-  let fresh = ref true in
-  fun m ->
-    if !fresh || not (Array.for_all (fun c -> c ()) !checks) then begin
-      let cks, plan = region_plan env rg in
-      checks := cks;
-      runner := Option.map make_runner plan;
-      fresh := false
-    end;
-    (match !runner with
-    | Some r ->
-        Stats.incr st_region_runs;
-        r m
-    | None -> fallback m)
 
 (** A reduction over a fused region folds the per-lane closure straight
     into the canonical chunk fold ([fold_i]/[fold_r]) — the argument
@@ -1495,7 +1450,7 @@ and compile_unop env scr op ca : cexpr =
 
 and compile_call env scr name args : cexpr =
   let key = String.lowercase_ascii name in
-  if is_reduction key then compile_reduction env name key args
+  if Ir.is_reduction key then compile_reduction env name key args
   else
     let cargs = List.map (compile_expr env) args in
     let p = env.p in
@@ -2062,7 +2017,6 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
   let host = env.host in
   let loc = env.cur_loc in
   let ast = s.Ir.s_ast in
-  env.cur_full <- s.Ir.s_full;
   match s.Ir.s_node with
   | Ir.LLoc (loc, s) ->
       (* compile the wrapped statement under its location; annotate
@@ -2323,7 +2277,6 @@ let emit ~host ~frame ~exec ?(opt = 1) (ir : Ir.block) :
       exec;
       serial = (Pool.serial_exec ~p:host.h_p).Pool.x_run;
       cur_loc = Errors.no_pos;
-      cur_full = false;
       opt;
       entry_ok = false;
     }

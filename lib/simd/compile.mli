@@ -37,8 +37,6 @@ type host = {
   h_import : unit -> unit;  (** VM variable table -> frame *)
 }
 
-val is_reduction : string -> bool
-
 (** Every name the program can bind or reference as a variable, in
     first-use order (declarations, lvalues, DO variables, [EVar]/[EIdx]
     heads).  The frame passed to [compile] must cover at least these. *)

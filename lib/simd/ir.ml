@@ -10,17 +10,14 @@
     the call path, reduction witnesses distinguish bare variable
     arguments).
 
-    The optimizer ([Opt]) never rewrites the shape of the tree (except
-    for constant folding); it {e annotates} it:
-    - [x_fused] marks a subtree that may be evaluated as a single
-      per-lane fused region ([region]) — or, on a reduction call, folded
-      directly into the canonical chunked merge tree ([FReduce]);
+    The optimizer ([Opt]) never rewrites the shape of the tree; it
+    {e annotates} it:
+    - [x_fused] marks a reduction call whose argument may be folded
+      directly into the canonical chunked merge tree as one per-lane
+      fused region ([FReduce]);
     - [x_scr] assigns the node's result buffer to a recycled scratch
       group in [Frame] (set by the liveness pass; [-1] = private
       per-site buffers, the [-O0] behaviour);
-    - [s_full] marks statements whose context mask is provably the full
-      entry mask (never nested under WHERE / a plural IF), letting fused
-      loops drop the per-lane mask test;
     - [s_accum] marks a gather/accumulate/scatter assignment
       [a(ix) = a(ix) + e] whose final add can be merged into the
       scatter pass.
@@ -53,7 +50,6 @@ type region = {
 }
 
 type fuse =
-  | FRegion of region  (** evaluate this subtree as one fused loop *)
   | FReduce of string * region
       (** reduction call [key(arg)]: fold the fused argument region
           inside the chunked merge tree without materializing it *)
@@ -89,7 +85,6 @@ type lv = {
 type stmt = {
   s_ast : Ast.stmt;  (** original statement, handed to observers *)
   s_node : snode;
-  mutable s_full : bool;  (** context mask provably full (set by [Opt]) *)
   mutable s_accum : bool;  (** scatter-accumulate peephole (set by [Opt]) *)
 }
 
@@ -185,7 +180,7 @@ let rec lower_stmt frame (s : Ast.stmt) : stmt =
             lower_block frame b )
     | Ast.SGoto _ | Ast.SCondGoto _ -> LGoto
   in
-  { s_ast = s; s_node = node; s_full = false; s_accum = false }
+  { s_ast = s; s_node = node; s_accum = false }
 
 and lower_block frame (b : Ast.block) : block =
   Array.of_list (List.map (lower_stmt frame) b)
@@ -292,9 +287,6 @@ let add_region b rg =
 let add_annots b e =
   (match e.x_fused with
   | None -> ()
-  | Some (FRegion rg) ->
-      add b ",\"fused\":";
-      add_region b rg
   | Some (FReduce (key, rg)) ->
       add b ",\"fused_reduce\":";
       J.escape_string b key;
@@ -408,7 +400,6 @@ let rec add_stmt ~spill b s =
       add b ",\"body\":";
       add_block ~spill b body
   | LGoto -> add b "{\"stmt\":\"goto\"");
-  if s.s_full then add b ",\"full_mask\":true";
   if s.s_accum then add b ",\"accum\":true";
   Buffer.add_char b '}'
 

@@ -8,11 +8,10 @@
     index heads that turn out to be functions fall back to the call
     path, reduction witnesses distinguish bare variable arguments).
 
-    [Opt.run] never rewrites the tree's shape (except constant folding);
-    it {e annotates} it: [x_fused] (fused region / fused reduction),
-    [x_scr] (scratch-pool group for the site's result buffers),
-    [s_full] (context mask provably full) and [s_accum]
-    (scatter-accumulate assignment).
+    [Opt.run] never rewrites the tree's shape; it {e annotates} it:
+    [x_fused] (fused reduction), [x_scr] (scratch-pool group for the
+    site's result buffers) and [s_accum] (scatter-accumulate
+    assignment).
 
     [write_json] renders the annotated tree for [--dump-ir], streaming
     it into a buffer with no intermediate [Json.t] tree. *)
@@ -37,7 +36,6 @@ type region = {
 }
 
 type fuse =
-  | FRegion of region  (** evaluate this subtree as one fused loop *)
   | FReduce of string * region
       (** reduction call [key(arg)]: fold the fused argument region
           inside the chunked merge tree without materializing it *)
@@ -71,7 +69,6 @@ type lv = {
 type stmt = {
   s_ast : Ast.stmt;  (** original statement, handed to observers *)
   s_node : snode;
-  mutable s_full : bool;  (** context mask provably full (set by [Opt]) *)
   mutable s_accum : bool;  (** scatter-accumulate peephole (set by [Opt]) *)
 }
 

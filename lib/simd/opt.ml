@@ -3,38 +3,25 @@
     [run ~level] is the identity at [-O0].  At [-O1] it applies, in
     order:
 
-    + {b constant folding} — [XBin]/[XUn] over literal operands are
-      folded through [Scalar_ops] at compile time; an operation that
-      would raise (integer division by zero) is kept, so the error still
-      surfaces at run time with the original message;
-    + {b elementwise fusion} — maximal subtrees of elementwise
-      arithmetic / comparison / logic nodes, unary numeric intrinsics
-      and global-array gathers over variable/literal leaves are
-      annotated as fused regions ([Ir.FRegion]) {e when the subtree
-      applies at least one intrinsic} (the shape the unfused engine can
-      only run through its boxed per-lane call path — intrinsic-free
-      chains already run as unboxed monomorphic loops and measure
-      faster unfused, see [has_intr]); a reduction call whose argument
-      is any fusible subtree is annotated [Ir.FReduce] so the fold
+    + {b reduction fusion} — a reduction call whose argument is a
+      fusible subtree (elementwise arithmetic / comparison / logic,
+      unary numeric intrinsics and global-array gathers over
+      variable/literal leaves) is annotated [Ir.FReduce], so the fold
       happens inside the chunked merge tree without materializing the
       argument.  Region construction value-numbers its postorder
-      program, so a gather or subexpression repeated within one
-      statement (CSE) is evaluated once per lane;
+      program, so a gather or subexpression repeated within the
+      argument (CSE) is evaluated once per lane;
     + {b scatter-accumulate} — [a(ix) = a(ix) + e] with a pure
       arithmetic subscript is annotated [s_accum]: the emitter may merge
       the final add into the scatter pass;
-    + {b mask simplification} — statements whose context mask is
-      provably the full entry mask (never nested under WHERE or a
-      plural IF branch) are annotated [s_full], letting fused loops drop
-      the per-lane mask test;
     + {b scratch planning} — every buffer-bearing site (binary/unary
-      operators, gathers, calls, fused regions) is assigned a recycled
-      scratch group in [Frame] by one walk over the linearized
-      evaluation order: a site lives from its definition to its last
-      use (never past its statement), and each new site takes the
-      smallest group no live site holds, so sites whose result buffers
-      are never simultaneously live share a group and steady-state
-      vector-op execution allocates nothing even for unfused residue.
+      operators, gathers, calls) is assigned a recycled scratch group in
+      [Frame] by one walk over the linearized evaluation order: a site
+      lives from its definition to its last use (never past its
+      statement), and each new site takes the smallest group no live
+      site holds, so sites whose result buffers are never simultaneously
+      live share a group and steady-state vector-op execution allocates
+      nothing.
 
     At [-O2] one further phase runs off a value-range abstract
     interpretation ([Lf_analysis.Range]): {b range claims} ([x_range])
@@ -55,40 +42,7 @@ open Ir
 module Range = Lf_analysis.Range
 
 (* ------------------------------------------------------------------ *)
-(* Constant folding                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let const_of e = match e.x_node with XConst v -> Some v | _ -> None
-
-let rec fold_expr (e : expr) : unit =
-  (match e.x_node with
-  | XConst _ | XVar _ -> ()
-  | XRange (a, b) ->
-      fold_expr a;
-      fold_expr b
-  | XUn (op, a) -> (
-      fold_expr a;
-      match const_of a with
-      | Some v -> (
-          match Scalar_ops.apply_unop op v with
-          | v' -> e.x_node <- XConst v'
-          | exception Errors.Runtime_error _ -> ())
-      | None -> ())
-  | XBin (op, a, b) -> (
-      fold_expr a;
-      fold_expr b;
-      match (const_of a, const_of b) with
-      | Some x, Some y -> (
-          match Scalar_ops.apply_binop op x y with
-          | v -> e.x_node <- XConst v
-          | exception Errors.Runtime_error _ -> ())
-      | _ -> ())
-  | XCall (_, args) -> List.iter fold_expr args
-  | XIdx (_, _, args) -> List.iter fold_expr args);
-  ()
-
-(* ------------------------------------------------------------------ *)
-(* Fusion                                                              *)
+(* Reduction fusion                                                    *)
 (* ------------------------------------------------------------------ *)
 
 (** Number of interior (operator) nodes if the subtree is fusible:
@@ -165,48 +119,25 @@ let build_region (e : expr) : region =
   assert (root = !n - 1);
   { rg_ops = Array.of_list (List.rev !ops) }
 
-(** Whether a fusible subtree applies an intrinsic.  The unfused engine
-    evaluates intrinsics through the boxed per-lane call path — the one
-    elementwise shape where a fused loop is a large measured win (no
-    [value] boxing, no argument array).  Plain arithmetic, comparisons
-    and gathers already run as monomorphic unboxed loops at [-O0];
-    fusing those trades a scratch-buffer round-trip for an indirect
-    call per operand per lane, which benchmarks as a net loss at every
-    chain depth — so intrinsic-free regions are left to the
-    per-operator fast paths.  (Reductions are different: folding the
-    region into the merge tree also skips materializing and
-    renormalizing the argument vector, which pays for the calls; see
-    [annotate_expr].) *)
-let rec has_intr (e : expr) : bool =
-  match e.x_node with
-  | XConst _ | XVar _ | XRange _ -> false
-  | XCall _ -> true
-  | XUn (_, a) -> has_intr a
-  | XBin (_, a, b) -> has_intr a || has_intr b
-  | XIdx (_, _, args) -> List.exists has_intr args
-
+(* Elementwise subtrees stay unfused: the unfused engine runs each
+   operator and intrinsic as a typed lane kernel, and a fused loop only
+   trades its scratch buffers for an indirect call per operand per lane.
+   A reduction is different: folding the region into the merge tree also
+   skips materializing and renormalizing the argument vector. *)
 let rec annotate_expr (e : expr) : unit =
-  match fusible_ops e with
-  | Some n when n >= 1 && has_intr e ->
-      e.x_fused <- Some (FRegion (build_region e))
-  | _ -> (
-      match e.x_node with
-      | XConst _ | XVar _ -> ()
-      | XRange (a, b) ->
-          annotate_expr a;
-          annotate_expr b
-      | XUn (_, a) -> annotate_expr a
-      | XBin (_, a, b) ->
-          annotate_expr a;
-          annotate_expr b
-      | XCall (name, ([ a ] as args)) when is_reduction name -> (
-          match fusible_ops a with
-          | Some n when n >= 1 ->
-              e.x_fused <-
-                Some (FReduce (String.lowercase_ascii name, build_region a))
-          | _ -> List.iter annotate_expr args)
-      | XCall (_, args) -> List.iter annotate_expr args
-      | XIdx (_, _, args) -> List.iter annotate_expr args)
+  match e.x_node with
+  | XConst _ | XVar _ -> ()
+  | XRange (a, b) | XBin (_, a, b) ->
+      annotate_expr a;
+      annotate_expr b
+  | XUn (_, a) -> annotate_expr a
+  | XCall (name, ([ a ] as args)) when is_reduction name -> (
+      match fusible_ops a with
+      | Some n when n >= 1 ->
+          e.x_fused <-
+            Some (FReduce (String.lowercase_ascii name, build_region a))
+      | _ -> List.iter annotate_expr args)
+  | XCall (_, args) | XIdx (_, _, args) -> List.iter annotate_expr args
 
 (* ------------------------------------------------------------------ *)
 (* Scatter-accumulate                                                  *)
@@ -238,27 +169,19 @@ let mark_accum (s : stmt) : unit =
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Mask simplification                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(** [s_full] is sound because [Compile.compile]'s closure is entered
-    with the full mask (see [Vm.run_compiled]); WHERE branches and both
-    branches of an IF (whose plural dispatch runs them under split
-    masks) reset the flag, loop bodies inherit it. *)
-let rec mark_full under (s : stmt) : unit =
-  s.s_full <- under;
-  match s.s_node with
-  | LLoc (_, inner) -> mark_full under inner
-  | LIf (_, t, f) | LWhere (_, t, f) ->
-      Array.iter (mark_full false) t;
-      Array.iter (mark_full false) f
-  | LWhile (_, b) | LDoWhile (b, _) | LDo (_, _, _, _, _, b) ->
-      Array.iter (mark_full under) b
-  | LNop | LAssign _ | LScall _ | LGoto -> ()
-
-(* ------------------------------------------------------------------ *)
 (* Statement walks                                                     *)
 (* ------------------------------------------------------------------ *)
+
+(* [f] on every node of an expression tree, root first. *)
+let rec iter_expr f (e : expr) : unit =
+  f e;
+  match e.x_node with
+  | XConst _ | XVar _ -> ()
+  | XRange (a, b) | XBin (_, a, b) ->
+      iter_expr f a;
+      iter_expr f b
+  | XUn (_, a) -> iter_expr f a
+  | XCall (_, args) | XIdx (_, _, args) -> List.iter (iter_expr f) args
 
 let rec walk_stmt_exprs f (s : stmt) : unit =
   match s.s_node with
@@ -330,12 +253,6 @@ let scratch_steps (b : block) : step array * expr array =
      node owns any.  Mirrors the emitter's evaluation order. *)
   let rec ex (e : expr) : int option =
     match e.x_fused with
-    | Some (FRegion _) ->
-        (* leaves are read inside the fused loop; one step, one temp *)
-        let t = new_temp e in
-        e.x_scr <- t (* provisional: rewritten to a group below *);
-        push [] (Some t);
-        Some t
     | Some (FReduce _) ->
         (* folds straight to a front-end scalar: no result buffers *)
         push [] None;
@@ -478,18 +395,11 @@ let claim res count stmt_ast (ix : expr) =
       incr count
   | _ -> ()
 
-let rec claim_ranges res count stmt_ast (e : expr) : unit =
-  (match e.x_node with
-  | XIdx (_, _, args) -> List.iter (claim res count stmt_ast) args
-  | _ -> ());
-  match e.x_node with
-  | XConst _ | XVar _ -> ()
-  | XRange (a, b) | XBin (_, a, b) ->
-      claim_ranges res count stmt_ast a;
-      claim_ranges res count stmt_ast b
-  | XUn (_, a) -> claim_ranges res count stmt_ast a
-  | XCall (_, args) | XIdx (_, _, args) ->
-      List.iter (claim_ranges res count stmt_ast) args
+let claim_ranges res count stmt_ast =
+  iter_expr (fun e ->
+      match e.x_node with
+      | XIdx (_, _, args) -> List.iter (claim res count stmt_ast) args
+      | _ -> ())
 
 let annotate_ranges res (b : block) : int =
   let count = ref 0 in
@@ -532,13 +442,10 @@ let annotate_ranges res (b : block) : int =
    so one per [Vm.run] with a compiled engine. *)
 module Stats = Lf_obs.Stats
 
-let st_fused_regions = Stats.counter ~section:Stats.Opt "opt.fused_regions"
-
 let st_fused_reductions =
   Stats.counter ~section:Stats.Opt "opt.fused_reductions"
 
 let st_accum_marks = Stats.counter ~section:Stats.Opt "opt.accum_marks"
-let st_full_mask = Stats.counter ~section:Stats.Opt "opt.full_mask_stmts"
 let st_scratch_sites = Stats.counter ~section:Stats.Opt "opt.scratch_sites"
 let st_scratch_groups = Stats.counter ~section:Stats.Opt "opt.scratch_groups"
 
@@ -548,36 +455,14 @@ let st_scratch_reused =
 let st_range_sites = Stats.counter ~section:Stats.Opt "opt.range_sites"
 
 let record_stats (b : block) ~sites ~groups =
-  let regions = ref 0 and reduces = ref 0 in
-  let rec count_expr (e : expr) =
-    (match e.x_fused with
-    | Some (FRegion _) -> incr regions
-    | Some (FReduce _) -> incr reduces
-    | None -> ());
-    match e.x_node with
-    | XConst _ | XVar _ -> ()
-    | XRange (a, b) | XBin (_, a, b) ->
-        count_expr a;
-        count_expr b
-    | XUn (_, a) -> count_expr a
-    | XCall (_, args) | XIdx (_, _, args) -> List.iter count_expr args
-  in
-  Array.iter (walk_stmt_exprs count_expr) b;
-  let accums = ref 0 and fulls = ref 0 in
-  (* [LLoc] wrappers carry the same [s_full] flag as their payload
-     statement; count only the payload to avoid double counting. *)
+  let reduces = ref 0 and accums = ref 0 in
   Array.iter
-    (walk_stmts (fun s ->
-         match s.s_node with
-         | LLoc _ -> ()
-         | _ ->
-             if s.s_accum then incr accums;
-             if s.s_full then incr fulls))
+    (walk_stmt_exprs
+       (iter_expr (fun e -> if Option.is_some e.x_fused then incr reduces)))
     b;
-  Stats.add st_fused_regions !regions;
+  Array.iter (walk_stmts (fun s -> if s.s_accum then incr accums)) b;
   Stats.add st_fused_reductions !reduces;
   Stats.add st_accum_marks !accums;
-  Stats.add st_full_mask !fulls;
   Stats.add st_scratch_sites sites;
   Stats.add st_scratch_groups groups;
   Stats.add st_scratch_reused (sites - groups)
@@ -585,46 +470,33 @@ let record_stats (b : block) ~sites ~groups =
 (** The named phase sequence: each entry is checked/dumped separately
     under [?verify]/[?dump].  "lower" is the un-optimized input (the
     only phase at [-O0]); "range" only runs at [-O2]. *)
-let phases =
-  [ "lower"; "fold"; "fuse"; "accum"; "fullmask"; "scratch"; "range" ]
+let phases = [ "lower"; "fuse"; "accum"; "scratch"; "range" ]
 
-(* Test-only fault injection (the fuzzer's acceptance check and the
-   verifier suite drive it): when set to a phase name, the pipeline
-   deliberately mis-annotates the IR right after that phase runs —
-   claiming every statement's context mask is full, the canonical
-   "buggy fullmask pass".  Under [?verify] the injected corruption is
-   caught at the same phase boundary; without it, the emitter trusts
-   the claim and the engines observably diverge under any non-full
-   WHERE mask.  Always [None] in production. *)
-let chaos_phase : string option ref = ref None
-
-let rec chaos_corrupt (s : stmt) =
-  s.s_full <- true;
-  match s.s_node with
-  | LLoc (_, inner) -> chaos_corrupt inner
-  | LIf (_, t, f) | LWhere (_, t, f) ->
-      Array.iter chaos_corrupt t;
-      Array.iter chaos_corrupt f
-  | LWhile (_, b) | LDoWhile (b, _) | LDo (_, _, _, _, _, b) ->
-      Array.iter chaos_corrupt b
-  | LNop | LAssign _ | LScall _ | LGoto -> ()
+(* Test-only fault injection (the fuzzer's acceptance check drives it):
+   when set, the pipeline deliberately mis-plans scratch right after the
+   "scratch" phase — every buffer-owning site claims group 0, the
+   canonical "buggy register allocator".  Under [?verify] the verifier's
+   interference rule catches it at that phase boundary; without it, two
+   simultaneously live results share one buffer and the engines
+   observably diverge.  Always [false] in production. *)
+let chaos_scratch = ref false
 
 let run ~level ~(frame : Frame.t) ?(verify = false) ?dump (b : block) : block
     =
   let phase name f =
     f ();
-    (match !chaos_phase with
-    | Some p when p = name -> Array.iter chaos_corrupt b
-    | _ -> ());
+    if !chaos_scratch && name = "scratch" then
+      Array.iter
+        (walk_stmt_exprs
+           (iter_expr (fun e -> if e.x_scr > 0 then e.x_scr <- 0)))
+        b;
     (match dump with Some d -> d name b | None -> ());
     if verify then Verify.check_ir ~frame ~phase:name b
   in
   phase "lower" (fun () -> ());
   if level >= 1 then begin
-    phase "fold" (fun () -> Array.iter (walk_stmt_exprs fold_expr) b);
     phase "fuse" (fun () -> Array.iter (walk_stmt_exprs annotate_expr) b);
     phase "accum" (fun () -> Array.iter (walk_stmts mark_accum) b);
-    phase "fullmask" (fun () -> Array.iter (mark_full true) b);
     let sg = ref (0, 0) in
     phase "scratch" (fun () -> sg := plan_scratch b);
     if level >= 2 then begin

@@ -1,14 +1,11 @@
 (** The optimizer pipeline over the slot-resolved IR ([Ir]).
 
     [run ~level] is the identity at level 0 ([-O0]).  At level 1 and
-    above it applies, in named phases: constant folding ("fold"),
-    elementwise fusion ([Ir.FRegion], only for intrinsic-bearing
-    subtrees — see the rationale in the implementation) and reduction
-    fusion ([Ir.FReduce]) ("fuse"), scatter-accumulate marking
-    ([Ir.s_accum], "accum"), mask simplification ([Ir.s_full],
-    "fullmask") and scratch planning ([Ir.x_scr], "scratch", one walk
-    over the linearized evaluation order that gives each site the
-    smallest group no live site holds).
+    above it applies, in named phases: reduction fusion ([Ir.FReduce],
+    "fuse"), scatter-accumulate marking ([Ir.s_accum], "accum") and
+    scratch planning ([Ir.x_scr], "scratch", one walk over the
+    linearized evaluation order that gives each site the smallest group
+    no live site holds).
 
     At level 2 a value-range abstract interpretation
     ([Lf_analysis.Range]) feeds one more phase: "range" claims
@@ -39,13 +36,13 @@ val run :
   Ir.block ->
   Ir.block
 
-val chaos_phase : string option ref
-(** Test-only fault injection: when set to a phase name, [run]
-    deliberately mis-annotates the IR after that phase (it marks every
-    statement [Ir.s_full], the canonical buggy mask-simplification
-    pass).  The fuzzer's acceptance test sets this to prove the
-    differential oracles catch — and the reducer minimizes — a broken
-    optimizer phase.  Must be [None] outside tests. *)
+val chaos_scratch : bool ref
+(** Test-only fault injection: when set, [run] deliberately mis-plans
+    scratch after the "scratch" phase (every buffer-owning site claims
+    group 0, so simultaneously live results share a buffer).  The
+    fuzzer's acceptance test sets this to prove the differential oracles
+    catch — and the reducer minimizes — a broken optimizer phase.  Must
+    be [false] outside tests. *)
 
 (** {1 Scratch planning} *)
 

@@ -48,7 +48,6 @@ let as_front_scalar = function
   | Plural _ -> Errors.runtime_error "plural value in a front-end context"
   | FArr _ -> Errors.runtime_error "array value in a scalar context"
 
-let as_front_bool v = Values.as_bool (as_front_scalar v)
 let as_front_int v = Values.as_int (as_front_scalar v)
 
 let all_active (mask : bool array) = Array.for_all Fun.id mask

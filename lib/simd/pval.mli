@@ -28,7 +28,6 @@ val is_plural : t -> bool
 (** Raise unless the value is a front-end scalar. *)
 val as_front_scalar : t -> Values.value
 
-val as_front_bool : t -> bool
 val as_front_int : t -> int
 
 (** [map_active ~mask f] is the plural whose lane [i] is [f i] on every

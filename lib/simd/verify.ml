@@ -3,8 +3,8 @@
     The optimizer's annotations are advisory — the emitter revalidates
     them against runtime shapes — but a wrong annotation can still turn
     into a silently different program (a scratch group shared by two
-    live buffers, a full-mask claim inside a WHERE branch, a range claim
-    that lets the emitter skip a bounds check that would have fired).
+    live buffers, a range claim that lets the emitter skip a bounds
+    check that would have fired).
     The verifier independently re-derives every claim after lowering and
     after each optimizer phase, so a broken phase is caught at the phase
     boundary with a located, rule-coded diagnostic instead of surfacing
@@ -24,18 +24,19 @@ module Lint = Lf_analysis.Lint
 module Range = Lf_analysis.Range
 module Stats = Lf_obs.Stats
 
-(** Rule codes with one-line summaries, for [flattenlint --rules]. *)
+(** Rule codes with one-line summaries, for [flattenlint --rules].
+    The codes skip 5: that rule checked the mask-simplification phase's
+    claims and went with it, and a code is never reused, so every other
+    code keeps its meaning. *)
 let rules =
   [
     ("IR001", "every slot reference resolves in the frame to the same name");
     ("IR002", "fused regions are postorder: operands precede users, \
                the root is last");
-    ("IR003", "fused regions hold only fusible ops (no POW, no \
-               non-intrinsic calls; reductions only as FReduce heads)");
+    ("IR003", "FReduce regions hold only fusible ops (no POW, no \
+               non-intrinsic calls) under a reduction head");
     ("IR004", "scratch groups are interference-free: two buffers never \
                share a group while simultaneously live");
-    ("IR005", "full-mask claims only outside WHERE/plural-IF branches; \
-               location wrappers agree with their payload");
     ("IR006", "scatter-accumulate claims match the a(ix) = a(ix) + e \
                shape with a pure subscript");
     ("IR007", "every range claim contains the interval re-derived by \
@@ -93,7 +94,7 @@ let check_slot ctx ~loc ~what slot name =
 (* IR002/IR003 — fused-region well-formedness                          *)
 (* ------------------------------------------------------------------ *)
 
-let check_region ctx ~loc ~reduce_key rg =
+let check_region ctx ~loc key rg =
   let n = Array.length rg.rg_ops in
   check ctx (n > 0) ~loc "IR002" "fused region is empty";
   Array.iteri
@@ -122,11 +123,8 @@ let check_region ctx ~loc ~reduce_key rg =
           check_slot ctx ~loc ~what:"region gather" slot name;
           Array.iter (operand "subscript") ix)
     rg.rg_ops;
-  match reduce_key with
-  | None -> ()
-  | Some key ->
-      check ctx (is_reduction key) ~loc "IR003"
-        "fused reduction head %s is not a reduction" key
+  check ctx (is_reduction key) ~loc "IR003"
+    "fused reduction head %s is not a reduction" key
 
 (* ------------------------------------------------------------------ *)
 (* IR006 — scatter-accumulate shape                                    *)
@@ -168,7 +166,7 @@ let check_accum ctx ~loc (s : stmt) =
   | _ -> fail ctx ~loc "IR006" "accum claim on a non-scatter statement"
 
 (* ------------------------------------------------------------------ *)
-(* Structural walk (IR001/002/003/005/006 + claim collection)          *)
+(* Structural walk (IR001/002/003/006 + claim collection)              *)
 (* ------------------------------------------------------------------ *)
 
 (* The statement's own expression trees, excluding nested blocks. *)
@@ -183,9 +181,7 @@ let own_exprs (s : stmt) : expr list =
 
 let rec check_expr ctx ~loc (e : expr) : unit =
   (match e.x_fused with
-  | Some (FRegion rg) -> check_region ctx ~loc ~reduce_key:None rg
-  | Some (FReduce (key, rg)) ->
-      check_region ctx ~loc ~reduce_key:(Some key) rg
+  | Some (FReduce (key, rg)) -> check_region ctx ~loc key rg
   | None -> ());
   match e.x_node with
   | XConst _ -> ()
@@ -217,19 +213,12 @@ let rec collect_ranges acc (e : expr) : expr list =
   | XCall (_, args) | XIdx (_, _, args) ->
       List.fold_left collect_ranges acc args
 
-let rec check_stmt ctx cl ~loc ~full (s : stmt) : unit =
+let rec check_stmt ctx cl ~loc (s : stmt) : unit =
   (match s.s_node with
-  | LLoc (_, inner) ->
-      check ctx
-        (s.s_full = inner.s_full)
-        ~loc "IR005" "location wrapper and payload disagree on full-mask";
+  | LLoc _ ->
       check ctx (not s.s_accum) ~loc "IR006"
         "accum claim on a location wrapper"
   | _ ->
-      check ctx
-        ((not s.s_full) || full)
-        ~loc "IR005"
-        "full-mask claim inside a WHERE/plural-IF branch";
       if s.s_accum then check_accum ctx ~loc s;
       List.iter
         (fun e ->
@@ -239,17 +228,17 @@ let rec check_stmt ctx cl ~loc ~full (s : stmt) : unit =
         (own_exprs s));
   List.iter (check_expr ctx ~loc) (own_exprs s);
   match s.s_node with
-  | LLoc (pos, inner) -> check_stmt ctx cl ~loc:(Some pos) ~full inner
+  | LLoc (pos, inner) -> check_stmt ctx cl ~loc:(Some pos) inner
   | LAssign ({ l_slot; l_name; _ }, _) ->
       check_slot ctx ~loc ~what:"store" l_slot l_name
   | LDo (slot, name, _, _, _, b) ->
       check_slot ctx ~loc ~what:"loop var" slot name;
-      Array.iter (check_stmt ctx cl ~loc ~full) b
+      Array.iter (check_stmt ctx cl ~loc) b
   | LIf (_, t, f) | LWhere (_, t, f) ->
-      Array.iter (check_stmt ctx cl ~loc ~full:false) t;
-      Array.iter (check_stmt ctx cl ~loc ~full:false) f
+      Array.iter (check_stmt ctx cl ~loc) t;
+      Array.iter (check_stmt ctx cl ~loc) f
   | LWhile (_, b) | LDoWhile (b, _) ->
-      Array.iter (check_stmt ctx cl ~loc ~full) b
+      Array.iter (check_stmt ctx cl ~loc) b
   | LNop | LGoto | LScall _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -282,10 +271,6 @@ let check_scratch ctx (b : block) : unit =
   let push uses def ~loc = steps := (uses, def, loc) :: !steps in
   let rec ex ~loc (e : expr) : int option =
     match e.x_fused with
-    | Some (FRegion _) ->
-        let t = new_site ~loc e in
-        push [] (Some t) ~loc;
-        Some t
     | Some (FReduce _) ->
         push [] None ~loc;
         None
@@ -423,7 +408,7 @@ let st_time = Stats.timer ~section:Stats.Volatile "verify.time_ns"
 let run_checks frame (b : block) : ctx =
   let ctx = { frame; diags = []; nchecks = 0 } in
   let cl = { c_range = [] } in
-  Array.iter (check_stmt ctx cl ~loc:None ~full:true) b;
+  Array.iter (check_stmt ctx cl ~loc:None) b;
   check_scratch ctx b;
   check_claims ctx ~p:frame.Frame.p b cl;
   ctx

@@ -6,13 +6,16 @@
     Rules:
     - IR001 — slot references resolve in the frame to the claimed name
     - IR002 — fused regions are postorder (operands precede users)
-    - IR003 — fused regions hold only fusible operations
+    - IR003 — [FReduce] regions hold only fusible operations under a
+      reduction head
     - IR004 — scratch groups are interference-free under a re-derived
       backward liveness over the linearized evaluation order
-    - IR005 — full-mask claims only outside WHERE/plural-IF branches
     - IR006 — scatter-accumulate claims match the required shape
     - IR007 — range claims contain the re-derived abstract interval
-      (claimed ⊇ derived ⊇ concrete per-lane values) *)
+      (claimed ⊇ derived ⊇ concrete per-lane values)
+
+    Code 5 is retired with the mask-simplification phase whose claims
+    it checked, and is not reused. *)
 
 (** Rule codes with one-line summaries, for [flattenlint --rules]. *)
 val rules : (string * string) list

@@ -44,6 +44,9 @@ and t = {
           registered [~pure:true] may be applied lane-parallel *)
   mutable observer : (t -> mask:bool array -> Ast.stmt -> unit) option;
       (** called before every vector-step statement with its mask *)
+  mutable deadline : (int * string) option;
+      (** monotonic-clock cutoff (ns) and the error a step past it
+          raises; checked where fuel is charged *)
   trace : Lf_obs.Trace.t;
       (** per-vector-step event collector; disabled (one flat branch per
           step, no allocation) until a sink is attached *)
@@ -63,6 +66,7 @@ let create ?(fuel = default_fuel) ~p () =
       procs = Hashtbl.create 8;
       funcs = Hashtbl.create 8;
       observer = None;
+      deadline = None;
       trace = Lf_obs.Trace.create ();
       cur_loc = Errors.no_pos;
     }
@@ -115,6 +119,19 @@ let stats_reduction () =
   if Stats.enabled () then
     Stats.incr (Stats.dispatch_counter Lf_obs.Trace.Reduce)
 
+exception Timed_out of string
+
+let set_deadline vm ~at_ns msg =
+  vm.deadline <- Some (Int64.to_int at_ns, msg)
+
+(* The clock is read only while a deadline is armed.  [Timed_out] is not
+   a [Runtime_error], so no statement wrapper locates it. *)
+let check_deadline vm =
+  match vm.deadline with
+  | None -> ()
+  | Some (at_ns, msg) ->
+      if Int64.to_int (Stats.now_ns ()) > at_ns then raise (Timed_out msg)
+
 let tick_vector vm ~mask ~kind =
   let active = active_count mask in
   Metrics.vector_step vm.metrics ~active ~p:vm.p;
@@ -130,7 +147,8 @@ let tick_vector vm ~mask ~kind =
         mask = Array.copy mask;
       };
   vm.fuel <- vm.fuel - 1;
-  if vm.fuel <= 0 then Errors.runtime_error "SIMD VM fuel exhausted"
+  if vm.fuel <= 0 then Errors.runtime_error "SIMD VM fuel exhausted";
+  check_deadline vm
 
 (** Emit a [Reduce] trace event (reductions do not consume a step). *)
 let trace_reduction vm ~mask =
@@ -149,19 +167,14 @@ let tick_frontend vm =
   Metrics.frontend_step vm.metrics;
   if Stats.enabled () then Stats.incr Stats.frontend_counter;
   vm.fuel <- vm.fuel - 1;
-  if vm.fuel <= 0 then Errors.runtime_error "SIMD VM fuel exhausted"
+  if vm.fuel <= 0 then Errors.runtime_error "SIMD VM fuel exhausted";
+  check_deadline vm
 
 (* ------------------------------------------------------------------ *)
 (* Variable binding                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let bind_scalar vm name v = Hashtbl.replace vm.vars name (VScalar (ref v))
-
-let bind_plural vm name vs =
-  if Array.length vs <> vm.p then
-    Errors.runtime_error "plural %s has %d lanes, machine has %d" name
-      (Array.length vs) vm.p;
-  Hashtbl.replace vm.vars name (VPlural (Frame.lanes_of_values vs))
 
 let bind_global vm name a = Hashtbl.replace vm.vars name (VGlobal a)
 
@@ -849,7 +862,8 @@ let make_host vm (frame : Frame.t) (exec : Pool.exec) =
                 mask = Frame.Mask.to_bool_array m;
               };
           vm.fuel <- vm.fuel - 1;
-          if vm.fuel <= 0 then Errors.runtime_error "SIMD VM fuel exhausted");
+          if vm.fuel <= 0 then Errors.runtime_error "SIMD VM fuel exhausted";
+          check_deadline vm);
       h_tick_frontend = (fun () -> tick_frontend vm);
       h_reduction =
         (fun ~loc m ->
@@ -913,27 +927,26 @@ let run_compiled vm ~(exec : Pool.exec) ?opt ?verify ?prepared
    three produce bit-identical state, metrics and errors.  [jobs] (only
    meaningful — and only validated — with [`Parallel]) bounds the shard
    count; it defaults to [Pool.default_jobs ()]. *)
+let exec_engine vm engine ~jobs ~opt ~verify ~prepared (prog : program) =
+  let p = vm.p in
+  match engine with
+  | `Tree_walk -> exec_block vm ~mask:(full_mask vm) prog.p_body
+  | `Compiled ->
+      run_compiled vm ~exec:(Pool.serial_exec ~p) ?opt ?verify ?prepared prog
+  | `Parallel ->
+      let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
+      if jobs < 1 then invalid_arg "Vm.run: jobs must be >= 1";
+      run_compiled vm
+        ~exec:(Pool.parallel_exec ~p ~jobs)
+        ?opt ?verify ?prepared prog
+
 (** Engine dispatch plus the telemetry bracket, on an already-created,
-    already-declared VM ([run] and [run_src] both funnel here). *)
+    already-declared VM ([run] and [run_src] both funnel here).  Without
+    telemetry the dispatch is a direct call, with no closure. *)
 let run_on vm ?(engine = `Tree_walk) ?jobs ?opt ?verify ?prepared
     (prog : program) : unit =
-  let p = vm.p in
-  let exec_engine () =
-    match engine with
-    | `Tree_walk -> exec_block vm ~mask:(full_mask vm) prog.p_body
-    | `Compiled ->
-        run_compiled vm ~exec:(Pool.serial_exec ~p) ?opt ?verify ?prepared
-          prog
-    | `Parallel ->
-        let jobs =
-          match jobs with Some j -> j | None -> Pool.default_jobs ()
-        in
-        if jobs < 1 then invalid_arg "Vm.run: jobs must be >= 1";
-        run_compiled vm
-          ~exec:(Pool.parallel_exec ~p ~jobs)
-          ?opt ?verify ?prepared prog
-  in
-  (if not (Stats.enabled ()) then exec_engine ()
+  (if not (Stats.enabled ()) then
+     exec_engine vm engine ~jobs ~opt ~verify ~prepared prog
    else
      (* GC and wall/CPU telemetry bracket the whole engine dispatch; the
         [finally] records even when the run dies (fuel, runtime error) so
@@ -941,17 +954,21 @@ let run_on vm ?(engine = `Tree_walk) ?jobs ?opt ?verify ?prepared
         Minor words are the control domain's exact [Gc.minor_words]
         count: [Gc.quick_stat]'s minor count only moves at minor
         collections on OCaml 5. *)
+     let dispatch () =
+       exec_engine vm engine ~jobs ~opt ~verify ~prepared prog
+     in
      let g0 = Gc.quick_stat () in
      let c0 = Sys.time () in
-     let t0 = Stats.now_ns () in
+     (* an immediate, so the [finally] closure boxes nothing *)
+     let t0 = Int64.to_int (Stats.now_ns ()) in
      let w0 = Gc.minor_words () in
      Fun.protect
        ~finally:(fun () ->
          let w1 = Gc.minor_words () in
-         let t1 = Stats.now_ns () in
+         let t1 = Int64.to_int (Stats.now_ns ()) in
          let c1 = Sys.time () in
          let g1 = Gc.quick_stat () in
-         Stats.add_span_ns st_run_wall (Int64.sub t1 t0);
+         Stats.add_span_ns st_run_wall (Int64.of_int (t1 - t0));
          Stats.add_gauge st_run_cpu (c1 -. c0);
          Stats.add_gauge st_minor_words (w1 -. w0);
          Stats.add_gauge st_promoted_words
@@ -961,7 +978,7 @@ let run_on vm ?(engine = `Tree_walk) ?jobs ?opt ?verify ?prepared
            (g1.minor_collections - g0.minor_collections);
          Stats.add st_major_colls
            (g1.major_collections - g0.major_collections))
-       exec_engine)
+       dispatch)
 
 let run ?fuel ?engine ?jobs ?opt ?verify ~p ?(setup = fun _ -> ())
     (prog : program) : t =

@@ -29,6 +29,8 @@ and t = {
   funcs : (string, (Values.value list -> Values.value) * bool) Hashtbl.t;
       (** per-lane functions with their purity flag *)
   mutable observer : (t -> mask:bool array -> Ast.stmt -> unit) option;
+  mutable deadline : (int * string) option;
+      (** monotonic-clock cutoff (ns) and the error a step past it raises *)
   trace : Lf_obs.Trace.t;
       (** per-vector-step event collector; off (one flat branch per
           step, no allocation) until a sink is attached *)
@@ -41,8 +43,22 @@ val create : ?fuel:int -> p:int -> unit -> t
 val register_proc : t -> string -> proc -> unit
 
 (** Install a per-statement observer, called before each assignment or
-    CALL with the activity mask — the hook behind occupancy traces. *)
+    CALL with the activity mask and the VM state as of that statement.
+    On the compiled engines each call joins and flushes the frame, so
+    it is a testing hook (state probes, soundness checks), not a cheap
+    one. *)
 val set_observer : t -> (t -> mask:bool array -> Ast.stmt -> unit) -> unit
+
+(** Raised with the message given to [set_deadline].  Never located:
+    which step the clock runs out at is not a property of the program. *)
+exception Timed_out of string
+
+(** Arm a wall-clock cutoff: the first vector or front-end step (where
+    fuel is charged, on every engine) after the monotonic clock
+    ([Lf_obs.Stats.now_ns]) passes [at_ns] raises [Timed_out msg].
+    Without a deadline no step reads the clock; with one a step reads it
+    without allocating. *)
+val set_deadline : t -> at_ns:int64 -> string -> unit
 
 (** Attach a per-vector-step trace sink; both engines then emit one
     [Lf_obs.Trace] event per vector step (and per reduction), carrying
@@ -64,7 +80,6 @@ val active_count : bool array -> int
 (* variable binding *)
 
 val bind_scalar : t -> string -> Values.value -> unit
-val bind_plural : t -> string -> Values.value array -> unit
 val bind_global : t -> string -> Values.arr -> unit
 val bind_plural_arr : t -> string -> Ast.dtype -> int array -> unit
 val find : t -> string -> entry

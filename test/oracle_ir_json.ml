@@ -59,7 +59,6 @@ let with_annots e fields =
   let fields =
     match e.x_fused with
     | None -> fields
-    | Some (FRegion rg) -> fields @ [ ("fused", region_json rg) ]
     | Some (FReduce (key, rg)) ->
         fields
         @ [ ("fused_reduce", J.Str key); ("fused", region_json rg) ]
@@ -172,7 +171,6 @@ let rec stmt_json s =
         ]
     | LGoto -> [ ("stmt", J.Str "goto") ]
   in
-  let base = if s.s_full then base @ [ ("full_mask", J.Bool true) ] else base in
   let base = if s.s_accum then base @ [ ("accum", J.Bool true) ] else base in
   J.Obj base
 

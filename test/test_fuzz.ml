@@ -342,7 +342,7 @@ let t_campaign_deterministic =
    reproducer to at most 10 statements *)
 let t_chaos_phase_found_and_minimized =
   case "broken optimizer phase is found and minimized" (fun () ->
-      let uninstall = Fuzz.install_chaos "fullmask" in
+      let uninstall = Fuzz.install_chaos "scratch" in
       Fun.protect ~finally:uninstall (fun () ->
           let cfg =
             {
@@ -360,6 +360,17 @@ let t_chaos_phase_found_and_minimized =
           in
           checkb "the mis-annotation was caught within 60 inputs"
             (hits <> []);
+          (* without the verifier the collapsed groups are a wrong
+             answer: a * b and a - b share one buffer *)
+          let prog =
+            parse_program
+              "PROGRAM t\n  PLURAL INTEGER a, b, r\n  a = iproc\n\
+              \  b = iproc + 1\n  r = a * b + (a - b)\nEND"
+          in
+          let run engine = Lf_simd.Vm.run ~engine ~opt:1 ~p:4 prog in
+          checkb "unverified engines diverge"
+            (not
+               (Lf_simd.Vm.state_equal (run `Tree_walk) (run `Compiled)));
           List.iter
             (fun f ->
               match f.Fuzz.f_minimized with
@@ -416,12 +427,17 @@ let t_chaos_oracle_found_and_minimized =
                     | _ -> false))
             hits))
 
+(* only the scratch phase carries a planted fault: other phase names,
+   including the deleted "fullmask", are unknown targets *)
 let t_chaos_unknown_target =
   case "unknown chaos targets are rejected" (fun () ->
-      Alcotest.check_raises "invalid_arg"
-        (Invalid_argument "unknown chaos target: nonsense") (fun () ->
-          let _uninstall = Fuzz.install_chaos "nonsense" in
-          ()))
+      List.iter
+        (fun target ->
+          Alcotest.check_raises "invalid_arg"
+            (Invalid_argument ("unknown chaos target: " ^ target)) (fun () ->
+              let _uninstall = Fuzz.install_chaos target in
+              ()))
+        [ "nonsense"; "fullmask"; "fuse"; "range" ])
 
 (* a diverging input must yield the distinct Fuel verdict, not a
    failure: non-termination of a random program is not a bug finding *)
@@ -476,9 +492,9 @@ let t_reducer_shrinks =
         end
       done)
 
-(* the dune fuzz-smoke rule ran the chaos campaign through the real CLI
-   before this binary started; its captured transcript must show the
-   failure being found and shrunk *)
+(* the dune fuzz-smoke rules ran the chaos campaigns through the real
+   CLI before this binary started; their captured transcripts must show
+   the failures being found and shrunk *)
 let t_chaos_cli_transcript =
   case "chaos CLI transcript shows find + minimize" (fun () ->
       let ic = open_in "fuzz_chaos.txt" in
@@ -488,7 +504,14 @@ let t_chaos_cli_transcript =
       let mem = contains_sub s in
       checkb "a chaos-oracle failure was reported" (mem "[chaos-oracle]");
       checkb "the reducer ran" (mem "minimized to");
-      checkb "the summary line is present" (mem "simdfuzz:"))
+      checkb "the summary line is present" (mem "simdfuzz:");
+      let s =
+        In_channel.with_open_bin "fuzz_chaos_scratch.txt" In_channel.input_all
+      in
+      let mem = contains_sub s in
+      checkb "the scratch fault was caught by the verifier"
+        (mem "[verify-ir]" && mem "IR004");
+      checkb "the reducer ran on it" (mem "minimized to"))
 
 let suite =
   suite

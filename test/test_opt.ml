@@ -1,10 +1,9 @@
 (** Unit tests for the slot-resolved IR ([Ir]) and the optimizer
-    pipeline ([Opt]): where each annotation lands (constant folding,
-    fusion policy, fused reductions, scatter-accumulate, full-mask
-    marking, scratch planning) plus targeted [-O0]/[-O1] behavioural
-    equalities for the emitter's fused fast paths and their documented
-    fallbacks — cases the differential suite only reaches
-    statistically. *)
+    pipeline ([Opt]): where each annotation lands (fusion policy, fused
+    reductions, scatter-accumulate, scratch planning) plus targeted
+    [-O0]/[-O1] behavioural equalities for the emitter's fused fast
+    paths and their documented fallbacks — cases the differential suite
+    only reaches statistically. *)
 
 open Helpers
 open Lf_lang
@@ -32,74 +31,76 @@ let rhs_of (s : Ir.stmt) =
 (* Annotation placement                                                *)
 (* ------------------------------------------------------------------ *)
 
-let t_const_fold () =
-  let src = "PROGRAM t\n  PLURAL INTEGER i\n  i = 2 + 3 * 4\nEND" in
-  (match (rhs_of (nth (ir_of src) 0)).Ir.x_node with
-  | Ir.XConst (Values.VInt 14) -> ()
-  | _ -> Alcotest.fail "constant expression did not fold at -O1");
-  match (rhs_of (nth (ir_of ~level:0 src) 0)).Ir.x_node with
-  | Ir.XBin _ -> ()
-  | _ -> Alcotest.fail "-O0 must leave the tree untouched"
-
-(* FRegion only on intrinsic-bearing subtrees: intrinsic-free chains
-   already run as monomorphic unboxed loops at -O0 and measure faster
-   unfused (see [Opt]'s has_intr rationale) *)
+(* Elementwise subtrees stay unfused at every level, intrinsic-bearing
+   or not: the unfused engine runs each operator and intrinsic as a
+   typed lane kernel.  Nothing folds constants either. *)
 let t_fusion_policy () =
-  checkb "sqrt is a fusible intrinsic"
-    (List.mem "sqrt" Ir.fusible_intrinsics);
-  let b =
-    ir_of
-      "PROGRAM t\n\
-      \  PLURAL REAL r\n\
-      \  PLURAL REAL a\n\
-      \  r = sqrt(a * a) + 1.0\n\
-      \  r = a * a + a\n\
-       END"
+  let src =
+    "PROGRAM t\n\
+    \  PLURAL REAL r\n\
+    \  PLURAL REAL a\n\
+    \  PLURAL INTEGER i\n\
+    \  r = sqrt(a * a) + 1.0\n\
+    \  r = a * a + a\n\
+    \  i = 2 + 3 * 4\n\
+     END"
   in
-  (match (rhs_of (nth b 0)).Ir.x_fused with
-  | Some (Ir.FRegion _) -> ()
-  | _ -> Alcotest.fail "intrinsic-bearing subtree must fuse");
-  checkb "pure-arithmetic chain stays unfused"
-    ((rhs_of (nth b 1)).Ir.x_fused = None)
+  List.iter
+    (fun level ->
+      let b = ir_of ~level src in
+      List.iter
+        (fun n ->
+          checkb
+            (Fmt.str "-O%d statement %d builds no region" level n)
+            ((rhs_of (nth b n)).Ir.x_fused = None))
+        [ 0; 1; 2 ];
+      match (rhs_of (nth b 2)).Ir.x_node with
+      | Ir.XBin _ -> ()
+      | _ -> Alcotest.failf "-O%d rewrote a constant expression" level)
+    [ 0; 1; 2 ]
 
 (* region construction value-numbers its postorder program: a gather
-   (and the intrinsic applied to it) repeated within one statement is
-   emitted once *)
+   (and the intrinsic applied to it) repeated within a reduction's
+   argument is emitted once *)
 let t_region_cse () =
   let b =
     ir_of
       "PROGRAM t\n\
       \  PLURAL INTEGER i\n\
-      \  PLURAL REAL r\n\
+      \  LOGICAL q\n\
       \  REAL x(8)\n\
       \  i = iproc\n\
-      \  r = sqrt(x(i)) + sqrt(x(i))\n\
+      \  q = any(sqrt(x(i)) + sqrt(x(i)) > 0)\n\
        END"
   in
   match (rhs_of (nth b 1)).Ir.x_fused with
-  | Some (Ir.FRegion { rg_ops }) ->
+  | Some (Ir.FReduce ("any", { rg_ops })) ->
       let count p = Array.to_list rg_ops |> List.filter p |> List.length in
       checki "one gather after CSE" 1
         (count (function Ir.OGather _ -> true | _ -> false));
       checki "one sqrt after CSE" 1
         (count (function Ir.OIntr _ -> true | _ -> false))
-  | _ -> Alcotest.fail "repeated-gather statement must fuse"
+  | _ -> Alcotest.fail "repeated-gather reduction must fuse"
 
 (* a reduction fuses any fusible argument — including intrinsic-free
-   chains, where skipping the materialized argument still pays *)
+   chains, where skipping the materialized argument still pays; -O0
+   leaves the tree untouched *)
 let t_fused_reduction () =
-  let b =
-    ir_of
-      "PROGRAM t\n\
-      \  PLURAL REAL r\n\
-      \  REAL s\n\
-      \  r = iproc * 0.5\n\
-      \  s = sum(r * r)\n\
-       END"
+  let src =
+    "PROGRAM t\n\
+    \  PLURAL REAL r\n\
+    \  REAL s\n\
+    \  r = iproc * 0.5\n\
+    \  s = sum(r * r)\n\
+     END"
   in
-  match (rhs_of (nth b 1)).Ir.x_fused with
+  (match (rhs_of (nth (ir_of src) 1)).Ir.x_fused with
   | Some (Ir.FReduce ("sum", _)) -> ()
-  | _ -> Alcotest.fail "sum over a fusible argument must fuse"
+  | _ -> Alcotest.fail "sum over a fusible argument must fuse");
+  let e0 = rhs_of (nth (ir_of ~level:0 src) 1) in
+  checkb "-O0 must leave the tree untouched"
+    (e0.Ir.x_fused = None
+    && match e0.Ir.x_node with Ir.XCall ("sum", [ _ ]) -> true | _ -> false)
 
 let t_scatter_accumulate () =
   let b =
@@ -117,28 +118,6 @@ let t_scatter_accumulate () =
   checkb "x(i) = e + x(i) is not (gather must be the left operand)"
     (not (nth b 2).Ir.s_accum)
 
-let t_full_mask () =
-  let b =
-    ir_of
-      "PROGRAM t\n\
-      \  PLURAL INTEGER i\n\
-      \  i = 1\n\
-      \  WHERE (i > 0)\n\
-      \    i = 2\n\
-      \  ENDWHERE\n\
-       END"
-  in
-  checkb "top-level statement runs under the full mask" (nth b 0).Ir.s_full;
-  checkb "the WHERE itself runs under the full mask" (nth b 1).Ir.s_full;
-  (match (nth b 1).Ir.s_node with
-  | Ir.LWhere (_, t, _) ->
-      checkb "WHERE-body statement does not" (not (unloc t.(0)).Ir.s_full)
-  | _ -> Alcotest.fail "expected a WHERE");
-  let b0 =
-    ir_of ~level:0 "PROGRAM t\n  PLURAL INTEGER i\n  i = 1\nEND"
-  in
-  checkb "-O0 never marks full masks" (not (nth b0 0).Ir.s_full)
-
 (* scratch planning: result buffers of sites whose values are dead
    across statements share a pool group; -O0 plans nothing *)
 let t_scratch_plan () =
@@ -155,7 +134,7 @@ let t_scratch_plan () =
   let b = ir_of src in
   let s0 = (rhs_of (nth b 0)).Ir.x_scr
   and s1 = (rhs_of (nth b 1)).Ir.x_scr in
-  checkb "first region site gets a scratch group" (s0 >= 0);
+  checkb "first statement's root site gets a scratch group" (s0 >= 0);
   checkb "dead-across-statements sites share the group" (s0 = s1);
   let b0 = ir_of ~level:0 src in
   checki "-O0 leaves every site private" (-1) (rhs_of (nth b0 0)).Ir.x_scr
@@ -672,9 +651,11 @@ let opt_words n =
 (* Exact readings (dev profile) at N = 60, pinned with no tolerance as
    for the engine gate above.  Before the grouped dependence test and
    the one-walk scratch planner, [check_loop] read 306,069 words here
-   (1,130,091 at N = 120) and [Opt.run] 231,221. *)
+   (1,130,091 at N = 120) and [Opt.run] 231,221; [Opt.run] read 57,191
+   while it still folded constants, built elementwise regions and marked
+   full-mask statements. *)
 let check_loop_budget = 48_730.
-let opt_budget = 57_191.
+let opt_budget = 53_529.
 
 (* The text layers at N = 60, with the same exact readings: parsing the
    printed source (9,628 bytes), writing the -O1 IR of its SIMDized form
@@ -751,12 +732,10 @@ let t_dump_ir_file () =
 
 let suite =
   [
-    case "constant folding (and -O0 identity)" t_const_fold;
-    case "fusion only on intrinsic-bearing regions" t_fusion_policy;
+    case "-O1 builds no elementwise regions" t_fusion_policy;
     case "region CSE: repeated gathers evaluate once" t_region_cse;
     case "reductions fuse fusible arguments" t_fused_reduction;
     case "scatter-accumulate marking" t_scatter_accumulate;
-    case "full-mask marking" t_full_mask;
     case "scratch planning shares dead buffers" t_scratch_plan;
     prop_scratch_oracle;
     case "scratch groups on NBFORCE equal the colouring"

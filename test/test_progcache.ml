@@ -320,17 +320,62 @@ let t_batch_schema () =
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("record does not re-parse: " ^ e)
 
+(* The deadline is checked where fuel is charged, so it fires mid-run
+   on every engine with the same message. *)
 let t_batch_timeout () =
-  let _, records =
-    run_batch [ batch_item ~program:"loop.f" ~engine:`Tree_walk ~timeout_ms:1 () ]
+  List.iter
+    (fun (what, engine, jobs) ->
+      let _, records =
+        run_batch
+          [ batch_item ~program:"loop.f" ~engine ?jobs ~timeout_ms:1 () ]
+      in
+      match records with
+      | [ r ] -> (
+          checkb (what ^ ": timeout fails the item")
+            (str_field r "status" = Some "error");
+          match str_field r "error" with
+          | Some m ->
+              checkb (what ^ ": message names the timeout")
+                (contains_sub m "batch item timeout after 1 ms")
+          | None -> Alcotest.fail (what ^ ": no error message"))
+      | _ -> Alcotest.fail (what ^ ": expected one record"))
+    [
+      ("tree-walk", `Tree_walk, None);
+      ("compiled", `Compiled, None);
+      ("parallel", `Parallel, Some 2);
+    ]
+
+(* An armed deadline reads the clock on every step without allocating:
+   a warm compiled run under a generous deadline allocates exactly the
+   minor words of the same run without one. *)
+let t_deadline_alloc () =
+  let src =
+    "PROGRAM w\n  PLURAL INTEGER u\n  u = 0\n\
+    \  WHILE (any(u < 2000))\n    u = u + iproc\n  ENDWHILE\nEND\n"
   in
-  match records with
-  | [ r ] -> (
-      checkb "timeout fails the item" (str_field r "status" = Some "error");
-      match str_field r "error" with
-      | Some m -> checkb "message names the timeout" (contains_sub m "timeout")
-      | None -> Alcotest.fail "no error message")
-  | _ -> Alcotest.fail "expected one record"
+  let words ~deadline =
+    let cache = Progcache.create () in
+    let setup vm =
+      if deadline then
+        Vm.set_deadline vm
+          ~at_ns:(Int64.add (Stats.now_ns ()) 600_000_000_000L)
+          "deadline passed"
+    in
+    let run () =
+      ignore (Vm.run_src ~engine:`Compiled ~cache ~p:8 ~setup src : Vm.t)
+    in
+    run ();
+    run ();
+    with_stats (fun () ->
+        run ();
+        Stats.gauge_value (Stats.gauge "gc.minor_words"))
+  in
+  let without = words ~deadline:false in
+  let armed = words ~deadline:true in
+  checkb "the run allocates (the reading is live)" (without > 0.);
+  checkb
+    (Fmt.str "minor words with a deadline %.0f = without %.0f" armed without)
+    (armed = without)
 
 let t_batch_warm_metrics () =
   (* repeats run warm through the chain's cache; the driver's metrics
@@ -382,6 +427,47 @@ let t_items_of_json () =
   rejects "bad opt" {|[{"program": "a.f", "p": 4, "opt": 7}]|};
   rejects "jobs without parallel" {|[{"program": "a.f", "p": 4, "jobs": 2}]|};
   rejects "bad repeat" {|[{"program": "a.f", "p": 4, "repeat": 0}]|}
+
+(* A JSON integer literal past the int range is not a real number: the
+   work-list reader keeps its token, and the item seeding it fails alone
+   with the message the quoted form gets.  Real literals still seed
+   REALs. *)
+let t_big_json_seed () =
+  let path = Filename.temp_file "lf_jobs" ".json" in
+  let items =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_bin path (fun oc ->
+            output_string oc
+              {|[{"program": "good.f", "p": 4, "set": {"k": 99999999999999999999}},
+                 {"program": "good.f", "p": 4, "set": {"k": -99999999999999999999}},
+                 {"program": "good.f", "p": 4, "set": {"k": 1e20, "h": 0.5, "j": 7}},
+                 {"program": "good.f", "p": 4, "fill": {"l": 99999999999999999999}}]|});
+        Batch.load path)
+  in
+  (match items with
+  | [ a; b; c; _ ] ->
+      checkb "big literal keeps its token"
+        (a.Batch.bi_sets = [ ("k", "99999999999999999999") ]);
+      checkb "negative big literal keeps its token"
+        (b.Batch.bi_sets = [ ("k", "-99999999999999999999") ]);
+      checkb "real literals seed REALs, ints INTEGERs"
+        (List.map (fun (k, v) -> (k, Batch.scalar_value v)) c.Batch.bi_sets
+        = [ ("k", Values.VReal 1e20); ("h", Values.VReal 0.5);
+            ("j", Values.VInt 7) ])
+  | _ -> Alcotest.fail "expected four items");
+  let _, records = run_batch (items @ [ batch_item () ]) in
+  let errors = List.map (fun r -> str_field r "error") records in
+  checkb "each big-literal item fails alone with its token named"
+    (errors
+    = [
+        Some {|invalid scalar value "99999999999999999999": integer out of range|};
+        Some {|invalid scalar value "-99999999999999999999": integer out of range|};
+        None;
+        Some {|invalid array element "99999999999999999999": integer out of range|};
+        None;
+      ])
 
 let t_seed_tokens () =
   checkb "int" (Batch.scalar_value "8" = Values.VInt 8);
@@ -728,4 +814,6 @@ let suite =
     case "seed-token parsing" t_seed_tokens;
     case "fill_array: edge tokens match the old parser" t_fill_array_edges;
     prop_fill_array_oracle;
+    case "deadline checks allocate nothing" t_deadline_alloc;
+    case "work list: huge JSON integers stay tokens" t_big_json_seed;
   ]

@@ -3,8 +3,8 @@
     The verifier's job is catching an optimizer phase that broke the IR,
     so each test here plays the broken phase: build a well-formed
     annotated IR, corrupt one annotation the way a buggy pass would
-    (full-mask inside a branch, a range claim that no longer contains
-    the derived interval, a dangling slot), and assert [Verify.check_ir] raises a
+    (a range claim that no longer contains the derived interval, a
+    dangling slot), and assert [Verify.check_ir] raises a
     located diagnostic carrying the right rule code and the phase name.
     Clean IR at every level must verify silently — that contract is also
     exercised end-to-end by the [--verify-ir] legs of the dune smoke
@@ -25,12 +25,6 @@ let ir_of ?(level = 2) ?(p = 8) src =
 
 let rec unloc (s : Ir.stmt) =
   match s.Ir.s_node with Ir.LLoc (_, inner) -> unloc inner | _ -> s
-
-(* set a statement flag on a wrapper and its payload together, as a
-   (buggy) optimizer phase would via [Opt]'s located walks *)
-let rec set_full (s : Ir.stmt) =
-  s.Ir.s_full <- true;
-  match s.Ir.s_node with Ir.LLoc (_, inner) -> set_full inner | _ -> ()
 
 (* the rule codes of the diagnostics a mutation provokes *)
 let rules_of (frame, b) =
@@ -62,15 +56,15 @@ let expect_rule what rule (frame, b) =
 (* ------------------------------------------------------------------ *)
 
 let t_rules_table () =
-  checki "seven IR rules" 7 (List.length Verify.rules);
-  List.iteri
-    (fun i (code, doc) ->
-      checks "codes are dense and ordered"
-        (Fmt.str "IR%03d" (i + 1))
-        code;
+  checki "six IR rules" 6 (List.length Verify.rules);
+  List.iter2
+    (fun want (code, doc) ->
+      checks "codes are ordered, the retired IR005 left out" want code;
       checkb "every rule has a summary" (String.length doc > 10);
       checkb "rule_doc finds it" (Verify.rule_doc code = Some doc))
+    [ "IR001"; "IR002"; "IR003"; "IR004"; "IR006"; "IR007" ]
     Verify.rules;
+  checkb "IR005 is retired" (Verify.rule_doc "IR005" = None);
   checkb "unknown rules answer None" (Verify.rule_doc "IR999" = None);
   checkb "LF rules belong to the lint table" (Verify.rule_doc "LF001" = None)
 
@@ -115,13 +109,6 @@ let t_clean_ir () =
 (* ------------------------------------------------------------------ *)
 (* Broken-phase mutations                                              *)
 (* ------------------------------------------------------------------ *)
-
-let t_broken_fullmask () =
-  let frame, b = ir_of clean_src in
-  (match (unloc b.(1)).Ir.s_node with
-  | Ir.LWhere (_, t, _) -> set_full b.(1); Array.iter set_full t
-  | _ -> Alcotest.fail "statement 1 is not the WHERE");
-  expect_rule "full-mask inside a branch" "IR005" (frame, b)
 
 let t_broken_range_claim () =
   let frame, b = ir_of clean_src in
@@ -188,7 +175,6 @@ let suite =
   [
     case "rules table: IR001..IR007, rule_doc" t_rules_table;
     case "clean IR verifies at every level and engine" t_clean_ir;
-    case "broken phase: full-mask inside a branch" t_broken_fullmask;
     case "broken phase: stale range claim" t_broken_range_claim;
     case "broken phase: dangling slot" t_broken_slot;
     case "flattened -O2 loop is diagnostic-free" t_no_spurious_diags;
