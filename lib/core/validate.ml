@@ -42,7 +42,7 @@ let obs_to_string (o : Interp.observation) =
     o.Interp.ob_args
 
 (** [compare_runs ~vars ~setup a b] runs blocks [a] and [b] in fresh
-    contexts prepared by [setup] and compares the variables [vars] and the
+    contexts set up by [setup] and compares the variables [vars] and the
     observation traces.  Synthetic variables introduced by the transformer
     (guard flags, auxiliary induction variables) should not be in [vars]. *)
 let compare_runs ?(params = []) ?fuel ?(setup = fun _ -> ()) ~(vars : string list)

@@ -23,7 +23,7 @@ type report = {
 val obs_to_string : Interp.observation -> string
 
 (** [compare_runs ~vars ~setup a b] runs both blocks in fresh contexts
-    prepared by [setup] and compares the variables [vars] plus the
+    set up by [setup] and compares the variables [vars] plus the
     observation traces.  Synthetic transformer-introduced variables should
     not be listed in [vars]. *)
 val compare_runs :

@@ -19,7 +19,7 @@ type result = {
 }
 
 (** [run ~p ~setup prog]: processor [i] (0-based) gets a fresh sequential
-    context prepared by [setup i] — typically its block or cyclic slice of
+    context set up by [setup i] — typically its block or cyclic slice of
     the global arrays, per the owner-computes rule.  [procs] registers
     external subroutines on every processor.  [profile] turns on per-line
     step attribution ([line_steps]). *)

@@ -1,8 +1,8 @@
 (** The compiled execution engine of the SIMD VM.
 
-    [compile] lowers an F90simd block into a tree of OCaml closures,
-    resolving every variable reference to a dense [Frame] slot at compile
-    time (no hashtable lookups on the hot path), keeping plural int/real
+    [lower] and [emit] turn an F90simd block into a tree of OCaml
+    closures, resolving every variable reference to a dense [Frame] slot
+    at compile time (no hashtable lookups on the hot path), keeping plural int/real
     scalars unboxed, and threading the activity mask as a reusable
     [Frame.Mask] bitset with a cached active count, so WHERE nesting and
     step accounting allocate nothing per vector instruction.
@@ -27,35 +27,15 @@
     arguments, a reduction's witness — reads them as the inert
     [VInt 0].
 
-    The engine is parameterized over a [host] record of callbacks
-    (metrics, fuel, procedure/function lookup, frame<->VM
-    synchronization), which keeps this module below [Vm] in the
-    dependency order. *)
+    The emitted closures read the run's VM state ([Vmstate]: procedures,
+    functions, observer, the variable table behind the frame) directly,
+    and charge every step through [Vmstate]'s accounting, the same
+    functions the tree-walker calls.  [Vmstate] sits below this module
+    and [Vm] above it. *)
 
 open Lf_lang
 open Lf_lang.Ast
 open Values
-
-type host = {
-  h_p : int;  (** number of lanes *)
-  h_tick_vector :
-    loc:Errors.pos -> kind:Lf_obs.Trace.kind -> Frame.Mask.t -> unit;
-      (** one vector step (may raise on fuel); [loc] and [kind] are static
-          per call site, and the active count is cached in the mask, so
-          trace emission costs the host one branch when disabled *)
-  h_tick_frontend : unit -> unit;  (** one control-unit step *)
-  h_reduction : loc:Errors.pos -> Frame.Mask.t -> unit;
-      (** count a global reduction tree *)
-  h_call_metric : string -> unit;  (** count an external CALL *)
-  h_find_proc : string -> (mask:bool array -> Pval.t list -> unit) option;
-  h_find_func : string -> ((value list -> value) * bool) option;
-      (** user function and its purity: only [pure] functions may be
-          applied lane-parallel (impure ones keep the serial ascending
-          per-lane application order) *)
-  h_observer : unit -> (mask:bool array -> stmt -> unit) option;
-  h_flush : unit -> unit;  (** frame -> VM variable table *)
-  h_import : unit -> unit;  (** VM variable table -> frame *)
-}
 
 (* Runtime optimizer telemetry (section [Opt]).  The counters tick
    on the control thread only, once per fused construct {e executed}
@@ -997,7 +977,7 @@ let bind_fresh exec frame si p (m : Frame.Mask.t) rhs =
 (* ------------------------------------------------------------------ *)
 
 type env = {
-  host : host;
+  vm : Vmstate.t;  (** the run's VM: procedures, functions, accounting *)
   frame : Frame.t;
   p : int;
   exec : Pool.exec;  (** lane-loop dispatcher: serial or pool-sharded *)
@@ -1019,14 +999,28 @@ type cexpr = Frame.Mask.t -> rv
 type cstmt = Frame.Mask.t -> unit
 
 let observe env (m : Frame.Mask.t) s =
-  match env.host.h_observer () with
+  match env.vm.Vmstate.observer with
   | None -> ()
   | Some f ->
       (* observers read VM state (the state probes of the tests): join,
          then expose it *)
       Pool.sync env.exec;
-      env.host.h_flush ();
-      f ~mask:(Frame.Mask.to_bool_array m) s
+      Vmstate.flush_frame env.vm env.frame;
+      f env.vm ~mask:(Frame.Mask.to_bool_array m) s
+
+(* A trace event reads the step's mask and happens at its place in
+   program order, so with a sink attached every vector step and
+   reduction is a join of [exec]'s pending lane loops: an earlier lane
+   error is raised before the event is emitted. *)
+let tick_vector env ~loc ~kind (m : Frame.Mask.t) =
+  if env.vm.Vmstate.trace.Lf_obs.Trace.enabled then Pool.sync env.exec;
+  Vmstate.tick_vector env.vm ~loc ~kind ~active:(Frame.Mask.active m) m
+    Frame.Mask.to_bool_array
+
+let reduction env ~loc (m : Frame.Mask.t) =
+  if env.vm.Vmstate.trace.Lf_obs.Trace.enabled then Pool.sync env.exec;
+  Vmstate.reduction env.vm ~loc ~active:(Frame.Mask.active m) m
+    Frame.Mask.to_bool_array
 
 (** Result buffers for a buffer-owning site: at [-O1] the scratch-pool
     vectors of the site's [Opt.plan_scratch] group ([Ir.x_scr]); fresh
@@ -1138,7 +1132,6 @@ let region_plan env (rg : Ir.region) :
     (unit -> bool) array * (fcell * bool) option =
   let frame = env.frame in
   let exec = env.exec in
-  let host = env.host in
   let ops = rg.Ir.rg_ops in
   let nops = Array.length ops in
   let cells = Array.make nops (FI (fun _ -> 0)) in
@@ -1244,7 +1237,7 @@ let region_plan env (rg : Ir.region) :
     (cell, plural.(a))
   in
   let intr_cell key a =
-    let shadowed () = Option.is_some (host.h_find_func key) in
+    let shadowed () = Hashtbl.mem env.vm.Vmstate.funcs key in
     let s0 = shadowed () in
     note (fun () -> shadowed () = s0);
     if s0 then raise Not_fusible;
@@ -1318,7 +1311,7 @@ let region_plan env (rg : Ir.region) :
     done;
     if List.length !classes > 1 then raise Not_fusible;
     (* a front-end-scalar root means the [-O0] result is an [RS] (one
-       [h_tick_frontend] instead of a vector tick downstream) *)
+       front-end tick instead of a vector tick downstream) *)
     if not plural.(nops - 1) then raise Not_fusible;
     (cells.(nops - 1), !classes <> [])
   in
@@ -1331,9 +1324,9 @@ let is_leaf (x : Ir.expr) =
 
 (* an assignment's step: a vector step for a plural value, a
    control-unit step for a front-end one *)
-let tick_assign host loc m rhs =
-  if rv_is_plural rhs then host.h_tick_vector ~loc ~kind:Lf_obs.Trace.Assign m
-  else host.h_tick_frontend ()
+let tick_assign env loc m rhs =
+  if rv_is_plural rhs then tick_vector env ~loc ~kind:Lf_obs.Trace.Assign m
+  else Vmstate.tick_frontend env.vm
 
 let rec compile_expr env (e : Ir.expr) : cexpr =
   match e.Ir.x_fused with
@@ -1352,7 +1345,6 @@ and compile_fused_reduction env (e : Ir.expr) key rg : cexpr =
     | _ -> assert false
   in
   let carg = compile_expr env arg in
-  let host = env.host in
   let loc = env.cur_loc in
   let exec = env.exec in
   let rs = red_scratch exec in
@@ -1365,7 +1357,7 @@ and compile_fused_reduction env (e : Ir.expr) key rg : cexpr =
   let sc_eligible = ref false in
   let fresh = ref true in
   fun m ->
-    host.h_reduction ~loc m;
+    reduction env ~loc m;
     if !fresh || not (Array.for_all (fun c -> c ()) !checks) then begin
       let cks, plan = region_plan env rg in
       checks := cks;
@@ -1454,7 +1446,6 @@ and compile_call env scr name args : cexpr =
   else
     let cargs = List.map (compile_expr env) args in
     let p = env.p in
-    let host = env.host in
     let exec = env.exec in
     let run = exec.Pool.x_run in
     (* [-O1]: results of a plural call are almost always one scalar type
@@ -1530,7 +1521,7 @@ and compile_call env scr name args : cexpr =
           renorm exec m vs
     in
     fun m ->
-      match host.h_find_func key with
+      match Hashtbl.find_opt env.vm.Vmstate.funcs key with
       | Some (f, pure) ->
           let vargs = List.map (fun c -> c m) cargs in
           (* an impure callee may observe any state: it runs after a
@@ -1597,7 +1588,6 @@ and compile_call env scr name args : cexpr =
             | None -> Errors.runtime_error "unknown function %s" name)
 
 and compile_reduction env name key args : cexpr =
-  let host = env.host in
   let loc = env.cur_loc in
   let rs = red_scratch env.exec in
   let carg =
@@ -1607,7 +1597,7 @@ and compile_reduction env name key args : cexpr =
     match args with [ { Ir.x_ast = Ast.EVar _; _ } ] -> true | _ -> false
   in
   fun m ->
-    host.h_reduction ~loc m;
+    reduction env ~loc m;
     let v =
       match carg with
       | Some c -> c m
@@ -1915,7 +1905,6 @@ and compile_assign env (l : Ir.lv) : Frame.Mask.t -> rv -> unit =
     alias destination and operand, which is safe: the store is
     elementwise at the same lane. *)
 and compile_store_fused env ast (l : Ir.lv) e op ea eb : cstmt =
-  let host = env.host in
   let loc = env.cur_loc in
   let frame = env.frame in
   let si = l.Ir.l_slot in
@@ -1932,7 +1921,7 @@ and compile_store_fused env ast (l : Ir.lv) e op ea eb : cstmt =
     (* the tick fires between the decision and the store, exactly where
        the unfused tick sits (a fuel fault at the tick must leave the
        binding untouched) *)
-    let tick () = host.h_tick_vector ~loc ~kind:Lf_obs.Trace.Assign m in
+    let tick () = tick_vector env ~loc ~kind:Lf_obs.Trace.Assign m in
     match Frame.get frame si with
     | Frame.Plural (Frame.LInt d)
       when is_int a && is_int b && (lanes a || lanes b) ->
@@ -1946,7 +1935,7 @@ and compile_store_fused env ast (l : Ir.lv) e op ea eb : cstmt =
         map2_r run m.Frame.Mask.bits op d (real_view run a) (real_view run b)
     | _ ->
         let rhs = ce m in
-        tick_assign host loc m rhs;
+        tick_assign env loc m rhs;
         casgn m rhs
 
 (** [-O1] scatter-accumulate ([Ir.s_accum]): [a(ix) = a(ix) + rest] with
@@ -1961,7 +1950,6 @@ and compile_store_fused env ast (l : Ir.lv) e op ea eb : cstmt =
     kernels — and the scalar-subscript case, whose unfused tick is a
     front-end tick — run the factored unfused sequence. *)
 and compile_accum env ast (l : Ir.lv) scr g rest : cstmt =
-  let host = env.host in
   let loc = env.cur_loc in
   let frame = env.frame in
   let si = l.Ir.l_slot in
@@ -1977,7 +1965,7 @@ and compile_accum env ast (l : Ir.lv) scr g rest : cstmt =
     observe env m ast;
     let gv = cg m in
     let rv = crest m in
-    let tick () = host.h_tick_vector ~loc ~kind:Lf_obs.Trace.Assign m in
+    let tick () = tick_vector env ~loc ~kind:Lf_obs.Trace.Assign m in
     (* the merged add-and-store pass; each lane adds into its own
        element (the gathered pre-statement values are already
        materialized in [gv]) *)
@@ -2006,7 +1994,7 @@ and compile_accum env ast (l : Ir.lv) scr g rest : cstmt =
             scatter_i run bp ~check d ix one (Some Add) x y)
     | _ ->
         let rhs = add m gv rv in
-        tick_assign host loc m rhs;
+        tick_assign env loc m rhs;
         casgn m rhs
 
 (* ------------------------------------------------------------------ *)
@@ -2014,7 +2002,6 @@ and compile_accum env ast (l : Ir.lv) scr g rest : cstmt =
 (* ------------------------------------------------------------------ *)
 
 and compile_stmt env (s : Ir.stmt) : cstmt =
-  let host = env.host in
   let loc = env.cur_loc in
   let ast = s.Ir.s_ast in
   match s.Ir.s_node with
@@ -2052,7 +2039,7 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
       fun m ->
         observe env m ast;
         let rhs = ce m in
-        tick_assign host loc m rhs;
+        tick_assign env loc m rhs;
         casgn m rhs
   | Ir.LScall (name, args) -> (
       let key = String.lowercase_ascii name in
@@ -2063,17 +2050,19 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
         (* a CALL is a join: the procedure sees the whole state *)
         Pool.sync env.exec;
         observe env m ast;
-        match host.h_find_proc key with
+        let vm = env.vm in
+        match Hashtbl.find_opt vm.Vmstate.procs key with
         | None -> Errors.runtime_error "unknown subroutine %s" name
         | Some f ->
-            host.h_call_metric key;
-            host.h_tick_vector ~loc ~kind:Lf_obs.Trace.Call m;
+            (* joined above, so the charge needs no join of its own *)
+            Vmstate.call vm key ~loc ~active:(Frame.Mask.active m) m
+              Frame.Mask.to_bool_array;
             let vargs =
               List.map (fun (c, exact) -> rv_to_pval ~exact m (c m)) cargs
             in
-            host.h_flush ();
-            f ~mask:(Frame.Mask.to_bool_array m) vargs;
-            host.h_import ())
+            Vmstate.flush_frame vm env.frame;
+            f vm ~mask:(Frame.Mask.to_bool_array m) vargs;
+            Vmstate.import_frame vm env.frame)
   | Ir.LIf (c, t, f) | Ir.LWhere (c, t, f) -> (
       let cc = compile_expr env c in
       let ct = compile_block env t and cf = compile_block env f in
@@ -2082,7 +2071,7 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
       let nts = Array.make (Pool.nshards env.exec) 0 in
       let where m =
         let cv = cc m in
-        host.h_tick_vector ~loc ~kind:Lf_obs.Trace.Where m;
+        tick_vector env ~loc ~kind:Lf_obs.Trace.Where m;
         split_mask env.exec nts m cv mt mf;
         ct mt;
         cf mf
@@ -2093,7 +2082,7 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
           fun m ->
             match cc m with
             | RS v ->
-                host.h_tick_frontend ();
+                Vmstate.tick_frontend env.vm;
                 if as_bool v then ct m else cf m
             | RA _ -> Errors.runtime_error "array condition"
             | _ ->
@@ -2108,13 +2097,13 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
         let continue_ () =
           match cc m with
           | RS v ->
-              host.h_tick_frontend ();
+              Vmstate.tick_frontend env.vm;
               as_bool v
           | RA _ -> Errors.runtime_error "array condition"
           | RB a ->
               (* vector-controlled WHILE (§2): active lanes must agree;
                  unboxed comparison, no per-lane boxing, after a join *)
-              host.h_tick_vector ~loc ~kind:Lf_obs.Trace.While m;
+              tick_vector env ~loc ~kind:Lf_obs.Trace.While m;
               Pool.sync env.exec;
               let seen = ref false and v0 = ref false in
               for i = 0 to p - 1 do
@@ -2129,7 +2118,7 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
               done;
               !seen && !v0
           | cv ->
-              host.h_tick_vector ~loc ~kind:Lf_obs.Trace.While m;
+              tick_vector env ~loc ~kind:Lf_obs.Trace.While m;
               Pool.sync env.exec;
               let first = ref None in
               for i = 0 to p - 1 do
@@ -2157,7 +2146,7 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
           go :=
             (match cc m with
             | RS v ->
-                host.h_tick_frontend ();
+                Vmstate.tick_frontend env.vm;
                 as_bool v
             | _ ->
                 Errors.runtime_error "DO WHILE condition must be front-end")
@@ -2181,13 +2170,13 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
           match cstep with Some cs -> rv_front_int (cs m) | None -> 1
         in
         if step = 0 then Errors.runtime_error "DO loop with zero step";
-        host.h_tick_frontend ();
+        Vmstate.tick_frontend env.vm;
         let i = ref lo in
         let cont () = if step > 0 then !i <= hi else !i >= hi in
         while cont () do
           set_var (VInt !i);
           cb m;
-          host.h_tick_frontend ();
+          Vmstate.tick_frontend env.vm;
           i := !i + step
         done;
         (* Fortran: the DO variable keeps the first failing value *)
@@ -2256,9 +2245,9 @@ let var_names (prog : program) : string list =
   blk prog.p_body;
   List.rev !order
 
-(* The front half of [compile]: lower to slot-resolved IR and run the
-   optimizer/verifier.  Split out so the program cache can pay this once
-   per (source, opt, verify, p) and feed the annotated IR back through
+(* The front half of a compiled run: lower to slot-resolved IR and run
+   the optimizer/verifier.  The program cache pays this once per
+   (source, opt, verify, p) and feeds the annotated IR back through
    [emit] on every warm run — emission never mutates the IR (annotation
    writes live in [Opt] only), so one lowered block may be re-emitted
    against any frame sharing the layout it was lowered with. *)
@@ -2266,16 +2255,16 @@ let lower ~frame ?(opt = 1) ?(verify = false) (body : block) : Ir.block =
   Opt.run ~level:opt ~frame ~verify (Ir.of_block frame body)
 
 (* The back half: emit OCaml closures from an already-lowered IR. *)
-let emit ~host ~frame ~exec ?(opt = 1) (ir : Ir.block) :
-    Frame.Mask.t -> unit =
-  assert (exec.Pool.x_p = host.h_p);
+let emit ~vm ~frame ~exec ?(opt = 1) (ir : Ir.block) : Frame.Mask.t -> unit =
+  let p = vm.Vmstate.p in
+  assert (exec.Pool.x_p = p);
   let env =
     {
-      host;
+      vm;
       frame;
-      p = host.h_p;
+      p;
       exec;
-      serial = (Pool.serial_exec ~p:host.h_p).Pool.x_run;
+      serial = (Pool.serial_exec ~p).Pool.x_run;
       cur_loc = Errors.no_pos;
       opt;
       entry_ok = false;
@@ -2314,7 +2303,3 @@ let emit ~host ~frame ~exec ?(opt = 1) (ir : Ir.block) :
             | _ -> false));
       cbody m
   end
-
-let compile ~host ~frame ~exec ?(opt = 1) ?(verify = false)
-    (body : block) : Frame.Mask.t -> unit =
-  emit ~host ~frame ~exec ~opt (lower ~frame ~opt ~verify body)

@@ -4,7 +4,7 @@
     vector ([Frame.lanes]), unboxed unless the lane types are mixed.
     Operations compute only on active lanes; the inactive lanes of a
     computed plural hold an inert zero that every escape point
-    ([witness], [expose]) reads as [VInt 0]. *)
+    (a reduction's witness, [expose]) reads as [VInt 0]. *)
 
 open Lf_lang
 
@@ -53,14 +53,11 @@ val lift1 : mask:bool array -> (Values.value -> Values.value) -> t -> t
     every inactive lane unless [exact] (a variable read or a range). *)
 val expose : exact:bool -> mask:bool array -> Frame.lanes -> Frame.lanes
 
-(** Witness used to type a reduction's identity: lane 0 of a plural (the
-    inert [VInt 0] when it is inactive and the plural is not [exact]),
-    the scalar itself for a front-end scalar. *)
-val witness : exact:bool -> mask:bool array -> t -> Values.value
-
 (** Type-correct identity element for ["maxval"] / ["minval"] / ["sum"],
-    keyed by the witness's type (REAL reductions get real infinities /
-    0.0 rather than the historical integer sentinels). *)
+    keyed by the type of the reduction's witness value — lane 0 of the
+    argument, the inert [VInt 0] when that lane is inactive and the
+    argument is not [exact] (REAL reductions get real infinities / 0.0
+    rather than the historical integer sentinels). *)
 val reduction_identity : string -> Values.value -> Values.value
 
 (** Reduce a plural value over the active lanes through the boxed view,
@@ -77,7 +74,8 @@ val reduce :
     the active lanes: unboxed loops for LOGICAL lanes (ANY/ALL/COUNT)
     and int/real lanes (MAXVAL/MINVAL/SUM), the boxed fold otherwise, a
     front-end array through [Intrinsics].  [exact] marks an argument
-    that was a variable read or a range (see [witness]); [name] is the
+    that was a variable read or a range (its witness reads lane 0 even
+    when inactive); [name] is the
     reduction as written, for error messages. *)
 val reduction :
   mask:bool array -> exact:bool -> name:string -> string -> t -> Values.value

@@ -25,150 +25,19 @@ open Lf_lang
 open Lf_lang.Ast
 open Values
 
-type entry =
-  | VScalar of value ref
-  | VPlural of Frame.lanes
-  | VGlobal of arr
-  | VPluralArr of arr  (** leading dimension is the lane index *)
-
-type proc = t -> mask:bool array -> Pval.t list -> unit
-
-and t = {
-  p : int;  (** number of lanes *)
-  vars : (string, entry) Hashtbl.t;
-  metrics : Metrics.t;
-  mutable fuel : int;
-  procs : (string, proc) Hashtbl.t;
-  funcs : (string, (value list -> value) * bool) Hashtbl.t;
-      (** per-lane functions, with a purity flag: only functions
-          registered [~pure:true] may be applied lane-parallel *)
-  mutable observer : (t -> mask:bool array -> Ast.stmt -> unit) option;
-      (** called before every vector-step statement with its mask *)
-  mutable deadline : (int * string) option;
-      (** monotonic-clock cutoff (ns) and the error a step past it
-          raises; checked where fuel is charged *)
-  trace : Lf_obs.Trace.t;
-      (** per-vector-step event collector; disabled (one flat branch per
-          step, no allocation) until a sink is attached *)
-  mutable cur_loc : Errors.pos;
-      (** source location of the innermost [SLoc]-wrapped statement *)
-}
-
-let default_fuel = 50_000_000
-
-let create ?(fuel = default_fuel) ~p () =
-  let vm =
-    {
-      p;
-      vars = Hashtbl.create 64;
-      metrics = Metrics.create ();
-      fuel;
-      procs = Hashtbl.create 8;
-      funcs = Hashtbl.create 8;
-      observer = None;
-      deadline = None;
-      trace = Lf_obs.Trace.create ();
-      cur_loc = Errors.no_pos;
-    }
-  in
-  (* the predefined plural processor index, matching Lf_core.Simdize.iproc *)
-  Hashtbl.replace vm.vars "iproc"
-    (VPlural (Frame.LInt (Array.init p (fun i -> i + 1))));
-  vm
-
-let register_proc vm name f =
-  Hashtbl.replace vm.procs (String.lowercase_ascii name) f
-
-(** Install a per-statement observer (tracing, occupancy measurements). *)
-let set_observer vm f = vm.observer <- Some f
-
-let observe vm ~mask s =
-  match vm.observer with Some f -> f vm ~mask s | None -> ()
-
-let register_func vm ?(pure = false) name f =
-  Hashtbl.replace vm.funcs (String.lowercase_ascii name) (f, pure)
+include Vmstate
 
 let full_mask vm = Array.make vm.p true
 let active_count mask = Array.fold_left (fun n b -> if b then n + 1 else n) 0 mask
 
-(** Attach a trace sink (see [Lf_obs.Trace]); arms event emission. *)
-let add_trace_sink vm sink = Lf_obs.Trace.attach vm.trace sink
+let observe vm ~mask s =
+  match vm.observer with Some f -> f vm ~mask s | None -> ()
 
-(* Telemetry handles (all recording is behind one flat [Stats.enabled]
-   branch, mirroring the trace sinks).  Dispatch counts and mask-density
-   buckets are [Counters] — stable across engines, jobs and opt levels
-   by the Metrics fusion-invariance contract; GC deltas and run timers
-   are [Volatile]. *)
-module Stats = Lf_obs.Stats
-
-let st_run_wall = Stats.timer "vm.run_wall"
-let st_run_cpu = Stats.gauge "vm.run_cpu_s"
-let st_minor_words = Stats.gauge "gc.minor_words"
-let st_promoted_words = Stats.gauge "gc.promoted_words"
-let st_major_words = Stats.gauge "gc.major_words"
-let st_minor_colls = Stats.counter ~section:Stats.Volatile "gc.minor_collections"
-let st_major_colls = Stats.counter ~section:Stats.Volatile "gc.major_collections"
-
-let stats_vector_step ~active ~p ~kind =
-  if Stats.enabled () then begin
-    Stats.incr (Stats.dispatch_counter kind);
-    Stats.incr (Stats.mask_counter ~active ~p)
-  end
-
-let stats_reduction () =
-  if Stats.enabled () then
-    Stats.incr (Stats.dispatch_counter Lf_obs.Trace.Reduce)
-
-exception Timed_out of string
-
-let set_deadline vm ~at_ns msg =
-  vm.deadline <- Some (Int64.to_int at_ns, msg)
-
-(* The clock is read only while a deadline is armed.  [Timed_out] is not
-   a [Runtime_error], so no statement wrapper locates it. *)
-let check_deadline vm =
-  match vm.deadline with
-  | None -> ()
-  | Some (at_ns, msg) ->
-      if Int64.to_int (Stats.now_ns ()) > at_ns then raise (Timed_out msg)
-
-let tick_vector vm ~mask ~kind =
-  let active = active_count mask in
-  Metrics.vector_step vm.metrics ~active ~p:vm.p;
-  stats_vector_step ~active ~p:vm.p ~kind;
-  if vm.trace.Lf_obs.Trace.enabled then
-    Lf_obs.Trace.emit vm.trace
-      {
-        loc = vm.cur_loc;
-        step = vm.metrics.Metrics.steps;
-        active;
-        p = vm.p;
-        kind;
-        mask = Array.copy mask;
-      };
-  vm.fuel <- vm.fuel - 1;
-  if vm.fuel <= 0 then Errors.runtime_error "SIMD VM fuel exhausted";
-  check_deadline vm
-
-(** Emit a [Reduce] trace event (reductions do not consume a step). *)
-let trace_reduction vm ~mask =
-  if vm.trace.Lf_obs.Trace.enabled then
-    Lf_obs.Trace.emit vm.trace
-      {
-        loc = vm.cur_loc;
-        step = vm.metrics.Metrics.steps;
-        active = active_count mask;
-        p = vm.p;
-        kind = Lf_obs.Trace.Reduce;
-        mask = Array.copy mask;
-      }
-
-let tick_frontend vm =
-  Metrics.frontend_step vm.metrics;
-  if Stats.enabled () then Stats.incr Stats.frontend_counter;
-  vm.fuel <- vm.fuel - 1;
-  if vm.fuel <= 0 then Errors.runtime_error "SIMD VM fuel exhausted";
-  check_deadline vm
+(* The tree-walker's charges: the location is the executing statement's,
+   the mask a [bool array]. *)
+let tick vm ~mask ~kind =
+  tick_vector vm ~loc:vm.cur_loc ~kind ~active:(active_count mask) mask
+    Array.copy
 
 (* ------------------------------------------------------------------ *)
 (* Variable binding                                                    *)
@@ -469,9 +338,7 @@ and index_plural_arr vm ~mask (a : arr) (args : expr list) : Pval.t =
 and eval_call vm ~mask name args : Pval.t =
   let key = String.lowercase_ascii name in
   if is_reduction key then begin
-    Metrics.reduction vm.metrics;
-    stats_reduction ();
-    trace_reduction vm ~mask;
+    reduction vm ~loc:vm.cur_loc ~active:(active_count mask) mask Array.copy;
     let a =
       match args with
       | [ a ] -> a
@@ -656,7 +523,7 @@ let rec exec vm ~(mask : bool array) (s : stmt) : unit =
       observe vm ~mask s;
       let rhs = eval vm ~mask e in
       (match rhs with
-      | Pval.Plural _ -> tick_vector vm ~mask ~kind:Lf_obs.Trace.Assign
+      | Pval.Plural _ -> tick vm ~mask ~kind:Lf_obs.Trace.Assign
       | _ -> tick_frontend vm);
       assign vm ~mask l rhs
   | SCall (name, args) -> (
@@ -664,8 +531,8 @@ let rec exec vm ~(mask : bool array) (s : stmt) : unit =
       let key = String.lowercase_ascii name in
       match Hashtbl.find_opt vm.procs key with
       | Some f ->
-          Metrics.call vm.metrics key;
-          tick_vector vm ~mask ~kind:Lf_obs.Trace.Call;
+          call vm key ~loc:vm.cur_loc ~active:(active_count mask) mask
+            Array.copy;
           (* the procedure owns its arguments: plurals are copied, since
              an [EVar] read shares the variable's lanes *)
           f vm ~mask
@@ -689,7 +556,7 @@ let rec exec vm ~(mask : bool array) (s : stmt) : unit =
       | Pval.FArr _ -> Errors.runtime_error "array condition")
   | SWhere (c, t, f) ->
       let cv = eval vm ~mask c in
-      tick_vector vm ~mask ~kind:Lf_obs.Trace.Where;
+      tick vm ~mask ~kind:Lf_obs.Trace.Where;
       let mt, mf = where_masks mask cv in
       if t <> [] then exec_block vm ~mask:mt t;
       if f <> [] then exec_block vm ~mask:mf f
@@ -700,7 +567,7 @@ let rec exec vm ~(mask : bool array) (s : stmt) : unit =
             tick_frontend vm;
             as_bool v
         | Pval.Plural l ->
-            tick_vector vm ~mask ~kind:Lf_obs.Trace.While;
+            tick vm ~mask ~kind:Lf_obs.Trace.While;
             while_test mask l
         | Pval.FArr _ -> Errors.runtime_error "array condition"
       in
@@ -779,37 +646,6 @@ let declare vm (decls : decl list) =
 
 type engine = [ `Tree_walk | `Compiled | `Parallel ]
 
-(** VM variable table -> frame: plural lanes are copied, array and scalar
-    storage is shared.  Names absent from the table keep their current
-    slot (at run start every slot is [Unbound]). *)
-let import_frame vm (frame : Frame.t) =
-  for si = 0 to Frame.n_slots frame - 1 do
-    match Hashtbl.find_opt vm.vars (Frame.name_of frame si) with
-    | None -> ()
-    | Some (VScalar r) -> Frame.set frame si (Frame.Scalar r)
-    | Some (VPlural l) -> Frame.set frame si (Frame.Plural (Frame.copy_lanes l))
-    | Some (VGlobal a) -> Frame.set frame si (Frame.Global a)
-    | Some (VPluralArr a) -> Frame.set frame si (Frame.PluralArr a)
-  done
-
-(** Frame -> VM variable table: plural lane vectors, array and scalar
-    storage are all handed over, not copied.  The frame writes a plural
-    slot in place again only until the next flush: a flush before an
-    observer exposes each statement's state as it runs, and one before a
-    CALL is followed by [import_frame], which gives the frame its own
-    copies back. *)
-let flush_frame vm (frame : Frame.t) =
-  for si = 0 to Frame.n_slots frame - 1 do
-    let name = Frame.name_of frame si in
-    match Frame.get frame si with
-    | Frame.Unbound -> ()
-    | Frame.Scalar r -> Hashtbl.replace vm.vars name (VScalar r)
-    | Frame.Plural lanes ->
-        Hashtbl.replace vm.vars name (VPlural lanes)
-    | Frame.Global a -> Hashtbl.replace vm.vars name (VGlobal a)
-    | Frame.PluralArr a -> Hashtbl.replace vm.vars name (VPluralArr a)
-  done
-
 (** Frame name table: every variable the program mentions ([from_ast],
     which the program cache precomputes so its warm path does not re-walk
     the AST) plus every pre-seeded VM binding (setup-bound globals,
@@ -824,168 +660,96 @@ let frame_names vm from_ast =
   in
   from_ast @ List.sort compare extra
 
-(* Compile [prog.p_body] against a frame covering the program's names
-   plus anything pre-seeded in [vm.vars] — or, on the cache's warm path
-   ([prepared]), re-emit an already-lowered IR against a frame built
-   with the layout it was lowered for — then run it under a full mask.
-   State is imported at the start and after every external CALL, and
-   flushed back at the end (also on the error path, so a failing
-   compiled run leaves the same partial state as a failing tree-walk).
+(* The lane-loop dispatcher of a compiled engine: [Pool.serial_exec] for
+   the serial compiled engine, [Pool.parallel_exec] to shard the lanes
+   over the Domain pool while everything sequential — control flow,
+   metrics, fuel, trace emission, front-end state — stays on this
+   thread.  [jobs] is validated only for [`Parallel]. *)
+let exec_of ~p ~jobs = function
+  | `Parallel ->
+      let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
+      if jobs < 1 then invalid_arg "Vm.run: jobs must be >= 1";
+      Pool.parallel_exec ~p ~jobs
+  | `Compiled -> Pool.serial_exec ~p
 
-   [exec] dispatches the per-lane loops: [Pool.serial_exec] is the
-   serial compiled engine, [Pool.parallel_exec] shards the lanes over
-   the Domain pool while everything sequential — control flow, metrics,
-   fuel, trace emission, front-end state — stays on this thread. *)
-(** The host callback record tying a compiled body to this VM and
-    [frame] (shared by the cold compile path and the cache's re-emission
-    path).  A trace event reads the step's mask and happens at its place
-    in program order, so with a sink attached every vector step and
-    reduction is a join of [exec]'s pending lane loops: an earlier lane
-    error is raised before the event is emitted. *)
-let make_host vm (frame : Frame.t) (exec : Pool.exec) =
-  {
-      Compile.h_p = vm.p;
-      h_tick_vector =
-        (fun ~loc ~kind m ->
-          if vm.trace.Lf_obs.Trace.enabled then Pool.sync exec;
-          let active = Frame.Mask.active m in
-          Metrics.vector_step vm.metrics ~active ~p:vm.p;
-          stats_vector_step ~active ~p:vm.p ~kind;
-          if vm.trace.Lf_obs.Trace.enabled then
-            Lf_obs.Trace.emit vm.trace
-              {
-                loc;
-                step = vm.metrics.Metrics.steps;
-                active;
-                p = vm.p;
-                kind;
-                mask = Frame.Mask.to_bool_array m;
-              };
-          vm.fuel <- vm.fuel - 1;
-          if vm.fuel <= 0 then Errors.runtime_error "SIMD VM fuel exhausted";
-          check_deadline vm);
-      h_tick_frontend = (fun () -> tick_frontend vm);
-      h_reduction =
-        (fun ~loc m ->
-          if vm.trace.Lf_obs.Trace.enabled then Pool.sync exec;
-          Metrics.reduction vm.metrics;
-          stats_reduction ();
-          if vm.trace.Lf_obs.Trace.enabled then
-            Lf_obs.Trace.emit vm.trace
-              {
-                loc;
-                step = vm.metrics.Metrics.steps;
-                active = Frame.Mask.active m;
-                p = vm.p;
-                kind = Lf_obs.Trace.Reduce;
-                mask = Frame.Mask.to_bool_array m;
-              });
-      h_call_metric = (fun name -> Metrics.call vm.metrics name);
-      h_find_proc =
-        (fun key ->
-          match Hashtbl.find_opt vm.procs key with
-          | Some f -> Some (fun ~mask args -> f vm ~mask args)
-          | None -> None);
-      h_find_func = (fun key -> Hashtbl.find_opt vm.funcs key);
-      h_observer =
-        (fun () ->
-          match vm.observer with
-          | Some f -> Some (fun ~mask s -> f vm ~mask s)
-          | None -> None);
-      h_flush = (fun () -> flush_frame vm frame);
-      h_import = (fun () -> import_frame vm frame);
-  }
-
-let run_compiled vm ~(exec : Pool.exec) ?opt ?verify ?prepared
-    (prog : program) =
-  let frame, compiled =
-    match prepared with
-    | Some (frame, ir) ->
-        (* Warm path: the front end already ran when the cache entry was
-           built; re-emit the cached IR against a (pooled) frame created
-           with the exact layout it was lowered for.  [verify] is
-           irrelevant here — it gates [Opt.run], which is skipped. *)
-        ( frame,
-          Compile.emit ~host:(make_host vm frame exec) ~frame ~exec ?opt ir )
-    | None ->
-        let frame =
-          Frame.create ~p:vm.p (frame_names vm (Compile.var_names prog))
-        in
-        ( frame,
-          Compile.compile ~host:(make_host vm frame exec) ~frame ~exec ?opt
-            ?verify prog.p_body )
-  in
+(* Emit [ir] against [frame] (created with the layout [ir] was lowered
+   for) and run it under a full mask.  State is imported at the start and
+   after every external CALL, and flushed back at the end (also on the
+   error path, so a failing compiled run leaves the same partial state
+   as a failing tree-walk). *)
+let run_compiled vm ~exec ~opt ~frame ir =
+  let compiled = Compile.emit ~vm ~frame ~exec ~opt ir in
   import_frame vm frame;
   Fun.protect
     ~finally:(fun () -> flush_frame vm frame)
     (fun () -> compiled (Frame.Mask.create_full vm.p))
 
+module Stats = Lf_obs.Stats
+
+let st_run_wall = Stats.timer "vm.run_wall"
+let st_run_cpu = Stats.gauge "vm.run_cpu_s"
+let st_minor_words = Stats.gauge "gc.minor_words"
+let st_promoted_words = Stats.gauge "gc.promoted_words"
+let st_major_words = Stats.gauge "gc.major_words"
+let st_minor_colls = Stats.counter ~section:Stats.Volatile "gc.minor_collections"
+let st_major_colls = Stats.counter ~section:Stats.Volatile "gc.major_collections"
+
+(* [f vm x] under the telemetry bracket, the engine dispatch of [run] and
+   [run_src]: GC deltas and run timers ([Volatile]).  The [finally]
+   records even when the run dies (fuel, runtime error), so manifests of
+   failing runs still carry the cost up to the fault.  Minor words are
+   the control domain's exact [Gc.minor_words] count: [Gc.quick_stat]'s
+   minor count only moves at minor collections on OCaml 5.  Without
+   telemetry it is a direct call, with no closure. *)
+let timed f vm x =
+  if not (Stats.enabled ()) then f vm x
+  else
+    let g0 = Gc.quick_stat () in
+    let c0 = Sys.time () in
+    (* an immediate, so the [finally] closure boxes nothing *)
+    let t0 = Int64.to_int (Stats.now_ns ()) in
+    let w0 = Gc.minor_words () in
+    Fun.protect
+      ~finally:(fun () ->
+        let w1 = Gc.minor_words () in
+        let t1 = Int64.to_int (Stats.now_ns ()) in
+        let c1 = Sys.time () in
+        let g1 = Gc.quick_stat () in
+        Stats.add_span_ns st_run_wall (Int64.of_int (t1 - t0));
+        Stats.add_gauge st_run_cpu (c1 -. c0);
+        Stats.add_gauge st_minor_words (w1 -. w0);
+        Stats.add_gauge st_promoted_words
+          (g1.promoted_words -. g0.promoted_words);
+        Stats.add_gauge st_major_words (g1.major_words -. g0.major_words);
+        Stats.add st_minor_colls (g1.minor_collections - g0.minor_collections);
+        Stats.add st_major_colls (g1.major_collections - g0.major_collections))
+      (fun () -> f vm x)
+
+let walk vm body = exec_block vm ~mask:(full_mask vm) body
+
 (* Run a program on the VM.  [setup] may pre-bind globals and parameters
    (problem sizes, input arrays) before declarations are processed.
    [engine] selects the tree-walking interpreter (default), the serial
    compiled closure engine, or the lane-sharded parallel engine; all
-   three produce bit-identical state, metrics and errors.  [jobs] (only
-   meaningful — and only validated — with [`Parallel]) bounds the shard
-   count; it defaults to [Pool.default_jobs ()]. *)
-let exec_engine vm engine ~jobs ~opt ~verify ~prepared (prog : program) =
-  let p = vm.p in
-  match engine with
-  | `Tree_walk -> exec_block vm ~mask:(full_mask vm) prog.p_body
-  | `Compiled ->
-      run_compiled vm ~exec:(Pool.serial_exec ~p) ?opt ?verify ?prepared prog
-  | `Parallel ->
-      let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-      if jobs < 1 then invalid_arg "Vm.run: jobs must be >= 1";
-      run_compiled vm
-        ~exec:(Pool.parallel_exec ~p ~jobs)
-        ?opt ?verify ?prepared prog
-
-(** Engine dispatch plus the telemetry bracket, on an already-created,
-    already-declared VM ([run] and [run_src] both funnel here).  Without
-    telemetry the dispatch is a direct call, with no closure. *)
-let run_on vm ?(engine = `Tree_walk) ?jobs ?opt ?verify ?prepared
-    (prog : program) : unit =
-  (if not (Stats.enabled ()) then
-     exec_engine vm engine ~jobs ~opt ~verify ~prepared prog
-   else
-     (* GC and wall/CPU telemetry bracket the whole engine dispatch; the
-        [finally] records even when the run dies (fuel, runtime error) so
-        manifests of failing runs still carry the cost up to the fault.
-        Minor words are the control domain's exact [Gc.minor_words]
-        count: [Gc.quick_stat]'s minor count only moves at minor
-        collections on OCaml 5. *)
-     let dispatch () =
-       exec_engine vm engine ~jobs ~opt ~verify ~prepared prog
-     in
-     let g0 = Gc.quick_stat () in
-     let c0 = Sys.time () in
-     (* an immediate, so the [finally] closure boxes nothing *)
-     let t0 = Int64.to_int (Stats.now_ns ()) in
-     let w0 = Gc.minor_words () in
-     Fun.protect
-       ~finally:(fun () ->
-         let w1 = Gc.minor_words () in
-         let t1 = Int64.to_int (Stats.now_ns ()) in
-         let c1 = Sys.time () in
-         let g1 = Gc.quick_stat () in
-         Stats.add_span_ns st_run_wall (Int64.of_int (t1 - t0));
-         Stats.add_gauge st_run_cpu (c1 -. c0);
-         Stats.add_gauge st_minor_words (w1 -. w0);
-         Stats.add_gauge st_promoted_words
-           (g1.promoted_words -. g0.promoted_words);
-         Stats.add_gauge st_major_words (g1.major_words -. g0.major_words);
-         Stats.add st_minor_colls
-           (g1.minor_collections - g0.minor_collections);
-         Stats.add st_major_colls
-           (g1.major_collections - g0.major_collections))
-       dispatch)
-
-let run ?fuel ?engine ?jobs ?opt ?verify ~p ?(setup = fun _ -> ())
-    (prog : program) : t =
+   three produce bit-identical state, metrics and errors.  A compiled
+   engine lowers [prog.p_body] against a frame covering the program's
+   names plus anything pre-seeded in [vm.vars], inside the bracket. *)
+let run ?fuel ?(engine = `Tree_walk) ?jobs ?(opt = 1) ?(verify = false) ~p
+    ?(setup = fun _ -> ()) (prog : program) : t =
   let vm = create ?fuel ~p () in
   setup vm;
   declare vm prog.p_decls;
-  run_on vm ?engine ?jobs ?opt ?verify prog;
+  (match engine with
+  | `Tree_walk -> timed walk vm prog.p_body
+  | (`Compiled | `Parallel) as engine ->
+      timed
+        (fun vm prog ->
+          let exec = exec_of ~p ~jobs engine in
+          let names = frame_names vm (Compile.var_names prog) in
+          let frame = Frame.create ~p names in
+          run_compiled vm ~exec ~opt ~frame
+            (Compile.lower ~frame ~opt ~verify prog.p_body))
+        vm prog);
   vm
 
 (* ------------------------------------------------------------------ *)
@@ -1016,8 +780,8 @@ let run_src ?fuel ?(engine = `Tree_walk) ?jobs ?(opt = 1) ?(verify = false)
       (match engine with
       | `Tree_walk ->
           if hit then Progcache.credit_warm entry;
-          run_on vm ~engine ?jobs ~opt ~verify prog
-      | `Compiled | `Parallel ->
+          timed walk vm prog.p_body
+      | (`Compiled | `Parallel) as engine ->
           let layout = frame_names vm entry.Progcache.e_ast_names in
           let ir, warm =
             match entry.Progcache.e_lowered with
@@ -1038,12 +802,17 @@ let run_src ?fuel ?(engine = `Tree_walk) ?jobs ?(opt = 1) ?(verify = false)
                 (ir, false)
           in
           if hit && warm then Progcache.credit_warm entry;
+          (* a warm run re-emits the cached IR against a pooled frame
+             created with the exact layout it was lowered for *)
           let frame = Progcache.take_frame entry ~p layout in
           Fun.protect
             ~finally:(fun () -> Progcache.release_frame entry frame)
             (fun () ->
-              run_on vm ~engine ?jobs ~opt ~verify ~prepared:(frame, ir)
-                prog));
+              timed
+                (fun vm frame ->
+                  run_compiled vm ~exec:(exec_of ~p ~jobs engine) ~opt ~frame
+                    ir)
+                vm frame));
       vm
 
 (* The frame and unoptimized IR [run] would lower [prog] to: a fresh VM

@@ -10,7 +10,7 @@
 
 open Lf_lang
 
-type entry =
+type entry = Vmstate.entry =
   | VScalar of Values.value ref  (** front-end scalar *)
   | VPlural of Frame.lanes  (** plural scalar, one typed lane vector *)
   | VGlobal of Values.arr  (** global (distributed) array *)
@@ -20,7 +20,7 @@ type proc = t -> mask:bool array -> Pval.t list -> unit
 (** External subroutine: receives the VM, the activity mask, and the
     evaluated arguments; one invocation = one vector step. *)
 
-and t = {
+and t = Vmstate.t = {
   p : int;  (** number of lanes *)
   vars : (string, entry) Hashtbl.t;
   metrics : Metrics.t;
@@ -38,7 +38,6 @@ and t = {
       (** location of the innermost [SLoc]-wrapped statement executing *)
 }
 
-val default_fuel : int
 val create : ?fuel:int -> p:int -> unit -> t
 val register_proc : t -> string -> proc -> unit
 
@@ -75,7 +74,6 @@ val register_func :
   t -> ?pure:bool -> string -> (Values.value list -> Values.value) -> unit
 
 val full_mask : t -> bool array
-val active_count : bool array -> int
 
 (* variable binding *)
 
@@ -93,7 +91,6 @@ val read_global : t -> string -> Values.arr
 
 (* execution *)
 
-val eval : t -> mask:bool array -> Ast.expr -> Pval.t
 val exec : t -> mask:bool array -> Ast.stmt -> unit
 val exec_block : t -> mask:bool array -> Ast.block -> unit
 
@@ -113,11 +110,11 @@ type engine = [ `Tree_walk | `Compiled | `Parallel ]
     parameters before declarations are processed; [engine] defaults to
     the tree-walker.  [jobs] bounds the [`Parallel] shard count
     (default [Pool.default_jobs ()]; ignored by the serial engines).
-    [opt] is the compiled-engine optimizer level (see [Compile.compile];
+    [opt] is the compiled-engine optimizer level (see [Compile.lower];
     default 1, ignored by the tree-walker) — every level is bit-identical
     to every other, only the wall-clock changes.
     [verify] runs the IR verifier after every optimizer phase (compiled
-    engines only; see [Compile.compile]); raises [Verify.Error] on a
+    engines only; see [Compile.lower]); raises [Verify.Error] on a
     broken invariant.
     @raise Invalid_argument when [engine] is [`Parallel] and [jobs < 1]. *)
 val run :

@@ -486,6 +486,79 @@ let t_intrinsic_kernels () =
   checkb "some intrinsic programs run clean" (clean > 0);
   report_mismatches "intrinsic" failures
 
+(* ------------------------------------------------------------------ *)
+(* Failing runs                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A failing [Vm.run] returns no VM, so keep the one [setup] is given. *)
+let run_kept ?jobs ?opt engine ~fuel ~p prog : Vm.t * string option =
+  let kept = ref None in
+  let setup vm =
+    kept := Some vm;
+    Gen.simd_prog_setup ~p vm
+  in
+  match Vm.run ~fuel ~engine ?jobs ?opt ~p ~setup prog with
+  | vm -> (vm, None)
+  | exception ((Errors.Runtime_error _ | Errors.Runtime_error_at _) as e) ->
+      (Option.get !kept, Some (Errors.to_message e))
+
+(* The failing-run contract (DESIGN.md "Execution engines"): a serial
+   compiled run that fails leaves the tree-walker's partial state and
+   Metrics, not only its message, at every -O level.  A parallel run may
+   have run lanes ahead of the failing one (DESIGN.md "Error ordering"),
+   so its legs pin the outcome and message only.  Small fuels stop the
+   runs at many different steps; p = 130 spans more than one pool
+   chunk. *)
+let t_failing_runs () =
+  let progs =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 42 |]) ~n:300
+      Gen.simd_prog_gen
+  in
+  let failures = ref [] and failing = ref 0 and fuel_faults = ref 0 in
+  let show = Option.value ~default:"ok" in
+  List.iteri
+    (fun k prog ->
+      List.iter
+        (fun (p, fuel) ->
+          let where = Fmt.str "program %d, p=%d, fuel=%d" k p fuel in
+          let tree, te = run_kept `Tree_walk ~fuel ~p prog in
+          Option.iter
+            (fun m ->
+              incr failing;
+              if String.ends_with ~suffix:"fuel exhausted" m then
+                incr fuel_faults)
+            te;
+          let differs what e =
+            failures :=
+              Fmt.str "%s: %s outcome %s, tree-walk %s" where what (show e)
+                (show te)
+              :: !failures
+          in
+          List.iter
+            (fun opt ->
+              let vm, e = run_kept ~opt `Compiled ~fuel ~p prog in
+              let what = Fmt.str "compiled -O%d" opt in
+              if e <> te then differs what e
+              else if
+                not
+                  (Vm.state_equal tree vm
+                  && Metrics.equal tree.Vm.metrics vm.Vm.metrics)
+              then
+                failures :=
+                  Fmt.str "%s: %s state or Metrics differ (outcome %s)" where
+                    what (show e)
+                  :: !failures)
+            [ 0; 1; 2 ];
+          let _, e = run_kept ~jobs:3 `Parallel ~fuel ~p prog in
+          if e <> te then differs "parallel jobs=3" e)
+        (List.concat_map
+           (fun p -> List.map (fun fuel -> (p, fuel)) [ 7; 40; 300; 20_000 ])
+           [ 1; 5; 64; 130 ]))
+    progs;
+  checkb "some runs fail" (!failing > 0);
+  checkb "some runs exhaust their fuel" (!fuel_faults > 0);
+  report_mismatches "failing-run" (List.rev !failures)
+
 let suite =
   [
     t_random_programs;
@@ -494,4 +567,6 @@ let suite =
     case "fixed corpus: flattened NBFORCE" t_nbforce_corpus;
     case "shape matrix: operators x operand shapes x masks" t_shape_matrix;
     case "typed intrinsic kernels x operand shapes x masks" t_intrinsic_kernels;
+    case "failing runs: serial engines keep the same partial state"
+      t_failing_runs;
   ]
