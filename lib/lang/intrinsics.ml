@@ -1,12 +1,10 @@
 (** Intrinsic functions shared by the sequential interpreter and the SIMD
-    VM front end: the Fortran 90 subset used by the paper's codes. *)
+    VM front end, and the lane kernels of the numeric ones.  Their
+    semantics is written once, as [@inline] lane functions: the boxed
+    [numeric2] and [resolve] apply them to scalars, the kernels at the end
+    of this module to whole vectors (the layout rule of [Scalar_ops]). *)
 
 open Values
-
-(* The numeric intrinsics' lane functions, written once: the boxed
-   [numeric2] and [resolve] apply them to scalars, the lane-vector loops
-   below to whole unboxed vectors (the operator is data, the lane
-   function [@inline], so a loop allocates nothing per lane). *)
 
 (* The two-operand numeric intrinsics: [Stdlib.max] / [Stdlib.min] /
    [mod] on integers, [Float.max] / [Float.min] / [Float.rem] on reals. *)
@@ -27,10 +25,18 @@ let[@inline] real_num2 op (x : float) y =
   | Mod -> Float.rem x y
 
 (* The one-operand real intrinsics (ABS also has an integer form). *)
-type num1 = Sqrt | Exp | Abs
+type num1 = Sqrt | Exp | Abs | Real
 
 let[@inline] real_num1 op x =
-  match op with Sqrt -> Float.sqrt x | Exp -> Float.exp x | Abs -> Float.abs x
+  match op with
+  | Sqrt -> Float.sqrt x
+  | Exp -> Float.exp x
+  | Abs -> Float.abs x
+  | Real -> x
+
+(* INT / NINT: a real truncated or rounded to an integer. *)
+let[@inline] int_of_real ~round x =
+  int_of_float (if round then Float.round x else Float.trunc x)
 
 let numeric2 op a b =
   match (a, b) with
@@ -98,8 +104,8 @@ let logical name key scalar over = function
 
 let real1 f = function [ v ] -> Some (VReal (f (as_float v))) | _ -> None
 
-let int1 f = function
-  | [ v ] -> Some (VInt (int_of_float (f (as_float v))))
+let int1 ~round = function
+  | [ v ] -> Some (VInt (int_of_real ~round (as_float v)))
   | _ -> None
 
 (* built once, so resolving a name allocates nothing (ANY / ALL / COUNT
@@ -110,9 +116,9 @@ let maxval_fn = reduction "maxval" max Float.max
 let minval_fn = reduction "minval" min Float.min
 let sqrt_fn = real1 (real_num1 Sqrt)
 let exp_fn = real1 (real_num1 Exp)
-let real_fn = real1 Fun.id
-let int_fn = int1 Float.trunc
-let nint_fn = int1 Float.round
+let real_fn = real1 (real_num1 Real)
+let int_fn = int1 ~round:false
+let nint_fn = int1 ~round:true
 let not_intrinsic (_ : value list) : value option = None
 
 (** Resolve intrinsic [name] once (case-insensitively) to the function
@@ -184,57 +190,90 @@ let resolve name : value list -> value option =
 let apply name (args : value list) : value option = resolve name args
 
 (* ------------------------------------------------------------------ *)
-(* Lane-vector loops                                                   *)
+(* Lane kernels                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** The intrinsics with unboxed lane loops, by lower-case name. *)
-type lane_fn = Num1 of num1 | Num2 of num2
+(** The intrinsics with lane kernels, by lower-case name. *)
+type lane_fn = Num1 of num1 | Num2 of num2 | To_int of bool
 
 let lane_fn = function
   | "sqrt" -> Some (Num1 Sqrt)
   | "exp" -> Some (Num1 Exp)
   | "abs" -> Some (Num1 Abs)
+  | "real" -> Some (Num1 Real)
+  | "int" -> Some (To_int false)
+  | "nint" -> Some (To_int true)
   | "max" -> Some (Num2 Max)
   | "min" -> Some (Num2 Min)
   | _ -> None
 
-(* As [Scalar_ops]' loops: the active lanes of [mask], ascending; an
-   operand is a lane vector or a broadcast one-cell array. *)
+(* As [Scalar_ops]' kernels: the lanes [bp] marks (every lane for
+   [Scalar_ops.all_lanes]) through the runner, ascending within a
+   shard; an operand is a lane vector or a broadcast one-cell array. *)
 
+let all_lanes = Scalar_ops.all_lanes
 let[@inline] bcast a = if Array.length a = 1 then 0 else -1
 
-let real_map1 ~(mask : bool array) op (r : float array) (x : float array) =
-  let kx = bcast x in
-  for i = 0 to Array.length mask - 1 do
-    if Array.unsafe_get mask i then
-      Array.unsafe_set r i (real_num1 op (Array.unsafe_get x (i land kx)))
-  done
+let real_map1 (run : Scalar_ops.run) bp op (r : float array)
+    (x : float array) =
+  run (fun _ lo hi ->
+      let all = bp == all_lanes and kx = bcast x in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i (real_num1 op (Array.unsafe_get x (i land kx)))
+      done)
 
-let int_abs ~(mask : bool array) (r : int array) (x : int array) =
-  let kx = bcast x in
-  for i = 0 to Array.length mask - 1 do
-    if Array.unsafe_get mask i then
-      Array.unsafe_set r i (abs (Array.unsafe_get x (i land kx)))
-  done
+let int_abs (run : Scalar_ops.run) bp (r : int array) (x : int array) =
+  run (fun _ lo hi ->
+      let all = bp == all_lanes and kx = bcast x in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i (abs (Array.unsafe_get x (i land kx)))
+      done)
 
-let int_map2 ~(mask : bool array) op (r : int array) (x : int array)
+let to_int (run : Scalar_ops.run) bp ~round (r : int array) (x : float array)
+    =
+  run (fun _ lo hi ->
+      let all = bp == all_lanes and kx = bcast x in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i
+            (int_of_real ~round (Array.unsafe_get x (i land kx)))
+      done)
+
+let int_map2 (run : Scalar_ops.run) bp op (r : int array) (x : int array)
     (y : int array) =
-  let kx = bcast x and ky = bcast y in
-  for i = 0 to Array.length mask - 1 do
-    if Array.unsafe_get mask i then
-      Array.unsafe_set r i
-        (int_num2 op
-           (Array.unsafe_get x (i land kx))
-           (Array.unsafe_get y (i land ky)))
-  done
+  run (fun _ lo hi ->
+      let all = bp == all_lanes and kx = bcast x and ky = bcast y in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i
+            (int_num2 op
+               (Array.unsafe_get x (i land kx))
+               (Array.unsafe_get y (i land ky)))
+      done)
 
-let real_map2 ~(mask : bool array) op (r : float array) (x : float array)
-    (y : float array) =
-  let kx = bcast x and ky = bcast y in
-  for i = 0 to Array.length mask - 1 do
-    if Array.unsafe_get mask i then
-      Array.unsafe_set r i
-        (real_num2 op
-           (Array.unsafe_get x (i land kx))
-           (Array.unsafe_get y (i land ky)))
-  done
+let real_map2 (run : Scalar_ops.run) bp op (r : float array)
+    (x : float array) (y : float array) =
+  run (fun _ lo hi ->
+      let all = bp == all_lanes and kx = bcast x and ky = bcast y in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i
+            (real_num2 op
+               (Array.unsafe_get x (i land kx))
+               (Array.unsafe_get y (i land ky)))
+      done)
+
+(** The per-lane cell of a one-operand intrinsic, as its kernel. *)
+let cell key (c : Scalar_ops.cell) : Scalar_ops.cell option =
+  let real k = Option.map k (Scalar_ops.real_cell c) in
+  match (lane_fn key, c) with
+  | Some (Num1 Abs), FI f -> Some (FI (fun i -> abs (f i)))
+  | _, FB _ -> None
+  | Some (Num1 Real), _ -> real (fun f -> Scalar_ops.FR f)
+  | Some (Num1 k), _ ->
+      real (fun f -> Scalar_ops.FR (fun i -> real_num1 k (f i)))
+  | Some (To_int round), _ ->
+      real (fun f -> Scalar_ops.FI (fun i -> int_of_real ~round (f i)))
+  | (Some (Num2 _) | None), _ -> None

@@ -18,35 +18,46 @@ val resolve : string -> Values.value list -> Values.value option
     errors. *)
 val apply : string -> Values.value list -> Values.value option
 
-(** {1 Lane-vector loops}
+(** {1 Lane kernels}
 
     The numeric intrinsics' semantics is written once, as lane
-    functions that [resolve]'s boxed functions and these loops both
-    apply. *)
+    functions that [resolve]'s boxed functions and these kernels both
+    apply.  The kernels follow [Scalar_ops]' conventions: a lane runner,
+    a byte mask or [Scalar_ops.all_lanes], one-cell broadcast operands. *)
 
 (** MAX / MIN / MOD ([Stdlib.max]-style on integers, [Float.max] /
     [Float.min] / [Float.rem] on reals). *)
 type num2 = Max | Min | Mod
 
-(** SQRT / EXP / ABS. *)
-type num1 = Sqrt | Exp | Abs
+(** SQRT / EXP / ABS / REAL of a real. *)
+type num1 = Sqrt | Exp | Abs | Real
 
-(** The intrinsics with lane loops: SQRT, EXP and ABS of one numeric
-    operand (integer ABS stays integer, the rest promote), MAX and MIN
-    of two. *)
-type lane_fn = Num1 of num1 | Num2 of num2
+(** The intrinsics with lane kernels: SQRT, EXP, ABS and REAL of one
+    numeric operand (integer ABS stays integer, the rest promote), INT
+    ([To_int false], truncating) and NINT ([To_int true], rounding) of
+    one, MAX and MIN of two.  MOD has no kernel. *)
+type lane_fn = Num1 of num1 | Num2 of num2 | To_int of bool
 
 (** By lower-case name; [None] for every other name. *)
 val lane_fn : string -> lane_fn option
 
-(** [r.(i) <- f x.(i) ...] on the active lanes of [mask], ascending; an
-    operand is a lane vector or a one-cell broadcast array. *)
+val real_map1 :
+  Scalar_ops.run -> Bytes.t -> num1 -> float array -> float array -> unit
 
-val real_map1 : mask:bool array -> num1 -> float array -> float array -> unit
-val int_abs : mask:bool array -> int array -> int array -> unit
+val int_abs : Scalar_ops.run -> Bytes.t -> int array -> int array -> unit
+
+(** INT / NINT of real lanes. *)
+val to_int :
+  Scalar_ops.run -> Bytes.t -> round:bool -> int array -> float array -> unit
 
 val int_map2 :
-  mask:bool array -> num2 -> int array -> int array -> int array -> unit
+  Scalar_ops.run -> Bytes.t -> num2 -> int array -> int array -> int array ->
+  unit
 
 val real_map2 :
-  mask:bool array -> num2 -> float array -> float array -> float array -> unit
+  Scalar_ops.run -> Bytes.t -> num2 -> float array -> float array ->
+  float array -> unit
+
+(** The per-lane cell of a one-operand intrinsic applied to a cell, as
+    its kernel computes it; [None] where no kernel applies. *)
+val cell : string -> Scalar_ops.cell -> Scalar_ops.cell option

@@ -1,20 +1,12 @@
-(** Scalar operator semantics shared by every execution engine.
-
-    Both the sequential interpreter ([Interp]) and the two SIMD engines
-    (the tree-walking [Lf_simd.Vm] and the compiled [Lf_simd.Compile])
-    must agree exactly on what [a + b] means for every value pair —
-    promotion rules, division-by-zero behaviour, the integer/real [Pow]
-    split.  Keeping a single definition here is what makes the engines
-    provably interchangeable: there is one [apply_binop], not three.
-
-    The definition is written once, as unboxed lane functions
-    ([int_arith], [real_arith], the [compare]-based tests); the boxed
-    [apply_binop] dispatches on the value tags and applies them, and the
-    tree-walking engine's lane-vector loops below apply them to whole
-    [int array] / [float array] / [bool array] vectors.  The loops take
-    the operator as data and the lane functions are [@inline], so each
-    loop is a jump on the operator per lane: no closure call, and no
-    float boxing. *)
+(** Scalar operator semantics and the lane kernels of every engine
+    ([Interp], the tree-walking [Lf_simd.Vm], the compiled
+    [Lf_simd.Compile] and its lane-sharded form).  The semantics is
+    written once, as [@inline] lane functions; the boxed [apply_binop]
+    applies them to values and stays the independent oracle, the lane
+    kernels apply them to whole lane vectors.  Every typed lane loop sits
+    here, next to the lane functions it applies: dev builds pass
+    [-opaque], so a lane function called from another module would box
+    every float it returns, a few minor words per lane. *)
 
 open Values
 
@@ -66,6 +58,25 @@ let[@inline] bool_op op (x : bool) y =
   | Ast.And -> x && y
   | Ast.Or -> x || y
   | _ -> cmp_test op (compare x y)
+
+(* Unary minus and [.NOT.]; [None] is the plain copy of a masked store. *)
+let[@inline] int_un op (x : int) =
+  match op with
+  | None -> x
+  | Some Ast.Neg -> -x
+  | Some Ast.Not -> invalid_arg "int_un"
+
+let[@inline] real_un op (x : float) =
+  match op with
+  | None -> x
+  | Some Ast.Neg -> -.x
+  | Some Ast.Not -> invalid_arg "real_un"
+
+let[@inline] bool_un op (x : bool) =
+  match op with
+  | None -> x
+  | Some Ast.Not -> not x
+  | Some Ast.Neg -> invalid_arg "bool_un"
 
 let is_arith = function
   | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod -> true
@@ -123,120 +134,289 @@ let apply_unop op v =
       Errors.runtime_error "bad operand %s for unary operation" (type_name v)
 
 (* ------------------------------------------------------------------ *)
-(* Lane-vector loops                                                   *)
+(* Lane kernels                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* [r.(i) <- f x.(i) y.(i)] on the lanes [mask] marks, ascending, so the
-   first failing active lane raises.  An operand is a lane vector or a
-   one-cell array broadcasting a front-end scalar: lane [i] reads cell
-   [i land bcast v], which is 0 for a one-cell array (at p = 1 both
-   readings agree).  Inactive result lanes keep what [r] held. *)
+(* Each kernel is one monomorphic loop handed to [run]: [run f] applies
+   [f shard lo hi] to a partition of the lanes ([Pool.serial_exec]'s
+   runner makes one pass over every lane; [Pool.parallel_exec]'s appends
+   the loop to the pending join region, which runs it per shard).
+   Shards write disjoint lane ranges of the result, and a shard that
+   raises surfaces as the first-failing-lane error, exactly as the
+   serial scan.  [bp] is an activity mask's bytes ([Frame.Mask.bits]
+   layout: one byte per lane, ['\000'] inactive), or [all_lanes] for a
+   pass over every lane; only the folds require a real mask.
 
+   An operand is a lane vector or a one-cell array broadcasting a
+   front-end scalar: lane [i] reads cell [i land bcast v], which is 0
+   for a one-cell array (at p = 1 both readings agree).  A result may
+   alias an operand: every loop reads lane [i] before writing it.
+   Inactive result lanes keep what they held. *)
+
+type run = (int -> int -> int -> unit) -> unit
+
+let all_lanes = Bytes.empty
 let[@inline] bcast a = if Array.length a = 1 then 0 else -1
 
-let int_map2 ~(mask : bool array) op (r : int array) (x : int array)
-    (y : int array) =
-  let kx = bcast x and ky = bcast y in
-  for i = 0 to Array.length mask - 1 do
-    if Array.unsafe_get mask i then
-      Array.unsafe_set r i
-        (int_arith op
-           (Array.unsafe_get x (i land kx))
-           (Array.unsafe_get y (i land ky)))
-  done
+let map2_i (run : run) bp op (r : int array) (x : int array) (y : int array)
+    =
+  run (fun _ lo hi ->
+      let all = bp == all_lanes and kx = bcast x and ky = bcast y in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i
+            (int_arith op
+               (Array.unsafe_get x (i land kx))
+               (Array.unsafe_get y (i land ky)))
+      done)
 
-let real_map2 ~(mask : bool array) op (r : float array) (x : float array)
+let map2_r (run : run) bp op (r : float array) (x : float array)
     (y : float array) =
-  let kx = bcast x and ky = bcast y in
-  for i = 0 to Array.length mask - 1 do
-    if Array.unsafe_get mask i then
-      Array.unsafe_set r i
-        (real_arith op
-           (Array.unsafe_get x (i land kx))
-           (Array.unsafe_get y (i land ky)))
-  done
+  run (fun _ lo hi ->
+      let all = bp == all_lanes and kx = bcast x and ky = bcast y in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i
+            (real_arith op
+               (Array.unsafe_get x (i land kx))
+               (Array.unsafe_get y (i land ky)))
+      done)
 
-let int_cmp2 ~(mask : bool array) op (r : bool array) (x : int array)
-    (y : int array) =
-  let kx = bcast x and ky = bcast y in
-  for i = 0 to Array.length mask - 1 do
-    if Array.unsafe_get mask i then
-      Array.unsafe_set r i
-        (int_cmp op
-           (Array.unsafe_get x (i land kx))
-           (Array.unsafe_get y (i land ky)))
-  done
+(* Comparisons and LOGICAL operators are total: they compute every
+   lane. *)
 
-let real_cmp2 ~(mask : bool array) op (r : bool array) (x : float array)
-    (y : float array) =
-  let kx = bcast x and ky = bcast y in
-  for i = 0 to Array.length mask - 1 do
-    if Array.unsafe_get mask i then
-      Array.unsafe_set r i
-        (real_cmp op
-           (Array.unsafe_get x (i land kx))
-           (Array.unsafe_get y (i land ky)))
-  done
+let map2_b (run : run) op (r : bool array) (x : bool array) (y : bool array) =
+  run (fun _ lo hi ->
+      let kx = bcast x and ky = bcast y in
+      for i = lo to hi - 1 do
+        Array.unsafe_set r i
+          (bool_op op
+             (Array.unsafe_get x (i land kx))
+             (Array.unsafe_get y (i land ky)))
+      done)
 
-let bool_map2 ~(mask : bool array) op (r : bool array) (x : bool array)
-    (y : bool array) =
-  let kx = bcast x and ky = bcast y in
-  for i = 0 to Array.length mask - 1 do
-    if Array.unsafe_get mask i then
-      Array.unsafe_set r i
-        (bool_op op
-           (Array.unsafe_get x (i land kx))
-           (Array.unsafe_get y (i land ky)))
-  done
+let cmp_i (run : run) op (r : bool array) (x : int array) (y : int array) =
+  run (fun _ lo hi ->
+      let kx = bcast x and ky = bcast y in
+      for i = lo to hi - 1 do
+        Array.unsafe_set r i
+          (int_cmp op
+             (Array.unsafe_get x (i land kx))
+             (Array.unsafe_get y (i land ky)))
+      done)
 
-(** Int lanes (or a broadcast cell) promoted to real. *)
-let to_real (x : int array) =
+let cmp_r (run : run) op (r : bool array) (x : float array) (y : float array) =
+  run (fun _ lo hi ->
+      let kx = bcast x and ky = bcast y in
+      for i = lo to hi - 1 do
+        Array.unsafe_set r i
+          (real_cmp op
+             (Array.unsafe_get x (i land kx))
+             (Array.unsafe_get y (i land ky)))
+      done)
+
+let map1_i (run : run) bp op (r : int array) (x : int array) =
+  run (fun _ lo hi ->
+      let all = bp == all_lanes and kx = bcast x in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i (int_un op (Array.unsafe_get x (i land kx)))
+      done)
+
+let map1_r (run : run) bp op (r : float array) (x : float array) =
+  run (fun _ lo hi ->
+      let all = bp == all_lanes and kx = bcast x in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i (real_un op (Array.unsafe_get x (i land kx)))
+      done)
+
+let map1_b (run : run) bp op (r : bool array) (x : bool array) =
+  run (fun _ lo hi ->
+      let all = bp == all_lanes and kx = bcast x in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i (bool_un op (Array.unsafe_get x (i land kx)))
+      done)
+
+let to_real (run : run) (x : int array) =
   let r = Array.make (Array.length x) 0.0 in
-  for i = 0 to Array.length x - 1 do
-    Array.unsafe_set r i (float_of_int (Array.unsafe_get x i))
-  done;
+  run (fun _ lo hi ->
+      for i = lo to hi - 1 do
+        Array.unsafe_set r i (float_of_int (Array.unsafe_get x i))
+      done);
   r
 
-(** Unary minus and [.NOT.] on the active lanes. *)
-let int_neg ~(mask : bool array) (r : int array) (x : int array) =
-  for i = 0 to Array.length mask - 1 do
-    if Array.unsafe_get mask i then Array.unsafe_set r i (-Array.unsafe_get x i)
-  done
+let fill_v (run : run) bp (r : value array) (f : int -> value) =
+  run (fun _ lo hi ->
+      let all = bp == all_lanes in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i (f i)
+      done)
 
-let real_neg ~(mask : bool array) (r : float array) (x : float array) =
-  for i = 0 to Array.length mask - 1 do
-    if Array.unsafe_get mask i then
-      Array.unsafe_set r i (-.Array.unsafe_get x i)
-  done
+(* ------------------------------------------------------------------ *)
+(* Gathers and scatters                                                *)
+(* ------------------------------------------------------------------ *)
 
-let bool_not ~(mask : bool array) (r : bool array) (x : bool array) =
-  for i = 0 to Array.length mask - 1 do
-    if Array.unsafe_get mask i then
-      Array.unsafe_set r i (not (Array.unsafe_get x i))
-  done
+let extent (d : _ Nd.t) k =
+  if k < Array.length d.Nd.dims then d.Nd.dims.(k) else 1
 
-(** Masked copy [r.(i) <- x.(i)] (a broadcast [x] fills), one per lane
-    type so the float copy moves unboxed floats. *)
-let int_blit ~(mask : bool array) (r : int array) (x : int array) =
-  let kx = bcast x in
-  for i = 0 to Array.length mask - 1 do
-    if Array.unsafe_get mask i then
-      Array.unsafe_set r i (Array.unsafe_get x (i land kx))
-  done
+(** Flat offset of the 1-based subscript [(j1, j2)] in a [d1 x d2]
+    array (rank 1: [d2 = 1], [j2 = 1]), bounds-checked in dimension
+    order like [Nd.linear_index] unless [check] is off. *)
+let[@inline] offset ~check d1 d2 j1 j2 =
+  if check then begin
+    if j1 < 1 || j1 > d1 then Nd.index_error j1 d1 1;
+    if j2 < 1 || j2 > d2 then Nd.index_error j2 d2 2
+  end;
+  j1 - 1 + ((j2 - 1) * d1)
 
-let real_blit ~(mask : bool array) (r : float array) (x : float array) =
-  let kx = bcast x in
-  for i = 0 to Array.length mask - 1 do
-    if Array.unsafe_get mask i then
-      Array.unsafe_set r i (Array.unsafe_get x (i land kx))
-  done
+let gather_i (run : run) bp ~check (r : int array) (d : int Nd.t) ix1 ix2 =
+  let d1 = extent d 0 and d2 = extent d 1 and data = d.Nd.data in
+  run (fun _ lo hi ->
+      let all = bp == all_lanes and k2 = bcast ix2 in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i
+            data.(offset ~check d1 d2 (Array.unsafe_get ix1 i)
+                    (Array.unsafe_get ix2 (i land k2)))
+      done)
 
-let bool_blit ~(mask : bool array) (r : bool array) (x : bool array) =
-  let kx = bcast x in
-  for i = 0 to Array.length mask - 1 do
-    if Array.unsafe_get mask i then
-      Array.unsafe_set r i (Array.unsafe_get x (i land kx))
-  done
+let gather_r (run : run) bp ~check (r : float array) (d : float Nd.t) ix1
+    ix2 =
+  let d1 = extent d 0 and d2 = extent d 1 and data = d.Nd.data in
+  run (fun _ lo hi ->
+      let all = bp == all_lanes and k2 = bcast ix2 in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i
+            data.(offset ~check d1 d2 (Array.unsafe_get ix1 i)
+                    (Array.unsafe_get ix2 (i land k2)))
+      done)
+
+let gather_at_i (run : run) bp (r : int array) (data : int array) off =
+  run (fun _ lo hi ->
+      let all = bp == all_lanes in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i data.(off i)
+      done)
+
+let gather_at_r (run : run) bp (r : float array) (data : float array) off =
+  run (fun _ lo hi ->
+      let all = bp == all_lanes in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i data.(off i)
+      done)
+
+let gather_at_b (run : run) bp (r : bool array) (data : bool array) off =
+  run (fun _ lo hi ->
+      let all = bp == all_lanes in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then
+          Array.unsafe_set r i data.(off i)
+      done)
+
+let scatter_i (run : run) bp ~check (d : int Nd.t) ix1 ix2 op
+    (x : int array) (y : int array) =
+  let d1 = extent d 0 and d2 = extent d 1 and data = d.Nd.data in
+  run (fun _ lo hi ->
+      let all = bp == all_lanes in
+      let k2 = bcast ix2 and kx = bcast x and ky = bcast y in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then begin
+          let o =
+            offset ~check d1 d2 (Array.unsafe_get ix1 i)
+              (Array.unsafe_get ix2 (i land k2))
+          in
+          let v = Array.unsafe_get x (i land kx) in
+          data.(o) <-
+            (match op with
+            | None -> v
+            | Some op -> int_arith op v (Array.unsafe_get y (i land ky)))
+        end
+      done)
+
+let scatter_r (run : run) bp ~check (d : float Nd.t) ix1 ix2 op
+    (x : float array) (y : float array) =
+  let d1 = extent d 0 and d2 = extent d 1 and data = d.Nd.data in
+  run (fun _ lo hi ->
+      let all = bp == all_lanes in
+      let k2 = bcast ix2 and kx = bcast x and ky = bcast y in
+      for i = lo to hi - 1 do
+        if all || Bytes.unsafe_get bp i <> '\000' then begin
+          let o =
+            offset ~check d1 d2 (Array.unsafe_get ix1 i)
+              (Array.unsafe_get ix2 (i land k2))
+          in
+          let v = Array.unsafe_get x (i land kx) in
+          data.(o) <-
+            (match op with
+            | None -> v
+            | Some op -> real_arith op v (Array.unsafe_get y (i land ky)))
+        end
+      done)
+
+(* ------------------------------------------------------------------ *)
+(* Per-lane cells                                                      *)
+(* ------------------------------------------------------------------ *)
+
+type cell = FI of (int -> int) | FR of (int -> float) | FB of (int -> bool)
+
+let real_cell = function
+  | FI f -> Some (fun i -> float_of_int (f i))
+  | FR f -> Some f
+  | FB _ -> None
+
+let reals x y k =
+  match (real_cell x, real_cell y) with
+  | Some f, Some g -> Some (k f g)
+  | _ -> None
+
+let binop_cell op x y =
+  match (x, y) with
+  | FI f, FI g when is_arith op -> Some (FI (fun i -> int_arith op (f i) (g i)))
+  | FI f, FI g when is_cmp op -> Some (FB (fun i -> int_cmp op (f i) (g i)))
+  | FB f, FB g when is_cmp op || op = Ast.And || op = Ast.Or ->
+      Some (FB (fun i -> bool_op op (f i) (g i)))
+  | _ when is_arith op ->
+      reals x y (fun f g -> FR (fun i -> real_arith op (f i) (g i)))
+  | _ when is_cmp op ->
+      reals x y (fun f g -> FB (fun i -> real_cmp op (f i) (g i)))
+  | _ -> None
+
+let unop_cell op x =
+  match (op, x) with
+  | Ast.Neg, FI f -> Some (FI (fun i -> -f i))
+  | Ast.Neg, FR f -> Some (FR (fun i -> -.f i))
+  | Ast.Not, FB f -> Some (FB (fun i -> not (f i)))
+  | _ -> None
+
+let gather_cell (a : arr) f1 f2 =
+  let offsets d =
+    let d1 = extent d 0 and d2 = extent d 1 in
+    match f2 with
+    | None -> fun i -> offset ~check:true d1 d2 (f1 i) 1
+    | Some f2 ->
+        fun i ->
+          let j1 = f1 i in
+          let j2 = f2 i in
+          offset ~check:true d1 d2 j1 j2
+  in
+  match a with
+  | AInt d ->
+      let off = offsets d and data = d.Nd.data in
+      Some (FI (fun i -> data.(off i)))
+  | AReal d ->
+      let off = offsets d and data = d.Nd.data in
+      Some (FR (fun i -> data.(off i)))
+  | ABool _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Reductions                                                          *)
+(* ------------------------------------------------------------------ *)
 
 (** The MAXVAL / MINVAL / SUM folds on unboxed lanes, with the boxed
     fold's operators: SUM adds, MAXVAL (MINVAL) keeps the accumulator
@@ -261,56 +441,108 @@ let[@inline] real_fold r a x =
   | Fold_max -> if real_cmp Ast.Gt a x then a else x
   | Fold_min -> if real_cmp Ast.Lt a x then a else x
 
-(* The chunked fold: one partial per [chunk]-lane chunk, seeded at its
-   first active lane, then the non-empty partials merged left to right
-   in ascending chunk order; [None] when no lane is active. *)
+let chunk = 64
 
-let int_reduce ~chunk ~(mask : bool array) r (x : int array) =
-  let p = Array.length mask in
-  let acc = ref 0 and have_acc = ref false in
-  let c = ref 0 in
-  while !c < p do
-    let h = min p (!c + chunk) in
-    let part = ref 0 and have_part = ref false in
-    for i = !c to h - 1 do
-      if Array.unsafe_get mask i then
-        if !have_part then part := int_fold r !part (Array.unsafe_get x i)
-        else begin
-          part := Array.unsafe_get x i;
-          have_part := true
-        end
-    done;
-    if !have_part then
-      if !have_acc then acc := int_fold r !acc !part
-      else begin
-        acc := !part;
-        have_acc := true
-      end;
-    c := h
-  done;
-  if !have_acc then Some !acc else None
+type scratch = {
+  parts_i : int array;
+  parts_r : float array;
+  filled : Bytes.t;
+  sh_b : bool array;
+}
 
-let real_reduce ~chunk ~(mask : bool array) r (x : float array) =
-  let p = Array.length mask in
-  let acc = ref 0.0 and have_acc = ref false in
-  let c = ref 0 in
-  while !c < p do
-    let h = min p (!c + chunk) in
-    let part = ref 0.0 and have_part = ref false in
-    for i = !c to h - 1 do
-      if Array.unsafe_get mask i then
-        if !have_part then part := real_fold r !part (Array.unsafe_get x i)
-        else begin
-          part := Array.unsafe_get x i;
-          have_part := true
-        end
-    done;
-    if !have_part then
-      if !have_acc then acc := real_fold r !acc !part
+let scratch ~lanes ~shards =
+  let nc = max 1 ((lanes + chunk - 1) / chunk) in
+  {
+    parts_i = Array.make nc 0;
+    parts_r = Array.make nc 0.0;
+    filled = Bytes.make nc '\000';
+    sh_b = Array.make shards false;
+  }
+
+(* Left fold of [get] over the lanes of [l, h) that [bp] marks into
+   [parts.(c)]; false when there are none. *)
+let fold_span_i r bp (get : int -> int) parts l h c =
+  let acc = ref 0 and seen = ref false in
+  for i = l to h - 1 do
+    if Bytes.unsafe_get bp i <> '\000' then
+      if !seen then acc := int_fold r !acc (get i)
       else begin
-        acc := !part;
-        have_acc := true
-      end;
-    c := h
+        acc := get i;
+        seen := true
+      end
   done;
-  if !have_acc then Some !acc else None
+  if !seen then parts.(c) <- !acc;
+  !seen
+
+let fold_span_r r bp (get : int -> float) (parts : float array) l h c =
+  let acc = ref 0.0 and seen = ref false in
+  for i = l to h - 1 do
+    if Bytes.unsafe_get bp i <> '\000' then
+      if !seen then acc := real_fold r !acc (get i)
+      else begin
+        acc := get i;
+        seen := true
+      end
+  done;
+  if !seen then parts.(c) <- !acc;
+  !seen
+
+(* One lane pass folding every chunk of the runner's lanes, then the
+   join, which makes the partials readable. *)
+let chunked (run : run) join sc span =
+  Bytes.fill sc.filled 0 (Bytes.length sc.filled) '\000';
+  run (fun _ lo hi ->
+      for c = lo / chunk to ((hi + chunk - 1) / chunk) - 1 do
+        if span (c * chunk) (min hi ((c + 1) * chunk)) c then
+          Bytes.unsafe_set sc.filled c '\001'
+      done);
+  join ()
+
+let fold_i run join sc bp r get =
+  let parts = sc.parts_i in
+  chunked run join sc (fold_span_i r bp get parts);
+  fold_span_i r sc.filled (Array.get parts) parts 0 (Bytes.length sc.filled) 0
+
+let fold_r run join sc bp r get =
+  let parts = sc.parts_r in
+  chunked run join sc (fold_span_r r bp get parts);
+  fold_span_r r sc.filled (Array.get parts) parts 0 (Bytes.length sc.filled) 0
+
+(* ANY over the active lanes.  A raising [f] visits every active lane (a
+   raising lane must still raise); a raise-free one stops at the first
+   true lane — the OR-fold order is then unobservable. *)
+let any_b (run : run) join sc bp ~raising (f : int -> bool) =
+  run (fun s lo hi ->
+      let r = ref false and i = ref lo in
+      while (raising || not !r) && !i < hi do
+        if Bytes.unsafe_get bp !i <> '\000' && f !i then r := true;
+        incr i
+      done;
+      sc.sh_b.(s) <- !r);
+  join ();
+  Array.exists Fun.id sc.sh_b
+
+let reduces key cell =
+  match (fold_of_key key, cell) with
+  | Some _, (FI _ | FR _) -> true
+  | None, FB _ -> key = "count" || key = "any" || key = "all"
+  | _ -> false
+
+let lane_reduce run join sc ~raising key cell bp empty =
+  match (fold_of_key key, cell) with
+  | Some r, FI f ->
+      if fold_i run join sc bp r f then VInt sc.parts_i.(0) else empty ()
+  | Some r, FR f ->
+      if fold_r run join sc bp r f then VReal sc.parts_r.(0) else empty ()
+  | None, FB f -> (
+      match key with
+      | "count" ->
+          let one_if i = if f i then 1 else 0 in
+          let some = fold_i run join sc bp Fold_sum one_if in
+          VInt (if some then sc.parts_i.(0) else 0)
+      | "any" -> VBool (any_b run join sc bp ~raising f)
+      | "all" ->
+          let nf i = not (f i) in
+          VBool (not (any_b run join sc bp ~raising nf))
+      | _ -> invalid_arg "Scalar_ops.lane_reduce")
+  | _ -> invalid_arg "Scalar_ops.lane_reduce"

@@ -1,11 +1,14 @@
-(** Scalar operator semantics shared by the sequential interpreter and
-    both SIMD engines — the single definition of what each [Ast.binop] /
-    [Ast.unop] means on runtime values (promotion, division by zero,
-    integer vs real [Pow]).
+(** Scalar operator semantics and the lane kernels of every engine — the
+    single definition of what each [Ast.binop] / [Ast.unop] means on
+    runtime values (promotion, division by zero, integer vs real [Pow]).
 
-    The semantics is written once as unboxed lane functions; the boxed
-    [apply_binop] and the lane-vector loops below both apply them, so
-    the boxed and unboxed paths cannot drift apart. *)
+    The semantics is written once as unboxed lane functions.  The boxed
+    [apply_binop] applies them to values and is the independent oracle;
+    the lane kernels below apply them to whole lane vectors and are the
+    only typed lane loops of both SIMD engines (the tree-walker and the
+    compiled/parallel engine).  Every loop lives here, next to the lane
+    functions it inlines: dev builds pass [-opaque], so a lane function
+    called from another module would box each float it returns. *)
 
 (** [+ - * /] and MOD. *)
 val is_arith : Ast.binop -> bool
@@ -18,44 +21,130 @@ val is_cmp : Ast.binop -> bool
 val apply_binop : Ast.binop -> Values.value -> Values.value -> Values.value
 val apply_unop : Ast.unop -> Values.value -> Values.value
 
-(** {1 Lane-vector loops}
+(** {1 Lane kernels}
 
-    [r.(i) <- op x.(i) y.(i)] on the lanes [mask] marks, in ascending
-    order (so the first failing active lane raises); the other lanes of
-    [r] are left as they are.  An operand is either a lane vector as
-    long as [mask] or a one-cell array broadcasting a front-end
-    scalar. *)
+    A kernel runs one loop through a lane runner: [run f] applies
+    [f shard lo hi] to a partition of the lanes, at once (a serial
+    runner: one pass over every lane) or at the next join (the parallel
+    engine's pending region).  Lanes are visited in ascending order
+    within a shard, so the first failing active lane raises.
 
-val int_map2 :
-  mask:bool array -> Ast.binop -> int array -> int array -> int array -> unit
+    [bp] is an activity mask's bytes, one per lane ([Frame.Mask.bits]
+    layout, ['\000'] inactive), or [all_lanes] for every lane.  Only
+    the marked lanes of a result are written.  An operand is a lane
+    vector or a one-cell array broadcasting a front-end scalar, and a
+    result may alias an operand. *)
 
-val real_map2 :
-  mask:bool array -> Ast.binop -> float array -> float array -> float array ->
+type run = (int -> int -> int -> unit) -> unit
+
+(** The mask of a pass over every lane (compared physically). *)
+val all_lanes : Bytes.t
+
+(** [r.(i) <- op x.(i) y.(i)] for [+ - * /] and MOD; int [/] and MOD
+    raise on a zero divisor. *)
+val map2_i : run -> Bytes.t -> Ast.binop -> int array -> int array ->
+  int array -> unit
+
+val map2_r : run -> Bytes.t -> Ast.binop -> float array -> float array ->
+  float array -> unit
+
+(** A comparison, [.AND.] or [.OR.] on LOGICAL lanes.  Comparisons and
+    LOGICAL operators are total, so they take no mask: they compute
+    every lane. *)
+val map2_b : run -> Ast.binop -> bool array -> bool array -> bool array ->
   unit
 
-val int_cmp2 :
-  mask:bool array -> Ast.binop -> bool array -> int array -> int array -> unit
+(** A comparison, through [compare] (so NaN = NaN). *)
+val cmp_i : run -> Ast.binop -> bool array -> int array -> int array -> unit
 
-val real_cmp2 :
-  mask:bool array -> Ast.binop -> bool array -> float array -> float array ->
+val cmp_r : run -> Ast.binop -> bool array -> float array -> float array ->
   unit
 
-val bool_map2 :
-  mask:bool array -> Ast.binop -> bool array -> bool array -> bool array ->
+(** [r.(i) <- op x.(i)] for unary minus or [.NOT.], or a masked copy when
+    the operator is [None]. *)
+val map1_i : run -> Bytes.t -> Ast.unop option -> int array -> int array ->
   unit
 
-(** Every cell converted with [float_of_int] (a fresh array). *)
-val to_real : int array -> float array
+val map1_r : run -> Bytes.t -> Ast.unop option -> float array ->
+  float array -> unit
 
-val int_neg : mask:bool array -> int array -> int array -> unit
-val real_neg : mask:bool array -> float array -> float array -> unit
-val bool_not : mask:bool array -> bool array -> bool array -> unit
+val map1_b : run -> Bytes.t -> Ast.unop option -> bool array ->
+  bool array -> unit
 
-(** Masked copies [r.(i) <- x.(i)]; a one-cell [x] fills. *)
+(** Every lane of an int vector converted with [float_of_int], into a
+    fresh vector. *)
+val to_real : run -> int array -> float array
 
-val int_blit : mask:bool array -> int array -> int array -> unit
-val real_blit : mask:bool array -> float array -> float array -> unit
-val bool_blit : mask:bool array -> bool array -> bool array -> unit
+(** [r.(i) <- f i]: a per-lane function. *)
+val fill_v :
+  run -> Bytes.t -> Values.value array -> (int -> Values.value) -> unit
+
+(** {2 Gathers and scatters}
+
+    Rank-1 or rank-2 arrays, 1-based subscripts; the second subscript
+    of a rank-1 access is the one-cell [[| 1 |]].  With [check], every
+    subscript is bounds-checked in dimension order with
+    [Nd.linear_index]'s message. *)
+
+(** Extent of dimension [k] (1 past the rank). *)
+val extent : 'a Nd.t -> int -> int
+
+(** [r.(i) <- d(ix1.(i), ix2.(i))]. *)
+val gather_i : run -> Bytes.t -> check:bool -> int array -> int Nd.t ->
+  int array -> int array -> unit
+
+val gather_r : run -> Bytes.t -> check:bool -> float array -> float Nd.t ->
+  int array -> int array -> unit
+
+(** [r.(i) <- data.(off i)]: a gather through a per-lane flat offset,
+    for any rank and subscript form; [off] checks the bounds. *)
+val gather_at_i : run -> Bytes.t -> int array -> int array -> (int -> int) ->
+  unit
+
+val gather_at_r : run -> Bytes.t -> float array -> float array ->
+  (int -> int) -> unit
+
+val gather_at_b : run -> Bytes.t -> bool array -> bool array ->
+  (int -> int) -> unit
+
+(** [d(ix1.(i), ix2.(i)) <- x.(i)], or [op x.(i) y.(i)] with an [op] of
+    [+ - * /] or MOD; the subscript is checked before the value is
+    read. *)
+val scatter_i : run -> Bytes.t -> check:bool -> int Nd.t -> int array ->
+  int array -> Ast.binop option -> int array -> int array -> unit
+
+val scatter_r : run -> Bytes.t -> check:bool -> float Nd.t -> int array ->
+  int array -> Ast.binop option -> float array -> float array -> unit
+
+(** {2 Per-lane cells}
+
+    A typed function of the lane index: a fused region's operators
+    compose cells, so a whole elementwise chain is one closure per lane
+    with no intermediate vector.  A combinator applies the same lane
+    function as the kernel of its operator, and answers [None] where
+    that kernel has no typed form. *)
+
+type cell = FI of (int -> int) | FR of (int -> float) | FB of (int -> bool)
+
+(** Int lanes promoted to real; [None] for LOGICAL. *)
+val real_cell : cell -> (int -> float) option
+
+val binop_cell : Ast.binop -> cell -> cell -> cell option
+val unop_cell : Ast.unop -> cell -> cell option
+
+(** [d(f1 i)] or [d(f1 i, f2 i)] of an int or real array, checked;
+    [None] for a LOGICAL array.  The caller checks the rank. *)
+val gather_cell :
+  Values.arr -> (int -> int) -> (int -> int) option -> cell option
+
+(** {2 Reductions}
+
+    The canonical chunked fold: one partial per [chunk]-lane chunk,
+    seeded at its first active lane (so a lone NaN or -0.0 survives
+    verbatim), then the non-empty partials merged left to right in
+    ascending chunk order.  The grid depends only on the lane count, so
+    a REAL SUM is bitwise the same on every engine and at any shard
+    count, and equal to the boxed fold over the same grid. *)
 
 (** The MAXVAL / MINVAL / SUM folds. *)
 type fold = Fold_sum | Fold_max | Fold_min
@@ -63,12 +152,33 @@ type fold = Fold_sum | Fold_max | Fold_min
 (** ["sum"], ["maxval"], ["minval"]. *)
 val fold_of_key : string -> fold option
 
-(** The canonical chunked fold over the active lanes: one partial per
-    [chunk]-lane chunk, seeded at its first active lane, then the
-    non-empty partials merged left to right; [None] when no lane is
-    active.  It groups exactly as the boxed fold over the same chunk
-    grid, so a REAL SUM is bitwise the same. *)
-val int_reduce : chunk:int -> mask:bool array -> fold -> int array -> int option
+(** The lanes per chunk of the fold grid. *)
+val chunk : int
 
-val real_reduce :
-  chunk:int -> mask:bool array -> fold -> float array -> float option
+(** A reduction site's partials: one per chunk, one ANY per shard. *)
+type scratch
+
+val scratch : lanes:int -> shards:int -> scratch
+
+(** Whether [lane_reduce] has a kernel for the reduction [key] of a
+    cell: ["any"], ["all"] and ["count"] of LOGICAL cells, ["maxval"],
+    ["minval"] and ["sum"] of int or real ones. *)
+val reduces : string -> cell -> bool
+
+(** [lane_reduce run join sc ~raising key cell bp empty]: the reduction
+    [key] of [cell] over the lanes [bp] marks (a real mask), [empty ()]
+    for MAXVAL / MINVAL / SUM when none is.  The lane pass goes through
+    [run], then [join ()] must complete every pending loop.  A [raising]
+    cell makes ANY and ALL visit every active lane; otherwise they stop
+    at the first deciding lane.
+    @raise Invalid_argument unless [reduces key cell]. *)
+val lane_reduce :
+  run ->
+  (unit -> unit) ->
+  scratch ->
+  raising:bool ->
+  string ->
+  cell ->
+  Bytes.t ->
+  (unit -> Values.value) ->
+  Values.value

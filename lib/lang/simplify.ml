@@ -57,8 +57,12 @@ and step (e : expr) : expr =
       if a = b then x
       else if a > b then step (EBin (Add, x, EInt (a - b)))
       else step (EBin (Sub, x, EInt (b - a)))
-  | EBin (Add, EBin (Add, x, EInt a), EInt b) -> EBin (Add, x, EInt (a + b))
-  | EBin (Sub, EBin (Sub, x, EInt a), EInt b) -> EBin (Sub, x, EInt (a + b))
+  (* the combined constant may make a new identity ([x + 0]): step again,
+     so one pass reaches the normal form *)
+  | EBin (Add, EBin (Add, x, EInt a), EInt b) ->
+      step (EBin (Add, x, EInt (a + b)))
+  | EBin (Sub, EBin (Sub, x, EInt a), EInt b) ->
+      step (EBin (Sub, x, EInt (a + b)))
   (* a + x - a  (common in partition arithmetic) *)
   | EBin (Sub, EBin (Add, EInt a, x), EInt b) when a = b -> x
   | _ -> e

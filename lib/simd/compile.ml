@@ -85,6 +85,19 @@ type rv =
 
 let rv_is_plural = function RS _ | RA _ -> false | _ -> true
 
+let lanes_of_rv = function
+  | RI a -> Frame.LInt a
+  | RR a -> Frame.LReal a
+  | RB a -> Frame.LBool a
+  | RP a -> Frame.LBox a
+  | RS _ | RA _ -> invalid_arg "lanes_of_rv"
+
+let rv_of_lanes = function
+  | Frame.LInt a -> RI a
+  | Frame.LReal a -> RR a
+  | Frame.LBool a -> RB a
+  | Frame.LBox a -> RP a
+
 (** Per-lane boxed view; front-end scalars broadcast (cf. [Pval.lane]). *)
 let rv_lane v i =
   match v with
@@ -103,47 +116,38 @@ let rv_front_scalar = function
 
 let rv_front_int v = as_int (rv_front_scalar v)
 
-(** Boxed [Pval] view of a procedure argument.  [exact] plurals (variable
-    references, ranges) expose their true lane contents; computed plurals
-    get the tree-walker's inert [VInt 0] outside the mask. *)
+let pval_of_rv = function
+  | RS s -> Pval.FScalar s
+  | RA a -> Pval.FArr a
+  | v -> Pval.Plural (lanes_of_rv v)
+
+(** Boxed [Pval] view of a procedure argument ([Pval.expose]): [exact]
+    plurals (variable references, ranges) expose their true lane
+    contents, computed plurals the inert [VInt 0] outside the mask. *)
 let rv_to_pval ~exact (m : Frame.Mask.t) v =
   match v with
   | RS s -> Pval.FScalar s
   | RA a -> Pval.FArr a
-  | RI a when exact || Frame.Mask.active m = Array.length a ->
-      Pval.Plural (Frame.LInt (Array.copy a))
-  | RR a when exact || Frame.Mask.active m = Array.length a ->
-      Pval.Plural (Frame.LReal (Array.copy a))
-  | RB a when exact || Frame.Mask.active m = Array.length a ->
-      Pval.Plural (Frame.LBool (Array.copy a))
-  | _ ->
-      let p = Frame.Mask.length m in
-      Pval.Plural
-        (Frame.lanes_of_values
-           (Array.init p (fun i ->
-                if exact || Frame.Mask.get m i then rv_lane v i else VInt 0)))
+  | _ -> Pval.Plural (Pval.expose ~exact ~mask:m (lanes_of_rv v))
 
-(* ------------------------------------------------------------------ *)
-(* Generic (boxed) fallbacks — the exact [Pval.lift1]/[lift2] semantics *)
-(* ------------------------------------------------------------------ *)
+(* The boxed fallbacks, the tree-walker's own: [f] on every active lane
+   through the boxed view ([Pval.map_active]), and the re-specialization
+   of a boxed vector by its active lanes ([Pval.specialize]), so
+   downstream operators stay on their typed paths.  Inactive lanes of
+   computed temporaries are unobservable (every escape point launders
+   them to inert [VInt 0]).  Both read lanes on the control thread: a
+   join. *)
 
-(* Both read operand lanes on the control thread: a join. *)
-let box_lift1 exec (m : Frame.Mask.t) f v =
+let box_lift exec (m : Frame.Mask.t) f =
   Pool.sync exec;
-  let p = Frame.Mask.length m in
-  Array.init p (fun i ->
-      if Frame.Mask.get m i then f (rv_lane v i) else VInt 0)
+  rv_of_lanes (Pval.map_active ~mask:m f)
 
-let box_lift2 exec (m : Frame.Mask.t) f a b =
+let box_lift2 exec m f x y =
+  box_lift exec m (fun i -> f (rv_lane x i) (rv_lane y i))
+
+let renorm exec (m : Frame.Mask.t) (vs : value array) : rv =
   Pool.sync exec;
-  let p = Frame.Mask.length m in
-  Array.init p (fun i ->
-      if Frame.Mask.get m i then f (rv_lane a i) (rv_lane b i) else VInt 0)
-
-let first_active (m : Frame.Mask.t) =
-  let n = Frame.Mask.length m in
-  let rec go i = if i >= n || Frame.Mask.get m i then i else go (i + 1) in
-  go 0
+  rv_of_lanes (Pval.specialize ~mask:m vs)
 
 (* ------------------------------------------------------------------ *)
 (* The operator table                                                  *)
@@ -163,11 +167,10 @@ type rclass =
 
 (** How the typed paths treat a binary operator.  Every typed path — the
     per-operator kernels, fused reductions, fused stores and merged
-    scatter-accumulates — picks its kernel by [kind] and applies the
-    operator through the lane functions below, so the fused paths type
-    and compute exactly like the unfused dispatch: they run the same
-    code.  Whatever the table does not cover (mismatched operand types,
-    [**]) runs through the boxed [Scalar_ops] path. *)
+    scatter-accumulates — picks its [Scalar_ops] kernel or cell by
+    [kind], so the fused paths type and compute exactly like the
+    unfused dispatch.  Whatever the table does not cover (mismatched
+    operand types, [**]) runs through the boxed [Scalar_ops] path. *)
 type kind =
   | Arith  (** total on int and on real lanes *)
   | Raising of rclass  (** [/] and MOD: int lanes fault on a zero divisor *)
@@ -183,113 +186,27 @@ let kind = function
   | And | Or -> Logic
   | Pow -> Boxed
 
-(* The lane semantics of every operator, restating [Scalar_ops]' lane
-   functions over this engine's kernels (the tree-walker runs
-   [Scalar_ops]' own, so each engine checks the other).  The kernels
-   take the operator as data; [@inline] compiles each call site to a
-   jump on it per lane — no closure call and no float boxing in the
-   loop. *)
-
-let[@inline] int_lane op x y =
-  match op with
-  | Add -> x + y
-  | Sub -> x - y
-  | Mul -> x * y
-  | Div ->
-      if y = 0 then Errors.runtime_error "integer division by zero" else x / y
-  | Mod -> if y = 0 then Errors.runtime_error "MOD by zero" else x mod y
-  | Eq | Ne | Lt | Le | Gt | Ge | And | Or | Pow -> invalid_arg "int_lane"
-
-let[@inline] real_lane op x y =
-  match op with
-  | Add -> x +. y
-  | Sub -> x -. y
-  | Mul -> x *. y
-  | Div -> x /. y
-  | Mod -> Float.rem x y
-  | Eq | Ne | Lt | Le | Gt | Ge | And | Or | Pow -> invalid_arg "real_lane"
-
-(** A comparison tests the sign of [compare] on its (promoted) operands. *)
-let[@inline] cmp_lane op c =
-  match op with
-  | Eq -> c = 0
-  | Ne -> c <> 0
-  | Lt -> c < 0
-  | Le -> c <= 0
-  | Gt -> c > 0
-  | Ge -> c >= 0
-  | Add | Sub | Mul | Div | Mod | And | Or | Pow -> invalid_arg "cmp_lane"
-
-let[@inline] bool_lane op x y =
-  match op with
-  | And -> x && y
-  | Or -> x || y
-  | Eq | Ne | Lt | Le | Gt | Ge -> cmp_lane op (Bool.compare x y)
-  | Add | Sub | Mul | Div | Mod | Pow -> invalid_arg "bool_lane"
-
-(* Unary lanes; [None] is the plain copy of a masked store. *)
-let[@inline] int_un op x =
-  match op with None -> x | Some Neg -> -x | Some Not -> invalid_arg "int_un"
-
-let[@inline] real_un op x =
-  match op with None -> x | Some Neg -> -.x | Some Not -> invalid_arg "real_un"
-
-let[@inline] bool_un op x =
-  match op with
-  | None -> x
-  | Some Not -> not x
-  | Some Neg -> invalid_arg "bool_un"
-
-(** The reduction folds, on int and real lanes, through the operators:
-    SUM adds, MAXVAL/MINVAL keep the accumulator while it compares
-    greater/less. *)
-type fold = Fold_sum | Fold_max | Fold_min
-
-let fold_of_key = function
-  | "sum" -> Some Fold_sum
-  | "maxval" -> Some Fold_max
-  | "minval" -> Some Fold_min
-  | _ -> None
-
-let[@inline] int_fold r a x =
-  match r with
-  | Fold_sum -> int_lane Add a x
-  | Fold_max -> if cmp_lane Gt (Int.compare a x) then a else x
-  | Fold_min -> if cmp_lane Lt (Int.compare a x) then a else x
-
-let[@inline] real_fold r a x =
-  match r with
-  | Fold_sum -> real_lane Add a x
-  | Fold_max -> if cmp_lane Gt (Float.compare a x) then a else x
-  | Fold_min -> if cmp_lane Lt (Float.compare a x) then a else x
-
 (* ------------------------------------------------------------------ *)
 (* Lane kernels                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The typed lane loops, once per element type; every dispatch site
-   calls these.  Each loop is monomorphic and runs through [run]
-   ([exec.x_run]: inline for the serial engines, an entry of the pending
-   join region for the parallel one, which runs it per shard at the next
-   [Pool.sync]).  Shards write disjoint index ranges of the result, so
-   the loops need no further coordination; a shard that raises surfaces
-   as the first-failing-lane error, exactly as the serial scan.  A
-   result is only read on the control thread after a join.  [bp] is
-   the activity mask's bytes, or [all_lanes] for a pass over every
-   lane.
+(* The typed lane loops are [Scalar_ops]' and [Intrinsics]' kernels, the
+   tree-walker's too; this module only picks one per operand shape.
+   Each runs through [exec.x_run]: inline for the serial engine, an
+   entry of the pending join region for the parallel one, which runs it
+   per shard at the next [Pool.sync].  A result is only read on the
+   control thread after a join.  The tree-walker stays an independent
+   check of control (masks, order, accounting); the arithmetic is
+   checked against the boxed [Scalar_ops.apply_binop], [Interp] and the
+   test suite's boxed tree-walk oracle. *)
 
-   A kernel operand is a lane vector or a one-cell array broadcasting a
-   front-end scalar: lane [i] reads cell [i land bcast v], which is 0
-   for a one-cell array (at p = 1 a lane vector is one cell too, and
-   both readings agree).  Results may alias an operand: every loop
-   reads lane [i] before writing it. *)
-
-let all_lanes = Bytes.empty
-let[@inline] bcast a = if Array.length a = 1 then 0 else -1
+let all_lanes = Scalar_ops.all_lanes
 let is_int = function RI _ | RS (VInt _) -> true | _ -> false
 let is_num = function RI _ | RR _ | RS (VInt _ | VReal _) -> true | _ -> false
 let is_bool = function RB _ | RS (VBool _) -> true | _ -> false
 
+(* A kernel operand: a lane vector, or a one-cell array broadcasting a
+   front-end scalar. *)
 let int_view = function
   | RI a -> a
   | RS (VInt n) -> [| n |]
@@ -299,13 +216,7 @@ let int_view = function
    operand of a mixed int/real operation *)
 let real_view run = function
   | RR a -> a
-  | RI a ->
-      let r = Array.make (Array.length a) 0.0 in
-      run (fun _ lo hi ->
-          for i = lo to hi - 1 do
-            Array.unsafe_set r i (float_of_int (Array.unsafe_get a i))
-          done);
-      r
+  | RI a -> Scalar_ops.to_real run a
   | RS (VReal x) -> [| x |]
   | RS (VInt n) -> [| float_of_int n |]
   | _ -> invalid_arg "real_view"
@@ -315,392 +226,19 @@ let bool_view = function
   | RS (VBool b) -> [| b |]
   | _ -> invalid_arg "bool_view"
 
-(** [r.(i) <- op x.(i) y.(i)]. *)
-let map2_i run bp op (r : int array) (x : int array) (y : int array) =
-  run (fun _ lo hi ->
-      let all = bp == all_lanes and kx = bcast x and ky = bcast y in
-      for i = lo to hi - 1 do
-        if all || Bytes.unsafe_get bp i <> '\000' then
-          Array.unsafe_set r i
-            (int_lane op
-               (Array.unsafe_get x (i land kx))
-               (Array.unsafe_get y (i land ky)))
-      done)
-
-let map2_r run bp op (r : float array) (x : float array) (y : float array) =
-  run (fun _ lo hi ->
-      let all = bp == all_lanes and kx = bcast x and ky = bcast y in
-      for i = lo to hi - 1 do
-        if all || Bytes.unsafe_get bp i <> '\000' then
-          Array.unsafe_set r i
-            (real_lane op
-               (Array.unsafe_get x (i land kx))
-               (Array.unsafe_get y (i land ky)))
-      done)
-
-let map2_b run op (r : bool array) (x : bool array) (y : bool array) =
-  run (fun _ lo hi ->
-      let kx = bcast x and ky = bcast y in
-      for i = lo to hi - 1 do
-        Array.unsafe_set r i
-          (bool_lane op
-             (Array.unsafe_get x (i land kx))
-             (Array.unsafe_get y (i land ky)))
-      done)
-
-(** [r.(i) <- op (compare x.(i) y.(i))]. *)
-let cmp_i run op (r : bool array) (x : int array) (y : int array) =
-  run (fun _ lo hi ->
-      let kx = bcast x and ky = bcast y in
-      for i = lo to hi - 1 do
-        Array.unsafe_set r i
-          (cmp_lane op
-             (Int.compare
-                (Array.unsafe_get x (i land kx))
-                (Array.unsafe_get y (i land ky))))
-      done)
-
-let cmp_r run op (r : bool array) (x : float array) (y : float array) =
-  run (fun _ lo hi ->
-      let kx = bcast x and ky = bcast y in
-      for i = lo to hi - 1 do
-        Array.unsafe_set r i
-          (cmp_lane op
-             (Float.compare
-                (Array.unsafe_get x (i land kx))
-                (Array.unsafe_get y (i land ky))))
-      done)
-
-(** [r.(i) <- op x.(i)] for a unary op, or a copy when [op = None]. *)
-let map1_i run bp op (r : int array) (x : int array) =
-  run (fun _ lo hi ->
-      let all = bp == all_lanes and kx = bcast x in
-      for i = lo to hi - 1 do
-        if all || Bytes.unsafe_get bp i <> '\000' then
-          Array.unsafe_set r i (int_un op (Array.unsafe_get x (i land kx)))
-      done)
-
-let map1_r run bp op (r : float array) (x : float array) =
-  run (fun _ lo hi ->
-      let all = bp == all_lanes and kx = bcast x in
-      for i = lo to hi - 1 do
-        if all || Bytes.unsafe_get bp i <> '\000' then
-          Array.unsafe_set r i (real_un op (Array.unsafe_get x (i land kx)))
-      done)
-
-let map1_b run bp op (r : bool array) (x : bool array) =
-  run (fun _ lo hi ->
-      let all = bp == all_lanes and kx = bcast x in
-      for i = lo to hi - 1 do
-        if all || Bytes.unsafe_get bp i <> '\000' then
-          Array.unsafe_set r i (bool_un op (Array.unsafe_get x (i land kx)))
-      done)
-
-(** [r.(i) <- f i]: a per-lane function (a boxed vector being
-    re-specialized). *)
-let fill_i run bp (r : int array) (f : int -> int) =
-  run (fun _ lo hi ->
-      let all = bp == all_lanes in
-      for i = lo to hi - 1 do
-        if all || Bytes.unsafe_get bp i <> '\000' then
-          Array.unsafe_set r i (f i)
-      done)
-
-let fill_r run bp (r : float array) (f : int -> float) =
-  run (fun _ lo hi ->
-      let all = bp == all_lanes in
-      for i = lo to hi - 1 do
-        if all || Bytes.unsafe_get bp i <> '\000' then
-          Array.unsafe_set r i (f i)
-      done)
-
-let fill_b run bp (r : bool array) (f : int -> bool) =
-  run (fun _ lo hi ->
-      let all = bp == all_lanes in
-      for i = lo to hi - 1 do
-        if all || Bytes.unsafe_get bp i <> '\000' then
-          Array.unsafe_set r i (f i)
-      done)
-
-let fill_v run bp (r : value array) (f : int -> value) =
-  run (fun _ lo hi ->
-      for i = lo to hi - 1 do
-        if Bytes.unsafe_get bp i <> '\000' then Array.unsafe_set r i (f i)
-      done)
-
-(** The numeric intrinsics with typed lane kernels, by [Intrinsics]'
-    own lane functions: [as_float] promotion, [Float.max]/[Float.min] on
-    reals, [int_of_float] of the truncated or rounded real. *)
-type intr = Sqrt | Exp | Real | Int | Nint | Abs | Max | Min
-
-let intr_of_key = function
-  | "sqrt" -> Some Sqrt
-  | "exp" -> Some Exp
-  | "real" -> Some Real
-  | "int" -> Some Int
-  | "nint" -> Some Nint
-  | "abs" -> Some Abs
-  | "max" -> Some Max
-  | "min" -> Some Min
-  | _ -> None
-
-let[@inline] real_intr k x y =
-  match k with
-  | Sqrt -> Float.sqrt x
-  | Exp -> Float.exp x
-  | Real -> x
-  | Abs -> Float.abs x
-  | Max -> Float.max x y
-  | Min -> Float.min x y
-  | Int | Nint -> invalid_arg "real_intr"
-
-let[@inline] int_intr k x y =
-  match k with
-  | Abs -> abs x
-  | Max -> if x >= y then x else y
-  | Min -> if x <= y then x else y
-  | Sqrt | Exp | Real | Int | Nint -> invalid_arg "int_intr"
-
-(** [r.(i) <- k x.(i) y.(i)] on every lane (a unary [k] ignores [y]);
-    all total. *)
-let intr_r run k (r : float array) (x : float array) (y : float array) =
-  run (fun _ lo hi ->
-      let kx = bcast x and ky = bcast y in
-      for i = lo to hi - 1 do
-        Array.unsafe_set r i
-          (real_intr k
-             (Array.unsafe_get x (i land kx))
-             (Array.unsafe_get y (i land ky)))
-      done)
-
-let intr_i run k (r : int array) (x : int array) (y : int array) =
-  run (fun _ lo hi ->
-      let kx = bcast x and ky = bcast y in
-      for i = lo to hi - 1 do
-        Array.unsafe_set r i
-          (int_intr k
-             (Array.unsafe_get x (i land kx))
-             (Array.unsafe_get y (i land ky)))
-      done)
-
-(** INT and NINT: real lanes to int lanes. *)
-let intr_ri run ~round (r : int array) (x : float array) =
-  run (fun _ lo hi ->
-      for i = lo to hi - 1 do
-        let v = Array.unsafe_get x i in
-        Array.unsafe_set r i
-          (int_of_float (if round then Float.round v else Float.trunc v))
-      done)
-
-(** Flat offset of the 1-based subscript [(j1, j2)] in a [d1 x d2]
-    array (rank 1: [d2 = 1], [j2 = 1]), bounds-checked in dimension
-    order like [Nd.linear_index] unless a discharged claim dropped the
-    check. *)
-let[@inline] offset ~check d1 d2 j1 j2 =
-  if check then begin
-    if j1 < 1 || j1 > d1 then Nd.index_error j1 d1 1;
-    if j2 < 1 || j2 > d2 then Nd.index_error j2 d2 2
-  end;
-  j1 - 1 + ((j2 - 1) * d1)
-
-(* Extent of dimension [k] of a rank-1 or rank-2 array (1 past its rank),
-   and the constant second subscript of a rank-1 access. *)
-let extent (d : _ Nd.t) k =
-  if k < Array.length d.Nd.dims then d.Nd.dims.(k) else 1
-
 let one = [| 1 |]
 
 (* the second subscript vector of a rank-2 typed access, [one] for rank 1 *)
 let subscript2 = function [ _; RI ix2 ] -> ix2 | _ -> one
 
-(** Gather [r.(i) <- d(ix1.(i), ix2.(i))] on the active lanes. *)
-let gather_i run bp ~check (r : int array) (d : int Nd.t) ix1 ix2 =
-  let d1 = extent d 0 and d2 = extent d 1 and data = d.Nd.data in
-  run (fun _ lo hi ->
-      let k2 = bcast ix2 in
-      for i = lo to hi - 1 do
-        if Bytes.unsafe_get bp i <> '\000' then
-          Array.unsafe_set r i
-            data.(offset ~check d1 d2 (Array.unsafe_get ix1 i)
-                    (Array.unsafe_get ix2 (i land k2)))
-      done)
-
-let gather_r run bp ~check (r : float array) (d : float Nd.t) ix1 ix2 =
-  let d1 = extent d 0 and d2 = extent d 1 and data = d.Nd.data in
-  run (fun _ lo hi ->
-      let k2 = bcast ix2 in
-      for i = lo to hi - 1 do
-        if Bytes.unsafe_get bp i <> '\000' then
-          Array.unsafe_set r i
-            data.(offset ~check d1 d2 (Array.unsafe_get ix1 i)
-                    (Array.unsafe_get ix2 (i land k2)))
-      done)
-
-(** Scatter [d(ix1.(i), ix2.(i)) <- x.(i)] — or [op x.(i) y.(i)] when
-    an [op] is given — on the active lanes, ascending within each shard
-    (the subscript is checked before the value is read). *)
-let scatter_i run bp ~check (d : int Nd.t) ix1 ix2 op (x : int array)
-    (y : int array) =
-  let d1 = extent d 0 and d2 = extent d 1 and data = d.Nd.data in
-  run (fun _ lo hi ->
-      let k2 = bcast ix2 and kx = bcast x and ky = bcast y in
-      for i = lo to hi - 1 do
-        if Bytes.unsafe_get bp i <> '\000' then begin
-          let o =
-            offset ~check d1 d2 (Array.unsafe_get ix1 i)
-              (Array.unsafe_get ix2 (i land k2))
-          in
-          let v = Array.unsafe_get x (i land kx) in
-          data.(o) <-
-            (match op with
-            | None -> v
-            | Some op -> int_lane op v (Array.unsafe_get y (i land ky)))
-        end
-      done)
-
-let scatter_r run bp ~check (d : float Nd.t) ix1 ix2 op (x : float array)
-    (y : float array) =
-  let d1 = extent d 0 and d2 = extent d 1 and data = d.Nd.data in
-  run (fun _ lo hi ->
-      let k2 = bcast ix2 and kx = bcast x and ky = bcast y in
-      for i = lo to hi - 1 do
-        if Bytes.unsafe_get bp i <> '\000' then begin
-          let o =
-            offset ~check d1 d2 (Array.unsafe_get ix1 i)
-              (Array.unsafe_get ix2 (i land k2))
-          in
-          let v = Array.unsafe_get x (i land kx) in
-          data.(o) <-
-            (match op with
-            | None -> v
-            | Some op -> real_lane op v (Array.unsafe_get y (i land ky)))
-        end
-      done)
-
-(** Per-site reduction scratch: one partial per chunk, one ANY per shard. *)
-type red_scratch = {
-  parts_i : int array;
-  parts_r : float array;
-  filled : Bytes.t;
-  sh_b : bool array;
-}
-
-let red_scratch (exec : Pool.exec) =
-  let nc = max 1 (Pool.nchunks exec.Pool.x_p) and ns = Pool.nshards exec in
-  {
-    parts_i = Array.make nc 0;
-    parts_r = Array.make nc 0.0;
-    filled = Bytes.make nc '\000';
-    sh_b = Array.make ns false;
-  }
-
-(* Left fold of [get] over the lanes of [l, h) that [bp] marks into
-   [parts.(c)]; false when there are none. *)
-let fold_span_i r bp (get : int -> int) parts l h c =
-  let acc = ref 0 and seen = ref false in
-  for i = l to h - 1 do
-    if Bytes.unsafe_get bp i <> '\000' then
-      if !seen then acc := int_fold r !acc (get i)
-      else begin
-        acc := get i;
-        seen := true
-      end
-  done;
-  if !seen then parts.(c) <- !acc;
-  !seen
-
-let fold_span_r r bp (get : int -> float) (parts : float array) l h c =
-  let acc = ref 0.0 and seen = ref false in
-  for i = l to h - 1 do
-    if Bytes.unsafe_get bp i <> '\000' then
-      if !seen then acc := real_fold r !acc (get i)
-      else begin
-        acc := get i;
-        seen := true
-      end
-  done;
-  if !seen then parts.(c) <- !acc;
-  !seen
-
-(** The canonical chunked fold (see [Pool] / [Pval.reduce]): one partial
-    per 64-lane chunk ([span l h c] folds chunk [c]), each seeded at its
-    first active lane (so e.g. a lone NaN or -0.0 survives verbatim),
-    then the partials merged left-to-right in ascending chunk order on
-    the control thread.  The chunk grid depends only on [p], never on
-    the shard layout (shard boundaries are chunk-aligned), so the result
-    — including a non-associative float SUM — is bitwise identical at
-    any jobs count and to the serial engines. *)
-let chunked (exec : Pool.exec) rs span =
-  Bytes.fill rs.filled 0 (Bytes.length rs.filled) '\000';
-  exec.Pool.x_run (fun _ lo hi ->
-      for c = lo / Pool.chunk to ((hi + Pool.chunk - 1) / Pool.chunk) - 1 do
-        if span (c * Pool.chunk) (min hi ((c + 1) * Pool.chunk)) c then
-          Bytes.unsafe_set rs.filled c '\001'
-      done);
-  Pool.sync exec
-
-(* Whether any lane was active; the result is left in [parts_*.(0)]. *)
-let fold_i exec rs bp r ga =
-  let parts = rs.parts_i in
-  chunked exec rs (fold_span_i r bp ga parts);
-  fold_span_i r rs.filled (Array.get parts) parts 0 (Bytes.length rs.filled) 0
-
-let fold_r exec rs bp r ga =
-  let parts = rs.parts_r in
-  chunked exec rs (fold_span_r r bp ga parts);
-  fold_span_r r rs.filled (Array.get parts) parts 0 (Bytes.length rs.filled) 0
-
-(** ANY over the active lanes.  A raising [f] visits every active lane
-    (a raising lane must still raise); a raise-free one stops at the
-    first true lane — the OR-fold order is then unobservable. *)
-let any_b (exec : Pool.exec) rs bp ~raising (f : int -> bool) =
-  exec.Pool.x_run (fun s lo hi ->
-      let r = ref false and i = ref lo in
-      while (raising || not !r) && !i < hi do
-        if Bytes.unsafe_get bp !i <> '\000' && f !i then r := true;
-        incr i
-      done;
-      rs.sh_b.(s) <- !r);
-  Pool.sync exec;
-  Array.exists Fun.id rs.sh_b
-
 (** Typed per-lane closure over a fused region's postorder program: the
     whole elementwise chain collapses into one [int -> _] evaluated once
     per lane, with no intermediate plural temporaries.  Plain plural
     operands are cells too, when they reach a reduction. *)
-type fcell =
+type fcell = Scalar_ops.cell =
   | FI of (int -> int)
   | FR of (int -> float)
   | FB of (int -> bool)
-
-(** The typed reduction of [key] over a lane cell, or [None] when the
-    pair has no kernel.  The runner takes the mask's bytes and the
-    empty-mask result of SUM/MAXVAL/MINVAL. *)
-let lane_reduction exec rs ~raising key cell :
-    (Bytes.t -> (unit -> value) -> value) option =
-  match (fold_of_key key, cell) with
-  | Some r, FI f ->
-      Some
-        (fun bp empty ->
-          if fold_i exec rs bp r f then VInt rs.parts_i.(0) else empty ())
-  | Some r, FR f ->
-      Some
-        (fun bp empty ->
-          if fold_r exec rs bp r f then VReal rs.parts_r.(0) else empty ())
-  | None, FB f -> (
-      match key with
-      | "count" ->
-          let one_if i = if f i then 1 else 0 in
-          Some
-            (fun bp _ ->
-              let some = fold_i exec rs bp Fold_sum one_if in
-              VInt (if some then rs.parts_i.(0) else 0))
-      | "any" -> Some (fun bp _ -> VBool (any_b exec rs bp ~raising f))
-      | "all" ->
-          let nf i = not (f i) in
-          Some (fun bp _ -> VBool (not (any_b exec rs bp ~raising nf)))
-      | _ -> None)
-  | _ -> None
 
 (** A site's result buffers and their (reused) result values. *)
 type bufs = {
@@ -714,40 +252,6 @@ type bufs = {
 
 let bufs ri rr rb = { ri; rr; rb; res_i = RI ri; res_r = RR rr; res_b = RB rb }
 
-(** Re-specialize a boxed lane vector by its {e active} lanes: when every
-    active lane holds the same scalar type, return the unboxed typed
-    vector so downstream operators stay on their fast paths.  Inactive
-    lanes of computed temporaries are unobservable (every escape point
-    launders them to inert [VInt 0]), so dropping their boxed
-    representation is invisible.  The type decision reads the lanes on
-    the control thread: a join. *)
-let renorm exec (m : Frame.Mask.t) (vs : value array) : rv =
-  Pool.sync exec;
-  let p = Array.length vs and bp = m.Frame.Mask.bits in
-  let run f = f 0 0 p in
-  let f = first_active m in
-  try
-    if f >= p then RP vs
-    else
-      match vs.(f) with
-      | VInt _ ->
-          let r = Array.make p 0 in
-          fill_i run bp r (fun i ->
-              match vs.(i) with VInt x -> x | _ -> raise Exit);
-          RI r
-      | VReal _ ->
-          let r = Array.make p 0.0 in
-          fill_r run bp r (fun i ->
-              match vs.(i) with VReal x -> x | _ -> raise Exit);
-          RR r
-      | VBool _ ->
-          let r = Array.make p false in
-          fill_b run bp r (fun i ->
-              match vs.(i) with VBool x -> x | _ -> raise Exit);
-          RB r
-      | _ -> RP vs
-  with Exit -> RP vs
-
 (* ------------------------------------------------------------------ *)
 (* Operator dispatch                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -755,27 +259,26 @@ let renorm exec (m : Frame.Mask.t) (vs : value array) : rv =
 (** A numeric intrinsic over plural operands on unboxed lanes, or [None]
     when [k] and the operand shapes have no kernel.  Every active lane
     holds the value the boxed path computes, and the result has the one
-    type the boxed path's [renorm] picks for a non-empty mask. *)
-let intrinsic_kernel run b k (args : rv list) : rv option =
+    type the boxed path's [renorm] picks for a non-empty mask.  All
+    these kernels are total, so they compute every lane. *)
+let intrinsic_kernel run b (k : Intrinsics.lane_fn) (args : rv list) :
+    rv option =
+  let bp = all_lanes in
   match (k, args) with
-  | (Sqrt | Exp | Real), [ ((RI _ | RR _) as a) ] ->
-      let x = real_view run a in
-      intr_r run k b.rr x x;
+  | Num1 Abs, [ RI a ] ->
+      Intrinsics.int_abs run bp b.ri a;
+      Some b.res_i
+  | Num1 k, [ ((RI _ | RR _) as a) ] ->
+      Intrinsics.real_map1 run bp k b.rr (real_view run a);
       Some b.res_r
-  | (Int | Nint), [ ((RI _ | RR _) as a) ] ->
-      intr_ri run ~round:(k = Nint) b.ri (real_view run a);
+  | To_int round, [ ((RI _ | RR _) as a) ] ->
+      Intrinsics.to_int run bp ~round b.ri (real_view run a);
       Some b.res_i
-  | Abs, [ RI a ] ->
-      intr_i run k b.ri a a;
+  | Num2 k, [ x; y ] when is_int x && is_int y ->
+      Intrinsics.int_map2 run bp k b.ri (int_view x) (int_view y);
       Some b.res_i
-  | Abs, [ RR a ] ->
-      intr_r run k b.rr a a;
-      Some b.res_r
-  | (Max | Min), [ x; y ] when is_int x && is_int y ->
-      intr_i run k b.ri (int_view x) (int_view y);
-      Some b.res_i
-  | (Max | Min), [ x; y ] when is_num x && is_num y ->
-      intr_r run k b.rr (real_view run x) (real_view run y);
+  | Num2 k, [ x; y ] when is_num x && is_num y ->
+      Intrinsics.real_map2 run bp k b.rr (real_view run x) (real_view run y);
       Some b.res_r
   | _ -> None
 
@@ -799,31 +302,32 @@ let binop_rv (exec : Pool.exec) b op : Frame.Mask.t -> rv -> rv -> rv =
         fun m x y ->
           if is_int x && is_int y then begin
             let bp = if raising then m.Frame.Mask.bits else all_lanes in
-            map2_i run bp op b.ri (int_view x) (int_view y);
+            Scalar_ops.map2_i run bp op b.ri (int_view x) (int_view y);
             b.res_i
           end
           else if is_num x && is_num y then begin
-            map2_r run all_lanes op b.rr (real_view run x) (real_view run y);
+            Scalar_ops.map2_r run all_lanes op b.rr (real_view run x)
+              (real_view run y);
             b.res_r
           end
-          else renorm exec m (box_lift2 exec m app x y)
+          else box_lift2 exec m app x y
     | (Cmp | Logic) as k ->
         fun m x y ->
           if is_bool x && is_bool y then begin
-            map2_b run op b.rb (bool_view x) (bool_view y);
+            Scalar_ops.map2_b run op b.rb (bool_view x) (bool_view y);
             b.res_b
           end
-          else if k = Logic then renorm exec m (box_lift2 exec m app x y)
+          else if k = Logic then box_lift2 exec m app x y
           else if is_int x && is_int y then begin
-            cmp_i run op b.rb (int_view x) (int_view y);
+            Scalar_ops.cmp_i run op b.rb (int_view x) (int_view y);
             b.res_b
           end
           else if is_num x && is_num y then begin
-            cmp_r run op b.rb (real_view run x) (real_view run y);
+            Scalar_ops.cmp_r run op b.rb (real_view run x) (real_view run y);
             b.res_b
           end
-          else renorm exec m (box_lift2 exec m app x y)
-    | Boxed -> fun m x y -> renorm exec m (box_lift2 exec m app x y)
+          else box_lift2 exec m app x y
+    | Boxed -> fun m x y -> box_lift2 exec m app x y
   in
   fun m x y ->
     match (x, y) with
@@ -865,16 +369,15 @@ let stage sc ~lane (fs : (int -> int) array) i =
 
 (** Partition [parent] into [mt] (condition holds) and [mf] (does not),
     writing into the preallocated per-site buffers.  Only active lanes
-    evaluate the condition, exactly like the tree-walker's [where_masks].
+    evaluate the condition, exactly like the tree-walker's [Pval.split].
     The unboxed [RB] split is one lane loop: each shard clears and fills
     its own byte range of the two masks and reports in [nts] how many
     lanes it sent to [mt]; the control thread joins, sums them and gives
-    [mf] the rest.  Every other split reads lanes on the control thread,
-    after a join.  Either way no mask is left pending: the control
+    [mf] the rest.  Every other split is [Pval.split], on the control
+    thread after a join.  Either way no mask is left pending: the control
     thread may read any mask's bits and count at any time. *)
 let split_mask (exec : Pool.exec) nts (parent : Frame.Mask.t) cv
     (mt : Frame.Mask.t) (mf : Frame.Mask.t) =
-  let p = Frame.Mask.length parent in
   match cv with
   | RB a ->
       let bp = parent.Frame.Mask.bits in
@@ -896,31 +399,9 @@ let split_mask (exec : Pool.exec) nts (parent : Frame.Mask.t) cv
       let nt = Array.fold_left ( + ) 0 nts in
       mt.Frame.Mask.active_n <- nt;
       mf.Frame.Mask.active_n <- Frame.Mask.active parent - nt
-  | _ -> (
+  | _ ->
       Pool.sync exec;
-      Frame.Mask.clear mt;
-      Frame.Mask.clear mf;
-      match cv with
-      | RS s ->
-          if Frame.Mask.active parent > 0 then begin
-            let dst = if as_bool s then mt else mf in
-            Bytes.blit parent.Frame.Mask.bits 0 dst.Frame.Mask.bits 0 p;
-            dst.Frame.Mask.active_n <- parent.Frame.Mask.active_n
-          end
-      | RA _ ->
-          if Frame.Mask.active parent > 0 then
-            Errors.runtime_error "front-end array used as a plural value"
-      | RP vs ->
-          for i = 0 to p - 1 do
-            if Frame.Mask.get parent i then
-              if as_bool vs.(i) then Frame.Mask.set mt i true
-              else Frame.Mask.set mf i true
-          done
-      | (RI _ | RR _) when Frame.Mask.active parent > 0 ->
-          (* as_bool on the first active lane raises the tree-walker's
-             error *)
-          ignore (as_bool (rv_lane cv (first_active parent)))
-      | RI _ | RR _ | RB _ -> ())
+      Pval.split ~mask:parent (pval_of_rv cv) mt mf
 
 (* ------------------------------------------------------------------ *)
 (* Variable writes                                                     *)
@@ -934,43 +415,29 @@ let split_mask (exec : Pool.exec) nts (parent : Frame.Mask.t) cv
 let write_plural (exec : Pool.exec) frame si lanes (m : Frame.Mask.t) rhs =
   let run = exec.Pool.x_run and bp = m.Frame.Mask.bits in
   match (lanes, rhs) with
-  | Frame.LInt d, (RI _ | RS (VInt _)) -> map1_i run bp None d (int_view rhs)
+  | Frame.LInt d, (RI _ | RS (VInt _)) ->
+      Scalar_ops.map1_i run bp None d (int_view rhs)
   | Frame.LReal d, (RR _ | RS (VReal _)) ->
-      map1_r run bp None d (real_view run rhs)
+      Scalar_ops.map1_r run bp None d (real_view run rhs)
   | Frame.LBool d, (RB _ | RS (VBool _)) ->
-      map1_b run bp None d (bool_view rhs)
+      Scalar_ops.map1_b run bp None d (bool_view rhs)
   | _ ->
       Pool.sync exec;
       let vs = Frame.values_of_lanes lanes in
-      fill_v (fun f -> f 0 0 (Array.length vs)) bp vs (rv_lane rhs);
+      Scalar_ops.fill_v (fun f -> f 0 0 (Array.length vs)) bp vs (rv_lane rhs);
       Frame.set frame si (Frame.Plural (Frame.lanes_of_values vs))
 
 (** First assignment to an unbound name: the tree-walker binds a scalar,
-    a global, or a fresh plural whose inactive lanes are [VInt 0] (copied
-    on the control thread, after a join). *)
-let bind_fresh exec frame si p (m : Frame.Mask.t) rhs =
-  let run f = f 0 0 p in
+    a global, or a fresh plural whose inactive lanes are [VInt 0]
+    ([Pval.expose], on the control thread, after a join). *)
+let bind_fresh exec frame si (m : Frame.Mask.t) rhs =
   match rhs with
   | RS v -> Frame.set frame si (Frame.Scalar (ref v))
   | RA a -> Frame.set frame si (Frame.Global a)
   | _ ->
       Pool.sync exec;
-      let full = Frame.Mask.active m = p in
-      let lanes =
-        match rhs with
-        | RI a when full -> Frame.LInt (Array.copy a)
-        | RR a when full -> Frame.LReal (Array.copy a)
-        | RB a when full -> Frame.LBool (Array.copy a)
-        | RI a ->
-            let d = Array.make p 0 in
-            map1_i run m.Frame.Mask.bits None d a;
-            Frame.LInt d
-        | _ ->
-            let fresh = Array.make p (VInt 0) in
-            fill_v run m.Frame.Mask.bits fresh (rv_lane rhs);
-            Frame.lanes_of_values fresh
-      in
-      Frame.set frame si (Frame.Plural lanes)
+      Frame.set frame si
+        (Frame.Plural (Pval.expose ~exact:false ~mask:m (lanes_of_rv rhs)))
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -981,7 +448,8 @@ type env = {
   frame : Frame.t;
   p : int;
   exec : Pool.exec;  (** lane-loop dispatcher: serial or pool-sharded *)
-  serial : (int -> int -> int -> unit) -> unit;
+  join : unit -> unit;  (** [Pool.sync exec] *)
+  serial : Scalar_ops.run;
       (** one pass over all lanes in lane order, whatever [exec] is *)
   mutable cur_loc : Errors.pos;
       (** location of the [SLoc] wrapper being compiled; every tick site
@@ -1014,13 +482,11 @@ let observe env (m : Frame.Mask.t) s =
    error is raised before the event is emitted. *)
 let tick_vector env ~loc ~kind (m : Frame.Mask.t) =
   if env.vm.Vmstate.trace.Lf_obs.Trace.enabled then Pool.sync env.exec;
-  Vmstate.tick_vector env.vm ~loc ~kind ~active:(Frame.Mask.active m) m
-    Frame.Mask.to_bool_array
+  Vmstate.tick_vector env.vm ~loc ~kind m
 
 let reduction env ~loc (m : Frame.Mask.t) =
   if env.vm.Vmstate.trace.Lf_obs.Trace.enabled then Pool.sync env.exec;
-  Vmstate.reduction env.vm ~loc ~active:(Frame.Mask.active m) m
-    Frame.Mask.to_bool_array
+  Vmstate.reduction env.vm ~loc m
 
 (** Result buffers for a buffer-owning site: at [-O1] the scratch-pool
     vectors of the site's [Opt.plan_scratch] group ([Ir.x_scr]); fresh
@@ -1083,8 +549,8 @@ let nocheck_stats m ndims =
     contract. *)
 let bounds_checked env (m : Frame.Mask.t) (d : _ Nd.t) claim0 claim1 =
   let nochk =
-    discharges env claim0 (extent d 0)
-    && (Nd.rank d = 1 || discharges env claim1 (extent d 1))
+    discharges env claim0 (Scalar_ops.extent d 0)
+    && (Nd.rank d = 1 || discharges env claim1 (Scalar_ops.extent d 1))
   in
   if nochk then nocheck_stats m (Nd.rank d);
   not nochk
@@ -1146,11 +612,6 @@ let region_plan env (rg : Ir.region) :
     note (fun () -> Frame.get frame slot == b0);
     raise Not_fusible
   in
-  let as_f = function
-    | FI f -> Some (fun i -> float_of_int (f i))
-    | FR f -> Some f
-    | FB _ -> None
-  in
   (* a changed scalar cell joins first: pending loops of this site still
      read the old value *)
   let set c x same =
@@ -1198,67 +659,23 @@ let region_plan env (rg : Ir.region) :
       | Frame.Unbound) as b0 ->
         pin_bad slot b0
   in
+  let typed = function Some c -> c | None -> raise Not_fusible in
   let bin_cell op a b =
-    let ca = cells.(a) and cb = cells.(b) in
     let pl = plural.(a) || plural.(b) in
-    let reals k =
-      match (as_f ca, as_f cb) with
-      | Some fa, Some fb -> k fa fb
-      | _ -> raise Not_fusible
-    in
-    let cell =
-      match (kind op, ca, cb) with
-      | Arith, FI fa, FI fb -> FI (fun i -> int_lane op (fa i) (fb i))
-      | Raising cls, FI fa, FI fb ->
-          if not pl then raise Not_fusible;
-          add_class cls;
-          FI (fun i -> int_lane op (fa i) (fb i))
-      | (Arith | Raising _), _, _ ->
-          reals (fun fa fb -> FR (fun i -> real_lane op (fa i) (fb i)))
-      | Cmp, FI fa, FI fb ->
-          FB (fun i -> cmp_lane op (Int.compare (fa i) (fb i)))
-      | (Cmp | Logic), FB fa, FB fb -> FB (fun i -> bool_lane op (fa i) (fb i))
-      | Cmp, _, _ ->
-          reals (fun fa fb ->
-              FB (fun i -> cmp_lane op (Float.compare (fa i) (fb i))))
-      | (Logic | Boxed), _, _ -> raise Not_fusible
-    in
-    (cell, pl)
+    (match (kind op, cells.(a), cells.(b)) with
+    | Raising cls, FI _, FI _ ->
+        if not pl then raise Not_fusible;
+        add_class cls
+    | _ -> ());
+    (typed (Scalar_ops.binop_cell op cells.(a) cells.(b)), pl)
   in
-  let un_cell op a =
-    let u = Some op in
-    let cell =
-      match (op, cells.(a)) with
-      | Neg, FI f -> FI (fun i -> int_un u (f i))
-      | Neg, FR f -> FR (fun i -> real_un u (f i))
-      | Not, FB f -> FB (fun i -> bool_un u (f i))
-      | _ -> raise Not_fusible
-    in
-    (cell, plural.(a))
-  in
+  let un_cell op a = (typed (Scalar_ops.unop_cell op cells.(a)), plural.(a)) in
   let intr_cell key a =
     let shadowed () = Hashtbl.mem env.vm.Vmstate.funcs key in
     let s0 = shadowed () in
     note (fun () -> shadowed () = s0);
     if s0 then raise Not_fusible;
-    let c = cells.(a) in
-    let real k = match as_f c with Some f -> k f | None -> raise Not_fusible in
-    let cell =
-      match (key, c) with
-      | "abs", FI f -> FI (fun i -> abs (f i))
-      | "abs", FR f -> FR (fun i -> Float.abs (f i))
-      | _, FB _ -> raise Not_fusible
-      | "sqrt", _ -> real (fun f -> FR (fun i -> Float.sqrt (f i)))
-      | "exp", _ -> real (fun f -> FR (fun i -> Float.exp (f i)))
-      | "real", _ -> real (fun f -> FR f)
-      (* [-O0] round-trips through float even for INTEGER operands *)
-      | "int", _ ->
-          real (fun f -> FI (fun i -> int_of_float (Float.trunc (f i))))
-      | "nint", _ ->
-          real (fun f -> FI (fun i -> int_of_float (Float.round (f i))))
-      | _ -> raise Not_fusible
-    in
-    (cell, plural.(a))
+    (typed (Intrinsics.cell key cells.(a)), plural.(a))
   in
   (* a rank-1 or rank-2 gather, checked like the unfused gather kernel *)
   let gather_cell k slot ixs =
@@ -1270,26 +687,13 @@ let region_plan env (rg : Ir.region) :
     in
     let pl = Array.exists (fun j -> plural.(j)) ixs in
     let nix = Array.length ixs in
-    let offset_of b0 d =
-      note (fun () -> Frame.get frame slot == b0);
-      if Nd.rank d <> nix || not pl then raise Not_fusible;
-      add_class (CGather k);
-      let f1 = fis.(0) and d1 = extent d 0 and d2 = extent d 1 in
-      if nix = 1 then fun i -> offset ~check:true d1 d2 (f1 i) 1
-      else
-        let f2 = fis.(1) in
-        fun i ->
-          let j1 = f1 i in
-          let j2 = f2 i in
-          offset ~check:true d1 d2 j1 j2
-    in
     match Frame.get frame slot with
-    | Frame.Global (AInt d) as b0 when nix <= 2 ->
-        let off = offset_of b0 d and data = d.Nd.data in
-        (FI (fun i -> data.(off i)), true)
-    | Frame.Global (AReal d) as b0 when nix <= 2 ->
-        let off = offset_of b0 d and data = d.Nd.data in
-        (FR (fun i -> data.(off i)), true)
+    | Frame.Global ((AInt _ | AReal _) as a) as b0 when nix <= 2 ->
+        note (fun () -> Frame.get frame slot == b0);
+        if Array.length (arr_dims a) <> nix || not pl then raise Not_fusible;
+        add_class (CGather k);
+        let f2 = if nix = 1 then None else Some fis.(1) in
+        (typed (Scalar_ops.gather_cell a fis.(0) f2), true)
     | b0 -> pin_bad slot b0
   in
   let go () =
@@ -1328,13 +732,17 @@ let tick_assign env loc m rhs =
   if rv_is_plural rhs then tick_vector env ~loc ~kind:Lf_obs.Trace.Assign m
   else Vmstate.tick_frontend env.vm
 
+(* a reduction site's partials *)
+let red_scratch env =
+  Scalar_ops.scratch ~lanes:env.p ~shards:(Pool.nshards env.exec)
+
 let rec compile_expr env (e : Ir.expr) : cexpr =
   match e.Ir.x_fused with
   | Some (Ir.FReduce (key, rg)) -> compile_fused_reduction env e key rg
   | None -> compile_expr_node env e
 
 (** A reduction over a fused region folds the per-lane closure straight
-    into the canonical chunk fold ([fold_i]/[fold_r]) — the argument
+    into the canonical chunk fold ([Scalar_ops.lane_reduce]) — the argument
     vector is never materialized — so the result (including
     non-associative float SUM) stays bitwise identical to the unfused
     reduction at any shard count. *)
@@ -1346,12 +754,11 @@ and compile_fused_reduction env (e : Ir.expr) key rg : cexpr =
   in
   let carg = compile_expr env arg in
   let loc = env.cur_loc in
-  let exec = env.exec in
-  let rs = red_scratch exec in
+  let rs = red_scratch env in
   (* regions are never bare variable reads, so the empty-mask witness
      is the tree-walker's inert [VInt 0] (lane 0 is inactive there) *)
   let empty () = Pval.reduction_identity key (VInt 0) in
-  let fb m = RS (reduce_rv exec rs ~is_var:false m name key (carg m)) in
+  let fb m = RS (reduce_rv env rs ~is_var:false m name key (carg m)) in
   let checks = ref [||] in
   let runner = ref None in
   let sc_eligible = ref false in
@@ -1362,8 +769,9 @@ and compile_fused_reduction env (e : Ir.expr) key rg : cexpr =
       let cks, plan = region_plan env rg in
       checks := cks;
       runner :=
-        Option.bind plan (fun (root, raising) ->
-            lane_reduction exec rs ~raising key root);
+        (match plan with
+        | Some (root, _) when Scalar_ops.reduces key root -> plan
+        | _ -> None);
       sc_eligible :=
         Option.is_some !runner
         && (match plan with
@@ -1373,10 +781,12 @@ and compile_fused_reduction env (e : Ir.expr) key rg : cexpr =
       fresh := false
     end;
     (match !runner with
-    | Some r ->
+    | Some (root, raising) ->
         Stats.incr st_reduce_runs;
         if !sc_eligible then Stats.incr st_short_circuits;
-        RS (r m.Frame.Mask.bits empty)
+        RS
+          (Scalar_ops.lane_reduce env.exec.Pool.x_run env.join rs ~raising key
+             root m.Frame.Mask.bits empty)
     | None -> fb m)
 
 and compile_expr_node env (e : Ir.expr) : cexpr =
@@ -1429,16 +839,16 @@ and compile_unop env scr op ca : cexpr =
     match (op, ca m) with
     | _, RS x -> RS (gen x)
     | Neg, RI a ->
-        map1_i run all_lanes u b.ri a;
+        Scalar_ops.map1_i run all_lanes u b.ri a;
         b.res_i
     | Neg, RR a ->
-        map1_r run all_lanes u b.rr a;
+        Scalar_ops.map1_r run all_lanes u b.rr a;
         b.res_r
     | Not, RB a ->
-        map1_b run all_lanes u b.rb a;
+        Scalar_ops.map1_b run all_lanes u b.rb a;
         b.res_b
     | _, RA _ -> Errors.runtime_error "array operand in a lane-wise operation"
-    | _, v -> renorm env.exec m (box_lift1 env.exec m gen v)
+    | _, v -> box_lift env.exec m (fun i -> gen (rv_lane v i))
 
 and compile_call env scr name args : cexpr =
   let key = String.lowercase_ascii name in
@@ -1460,7 +870,7 @@ and compile_call env scr name args : cexpr =
        ascending within a shard, and over all lanes for an impure callee
        (one serial pass). *)
     let typed = env.opt >= 1 in
-    let intr = intr_of_key key in
+    let intr = Intrinsics.lane_fn key in
     let b =
       if typed || Option.is_some intr then site_buffers env scr
       else bufs [||] [||] [||]
@@ -1541,7 +951,7 @@ and compile_call env scr name args : cexpr =
             else begin
               let vs = Array.make p (VInt 0) in
               let run = if pure then run else env.serial in
-              fill_v run m.Frame.Mask.bits vs call;
+              Scalar_ops.fill_v run m.Frame.Mask.bits vs call;
               renorm exec m vs
             end
           end
@@ -1561,7 +971,7 @@ and compile_call env scr name args : cexpr =
             | None ->
                 (* intrinsics are pure by construction: shardable *)
                 let vs = Array.make p (VInt 0) in
-                fill_v run m.Frame.Mask.bits vs (fun i ->
+                Scalar_ops.fill_v run m.Frame.Mask.bits vs (fun i ->
                     match
                       Intrinsics.apply key
                         (List.map (fun v -> rv_lane v i) vargs)
@@ -1589,7 +999,7 @@ and compile_call env scr name args : cexpr =
 
 and compile_reduction env name key args : cexpr =
   let loc = env.cur_loc in
-  let rs = red_scratch env.exec in
+  let rs = red_scratch env in
   let carg =
     match args with [ a ] -> Some (compile_expr env a) | _ -> None
   in
@@ -1603,101 +1013,16 @@ and compile_reduction env name key args : cexpr =
       | Some c -> c m
       | None -> Errors.runtime_error "%s expects one argument" name
     in
-    RS (reduce_rv env.exec rs ~is_var m name key v)
+    RS (reduce_rv env rs ~is_var m name key v)
 
-(** Reduction over a broadcast front-end scalar — [Pval.reduce]'s
-    [FScalar] case: the scalar itself if any lane is active, the identity
-    otherwise. *)
-and reduce_scalar (m : Frame.Mask.t) name key s =
-  let some_active = Frame.Mask.active m > 0 in
-  match key with
-  | "count" -> VInt (if as_bool s then Frame.Mask.active m else 0)
-  | "any" -> if some_active then s else VBool false
-  | "all" -> if some_active then s else VBool true
-  | "maxval" | "minval" | "sum" ->
-      if some_active then s else Pval.reduction_identity key s
-  | _ -> Errors.runtime_error "unknown reduction %s" name
-
-(** Reduction of an evaluated argument: a front-end array through the
-    intrinsic, a broadcast scalar through [reduce_scalar]; typed plural
-    lanes fold through the [lane_reduction] kernels (the canonical chunk
-    grid), other plurals through the boxed fold below over the same
-    grid. *)
-and reduce_rv (exec : Pool.exec) rs ~is_var (m : Frame.Mask.t) name key v =
-  let p = Frame.Mask.length m in
-  (* The tree-walker's witness reads lane 0 of the evaluated argument
-     regardless of activity.  A plural-variable read ([is_var]) exposes
-     the stored lane 0; any computed temporary holds the inert [VInt 0]
-     in lanes that were masked off during its evaluation.  The witness
-     only reaches the result on the empty-mask path (where lane 0 is
-     necessarily inactive), so for temporaries that path must yield the
-     integer identity even when the register is statically REAL. *)
-  let witness () =
-    if p = 0 then VInt 0
-    else if (not is_var) && not (Frame.Mask.get m 0) then VInt 0
-    else rv_lane v 0
-  in
-  let empty () = Pval.reduction_identity key (witness ()) in
-  let cell =
-    match v with
-    | RI a -> Some (FI (fun i -> Array.unsafe_get a i))
-    | RR a -> Some (FR (fun i -> Array.unsafe_get a i))
-    | RB a -> Some (FB (fun i -> Array.unsafe_get a i))
-    | _ -> None
-  in
-  match (v, Option.bind cell (lane_reduction exec rs ~raising:false key)) with
-  | RA a, _ -> (
-      Pool.sync exec;
-      match Intrinsics.apply key [ VArr a ] with
-      | Some r -> r
-      | None -> Errors.runtime_error "bad reduction %s" name)
-  | RS s, _ -> reduce_scalar m name key s
-  | _, Some r -> r m.Frame.Mask.bits empty
-  | _, None -> (
-      (* Boxed fallback: the same chunk grid, folded serially on the
-         control thread after a join (mixed-type lanes are the slow path
-         already) — bit-identical to [Pval.reduce]'s grouping. *)
-      Pool.sync exec;
-      let generic f empty =
-        let acc = ref None in
-        for c = 0 to Pool.nchunks p - 1 do
-          let l = c * Pool.chunk and h = min p ((c + 1) * Pool.chunk) in
-          let part = ref None in
-          for i = l to h - 1 do
-            if Frame.Mask.get m i then
-              let x = rv_lane v i in
-              part := Some (match !part with None -> x | Some a -> f a x)
-          done;
-          match !part with
-          | None -> ()
-          | Some pv ->
-              acc := Some (match !acc with None -> pv | Some a -> f a pv)
-        done;
-        match !acc with Some r -> r | None -> empty
-      in
-      match key with
-      | "count" ->
-          let n = ref 0 in
-          for i = 0 to p - 1 do
-            if Frame.Mask.get m i && as_bool (rv_lane v i) then incr n
-          done;
-          VInt !n
-      | "any" ->
-          generic (fun a b -> VBool (as_bool a || as_bool b)) (VBool false)
-      | "all" ->
-          generic (fun a b -> VBool (as_bool a && as_bool b)) (VBool true)
-      | "maxval" ->
-          generic
-            (fun a b ->
-              if as_bool (Scalar_ops.apply_binop Gt a b) then a else b)
-            (empty ())
-      | "minval" ->
-          generic
-            (fun a b ->
-              if as_bool (Scalar_ops.apply_binop Lt a b) then a else b)
-            (empty ())
-      | "sum" -> generic (fun a b -> Scalar_ops.apply_binop Add a b) (empty ())
-      | _ -> Errors.runtime_error "unknown reduction %s" name)
+(** Reduction of an evaluated argument: [Pval.reduction], the
+    tree-walker's, over this engine's runner and join and the site's
+    partials.  The witness of a plural-variable read ([is_var]) is its
+    stored lane 0, that of a computed temporary the inert [VInt 0] when
+    lane 0 is inactive. *)
+and reduce_rv env rs ~is_var (m : Frame.Mask.t) name key v =
+  Pval.reduction ~run:env.exec.Pool.x_run ~join:env.join ~scratch:rs ~mask:m
+    ~exact:is_var ~name key (pval_of_rv v)
 
 and compile_index env scr si name args : cexpr =
   let frame = env.frame in
@@ -1758,12 +1083,12 @@ and compile_index env scr si name args : cexpr =
         let ivs = List.map (fun c -> c m) cargs in
         match (ivs, a) with
         | ([ RI ix ] | [ RI ix; RI _ ]), AInt d when Nd.rank d = nargs ->
-            gather_i run m.Frame.Mask.bits ~check:(checked m d) b.ri d ix
-              (subscript2 ivs);
+            Scalar_ops.gather_i run m.Frame.Mask.bits ~check:(checked m d)
+              b.ri d ix (subscript2 ivs);
             b.res_i
         | ([ RI ix ] | [ RI ix; RI _ ]), AReal d when Nd.rank d = nargs ->
-            gather_r run m.Frame.Mask.bits ~check:(checked m d) b.rr d ix
-              (subscript2 ivs);
+            Scalar_ops.gather_r run m.Frame.Mask.bits ~check:(checked m d)
+              b.rr d ix (subscript2 ivs);
             b.res_r
         | _ ->
             let sels = List.map rv_sel ivs in
@@ -1789,7 +1114,6 @@ and compile_assign env (l : Ir.lv) : Frame.Mask.t -> rv -> unit =
   let name = l.Ir.l_name in
   match l.Ir.l_index with
   | [] ->
-      let p = env.p in
       fun m rhs -> (
         match Frame.get frame si with
         | Frame.Scalar r -> r := rv_front_scalar rhs
@@ -1815,7 +1139,7 @@ and compile_assign env (l : Ir.lv) : Frame.Mask.t -> rv -> unit =
             | _ ->
                 Errors.runtime_error
                   "unsupported whole-plural-array assignment to %s" name)
-        | Frame.Unbound -> bind_fresh env.exec frame si p m rhs)
+        | Frame.Unbound -> bind_fresh env.exec frame si m rhs)
   | idxs ->
       let cidx = List.map (compile_expr env) idxs in
       let nargs = List.length idxs in
@@ -1865,14 +1189,16 @@ and compile_assign env (l : Ir.lv) : Frame.Mask.t -> rv -> unit =
               when Nd.rank d = nargs ->
                 let check, run = mode m d in
                 let x = int_view rhs in
-                scatter_i run bp ~check d ix (subscript2 ivs) None x x
+                Scalar_ops.scatter_i run bp ~check d ix (subscript2 ivs) None x
+                  x
             | ( ([ RI ix ] | [ RI ix; RI _ ]),
                 AReal d,
                 (RR _ | RI _ | RS (VReal _)) )
               when Nd.rank d = nargs ->
                 let check, run = mode m d in
                 let x = real_view run rhs in
-                scatter_r run bp ~check d ix (subscript2 ivs) None x x
+                Scalar_ops.scatter_r run bp ~check d ix (subscript2 ivs) None x
+                  x
             | _ ->
                 let sels = List.map rv_sel ivs in
                 if List.exists snd sels || rv_is_plural rhs then
@@ -1926,13 +1252,14 @@ and compile_store_fused env ast (l : Ir.lv) e op ea eb : cstmt =
     | Frame.Plural (Frame.LInt d)
       when is_int a && is_int b && (lanes a || lanes b) ->
         tick ();
-        map2_i run m.Frame.Mask.bits op d (int_view a) (int_view b)
+        Scalar_ops.map2_i run m.Frame.Mask.bits op d (int_view a) (int_view b)
     | Frame.Plural (Frame.LReal d)
       when is_num a && is_num b
            && (lanes a || lanes b)
            && not (is_int a && is_int b) ->
         tick ();
-        map2_r run m.Frame.Mask.bits op d (real_view run a) (real_view run b)
+        Scalar_ops.map2_r run m.Frame.Mask.bits op d (real_view run a)
+          (real_view run b)
     | _ ->
         let rhs = ce m in
         tick_assign env loc m rhs;
@@ -1987,11 +1314,11 @@ and compile_accum env ast (l : Ir.lv) scr g rest : cstmt =
            complete when the store reads it *)
         let y = real_view exec.Pool.x_run rv in
         merged d (fun run bp ~check ix ->
-            scatter_r run bp ~check d ix one (Some Add) x y)
+            Scalar_ops.scatter_r run bp ~check d ix one (Some Add) x y)
     | Frame.Global (AInt d), RI x when Nd.rank d = 1 && is_int rv ->
         let y = int_view rv in
         merged d (fun run bp ~check ix ->
-            scatter_i run bp ~check d ix one (Some Add) x y)
+            Scalar_ops.scatter_i run bp ~check d ix one (Some Add) x y)
     | _ ->
         let rhs = add m gv rv in
         tick_assign env loc m rhs;
@@ -2055,8 +1382,7 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
         | None -> Errors.runtime_error "unknown subroutine %s" name
         | Some f ->
             (* joined above, so the charge needs no join of its own *)
-            Vmstate.call vm key ~loc ~active:(Frame.Mask.active m) m
-              Frame.Mask.to_bool_array;
+            Vmstate.call vm key ~loc m;
             let vargs =
               List.map (fun (c, exact) -> rv_to_pval ~exact m (c m)) cargs
             in
@@ -2092,7 +1418,6 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
   | Ir.LWhile (c, body) ->
       let cc = compile_expr env c in
       let cb = compile_block env body in
-      let p = env.p in
       fun m ->
         let continue_ () =
           match cc m with
@@ -2100,38 +1425,11 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
               Vmstate.tick_frontend env.vm;
               as_bool v
           | RA _ -> Errors.runtime_error "array condition"
-          | RB a ->
-              (* vector-controlled WHILE (§2): active lanes must agree;
-                 unboxed comparison, no per-lane boxing, after a join *)
-              tick_vector env ~loc ~kind:Lf_obs.Trace.While m;
-              Pool.sync env.exec;
-              let seen = ref false and v0 = ref false in
-              for i = 0 to p - 1 do
-                if Frame.Mask.get m i then
-                  if not !seen then begin
-                    v0 := Array.unsafe_get a i;
-                    seen := true
-                  end
-                  else if Array.unsafe_get a i <> !v0 then
-                    Errors.runtime_error
-                      "vector-controlled WHILE with divergent lane values"
-              done;
-              !seen && !v0
           | cv ->
+              (* vector-controlled WHILE (§2): active lanes must agree *)
               tick_vector env ~loc ~kind:Lf_obs.Trace.While m;
               Pool.sync env.exec;
-              let first = ref None in
-              for i = 0 to p - 1 do
-                if Frame.Mask.get m i then
-                  let x = rv_lane cv i in
-                  match !first with
-                  | None -> first := Some x
-                  | Some v0 ->
-                      if not (Values.equal_value v0 x) then
-                        Errors.runtime_error
-                          "vector-controlled WHILE with divergent lane values"
-              done;
-              (match !first with None -> false | Some v0 -> as_bool v0)
+              Pval.while_test ~mask:m (lanes_of_rv cv)
         in
         while continue_ () do
           cb m
@@ -2264,7 +1562,8 @@ let emit ~vm ~frame ~exec ?(opt = 1) (ir : Ir.block) : Frame.Mask.t -> unit =
       frame;
       p;
       exec;
-      serial = (Pool.serial_exec ~p).Pool.x_run;
+      join = (fun () -> Pool.sync exec);
+      serial = vm.Vmstate.serial;
       cur_loc = Errors.no_pos;
       opt;
       entry_ok = false;

@@ -187,10 +187,13 @@ let lane_value (l : lanes) i : Values.value =
 (* ------------------------------------------------------------------ *)
 
 module Mask = struct
-  (** One byte per lane plus a cached population count: reading
-      [active m] is O(1) (the tree-walker folds over the whole mask on
-      every [tick_vector]), and WHERE nesting reuses per-site buffers, so
-      masking allocates nothing per step. *)
+  (** One byte per lane plus a cached population count, the mask of
+      both SIMD engines: [bits] is what the lane kernels of
+      [Scalar_ops] and [Intrinsics] read, and [active m] is O(1), so a
+      step's accounting never scans the mask.  The compiled engine
+      reuses per-site buffers for WHERE nesting, so its masking
+      allocates nothing per step; the tree-walker allocates one pair of
+      masks per WHERE. *)
   type t = {
     bits : Bytes.t;
     mutable active_n : int;
@@ -202,13 +205,6 @@ module Mask = struct
   let active m = m.active_n
   let get m i = Bytes.unsafe_get m.bits i <> '\000'
 
-  let set m i b =
-    let old = get m i in
-    if old <> b then begin
-      Bytes.unsafe_set m.bits i (if b then '\001' else '\000');
-      m.active_n <- (m.active_n + if b then 1 else -1)
-    end
-
   (** Reset to all-inactive without reallocating. *)
   let clear m =
     Bytes.fill m.bits 0 (Bytes.length m.bits) '\000';
@@ -217,7 +213,9 @@ module Mask = struct
   let to_bool_array m = Array.init (length m) (fun i -> get m i)
 
   let of_bool_array (a : bool array) =
-    let m = create_empty (Array.length a) in
-    Array.iteri (fun i b -> set m i b) a;
-    m
+    {
+      bits =
+        Bytes.init (Array.length a) (fun i -> Char.chr (Bool.to_int a.(i)));
+      active_n = Array.fold_left (fun n b -> if b then n + 1 else n) 0 a;
+    }
 end

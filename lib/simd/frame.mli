@@ -95,7 +95,6 @@ module Mask : sig
   val active : t -> int
 
   val get : t -> int -> bool
-  val set : t -> int -> bool -> unit
   val clear : t -> unit
   val to_bool_array : t -> bool array
   val of_bool_array : bool array -> t

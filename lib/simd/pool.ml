@@ -81,7 +81,7 @@ let st_imbalance = Stats.gauge "pool.shard_imbalance"
 (* Chunked lane partitioning                                           *)
 (* ------------------------------------------------------------------ *)
 
-let chunk = 64
+let chunk = Lf_lang.Scalar_ops.chunk
 let nchunks p = (p + chunk - 1) / chunk
 
 (** Partition [0, p) into at most [jobs] contiguous, chunk-aligned,

@@ -16,7 +16,8 @@
     parallel engine at any jobs count. *)
 
 val chunk : int
-(** Reduction chunk width (64 lanes); shard boundaries are multiples. *)
+(** Reduction chunk width ([Scalar_ops.chunk], 64 lanes); shard
+    boundaries are multiples. *)
 
 val nchunks : int -> int
 (** [nchunks p] = number of chunks covering [0, p) (0 when [p = 0]). *)

@@ -50,14 +50,16 @@ let as_front_scalar = function
 
 let as_front_int v = Values.as_int (as_front_scalar v)
 
-let all_active (mask : bool array) = Array.for_all Fun.id mask
+(* Whether lane [i] of [mask] is active. *)
+let[@inline] on (mask : Frame.Mask.t) i =
+  Bytes.unsafe_get mask.Frame.Mask.bits i <> '\000'
 
 (** Re-specialize boxed lanes by their {e active} lanes: when every
     active lane holds the same scalar type, the unboxed vector (inert
     zeros elsewhere), else the boxed lanes themselves. *)
-let specialize ~(mask : bool array) (vs : value array) : Frame.lanes =
+let specialize ~(mask : Frame.Mask.t) (vs : value array) : Frame.lanes =
   let p = Array.length vs in
-  let rec first i = if i >= p || mask.(i) then i else first (i + 1) in
+  let rec first i = if i >= p || on mask i then i else first (i + 1) in
   let f = first 0 in
   (* a lane of another type raises [Exit] *)
   try
@@ -67,21 +69,21 @@ let specialize ~(mask : bool array) (vs : value array) : Frame.lanes =
       | VInt _ ->
           let r = Array.make p 0 in
           for i = f to p - 1 do
-            if mask.(i) then
+            if on mask i then
               r.(i) <- (match vs.(i) with VInt x -> x | _ -> raise Exit)
           done;
           Frame.LInt r
       | VReal _ ->
           let r = Array.make p 0.0 in
           for i = f to p - 1 do
-            if mask.(i) then
+            if on mask i then
               r.(i) <- (match vs.(i) with VReal x -> x | _ -> raise Exit)
           done;
           Frame.LReal r
       | VBool _ ->
           let r = Array.make p false in
           for i = f to p - 1 do
-            if mask.(i) then
+            if on mask i then
               r.(i) <- (match vs.(i) with VBool x -> x | _ -> raise Exit)
           done;
           Frame.LBool r
@@ -90,63 +92,118 @@ let specialize ~(mask : bool array) (vs : value array) : Frame.lanes =
 
 (** [f i] on every active lane [i], in ascending order (so the first
     failing active lane raises), re-specialized by the active lanes. *)
-let map_active ~(mask : bool array) f =
-  let r = Array.make (Array.length mask) (VInt 0) in
-  for i = 0 to Array.length mask - 1 do
-    if mask.(i) then r.(i) <- f i
+let map_active ~(mask : Frame.Mask.t) f =
+  let p = Frame.Mask.length mask in
+  let r = Array.make p (VInt 0) in
+  for i = 0 to p - 1 do
+    if on mask i then r.(i) <- f i
   done;
-  Plural (specialize ~mask r)
+  specialize ~mask r
 
 (** Lift a scalar binary operation lane-wise through the boxed view;
     computes only active lanes.  The operand shapes are resolved once
     per vector, not per lane. *)
-let lift2 ~(mask : bool array) f a b =
+let lift2 ~mask f a b =
   match (a, b) with
   | FScalar x, FScalar y -> FScalar (f x y)
   | Plural xs, Plural ys ->
-      map_active ~mask (fun i ->
-          f (Frame.lane_value xs i) (Frame.lane_value ys i))
+      Plural
+        (map_active ~mask (fun i ->
+             f (Frame.lane_value xs i) (Frame.lane_value ys i)))
   | Plural xs, FScalar y ->
-      map_active ~mask (fun i -> f (Frame.lane_value xs i) y)
+      Plural (map_active ~mask (fun i -> f (Frame.lane_value xs i) y))
   | FScalar x, Plural ys ->
-      map_active ~mask (fun i -> f x (Frame.lane_value ys i))
+      Plural (map_active ~mask (fun i -> f x (Frame.lane_value ys i)))
   | _ -> Errors.runtime_error "array operand in a lane-wise operation"
 
-let lift1 ~(mask : bool array) f a =
+let lift1 ~mask f a =
   match a with
   | FScalar x -> FScalar (f x)
-  | Plural xs -> map_active ~mask (fun i -> f (Frame.lane_value xs i))
+  | Plural xs -> Plural (map_active ~mask (fun i -> f (Frame.lane_value xs i)))
   | FArr _ -> Errors.runtime_error "array operand in a lane-wise operation"
 
 (** The lanes a plural exposes when it escapes into a binding or a
     procedure: a private copy, with an inert [VInt 0] on every inactive
     lane unless [exact] (a variable read or a range, whose lanes all
     hold real contents). *)
-let expose ~exact ~(mask : bool array) (l : Frame.lanes) : Frame.lanes =
-  if exact || all_active mask then Frame.copy_lanes l
+let expose ~exact ~(mask : Frame.Mask.t) (l : Frame.lanes) : Frame.lanes =
+  let p = Frame.Mask.length mask in
+  if exact || Frame.Mask.active mask = p then Frame.copy_lanes l
   else
-    let p = Array.length mask in
     match l with
     | Frame.LInt a ->
         let r = Array.make p 0 in
-        Scalar_ops.int_blit ~mask r a;
+        for i = 0 to p - 1 do
+          if on mask i then r.(i) <- a.(i)
+        done;
         Frame.LInt r
     | _ ->
         let r = Array.make p (VInt 0) in
         for i = 0 to p - 1 do
-          if mask.(i) then r.(i) <- Frame.lane_value l i
+          if on mask i then r.(i) <- Frame.lane_value l i
         done;
         Frame.lanes_of_values r
+
+(** The WHERE split: the active lanes of [mask] where the LOGICAL
+    [cv] holds go to [mt], the others to [mf], each lane converted once
+    in ascending order. *)
+let split ~(mask : Frame.Mask.t) cv (mt : Frame.Mask.t) (mf : Frame.Mask.t) =
+  Frame.Mask.clear mt;
+  Frame.Mask.clear mf;
+  let nt = ref 0 in
+  for i = 0 to Frame.Mask.length mask - 1 do
+    if on mask i then
+      if
+        match cv with
+        | Plural (Frame.LBool a) -> a.(i)
+        | _ -> as_bool (lane cv i)
+      then begin
+        Bytes.unsafe_set mt.Frame.Mask.bits i '\001';
+        incr nt
+      end
+      else Bytes.unsafe_set mf.Frame.Mask.bits i '\001'
+  done;
+  mt.Frame.Mask.active_n <- !nt;
+  mf.Frame.Mask.active_n <- Frame.Mask.active mask - !nt
+
+(** A vector-controlled WHILE test (paper §2): the value every active
+    lane agrees on, [false] when none is active. *)
+let while_test ~(mask : Frame.Mask.t) (l : Frame.lanes) =
+  let divergent () =
+    Errors.runtime_error "vector-controlled WHILE with divergent lane values"
+  in
+  match l with
+  | Frame.LBool a ->
+      let seen = ref false and v0 = ref false in
+      for i = 0 to Frame.Mask.length mask - 1 do
+        if on mask i then
+          if not !seen then begin
+            v0 := a.(i);
+            seen := true
+          end
+          else if a.(i) <> !v0 then divergent ()
+      done;
+      !seen && !v0
+  | _ -> (
+      let first = ref None in
+      for i = 0 to Frame.Mask.length mask - 1 do
+        if on mask i then
+          let x = Frame.lane_value l i in
+          match !first with
+          | None -> first := Some x
+          | Some v0 -> if not (Values.equal_value v0 x) then divergent ()
+      done;
+      match !first with None -> false | Some v0 -> as_bool v0)
 
 (** Witness value used to type a reduction's identity element: lane 0 of
     a plural, the scalar itself otherwise.  Lane 0 of a computed plural
     is the inert [VInt 0] when it is inactive; [exact] plurals (variable
     reads, ranges) expose their stored lane 0. *)
-let witness ~exact ~(mask : bool array) = function
+let witness ~exact ~(mask : Frame.Mask.t) = function
   | FScalar s -> s
   | Plural l ->
       if Frame.lanes_length l = 0 then VInt 0
-      else if exact || mask.(0) then Frame.lane_value l 0
+      else if exact || on mask 0 then Frame.lane_value l 0
       else VInt 0
   | FArr _ -> VInt 0
 
@@ -177,23 +234,22 @@ let reduction_identity key (witness : Values.value) : Values.value =
     [empty] is returned when no lane is active.
 
     The fold follows the canonical chunked merge tree shared by all
-    engines (see [Pool]): one partial per [Pool.chunk]-lane chunk, each
-    initialized at its first active lane, then the non-empty partials are
-    merged left-to-right in ascending chunk order.  The chunk grid
-    depends only on [p], so a float SUM is bitwise identical whether the
-    lanes are folded here, by the unboxed folds of [reduction], by the
-    serial compiled engine, or by the parallel engine at any jobs
-    count. *)
-let reduce ~(mask : bool array) ~empty f v =
+    engines (see [Scalar_ops]): one partial per [Pool.chunk]-lane chunk,
+    each initialized at its first active lane, then the non-empty
+    partials are merged left-to-right in ascending chunk order.  The
+    chunk grid depends only on [p], so a float SUM is bitwise identical
+    whether the lanes are folded here or by the lane kernels of either
+    engine at any jobs count. *)
+let reduce ~(mask : Frame.Mask.t) ~empty f v =
   match v with
   | Plural l ->
-      let p = Array.length mask in
+      let p = Frame.Mask.length mask in
       let acc = ref empty and have_acc = ref false in
       for c = 0 to Pool.nchunks p - 1 do
         let l0 = c * Pool.chunk and h = min p ((c + 1) * Pool.chunk) in
         let part = ref empty and have_part = ref false in
         for i = l0 to h - 1 do
-          if mask.(i) then
+          if on mask i then
             if !have_part then part := f !part (Frame.lane_value l i)
             else begin
               part := Frame.lane_value l i;
@@ -208,78 +264,74 @@ let reduce ~(mask : bool array) ~empty f v =
           end
       done;
       !acc
-  | FScalar s -> if Array.exists Fun.id mask then s else empty
+  | FScalar s -> if Frame.Mask.active mask > 0 then s else empty
   | FArr _ -> Errors.runtime_error "array operand in a plural reduction"
 
-(** The global reduction [key] (["any"], ["all"], ["count"], ["maxval"],
-    ["minval"], ["sum"]) of an evaluated argument over the active lanes
-    of [mask].  LOGICAL lanes run ANY/ALL/COUNT and int/real lanes
-    MAXVAL/MINVAL/SUM as unboxed loops; every other plural folds through
-    the boxed view with [Scalar_ops.apply_binop], over the same chunk
-    grid.  [exact] says whether the argument was a variable read or a
-    range (see [witness]); [name] is the reduction as written, for
-    messages. *)
-let reduction ~(mask : bool array) ~exact ~name key v : value =
-  let empty () = reduction_identity key (witness ~exact ~mask v) in
-  let count_bools (a : bool array) =
-    let n = ref 0 in
-    Array.iteri (fun i b -> if mask.(i) && b then incr n) a;
-    !n
-  in
-  match (key, v) with
-  | _, FArr a -> (
-      match Intrinsics.apply key [ VArr a ] with
-      | Some r -> r
-      | None -> Errors.runtime_error "bad reduction %s" name)
-  | "any", Plural (Frame.LBool a) -> VBool (count_bools a > 0)
-  | "all", Plural (Frame.LBool a) ->
-      let ok = ref true in
-      Array.iteri (fun i b -> if mask.(i) && not b then ok := false) a;
-      VBool !ok
-  | "count", Plural (Frame.LBool a) -> VInt (count_bools a)
-  | ("maxval" | "minval" | "sum"), Plural (Frame.LInt a) -> (
-      match
-        Scalar_ops.int_reduce ~chunk:Pool.chunk ~mask
-          (Option.get (Scalar_ops.fold_of_key key))
-          a
-      with
-      | Some r -> VInt r
-      | None -> empty ())
-  | ("maxval" | "minval" | "sum"), Plural (Frame.LReal a) -> (
-      match
-        Scalar_ops.real_reduce ~chunk:Pool.chunk ~mask
-          (Option.get (Scalar_ops.fold_of_key key))
-          a
-      with
-      | Some r -> VReal r
-      | None -> empty ())
-  | "any", _ ->
+(** The reduction [key] of a plural or a front-end scalar through the
+    boxed view, with [Scalar_ops.apply_binop]'s operators. *)
+let boxed_reduction ~(mask : Frame.Mask.t) ~empty ~name key v : value =
+  match key with
+  | "any" ->
       reduce ~mask ~empty:(VBool false)
         (fun a b -> VBool (as_bool a || as_bool b))
         v
-  | "all", _ ->
+  | "all" ->
       reduce ~mask ~empty:(VBool true)
         (fun a b -> VBool (as_bool a && as_bool b))
         v
-  | "count", Plural l ->
-      let n = ref 0 in
-      Array.iteri
-        (fun i active ->
-          if active && as_bool (Frame.lane_value l i) then incr n)
-        mask;
-      VInt !n
-  | "count", FScalar s ->
-      VInt (if as_bool s then count_bools mask else 0)
-  | "maxval", _ ->
+  | "count" -> (
+      match v with
+      | Plural l ->
+          let n = ref 0 in
+          for i = 0 to Frame.Mask.length mask - 1 do
+            if on mask i && as_bool (Frame.lane_value l i) then incr n
+          done;
+          VInt !n
+      | _ ->
+          VInt
+            (if as_bool (as_front_scalar v) then Frame.Mask.active mask
+             else 0))
+  | "maxval" ->
       reduce ~mask ~empty:(empty ())
         (fun a b ->
           if as_bool (Scalar_ops.apply_binop Ast.Gt a b) then a else b)
         v
-  | "minval", _ ->
+  | "minval" ->
       reduce ~mask ~empty:(empty ())
         (fun a b ->
           if as_bool (Scalar_ops.apply_binop Ast.Lt a b) then a else b)
         v
-  | "sum", _ ->
-      reduce ~mask ~empty:(empty ()) (Scalar_ops.apply_binop Ast.Add) v
+  | "sum" -> reduce ~mask ~empty:(empty ()) (Scalar_ops.apply_binop Ast.Add) v
   | _ -> Errors.runtime_error "unknown reduction %s" name
+
+(** The lanes of a typed plural as a reduction cell. *)
+let cell = function
+  | Plural (Frame.LInt a) -> Some (Scalar_ops.FI (Array.unsafe_get a))
+  | Plural (Frame.LReal a) -> Some (Scalar_ops.FR (Array.unsafe_get a))
+  | Plural (Frame.LBool a) -> Some (Scalar_ops.FB (Array.unsafe_get a))
+  | _ -> None
+
+(** The global reduction [key] (["any"], ["all"], ["count"], ["maxval"],
+    ["minval"], ["sum"]) of an evaluated argument over the active lanes
+    of [mask].  Typed lanes run the [Scalar_ops] kernel through [run]
+    and [join] with the partials in [scratch]; every other plural folds
+    through the boxed view over the same chunk grid after [join ()].
+    [exact] says whether the argument was a variable read or a range
+    (see [witness]); [name] is the reduction as written, for
+    messages. *)
+let reduction ~run ~join ~scratch ~(mask : Frame.Mask.t) ~exact ~name key v
+    : value =
+  let empty () = reduction_identity key (witness ~exact ~mask v) in
+  match (v, cell v) with
+  | _, Some c when Scalar_ops.reduces key c ->
+      Scalar_ops.lane_reduce run join scratch ~raising:false key c
+        mask.Frame.Mask.bits empty
+  | FScalar _, _ -> boxed_reduction ~mask ~empty ~name key v
+  | FArr a, _ -> (
+      join ();
+      match Intrinsics.apply key [ VArr a ] with
+      | Some r -> r
+      | None -> Errors.runtime_error "bad reduction %s" name)
+  | Plural _, _ ->
+      join ();
+      boxed_reduction ~mask ~empty ~name key v

@@ -27,17 +27,21 @@ open Values
 
 include Vmstate
 
-let full_mask vm = Array.make vm.p true
-let active_count mask = Array.fold_left (fun n b -> if b then n + 1 else n) 0 mask
+let full_mask vm = Frame.Mask.create_full vm.p
 
+(* Whether lane [i] of [mask] is active. *)
+let[@inline] on (mask : Frame.Mask.t) i =
+  Bytes.unsafe_get mask.Frame.Mask.bits i <> '\000'
+
+(* observers and procedures get a fresh [bool array] copy of the mask *)
 let observe vm ~mask s =
-  match vm.observer with Some f -> f vm ~mask s | None -> ()
+  match vm.observer with
+  | Some f -> f vm ~mask:(Frame.Mask.to_bool_array mask) s
+  | None -> ()
 
-(* The tree-walker's charges: the location is the executing statement's,
-   the mask a [bool array]. *)
-let tick vm ~mask ~kind =
-  tick_vector vm ~loc:vm.cur_loc ~kind ~active:(active_count mask) mask
-    Array.copy
+(* The tree-walker's charges: the location is the executing
+   statement's. *)
+let tick vm ~mask ~kind = tick_vector vm ~loc:vm.cur_loc ~kind mask
 
 (* ------------------------------------------------------------------ *)
 (* Variable binding                                                    *)
@@ -87,12 +91,14 @@ let is_reduction f =
    bindings and external procedures get private copies ([Pval.expose]).
 
    Typed lanes: every vector instruction whose operands have unboxed
-   lanes runs one monomorphic loop from [Scalar_ops] / [Intrinsics];
-   anything else goes through the boxed view and re-specializes its
-   active lanes ([Pval.map_active]).  Inactive lanes of a computed
-   plural hold an inert zero: nothing reads them except the reduction
-   witness, fresh bindings and procedure arguments, which see them as
-   the inert [VInt 0] unless the plural is [exact]. *)
+   lanes runs one lane kernel from [Scalar_ops] / [Intrinsics] — the
+   compiled engine's kernels — over the mask's bytes, through the VM's
+   serial runner; anything else goes through the boxed view and
+   re-specializes its active lanes ([Pval.map_active]).  Inactive lanes
+   of a computed plural are unspecified (a total kernel computes every
+   lane): nothing reads them except the reduction witness, fresh
+   bindings and procedure arguments, which see them as the inert
+   [VInt 0] unless the plural is [exact]. *)
 
 (* A variable read or a range: a plural whose every lane holds real
    contents, not a temporary computed under the mask. *)
@@ -112,79 +118,89 @@ let view = function
   | _ -> Other
 
 (* a numeric view promoted to real lanes *)
-let real_of = function
+let real_of vm = function
   | VR a -> a
-  | VI a -> Scalar_ops.to_real a
+  | VI [| n |] -> [| float_of_int n |]
+  | VI a -> Scalar_ops.to_real vm.serial a
   | VB _ | Other -> invalid_arg "Vm.real_of"
 
-let int_lanes mask f =
-  let r = Array.make (Array.length mask) 0 in
+(* a fresh plural whose lanes [f] fills *)
+let plural_i vm f =
+  let r = Array.make vm.p 0 in
   f r;
   Pval.Plural (Frame.LInt r)
 
-let real_lanes mask f =
-  let r = Array.make (Array.length mask) 0.0 in
+let plural_r vm f =
+  let r = Array.make vm.p 0.0 in
   f r;
   Pval.Plural (Frame.LReal r)
 
-let bool_lanes mask f =
-  let r = Array.make (Array.length mask) false in
+let plural_b vm f =
+  let r = Array.make vm.p false in
   f r;
   Pval.Plural (Frame.LBool r)
 
 (** A binary operator, lane-wise under the mask.  Int, real and mixed
     arithmetic and comparisons, and LOGICAL comparisons and [.AND.] /
-    [.OR.], run as unboxed loops; the rest ([**], type errors, boxed
+    [.OR.], run as lane kernels; the rest ([**], type errors, boxed
     lanes) per lane through [Scalar_ops.apply_binop]. *)
-let binop ~mask op va vb =
+let binop vm ~mask op va vb =
   match (va, vb) with
   | Pval.FScalar x, Pval.FScalar y ->
       Pval.FScalar (Scalar_ops.apply_binop op x y)
   | Pval.FArr _, _ | _, Pval.FArr _ ->
       Errors.runtime_error "array operand in a lane-wise operation"
   | _ -> (
+      let run = vm.serial and bp = mask.Frame.Mask.bits in
       let arith = Scalar_ops.is_arith op and cmp = Scalar_ops.is_cmp op in
       match (view va, view vb) with
       | VI x, VI y when arith ->
-          int_lanes mask (fun r -> Scalar_ops.int_map2 ~mask op r x y)
+          plural_i vm (fun r -> Scalar_ops.map2_i run bp op r x y)
       | VI x, VI y when cmp ->
-          bool_lanes mask (fun r -> Scalar_ops.int_cmp2 ~mask op r x y)
+          plural_b vm (fun r -> Scalar_ops.cmp_i run op r x y)
       | ((VI _ | VR _) as x), ((VI _ | VR _) as y) when arith ->
-          let x = real_of x and y = real_of y in
-          real_lanes mask (fun r -> Scalar_ops.real_map2 ~mask op r x y)
+          let x = real_of vm x and y = real_of vm y in
+          plural_r vm (fun r -> Scalar_ops.map2_r run bp op r x y)
       | ((VI _ | VR _) as x), ((VI _ | VR _) as y) when cmp ->
-          let x = real_of x and y = real_of y in
-          bool_lanes mask (fun r -> Scalar_ops.real_cmp2 ~mask op r x y)
+          let x = real_of vm x and y = real_of vm y in
+          plural_b vm (fun r -> Scalar_ops.cmp_r run op r x y)
       | VB x, VB y when cmp || op = And || op = Or ->
-          bool_lanes mask (fun r -> Scalar_ops.bool_map2 ~mask op r x y)
+          plural_b vm (fun r -> Scalar_ops.map2_b run op r x y)
       | _ -> Pval.lift2 ~mask (Scalar_ops.apply_binop op) va vb)
 
-let unop ~mask op v =
+let unop vm ~mask op v =
+  let run = vm.serial and bp = mask.Frame.Mask.bits and u = Some op in
   match (op, v) with
   | _, Pval.FScalar x -> Pval.FScalar (Scalar_ops.apply_unop op x)
   | Neg, Pval.Plural (Frame.LInt x) ->
-      int_lanes mask (fun r -> Scalar_ops.int_neg ~mask r x)
+      plural_i vm (fun r -> Scalar_ops.map1_i run bp u r x)
   | Neg, Pval.Plural (Frame.LReal x) ->
-      real_lanes mask (fun r -> Scalar_ops.real_neg ~mask r x)
+      plural_r vm (fun r -> Scalar_ops.map1_r run bp u r x)
   | Not, Pval.Plural (Frame.LBool x) ->
-      bool_lanes mask (fun r -> Scalar_ops.bool_not ~mask r x)
+      plural_b vm (fun r -> Scalar_ops.map1_b run bp u r x)
   | _ -> Pval.lift1 ~mask (Scalar_ops.apply_unop op) v
 
-(** SQRT / EXP / ABS of one numeric plural, MAX / MIN of two numeric
-    operands, as unboxed loops; [None] for every other call. *)
-let lane_intrinsic ~mask key vargs =
+(** A numeric intrinsic with a lane kernel ([Intrinsics.lane_fn]) over
+    numeric operands, under a mask with an active lane; [None] for every
+    other call, which then runs per lane through the boxed view. *)
+let lane_intrinsic vm ~mask key vargs =
+  let run = vm.serial and bp = mask.Frame.Mask.bits in
   match (Intrinsics.lane_fn key, List.map view vargs) with
+  | _ when Frame.Mask.active mask = 0 -> None
   | Some (Intrinsics.Num1 Intrinsics.Abs), [ VI x ] ->
-      Some (int_lanes mask (fun r -> Intrinsics.int_abs ~mask r x))
+      Some (plural_i vm (fun r -> Intrinsics.int_abs run bp r x))
   | Some (Intrinsics.Num1 k), [ ((VI _ | VR _) as x) ] ->
-      let x = real_of x in
-      Some (real_lanes mask (fun r -> Intrinsics.real_map1 ~mask k r x))
+      let x = real_of vm x in
+      Some (plural_r vm (fun r -> Intrinsics.real_map1 run bp k r x))
+  | Some (Intrinsics.To_int round), [ ((VI _ | VR _) as x) ] ->
+      let x = real_of vm x in
+      Some (plural_i vm (fun r -> Intrinsics.to_int run bp ~round r x))
   | Some (Intrinsics.Num2 k), [ VI x; VI y ] ->
-      Some (int_lanes mask (fun r -> Intrinsics.int_map2 ~mask k r x y))
+      Some (plural_i vm (fun r -> Intrinsics.int_map2 run bp k r x y))
   | Some (Intrinsics.Num2 k), [ ((VI _ | VR _) as x); ((VI _ | VR _) as y) ]
     ->
-      let x = real_of x and y = real_of y in
-      Some (real_lanes mask (fun r -> Intrinsics.real_map2 ~mask k r x y))
+      let x = real_of vm x and y = real_of vm y in
+      Some (plural_r vm (fun r -> Intrinsics.real_map2 run bp k r x y))
   | _ -> None
 
 (* A subscript resolved once per vector instruction: a front-end scalar
@@ -207,74 +223,79 @@ let fill_index idx ~lead (subs : sub array) i =
 
 let is_lanes = function Lanes _ -> true | Const _ -> false
 
-(* The flat offset of each lane's element, resolved once per
-   instruction: a rank-1 access by one unboxed subscript checks its
-   bound inline, with [Nd.linear_index]'s message; any other fills the
-   index buffer and goes through [Nd.linear_index]. *)
-let offsets (d : _ Nd.t) idx ~lead subs : int -> int =
-  match subs with
-  | [| Lanes (Frame.LInt ix) |] when (not lead) && Array.length d.Nd.dims = 1
-    ->
-      let n = d.Nd.dims.(0) in
-      fun i ->
-        let j = ix.(i) in
-        if j < 1 || j > n then Nd.index_error j n 1 else j - 1
-  | _ ->
-      fun i ->
-        fill_index idx ~lead subs i;
-        Nd.linear_index d idx
+(* The flat offset of each lane's element through the index buffer
+   and [Nd.linear_index]. *)
+let offsets (d : _ Nd.t) idx ~lead subs i =
+  fill_index idx ~lead subs i;
+  Nd.linear_index d idx
+
+(* Whether the gather and scatter kernels take the subscripts [subs] of
+   [d]: a rank-1 or rank-2 access by int lanes, then int lanes or a
+   constant; [ix2] is the kernel's second subscript vector. *)
+let kernel_rank (d : _ Nd.t) ~lead subs =
+  (not lead) && Nd.rank d = Array.length subs
+
+let one = [| 1 |]
+
+let ix2 = function
+  | [| _; Lanes (Frame.LInt b) |] -> b
+  | [| _; Const c |] -> [| c |]
+  | _ -> one
 
 (** Gather one element per active lane into a lane vector of the array's
     element type. *)
-let gather ~mask (a : arr) idx ~lead subs : Pval.t =
-  let p = Array.length mask in
-  match a with
-  | AInt d ->
-      let data = d.Nd.data and off = offsets d idx ~lead subs in
-      int_lanes mask (fun r ->
-          for i = 0 to p - 1 do
-            if mask.(i) then r.(i) <- data.(off i)
-          done)
-  | AReal d ->
-      let data = d.Nd.data and off = offsets d idx ~lead subs in
-      real_lanes mask (fun r ->
-          for i = 0 to p - 1 do
-            if mask.(i) then r.(i) <- data.(off i)
-          done)
-  | ABool d ->
-      let data = d.Nd.data and off = offsets d idx ~lead subs in
-      bool_lanes mask (fun r ->
-          for i = 0 to p - 1 do
-            if mask.(i) then r.(i) <- data.(off i)
-          done)
+let gather vm ~mask (a : arr) idx ~lead subs : Pval.t =
+  let run = vm.serial and bp = mask.Frame.Mask.bits in
+  match (a, subs) with
+  | ( AInt d,
+      ( [| Lanes (Frame.LInt ix) |]
+      | [| Lanes (Frame.LInt ix); (Const _ | Lanes (Frame.LInt _)) |] ) )
+    when kernel_rank d ~lead subs ->
+      plural_i vm (fun r ->
+          Scalar_ops.gather_i run bp ~check:true r d ix (ix2 subs))
+  | ( AReal d,
+      ( [| Lanes (Frame.LInt ix) |]
+      | [| Lanes (Frame.LInt ix); (Const _ | Lanes (Frame.LInt _)) |] ) )
+    when kernel_rank d ~lead subs ->
+      plural_r vm (fun r ->
+          Scalar_ops.gather_r run bp ~check:true r d ix (ix2 subs))
+  | AInt d, _ ->
+      let off = offsets d idx ~lead subs in
+      plural_i vm (fun r -> Scalar_ops.gather_at_i run bp r d.Nd.data off)
+  | AReal d, _ ->
+      let off = offsets d idx ~lead subs in
+      plural_r vm (fun r -> Scalar_ops.gather_at_r run bp r d.Nd.data off)
+  | ABool d, _ ->
+      let off = offsets d idx ~lead subs in
+      plural_b vm (fun r -> Scalar_ops.gather_at_b run bp r d.Nd.data off)
 
 (** Scatter [rhs] per active lane, ascending: a lane's value is read
     before its subscripts are converted. *)
-let scatter ~mask (a : arr) idx ~lead subs rhs =
-  let p = Array.length mask in
-  match (a, view rhs) with
-  | AReal d, VR x ->
-      let data = d.Nd.data and off = offsets d idx ~lead subs in
-      let kx = if Array.length x = 1 then 0 else -1 in
-      for i = 0 to p - 1 do
-        if mask.(i) then data.(off i) <- x.(i land kx)
-      done
-  | AInt d, VI x ->
-      let data = d.Nd.data and off = offsets d idx ~lead subs in
-      let kx = if Array.length x = 1 then 0 else -1 in
-      for i = 0 to p - 1 do
-        if mask.(i) then data.(off i) <- x.(i land kx)
-      done
+let scatter vm ~mask (a : arr) idx ~lead subs rhs =
+  let run = vm.serial and bp = mask.Frame.Mask.bits in
+  match (a, view rhs, subs) with
+  | ( AReal d,
+      VR x,
+      ( [| Lanes (Frame.LInt ix) |]
+      | [| Lanes (Frame.LInt ix); (Const _ | Lanes (Frame.LInt _)) |] ) )
+    when kernel_rank d ~lead subs ->
+      Scalar_ops.scatter_r run bp ~check:true d ix (ix2 subs) None x x
+  | ( AInt d,
+      VI x,
+      ( [| Lanes (Frame.LInt ix) |]
+      | [| Lanes (Frame.LInt ix); (Const _ | Lanes (Frame.LInt _)) |] ) )
+    when kernel_rank d ~lead subs ->
+      Scalar_ops.scatter_i run bp ~check:true d ix (ix2 subs) None x x
   | _ ->
-      for i = 0 to p - 1 do
-        if mask.(i) then begin
+      for i = 0 to vm.p - 1 do
+        if on mask i then begin
           let v = Pval.lane rhs i in
           fill_index idx ~lead subs i;
           arr_set a idx v
         end
       done
 
-let rec eval vm ~(mask : bool array) (e : expr) : Pval.t =
+let rec eval vm ~(mask : Frame.Mask.t) (e : expr) : Pval.t =
   match e with
   | EInt n -> Pval.FScalar (VInt n)
   | EReal f -> Pval.FScalar (VReal f)
@@ -292,13 +313,13 @@ let rec eval vm ~(mask : bool array) (e : expr) : Pval.t =
       | VScalar r -> Pval.FScalar !r
       | VPlural l -> Pval.Plural l (* shared, read-only: see above *)
       | VGlobal a | VPluralArr a -> Pval.FArr a)
-  | EUn (op, a) -> unop ~mask op (eval vm ~mask a)
+  | EUn (op, a) -> unop vm ~mask op (eval vm ~mask a)
   | EBin (op, a, b) ->
       (* left to right, matching the compiled engine: error order (which
          undefined variable is reported first) is observable *)
       let va = eval vm ~mask a in
       let vb = eval vm ~mask b in
-      binop ~mask op va vb
+      binop vm ~mask op va vb
   | ECall (name, args) -> eval_call vm ~mask name args
   | EIdx (name, args) -> (
       match find_opt vm name with
@@ -324,7 +345,7 @@ and subscripts vm ~mask (args : expr list) : sub array =
 and index_global vm ~mask (a : arr) (args : expr list) : Pval.t =
   let subs = subscripts vm ~mask args in
   let idx = Array.make (Array.length subs) 0 in
-  if Array.exists is_lanes subs then gather ~mask a idx ~lead:false subs
+  if Array.exists is_lanes subs then gather vm ~mask a idx ~lead:false subs
   else begin
     fill_index idx ~lead:false subs 0;
     Pval.FScalar (arr_get a idx)
@@ -333,43 +354,48 @@ and index_global vm ~mask (a : arr) (args : expr list) : Pval.t =
 and index_plural_arr vm ~mask (a : arr) (args : expr list) : Pval.t =
   let subs = subscripts vm ~mask args in
   let idx = Array.make (Array.length subs + 1) 0 in
-  gather ~mask a idx ~lead:true subs
+  gather vm ~mask a idx ~lead:true subs
 
 and eval_call vm ~mask name args : Pval.t =
   let key = String.lowercase_ascii name in
   if is_reduction key then begin
-    reduction vm ~loc:vm.cur_loc ~active:(active_count mask) mask Array.copy;
+    reduction vm ~loc:vm.cur_loc mask;
     let a =
       match args with
       | [ a ] -> a
       | _ -> Errors.runtime_error "%s expects one argument" name
     in
     let v = eval vm ~mask a in
-    Pval.FScalar (Pval.reduction ~mask ~exact:(is_exact a) ~name key v)
+    Pval.FScalar
+      (Pval.reduction ~run:vm.serial ~join:ignore ~scratch:(Lazy.force vm.red)
+         ~mask ~exact:(is_exact a) ~name key v)
   end
   else
     let func = Hashtbl.find_opt vm.funcs key in
     let vargs = List.map (eval vm ~mask) args in
     (* one function of the arguments, resolved once per vector: the
        registered per-lane function, else the intrinsic *)
-    let f =
+    let apply =
       match func with
-      | Some (f, _pure) -> fun args -> Some (f args)
-      | None -> Intrinsics.resolve key
-    in
-    let apply args =
-      match f args with
-      | Some r -> r
-      | None -> Errors.runtime_error "unknown function %s" name
+      | Some (f, _pure) -> f
+      | None -> (
+          let f = Intrinsics.resolve key in
+          fun args ->
+            match f args with
+            | Some r -> r
+            | None -> Errors.runtime_error "unknown function %s" name)
     in
     if List.exists Pval.is_plural vargs then
       (* lane-wise call: an intrinsic with a lane loop unless a
          registered function overrides it, else one call per lane *)
       match
-        if Option.is_none func then lane_intrinsic ~mask key vargs else None
+        if Option.is_none func then lane_intrinsic vm ~mask key vargs
+        else None
       with
       | Some r -> r
-      | None -> Pval.map_active ~mask (fun i -> apply (lane_args vargs i))
+      | None ->
+          Pval.Plural
+            (Pval.map_active ~mask (fun i -> apply (lane_args vargs i)))
     else
       let front = function
         | Pval.FScalar v -> v
@@ -395,16 +421,15 @@ and lane_args vargs i =
     side has the variable's lane type, else through the boxed view into
     a fresh, re-specialized vector. *)
 let write_plural vm name (lanes : Frame.lanes) ~mask rhs =
+  let run = vm.serial and bp = mask.Frame.Mask.bits in
   match (lanes, view rhs) with
-  | Frame.LInt d, VI x -> Scalar_ops.int_blit ~mask d x
-  | Frame.LReal d, VR x -> Scalar_ops.real_blit ~mask d x
-  | Frame.LBool d, VB x -> Scalar_ops.bool_blit ~mask d x
+  | Frame.LInt d, VI x -> Scalar_ops.map1_i run bp None d x
+  | Frame.LReal d, VR x -> Scalar_ops.map1_r run bp None d x
+  | Frame.LBool d, VB x -> Scalar_ops.map1_b run bp None d x
   | _ ->
-      if Array.exists Fun.id mask then begin
+      if Frame.Mask.active mask > 0 then begin
         let vs = Frame.values_of_lanes lanes in
-        Array.iteri
-          (fun i active -> if active then vs.(i) <- Pval.lane rhs i)
-          mask;
+        Scalar_ops.fill_v run bp vs (Pval.lane rhs);
         Hashtbl.replace vm.vars name (VPlural (Frame.lanes_of_values vs))
       end
 
@@ -435,7 +460,7 @@ let assign vm ~mask (l : lvalue) (rhs : Pval.t) =
       let subs = subscripts vm ~mask idxs in
       let idx = Array.make (Array.length subs) 0 in
       if Array.exists is_lanes subs || Pval.is_plural rhs then
-        scatter ~mask a idx ~lead:false subs rhs
+        scatter vm ~mask a idx ~lead:false subs rhs
       else begin
         let v = Pval.as_front_scalar rhs in
         fill_index idx ~lead:false subs 0;
@@ -444,7 +469,7 @@ let assign vm ~mask (l : lvalue) (rhs : Pval.t) =
   | Some (VPluralArr a), idxs ->
       let subs = subscripts vm ~mask idxs in
       let idx = Array.make (Array.length subs + 1) 0 in
-      scatter ~mask a idx ~lead:true subs rhs
+      scatter vm ~mask a idx ~lead:true subs rhs
   | None, [] ->
       (* implicit front-end scalar, or plural if the value is plural *)
       (match rhs with
@@ -459,51 +484,16 @@ let assign vm ~mask (l : lvalue) (rhs : Pval.t) =
   | Some (VScalar _), _ :: _ | Some (VPlural _), _ :: _ ->
       Errors.runtime_error "%s is scalar but indexed" l.lv_name
 
-(* The true- and false-branch masks of a WHERE over condition [cv]: one
-   pass, converting each active lane once in ascending order. *)
-let where_masks mask cv =
-  let p = Array.length mask in
-  let mt = Array.make p false and mf = Array.make p false in
-  (match cv with
-  | Pval.Plural (Frame.LBool a) ->
-      for i = 0 to p - 1 do
-        if mask.(i) then if a.(i) then mt.(i) <- true else mf.(i) <- true
-      done
-  | _ ->
-      for i = 0 to p - 1 do
-        if mask.(i) then
-          if as_bool (Pval.lane cv i) then mt.(i) <- true else mf.(i) <- true
-      done);
-  (mt, mf)
+(* A spare mask: one a finished WHERE gave back, else a new one.  A
+   WHERE left by an exception does not give its masks back. *)
+let take_mask vm =
+  match vm.spare_masks with
+  | m :: rest ->
+      vm.spare_masks <- rest;
+      m
+  | [] -> Frame.Mask.create_empty vm.p
 
-(* A vector-controlled WHILE test (§2): all active lanes must agree. *)
-let while_test mask (l : Frame.lanes) =
-  let divergent () =
-    Errors.runtime_error "vector-controlled WHILE with divergent lane values"
-  in
-  match l with
-  | Frame.LBool a ->
-      let first = ref None in
-      Array.iteri
-        (fun i active ->
-          if active then
-            match !first with
-            | None -> first := Some a.(i)
-            | Some b -> if a.(i) <> b then divergent ())
-        mask;
-      Option.value !first ~default:false
-  | _ -> (
-      let vals = ref [] in
-      for i = Array.length mask - 1 downto 0 do
-        if mask.(i) then vals := Frame.lane_value l i :: !vals
-      done;
-      match !vals with
-      | [] -> false
-      | v :: rest ->
-          if List.for_all (Values.equal_value v) rest then as_bool v
-          else divergent ())
-
-let rec exec vm ~(mask : bool array) (s : stmt) : unit =
+let rec exec vm ~(mask : Frame.Mask.t) (s : stmt) : unit =
   match s with
   | SLoc (loc, s) ->
       (* set the location for event attribution; locate runtime errors
@@ -531,11 +521,11 @@ let rec exec vm ~(mask : bool array) (s : stmt) : unit =
       let key = String.lowercase_ascii name in
       match Hashtbl.find_opt vm.procs key with
       | Some f ->
-          call vm key ~loc:vm.cur_loc ~active:(active_count mask) mask
-            Array.copy;
+          call vm key ~loc:vm.cur_loc mask;
           (* the procedure owns its arguments: plurals are copied, since
              an [EVar] read shares the variable's lanes *)
-          f vm ~mask
+          f vm
+            ~mask:(Frame.Mask.to_bool_array mask)
             (List.map
                (fun e ->
                  match eval vm ~mask e with
@@ -557,9 +547,11 @@ let rec exec vm ~(mask : bool array) (s : stmt) : unit =
   | SWhere (c, t, f) ->
       let cv = eval vm ~mask c in
       tick vm ~mask ~kind:Lf_obs.Trace.Where;
-      let mt, mf = where_masks mask cv in
+      let mt = take_mask vm and mf = take_mask vm in
+      Pval.split ~mask cv mt mf;
       if t <> [] then exec_block vm ~mask:mt t;
-      if f <> [] then exec_block vm ~mask:mf f
+      if f <> [] then exec_block vm ~mask:mf f;
+      vm.spare_masks <- mt :: mf :: vm.spare_masks
   | SWhile (c, body) ->
       let continue_ () =
         match eval vm ~mask c with
@@ -568,7 +560,7 @@ let rec exec vm ~(mask : bool array) (s : stmt) : unit =
             as_bool v
         | Pval.Plural l ->
             tick vm ~mask ~kind:Lf_obs.Trace.While;
-            while_test mask l
+            Pval.while_test ~mask l
         | Pval.FArr _ -> Errors.runtime_error "array condition"
       in
       while continue_ () do

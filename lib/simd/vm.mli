@@ -22,6 +22,8 @@ type proc = t -> mask:bool array -> Pval.t list -> unit
 
 and t = Vmstate.t = {
   p : int;  (** number of lanes *)
+  serial : Scalar_ops.run;
+      (** the lane runner of one pass over every lane, in lane order *)
   vars : (string, entry) Hashtbl.t;
   metrics : Metrics.t;
   mutable fuel : int;
@@ -36,6 +38,11 @@ and t = Vmstate.t = {
           step, no allocation) until a sink is attached *)
   mutable cur_loc : Errors.pos;
       (** location of the innermost [SLoc]-wrapped statement executing *)
+  mutable spare_masks : Frame.Mask.t list;
+      (** the tree-walker's WHERE masks, kept for the next WHERE *)
+  red : Scalar_ops.scratch Lazy.t;
+      (** the tree-walker's reduction partials, made at its first
+          reduction *)
 }
 
 val create : ?fuel:int -> p:int -> unit -> t
@@ -73,7 +80,8 @@ val add_trace_sink : t -> Lf_obs.Trace.sink -> unit
 val register_func :
   t -> ?pure:bool -> string -> (Values.value list -> Values.value) -> unit
 
-val full_mask : t -> bool array
+(** A fresh all-active mask. *)
+val full_mask : t -> Frame.Mask.t
 
 (* variable binding *)
 
@@ -91,8 +99,8 @@ val read_global : t -> string -> Values.arr
 
 (* execution *)
 
-val exec : t -> mask:bool array -> Ast.stmt -> unit
-val exec_block : t -> mask:bool array -> Ast.block -> unit
+val exec : t -> mask:Frame.Mask.t -> Ast.stmt -> unit
+val exec_block : t -> mask:Frame.Mask.t -> Ast.block -> unit
 
 (** Allocate declared variables (plural scalars get one slot per lane,
     plural arrays a leading lane dimension); pre-seeded bindings are

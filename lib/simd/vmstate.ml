@@ -19,6 +19,7 @@ type proc = t -> mask:bool array -> Pval.t list -> unit
 
 and t = {
   p : int;
+  serial : Scalar_ops.run;
   vars : (string, entry) Hashtbl.t;
   metrics : Metrics.t;
   mutable fuel : int;
@@ -28,12 +29,15 @@ and t = {
   mutable deadline : (int * string) option;
   trace : Lf_obs.Trace.t;
   mutable cur_loc : Errors.pos;
+  mutable spare_masks : Frame.Mask.t list;
+  red : Scalar_ops.scratch Lazy.t;
 }
 
 let create ?(fuel = 50_000_000) ~p () =
   let vm =
     {
       p;
+      serial = (fun f -> f 0 0 p);
       vars = Hashtbl.create 64;
       metrics = Metrics.create ();
       fuel;
@@ -43,6 +47,8 @@ let create ?(fuel = 50_000_000) ~p () =
       deadline = None;
       trace = Lf_obs.Trace.create ();
       cur_loc = Errors.no_pos;
+      spare_masks = [];
+      red = lazy (Scalar_ops.scratch ~lanes:p ~shards:1);
     }
   in
   (* the predefined plural processor index, matching Lf_core.Simdize.iproc *)
@@ -72,14 +78,12 @@ let set_deadline vm ~at_ns msg =
 (* Step accounting                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Each charge takes the issuing statement's location, the mask's
-   active-lane count and the mask itself with a static converter to a
-   fresh [bool array] ([Array.copy] for the tree-walker's [bool array],
-   [Frame.Mask.to_bool_array] for the compiled engine's bitset), which
-   runs only when a trace sink is attached, so a charge allocates
-   nothing otherwise.  A caller whose lane loops may still be pending
-   joins them before charging while tracing: the event must follow an
-   earlier lane error. *)
+(* Each charge takes the issuing statement's location and the step's
+   activity mask, the one mask type of both engines; the event's fresh
+   [bool array] copy is made only when a trace sink is attached, so a
+   charge allocates nothing otherwise.  A caller whose lane loops may
+   still be pending joins them before charging while tracing: the event
+   must follow an earlier lane error. *)
 
 (* Telemetry (all recording is behind one flat [Stats.enabled] branch,
    mirroring the trace sinks): dispatch counts and mask-density buckets
@@ -98,41 +102,42 @@ let burn vm =
   | Some (at_ns, msg) ->
       if Int64.to_int (Stats.now_ns ()) > at_ns then raise (Timed_out msg)
 
-let emit vm ~loc ~kind ~active mask bools =
+let emit vm ~loc ~kind (m : Frame.Mask.t) =
   if vm.trace.Lf_obs.Trace.enabled then
     Lf_obs.Trace.emit vm.trace
       {
         loc;
         step = vm.metrics.Metrics.steps;
-        active;
+        active = Frame.Mask.active m;
         p = vm.p;
         kind;
-        mask = bools mask;
+        mask = Frame.Mask.to_bool_array m;
       }
 
 (** One vector step: [Metrics], telemetry, a trace event, one unit of
     fuel and the deadline check. *)
-let tick_vector vm ~loc ~kind ~active mask bools =
+let tick_vector vm ~loc ~kind m =
+  let active = Frame.Mask.active m in
   Metrics.vector_step vm.metrics ~active ~p:vm.p;
   if Stats.enabled () then begin
     Stats.incr (Stats.dispatch_counter kind);
     Stats.incr (Stats.mask_counter ~active ~p:vm.p)
   end;
-  emit vm ~loc ~kind ~active mask bools;
+  emit vm ~loc ~kind m;
   burn vm
 
 (** One global reduction tree: counted and traced, but not a step. *)
-let reduction vm ~loc ~active mask bools =
+let reduction vm ~loc m =
   Metrics.reduction vm.metrics;
   if Stats.enabled () then
     Stats.incr (Stats.dispatch_counter Lf_obs.Trace.Reduce);
-  emit vm ~loc ~kind:Lf_obs.Trace.Reduce ~active mask bools
+  emit vm ~loc ~kind:Lf_obs.Trace.Reduce m
 
 (** One external CALL of subroutine [key]: counted, then a vector
     step. *)
-let call vm key ~loc ~active mask bools =
+let call vm key ~loc m =
   Metrics.call vm.metrics key;
-  tick_vector vm ~loc ~kind:Lf_obs.Trace.Call ~active mask bools
+  tick_vector vm ~loc ~kind:Lf_obs.Trace.Call m
 
 (** One control-unit (front-end) step. *)
 let tick_frontend vm =

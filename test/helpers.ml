@@ -69,6 +69,30 @@ let trips_gen =
     let* l = array_size (return k) (0 -- 5) in
     return (p, l))
 
+(** The QCheck seed of this process: [QCHECK_SEED] when set, else drawn
+    once.  Every property starts from it, and a failing one prints it,
+    so its report is enough to replay the failure. *)
+let qcheck_seed =
+  lazy
+    (match Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt with
+    | Some s -> s
+    | None ->
+        Random.self_init ();
+        Random.int 1_000_000_000)
+
+(** A QCheck test as an Alcotest case, seeded by [qcheck_seed]. *)
+let qcheck_test (t : QCheck.Test.t) =
+  let seed = Lazy.force qcheck_seed in
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) t
+  in
+  ( name,
+    speed,
+    fun () ->
+      try run ()
+      with e ->
+        Printf.printf "QCHECK_SEED=%d\n%!" seed;
+        raise e )
+
 let qcheck_case ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count ~name (QCheck.make gen) prop)
+  qcheck_test (QCheck.Test.make ~count ~name (QCheck.make gen) prop)

@@ -224,7 +224,7 @@ let source_gen =
   return (List.fold_left splice (Pretty.program_to_string prog) edits)
 
 let prop_oracle =
-  QCheck_alcotest.to_alcotest
+  qcheck_test
     (QCheck.Test.make ~count:300
        ~name:"tokens, positions and errors equal the old lexer's"
        (QCheck.make ~print:(Fmt.str "%S") source_gen)

@@ -45,4 +45,5 @@ let () =
       ("fuzz", Test_fuzz.suite);
       ("report", Test_report.suite);
       ("progcache", Test_progcache.suite);
+      ("lanes", Test_lanes.suite);
     ]

@@ -169,13 +169,13 @@ let t_writer_pieces () =
     [ ""; "abc"; "a\"b"; "back\\slash"; "tab\tnl\ncr\r"; "\000\031\127\200" ]
 
 let prop_escape =
-  QCheck_alcotest.to_alcotest
+  qcheck_test
     (QCheck.Test.make ~count:1000 ~name:"escape_string equals the old escape"
        QCheck.(string_gen QCheck.Gen.char)
        (fun s -> String.equal (old_escape s) (via Json.escape_string s)))
 
 let prop_float_literal =
-  QCheck_alcotest.to_alcotest
+  qcheck_test
     (QCheck.Test.make ~count:2000 ~name:"float_literal equals the Printf form"
        QCheck.float
        (fun f -> String.equal (old_float_literal f) (Json.float_literal f)))

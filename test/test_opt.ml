@@ -403,12 +403,14 @@ let t_alloc_gate () =
 
 (* The tree-walking reference engine on the same run, read with
    [Gc.minor_words] around the whole [Vm.run], setup included.  Budget = this
-   engine's reading (dev profile) since it keeps plural values as typed
-   lane vectors and runs each vector instruction as one unboxed loop; it
-   read 7,223,544 while every lane was a boxed value, and 37,425,387
+   engine's reading (dev profile) since it runs each typed vector
+   instruction through the shared lane kernels over byte masks, reusing
+   its WHERE masks, and calls a registered function per lane without an
+   option box; it read 2,784,539 with [bool array] masks and loops of
+   its own, 7,223,544 while every lane was a boxed value, and 37,425,387
    before it stopped copying a plural on every variable read and
    resolving names, operand shapes and index lists per lane. *)
-let treewalk_alloc_budget = 2_784_549.
+let treewalk_alloc_budget = 2_488_934.
 
 let t_treewalk_alloc_gate () =
   let run = nbforce_1024 ~engine:`Tree_walk () in

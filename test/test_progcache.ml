@@ -585,7 +585,7 @@ let t_fill_array_edges () =
         "1,2,bogus,nan"; "1_000,2"; " 1,2" ])
 
 let prop_fill_array_oracle =
-  QCheck_alcotest.to_alcotest
+  qcheck_test
     (QCheck.Test.make ~count:500
        ~name:"fill_array equals the split-then-convert reading"
        (QCheck.make ~print:(Fmt.str "%S") fill_string_gen)

@@ -58,7 +58,7 @@ let boxed = function
   | Pv.Plural l -> Some (Frame.values_of_lanes l)
   | _ -> None
 
-let mask = [| true; false; true |]
+let mask = Frame.Mask.of_bool_array [| true; false; true |]
 
 let t_pval_lift () =
   let a = Pv.Plural (Frame.LBox [| VInt 1; VInt 2; VInt 3 |]) in
@@ -89,7 +89,7 @@ let t_pval_reduce () =
       a
   in
   checki "masked max skips lane 2" 5 (as_int m);
-  let none = Array.make 3 false in
+  let none = Frame.Mask.create_empty 3 in
   checki "empty mask yields empty value" 42
     (as_int (Pv.reduce ~mask:none ~empty:(VInt 42) (fun x _ -> x) a))
 

@@ -25,7 +25,13 @@ let t_identities () =
   checks "negated eq" "i /= k" (simp ".NOT. (i == k)");
   checks "a + x - a (partition arithmetic)" "x" (simp "(1 + x) - 1");
   checks "div by 1" "x" (simp "x / 1");
-  checks "exact const div" "4" (simp "8 / 2")
+  checks "exact const div" "4" (simp "8 / 2");
+  (* combined constants that cancel: one pass reaches the normal form *)
+  checks "x + 5 + -5" "x" (simp "x + 5 + -5");
+  checks "x - 5 - -5" "x" (simp "x - 5 - -5");
+  checks "cancelling constants inside a sum"
+    "b + (4 + .TRUE. - a(j, 7))"
+    (simp "b + 5 + -5 + (4 + .TRUE. - a(j, 7))")
 
 let t_no_unsound_div () =
   (* 7/2 in integers is 3; the simplifier must not fold it as 3.5 or

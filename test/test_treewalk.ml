@@ -128,7 +128,7 @@ let mutant_gen =
 let print_prog = Pretty.program_to_string
 
 let prop name count gen =
-  QCheck_alcotest.to_alcotest
+  qcheck_test
     (QCheck.Test.make ~count ~name (QCheck.make ~print:print_prog gen)
        (agrees_at gen_ps))
 
