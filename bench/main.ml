@@ -12,7 +12,7 @@
    fig18.csv into DIR for external plotting.
 
    With [--paired NAME]: run no experiment; instead time the legs of one
-   named entry of [pairs] (jobs, stats, rangeopt, cache) against each
+   named entry of [pairs] (jobs, stats, cache) against each
    other in one process, and end stdout with one JSON line holding every
    pair's ratios.
 
@@ -85,31 +85,6 @@ let nbforce_runner ~p =
 
 let engine_p = 1024
 
-(* A scatter-dominated kernel in the flattened shape: a strided
-   induction vector walking a global array with a gather-modify-scatter
-   in the guarded body.  At -O2 the WHERE guard's [i <= n] bound
-   discharges both per-lane bounds checks. *)
-let scatter_runner ~p =
-  let n = 64 * p in
-  let src =
-    Printf.sprintf
-      "i = 1 + (iproc - 1)\n\
-       WHILE (any(i <= n))\n\
-      \  WHERE (i <= n)\n\
-      \    g(i) = g(i) * 3 + i\n\
-      \    i = i + %d\n\
-      \  ENDWHERE\n\
-       ENDWHILE"
-      p
-  in
-  let prog = Ast.program "scatter" (Parser.block_of_string src) in
-  fun ?opt engine () ->
-    Lf_simd.Vm.run ~engine ?opt ~p
-      ~setup:(fun vm ->
-        Lf_simd.Vm.bind_scalar vm "n" (Values.VInt n);
-        Lf_simd.Vm.bind_global vm "g" (Values.AInt (Nd.create [| n |] 0)))
-      prog
-
 (* ------------------------------------------------------------------ *)
 (* Paired in-process measurements                                      *)
 (* ------------------------------------------------------------------ *)
@@ -161,20 +136,6 @@ let pairs =
             (Printf.sprintf "NBFORCE flat p=%d compiled" engine_p)
             ("stats off", run `Compiled) ("stats on", on);
         ] );
-    (* -O2's bounds-check discharge (above 1.0 = -O2 faster) *)
-    ( "rangeopt",
-      fun () ->
-        let nbforce = nbforce_runner ~p:engine_p in
-        let scatter = scatter_runner ~p:engine_p in
-        List.map
-          (fun (kernel, run) ->
-            pair
-              (Printf.sprintf "%s p=%d compiled" kernel engine_p)
-              ("-O1", run 1) ("-O2", run 2))
-          [
-            ("NBFORCE flat", fun opt -> nbforce ~opt `Compiled);
-            ("scatter stride", fun opt -> scatter ~opt `Compiled);
-          ] );
     (* the small repeat workload from source with no cache (the whole
        parse -> lower -> optimize front end) against a shared cache that
        the warm-up run fills, so every measured warm run is a hit.

@@ -1,4 +1,4 @@
-(* Option values shared by simdsim and simdbatch. *)
+(* Option values shared by flattenc, simdsim and simdbatch. *)
 
 open Cmdliner
 
@@ -11,6 +11,19 @@ let int_at_least ~name min =
     | Ok n when n < min ->
         Error (`Msg (Fmt.str "%s = %d: must be >= %d" name n min))
     | r -> r
+  in
+  Arg.conv (parse, Fmt.int)
+
+(** The [-O] level: 0, 1 or 2, anything else a usage error (exit 124).
+    Level 2 is accepted and runs the [-O1] pipeline. *)
+let olevel_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 && n <= 2 -> Ok n
+    | Some n ->
+        Error
+          (`Msg (Fmt.str "invalid optimizer level %d: expected 0, 1 or 2" n))
+    | None -> Error (`Msg (Fmt.str "invalid optimizer level %S" s))
   in
   Arg.conv (parse, Fmt.int)
 

@@ -25,6 +25,15 @@ let decomp_conv =
   Arg.enum
     [ ("block", Lf_core.Simdize.Block); ("cyclic", Lf_core.Simdize.Cyclic) ]
 
+(* With --check: report the transformed program's type diagnostics and
+   refuse to print it on errors. *)
+let typecheck_fails prog =
+  let report = Lf_lang.Typecheck.check_program prog in
+  List.iter
+    (fun d -> Fmt.epr "%a@." Lf_lang.Typecheck.pp_diagnostic d)
+    (report.Lf_lang.Typecheck.errors @ report.Lf_lang.Typecheck.warnings);
+  report.Lf_lang.Typecheck.errors <> []
+
 (* With --lint: report located diagnostics and refuse on errors. *)
 let lint_refuses ~path ~src ~pure_subs prog =
   let report =
@@ -96,16 +105,8 @@ let run path variant target decomp p olevel dump_ir naive assume_nonempty
       | Error e ->
           Fmt.epr "flattenc: %s@." e;
           1
+      | Ok o when check && typecheck_fails o.Lf_core.Pipeline.program -> 1
       | Ok o ->
-          if check then begin
-            let report =
-              Lf_lang.Typecheck.check_program o.Lf_core.Pipeline.program
-            in
-            List.iter
-              (fun d -> Fmt.epr "%a@." Lf_lang.Typecheck.pp_diagnostic d)
-              (report.Lf_lang.Typecheck.errors
-              @ report.Lf_lang.Typecheck.warnings)
-          end;
           if verbose then begin
             Fmt.epr "variant:    %s@."
               (Lf_core.Flatten.variant_to_string
@@ -168,28 +169,16 @@ let cmd =
       & info [ "p"; "nproc" ] ~doc:"Processor count for the SIMD target.")
   in
   let olevel =
-    let olevel_conv =
-      let parse s =
-        match int_of_string_opt s with
-        | Some n when n >= 0 && n <= 2 -> Ok n
-        | Some n ->
-            Error
-              (`Msg
-                (Fmt.str "invalid optimizer level %d: expected 0, 1 or 2" n))
-        | None -> Error (`Msg (Fmt.str "invalid optimizer level %S" s))
-      in
-      Arg.conv (parse, Fmt.int)
-    in
     Arg.(
       value
-      & opt olevel_conv 1
+      & opt Cli.olevel_conv 1
       & info [ "O"; "opt-level" ] ~docv:"LEVEL"
           ~doc:
             "Optimizer level for $(b,--dump-ir): $(b,0) dumps the \
              unannotated slot-resolved IR, $(b,1) (the default) the IR \
              after reduction fusion, scatter-accumulate marking and \
-             scratch planning, $(b,2) additionally the range claims.  Has \
-             no effect on the printed program.")
+             scratch planning; $(b,2) is accepted and runs the $(b,1) \
+             pipeline.  Has no effect on the printed program.")
   in
   let dump_ir =
     Arg.(
@@ -238,7 +227,9 @@ let cmd =
     Arg.(
       value & flag
       & info [ "check" ]
-          ~doc:"Typecheck the transformed program and report diagnostics.")
+          ~doc:
+            "Typecheck the transformed program and report diagnostics; \
+             on a type error print no program and exit 1.")
   in
   let lint =
     Arg.(

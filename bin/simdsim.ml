@@ -518,30 +518,17 @@ let cmd =
       & info [ "lanes" ] ~doc:"SIMD lane count (P), at least 1.")
   in
   let olevel =
-    let olevel_conv =
-      let parse s =
-        match int_of_string_opt s with
-        | Some n when n >= 0 && n <= 2 -> Ok n
-        | Some n ->
-            Error
-              (`Msg
-                (Fmt.str "invalid optimizer level %d: expected 0, 1 or 2" n))
-        | None -> Error (`Msg (Fmt.str "invalid optimizer level %S" s))
-      in
-      Arg.conv (parse, Fmt.int)
-    in
     Arg.(
       value
-      & opt olevel_conv 1
+      & opt Cli.olevel_conv 1
       & info [ "O"; "opt-level" ] ~docv:"LEVEL"
           ~doc:
             "Compiled-engine optimizer level: $(b,0) runs the unoptimized \
              per-operator closures, $(b,1) (the default) enables fused \
              reductions, merged scatter-accumulates and scratch-slot \
-             reuse, $(b,2) adds value-range analysis (bounds-check discharge on \
-             gathers and scatters).  All levels \
-             are bit-identical on state, metrics, traces and errors; only \
-             the wall-clock changes.  Ignored by $(b,tree-walk) and \
+             reuse; $(b,2) is accepted and runs the $(b,1) pipeline.  All \
+             levels are bit-identical on state, metrics, traces and errors; \
+             only the wall-clock changes.  Ignored by $(b,tree-walk) and \
              $(b,--seq).")
   in
   let dump_ir =
@@ -572,10 +559,9 @@ let cmd =
       & info [ "verify-ir" ]
           ~doc:
             "Run the typed IR verifier after lowering and after every \
-             optimizer phase (slot typing, def-before-use, scratch \
-             interference, mask shapes, and every $(b,-O2) range claim \
-             re-proved from scratch); print \
-             rule-coded diagnostics and exit 1 on a broken invariant.  \
+             optimizer phase (slot resolution, fused-region order and \
+             contents, scratch interference, scatter-accumulate shapes); \
+             print rule-coded diagnostics and exit 1 on a broken invariant.  \
              Requires a SIMD engine (conflicts with $(b,--seq)).")
   in
   let sets =

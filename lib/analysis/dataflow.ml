@@ -209,75 +209,3 @@ let live_out (l : liveness) node : string list = to_vars l l.lv_sol.out.(node)
 (** Variables live on entry to the whole block (at the CFG entry node). *)
 let live_at_entry (l : liveness) : string list =
   live_out l l.lv_cfg.Cfg.entry
-
-(* ------------------------------------------------------------------ *)
-(* Generic lattice fixpoint                                            *)
-(* ------------------------------------------------------------------ *)
-
-(** Forward fixpoint over an arbitrary (join-semi)lattice — the general
-    monotone framework behind the gen-kill instances above, used by the
-    value-range analysis ([Range]) whose facts are abstract environments
-    rather than bit sets.
-
-    The graph is given as successor lists over nodes [0 .. nnodes-1].
-    [init] seeds the entry node; unreachable nodes keep [bottom].
-    Outputs are accumulated with [join] (chaotic iteration ascends the
-    lattice even when [transfer] is not monotone, e.g. under strong
-    updates), and after a node has been visited more than [widen_after]
-    times its accumulated output is additionally passed through [widen]
-    — for lattices of infinite height the widening must force
-    stabilization (intervals jump to ±infinity).
-
-    Returns per-node input and output facts; a node's input is the join
-    of its predecessors' outputs. *)
-type 'a fixpoint = {
-  fp_in : 'a array;
-  fp_out : 'a array;
-}
-
-let solve_fix (type a) ~(nnodes : int) ~(succs : int list array)
-    ~(entry : int) ~(init : a) ~(bottom : a) ~(join : a -> a -> a)
-    ~(equal : a -> a -> bool) ~(transfer : int -> a -> a)
-    ?(widen : (a -> a -> a) option) ?(widen_after = 3) () : a fixpoint =
-  if nnodes = 0 then { fp_in = [||]; fp_out = [||] }
-  else begin
-    let preds = Array.make nnodes [] in
-    Array.iteri
-      (fun i ss -> List.iter (fun s -> preds.(s) <- i :: preds.(s)) ss)
-      succs;
-    let fp_in = Array.make nnodes bottom in
-    let fp_out = Array.make nnodes bottom in
-    let visits = Array.make nnodes 0 in
-    let queue = Queue.create () in
-    let inq = Array.make nnodes false in
-    let push i =
-      if not inq.(i) then begin
-        inq.(i) <- true;
-        Queue.add i queue
-      end
-    in
-    push entry;
-    while not (Queue.is_empty queue) do
-      let i = Queue.pop queue in
-      inq.(i) <- false;
-      let input =
-        List.fold_left
-          (fun acc p -> join acc fp_out.(p))
-          (if i = entry then init else bottom)
-          preds.(i)
-      in
-      fp_in.(i) <- input;
-      visits.(i) <- visits.(i) + 1;
-      let out = join fp_out.(i) (transfer i input) in
-      let out =
-        match widen with
-        | Some w when visits.(i) > widen_after -> w fp_out.(i) out
-        | _ -> out
-      in
-      if not (equal out fp_out.(i)) then begin
-        fp_out.(i) <- out;
-        List.iter push succs.(i)
-      end
-    done;
-    { fp_in; fp_out }
-  end

@@ -85,13 +85,14 @@ let run ?(seeds = []) (cfg : config) : report =
         let minimized =
           if not cfg.minimize then None
           else
-            let check i' =
+            let still_fails i' =
               match (Oracle.run ~fuel:cfg.fuel i').Oracle.verdict with
               | Oracle.Fail { oracle = o'; _ } -> o' = oracle
               | _ -> false
             in
             Some
-              (Reduce.minimize ~max_checks:cfg.max_shrink_checks ~check input)
+              (Reduce.minimize ~max_checks:cfg.max_shrink_checks ~still_fails
+                 input)
         in
         failures :=
           { f_input = input; f_oracle = oracle; f_detail = detail;

@@ -6,8 +6,8 @@
     parent operator, and collapsing each expression to a literal —
     accepting a candidate only when it is strictly smaller (statement
     count first, expression nodes second — strict decrease is what
-    guarantees termination) {e and} the caller's [check] still fails the
-    same way.  Every accepted candidate restarts the scan, so the result
+    guarantees termination) {e and} the caller's [still_fails] predicate
+    still holds.  Every accepted candidate restarts the scan, so the result
     is 1-minimal with respect to the candidate set, bounded by
     [max_checks] oracle replays. *)
 
@@ -54,11 +54,11 @@ let candidates (i : Input.t) : Ast.block Seq.t =
   Seq.concat
     (List.to_seq [ deletions; splices; hoists; literals ])
 
-(** [minimize ~check i] returns the smallest input found such that
-    [check] still holds (the caller's "fails the same oracle"
-    predicate).  [check i] itself is assumed true on entry. *)
-let minimize ?(max_checks = 800) ~(check : Input.t -> bool) (i0 : Input.t) :
-    Input.t =
+(** [minimize ~still_fails i] returns the smallest input found such
+    that [still_fails] holds (the caller's "fails the same oracle"
+    predicate).  [still_fails i] itself is assumed true on entry. *)
+let minimize ?(max_checks = 800) ~(still_fails : Input.t -> bool)
+    (i0 : Input.t) : Input.t =
   let checks = ref 0 in
   let rec improve cur =
     let mcur = measure cur in
@@ -71,7 +71,7 @@ let minimize ?(max_checks = 800) ~(check : Input.t -> bool) (i0 : Input.t) :
             let cand = with_body cur b in
             if measure cand < mcur then begin
               incr checks;
-              if check cand then Some cand else scan rest
+              if still_fails cand then Some cand else scan rest
             end
             else scan rest
     in

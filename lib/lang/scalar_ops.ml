@@ -264,34 +264,31 @@ let extent (d : _ Nd.t) k =
 
 (** Flat offset of the 1-based subscript [(j1, j2)] in a [d1 x d2]
     array (rank 1: [d2 = 1], [j2 = 1]), bounds-checked in dimension
-    order like [Nd.linear_index] unless [check] is off. *)
-let[@inline] offset ~check d1 d2 j1 j2 =
-  if check then begin
-    if j1 < 1 || j1 > d1 then Nd.index_error j1 d1 1;
-    if j2 < 1 || j2 > d2 then Nd.index_error j2 d2 2
-  end;
+    order like [Nd.linear_index]. *)
+let[@inline] offset d1 d2 j1 j2 =
+  if j1 < 1 || j1 > d1 then Nd.index_error j1 d1 1;
+  if j2 < 1 || j2 > d2 then Nd.index_error j2 d2 2;
   j1 - 1 + ((j2 - 1) * d1)
 
-let gather_i (run : run) bp ~check (r : int array) (d : int Nd.t) ix1 ix2 =
+let gather_i (run : run) bp (r : int array) (d : int Nd.t) ix1 ix2 =
   let d1 = extent d 0 and d2 = extent d 1 and data = d.Nd.data in
   run (fun _ lo hi ->
       let all = bp == all_lanes and k2 = bcast ix2 in
       for i = lo to hi - 1 do
         if all || Bytes.unsafe_get bp i <> '\000' then
           Array.unsafe_set r i
-            data.(offset ~check d1 d2 (Array.unsafe_get ix1 i)
+            data.(offset d1 d2 (Array.unsafe_get ix1 i)
                     (Array.unsafe_get ix2 (i land k2)))
       done)
 
-let gather_r (run : run) bp ~check (r : float array) (d : float Nd.t) ix1
-    ix2 =
+let gather_r (run : run) bp (r : float array) (d : float Nd.t) ix1 ix2 =
   let d1 = extent d 0 and d2 = extent d 1 and data = d.Nd.data in
   run (fun _ lo hi ->
       let all = bp == all_lanes and k2 = bcast ix2 in
       for i = lo to hi - 1 do
         if all || Bytes.unsafe_get bp i <> '\000' then
           Array.unsafe_set r i
-            data.(offset ~check d1 d2 (Array.unsafe_get ix1 i)
+            data.(offset d1 d2 (Array.unsafe_get ix1 i)
                     (Array.unsafe_get ix2 (i land k2)))
       done)
 
@@ -319,7 +316,7 @@ let gather_at_b (run : run) bp (r : bool array) (data : bool array) off =
           Array.unsafe_set r i data.(off i)
       done)
 
-let scatter_i (run : run) bp ~check (d : int Nd.t) ix1 ix2 op
+let scatter_i (run : run) bp (d : int Nd.t) ix1 ix2 op
     (x : int array) (y : int array) =
   let d1 = extent d 0 and d2 = extent d 1 and data = d.Nd.data in
   run (fun _ lo hi ->
@@ -328,7 +325,7 @@ let scatter_i (run : run) bp ~check (d : int Nd.t) ix1 ix2 op
       for i = lo to hi - 1 do
         if all || Bytes.unsafe_get bp i <> '\000' then begin
           let o =
-            offset ~check d1 d2 (Array.unsafe_get ix1 i)
+            offset d1 d2 (Array.unsafe_get ix1 i)
               (Array.unsafe_get ix2 (i land k2))
           in
           let v = Array.unsafe_get x (i land kx) in
@@ -339,7 +336,7 @@ let scatter_i (run : run) bp ~check (d : int Nd.t) ix1 ix2 op
         end
       done)
 
-let scatter_r (run : run) bp ~check (d : float Nd.t) ix1 ix2 op
+let scatter_r (run : run) bp (d : float Nd.t) ix1 ix2 op
     (x : float array) (y : float array) =
   let d1 = extent d 0 and d2 = extent d 1 and data = d.Nd.data in
   run (fun _ lo hi ->
@@ -348,7 +345,7 @@ let scatter_r (run : run) bp ~check (d : float Nd.t) ix1 ix2 op
       for i = lo to hi - 1 do
         if all || Bytes.unsafe_get bp i <> '\000' then begin
           let o =
-            offset ~check d1 d2 (Array.unsafe_get ix1 i)
+            offset d1 d2 (Array.unsafe_get ix1 i)
               (Array.unsafe_get ix2 (i land k2))
           in
           let v = Array.unsafe_get x (i land kx) in
@@ -398,12 +395,12 @@ let gather_cell (a : arr) f1 f2 =
   let offsets d =
     let d1 = extent d 0 and d2 = extent d 1 in
     match f2 with
-    | None -> fun i -> offset ~check:true d1 d2 (f1 i) 1
+    | None -> fun i -> offset d1 d2 (f1 i) 1
     | Some f2 ->
         fun i ->
           let j1 = f1 i in
           let j2 = f2 i in
-          offset ~check:true d1 d2 j1 j2
+          offset d1 d2 j1 j2
   in
   match a with
   | AInt d ->

@@ -82,18 +82,15 @@ val fill_v :
 (** {2 Gathers and scatters}
 
     Rank-1 or rank-2 arrays, 1-based subscripts; the second subscript
-    of a rank-1 access is the one-cell [[| 1 |]].  With [check], every
-    subscript is bounds-checked in dimension order with
-    [Nd.linear_index]'s message. *)
-
-(** Extent of dimension [k] (1 past the rank). *)
-val extent : 'a Nd.t -> int -> int
+    of a rank-1 access is the one-cell [[| 1 |]].  Every subscript is
+    bounds-checked in dimension order with [Nd.linear_index]'s
+    message. *)
 
 (** [r.(i) <- d(ix1.(i), ix2.(i))]. *)
-val gather_i : run -> Bytes.t -> check:bool -> int array -> int Nd.t ->
+val gather_i : run -> Bytes.t -> int array -> int Nd.t ->
   int array -> int array -> unit
 
-val gather_r : run -> Bytes.t -> check:bool -> float array -> float Nd.t ->
+val gather_r : run -> Bytes.t -> float array -> float Nd.t ->
   int array -> int array -> unit
 
 (** [r.(i) <- data.(off i)]: a gather through a per-lane flat offset,
@@ -110,10 +107,10 @@ val gather_at_b : run -> Bytes.t -> bool array -> bool array ->
 (** [d(ix1.(i), ix2.(i)) <- x.(i)], or [op x.(i) y.(i)] with an [op] of
     [+ - * /] or MOD; the subscript is checked before the value is
     read. *)
-val scatter_i : run -> Bytes.t -> check:bool -> int Nd.t -> int array ->
+val scatter_i : run -> Bytes.t -> int Nd.t -> int array ->
   int array -> Ast.binop option -> int array -> int array -> unit
 
-val scatter_r : run -> Bytes.t -> check:bool -> float Nd.t -> int array ->
+val scatter_r : run -> Bytes.t -> float Nd.t -> int array ->
   int array -> Ast.binop option -> float array -> float array -> unit
 
 (** {2 Per-lane cells}

@@ -57,18 +57,6 @@ let st_short_circuits = Stats.counter ~section:Stats.Opt "opt.short_circuits"
 let st_accum_merged =
   Stats.counter ~section:Stats.Opt "opt.accum_merged_runs"
 
-(* [-O2] range-analysis telemetry, same control-thread discipline:
-   [opt.nocheck_runs] counts executions of a gather/scatter loop whose
-   bounds checks the claim discharged, [opt.bounds_checks_discharged]
-   the per-lane checks those executions skipped (active lanes times
-   discharged dimensions). *)
-module Range = Lf_analysis.Range
-
-let st_nocheck_runs = Stats.counter ~section:Stats.Opt "opt.nocheck_runs"
-
-let st_checks_discharged =
-  Stats.counter ~section:Stats.Opt "opt.bounds_checks_discharged"
-
 (* ------------------------------------------------------------------ *)
 (* Runtime values                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -456,12 +444,6 @@ type env = {
           captures it at compile time, so the run-time closures carry
           their source attribution for free *)
   opt : int;  (** optimizer level; gates the [-O1]-only emitter paths *)
-  mutable entry_ok : bool;
-      (** set by the [-O2] entry prologue, once per application of the
-          compiled body: the frame's [iproc] binding is the canonical
-          lane vector [1..P] this run.  Every interval claim may descend
-          from the analysis' [iproc] seed, so no claim-gated fast path
-          fires while this is [false] *)
 }
 type cexpr = Frame.Mask.t -> rv
 type cstmt = Frame.Mask.t -> unit
@@ -498,62 +480,6 @@ let site_buffers env (scr : int) : bufs =
       (Frame.scr_real env.frame scr)
       (Frame.scr_bool env.frame scr)
   else bufs (Array.make env.p 0) (Array.make env.p 0.0) (Array.make env.p false)
-
-(* ------------------------------------------------------------------ *)
-(* -O2 claim discharge                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(** Resolve one symbolic claim bound against the live frame.
-    [Sym (v, c)] means "value of front-end scalar [v] at the claim
-    site, plus [c]" — and the guard runs exactly at the claim site, so
-    reading the current binding is the right evaluation. *)
-let resolve_bound env (b : Range.bound) : int option =
-  match b with
-  | Range.Fin n -> Some n
-  | Range.Sym (v, c) -> (
-      match Frame.slot_index env.frame v with
-      | None -> None
-      | Some si -> (
-          match Frame.get env.frame si with
-          | Frame.Scalar { contents = VInt n } -> Some (Range.sat_add n c)
-          | _ -> None))
-  | Range.NegInf | Range.PosInf -> None
-
-(** Per-execution discharge test for one subscript dimension: the
-    optimizer's interval claim, resolved now, must sit inside [1..dn],
-    and the entry prologue must have validated [iproc] this run.  The
-    claim is advisory — an unresolvable bound just keeps the checked
-    loop, never changes behaviour. *)
-let discharges env (claim : Range.iv option) (dn : int) : bool =
-  env.entry_ok
-  &&
-  match claim with
-  | None -> false
-  | Some iv ->
-      (match resolve_bound env iv.Range.lo with
-      | Some l -> l >= 1
-      | None -> false)
-      && (match resolve_bound env iv.Range.hi with
-         | Some h -> h <= dn
-         | None -> false)
-
-let nocheck_stats m ndims =
-  if Stats.enabled () then begin
-    Stats.incr st_nocheck_runs;
-    Stats.add st_checks_discharged (ndims * Frame.Mask.active m)
-  end
-
-(** Whether a typed gather or scatter pass over [d] keeps its per-lane
-    bounds checks.  All or nothing: every dimension's claim must
-    discharge, or the checked loop keeps its dimension-ordered error
-    contract. *)
-let bounds_checked env (m : Frame.Mask.t) (d : _ Nd.t) claim0 claim1 =
-  let nochk =
-    discharges env claim0 (Scalar_ops.extent d 0)
-    && (Nd.rank d = 1 || discharges env claim1 (Scalar_ops.extent d 1))
-  in
-  if nochk then nocheck_stats m (Nd.rank d);
-  not nochk
 
 (** The lane runner of a typed store pass into global storage.  Several
     lanes may store to the {e same} element of a global array, and the
@@ -883,7 +809,7 @@ and compile_call env scr name args : cexpr =
     let call_typed ~pure (call : int -> value) (m : Frame.Mask.t) : rv =
       let bp = m.Frame.Mask.bits and side = Lazy.force side in
       let run, ranges =
-        if pure then (run, exec.Pool.x_ranges) else (env.serial, [| (0, p) |])
+        if pure then (run, exec.Pool.x_shards) else (env.serial, [| (0, p) |])
       in
       Array.fill tags 0 (Array.length tags) 0;
       run (fun s lo hi ->
@@ -1028,14 +954,6 @@ and compile_index env scr si name args : cexpr =
   let frame = env.frame in
   let cargs = List.map (compile_expr env) args in
   let nargs = List.length args in
-  (* [-O2] interval claims on the subscripts ([Opt.annotate_ranges]),
-     captured at compile time; [discharges] re-resolves them per
-     execution against the live frame *)
-  let claim0 =
-    match args with a :: _ -> a.Ir.x_range | [] -> None
-  and claim1 =
-    match args with _ :: a :: _ -> a.Ir.x_range | _ -> None
-  in
   let scratch = Array.make nargs 0 in
   let scratch1 = Array.make (nargs + 1) 0 in
   (* the name may turn out to be a function at run time (tree-walker
@@ -1044,7 +962,6 @@ and compile_index env scr si name args : cexpr =
   let exec = env.exec in
   let run = exec.Pool.x_run in
   let b = site_buffers env scr in
-  let checked m d = bounds_checked env m d claim0 claim1 in
   (* The generic gather: each lane's subscript vector is staged in a
      scratch buffer (the compile-time one serially, a fresh shard-local
      one per shard under the pool) and read through [Nd.get].  A plural
@@ -1083,12 +1000,12 @@ and compile_index env scr si name args : cexpr =
         let ivs = List.map (fun c -> c m) cargs in
         match (ivs, a) with
         | ([ RI ix ] | [ RI ix; RI _ ]), AInt d when Nd.rank d = nargs ->
-            Scalar_ops.gather_i run m.Frame.Mask.bits ~check:(checked m d)
-              b.ri d ix (subscript2 ivs);
+            Scalar_ops.gather_i run m.Frame.Mask.bits b.ri d ix
+              (subscript2 ivs);
             b.res_i
         | ([ RI ix ] | [ RI ix; RI _ ]), AReal d when Nd.rank d = nargs ->
-            Scalar_ops.gather_r run m.Frame.Mask.bits ~check:(checked m d)
-              b.rr d ix (subscript2 ivs);
+            Scalar_ops.gather_r run m.Frame.Mask.bits b.rr d ix
+              (subscript2 ivs);
             b.res_r
         | _ ->
             let sels = List.map rv_sel ivs in
@@ -1147,12 +1064,6 @@ and compile_assign env (l : Ir.lv) : Frame.Mask.t -> rv -> unit =
       let scratch1 = Array.make (nargs + 1) 0 in
       let exec = env.exec in
       let run = exec.Pool.x_run in
-      (* [-O2] interval claim on the store subscript, gated by the
-         entry prologue per execution *)
-      let claim0 = match idxs with ix :: _ -> ix.Ir.x_range | [] -> None in
-      (* typed stores; claims are kept for the first subscript only, so
-         a rank-2 store stays checked like the generic scatter below *)
-      let mode m d = (bounds_checked env m d claim0 None, store_run env) in
       let scatter a m rhs fs ~plural_arr =
         (* The generic scatter: global-array scatters run serially on
            the control thread, after a join (lane-order collisions, see
@@ -1187,18 +1098,16 @@ and compile_assign env (l : Ir.lv) : Frame.Mask.t -> rv -> unit =
             match (ivs, a, rhs) with
             | ([ RI ix ] | [ RI ix; RI _ ]), AInt d, (RI _ | RS (VInt _))
               when Nd.rank d = nargs ->
-                let check, run = mode m d in
+                let run = store_run env in
                 let x = int_view rhs in
-                Scalar_ops.scatter_i run bp ~check d ix (subscript2 ivs) None x
-                  x
+                Scalar_ops.scatter_i run bp d ix (subscript2 ivs) None x x
             | ( ([ RI ix ] | [ RI ix; RI _ ]),
                 AReal d,
                 (RR _ | RI _ | RS (VReal _)) )
               when Nd.rank d = nargs ->
-                let check, run = mode m d in
+                let run = store_run env in
                 let x = real_view run rhs in
-                Scalar_ops.scatter_r run bp ~check d ix (subscript2 ivs) None x
-                  x
+                Scalar_ops.scatter_r run bp d ix (subscript2 ivs) None x x
             | _ ->
                 let sels = List.map rv_sel ivs in
                 if List.exists snd sels || rv_is_plural rhs then
@@ -1296,12 +1205,11 @@ and compile_accum env ast (l : Ir.lv) scr g rest : cstmt =
     (* the merged add-and-store pass; each lane adds into its own
        element (the gathered pre-statement values are already
        materialized in [gv]) *)
-    let merged d scatter =
+    let merged scatter =
       tick ();
       match cix m with
       | RI ix ->
-          let check = bounds_checked env m d sub.Ir.x_range None in
-          scatter (store_run env) m.Frame.Mask.bits ~check ix;
+          scatter (store_run env) m.Frame.Mask.bits ix;
           Stats.incr st_accum_merged
       | _ ->
           (* non-int-vector subscript: finish unfused (the vector tick
@@ -1313,12 +1221,12 @@ and compile_accum env ast (l : Ir.lv) scr g rest : cstmt =
         (* a serial store run joins first, so the promotion loop is
            complete when the store reads it *)
         let y = real_view exec.Pool.x_run rv in
-        merged d (fun run bp ~check ix ->
-            Scalar_ops.scatter_r run bp ~check d ix one (Some Add) x y)
+        merged (fun run bp ix ->
+            Scalar_ops.scatter_r run bp d ix one (Some Add) x y)
     | Frame.Global (AInt d), RI x when Nd.rank d = 1 && is_int rv ->
         let y = int_view rv in
-        merged d (fun run bp ~check ix ->
-            Scalar_ops.scatter_i run bp ~check d ix one (Some Add) x y)
+        merged (fun run bp ix ->
+            Scalar_ops.scatter_i run bp d ix one (Some Add) x y)
     | _ ->
         let rhs = add m gv rv in
         tick_assign env loc m rhs;
@@ -1566,39 +1474,8 @@ let emit ~vm ~frame ~exec ?(opt = 1) (ir : Ir.block) : Frame.Mask.t -> unit =
       serial = vm.Vmstate.serial;
       cur_loc = Errors.no_pos;
       opt;
-      entry_ok = false;
     }
   in
-  let cbody =
-    let body = compile_block env ir in
-    (* the end of the run is a join; so is an exception leaving it *)
-    fun m -> Pool.settle exec body m
-  in
-  if opt < 2 then cbody
-  else begin
-    (* [-O2] entry prologue: every interval claim may descend from the
-       analysis' [iproc = 1..P] seed, so each application of the
-       compiled body revalidates that the frame's [iproc] binding is
-       still the canonical lane vector before any claim-gated fast path
-       may fire.  The engines import the VM's
-       variable table before applying the body, so a caller-rebound
-       [iproc] is visible here; within a run, claims downstream of a
-       CALL never rely on [iproc] (the analysis havocs at calls). *)
-    let iproc = Frame.slot_index frame "iproc" in
-    fun m ->
-      env.entry_ok <-
-        (match iproc with
-        | None -> false
-        | Some si -> (
-            match Frame.get frame si with
-            | Frame.Plural (Frame.LInt a) ->
-                Array.length a = env.p
-                &&
-                let ok = ref true in
-                for i = 0 to env.p - 1 do
-                  if Array.unsafe_get a i <> i + 1 then ok := false
-                done;
-                !ok
-            | _ -> false));
-      cbody m
-  end
+  let body = compile_block env ir in
+  (* the end of the run is a join; so is an exception leaving it *)
+  fun m -> Pool.settle exec body m

@@ -26,9 +26,9 @@ val var_names : Ast.program -> string list
 
     [opt] (default 1) selects the optimizer level: 0 compiles each AST
     node to its own lane loop; 1 fuses reductions and two-operand stores,
-    merges scatter-accumulates and recycles scratch buffers; 2 adds
-    range-analysis bounds-check discharge — all with the same
-    bit-identity contract as the engine itself.
+    merges scatter-accumulates and recycles scratch buffers; 2 runs the
+    level-1 pipeline — all with the same bit-identity contract as the
+    engine itself.
 
     [verify] (default false) runs the independent IR verifier
     ([Verify.check_ir]) after lowering and after every optimizer phase;
@@ -38,7 +38,7 @@ val lower : frame:Frame.t -> ?opt:int -> ?verify:bool -> Ast.block -> Ir.block
 (** [emit ~vm ~frame ~exec ?opt ir] turns a lowered IR into the
     executable body; run it by applying it to a full activity mask.
     [opt] must be the level [ir] was lowered at (it gates the [-O1]
-    store paths and the [-O2] entry check).  [exec] dispatches every
+    store paths).  [exec] dispatches every
     per-lane loop: [Pool.serial_exec] gives the serial compiled engine,
     [Pool.parallel_exec] the lane-sharded parallel one — same closures,
     same bit-identical results (reductions fold the canonical chunked

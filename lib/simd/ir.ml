@@ -60,11 +60,6 @@ type expr = {
   mutable x_fused : fuse option;  (** set by [Opt.run] at [-O1] *)
   mutable x_scr : int;
       (** scratch group for this site's result buffers; [-1] = private *)
-  mutable x_range : Lf_analysis.Range.iv option;
-      (** claimed interval containing every active-lane integer value of
-          this (subscript) expression, set by [Opt.run] at [-O2]; the
-          emitter revalidates the resolved bounds against the array
-          dimension before dropping per-lane checks *)
 }
 
 and xnode =
@@ -145,7 +140,7 @@ let rec lower_expr frame (e : Ast.expr) : expr =
     | Ast.EIdx (name, args) ->
         XIdx (slot_of frame name, name, List.map (lower_expr frame) args)
   in
-  { x_ast = e; x_node = node; x_fused = None; x_scr = -1; x_range = None }
+  { x_ast = e; x_node = node; x_fused = None; x_scr = -1 }
 
 let rec lower_stmt frame (s : Ast.stmt) : stmt =
   let node =
@@ -194,7 +189,7 @@ let of_block = lower_block
 (* The writer streams the annotated tree straight into a buffer, field
    by field in a fixed order, with no intermediate [Json.t] tree.  Field
    names and operator names need no escaping and are written as literal
-   text; source names and range strings go through [Json.escape_string]. *)
+   text; source names go through [Json.escape_string]. *)
 
 module J = Lf_obs.Json
 
@@ -296,11 +291,6 @@ let add_annots b e =
     add b ",\"scratch\":";
     J.add_int b e.x_scr
   end;
-  (match e.x_range with
-  | None -> ()
-  | Some iv ->
-      add b ",\"range\":";
-      J.escape_string b (Lf_analysis.Range.iv_to_string iv));
   Buffer.add_char b '}'
 
 let rec add_expr b e =

@@ -46,9 +46,6 @@ type expr = {
   mutable x_fused : fuse option;  (** set by [Opt.run] at [-O1] *)
   mutable x_scr : int;
       (** scratch group for this site's result buffers; [-1] = private *)
-  mutable x_range : Lf_analysis.Range.iv option;
-      (** claimed interval containing every active-lane integer value of
-          this (subscript) expression, set by [Opt.run] at [-O2] *)
 }
 
 and xnode =

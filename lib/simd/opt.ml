@@ -23,23 +23,17 @@
       live share a group and steady-state vector-op execution allocates
       nothing.
 
-    At [-O2] one further phase runs off a value-range abstract
-    interpretation ([Lf_analysis.Range]): {b range claims} ([x_range])
-    on gather/scatter subscripts, letting the emitter discharge per-lane
-    bounds checks.
+    [-O2] runs the same pipeline as [-O1].
 
     Every annotation is advisory: the emitter re-validates fusibility
-    against runtime operand shapes (and range claims against resolved
-    dimensions and the canonical entry [iproc] binding) and
-    falls back to the unoptimized evaluation order whenever the typed
-    plan does not apply, which is what keeps [-O1]/[-O2] bit-identical
-    to [-O0].  Under [?verify] every phase boundary additionally runs
-    the independent IR verifier ([Verify]); [?dump] receives each
-    phase's annotated IR by name. *)
+    against runtime operand shapes and falls back to the unoptimized
+    evaluation order whenever the typed plan does not apply, which is
+    what keeps [-O1] bit-identical to [-O0].  Under [?verify] every
+    phase boundary additionally runs the independent IR verifier
+    ([Verify]); [?dump] receives each phase's annotated IR by name. *)
 
 open Lf_lang
 open Ir
-module Range = Lf_analysis.Range
 
 (* ------------------------------------------------------------------ *)
 (* Reduction fusion                                                    *)
@@ -373,66 +367,6 @@ let plan_scratch (b : block) : int * int =
   (ntemps, 1 + Array.fold_left max (-1) color)
 
 (* ------------------------------------------------------------------ *)
-(* Range claims ([-O2])                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* At [-O2] the value-range abstract interpretation ([Range], over the
-   original AST the IR shares physically) runs once, and every
-   gather/scatter {e subscript} whose derived interval is not top gets
-   an [x_range] claim.  The emitter resolves the claim's (possibly
-   symbolic) bounds against the target dimension at run time and drops
-   the per-lane bounds branch when [1 <= lo && hi <= dim] — claimed ⊇
-   derived ⊇ concrete per-lane values, so a discharged check can never
-   have fired.  Claims are advisory and revalidated: the verifier
-   re-derives them at the phase boundary, and the emitter additionally
-   validates at run time that the entry [iproc] binding is canonical
-   ([1..p]) before trusting any of them. *)
-
-let claim res count stmt_ast (ix : expr) =
-  match Range.eval_at res stmt_ast ix.x_ast with
-  | Some iv when iv <> Range.top_iv ->
-      ix.x_range <- Some iv;
-      incr count
-  | _ -> ()
-
-let claim_ranges res count stmt_ast =
-  iter_expr (fun e ->
-      match e.x_node with
-      | XIdx (_, _, args) -> List.iter (claim res count stmt_ast) args
-      | _ -> ())
-
-let annotate_ranges res (b : block) : int =
-  let count = ref 0 in
-  let rec st (s : stmt) : unit =
-    match s.s_node with
-    | LLoc (_, inner) -> st inner
-    | LNop | LGoto -> ()
-    | LAssign (l, e) ->
-        List.iter (claim res count s.s_ast) l.l_index;
-        claim_ranges res count s.s_ast e;
-        List.iter (claim_ranges res count s.s_ast) l.l_index
-    | LScall (_, args) ->
-        List.iter (fun (a, _) -> claim_ranges res count s.s_ast a) args
-    | LIf (c, t, f) | LWhere (c, t, f) ->
-        claim_ranges res count s.s_ast c;
-        Array.iter st t;
-        Array.iter st f
-    | LWhile (c, b) ->
-        claim_ranges res count s.s_ast c;
-        Array.iter st b
-    | LDoWhile (b, c) ->
-        Array.iter st b;
-        claim_ranges res count s.s_ast c
-    | LDo (_, _, lo, hi, step, b) ->
-        claim_ranges res count s.s_ast lo;
-        claim_ranges res count s.s_ast hi;
-        Option.iter (claim_ranges res count s.s_ast) step;
-        Array.iter st b
-  in
-  Array.iter st b;
-  !count
-
-(* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -452,8 +386,6 @@ let st_scratch_groups = Stats.counter ~section:Stats.Opt "opt.scratch_groups"
 let st_scratch_reused =
   Stats.counter ~section:Stats.Opt "opt.scratch_reused"
 
-let st_range_sites = Stats.counter ~section:Stats.Opt "opt.range_sites"
-
 let record_stats (b : block) ~sites ~groups =
   let reduces = ref 0 and accums = ref 0 in
   Array.iter
@@ -469,8 +401,8 @@ let record_stats (b : block) ~sites ~groups =
 
 (** The named phase sequence: each entry is checked/dumped separately
     under [?verify]/[?dump].  "lower" is the un-optimized input (the
-    only phase at [-O0]); "range" only runs at [-O2]. *)
-let phases = [ "lower"; "fuse"; "accum"; "scratch"; "range" ]
+    only phase at [-O0]). *)
+let phases = [ "lower"; "fuse"; "accum"; "scratch" ]
 
 (* Test-only fault injection (the fuzzer's acceptance check drives it):
    when set, the pipeline deliberately mis-plans scratch right after the
@@ -499,13 +431,6 @@ let run ~level ~(frame : Frame.t) ?(verify = false) ?dump (b : block) : block
     phase "accum" (fun () -> Array.iter (walk_stmts mark_accum) b);
     let sg = ref (0, 0) in
     phase "scratch" (fun () -> sg := plan_scratch b);
-    if level >= 2 then begin
-      let ast = Array.to_list (Array.map (fun s -> s.s_ast) b) in
-      let res = Range.analyze ~p:frame.Frame.p ast in
-      let nranges = ref 0 in
-      phase "range" (fun () -> nranges := annotate_ranges res b);
-      if Stats.enabled () then Stats.add st_range_sites !nranges
-    end;
     let sites, groups = !sg in
     if Stats.enabled () then record_stats b ~sites ~groups
   end;

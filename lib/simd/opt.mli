@@ -7,15 +7,11 @@
     linearized evaluation order that gives each site the smallest group
     no live site holds).
 
-    At level 2 a value-range abstract interpretation
-    ([Lf_analysis.Range]) feeds one more phase: "range" claims
-    intervals for gather/scatter subscripts ([Ir.x_range], letting the
-    emitter discharge per-lane bounds checks).
+    Level 2 runs the same pipeline as level 1.
 
     Every annotation is advisory: the emitter ([Compile]) re-validates
-    them against runtime shapes, resolved dimensions and the canonical
-    entry [iproc] binding, and falls back to unfused or checked execution
-    whenever a claim does not apply — which is what keeps [-O1]/[-O2]
+    them against runtime shapes and falls back to unfused execution
+    whenever a plan does not apply — which is what keeps [-O1]
     bit-identical to [-O0] on state, metrics, error strings,
     first-failing-lane semantics and trace events. *)
 
@@ -24,10 +20,10 @@
 val phases : string list
 
 (** Run the pipeline.  [frame] is the frame the block was lowered with
-    (name resolution for the verifier, lane count for the range
-    analysis).  When [verify] is set, [Verify.check_ir] runs after every
-    phase (including "lower") and raises [Verify.Error] on a broken
-    invariant; [dump] receives each phase's annotated IR by name. *)
+    (name resolution for the verifier).  When [verify] is set,
+    [Verify.check_ir] runs after every phase (including "lower") and
+    raises [Verify.Error] on a broken invariant; [dump] receives each
+    phase's annotated IR by name. *)
 val run :
   level:int ->
   frame:Frame.t ->

@@ -396,7 +396,7 @@ let issue rg f =
 
 type exec = {
   x_p : int;  (** number of lanes *)
-  x_ranges : (int * int) array;
+  x_shards : (int * int) array;
       (** the shard partition of [0, p); singleton for serial execution *)
   x_run : (int -> int -> int -> unit) -> unit;
       (** [x_run f] applies [f shard lo hi] to every shard: at once for
@@ -404,10 +404,10 @@ type exec = {
   x_rg : region option;  (** the pending join region, when pool-backed *)
 }
 
-let nshards e = Array.length e.x_ranges
+let nshards e = Array.length e.x_shards
 
 let serial_exec ~p =
-  { x_p = p; x_ranges = [| (0, p) |]; x_run = (fun f -> f 0 0 p); x_rg = None }
+  { x_p = p; x_shards = [| (0, p) |]; x_run = (fun f -> f 0 0 p); x_rg = None }
 
 let sync e = match e.x_rg with None -> () | Some rg -> flush rg
 
@@ -439,7 +439,7 @@ let parallel_exec ~p ~jobs =
   let ns = Array.length rs in
   if ns = 1 then
     (* jobs = 1, or too few chunks to split: the serial fast path *)
-    { (serial_exec ~p) with x_ranges = rs }
+    { (serial_exec ~p) with x_shards = rs }
   else begin
     if Stats.enabled () && p > 0 then begin
       let mx =
@@ -469,7 +469,7 @@ let parallel_exec ~p ~jobs =
       }
     in
     rg.r_task <- participate rg;
-    { x_p = p; x_ranges = rs; x_run = issue rg; x_rg = Some rg }
+    { x_p = p; x_shards = rs; x_run = issue rg; x_rg = Some rg }
   end
 
 let default_jobs () = max 1 (min 8 (Domain.recommended_domain_count ()))

@@ -33,7 +33,7 @@ type region
 
 type exec = {
   x_p : int;  (** number of lanes *)
-  x_ranges : (int * int) array;  (** the shard partition of [0, p) *)
+  x_shards : (int * int) array;  (** the shard partition of [0, p) *)
   x_run : (int -> int -> int -> unit) -> unit;
       (** [x_run f] applies [f shard lo hi] to every shard.  An inline
           executor runs it before returning.  A pool-backed one appends

@@ -3,31 +3,28 @@
     The optimizer's annotations are advisory — the emitter revalidates
     them against runtime shapes — but a wrong annotation can still turn
     into a silently different program (a scratch group shared by two
-    live buffers, a range claim that lets the emitter skip a bounds
-    check that would have fired).
+    live buffers).
     The verifier independently re-derives every claim after lowering and
     after each optimizer phase, so a broken phase is caught at the phase
     boundary with a located, rule-coded diagnostic instead of surfacing
     as a bad answer three layers later.
 
     Checks are re-derivations, not replays: the scratch rule re-runs its
-    own backward liveness over the linearized evaluation order, the
-    range rule re-runs the abstract interpretation ([Lf_analysis.Range])
-    and requires each claimed interval to {e contain} the re-derived one
-    (claimed ⊇ derived ⊇ actual).  Diagnostics reuse the [Lint] record so
+    own backward liveness over the linearized evaluation order.
+    Diagnostics reuse the [Lint] record so
     the CLIs render them with the same file/line/caret style as
     flattenlint, under a distinct IR-prefixed rule family. *)
 
 open Lf_lang
 open Ir
 module Lint = Lf_analysis.Lint
-module Range = Lf_analysis.Range
 module Stats = Lf_obs.Stats
 
 (** Rule codes with one-line summaries, for [flattenlint --rules].
-    The codes skip 5: that rule checked the mask-simplification phase's
-    claims and went with it, and a code is never reused, so every other
-    code keeps its meaning. *)
+    The codes skip 5 and end at 6: code 5 checked the
+    mask-simplification phase's claims and code 7 the value-range
+    phase's, each went with its phase, and a code is never reused, so
+    every other code keeps its meaning. *)
 let rules =
   [
     ("IR001", "every slot reference resolves in the frame to the same name");
@@ -39,8 +36,6 @@ let rules =
                share a group while simultaneously live");
     ("IR006", "scatter-accumulate claims match the a(ix) = a(ix) + e \
                shape with a pure subscript");
-    ("IR007", "every range claim contains the interval re-derived by \
-               the value-range analysis");
   ]
 
 let rule_doc code = List.assoc_opt code rules
@@ -166,7 +161,7 @@ let check_accum ctx ~loc (s : stmt) =
   | _ -> fail ctx ~loc "IR006" "accum claim on a non-scatter statement"
 
 (* ------------------------------------------------------------------ *)
-(* Structural walk (IR001/002/003/006 + claim collection)              *)
+(* Structural walk (IR001/002/003/006)                                *)
 (* ------------------------------------------------------------------ *)
 
 (* The statement's own expression trees, excluding nested blocks. *)
@@ -196,49 +191,25 @@ let rec check_expr ctx ~loc (e : expr) : unit =
       check_slot ctx ~loc ~what:"gather" slot name;
       List.iter (check_expr ctx ~loc) args
 
-(** [claims]: per bare statement, the range-claimed subscript sites,
-    collected during the structural walk so the semantic rule (IR007)
-    re-derives them in one analysis pass. *)
-type claims = {
-  mutable c_range : (Errors.pos option * Ast.stmt * expr) list;
-}
-
-let rec collect_ranges acc (e : expr) : expr list =
-  let acc = if e.x_range <> None then e :: acc else acc in
-  match e.x_node with
-  | XConst _ | XVar _ -> acc
-  | XRange (a, b) | XBin (_, a, b) ->
-      collect_ranges (collect_ranges acc a) b
-  | XUn (_, a) -> collect_ranges acc a
-  | XCall (_, args) | XIdx (_, _, args) ->
-      List.fold_left collect_ranges acc args
-
-let rec check_stmt ctx cl ~loc (s : stmt) : unit =
+let rec check_stmt ctx ~loc (s : stmt) : unit =
   (match s.s_node with
   | LLoc _ ->
       check ctx (not s.s_accum) ~loc "IR006"
         "accum claim on a location wrapper"
-  | _ ->
-      if s.s_accum then check_accum ctx ~loc s;
-      List.iter
-        (fun e ->
-          List.iter
-            (fun site -> cl.c_range <- (loc, s.s_ast, site) :: cl.c_range)
-            (collect_ranges [] e))
-        (own_exprs s));
+  | _ -> if s.s_accum then check_accum ctx ~loc s);
   List.iter (check_expr ctx ~loc) (own_exprs s);
   match s.s_node with
-  | LLoc (pos, inner) -> check_stmt ctx cl ~loc:(Some pos) inner
+  | LLoc (pos, inner) -> check_stmt ctx ~loc:(Some pos) inner
   | LAssign ({ l_slot; l_name; _ }, _) ->
       check_slot ctx ~loc ~what:"store" l_slot l_name
   | LDo (slot, name, _, _, _, b) ->
       check_slot ctx ~loc ~what:"loop var" slot name;
-      Array.iter (check_stmt ctx cl ~loc) b
+      Array.iter (check_stmt ctx ~loc) b
   | LIf (_, t, f) | LWhere (_, t, f) ->
-      Array.iter (check_stmt ctx cl ~loc) t;
-      Array.iter (check_stmt ctx cl ~loc) f
+      Array.iter (check_stmt ctx ~loc) t;
+      Array.iter (check_stmt ctx ~loc) f
   | LWhile (_, b) | LDoWhile (b, _) ->
-      Array.iter (check_stmt ctx cl ~loc) b
+      Array.iter (check_stmt ctx ~loc) b
   | LNop | LGoto | LScall _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -373,31 +344,6 @@ let check_scratch ctx (b : block) : unit =
     !steps
 
 (* ------------------------------------------------------------------ *)
-(* IR007 — range claims against the re-derived analysis               *)
-(* ------------------------------------------------------------------ *)
-
-let check_claims ctx ~p (b : block) (cl : claims) : unit =
-  if cl.c_range <> [] then begin
-    let ast = Array.to_list (Array.map (fun s -> s.s_ast) b) in
-    let res = Range.analyze ~p ast in
-    List.iter
-      (fun (loc, stmt, site) ->
-        match site.x_range with
-        | None -> ()
-        | Some claim -> (
-            match Range.eval_at res stmt site.x_ast with
-            | Some iv ->
-                check ctx (Range.subsumes claim iv) ~loc "IR007"
-                  "range claim %s does not contain the derived interval %s"
-                  (Range.iv_to_string claim) (Range.iv_to_string iv)
-            | None ->
-                fail ctx ~loc "IR007"
-                  "range claim %s at a statement the analysis cannot reach"
-                  (Range.iv_to_string claim)))
-      cl.c_range
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -407,10 +353,8 @@ let st_time = Stats.timer ~section:Stats.Volatile "verify.time_ns"
 
 let run_checks frame (b : block) : ctx =
   let ctx = { frame; diags = []; nchecks = 0 } in
-  let cl = { c_range = [] } in
-  Array.iter (check_stmt ctx cl ~loc:None) b;
+  Array.iter (check_stmt ctx ~loc:None) b;
   check_scratch ctx b;
-  check_claims ctx ~p:frame.Frame.p b cl;
   ctx
 
 (** Verify one phase's output.  @raise Error with the accumulated

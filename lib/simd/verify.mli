@@ -11,11 +11,10 @@
     - IR004 — scratch groups are interference-free under a re-derived
       backward liveness over the linearized evaluation order
     - IR006 — scatter-accumulate claims match the required shape
-    - IR007 — range claims contain the re-derived abstract interval
-      (claimed ⊇ derived ⊇ concrete per-lane values)
 
-    Code 5 is retired with the mask-simplification phase whose claims
-    it checked, and is not reused. *)
+    Codes 5 and 7 are retired with the mask-simplification and
+    value-range phases whose claims they checked, and are not
+    reused. *)
 
 (** Rule codes with one-line summaries, for [flattenlint --rules]. *)
 val rules : (string * string) list

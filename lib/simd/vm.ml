@@ -251,14 +251,12 @@ let gather vm ~mask (a : arr) idx ~lead subs : Pval.t =
       ( [| Lanes (Frame.LInt ix) |]
       | [| Lanes (Frame.LInt ix); (Const _ | Lanes (Frame.LInt _)) |] ) )
     when kernel_rank d ~lead subs ->
-      plural_i vm (fun r ->
-          Scalar_ops.gather_i run bp ~check:true r d ix (ix2 subs))
+      plural_i vm (fun r -> Scalar_ops.gather_i run bp r d ix (ix2 subs))
   | ( AReal d,
       ( [| Lanes (Frame.LInt ix) |]
       | [| Lanes (Frame.LInt ix); (Const _ | Lanes (Frame.LInt _)) |] ) )
     when kernel_rank d ~lead subs ->
-      plural_r vm (fun r ->
-          Scalar_ops.gather_r run bp ~check:true r d ix (ix2 subs))
+      plural_r vm (fun r -> Scalar_ops.gather_r run bp r d ix (ix2 subs))
   | AInt d, _ ->
       let off = offsets d idx ~lead subs in
       plural_i vm (fun r -> Scalar_ops.gather_at_i run bp r d.Nd.data off)
@@ -279,13 +277,13 @@ let scatter vm ~mask (a : arr) idx ~lead subs rhs =
       ( [| Lanes (Frame.LInt ix) |]
       | [| Lanes (Frame.LInt ix); (Const _ | Lanes (Frame.LInt _)) |] ) )
     when kernel_rank d ~lead subs ->
-      Scalar_ops.scatter_r run bp ~check:true d ix (ix2 subs) None x x
+      Scalar_ops.scatter_r run bp d ix (ix2 subs) None x x
   | ( AInt d,
       VI x,
       ( [| Lanes (Frame.LInt ix) |]
       | [| Lanes (Frame.LInt ix); (Const _ | Lanes (Frame.LInt _)) |] ) )
     when kernel_rank d ~lead subs ->
-      Scalar_ops.scatter_i run bp ~check:true d ix (ix2 subs) None x x
+      Scalar_ops.scatter_i run bp d ix (ix2 subs) None x x
   | _ ->
       for i = 0 to vm.p - 1 do
         if on mask i then begin
@@ -689,14 +687,18 @@ let st_major_colls = Stats.counter ~section:Stats.Volatile "gc.major_collections
 (* [f vm x] under the telemetry bracket, the engine dispatch of [run] and
    [run_src]: GC deltas and run timers ([Volatile]).  The [finally]
    records even when the run dies (fuel, runtime error), so manifests of
-   failing runs still carry the cost up to the fault.  Minor words are
-   the control domain's exact [Gc.minor_words] count: [Gc.quick_stat]'s
-   minor count only moves at minor collections on OCaml 5.  Without
-   telemetry it is a direct call, with no closure. *)
+   failing runs still carry the cost up to the fault.  The word counts
+   are exact: minor words are the control domain's [Gc.minor_words],
+   promoted and major words come from [Gc.counters].  On OCaml 5
+   [Gc.quick_stat]'s minor count only moves at minor collections and its
+   major count only at major slices, and [Gc.counters]' minor count is
+   not exact either.  Without telemetry it is a direct call, with no
+   closure. *)
 let timed f vm x =
   if not (Stats.enabled ()) then f vm x
   else
     let g0 = Gc.quick_stat () in
+    let _, promoted0, major0 = Gc.counters () in
     let c0 = Sys.time () in
     (* an immediate, so the [finally] closure boxes nothing *)
     let t0 = Int64.to_int (Stats.now_ns ()) in
@@ -706,13 +708,13 @@ let timed f vm x =
         let w1 = Gc.minor_words () in
         let t1 = Int64.to_int (Stats.now_ns ()) in
         let c1 = Sys.time () in
+        let _, promoted1, major1 = Gc.counters () in
         let g1 = Gc.quick_stat () in
         Stats.add_span_ns st_run_wall (Int64.of_int (t1 - t0));
         Stats.add_gauge st_run_cpu (c1 -. c0);
         Stats.add_gauge st_minor_words (w1 -. w0);
-        Stats.add_gauge st_promoted_words
-          (g1.promoted_words -. g0.promoted_words);
-        Stats.add_gauge st_major_words (g1.major_words -. g0.major_words);
+        Stats.add_gauge st_promoted_words (promoted1 -. promoted0);
+        Stats.add_gauge st_major_words (major1 -. major0);
         Stats.add st_minor_colls (g1.minor_collections - g0.minor_collections);
         Stats.add st_major_colls (g1.major_collections - g0.major_collections))
       (fun () -> f vm x)

@@ -66,12 +66,6 @@ let with_annots e fields =
   let fields =
     if e.x_scr >= 0 then fields @ [ ("scratch", J.Int e.x_scr) ] else fields
   in
-  let fields =
-    match e.x_range with
-    | None -> fields
-    | Some iv ->
-        fields @ [ ("range", J.Str (Lf_analysis.Range.iv_to_string iv)) ]
-  in
   J.Obj fields
 
 let rec expr_json e =

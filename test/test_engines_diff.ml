@@ -61,9 +61,8 @@ let pair_agrees ~what ~prog a b =
 (* the optimizer sweep crosses the tree-walker against the compiled
    engine at every optimizer level, the levels against each other, and
    the parallel engine at -O0 (the -O1/-O2 parallel legs run the full
-   jobs sweep below) — fusion, fused reductions, scatter-accumulate,
-   scratch reuse and discharged bounds checks must all be
-   unobservable.  The -O2 compiled leg runs under the verifier,
+   jobs sweep below) — fusion, fused reductions, scatter-accumulate
+   and scratch reuse must all be unobservable.  The -O2 compiled leg runs under the verifier,
    so every random program also checks the optimizer never emits IR the
    verifier rejects. *)
 let prop_engines_equivalent prog =

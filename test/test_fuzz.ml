@@ -484,10 +484,10 @@ let t_reducer_shrinks =
       for _ = 1 to 15 do
         let i = Fuzz.fresh_input rand Input.Simd in
         (* an artificial predicate: program mentions iproc at all *)
-        let check i' = contains_sub (Input.to_string i') "iproc" in
-        if check i then begin
-          let m = Reduce.minimize ~check i in
-          checkb "still satisfies the predicate" (check m);
+        let still_fails i' = contains_sub (Input.to_string i') "iproc" in
+        if still_fails i then begin
+          let m = Reduce.minimize ~still_fails i in
+          checkb "still satisfies the predicate" (still_fails m);
           checkb "did not grow" (Input.stmt_count m <= Input.stmt_count i)
         end
       done)

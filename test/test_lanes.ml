@@ -258,11 +258,11 @@ let prop_gather =
       let ir = Array.init c.p (fun _ -> real st) in
       agree ~on:(active c) ~eq:Int.equal ~show:string_of_int c "gather_i"
         ~target:(Array.copy ii)
-        (fun r -> S.gather_i (run c) (bp c) ~check:true r di i1 i2)
+        (fun r -> S.gather_i (run c) (bp c) r di i1 i2)
         (fun i -> Nd.get di (idx_i i))
       && agree ~on:(active c) ~eq:same_real ~show:string_of_float c "gather_r"
            ~target:(Array.copy ir)
-           (fun r -> S.gather_r (run c) (bp c) ~check:true r dr r1 r2)
+           (fun r -> S.gather_r (run c) (bp c) r dr r1 r2)
            (fun i -> Nd.get dr (idx_r i)))
 
 let prop_gather_at =
@@ -321,10 +321,10 @@ let prop_scatter =
         match op with None -> x | Some op -> S.apply_binop op x y
       in
       scatter_agree ~eq:Int.equal c "scatter_i" di idx_i
-        (fun () -> S.scatter_i (run c) (bp c) ~check:true di i1 i2 op xi yi)
+        (fun () -> S.scatter_i (run c) (bp c) di i1 i2 op xi yi)
         (fun i -> as_i (boxed (VInt (at xi i)) (VInt (at yi i))))
       && scatter_agree ~eq:same_real c "scatter_r" dr idx_r
-           (fun () -> S.scatter_r (run c) (bp c) ~check:true dr r1 r2 op xr yr)
+           (fun () -> S.scatter_r (run c) (bp c) dr r1 r2 op xr yr)
            (fun i -> as_r (boxed (VReal (at xr i)) (VReal (at yr i)))))
 
 (* -- reductions ---------------------------------------------------- *)

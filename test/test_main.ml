@@ -14,7 +14,6 @@ let () =
       ("depend", Test_depend.suite);
       ("cfg", Test_cfg.suite);
       ("dataflow", Test_dataflow.suite);
-      ("range", Test_range.suite);
       ("lint", Test_lint.suite);
       ("parallel", Test_parallel.suite);
       ("normalize", Test_normalize.suite);

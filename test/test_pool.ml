@@ -77,7 +77,7 @@ let t_ranges_invariants =
 let t_degenerate_serial () =
   let par = Pool.parallel_exec ~p:1000 ~jobs:1 in
   let ser = Pool.serial_exec ~p:1000 in
-  checkb "same partition" (par.Pool.x_ranges = ser.Pool.x_ranges);
+  checkb "same partition" (par.Pool.x_shards = ser.Pool.x_shards);
   let seen = ref [] in
   par.Pool.x_run (fun s lo hi -> seen := (s, lo, hi) :: !seen);
   checkb "one inline shard" (!seen = [ (0, 0, 1000) ])

@@ -12,7 +12,10 @@
       [opt] section is byte-identical across [--jobs] at a fixed [-O].
       Only [volatile] is exempt, but its [pool.dispatches] must not
       depend on [-O]: the parallel engine joins at the same points at
-      [-O1] and [-O2]. *)
+      [-O1] and [-O2].
+
+    And one check of the [volatile] GC gauges: a run's major-heap words
+    are counted exactly. *)
 
 open Helpers
 open Lf_lang
@@ -226,10 +229,8 @@ let prop_counters_deterministic prog =
           (Pretty.program_to_string prog)
           counters_ref counters)
     configs;
-  (* the [opt] section is jobs-invariant at a fixed -O level — at -O2
-     that includes the discharge counters [opt.nocheck_runs] and
-     [opt.bounds_checks_discharged], whose recording sites must count
-     claim applications on the control thread, never per shard *)
+  (* the [opt] section is jobs-invariant at a fixed -O level: its run
+     counters tick on the control thread, never per shard *)
   let opt_of name = match List.assoc name configs with _, _, o -> o in
   let check_opt ref_name others =
     let o_ref = opt_of ref_name in
@@ -244,8 +245,8 @@ let prop_counters_deterministic prog =
   check_opt "compiled -O1"
     [ "parallel -O1 j1"; "parallel -O1 j2"; "parallel -O1 j7" ];
   check_opt "compiled -O2" [ "parallel -O2 j2"; "parallel -O2 j7" ];
-  (* -O2's range claims only choose a checked or an unchecked kernel, so
-     a different dispatch count is a lost or an extra join *)
+  (* -O2 runs the -O1 pipeline, so a different dispatch count is a lost
+     or an extra join *)
   let d1 = dispatches ~opt:1 prog and d2 = dispatches ~opt:2 prog in
   if d1 <> d2 then
     QCheck.Test.fail_reportf
@@ -254,12 +255,12 @@ let prop_counters_deterministic prog =
   true
 
 (* ------------------------------------------------------------------ *)
-(* The -O2 discharge counters on the flattened-loop shape              *)
+(* The -O2 run counters on the flattened-loop shape                    *)
 (* ------------------------------------------------------------------ *)
 
-(* a stride-8 flattened loop whose store provably stays in [1, n]: the
-   range phase discharges its bounds checks, so every discharge counter
-   moves — and must move by the same amount on every engine and jobs
+(* a stride-8 flattened loop whose store is a scatter-accumulate: the
+   merged pass runs, the verifier checks every phase boundary, and each
+   counter must move by the same amount on every engine and jobs
    count *)
 let flat_src =
   "at1 = 1 + (iproc - 1)\n\
@@ -282,28 +283,54 @@ let t_opt2_counters () =
     ignore (Vm.run ~engine ?jobs ~opt:2 ~verify:true ~p:8 ~setup prog : Vm.t);
     let v name = Stats.counter_value (Stats.counter ~section:Stats.Opt name) in
     let r =
-      ( v "opt.nocheck_runs",
-        v "opt.bounds_checks_discharged",
-        v "opt.range_sites",
+      ( v "opt.accum_marks",
+        v "opt.accum_merged_runs",
         v "verify.phases",
         v "verify.checks" )
     in
     Stats.disable ();
     r
   in
-  let (nruns, nchecks, rsites, vphases, vchecks) as compiled =
-    snapshot `Compiled
-  in
-  checkb "bounds checks discharged" (nruns > 0 && nchecks > 0);
-  checkb "range claims annotated" (rsites > 0);
-  checkb "the verifier checked every phase boundary" (vphases >= 5);
-  checkb "the verifier discharged checks" (vchecks > 0);
+  let (marks, merged, vphases, vchecks) as compiled = snapshot `Compiled in
+  checki "one scatter-accumulate marked" 1 marks;
+  checkb "the merged pass ran" (merged > 0);
+  checki "the verifier checked every phase boundary"
+    (List.length Lf_simd.Opt.phases)
+    vphases;
+  checkb "the verifier made checks" (vchecks > 0);
   List.iter
     (fun jobs ->
       checkb
         (Fmt.str "opt counters jobs-invariant at jobs=%d" jobs)
         (snapshot ~jobs `Parallel = compiled))
     [ 1; 2; 7 ]
+
+(* ------------------------------------------------------------------ *)
+(* The GC gauges                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* At p = 1024 a lane vector has 1,025 words, more than
+   [Max_young_wosize], so the tree-walker allocates each of the loop's
+   ten [iproc * 0.5] and ten [+ k] results straight in the major heap:
+   [gc.major_words] must count at least those twenty vectors. *)
+let t_major_words () =
+  let prog =
+    parse_program
+      "PROGRAM a\n\
+      \  PLURAL REAL x\n\
+      \  INTEGER k\n\
+      \  DO k = 1, 10\n\
+      \    x = iproc * 0.5 + k\n\
+      \  ENDDO\n\
+       END"
+  in
+  Stats.enable ();
+  Stats.reset ();
+  ignore (Vm.run ~engine:`Tree_walk ~p:1024 prog : Vm.t);
+  let words = Stats.gauge_value (Stats.gauge "gc.major_words") in
+  checkb
+    (Fmt.str "gc.major_words %.0f counts twenty 1,025-word vectors" words)
+    (words >= 20. *. 1025.)
 
 let t_determinism =
   qcheck_case ~count:60
@@ -325,7 +352,9 @@ let suite =
     case "mask-density bucketing" t_mask_bucket;
     case "JSON dump shape and key order" (clean t_dump_shape);
     case "disabled path is a no-op" (clean t_disabled_noop);
-    case "-O2 discharge counters move and are jobs-invariant"
+    case "-O2 run counters move and are jobs-invariant"
       (clean t_opt2_counters);
+    case "gc.major_words counts major-heap lane vectors"
+      (clean t_major_words);
     t_determinism;
   ]

@@ -3,7 +3,7 @@
     The verifier's job is catching an optimizer phase that broke the IR,
     so each test here plays the broken phase: build a well-formed
     annotated IR, corrupt one annotation the way a buggy pass would
-    (a range claim that no longer contains the derived interval, a
+    (a scatter-accumulate claim on a statement of the wrong shape, a
     dangling slot), and assert [Verify.check_ir] raises a
     located diagnostic carrying the right rule code and the phase name.
     Clean IR at every level must verify silently — that contract is also
@@ -56,15 +56,16 @@ let expect_rule what rule (frame, b) =
 (* ------------------------------------------------------------------ *)
 
 let t_rules_table () =
-  checki "six IR rules" 6 (List.length Verify.rules);
+  checki "five IR rules" 5 (List.length Verify.rules);
   List.iter2
     (fun want (code, doc) ->
       checks "codes are ordered, the retired IR005 left out" want code;
       checkb "every rule has a summary" (String.length doc > 10);
       checkb "rule_doc finds it" (Verify.rule_doc code = Some doc))
-    [ "IR001"; "IR002"; "IR003"; "IR004"; "IR006"; "IR007" ]
+    [ "IR001"; "IR002"; "IR003"; "IR004"; "IR006" ]
     Verify.rules;
   checkb "IR005 is retired" (Verify.rule_doc "IR005" = None);
+  checkb "IR007 is retired" (Verify.rule_doc "IR007" = None);
   checkb "unknown rules answer None" (Verify.rule_doc "IR999" = None);
   checkb "LF rules belong to the lint table" (Verify.rule_doc "LF001" = None)
 
@@ -110,37 +111,20 @@ let t_clean_ir () =
 (* Broken-phase mutations                                              *)
 (* ------------------------------------------------------------------ *)
 
-let t_broken_range_claim () =
+(* the scatter-accumulate claim moved to [r = sqrt(x(i)) + 1.0], whose
+   right-hand side is no gather-plus-addend *)
+let t_broken_accum_claim () =
   let frame, b = ir_of clean_src in
-  let hit = ref 0 in
-  let rec poison (e : Ir.expr) =
-    (match e.Ir.x_node with
-    | Ir.XIdx (_, _, args) ->
-        List.iter
-          (fun (a : Ir.expr) ->
-            (* a claim the derived interval [1, p] cannot live in *)
-            a.Ir.x_range <-
-              Some Lf_analysis.Range.{ lo = Fin 2; hi = Fin 2 };
-            incr hit)
-          args
-    | _ -> ());
-    match e.Ir.x_node with
-    | Ir.XConst _ | Ir.XVar _ -> ()
-    | Ir.XRange (a, b) | Ir.XBin (_, a, b) -> poison a; poison b
-    | Ir.XUn (_, a) -> poison a
-    | Ir.XCall (_, args) | Ir.XIdx (_, _, args) -> List.iter poison args
+  let where_body =
+    match (unloc b.(1)).Ir.s_node with
+    | Ir.LWhere (_, t, _) -> t
+    | _ -> Alcotest.fail "statement 1 is not the WHERE"
   in
-  let rec walk (s : Ir.stmt) =
-    match s.Ir.s_node with
-    | Ir.LLoc (_, inner) -> walk inner
-    | Ir.LAssign (lv, e) -> List.iter poison lv.Ir.l_index; poison e
-    | Ir.LWhere (c, t, f) | Ir.LIf (c, t, f) ->
-        poison c; Array.iter walk t; Array.iter walk f
-    | _ -> ()
-  in
-  Array.iter walk b;
-  checkb "mutation reached at least one gather subscript" (!hit > 0);
-  expect_rule "range claim excludes the derived interval" "IR007" (frame, b)
+  let sqrt_stmt = unloc where_body.(0) and accum_stmt = unloc where_body.(1) in
+  checkb "the pipeline marked x(i) = x(i) + r" accum_stmt.Ir.s_accum;
+  accum_stmt.Ir.s_accum <- false;
+  sqrt_stmt.Ir.s_accum <- true;
+  expect_rule "accum claim on a non-accumulate statement" "IR006" (frame, b)
 
 let t_broken_slot () =
   let frame, b = ir_of "PROGRAM t\n  PLURAL INTEGER i\n  i = iproc + 1\nEND" in
@@ -156,8 +140,8 @@ let t_broken_slot () =
   | _ -> Alcotest.fail "statement 0 is not the assignment");
   expect_rule "slot outside the frame" "IR001" (frame, b)
 
-(* a healthy -O2 NBFORCE-shaped loop keeps exactly its own claims: the
-   mutations above are the only way to make the verifier speak *)
+(* a healthy NBFORCE-shaped loop at -O2 (the -O1 pipeline) verifies:
+   the mutations above are the only way to make the verifier speak *)
 let t_no_spurious_diags () =
   let frame, b =
     ir_of
@@ -175,7 +159,7 @@ let suite =
   [
     case "rules table: IR001..IR007, rule_doc" t_rules_table;
     case "clean IR verifies at every level and engine" t_clean_ir;
-    case "broken phase: stale range claim" t_broken_range_claim;
+    case "broken phase: stale accum claim" t_broken_accum_claim;
     case "broken phase: dangling slot" t_broken_slot;
     case "flattened -O2 loop is diagnostic-free" t_no_spurious_diags;
   ]
