@@ -1,12 +1,12 @@
 (** Scalar operator semantics and the lane kernels of every engine
     ([Interp], the tree-walking [Lf_simd.Vm], the compiled
     [Lf_simd.Compile] and its lane-sharded form).  The semantics is
-    written once, as [@inline] lane functions; the boxed [apply_binop]
-    applies them to values and stays the independent oracle, the lane
-    kernels apply them to whole lane vectors.  Every typed lane loop sits
-    here, next to the lane functions it applies: dev builds pass
-    [-opaque], so a lane function called from another module would box
-    every float it returns, a few minor words per lane. *)
+    written once, as [@inline] lane functions: the boxed [apply_binop]
+    applies them to values and stays the oracle; a kernel matches its
+    operator once per call, outside its loop, whose inlined lane function
+    then tests no operator per lane.  Every typed lane loop sits here:
+    dev builds pass [-opaque], so a lane function called from another
+    module would box every float it returns, a few minor words per lane. *)
 
 open Values
 
@@ -151,108 +151,149 @@ let apply_unop op v =
    front-end scalar: lane [i] reads cell [i land bcast v], which is 0
    for a one-cell array (at p = 1 both readings agree).  A result may
    alias an operand: every loop reads lane [i] before writing it.
-   Inactive result lanes keep what they held. *)
+   Inactive result lanes keep what they held.
+
+   A kernel with an operator writes its loop once, as an [@inline]
+   body, and matches the operator once per call, outside the loop: each
+   arm applies the body to a literal operator, whose [match] then folds
+   away.  The [_] arm is the one generic loop, also for the operators
+   that call out of the loop ([Float.rem] calls C, int [/] and MOD
+   raise), since a call spills the loop's state on every lane.  A pass
+   over every lane of two whole vectors needs no mask test and no
+   broadcast [land]: [map2_{i,r}] give it a loop of its own. *)
 
 type run = (int -> int -> int -> unit) -> unit
 
+(* Unchecked lane access; the primitive is specialised by the array's
+   static type, so a [float array] is read and written unboxed. *)
+external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
+external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
+
 let all_lanes = Bytes.empty
+let[@inline] on bp i = Bytes.unsafe_get bp i <> '\000'
 let[@inline] bcast a = if Array.length a = 1 then 0 else -1
+let[@inline] whole bp x y =
+  bp == all_lanes && Array.length x > 1 && Array.length y > 1
 
-let map2_i (run : run) bp op (r : int array) (x : int array) (y : int array)
-    =
-  run (fun _ lo hi ->
-      let all = bp == all_lanes and kx = bcast x and ky = bcast y in
-      for i = lo to hi - 1 do
-        if all || Bytes.unsafe_get bp i <> '\000' then
-          Array.unsafe_set r i
-            (int_arith op
-               (Array.unsafe_get x (i land kx))
-               (Array.unsafe_get y (i land ky)))
-      done)
+let[@inline] loop2_i op bp (r : int array) (x : int array) (y : int array)
+    lo hi =
+  if whole bp x y then
+    for i = lo to hi - 1 do r.!(i) <- int_arith op x.!(i) y.!(i) done
+  else
+    let all = bp == all_lanes and kx = bcast x and ky = bcast y in
+    for i = lo to hi - 1 do
+      if all || on bp i then
+        r.!(i) <- int_arith op x.!(i land kx) y.!(i land ky)
+    done
 
-let map2_r (run : run) bp op (r : float array) (x : float array)
-    (y : float array) =
-  run (fun _ lo hi ->
-      let all = bp == all_lanes and kx = bcast x and ky = bcast y in
-      for i = lo to hi - 1 do
-        if all || Bytes.unsafe_get bp i <> '\000' then
-          Array.unsafe_set r i
-            (real_arith op
-               (Array.unsafe_get x (i land kx))
-               (Array.unsafe_get y (i land ky)))
-      done)
+let map2_i (run : run) bp op r x y =
+  match op with
+  | Ast.Add -> run (fun _ lo hi -> loop2_i Ast.Add bp r x y lo hi)
+  | Ast.Sub -> run (fun _ lo hi -> loop2_i Ast.Sub bp r x y lo hi)
+  | Ast.Mul -> run (fun _ lo hi -> loop2_i Ast.Mul bp r x y lo hi)
+  | _ -> run (fun _ lo hi -> loop2_i op bp r x y lo hi)
+
+let[@inline] loop2_r op bp (r : float array) (x : float array)
+    (y : float array) lo hi =
+  if whole bp x y then
+    for i = lo to hi - 1 do r.!(i) <- real_arith op x.!(i) y.!(i) done
+  else
+    let all = bp == all_lanes and kx = bcast x and ky = bcast y in
+    for i = lo to hi - 1 do
+      if all || on bp i then
+        r.!(i) <- real_arith op x.!(i land kx) y.!(i land ky)
+    done
+
+let map2_r (run : run) bp op r x y =
+  match op with
+  | Ast.Add -> run (fun _ lo hi -> loop2_r Ast.Add bp r x y lo hi)
+  | Ast.Sub -> run (fun _ lo hi -> loop2_r Ast.Sub bp r x y lo hi)
+  | Ast.Mul -> run (fun _ lo hi -> loop2_r Ast.Mul bp r x y lo hi)
+  | Ast.Div -> run (fun _ lo hi -> loop2_r Ast.Div bp r x y lo hi)
+  | _ -> run (fun _ lo hi -> loop2_r op bp r x y lo hi)
 
 (* Comparisons and LOGICAL operators are total: they compute every
-   lane. *)
+   lane.  [cmp_test] reads any operator but the first five as [Ge]. *)
 
 let map2_b (run : run) op (r : bool array) (x : bool array) (y : bool array) =
   run (fun _ lo hi ->
       let kx = bcast x and ky = bcast y in
       for i = lo to hi - 1 do
-        Array.unsafe_set r i
-          (bool_op op
-             (Array.unsafe_get x (i land kx))
-             (Array.unsafe_get y (i land ky)))
+        r.!(i) <- bool_op op x.!(i land kx) y.!(i land ky)
       done)
 
-let cmp_i (run : run) op (r : bool array) (x : int array) (y : int array) =
-  run (fun _ lo hi ->
-      let kx = bcast x and ky = bcast y in
-      for i = lo to hi - 1 do
-        Array.unsafe_set r i
-          (int_cmp op
-             (Array.unsafe_get x (i land kx))
-             (Array.unsafe_get y (i land ky)))
-      done)
+let[@inline] loopc_i op (r : bool array) (x : int array) (y : int array) lo
+    hi =
+  let kx = bcast x and ky = bcast y in
+  for i = lo to hi - 1 do
+    r.!(i) <- int_cmp op x.!(i land kx) y.!(i land ky)
+  done
 
-let cmp_r (run : run) op (r : bool array) (x : float array) (y : float array) =
-  run (fun _ lo hi ->
-      let kx = bcast x and ky = bcast y in
-      for i = lo to hi - 1 do
-        Array.unsafe_set r i
-          (real_cmp op
-             (Array.unsafe_get x (i land kx))
-             (Array.unsafe_get y (i land ky)))
-      done)
+let cmp_i (run : run) op r x y =
+  match op with
+  | Ast.Eq -> run (fun _ lo hi -> loopc_i Ast.Eq r x y lo hi)
+  | Ast.Ne -> run (fun _ lo hi -> loopc_i Ast.Ne r x y lo hi)
+  | Ast.Lt -> run (fun _ lo hi -> loopc_i Ast.Lt r x y lo hi)
+  | Ast.Le -> run (fun _ lo hi -> loopc_i Ast.Le r x y lo hi)
+  | Ast.Gt -> run (fun _ lo hi -> loopc_i Ast.Gt r x y lo hi)
+  | _ -> run (fun _ lo hi -> loopc_i Ast.Ge r x y lo hi)
 
-let map1_i (run : run) bp op (r : int array) (x : int array) =
-  run (fun _ lo hi ->
-      let all = bp == all_lanes and kx = bcast x in
-      for i = lo to hi - 1 do
-        if all || Bytes.unsafe_get bp i <> '\000' then
-          Array.unsafe_set r i (int_un op (Array.unsafe_get x (i land kx)))
-      done)
+let[@inline] loopc_r op (r : bool array) (x : float array) (y : float array)
+    lo hi =
+  let kx = bcast x and ky = bcast y in
+  for i = lo to hi - 1 do
+    r.!(i) <- real_cmp op x.!(i land kx) y.!(i land ky)
+  done
 
-let map1_r (run : run) bp op (r : float array) (x : float array) =
-  run (fun _ lo hi ->
-      let all = bp == all_lanes and kx = bcast x in
-      for i = lo to hi - 1 do
-        if all || Bytes.unsafe_get bp i <> '\000' then
-          Array.unsafe_set r i (real_un op (Array.unsafe_get x (i land kx)))
-      done)
+let cmp_r (run : run) op r x y =
+  match op with
+  | Ast.Eq -> run (fun _ lo hi -> loopc_r Ast.Eq r x y lo hi)
+  | Ast.Ne -> run (fun _ lo hi -> loopc_r Ast.Ne r x y lo hi)
+  | Ast.Lt -> run (fun _ lo hi -> loopc_r Ast.Lt r x y lo hi)
+  | Ast.Le -> run (fun _ lo hi -> loopc_r Ast.Le r x y lo hi)
+  | Ast.Gt -> run (fun _ lo hi -> loopc_r Ast.Gt r x y lo hi)
+  | _ -> run (fun _ lo hi -> loopc_r Ast.Ge r x y lo hi)
+
+let[@inline] loop1_i op bp (r : int array) (x : int array) lo hi =
+  let all = bp == all_lanes and kx = bcast x in
+  for i = lo to hi - 1 do
+    if all || on bp i then r.!(i) <- int_un op x.!(i land kx)
+  done
+
+let map1_i (run : run) bp op r x =
+  match op with
+  | None -> run (fun _ lo hi -> loop1_i None bp r x lo hi)
+  | _ -> run (fun _ lo hi -> loop1_i op bp r x lo hi)
+
+let[@inline] loop1_r op bp (r : float array) (x : float array) lo hi =
+  let all = bp == all_lanes and kx = bcast x in
+  for i = lo to hi - 1 do
+    if all || on bp i then r.!(i) <- real_un op x.!(i land kx)
+  done
+
+let map1_r (run : run) bp op r x =
+  match op with
+  | None -> run (fun _ lo hi -> loop1_r None bp r x lo hi)
+  | _ -> run (fun _ lo hi -> loop1_r op bp r x lo hi)
 
 let map1_b (run : run) bp op (r : bool array) (x : bool array) =
   run (fun _ lo hi ->
       let all = bp == all_lanes and kx = bcast x in
       for i = lo to hi - 1 do
-        if all || Bytes.unsafe_get bp i <> '\000' then
-          Array.unsafe_set r i (bool_un op (Array.unsafe_get x (i land kx)))
+        if all || on bp i then r.!(i) <- bool_un op x.!(i land kx)
       done)
 
 let to_real (run : run) (x : int array) =
   let r = Array.make (Array.length x) 0.0 in
   run (fun _ lo hi ->
-      for i = lo to hi - 1 do
-        Array.unsafe_set r i (float_of_int (Array.unsafe_get x i))
-      done);
+      for i = lo to hi - 1 do r.!(i) <- float_of_int x.!(i) done);
   r
 
 let fill_v (run : run) bp (r : value array) (f : int -> value) =
   run (fun _ lo hi ->
       let all = bp == all_lanes in
       for i = lo to hi - 1 do
-        if all || Bytes.unsafe_get bp i <> '\000' then
-          Array.unsafe_set r i (f i)
+        if all || on bp i then r.!(i) <- f i
       done)
 
 (* ------------------------------------------------------------------ *)
@@ -270,90 +311,137 @@ let[@inline] offset d1 d2 j1 j2 =
   if j2 < 1 || j2 > d2 then Nd.index_error j2 d2 2;
   j1 - 1 + ((j2 - 1) * d1)
 
+(* The typed gathers and scatters check lane [l]'s subscript with
+   [slot], which raises [Bad_lane l] where [offset] raises: a raise is
+   no call, so the loop keeps its state in registers, and the handler
+   outside the loop raises the lane's error through [offset].  A
+   checked offset lies below [d1 * d2], which an [Nd.t]'s data covers,
+   so the loop indexes the data unchecked. *)
+
+exception Bad_lane of int
+
+let[@inline] slot l d1 d2 j1 j2 =
+  if j1 < 1 || j1 > d1 || j2 < 1 || j2 > d2 then raise_notrace (Bad_lane l);
+  j1 - 1 + ((j2 - 1) * d1)
+
+let bad_lane d1 d2 ix1 ix2 l =
+  ignore (offset d1 d2 ix1.(l) ix2.(l land bcast ix2))
+
 let gather_i (run : run) bp (r : int array) (d : int Nd.t) ix1 ix2 =
   let d1 = extent d 0 and d2 = extent d 1 and data = d.Nd.data in
   run (fun _ lo hi ->
       let all = bp == all_lanes and k2 = bcast ix2 in
-      for i = lo to hi - 1 do
-        if all || Bytes.unsafe_get bp i <> '\000' then
-          Array.unsafe_set r i
-            data.(offset d1 d2 (Array.unsafe_get ix1 i)
-                    (Array.unsafe_get ix2 (i land k2)))
-      done)
+      try
+        for i = lo to hi - 1 do
+          if all || on bp i then
+            r.!(i) <- data.!(slot i d1 d2 ix1.!(i) ix2.!(i land k2))
+        done
+      with Bad_lane l -> bad_lane d1 d2 ix1 ix2 l)
 
 let gather_r (run : run) bp (r : float array) (d : float Nd.t) ix1 ix2 =
   let d1 = extent d 0 and d2 = extent d 1 and data = d.Nd.data in
   run (fun _ lo hi ->
       let all = bp == all_lanes and k2 = bcast ix2 in
-      for i = lo to hi - 1 do
-        if all || Bytes.unsafe_get bp i <> '\000' then
-          Array.unsafe_set r i
-            data.(offset d1 d2 (Array.unsafe_get ix1 i)
-                    (Array.unsafe_get ix2 (i land k2)))
-      done)
+      try
+        for i = lo to hi - 1 do
+          if all || on bp i then
+            r.!(i) <- data.!(slot i d1 d2 ix1.!(i) ix2.!(i land k2))
+        done
+      with Bad_lane l -> bad_lane d1 d2 ix1 ix2 l)
 
 let gather_at_i (run : run) bp (r : int array) (data : int array) off =
   run (fun _ lo hi ->
       let all = bp == all_lanes in
       for i = lo to hi - 1 do
-        if all || Bytes.unsafe_get bp i <> '\000' then
-          Array.unsafe_set r i data.(off i)
+        if all || on bp i then r.!(i) <- data.(off i)
       done)
 
 let gather_at_r (run : run) bp (r : float array) (data : float array) off =
   run (fun _ lo hi ->
       let all = bp == all_lanes in
       for i = lo to hi - 1 do
-        if all || Bytes.unsafe_get bp i <> '\000' then
-          Array.unsafe_set r i data.(off i)
+        if all || on bp i then r.!(i) <- data.(off i)
       done)
 
 let gather_at_b (run : run) bp (r : bool array) (data : bool array) off =
   run (fun _ lo hi ->
       let all = bp == all_lanes in
       for i = lo to hi - 1 do
-        if all || Bytes.unsafe_get bp i <> '\000' then
-          Array.unsafe_set r i data.(off i)
+        if all || on bp i then r.!(i) <- data.(off i)
       done)
 
-let scatter_i (run : run) bp (d : int Nd.t) ix1 ix2 op
-    (x : int array) (y : int array) =
+(* A scatter stores [x], or [op x y] (the merged scatter-accumulate). *)
+
+let[@inline] store_i op bp (d : int Nd.t) ix1 ix2 (x : int array)
+    (y : int array) lo hi =
   let d1 = extent d 0 and d2 = extent d 1 and data = d.Nd.data in
+  let all = bp == all_lanes in
+  let k2 = bcast ix2 and kx = bcast x and ky = bcast y in
+  try
+    for i = lo to hi - 1 do
+      if all || on bp i then begin
+        let o = slot i d1 d2 ix1.!(i) ix2.!(i land k2) in
+        let v = x.!(i land kx) in
+        data.!(o) <-
+          (match op with
+          | None -> v
+          | Some op -> int_arith op v y.!(i land ky))
+      end
+    done
+  with Bad_lane l -> bad_lane d1 d2 ix1 ix2 l
+
+let scatter_i (run : run) bp d ix1 ix2 op x y =
+  match op with
+  | None -> run (fun _ lo hi -> store_i None bp d ix1 ix2 x y lo hi)
+  | Some Ast.Add ->
+      run (fun _ lo hi -> store_i (Some Ast.Add) bp d ix1 ix2 x y lo hi)
+  | _ -> run (fun _ lo hi -> store_i op bp d ix1 ix2 x y lo hi)
+
+let[@inline] store_r op bp (d : float Nd.t) ix1 ix2 (x : float array)
+    (y : float array) lo hi =
+  let d1 = extent d 0 and d2 = extent d 1 and data = d.Nd.data in
+  let all = bp == all_lanes in
+  let k2 = bcast ix2 and kx = bcast x and ky = bcast y in
+  try
+    for i = lo to hi - 1 do
+      if all || on bp i then begin
+        let o = slot i d1 d2 ix1.!(i) ix2.!(i land k2) in
+        let v = x.!(i land kx) in
+        data.!(o) <-
+          (match op with
+          | None -> v
+          | Some op -> real_arith op v y.!(i land ky))
+      end
+    done
+  with Bad_lane l -> bad_lane d1 d2 ix1 ix2 l
+
+let scatter_r (run : run) bp d ix1 ix2 op x y =
+  match op with
+  | None -> run (fun _ lo hi -> store_r None bp d ix1 ix2 x y lo hi)
+  | Some Ast.Add ->
+      run (fun _ lo hi -> store_r (Some Ast.Add) bp d ix1 ix2 x y lo hi)
+  | _ -> run (fun _ lo hi -> store_r op bp d ix1 ix2 x y lo hi)
+
+(* A store through a per-lane flat offset, for any rank and subscript
+   form: lane [i]'s value is read before [off i] converts its
+   subscripts. *)
+
+let scatter_at_i (run : run) bp (data : int array) off (x : int array) =
   run (fun _ lo hi ->
-      let all = bp == all_lanes in
-      let k2 = bcast ix2 and kx = bcast x and ky = bcast y in
+      let all = bp == all_lanes and kx = bcast x in
       for i = lo to hi - 1 do
-        if all || Bytes.unsafe_get bp i <> '\000' then begin
-          let o =
-            offset d1 d2 (Array.unsafe_get ix1 i)
-              (Array.unsafe_get ix2 (i land k2))
-          in
-          let v = Array.unsafe_get x (i land kx) in
-          data.(o) <-
-            (match op with
-            | None -> v
-            | Some op -> int_arith op v (Array.unsafe_get y (i land ky)))
-        end
+        if all || on bp i then
+          let v = x.!(i land kx) in
+          data.(off i) <- v
       done)
 
-let scatter_r (run : run) bp (d : float Nd.t) ix1 ix2 op
-    (x : float array) (y : float array) =
-  let d1 = extent d 0 and d2 = extent d 1 and data = d.Nd.data in
+let scatter_at_r (run : run) bp (data : float array) off (x : float array) =
   run (fun _ lo hi ->
-      let all = bp == all_lanes in
-      let k2 = bcast ix2 and kx = bcast x and ky = bcast y in
+      let all = bp == all_lanes and kx = bcast x in
       for i = lo to hi - 1 do
-        if all || Bytes.unsafe_get bp i <> '\000' then begin
-          let o =
-            offset d1 d2 (Array.unsafe_get ix1 i)
-              (Array.unsafe_get ix2 (i land k2))
-          in
-          let v = Array.unsafe_get x (i land kx) in
-          data.(o) <-
-            (match op with
-            | None -> v
-            | Some op -> real_arith op v (Array.unsafe_get y (i land ky)))
-        end
+        if all || on bp i then
+          let v = x.!(i land kx) in
+          data.(off i) <- v
       done)
 
 (* ------------------------------------------------------------------ *)
@@ -461,7 +549,7 @@ let scratch ~lanes ~shards =
 let fold_span_i r bp (get : int -> int) parts l h c =
   let acc = ref 0 and seen = ref false in
   for i = l to h - 1 do
-    if Bytes.unsafe_get bp i <> '\000' then
+    if on bp i then
       if !seen then acc := int_fold r !acc (get i)
       else begin
         acc := get i;
@@ -474,7 +562,7 @@ let fold_span_i r bp (get : int -> int) parts l h c =
 let fold_span_r r bp (get : int -> float) (parts : float array) l h c =
   let acc = ref 0.0 and seen = ref false in
   for i = l to h - 1 do
-    if Bytes.unsafe_get bp i <> '\000' then
+    if on bp i then
       if !seen then acc := real_fold r !acc (get i)
       else begin
         acc := get i;
@@ -512,7 +600,7 @@ let any_b (run : run) join sc bp ~raising (f : int -> bool) =
   run (fun s lo hi ->
       let r = ref false and i = ref lo in
       while (raising || not !r) && !i < hi do
-        if Bytes.unsafe_get bp !i <> '\000' && f !i then r := true;
+        if on bp !i && f !i then r := true;
         incr i
       done;
       sc.sh_b.(s) <- !r);

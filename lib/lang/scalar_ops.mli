@@ -8,7 +8,15 @@
     only typed lane loops of both SIMD engines (the tree-walker and the
     compiled/parallel engine).  Every loop lives here, next to the lane
     functions it inlines: dev builds pass [-opaque], so a lane function
-    called from another module would box each float it returns. *)
+    called from another module would box each float it returns.
+
+    A kernel matches its operator once per call, outside its loop: each
+    arm applies the loop's [@inline] body to a literal operator, so the
+    lane function's [match] folds away and the arm is a branch-free
+    typed loop.  Operators whose lane function calls out of the loop
+    (the C call of [Float.rem], the raise of an int [/] or MOD) share
+    the one generic arm, since a call spills the loop's state to the
+    stack on every lane. *)
 
 (** [+ - * /] and MOD. *)
 val is_arith : Ast.binop -> bool
@@ -112,6 +120,15 @@ val scatter_i : run -> Bytes.t -> int Nd.t -> int array ->
 
 val scatter_r : run -> Bytes.t -> float Nd.t -> int array ->
   int array -> Ast.binop option -> float array -> float array -> unit
+
+(** [data.(off i) <- x.(i)]: a store through a per-lane flat offset, for
+    any rank and subscript form; lane [i]'s value is read before [off i]
+    converts and checks its subscripts. *)
+val scatter_at_i : run -> Bytes.t -> int array -> (int -> int) ->
+  int array -> unit
+
+val scatter_at_r : run -> Bytes.t -> float array -> (int -> int) ->
+  float array -> unit
 
 (** {2 Per-lane cells}
 

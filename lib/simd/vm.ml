@@ -268,15 +268,17 @@ let gather vm ~mask (a : arr) idx ~lead subs : Pval.t =
       plural_b vm (fun r -> Scalar_ops.gather_at_b run bp r d.Nd.data off)
 
 (** Scatter [rhs] per active lane, ascending: a lane's value is read
-    before its subscripts are converted. *)
+    before its subscripts are converted.  Only LOGICAL and boxed lanes,
+    and REAL lanes into an INTEGER array, store boxed values. *)
 let scatter vm ~mask (a : arr) idx ~lead subs rhs =
   let run = vm.serial and bp = mask.Frame.Mask.bits in
   match (a, view rhs, subs) with
   | ( AReal d,
-      VR x,
+      ((VI _ | VR _) as x),
       ( [| Lanes (Frame.LInt ix) |]
       | [| Lanes (Frame.LInt ix); (Const _ | Lanes (Frame.LInt _)) |] ) )
     when kernel_rank d ~lead subs ->
+      let x = real_of vm x in
       Scalar_ops.scatter_r run bp d ix (ix2 subs) None x x
   | ( AInt d,
       VI x,
@@ -284,6 +286,11 @@ let scatter vm ~mask (a : arr) idx ~lead subs rhs =
       | [| Lanes (Frame.LInt ix); (Const _ | Lanes (Frame.LInt _)) |] ) )
     when kernel_rank d ~lead subs ->
       Scalar_ops.scatter_i run bp d ix (ix2 subs) None x x
+  | AReal d, ((VI _ | VR _) as x), _ ->
+      let x = real_of vm x in
+      Scalar_ops.scatter_at_r run bp d.Nd.data (offsets d idx ~lead subs) x
+  | AInt d, VI x, _ ->
+      Scalar_ops.scatter_at_i run bp d.Nd.data (offsets d idx ~lead subs) x
   | _ ->
       for i = 0 to vm.p - 1 do
         if on mask i then begin

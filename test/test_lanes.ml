@@ -9,7 +9,9 @@
     that are lane vectors or one-cell broadcasts, a result that may
     alias an operand, and a runner that is one range or split into two.
     A raising lane must raise the boxed path's message for the first
-    failing active lane. *)
+    failing active lane.  A deterministic sweep then runs every operator
+    arm of every kernel that matches its operator once per call, and one
+    case checks that a kernel call allocates nothing per lane. *)
 
 open Helpers
 open Lf_lang
@@ -327,6 +329,20 @@ let prop_scatter =
            (fun () -> S.scatter_r (run c) (bp c) dr r1 r2 op xr yr)
            (fun i -> as_r (boxed (VReal (at xr i)) (VReal (at yr i)))))
 
+let prop_scatter_at =
+  prop "scatter_at_i and scatter_at_r equal boxed stores" (fun st ->
+      let c = draw_case ~masked:false st in
+      let di, _, _, idx = draw_access st c small_int in
+      let dr = Nd.init (Nd.dims di) (fun _ -> real st) in
+      let off i = Nd.linear_index di (idx i) in
+      let xi = vec st c small_int and xr = vec st c real in
+      scatter_agree ~eq:Int.equal c "scatter_at_i" di idx
+        (fun () -> S.scatter_at_i (run c) (bp c) di.Nd.data off xi)
+        (at xi)
+      && scatter_agree ~eq:same_real c "scatter_at_r" dr idx
+           (fun () -> S.scatter_at_r (run c) (bp c) dr.Nd.data off xr)
+           (at xr))
+
 (* -- reductions ---------------------------------------------------- *)
 
 let prop_reduce =
@@ -488,6 +504,277 @@ let prop_intrinsics =
            (fun r -> Intrinsics.real_map2 (run c) bp k2 r xr yr)
            (fun i -> as_r (apply key2 [ VReal (at xr i); VReal (at yr i) ])))
 
+(* -- every operator arm, deterministically ------------------------- *)
+
+(* A kernel matches its operator once, outside the loop, and runs one
+   loop per operator, so an arm wired to the wrong operator shows only
+   on that operator's lanes.  This sweep runs every arm of every
+   specialised kernel on fixed operands, under every mask kind (all
+   lanes, empty, full, sparse), operand shape (vec/vec, broadcast/vec,
+   vec/broadcast), a result that aliases an operand, and one and two
+   runner ranges. *)
+
+let sweep_p = 65
+
+let sweep_cases =
+  let sparse =
+    Bytes.init sweep_p (fun i -> if i mod 3 = 1 then '\000' else '\001')
+  in
+  List.concat_map
+    (fun bits ->
+      List.map (fun split -> { p = sweep_p; bits; split }) [ sweep_p; 23 ])
+    [
+      None;
+      Some (Bytes.make sweep_p '\000');
+      Some (Bytes.make sweep_p '\001');
+      Some sparse;
+    ]
+
+(* operands cycling with the coprime periods 9 and 7, so that vec/vec
+   lanes meet every pair of values; the int divisor is zero only on the
+   last lane, which raises after every other lane has run *)
+let cycle l =
+  let a = Array.of_list l in
+  Array.init sweep_p (fun i -> a.(i mod Array.length a))
+
+let ints_x = cycle [ -3; -1; 0; 1; 2; 5; max_int; min_int; 2 ]
+
+let ints_y =
+  let y = cycle [ 2; -1; 1; 7; 5; -3; 2 ] in
+  y.(sweep_p - 1) <- 0;
+  y
+
+let reals_x =
+  cycle [ 0.0; -0.0; nan; infinity; neg_infinity; 1.5; -2.5; 3.0; 1.5 ]
+
+let reals_y = cycle [ -0.0; 1.5; nan; 0.0; neg_infinity; infinity; 3.0 ]
+let shapes x y = [ (x, y); ([| x.(5) |], y); (x, [| y.(5) |]) ]
+
+(* [kernel c op r x y] against [lane op x y i] on every case, operator
+   and shape; [alias] also runs it with the result aliasing [x]. *)
+let sweep ?alias ?(total = false) ~eq ~show what ops xs ys ~init kernel lane =
+  List.for_all
+    (fun c ->
+      List.for_all
+        (fun op ->
+          List.for_all
+            (fun (x, y) ->
+              let x = Array.copy x in
+              let aliased =
+                match alias with
+                | Some f when Array.length x = c.p -> [ f x ]
+                | _ -> []
+              in
+              List.for_all
+                (fun target ->
+                  agree
+                    ~on:(if total then fun _ -> true else active c)
+                    ~eq ~show c (what op) ~target
+                    (fun r -> kernel c op r x y)
+                    (lane op x y))
+                (Array.copy init :: aliased))
+            (shapes xs ys))
+        ops)
+    sweep_cases
+
+let num1s =
+  Intrinsics.[ (Sqrt, "sqrt"); (Exp, "exp"); (Abs, "abs"); (Real, "real") ]
+
+let num2s = Intrinsics.[ (Max, "max"); (Min, "min"); (Mod, "mod") ]
+
+let t_arm_sweep () =
+  let boxed_i x y f i = f (VInt (at x i)) (VInt (at y i)) in
+  let boxed_r x y f i = f (VReal (at x i)) (VReal (at y i)) in
+  let name k op = k ^ " " ^ op_name op in
+  let un_name k = function
+    | None -> k ^ " copy"
+    | Some op -> k ^ " " ^ Pretty.expr_to_string (Ast.EUn (op, Ast.EVar "x"))
+  in
+  let un op v = match op with None -> v | Some op -> S.apply_unop op v in
+  let ii = cycle [ 11; 12; 13 ] and ir = cycle [ 0.25; -0.5 ] in
+  let ib = cycle [ true; false; false ] in
+  let apply key args = Option.get (Intrinsics.apply key args) in
+  let checks =
+    [
+      ( "map2_i",
+        sweep ~alias:Fun.id ~eq:Int.equal ~show:string_of_int (name "map2_i")
+          arith ints_x ints_y ~init:ii
+          (fun c op r x y -> S.map2_i (run c) (bp c) op r x y)
+          (fun op x y i -> as_i (boxed_i x y (S.apply_binop op) i)) );
+      ( "map2_r",
+        sweep ~alias:Fun.id ~eq:same_real ~show:string_of_float
+          (name "map2_r") arith reals_x reals_y ~init:ir
+          (fun c op r x y -> S.map2_r (run c) (bp c) op r x y)
+          (fun op x y i -> as_r (boxed_r x y (S.apply_binop op) i)) );
+      ( "cmp_i",
+        sweep ~total:true ~eq:Bool.equal ~show:string_of_bool (name "cmp_i")
+          cmps ints_x ints_y ~init:ib
+          (fun c op r x y -> S.cmp_i (run c) op r x y)
+          (fun op x y i -> as_b (boxed_i x y (S.apply_binop op) i)) );
+      ( "cmp_r",
+        sweep ~total:true ~eq:Bool.equal ~show:string_of_bool (name "cmp_r")
+          cmps reals_x reals_y ~init:ib
+          (fun c op r x y -> S.cmp_r (run c) op r x y)
+          (fun op x y i -> as_b (boxed_r x y (S.apply_binop op) i)) );
+      ( "map1_i",
+        sweep ~alias:Fun.id ~eq:Int.equal ~show:string_of_int (un_name "map1_i")
+          [ None; Some Ast.Neg ] ints_x ints_y ~init:ii
+          (fun c op r x _ -> S.map1_i (run c) (bp c) op r x)
+          (fun op x _ i -> as_i (un op (VInt (at x i)))) );
+      ( "map1_r",
+        sweep ~alias:Fun.id ~eq:same_real ~show:string_of_float
+          (un_name "map1_r") [ None; Some Ast.Neg ] reals_x reals_y ~init:ir
+          (fun c op r x _ -> S.map1_r (run c) (bp c) op r x)
+          (fun op x _ i -> as_r (un op (VReal (at x i)))) );
+      ( "Intrinsics.real_map1",
+        sweep ~alias:Fun.id ~eq:same_real ~show:string_of_float snd num1s
+          reals_x reals_y ~init:ir
+          (fun c (k, _) r x _ -> Intrinsics.real_map1 (run c) (bp c) k r x)
+          (fun (_, key) x _ i -> as_r (apply key [ VReal (at x i) ])) );
+      ( "Intrinsics.real_map2",
+        sweep ~alias:Fun.id ~eq:same_real ~show:string_of_float snd num2s
+          reals_x reals_y ~init:ir
+          (fun c (k, _) r x y -> Intrinsics.real_map2 (run c) (bp c) k r x y)
+          (fun (_, key) x y i ->
+            as_r (apply key [ VReal (at x i); VReal (at y i) ])) );
+    ]
+  in
+  List.iter (fun (what, ok) -> checkb what ok) checks
+
+(* The scatters' arms: a plain store and each accumulating operator, on
+   rank-1 subscripts that collide (so the lanes must store in ascending
+   order), the last one out of range. *)
+let t_scatter_arm_sweep () =
+  let ix = Array.init sweep_p (fun i -> 1 + (i * 7 mod 13)) in
+  ix.(sweep_p - 1) <- 14;
+  let idx i = [| ix.(i) |] in
+  let ops = None :: List.map Option.some arith in
+  let op_label = function None -> "store" | Some op -> op_name op in
+  let stores ~eq name (d : _ Nd.t) xs ys kernel value =
+    List.for_all
+      (fun c ->
+        List.for_all
+          (fun op ->
+            List.for_all
+              (fun (x, y) ->
+                let d = Nd.copy d in
+                scatter_agree ~eq c
+                  (name ^ " " ^ op_label op)
+                  d idx
+                  (fun () -> kernel c d op x y)
+                  (value op x y))
+              (shapes xs ys))
+          ops)
+      sweep_cases
+  in
+  let boxed op v w =
+    match op with None -> v | Some op -> S.apply_binop op v w
+  in
+  checkb "scatter_i"
+    (stores ~eq:Int.equal "scatter_i"
+       (Nd.init [| 13 |] (fun j -> j.(0)))
+       ints_x ints_y
+       (fun c d op x y -> S.scatter_i (run c) (bp c) d ix [| 1 |] op x y)
+       (fun op x y i -> as_i (boxed op (VInt (at x i)) (VInt (at y i)))));
+  checkb "scatter_r"
+    (stores ~eq:same_real "scatter_r"
+       (Nd.init [| 13 |] (fun j -> float_of_int j.(0) /. 4.0))
+       reals_x reals_y
+       (fun c d op x y -> S.scatter_r (run c) (bp c) d ix [| 1 |] op x y)
+       (fun op x y i -> as_r (boxed op (VReal (at x i)) (VReal (at y i)))))
+
+(* -- allocation ---------------------------------------------------- *)
+
+(* One call of a typed kernel allocates its loop closure and nothing per
+   lane, so it allocates the same minor words at 64 lanes as at 4096: a
+   float boxed per lane fails this (read in the dev profile, where a
+   lane function called across modules would box). *)
+let kernel_calls p =
+  let run f = f 0 0 p in
+  let ri = Array.make p 0 and rr = Array.make p 0.0 in
+  let rb = Array.make p false in
+  let xi = Array.init p (fun i -> 1 + (i mod 5)) in
+  let xr = Array.init p (fun i -> 0.5 +. float_of_int (i mod 5)) in
+  let xb = Array.init p (fun i -> i land 1 = 0) in
+  let di = Nd.init [| 5; 2 |] (fun _ -> 3) in
+  let dr = Nd.init [| 5; 2 |] (fun _ -> 0.5) in
+  let db = Nd.init [| 5; 2 |] (fun _ -> true) in
+  let off i = i mod 10 in
+  let one = [| 1 |] and two = [| 2 |] in
+  let sparse =
+    Bytes.init p (fun i -> if i land 1 = 0 then '\001' else '\000')
+  in
+  let per_mask name f =
+    [
+      (name ^ " all_lanes", fun () -> f S.all_lanes);
+      (name ^ " sparse", fun () -> f sparse);
+    ]
+  in
+  let arms name ops f =
+    List.concat_map (fun op -> per_mask (name ^ " " ^ op_name op) (f op)) ops
+  in
+  let un_ops = [ None; Some Ast.Neg ] in
+  let label = function None -> "copy" | Some _ -> "neg" in
+  List.concat
+    [
+      arms "map2_i" arith (fun op bp -> S.map2_i run bp op ri xi xi);
+      arms "map2_r" arith (fun op bp -> S.map2_r run bp op rr xr xr);
+      arms "cmp_i" cmps (fun op _ -> S.cmp_i run op rb xi xi);
+      arms "cmp_r" cmps (fun op _ -> S.cmp_r run op rb xr xr);
+      arms "map2_b" [ Ast.And; Ast.Eq ] (fun op _ -> S.map2_b run op rb xb xb);
+      List.concat_map
+        (fun op ->
+          per_mask ("map1 " ^ label op) (fun bp ->
+              S.map1_i run bp op ri xi;
+              S.map1_r run bp op rr xr))
+        un_ops;
+      per_mask "map1_b" (fun bp -> S.map1_b run bp (Some Ast.Not) rb xb);
+      per_mask "gathers" (fun bp ->
+          S.gather_i run bp ri di xi two;
+          S.gather_r run bp rr dr xi one;
+          S.gather_at_i run bp ri di.Nd.data off;
+          S.gather_at_r run bp rr dr.Nd.data off;
+          S.gather_at_b run bp rb db.Nd.data off);
+      List.concat_map
+        (fun op ->
+          per_mask
+            ("scatters "
+            ^ match op with None -> "store" | Some op -> op_name op)
+            (fun bp ->
+              S.scatter_i run bp di xi two op xi xi;
+              S.scatter_r run bp dr xi one op xr xr))
+        (None :: List.map Option.some arith);
+      per_mask "scatter_at" (fun bp ->
+          S.scatter_at_i run bp di.Nd.data off xi;
+          S.scatter_at_r run bp dr.Nd.data off xr);
+      List.concat_map
+        (fun (k, key) ->
+          per_mask key (fun bp -> Intrinsics.real_map1 run bp k rr xr))
+        num1s;
+      List.concat_map
+        (fun (k, key) ->
+          per_mask key (fun bp -> Intrinsics.real_map2 run bp k rr xr xr))
+        num2s;
+      per_mask "Intrinsics int kernels" (fun bp ->
+          Intrinsics.int_abs run bp ri xi;
+          Intrinsics.to_int run bp ~round:true ri xr;
+          Intrinsics.int_map2 run bp Intrinsics.Max ri xi xi);
+    ]
+
+let minor_words f =
+  f ();
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let t_kernel_alloc () =
+  List.iter2
+    (fun (name, small) (_, large) ->
+      Alcotest.(check (float 0.))
+        (name ^ ": minor words at p = 4096 as at p = 64")
+        (minor_words small) (minor_words large))
+    (kernel_calls 64) (kernel_calls 4096)
+
 let suite =
   [
     prop_map2_i;
@@ -498,8 +785,12 @@ let suite =
     prop_gather;
     prop_gather_at;
     prop_scatter;
+    prop_scatter_at;
     prop_reduce;
     prop_cells;
     prop_gather_cell;
     prop_intrinsics;
+    case "every operator arm of every specialised kernel" t_arm_sweep;
+    case "every scatter arm" t_scatter_arm_sweep;
+    case "a kernel call allocates nothing per lane" t_kernel_alloc;
   ]

@@ -263,6 +263,68 @@ let t_compiled_plural_array () =
   in
   checkb "compiled per-lane storage" (plural_ints c "v" = [| 2; 4; 6; 8 |])
 
+(* The tree-walker's stores by subscripts the rank-1/2 scatter kernels
+   do not take: a PLURAL array (INTEGER lanes into REAL storage, under a
+   mask), rank 3, a REAL subscript, and REAL lanes into an INTEGER
+   array.  State, Metrics and the first failing lane's error agree with
+   the compiled and parallel engines. *)
+let t_treewalk_offset_stores () =
+  let setup vm =
+    Vm.bind_plural_arr vm "g" Ast.TReal [| 3 |];
+    Vm.bind_global vm "c" (AInt (Nd.create [| 4; 2; 2 |] 0));
+    Vm.bind_global vm "b" (AReal (Nd.create [| 4 |] 0.0))
+  in
+  let src =
+    {|
+  i = iproc
+  r = i * 1.0
+  WHERE (i > 1)
+    g(2) = r * 0.5
+    g(3) = i
+  ENDWHERE
+  c(i, 2, 1) = i * 10
+  c(5 - i, 1, 2) = r
+  b(r) = r + 0.25
+  v = g(2)
+  w = g(3)
+|}
+  in
+  let c = check_agree "stores by offset" (run_both ~setup src) in
+  checkb "PLURAL REAL store under a mask"
+    (Array.map as_float (Vm.read_plural c "v") = [| 0.0; 1.0; 1.5; 2.0 |]);
+  checkb "INTEGER lanes into a PLURAL REAL array"
+    (Array.map as_float (Vm.read_plural c "w") = [| 0.0; 2.0; 3.0; 4.0 |]);
+  (match Vm.read_global c "c" with
+  | AInt d ->
+      checkb "rank-3 and REAL-into-INTEGER stores"
+        (Nd.to_array d
+        = [| 0; 0; 0; 0; 10; 20; 30; 40; 4; 3; 2; 1; 0; 0; 0; 0 |])
+  | _ -> Alcotest.fail "c is not INTEGER");
+  (match Vm.read_global c "b" with
+  | AReal d ->
+      checkb "store by a REAL subscript"
+        (Nd.to_array d = [| 1.25; 2.25; 3.25; 4.25 |])
+  | _ -> Alcotest.fail "b is not REAL");
+  let msg src ?jobs engine =
+    match Vm.run ~engine ?jobs ~p:4 ~setup (Ast.program "t" (parse_block src))
+    with
+    | _ -> Alcotest.fail "the store must fail"
+    | exception ((Errors.Runtime_error _ | Errors.Runtime_error_at _) as e) ->
+        Errors.to_message e
+  in
+  List.iter
+    (fun src ->
+      let want = msg src `Tree_walk in
+      Alcotest.(check string) ("compiled: " ^ src) want (msg src `Compiled);
+      Alcotest.(check string)
+        ("parallel: " ^ src) want
+        (msg src ~jobs:3 `Parallel))
+    [
+      "i = iproc\nc(i, 3 - i, 1) = i";
+      "i = iproc\nb(i * 0.5) = i";
+      "i = iproc\nWHERE (i > 2)\n  g(i) = i\nENDWHERE";
+    ]
+
 let t_compiled_type_changes () =
   (* a plural that changes element type under a partial mask must degrade
      to the same mixed representation the tree-walker holds *)
@@ -439,6 +501,8 @@ let suite =
     case "compiled: where/gather/scatter/reductions" t_compiled_basics;
     case "compiled: loops and plural IF" t_compiled_loops;
     case "compiled: plural arrays" t_compiled_plural_array;
+    case "tree-walk stores by offset agree with the compiled engine"
+      t_treewalk_offset_stores;
     case "compiled: lanes changing element type" t_compiled_type_changes;
     case "compiled: vector subroutine calls" t_compiled_procs;
     case "compiled: identical runtime errors" t_compiled_errors;
