@@ -108,21 +108,20 @@ let pair label (na, a) (nb, b) =
    entry derives its kernels. *)
 let pairs =
   [
-    (* the lane-sharded engine at 1 and 2 jobs against serial compiled
-       (below 1.0 = parallel faster), at p = 1024 and at MasPar scale *)
+    (* the lane-sharded engine at 2 jobs against serial compiled (below
+       1.0 = parallel faster) from nbforce-sim's width to MasPar scale:
+       the widths below 2 * Pool.min_shard run on one shard, and the
+       sweep is the evidence for the floor *)
     ( "jobs",
       fun () ->
-        List.concat_map
+        List.map
           (fun p ->
             let run = nbforce_runner ~p in
-            List.map
-              (fun j ->
-                pair
-                  (Printf.sprintf "NBFORCE flat p=%d" p)
-                  (Printf.sprintf "parallel j%d" j, run ~jobs:j `Parallel)
-                  ("compiled", run `Compiled))
-              [ 1; 2 ])
-          [ 1024; 4096 ] );
+            pair
+              (Printf.sprintf "NBFORCE flat p=%d" p)
+              ("parallel j2", run ~jobs:2 `Parallel)
+              ("compiled", run `Compiled))
+          [ 128; 256; 512; 1024; 4096 ] );
     (* the telemetry registry's cost on the compiled kernel *)
     ( "stats",
       fun () ->

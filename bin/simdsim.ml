@@ -505,11 +505,15 @@ let cmd =
       & opt (some jobs_conv) None
       & info [ "jobs" ] ~docv:"N"
           ~doc:
-            "Shard count for $(b,--engine parallel): the lanes are split \
-             into at most $(docv) contiguous shards (chunk-aligned, so \
-             results do not depend on $(docv)).  Requires $(b,--engine \
-             parallel); defaults to the machine's recommended domain \
-             count.")
+            (Fmt.str
+               "Shard count for $(b,--engine parallel): the lanes are \
+                split into at most $(docv) contiguous shards \
+                (chunk-aligned, so results do not depend on $(docv)) of \
+                at least %d lanes each, so below %d lanes the run has one \
+                shard and runs serially.  Requires $(b,--engine \
+                parallel); defaults to the machine's recommended domain \
+                count."
+               Lf_simd.Pool.min_shard (2 * Lf_simd.Pool.min_shard)))
   in
   let lanes =
     Arg.(

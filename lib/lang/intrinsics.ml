@@ -7,7 +7,8 @@
 open Values
 
 (* The two-operand numeric intrinsics: [Stdlib.max] / [Stdlib.min] /
-   [mod] on integers, [Float.max] / [Float.min] / [Float.rem] on reals. *)
+   [mod] on integers, [Float.max] / [Float.min] / [Float.rem] on reals
+   (MAX and MIN written out below, to the same results). *)
 type num2 = Max | Min | Mod
 
 let num2_name = function Max -> "max" | Min -> "min" | Mod -> "mod"
@@ -18,10 +19,30 @@ let[@inline] int_num2 op x y =
   | Min -> if x <= y then x else y
   | Mod -> if y = 0 then Errors.runtime_error "MOD by zero" else x mod y
 
+(* [Float.max] and [Float.min] as Stdlib writes them — a NaN operand
+   wins, and -0.0 is below 0.0 — without Stdlib's C [sign_bit] call on
+   every lane where [y > x] fails.  [y_above x y]: y > x, or y = x with
+   only x's sign bit set.  Sign bits only decide between two zeros or
+   between NaNs, so only those lanes read them ([Int64.bits_of_float] is
+   a C call too), and a MAX/MIN lane loop makes no call on ordered,
+   distinct or non-zero operands. *)
+let[@inline] neg (x : float) = Int64.bits_of_float x < 0L
+
+let[@inline] y_above (x : float) y =
+  if y > x then true
+  else if y < x || (y = x && x <> 0.0) then false
+  else (not (neg y)) && neg x
+
 let[@inline] real_num2 op (x : float) y =
   match op with
-  | Max -> Float.max x y
-  | Min -> Float.min x y
+  | Max ->
+      if y_above x y then if x <> x then x else y
+      else if y <> y then y
+      else x
+  | Min ->
+      if y_above x y then if y <> y then y else x
+      else if x <> x then x
+      else y
   | Mod -> Float.rem x y
 
 (* The one-operand real intrinsics (ABS also has an integer form). *)

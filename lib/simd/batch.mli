@@ -93,6 +93,8 @@ val load : string -> item list
     [Pool.default_jobs ()]) take chains in order of their first item.
     An item that shards its lanes itself (engine [parallel] with more
     than one [Pool.ranges] shard) runs with no other item in flight.
+    Narrow widths (below [2 * Pool.min_shard] lanes) run on one shard,
+    so such an item is scheduled like a serial one.
     While the [Lf_obs.Stats] registry is enabled the calling domain is
     the only worker, since the registry's fields are plain mutable ones.
 

@@ -22,6 +22,7 @@ module Metrics = Lf_simd.Metrics
 (* a modest fuel: termination is by construction, fuel exhaustion is
    only a backstop — and must itself be engine-identical *)
 let fuel = 20_000
+let min_shard = Lf_simd.Pool.min_shard
 let ps = [ 0; 1; 5; 64; 1024 ]
 let jobs_sweep = [ 1; 2; 3; 7 ]
 
@@ -103,6 +104,25 @@ let t_random_programs =
     "differential: 3 engines, p in {0,1,5,64,1024}, jobs in {1,2,3,7}"
     Gen.simd_prog_gen prop_engines_equivalent
 
+(* At p = 1024 (two shard floors) every jobs count above 1 makes two
+   shards; at seven floors the parallel legs make 2, 3 and 7 shards,
+   the 3 uneven (18, 19 and 19 chunks). *)
+let prop_shard_counts prog =
+  let p = 7 * min_shard in
+  let tree = run_one `Tree_walk ~p prog in
+  List.for_all
+    (fun jobs ->
+      pair_agrees
+        ~what:(Fmt.str "tree vs parallel -O1, p=%d jobs=%d" p jobs)
+        ~prog tree
+        (run_one ~jobs ~opt:1 `Parallel ~p prog))
+    [ 2; 3; 7 ]
+
+let t_random_shard_counts =
+  qcheck_case ~count:200
+    "differential: tree vs parallel at 7 shard floors, jobs in {2,3,7}"
+    Gen.simd_prog_gen prop_shard_counts
+
 (* ------------------------------------------------------------------ *)
 (* Bitwise float-sum identity                                          *)
 (* ------------------------------------------------------------------ *)
@@ -143,7 +163,7 @@ let t_float_sum_bitwise () =
                 [ 1; 2; 3; 7; 16 ])
             [ 0; 1; 2 ])
         [ "s"; "t" ])
-    [ 1; 5; 64; 65; 128; 1000; 1024 ]
+    [ 1; 5; 64; 65; 128; 1000; 1024; (2 * min_shard) + 76; 16 * min_shard ]
 
 (* ------------------------------------------------------------------ *)
 (* Fixed corpus: the paper's kernels                                   *)
@@ -258,9 +278,23 @@ let t_nbforce_corpus () =
    masked-off lanes and in dimension 2 of rank-2 gathers and scatters.
    Each program runs on the tree-walker (the reference) and on the
    compiled and parallel (jobs 1 and 3) engines at -O0, -O1 and -O2,
-   which must match its state, Metrics and error bytes. *)
+   which must match its state, Metrics and error bytes.  At p = 5 and
+   200 every leg runs on one shard; at the wide p, three shard floors
+   and a ragged chunk, only the 3-job leg runs, on 3 shards. *)
 
-let matrix_ps = [ 5; 200 ]
+let matrix_legs =
+  [
+    ("compiled", `Compiled, None);
+    ("parallel j1", `Parallel, Some 1);
+    ("parallel j3", `Parallel, Some 3);
+  ]
+
+let matrix_ps =
+  [
+    (5, matrix_legs);
+    (200, matrix_legs);
+    ((3 * min_shard) + 72, [ ("parallel j3", `Parallel, Some 3) ]);
+  ]
 
 let matrix_setup ~p vm =
   let n = p - 1 in
@@ -417,7 +451,7 @@ let matrix_check programs =
   List.iter
     (fun (name, prog) ->
       List.iter
-        (fun p ->
+        (fun (p, legs) ->
           let tree = matrix_run `Tree_walk ~p prog in
           incr (if Result.is_error tree then faults else clean);
           List.iter
@@ -430,11 +464,7 @@ let matrix_check programs =
                       Fmt.str "%s: %s -O%d differs from tree-walk at p=%d"
                         name what opt p
                       :: !failures)
-                [
-                  ("compiled", `Compiled, None);
-                  ("parallel j1", `Parallel, Some 1);
-                  ("parallel j3", `Parallel, Some 3);
-                ])
+                legs)
             [ 0; 1; 2 ])
         matrix_ps)
     programs;
@@ -506,9 +536,11 @@ let run_kept ?jobs ?opt engine ~fuel ~p prog : Vm.t * string option =
    Metrics, not only its message, at every -O level.  A parallel run may
    have run lanes ahead of the failing one (DESIGN.md "Error ordering"),
    so its legs pin the outcome and message only.  Small fuels stop the
-   runs at many different steps; p = 130 spans more than one pool
-   chunk. *)
+   runs at many different steps; p = 130 spans more than one pool chunk.
+   Every leg runs one shard there; at the wide p, three shard floors and
+   a ragged chunk, only the 3-job leg runs, on 3 shards. *)
 let t_failing_runs () =
+  let wide = (3 * min_shard) + 2 in
   let progs =
     QCheck.Gen.generate ~rand:(Random.State.make [| 42 |]) ~n:300
       Gen.simd_prog_gen
@@ -533,26 +565,27 @@ let t_failing_runs () =
                 (show te)
               :: !failures
           in
-          List.iter
-            (fun opt ->
-              let vm, e = run_kept ~opt `Compiled ~fuel ~p prog in
-              let what = Fmt.str "compiled -O%d" opt in
-              if e <> te then differs what e
-              else if
-                not
-                  (Vm.state_equal tree vm
-                  && Metrics.equal tree.Vm.metrics vm.Vm.metrics)
-              then
-                failures :=
-                  Fmt.str "%s: %s state or Metrics differ (outcome %s)" where
-                    what (show e)
-                  :: !failures)
-            [ 0; 1; 2 ];
+          if p <> wide then
+            List.iter
+              (fun opt ->
+                let vm, e = run_kept ~opt `Compiled ~fuel ~p prog in
+                let what = Fmt.str "compiled -O%d" opt in
+                if e <> te then differs what e
+                else if
+                  not
+                    (Vm.state_equal tree vm
+                    && Metrics.equal tree.Vm.metrics vm.Vm.metrics)
+                then
+                  failures :=
+                    Fmt.str "%s: %s state or Metrics differ (outcome %s)" where
+                      what (show e)
+                    :: !failures)
+              [ 0; 1; 2 ];
           let _, e = run_kept ~jobs:3 `Parallel ~fuel ~p prog in
           if e <> te then differs "parallel jobs=3" e)
         (List.concat_map
            (fun p -> List.map (fun fuel -> (p, fuel)) [ 7; 40; 300; 20_000 ])
-           [ 1; 5; 64; 130 ]))
+           [ 1; 5; 64; 130; wide ]))
     progs;
   checkb "some runs fail" (!failing > 0);
   checkb "some runs exhaust their fuel" (!fuel_faults > 0);
@@ -568,4 +601,5 @@ let suite =
     case "typed intrinsic kernels x operand shapes x masks" t_intrinsic_kernels;
     case "failing runs: serial engines keep the same partial state"
       t_failing_runs;
+    t_random_shard_counts;
   ]

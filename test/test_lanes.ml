@@ -683,6 +683,34 @@ let t_scatter_arm_sweep () =
        (fun c d op x y -> S.scatter_r (run c) (bp c) d ix [| 1 |] op x y)
        (fun op x y i -> as_r (boxed op (VReal (at x i)) (VReal (at y i)))))
 
+(* MAX and MIN on reals are written out in [Intrinsics] rather than
+   calling [Float.max] / [Float.min]; every ordered pair of special
+   values must give Stdlib's result bit for bit, NaN signs and payloads
+   included (which [same_real] would not see). *)
+let t_max_min_bits () =
+  let specials =
+    [ 0.0; -0.0; nan; -.nan; Int64.float_of_bits 0x7ff0_0000_0000_0001L;
+      Int64.float_of_bits 0xfff8_0000_0000_0002L; infinity; neg_infinity;
+      1.5; -2.5; 1.5; 4.9e-324; -4.9e-324 ]
+  in
+  let pairs = List.concat_map (fun x -> List.map (fun y -> (x, y)) specials) specials in
+  let x = Array.of_list (List.map fst pairs) in
+  let y = Array.of_list (List.map snd pairs) in
+  let n = Array.length x in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun (op, name, f) ->
+      let r = Array.make n 0.0 in
+      Intrinsics.real_map2 (fun k -> k 0 0 n) S.all_lanes op r x y;
+      Array.iteri
+        (fun i got ->
+          let want = f x.(i) y.(i) in
+          if not (Int64.equal (bits got) (bits want)) then
+            Alcotest.failf "%s %Lx %Lx: got %Lx, Stdlib gives %Lx" name
+              (bits x.(i)) (bits y.(i)) (bits got) (bits want))
+        r)
+    [ (Intrinsics.Max, "max", Float.max); (Intrinsics.Min, "min", Float.min) ]
+
 (* -- allocation ---------------------------------------------------- *)
 
 (* One call of a typed kernel allocates its loop closure and nothing per
@@ -775,6 +803,30 @@ let t_kernel_alloc () =
         (minor_words small) (minor_words large))
     (kernel_calls 64) (kernel_calls 4096)
 
+(* A tree-walk gather [v = h(s)] converts each lane's subscript to an
+   index; a REAL subscript must convert without boxing a value per lane.
+   The result lane vector is in the minor heap at p = 64 and in the
+   major heap at p = 4096, so the check reads what the REAL subscript
+   allocates beyond the INTEGER one (same gather, same result vector),
+   which must not grow with p. *)
+let gather_words p sub =
+  let src =
+    Printf.sprintf
+      "PROGRAM t\n  PLURAL REAL r, v\n  PLURAL INTEGER k\n  REAL h(%d)\n\
+      \  r = iproc * 1.0\n  k = iproc\n  v = h(%s)\nEND\n" p sub
+  in
+  let prog = Parser.program_of_string src in
+  let vm = Lf_simd.Vm.run ~engine:`Tree_walk ~p prog in
+  let gather = List.nth prog.Ast.p_body (List.length prog.Ast.p_body - 1) in
+  let mask = Lf_simd.Vm.full_mask vm in
+  minor_words (fun () -> Lf_simd.Vm.exec vm ~mask gather)
+
+let t_real_subscript_alloc () =
+  let extra p = gather_words p "r" -. gather_words p "k" in
+  Alcotest.(check (float 0.))
+    "REAL-subscript gather: extra minor words at p = 4096 as at p = 64"
+    (extra 64) (extra 4096)
+
 let suite =
   [
     prop_map2_i;
@@ -792,5 +844,9 @@ let suite =
     prop_intrinsics;
     case "every operator arm of every specialised kernel" t_arm_sweep;
     case "every scatter arm" t_scatter_arm_sweep;
+    case "real MAX and MIN equal Float.max and Float.min bit for bit"
+      t_max_min_bits;
     case "a kernel call allocates nothing per lane" t_kernel_alloc;
+    case "a REAL subscript converts without allocating per lane"
+      t_real_subscript_alloc;
   ]

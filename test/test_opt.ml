@@ -476,10 +476,11 @@ let t_treewalk_alloc_gate () =
 
 (* The parallel engine's pool hand-offs on the same run at 2 jobs: one
    per join region, a function of the program alone (not of the cores or
-   the scheduler), pinned exactly.  Per WHILE iteration the regions end
-   at the ANY test, the two WHERE splits and the [renorm] of the plural
-   [force] call, so at most 4, plus the final ANY test that leaves the
-   loop.  The count stays in the Volatile section
+   the scheduler), pinned exactly.  At p = 1024, two shard floors, the
+   run has two shards; a narrower run would never dispatch.  Per WHILE
+   iteration the regions end at the ANY test, the two WHERE splits and
+   the [renorm] of the plural [force] call, so at most 4, plus the final
+   ANY test that leaves the loop.  The count stays in the Volatile section
    ([Counters] must be identical across engines, and the serial engines
    never dispatch). *)
 let dispatch_pins = [ (1, 1553); (2, 1553) ]

@@ -703,15 +703,16 @@ let t_batch_raise_in_order () =
 
 (* Every item stamps a global clock when its setup runs and, through an
    observer, at every statement it executes: no other item may stamp
-   inside the interval of the item that shards its lanes. *)
+   inside the interval of the item that shards its lanes, which needs
+   two shard floors of lanes to shard at all. *)
 let t_batch_sharding_alone () =
   let items =
     [
       batch_item ~program:"spin.f" ~repeat:2 ();
       batch_item ~program:"spin.f" ~opt:2 ~engine:`Tree_walk ~repeat:2 ();
       batch_item ~program:"spin.f" ~p:128 ~opt:0 ~repeat:2 ();
-      batch_item ~program:"spin.f" ~p:128 ~engine:`Parallel ~jobs:2 ~repeat:3
-        ();
+      batch_item ~program:"spin.f" ~p:(2 * Lf_simd.Pool.min_shard)
+        ~engine:`Parallel ~jobs:2 ~repeat:3 ();
       batch_item ~program:"good2.f" ~p:8 ~repeat:2 ();
       batch_item ~program:"spin.f" ~p:16 ~engine:`Tree_walk ~repeat:2 ();
       batch_item ~program:"spin.f" ~p:64 ~opt:2 ~repeat:2 ();

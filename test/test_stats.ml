@@ -183,9 +183,9 @@ let run_config ?jobs ?opt engine prog =
 
 (* [pool.dispatches] of a 2-job parallel run at [-O opt].  At [prop_p]
    lanes the partition has a single shard and never dispatches, so this
-   runs two chunks wide. *)
+   runs two shard floors wide: two shards. *)
 let dispatches ~opt prog =
-  let p = 2 * Lf_simd.Pool.chunk in
+  let p = 2 * Lf_simd.Pool.min_shard in
   Stats.reset ();
   Stats.enable ();
   (match
