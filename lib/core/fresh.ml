@@ -11,15 +11,16 @@ type t = {
 
 let of_names names = { used = names; counter = 0 }
 
-let of_block b =
-  of_names
-    (Ast_util.assigned_vars b @ Ast_util.read_vars b
-    |> List.sort_uniq String.compare)
+let block_names b =
+  Ast_util.assigned_vars b @ Ast_util.read_vars b
+  |> List.sort_uniq String.compare
+
+let of_block b = of_names (block_names b)
 
 let of_program (p : Ast.program) =
-  let t = of_block p.Ast.p_body in
-  t.used <- List.map (fun d -> d.Ast.dc_name) p.Ast.p_decls @ t.used;
-  t
+  of_names
+    (List.map (fun d -> d.Ast.dc_name) p.Ast.p_decls
+    @ block_names p.Ast.p_body)
 
 let reserve t name = t.used <- name :: t.used
 

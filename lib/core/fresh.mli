@@ -4,6 +4,10 @@
 type t
 
 val of_names : string list -> t
+
+(** Every variable a block assigns or reads, sorted, each once. *)
+val block_names : Lf_lang.Ast.block -> string list
+
 val of_block : Lf_lang.Ast.block -> t
 val of_program : Lf_lang.Ast.program -> t
 

@@ -96,7 +96,12 @@ let profitable (n : Normalize.nest) : bool =
     nest is not applicable or not safe. *)
 let flatten_program ?(opts = default_options) (p : program) :
     (outcome, string) result =
-  let fresh = Fresh.of_program p in
+  (* every name the program uses, collected once: fresh names avoid
+     them, and the flattened block's other names are declared *)
+  let names =
+    List.map (fun d -> d.dc_name) p.p_decls @ Fresh.block_names p.p_body
+  in
+  let fresh = Fresh.of_names names in
   let body = Lf_analysis.Loop_info.restructure_gotos p.p_body in
   match split_first_loop body with
   | None -> Error "no loop found in program body"
@@ -227,11 +232,7 @@ let flatten_program ?(opts = default_options) (p : program) :
                      (Flatten.variant_to_string variant_used))
             | Some flat_block -> (
                 let known = Hashtbl.create 64 in
-                List.iter
-                  (fun v -> Hashtbl.replace known v ())
-                  (List.map (fun d -> d.dc_name) p.p_decls
-                  @ Ast_util.assigned_vars p.p_body
-                  @ Ast_util.read_vars p.p_body);
+                List.iter (fun v -> Hashtbl.replace known v ()) names;
                 let new_vars =
                   List.filter
                     (fun v -> not (Hashtbl.mem known v))

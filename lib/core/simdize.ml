@@ -34,11 +34,6 @@ let iproc = "iproc"
 
 module SS = Set.Make (String)
 
-(** Reductions collapse a plural operand to a front-end scalar. *)
-let is_reduction f =
-  List.mem (String.lowercase_ascii f)
-    [ "any"; "all"; "maxval"; "minval"; "sum"; "count" ]
-
 (** Is the value of [e] plural (per-processor), given the set of plural
     variables?  A gather [a(i)] through a plural subscript is plural; a
     reduction over a plural operand is not. *)
@@ -47,7 +42,7 @@ let rec expr_is_plural set (e : expr) : bool =
   | EInt _ | EReal _ | EBool _ -> false
   | EVar v -> SS.mem v set
   | EIdx (v, idxs) -> SS.mem v set || List.exists (expr_is_plural set) idxs
-  | ECall (f, _) when is_reduction f -> false
+  | ECall (f, _) when Intrinsics.is_reduction f -> false
   | ECall (_, args) -> List.exists (expr_is_plural set) args
   | EUn (_, a) -> expr_is_plural set a
   | EBin (_, a, b) | ERange (a, b) ->

@@ -91,11 +91,28 @@ let name_table =
 
 (* Parsed identifiers are already lower-case, so only a name holding an
    upper-case letter pays for a lowered copy. *)
-let is_intrinsic name =
-  Hashtbl.mem name_table
-    (if String.exists (fun c -> c >= 'A' && c <= 'Z') name then
-       String.lowercase_ascii name
-     else name)
+let rec has_upper s i =
+  i < String.length s
+  &&
+  let c = String.unsafe_get s i in
+  (c >= 'A' && c <= 'Z') || has_upper s (i + 1)
+
+let key name = if has_upper name 0 then String.lowercase_ascii name else name
+
+let is_intrinsic name = Hashtbl.mem name_table (key name)
+
+(* Does [f] spell the lower-case [w] (of [f]'s length) in any case? *)
+let rec spells f w i =
+  i = String.length w
+  || Char.lowercase_ascii (String.unsafe_get f i) = String.unsafe_get w i
+     && spells f w (i + 1)
+
+let is_reduction f =
+  match String.length f with
+  | 3 -> spells f "sum" 0 || spells f "any" 0 || spells f "all" 0
+  | 5 -> spells f "count" 0
+  | 6 -> spells f "maxval" 0 || spells f "minval" 0
+  | _ -> false
 
 (* MAXVAL / MINVAL: one array or scalar *)
 let reduction red fi fr = function
@@ -145,7 +162,7 @@ let not_intrinsic (_ : value list) : value option = None
 (** Resolve intrinsic [name] once (case-insensitively) to the function
     of its evaluated arguments; see the interface. *)
 let resolve name : value list -> value option =
-  match String.lowercase_ascii name with
+  match key name with
   | "max" -> max_fn
   | "min" -> min_fn
   | "maxval" -> maxval_fn

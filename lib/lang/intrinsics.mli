@@ -4,7 +4,17 @@
     [vector] literal constructor). *)
 
 val names : string list
+
+(** The lower-case form of a name: the name itself unless it holds an
+    upper-case letter. *)
+val key : string -> string
+
 val is_intrinsic : string -> bool
+
+(** ANY, ALL, COUNT, MAXVAL, MINVAL or SUM, in any case: the calls that
+    collapse a plural operand to a front-end scalar.  Compares in place,
+    allocating nothing. *)
+val is_reduction : string -> bool
 
 (** [resolve name] looks the (case-insensitive) name up once and returns
     the function of the evaluated arguments that [apply name] computes:

@@ -83,6 +83,49 @@ let skip_digits lx =
     advance lx
   done
 
+(* In-place number readers: no substring, no C call.  An integer of at
+   most 18 digits cannot overflow, and a plain [d*.d*] whose digits form
+   a mantissa [m <= 2^53] with [k <= 22] fraction digits is exactly
+   [m /. 10^k] correctly rounded (both operands are exact floats), which
+   is what [float_of_string]'s strtod returns (Clinger's fast path).
+   Every other number takes the substring path. *)
+
+(* 10^0 .. 10^22, every one exact; read, never written *)
+let exact_pow10 =
+  Array.init 23 (fun k -> float_of_string ("1e" ^ string_of_int k))
+
+let max_exact = 1 lsl 53
+
+let rec int_digits src i e acc =
+  if i = e then acc
+  else
+    match String.unsafe_get src i with
+    | '0' .. '9' as c ->
+        int_digits src (i + 1) e ((acc * 10) + Char.code c - 48)
+    | _ -> -1
+
+let plain_int src s e =
+  if e - s < 1 || e - s > 18 then -1 else int_digits src s e 0
+
+(* [m]: the digits so far, [digits]: how many, [frac]: how many after
+   the '.' ([-1] before it). *)
+let rec real_digits src i e m digits frac =
+  if i = e then
+    if digits = 0 || frac > 22 then Float.nan
+    else Float.of_int m /. Array.unsafe_get exact_pow10 (max frac 0)
+  else
+    match String.unsafe_get src i with
+    | '0' .. '9' as c ->
+        let m = (m * 10) + Char.code c - 48 in
+        if m > max_exact then Float.nan
+        else
+          real_digits src (i + 1) e m (digits + 1)
+            (if frac >= 0 then frac + 1 else frac)
+    | '.' when frac < 0 -> real_digits src (i + 1) e m digits 0
+    | _ -> Float.nan
+
+let plain_real src s e = real_digits src s e 0 0 (-1)
+
 let lex_number lx =
   let start = lx.pos and l = loc lx in
   skip_digits lx;
@@ -97,6 +140,7 @@ let lex_number lx =
   if is_real then begin
     advance lx;
     skip_digits lx;
+    let plain_end = lx.pos in
     (match (peek lx, peek2 lx) with
     | ('e' | 'E' | 'd' | 'D'), ('0' .. '9' | '+' | '-') ->
         (* roll back unless at least one exponent digit follows *)
@@ -107,19 +151,27 @@ let lex_number lx =
         skip_digits lx;
         if lx.pos = before then lx.pos <- mark
     | _ -> ());
-    let s = String.sub lx.src start (lx.pos - start) in
-    let s =
-      if String.contains s 'd' || String.contains s 'D' then
-        String.map (function 'd' | 'D' -> 'e' | c -> c) s
-      else s
+    let f =
+      if lx.pos = plain_end then plain_real lx.src start lx.pos else Float.nan
     in
-    FLOAT (float_of_string s)
+    if not (Float.is_nan f) then FLOAT f
+    else
+      let s = String.sub lx.src start (lx.pos - start) in
+      let s =
+        if String.contains s 'd' || String.contains s 'D' then
+          String.map (function 'd' | 'D' -> 'e' | c -> c) s
+        else s
+      in
+      FLOAT (float_of_string s)
   end
   else
-    match int_of_string (String.sub lx.src start (lx.pos - start)) with
-    | n -> INT n
-    | exception Failure _ ->
-        Errors.lex_error (pos_of_loc l) "integer literal out of range"
+    let n = plain_int lx.src start lx.pos in
+    if n >= 0 then INT n
+    else
+      match int_of_string (String.sub lx.src start (lx.pos - start)) with
+      | n -> INT n
+      | exception Failure _ ->
+          Errors.lex_error (pos_of_loc l) "integer literal out of range"
 
 (* Does [src.[start + i .. start + len - 1]] spell the rest of the
    upper-case [word] in any case? *)

@@ -23,3 +23,17 @@ val pos_of_loc : int -> Errors.pos
 
 (** [scan] as a list of located tokens (ends with [EOF]). *)
 val tokenize : string -> (Errors.pos * Token.t) list
+
+(** {1 In-place number readers}
+
+    Both read [src.[s .. e - 1]] without a substring or a C call, and
+    agree bit for bit with [int_of_string] / [float_of_string] on every
+    text they accept. *)
+
+(** The value of 1 to 18 decimal digits, else [-1]. *)
+val plain_int : string -> int -> int -> int
+
+(** The value of a plain [d*.d*] (at least one digit, at most one ['.'])
+    whose digits, read as one integer, are at most [2^53], with at most
+    22 after the ['.'], else [nan]. *)
+val plain_real : string -> int -> int -> float

@@ -4,6 +4,12 @@
     every form; the [pp_*] formatters print its text. *)
 
 val dtype_to_string : Ast.dtype -> string
+
+(** The text of a REAL literal: the shortest ["%.Ng"] form that the
+    lexer reads back as exactly the value, with a ['.'] in its mantissa.
+    One printing works out each distinct value's text once. *)
+val real_literal : float -> string
+
 val distribution_to_string : Ast.distribution -> string
 val expr_to_string : Ast.expr -> string
 val stmt_to_string : Ast.stmt -> string

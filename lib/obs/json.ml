@@ -215,10 +215,15 @@ let parse ?(big_int = fun text -> Float (float_of_string text)) (s : string) :
   let parse_string () =
     expect '"';
     let stop = ref !pos in
-    while !stop < n && s.[!stop] <> '"' && s.[!stop] <> '\\' do
+    while
+      !stop < n
+      &&
+      let c = String.unsafe_get s !stop in
+      c <> '"' && c <> '\\'
+    do
       incr stop
     done;
-    if !stop < n && s.[!stop] = '"' then begin
+    if !stop < n && String.unsafe_get s !stop = '"' then begin
       let text = String.sub s !pos (!stop - !pos) in
       pos := !stop + 1;
       text

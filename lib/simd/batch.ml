@@ -63,75 +63,56 @@ let scalar_value v =
                        or false"
                       v))))
 
-(* Whether [v.[s .. e - 1]] is a plain decimal integer -- an optional
-   '-' and 1 to 18 digits, so it cannot overflow -- storing its value in
-   [ints.(k)].  It is then the value [int_of_string] reads, and
-   [float_of_string] reads its [float_of_int] (negated zero apart). *)
-let plain_int v s e (ints : int array) k =
-  let neg = s < e && String.unsafe_get v s = '-' in
-  let d = if neg then s + 1 else s in
-  e - d >= 1
-  && e - d <= 18
-  &&
-  let acc = ref 0 and i = ref d in
-  while
-    !i < e
-    &&
-    let c = String.unsafe_get v !i in
-    c >= '0' && c <= '9'
-  do
-    acc := (!acc * 10) + (Char.code (String.unsafe_get v !i) - 48);
-    incr i
-  done;
-  !i = e
-  && begin
-       ints.(k) <- (if neg then - !acc else !acc);
-       true
-     end
+(* The end of the fill token starting at [i]: the next ',' or [n]. *)
+let rec token_end v i n =
+  if i = n || String.unsafe_get v i = ',' then i else token_end v (i + 1) n
 
-(* One pass over the comma positions; plain decimal integers are read in
-   place, every other token goes through [int_of_string_opt] /
-   [float_of_string_opt] as a substring, so the result (and the first
-   bad token named) is the split-then-convert reading's. *)
+(* One pass over the tokens, as integers while they all are, else (from
+   the first token again) as reals.  Plain decimals with an optional
+   '-' are read in place by the lexer's readers, which agree bit for bit
+   with [int_of_string] / [float_of_string]; every other token goes
+   through [int_of_string_opt] / [float_of_string_opt] as a substring,
+   so the result (and the first bad token named) is the split-then-
+   convert reading's. *)
 let fill_array v =
   let n = String.length v in
-  let count =
-    1 + String.fold_left (fun k c -> if c = ',' then k + 1 else k) 0 v
-  in
-  (* token [k] is [v.[start.(k) .. start.(k + 1) - 2]] *)
-  let start = Array.make (count + 1) (n + 1) in
-  start.(0) <- 0;
-  let k = ref 1 in
-  String.iteri
-    (fun i c ->
-      if c = ',' then begin
-        start.(!k) <- i + 1;
-        incr k
-      end)
-    v;
-  let tok k = String.sub v start.(k) (start.(k + 1) - 1 - start.(k)) in
+  let count = ref 1 in
+  for i = 0 to n - 1 do
+    if String.unsafe_get v i = ',' then incr count
+  done;
+  let count = !count in
+  let sign s e = if s < e && String.unsafe_get v s = '-' then s + 1 else s in
   let ints = Array.make count 0 in
-  let rec all_ints k =
-    k >= count
-    || (plain_int v start.(k) (start.(k + 1) - 1) ints k
-       ||
-       match int_of_string_opt (tok k) with
+  let rec int_pass k s =
+    k = count
+    ||
+    let e = token_end v s n in
+    let d = sign s e in
+    let x = Lexer.plain_int v d e in
+    (if x >= 0 then begin
+       Array.unsafe_set ints k (if d > s then -x else x);
+       true
+     end
+     else
+       match int_of_string_opt (String.sub v s (e - s)) with
        | Some x ->
-           ints.(k) <- x;
+           Array.unsafe_set ints k x;
            true
        | None -> false)
-       && all_ints (k + 1)
+    && int_pass (k + 1) (e + 1)
   in
-  if all_ints 0 then Values.AInt (Nd.of_array ints)
+  if int_pass 0 0 then Values.AInt (Nd.of_array ints)
   else begin
     let reals = Array.make count 0.0 in
+    let s = ref 0 in
     for k = 0 to count - 1 do
-      let s = start.(k) in
-      reals.(k) <-
-        (if plain_int v s (start.(k + 1) - 1) ints k then
-           if ints.(k) = 0 && v.[s] = '-' then -0.0 else float_of_int ints.(k)
+      let e = token_end v !s n in
+      let d = sign !s e in
+      let f = Lexer.plain_real v d e in
+      Array.unsafe_set reals k
+        (if not (Float.is_nan f) then if d > !s then -.f else f
          else
-           let t = tok k in
+           let t = String.sub v !s (e - !s) in
            if int_overflow t then raise (out_of_range "array element" t);
            match float_of_string_opt t with
            | Some f -> f
@@ -139,7 +120,8 @@ let fill_array v =
                raise
                  (Bad_value
                     (Printf.sprintf
-                       "invalid array element %S: expected int or real" t)))
+                       "invalid array element %S: expected int or real" t)));
+      s := e + 1
     done;
     Values.AReal (Nd.of_array reals)
   end

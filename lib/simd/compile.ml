@@ -777,8 +777,8 @@ and compile_unop env scr op ca : cexpr =
     | _, v -> box_lift env.exec m (fun i -> gen (rv_lane v i))
 
 and compile_call env scr name args : cexpr =
-  let key = String.lowercase_ascii name in
-  if Ir.is_reduction key then compile_reduction env name key args
+  let key = Intrinsics.key name in
+  if Intrinsics.is_reduction key then compile_reduction env name key args
   else
     let cargs = List.map (compile_expr env) args in
     let p = env.p in
@@ -1277,7 +1277,7 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
         tick_assign env loc m rhs;
         casgn m rhs
   | Ir.LScall (name, args) -> (
-      let key = String.lowercase_ascii name in
+      let key = Intrinsics.key name in
       let cargs =
         List.map (fun (e, exact) -> (compile_expr env e, exact)) args
       in

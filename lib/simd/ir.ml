@@ -109,11 +109,6 @@ let slot_of frame name =
   | Some i -> i
   | None -> invalid_arg ("Compile: unresolved variable " ^ name)
 
-let is_reduction f =
-  List.mem
-    (String.lowercase_ascii f)
-    [ "any"; "all"; "maxval"; "minval"; "sum"; "count" ]
-
 (** Unary numeric intrinsics a fused region may absorb.  All are total
     on numeric operands (no per-lane failure), so they never add a
     raising class to a region; whether a user function shadows the name

@@ -86,8 +86,6 @@ and snode =
 
 and block = stmt array
 
-val is_reduction : string -> bool
-
 (** Unary numeric intrinsics a fused region may absorb; all total on
     numeric operands. *)
 val fusible_intrinsics : string list

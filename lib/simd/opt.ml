@@ -58,8 +58,8 @@ let rec fusible_ops (e : expr) : int option =
       | Some x, Some y -> Some (x + y + 1)
       | _ -> None)
   | XCall (name, [ a ])
-    when List.mem (String.lowercase_ascii name) fusible_intrinsics
-         && not (is_reduction name) ->
+    when List.mem (Intrinsics.key name) fusible_intrinsics
+         && not (Intrinsics.is_reduction name) ->
       Option.map (fun n -> n + 1) (fusible_ops a)
   | XCall _ -> None
   | XIdx (_, _, args) when List.length args >= 1 && List.length args <= 2 ->
@@ -103,7 +103,7 @@ let build_region (e : expr) : region =
         emit (OBin (op, ia, ib))
     | XCall (name, [ a ]) ->
         let ia = go a in
-        emit (OIntr (String.lowercase_ascii name, ia))
+        emit (OIntr (Intrinsics.key name, ia))
     | XIdx (slot, name, args) ->
         let ix = List.map go args in
         emit (OGather (slot, name, Array.of_list ix))
@@ -125,11 +125,11 @@ let rec annotate_expr (e : expr) : unit =
       annotate_expr a;
       annotate_expr b
   | XUn (_, a) -> annotate_expr a
-  | XCall (name, ([ a ] as args)) when is_reduction name -> (
+  | XCall (name, ([ a ] as args)) when Intrinsics.is_reduction name -> (
       match fusible_ops a with
       | Some n when n >= 1 ->
           e.x_fused <-
-            Some (FReduce (String.lowercase_ascii name, build_region a))
+            Some (FReduce (Intrinsics.key name, build_region a))
       | _ -> List.iter annotate_expr args)
   | XCall (_, args) | XIdx (_, _, args) -> List.iter annotate_expr args
 
@@ -223,148 +223,197 @@ let rec walk_stmts f (s : stmt) : unit =
     assignment's right-hand side) and conservative across statements —
     which is enough, because no site's result survives its statement:
     it is consumed by a store, a mask split, a reduction fold or an
-    argument conversion before the next statement runs. *)
-type step = {
-  st_uses : int list;
-  st_def : int option;
+    argument conversion before the next statement runs.
+
+    The planner walks that order three times over the same state,
+    allocating nothing per step: the sites an evaluation step reads sit
+    on an int stack from their definitions until the step pops them.
+    Walk 1 numbers the sites in definition order (in [x_scr]) and
+    records each one's last use; walk 2 gives each site, at its
+    definition, the smallest group no live site holds (a site last used
+    at a defining step is dead there, so the result may alias an
+    operand); walk 3 replaces each site's number by its group. *)
+type planner = {
+  mutable walk : int;  (** 1, 2 or 3 *)
+  mutable step : int;  (** the evaluation step being walked *)
+  mutable nsites : int;
+  mutable stack : int array;  (** sites awaiting the step that reads them *)
+  mutable sp : int;
+  mutable last : int array;  (** a site's last use step, [-1] if none *)
+  mutable group : int array;
+  mutable held : Bytes.t;  (** a group held by a live site *)
+  mutable ngroups : int;
 }
 
-(** The evaluation steps of [b] and its sites, numbered in definition
-    order; each site's number is written to its [x_scr] for the
-    scatter-accumulate step to read. *)
-let scratch_steps (b : block) : step array * expr array =
-  let sites : expr list ref = ref [] in
-  let nsites = ref 0 in
-  let steps : step list ref = ref [] in
-  let new_temp (e : expr) =
-    let id = !nsites in
-    incr nsites;
-    sites := e :: !sites;
-    id
-  in
-  let push uses def = steps := { st_uses = uses; st_def = def } :: !steps in
-  (* Returns the temp holding the expression's result buffers, if the
-     node owns any.  Mirrors the emitter's evaluation order. *)
-  let rec ex (e : expr) : int option =
-    match e.x_fused with
-    | Some (FReduce _) ->
-        (* folds straight to a front-end scalar: no result buffers *)
-        push [] None;
-        None
-    | None -> (
-        match e.x_node with
-        | XConst _ | XVar _ -> None
-        | XRange (lo, hi) ->
-            let a = ex lo in
-            let b = ex hi in
-            push (List.filter_map Fun.id [ a; b ]) None;
-            None
-        | XUn (_, a) ->
-            let ta = ex a in
-            let t = new_temp e in
-            e.x_scr <- t;
-            push (Option.to_list ta) (Some t);
-            Some t
-        | XBin (_, a, b) ->
-            let ta = ex a in
-            let tb = ex b in
-            let t = new_temp e in
-            e.x_scr <- t;
-            push (List.filter_map Fun.id [ ta; tb ]) (Some t);
-            Some t
-        | XCall (name, args) when is_reduction name ->
-            let ts = List.filter_map ex args in
-            push ts None;
-            None
-        | XCall (_, args) ->
-            let ts = List.filter_map ex args in
-            let t = new_temp e in
-            e.x_scr <- t;
-            push ts (Some t);
-            Some t
-        | XIdx (_, _, args) ->
-            let ts = List.filter_map ex args in
-            let t = new_temp e in
-            e.x_scr <- t;
-            push ts (Some t);
-            Some t)
-  in
-  let rec st (s : stmt) : unit =
-    match s.s_node with
-    | LLoc (_, inner) -> st inner
-    | LNop | LGoto -> ()
-    | LAssign (l, e) ->
-        let te = ex e in
-        let tix = List.filter_map ex l.l_index in
-        (* the merged scatter-accumulate pass additionally reads the
-           subscript evaluated inside the gather; it is covered by [te]
-           (the gather is part of the right-hand side's subtree and its
-           temp is kept live through the final step) *)
-        let extra =
-          if s.s_accum then
-            match e.x_node with
-            | XBin (_, g, rest) ->
-                let t e = if e.x_scr >= 0 then [ e.x_scr ] else [] in
-                t g @ t rest
-                @ (match g.x_node with
-                  | XIdx (_, _, [ gix ]) -> t gix
-                  | _ -> [])
-            | _ -> []
-          else []
-        in
-        push (Option.to_list te @ tix @ extra) None
-    | LScall (_, args) ->
-        let ts = List.filter_map (fun (a, _) -> ex a) args in
-        push ts None
-    | LIf (c, t, f) | LWhere (c, t, f) ->
-        let tc = ex c in
-        push (Option.to_list tc) None;
-        Array.iter st t;
-        Array.iter st f
-    | LWhile (c, b) ->
-        let tc = ex c in
-        push (Option.to_list tc) None;
-        Array.iter st b
-    | LDoWhile (b, c) ->
-        Array.iter st b;
-        let tc = ex c in
-        push (Option.to_list tc) None
-    | LDo (_, _, lo, hi, step, b) ->
-        let ts =
-          List.filter_map Fun.id
-            [ ex lo; ex hi; Option.bind step ex ]
-        in
-        push ts None;
-        Array.iter st b
-  in
-  Array.iter st b;
-  (Array.of_list (List.rev !steps), Array.of_list (List.rev !sites))
+let grow a n = Array.append a (Array.make (max 16 n) (-1))
+
+let push_site pl t =
+  if pl.sp = Array.length pl.stack then pl.stack <- grow pl.stack pl.sp;
+  Array.unsafe_set pl.stack pl.sp t;
+  pl.sp <- pl.sp + 1
+
+(* A non-negative [x_scr] is a site's number (walks 1 and 2). *)
+let push_if_site pl (e : expr) = if e.x_scr >= 0 then push_site pl e.x_scr
+
+(* The current step reads the sites pushed from [mark] on and pops them. *)
+let uses pl mark =
+  (match pl.walk with
+  | 1 ->
+      for j = mark to pl.sp - 1 do
+        pl.last.(pl.stack.(j)) <- pl.step
+      done
+  | 2 ->
+      for j = mark to pl.sp - 1 do
+        let t = pl.stack.(j) in
+        if pl.last.(t) = pl.step then Bytes.set pl.held pl.group.(t) '\000'
+      done
+  | _ -> ());
+  pl.sp <- mark
+
+let use_step pl mark =
+  uses pl mark;
+  pl.step <- pl.step + 1
+
+let rec free_group held g =
+  if Bytes.get held g = '\000' then g else free_group held (g + 1)
+
+(* The current step reads the sites pushed from [mark] on, then defines
+   the site [e], which it leaves on the stack. *)
+let def_step pl mark (e : expr) =
+  uses pl mark;
+  (match pl.walk with
+  | 1 ->
+      if pl.nsites = Array.length pl.last then
+        pl.last <- grow pl.last pl.nsites;
+      e.x_scr <- pl.nsites;
+      pl.nsites <- pl.nsites + 1
+  | 2 ->
+      let t = e.x_scr in
+      let g = free_group pl.held 0 in
+      pl.group.(t) <- g;
+      if pl.last.(t) > pl.step then Bytes.set pl.held g '\001';
+      if g >= pl.ngroups then pl.ngroups <- g + 1
+  | _ -> ());
+  push_site pl e.x_scr;
+  if pl.walk = 3 then e.x_scr <- pl.group.(e.x_scr);
+  pl.step <- pl.step + 1
+
+(* Mirrors the emitter's evaluation order; leaves the expression's site,
+   if it is one, on the stack. *)
+let rec plan_expr pl (e : expr) =
+  match e.x_fused with
+  | Some (FReduce _) ->
+      (* folds straight to a front-end scalar: no result buffers *)
+      use_step pl pl.sp
+  | None -> (
+      let mark = pl.sp in
+      match e.x_node with
+      | XConst _ | XVar _ -> ()
+      | XRange (lo, hi) ->
+          plan_expr pl lo;
+          plan_expr pl hi;
+          use_step pl mark
+      | XUn (_, a) ->
+          plan_expr pl a;
+          def_step pl mark e
+      | XBin (_, a, b) ->
+          plan_expr pl a;
+          plan_expr pl b;
+          def_step pl mark e
+      | XCall (name, args) when Intrinsics.is_reduction name ->
+          plan_exprs pl args;
+          use_step pl mark
+      | XCall (_, args) | XIdx (_, _, args) ->
+          plan_exprs pl args;
+          def_step pl mark e)
+
+and plan_exprs pl = function
+  | [] -> ()
+  | e :: rest ->
+      plan_expr pl e;
+      plan_exprs pl rest
+
+let rec plan_stmt pl (s : stmt) =
+  let mark = pl.sp in
+  match s.s_node with
+  | LLoc (_, inner) -> plan_stmt pl inner
+  | LNop | LGoto -> ()
+  | LAssign (l, e) ->
+      plan_expr pl e;
+      plan_exprs pl l.l_index;
+      (* the merged scatter-accumulate pass re-reads the gather, the
+         addend and the gather's subscript: they stay live through the
+         store *)
+      (if s.s_accum then
+         match e.x_node with
+         | XBin (_, g, rest) -> (
+             push_if_site pl g;
+             push_if_site pl rest;
+             match g.x_node with
+             | XIdx (_, _, [ gix ]) -> push_if_site pl gix
+             | _ -> ())
+         | _ -> ());
+      use_step pl mark
+  | LScall (_, args) ->
+      plan_args pl args;
+      use_step pl mark
+  | LIf (c, t, f) | LWhere (c, t, f) ->
+      plan_expr pl c;
+      use_step pl mark;
+      plan_block pl t;
+      plan_block pl f
+  | LWhile (c, b) ->
+      plan_expr pl c;
+      use_step pl mark;
+      plan_block pl b
+  | LDoWhile (b, c) ->
+      plan_block pl b;
+      plan_expr pl c;
+      use_step pl mark
+  | LDo (_, _, lo, hi, step, b) ->
+      (* step, hi, lo: the order the planner has always numbered them in *)
+      (match step with Some e -> plan_expr pl e | None -> ());
+      plan_expr pl hi;
+      plan_expr pl lo;
+      use_step pl mark;
+      plan_block pl b
+
+and plan_args pl = function
+  | [] -> ()
+  | (a, _) :: rest ->
+      plan_expr pl a;
+      plan_args pl rest
+
+and plan_block pl (b : block) =
+  for i = 0 to Array.length b - 1 do
+    plan_stmt pl (Array.unsafe_get b i)
+  done
 
 let plan_scratch (b : block) : int * int =
-  let steps, sites = scratch_steps b in
-  let ntemps = Array.length sites in
-  (* Temps are numbered in definition order and every use follows its
-     definition, so a temp is live from its def step up to its last use.
-     One walk assigns each new temp the smallest group no live temp
-     holds; a temp last used at a def step is dead there, so the result
-     may alias an operand. *)
-  let last = Array.make ntemps (-1) in
-  Array.iteri (fun i st -> List.iter (fun t -> last.(t) <- i) st.st_uses) steps;
-  let color = Array.make ntemps (-1) in
-  let held = Array.make ntemps false in
-  Array.iteri
-    (fun i st ->
-      List.iter (fun t -> if last.(t) = i then held.(color.(t)) <- false)
-        st.st_uses;
-      Option.iter
-        (fun d ->
-          let rec first g = if held.(g) then first (g + 1) else g in
-          color.(d) <- first 0;
-          held.(color.(d)) <- last.(d) > i)
-        st.st_def)
-    steps;
-  Array.iteri (fun t site -> site.x_scr <- color.(t)) sites;
-  (ntemps, 1 + Array.fold_left max (-1) color)
+  let pl =
+    {
+      walk = 1;
+      step = 0;
+      nsites = 0;
+      stack = Array.make 16 (-1);
+      sp = 0;
+      last = Array.make 64 (-1);
+      group = [||];
+      held = Bytes.empty;
+      ngroups = 0;
+    }
+  in
+  let walk k =
+    pl.walk <- k;
+    pl.step <- 0;
+    plan_block pl b
+  in
+  walk 1;
+  pl.group <- Array.make pl.nsites (-1);
+  pl.held <- Bytes.make pl.nsites '\000';
+  walk 2;
+  walk 3;
+  (pl.nsites, pl.ngroups)
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)

@@ -3,9 +3,9 @@
     [run ~level] is the identity at level 0 ([-O0]).  At level 1 and
     above it applies, in named phases: reduction fusion ([Ir.FReduce],
     "fuse"), scatter-accumulate marking ([Ir.s_accum], "accum") and
-    scratch planning ([Ir.x_scr], "scratch", one walk over the
-    linearized evaluation order that gives each site the smallest group
-    no live site holds).
+    scratch planning ([Ir.x_scr], "scratch": walks over the linearized
+    evaluation order that give each site the smallest group no live
+    site holds).
 
     Level 2 runs the same pipeline as level 1.
 
@@ -41,20 +41,6 @@ val chaos_scratch : bool ref
     be [false] outside tests. *)
 
 (** {1 Scratch planning} *)
-
-(** One step of the linearized evaluation order, over site numbers:
-    the sites whose result buffers it reads and the site it defines. *)
-type step = {
-  st_uses : int list;
-  st_def : int option;
-}
-
-val scratch_steps : Ir.block -> step array * Ir.expr array
-(** The evaluation steps of a block, mirroring the emitter's order, and
-    its buffer-bearing sites numbered in definition order (every use
-    follows its definition).  Writes each site's number to its
-    [Ir.x_scr]; [plan_scratch] then replaces it with a group.  Exposed
-    so tests can check the planner against an independent colouring. *)
 
 val plan_scratch : Ir.block -> int * int
 (** Assign every site of the block a scratch group ([Ir.x_scr]): the

@@ -118,7 +118,7 @@ let check_region ctx ~loc key rg =
           check_slot ctx ~loc ~what:"region gather" slot name;
           Array.iter (operand "subscript") ix)
     rg.rg_ops;
-  check ctx (is_reduction key) ~loc "IR003"
+  check ctx (Intrinsics.is_reduction key) ~loc "IR003"
     "fused reduction head %s is not a reduction" key
 
 (* ------------------------------------------------------------------ *)
@@ -264,7 +264,7 @@ let check_scratch ctx (b : block) : unit =
             let t = new_site ~loc e in
             push (List.filter_map Fun.id [ ta; tb ]) (Some t) ~loc;
             Some t
-        | XCall (name, args) when is_reduction name ->
+        | XCall (name, args) when Intrinsics.is_reduction name ->
             let ts = List.filter_map (ex ~loc) args in
             push ts None ~loc;
             None

@@ -78,10 +78,6 @@ let read_global vm name =
 (* Expression evaluation                                               *)
 (* ------------------------------------------------------------------ *)
 
-let is_reduction f =
-  List.mem (String.lowercase_ascii f)
-    [ "any"; "all"; "maxval"; "minval"; "sum"; "count" ]
-
 (* Sharing rule: a [Pval.Plural] returned by [eval] may be a variable's
    own lane vector (an [EVar] read does not copy it), so values returned
    by [eval] are read-only.  Variable storage is written only by
@@ -368,8 +364,8 @@ and index_plural_arr vm ~mask (a : arr) (args : expr list) : Pval.t =
   gather vm ~mask a idx ~lead:true subs
 
 and eval_call vm ~mask name args : Pval.t =
-  let key = String.lowercase_ascii name in
-  if is_reduction key then begin
+  let key = Intrinsics.key name in
+  if Intrinsics.is_reduction key then begin
     reduction vm ~loc:vm.cur_loc mask;
     let a =
       match args with
@@ -529,7 +525,7 @@ let rec exec vm ~(mask : Frame.Mask.t) (s : stmt) : unit =
       assign vm ~mask l rhs
   | SCall (name, args) -> (
       observe vm ~mask s;
-      let key = String.lowercase_ascii name in
+      let key = Intrinsics.key name in
       match Hashtbl.find_opt vm.procs key with
       | Some f ->
           call vm key ~loc:vm.cur_loc mask;

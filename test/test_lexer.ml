@@ -230,6 +230,94 @@ let prop_oracle =
        (QCheck.make ~print:(Fmt.str "%S") source_gen)
        agrees)
 
+(* -- in-place number readers ------------------------------------------ *)
+
+(* Number texts around the in-place readers' limits: integers of 1 to
+   19 digits (18 fit, 19 may overflow), plain [d*.d*] reals with 16- and
+   17-digit mantissas, values past 2^53 and 22 or 23 fraction digits,
+   [1.] and [.5] forms, and [e]/[d] exponents, which take the substring
+   path. *)
+let number_text_gen =
+  let open QCheck.Gen in
+  let digits lo hi =
+    let* n = lo -- hi in
+    string_size ~gen:(char_range '0' '9') (return n)
+  in
+  let fraction = digits 1 23 in
+  let plain = map2 (fun a b -> a ^ "." ^ b) (digits 0 17) fraction in
+  oneof
+    [
+      digits 1 19;
+      map (fun d -> String.make 1 '1' ^ d) (digits 17 18);
+      plain;
+      map2 (fun a b -> a ^ "." ^ b) (digits 15 17) (digits 0 2);
+      map2 (fun a b -> a ^ "." ^ b) (digits 0 1) (digits 21 23);
+      (* short mantissas behind 20 to 23 fraction digits: the exact
+         case up to its last power of ten, and one past it *)
+      (let* k = 20 -- 23 in
+       let* d = digits 1 12 in
+       return ("0." ^ String.make (k - String.length d) '0' ^ d));
+      map (fun a -> a ^ ".") (digits 1 17);
+      map (fun b -> "." ^ b) fraction;
+      map2
+        (fun k f -> string_of_int ((1 lsl 53) + k) ^ f)
+        (-3 -- 3) (oneofl [ ""; "."; ".0"; ".5"; ".25" ]);
+      map3
+        (fun m e x -> m ^ e ^ x)
+        plain
+        (oneofl [ "e"; "E"; "d"; "D"; "e-"; "e+"; "d-"; "D+" ])
+        (digits 1 3);
+    ]
+
+(* The token a number text must lex to: [int_of_string]'s value for
+   digits alone (a located error past the int range), else
+   [float_of_string]'s with a [d] exponent read as [e]; reals compared
+   by their bits. *)
+let number_outcome tokens text =
+  match tokens text with
+  | [ (_, INT n); (_, EOF) ] -> `Int n
+  | [ (_, FLOAT f); (_, EOF) ] -> `Real (Int64.bits_of_float f)
+  | _ -> `Other
+  | exception Errors.Lex_error _ -> `Error
+
+let expected_number text =
+  if String.for_all (fun c -> c >= '0' && c <= '9') text then
+    match int_of_string_opt text with Some n -> `Int n | None -> `Error
+  else
+    `Real
+      (Int64.bits_of_float
+         (float_of_string
+            (String.map (function 'd' | 'D' -> 'e' | c -> c) text)))
+
+let prop_numbers =
+  qcheck_test
+    (QCheck.Test.make ~count:2000
+       ~name:"INT and FLOAT tokens equal int_of_string and float_of_string"
+       (QCheck.make ~print:Fun.id number_text_gen)
+       (fun text ->
+         number_outcome Lexer.tokenize text = expected_number text
+         || QCheck.Test.fail_reportf "lexer reads %S differently" text))
+
+let t_number_limits () =
+  let same text =
+    checkb text (number_outcome Lexer.tokenize text = expected_number text)
+  in
+  List.iter same
+    [ "999999999999999999"; "1000000000000000000"; "4611686018427387903";
+      "4611686018427387904"; "9999999999999999999"; "9007199254740992.";
+      "9007199254740993."; "900719925474099.3"; "0.1234567890123456789012";
+      "0.12345678901234567890123"; "1.7976931348623157"; "1."; ".5"; "0.";
+      "00.000"; "1.5d300"; "2.5D-2"; "0.30000000000000004";
+      "123456789012345678.9"; ".0000000000000000000001" ];
+  checki "plain_int past 18 digits" (-1)
+    (Lexer.plain_int "1234567890123456789" 0 19);
+  checkb "plain_real refuses an exponent"
+    (Float.is_nan (Lexer.plain_real "1.5e3" 0 5));
+  checkb "plain_real refuses a lone '.'"
+    (Float.is_nan (Lexer.plain_real "." 0 1));
+  checkb "plain_real refuses two '.'"
+    (Float.is_nan (Lexer.plain_real "1.2.3" 0 5))
+
 let suite =
   [
     case "simple statements" t_simple;
@@ -245,4 +333,6 @@ let suite =
     case "oracle: character-rule edge cases" t_oracle_edges;
     case "oracle: example and corpus files" t_oracle_files;
     prop_oracle;
+    case "numbers at the in-place readers' limits" t_number_limits;
+    prop_numbers;
   ]

@@ -287,6 +287,58 @@ let t_oracle_flattened () =
       | Error _ -> ())
     progs
 
+(* [Pretty.real_literal] against the digit-by-digit loop it replaced
+   ([Oracle_pretty.real_literal]: "%.1g", "%.2g", ... until the text
+   round-trips), on any float: random bits, every binade with its
+   subnormals, short decimals, values around 1e16 (where integral reals
+   leave the "%.1f" form) and the signed zeros and non-finite values. *)
+let any_float =
+  QCheck.Gen.(
+    oneof
+      [
+        float;
+        map Int64.float_of_bits int64;
+        map2
+          (fun m e -> Float.ldexp m e)
+          (float_range (-1.0) 1.0) (-1074 -- 1023);
+        map2
+          (fun m e -> float_of_int m *. (10.0 ** float_of_int e))
+          (-99999 -- 99999) (-12 -- 4);
+        map2
+          (fun k scale -> (1e16 *. scale) +. float_of_int k)
+          (-4 -- 4)
+          (oneofl [ 1.0; -1.0; 0.999999; 1.000001 ]);
+        oneofl [ 0.0; -0.0; Float.infinity; Float.neg_infinity; Float.nan;
+                 Float.min_float; Float.max_float; 5e-324; 1e16; 1e15 +. 0.5 ];
+      ])
+
+let real_literal_matches f =
+  let got = Pretty.real_literal f and want = Oracle_pretty.real_literal f in
+  String.equal got want
+  || QCheck.Test.fail_reportf "%h printed as %s, the loop prints %s" f got want
+
+let t_real_literal_cases () =
+  List.iter
+    (fun f -> checkb (Fmt.str "%h" f) (real_literal_matches f))
+    [ 0.0; -0.0; 0.1; -0.1; 1e16; -1e16; 1e16 +. 2.0; 9999999999999998.0;
+      0.30000000000000004; 5e-324; 2.2250738585072014e-308; 1e-5; 1e22;
+      123456789012345.6; 1.7976931348623157e308; Float.nan; Float.infinity ]
+
+(* Memoized text in a whole-program printing: -0.0 and 0.0 print as
+   themselves wherever they repeat. *)
+let t_real_memo_signed_zero () =
+  let prog =
+    Ast.program "z"
+      [ Ast.assign "a" (EReal 0.0); Ast.assign "b" (EReal (-0.0));
+        Ast.assign "c" (EReal 0.0); Ast.assign "d" (EReal (-0.0));
+        Ast.assign "e" (EReal 0.1); Ast.assign "f" (EReal 0.1) ]
+  in
+  let text = Pretty.program_to_string prog in
+  List.iter
+    (fun line -> checkb line (Astring_contains.contains text line))
+    [ "a = 0.0\n"; "b = -0.0\n"; "c = 0.0\n"; "d = -0.0\n"; "e = 0.1\n";
+      "f = 0.1\n" ]
+
 let suite =
   [
     case "expression golden output" t_expr_golden;
@@ -304,4 +356,8 @@ let suite =
     case "oracle: flattened programs print as before" t_oracle_flattened;
     qcheck_case ~count:2000 "REAL literal print/parse identity"
       nonneg_finite_float real_roundtrips;
+    qcheck_case ~count:5000 "oracle: REAL literal text equals the old loop's"
+      any_float real_literal_matches;
+    case "oracle: REAL literal edge values" t_real_literal_cases;
+    case "REAL literal memo keeps -0.0 and 0.0 apart" t_real_memo_signed_zero;
   ]

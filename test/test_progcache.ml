@@ -571,6 +571,9 @@ let fill_string_gen =
         map string_of_int small_signed_int;
         map (Printf.sprintf "%.17g") float;
         map (Printf.sprintf "%g") float;
+        (* plain decimals, the in-place reader's tokens, and past its
+           limits: 16 to 25 fraction digits *)
+        map2 (Printf.sprintf "%.*f") (0 -- 25) (float_range (-1e6) 1e6);
       ]
   in
   map (String.concat ",") (list_size (1 -- 6) token)
