@@ -12,7 +12,7 @@
    fig18.csv into DIR for external plotting.
 
    With [--paired NAME]: run no experiment; instead time the legs of one
-   named entry of [pairs] (jobs, stats, cache) against each
+   named entry of [pairs] (stats, cache) against each
    other in one process, and end stdout with one JSON line holding every
    pair's ratios.
 
@@ -47,10 +47,10 @@ let small_src =
 
 let small_p = 64
 
-(* The derived flat SIMD NBFORCE (Figure 13) run end to end on the VM at
-   a given lane count, with ~2 atoms per lane like the Table 1/2
-   configurations.  The registered force function is trivially cheap, so
-   a run measures the engine rather than the force routine. *)
+(* The derived flat SIMD NBFORCE (Figure 13) run end to end on the
+   compiled engine at a given lane count, with ~2 atoms per lane like the
+   Table 1/2 configurations.  The registered force function is trivially
+   cheap, so a run measures the engine rather than the force routine. *)
 let nbforce_runner ~p =
   let mol = Lf_md.Workload.sod ~n:(2 * p) () in
   let pl = Lf_md.Workload.pairlist mol ~cutoff:8.0 in
@@ -72,10 +72,10 @@ let nbforce_runner ~p =
     | Ok o -> o.Lf_core.Pipeline.program
     | Error e -> Fmt.failwith "cannot derive SIMD NBFORCE: %s" e
   in
-  fun ?jobs ?opt engine () ->
-    Lf_simd.Vm.run ~engine ?jobs ?opt ~p
+  fun () ->
+    Lf_simd.Vm.run ~engine:`Compiled ~p
       ~setup:(fun vm ->
-        Lf_simd.Vm.register_func vm ~pure:true "force" (fun _ -> Values.VReal 1.0);
+        Lf_simd.Vm.register_func vm "force" (fun _ -> Values.VReal 1.0);
         Lf_simd.Vm.bind_scalar vm "n" (Values.VInt n);
         Lf_simd.Vm.bind_scalar vm "maxp" (Values.VInt maxp);
         Lf_simd.Vm.bind_scalar vm "p" (Values.VInt p);
@@ -108,32 +108,18 @@ let pair label (na, a) (nb, b) =
    entry derives its kernels. *)
 let pairs =
   [
-    (* the lane-sharded engine at 2 jobs against serial compiled (below
-       1.0 = parallel faster) from nbforce-sim's width to MasPar scale:
-       the widths below 2 * Pool.min_shard run on one shard, and the
-       sweep is the evidence for the floor *)
-    ( "jobs",
-      fun () ->
-        List.map
-          (fun p ->
-            let run = nbforce_runner ~p in
-            pair
-              (Printf.sprintf "NBFORCE flat p=%d" p)
-              ("parallel j2", run ~jobs:2 `Parallel)
-              ("compiled", run `Compiled))
-          [ 128; 256; 512; 1024; 4096 ] );
     (* the telemetry registry's cost on the compiled kernel *)
     ( "stats",
       fun () ->
         let run = nbforce_runner ~p:engine_p in
         let on () =
           Lf_obs.Stats.enable ();
-          Fun.protect ~finally:Lf_obs.Stats.disable (run `Compiled)
+          Fun.protect ~finally:Lf_obs.Stats.disable run
         in
         [
           pair
             (Printf.sprintf "NBFORCE flat p=%d compiled" engine_p)
-            ("stats off", run `Compiled) ("stats on", on);
+            ("stats off", run) ("stats on", on);
         ] );
     (* the small repeat workload from source with no cache (the whole
        parse -> lower -> optimize front end) against a shared cache that

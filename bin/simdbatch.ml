@@ -35,7 +35,7 @@ let nbforce_setup atoms items =
     | None, _ -> ()
     | Some "nbforce", Some (mol, pl) ->
         let n, maxp = Src.params pl in
-        Lf_simd.Vm.register_func vm ~pure:true "force" (Src.force_fn mol);
+        Lf_simd.Vm.register_func vm "force" (Src.force_fn mol);
         Lf_simd.Vm.register_proc vm "onef" (Src.onef_simd mol);
         Lf_simd.Vm.bind_scalar vm "n" (Lf_lang.Values.VInt n);
         Lf_simd.Vm.bind_scalar vm "maxp" (Lf_lang.Values.VInt maxp);

@@ -2,7 +2,7 @@
 
    Generates and mutates mini-Fortran programs (both the SIMD dialect
    and front-end loop nests), judges each one with the differential
-   oracle battery in lib/fuzz — cross-engine/-O/jobs equivalence under
+   oracle battery in lib/fuzz — cross-engine/-O equivalence under
    the IR verifier, stats-registry invariance, pretty-print/parse
    round-trip, flatten/coalesce translation validation — and keeps the
    inputs that light up new coverage (stats counters, lint rules, error

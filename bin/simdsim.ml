@@ -75,7 +75,7 @@ let nbforce_workload atoms =
    onef), the n/maxp parameters, and the pcnt/partners/f arrays. *)
 let setup_nbforce_simd (mol, pl) vm =
   let n, maxp = Src.params pl in
-  Lf_simd.Vm.register_func vm ~pure:true "force" (Src.force_fn mol);
+  Lf_simd.Vm.register_func vm "force" (Src.force_fn mol);
   Lf_simd.Vm.register_proc vm "onef" (Src.onef_simd mol);
   Lf_simd.Vm.bind_scalar vm "n" (Values.VInt n);
   Lf_simd.Vm.bind_scalar vm "maxp" (Values.VInt maxp);
@@ -100,8 +100,8 @@ let max_abs_err reference f =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let run path seq engine jobs lanes olevel dump_ir dump_ir_phase verify_ir
-    sets fills dumps kernel atoms trace_file profile metrics_json
+let run path seq (engine_name, engine) jobs lanes olevel dump_ir dump_ir_phase
+    verify_ir sets fills dumps kernel atoms trace_file profile metrics_json
     occupancy_json chrome_file compare_mimd lint stats stats_json manifest
     warm =
   try
@@ -111,7 +111,7 @@ let run path seq engine jobs lanes olevel dump_ir dump_ir_phase verify_ir
     end;
     if stats || Option.is_some stats_json || Option.is_some manifest then
       Lf_obs.Stats.enable ();
-    if Option.is_some jobs && engine <> `Parallel then begin
+    if Option.is_some jobs && engine_name <> "parallel" then begin
       Fmt.epr "simdsim: --jobs requires --engine parallel@.";
       raise Exit
     end;
@@ -296,7 +296,7 @@ let run path seq engine jobs lanes olevel dump_ir dump_ir_phase verify_ir
       let c0 = Sys.time () in
       let vm =
         if warm = 0 then
-          Lf_simd.Vm.run ~engine ?jobs ~opt:olevel ~verify:verify_ir
+          Lf_simd.Vm.run ~engine ~opt:olevel ~verify:verify_ir
             ~p:lanes
             ~setup:(fun vm ->
               bind_inputs vm;
@@ -313,7 +313,7 @@ let run path seq engine jobs lanes olevel dump_ir dump_ir_phase verify_ir
           for i = 0 to warm do
             last :=
               Some
-                (Lf_simd.Vm.run_src ~engine ?jobs ~opt:olevel
+                (Lf_simd.Vm.run_src ~engine ~opt:olevel
                    ~verify:verify_ir ~cache ~p:lanes
                    ~setup:(fun vm ->
                      bind_inputs vm;
@@ -328,18 +328,11 @@ let run path seq engine jobs lanes olevel dump_ir dump_ir_phase verify_ir
       Option.iter
         (fun oc -> if oc != stdout then close_out oc else flush oc)
         trace_oc;
-      let engine_name =
-        match engine with
-        | `Tree_walk -> "tree-walk"
-        | `Compiled -> "compiled"
-        | `Parallel -> "parallel"
-      in
       let opt_used = match engine with `Tree_walk -> 0 | _ -> olevel in
       let jobs_used =
-        match engine with
-        | `Parallel ->
-            Option.value jobs ~default:(Lf_simd.Pool.default_jobs ())
-        | _ -> 1
+        if engine_name = "parallel" then
+          Option.value jobs ~default:(Lf_simd.Batch.default_jobs ())
+        else 1
       in
       let metrics = vm.Lf_simd.Vm.metrics in
       Fmt.pr "SIMD run on %d lanes: %a@." lanes Lf_simd.Metrics.pp metrics;
@@ -471,23 +464,25 @@ let cmd =
   let engine =
     let engine_conv =
       Arg.enum
-        [
-          ("tree-walk", `Tree_walk);
-          ("compiled", `Compiled);
-          ("parallel", `Parallel);
-        ]
+        (List.map
+           (fun (name, e) -> (name, (name, e)))
+           [
+             ("tree-walk", `Tree_walk);
+             ("compiled", `Compiled);
+             ("parallel", `Compiled);
+           ])
     in
     Arg.(
       value
-      & opt engine_conv `Tree_walk
+      & opt engine_conv ("tree-walk", `Tree_walk)
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
             "SIMD execution engine: $(b,tree-walk) (the reference \
-             interpreter), $(b,compiled) (slot-resolved closures; same \
-             results, faster) or $(b,parallel) (the compiled engine with \
-             lanes sharded over a Domain pool; see $(b,--jobs)).  All \
-             three produce bit-identical state, metrics, traces and \
-             errors.")
+             interpreter) or $(b,compiled) (slot-resolved closures; same \
+             results, faster).  Both produce bit-identical state, metrics, \
+             traces and errors.  $(b,parallel) is accepted for existing \
+             command lines: it runs the compiled engine, and the metrics \
+             and manifest record it under its own name and $(b,--jobs).")
   in
   let jobs =
     let jobs_conv =
@@ -505,15 +500,10 @@ let cmd =
       & opt (some jobs_conv) None
       & info [ "jobs" ] ~docv:"N"
           ~doc:
-            (Fmt.str
-               "Shard count for $(b,--engine parallel): the lanes are \
-                split into at most $(docv) contiguous shards \
-                (chunk-aligned, so results do not depend on $(docv)) of \
-                at least %d lanes each, so below %d lanes the run has one \
-                shard and runs serially.  Requires $(b,--engine \
-                parallel); defaults to the machine's recommended domain \
-                count."
-               Lf_simd.Pool.min_shard (2 * Lf_simd.Pool.min_shard)))
+            "Accepted with $(b,--engine parallel) for existing command \
+             lines (and required to be at least 1): the count the metrics \
+             and manifest record, by default the machine's recommended \
+             domain count, at most 8.  It changes nothing about the run.")
   in
   let lanes =
     Arg.(
@@ -666,7 +656,7 @@ let cmd =
           ~doc:
             "Enable the engine telemetry registry for the run and print \
              it afterwards: per-opcode dispatch counts, mask-density \
-             buckets, optimizer and pool-health counters, GC deltas and \
+             buckets, optimizer counters, GC deltas and \
              the run timer, grouped by determinism class.")
   in
   let stats_json =
@@ -677,9 +667,9 @@ let cmd =
           ~doc:
             "Enable the telemetry registry and write its dump as JSON to \
              $(docv).  The $(b,counters) section is byte-identical across \
-             engines, $(b,--jobs) and $(b,-O) levels; $(b,opt) varies \
-             only with $(b,-O); $(b,volatile) (GC, pool health, timers) \
-             is exempt from any determinism guarantee.")
+             engines and $(b,-O) levels; $(b,opt) varies only with \
+             $(b,-O); $(b,volatile) (GC, timers) is exempt from any \
+             determinism guarantee.")
   in
   let manifest =
     Arg.(

@@ -5,7 +5,7 @@
     - [Simd]: the F90simd dialect of [Lf_testgen.Gen.simd_prog_gen] —
       plural arithmetic over [iproc] in the standard environment bound
       by [Gen.simd_prog_setup] (globals [g]/[h], per-lane [f], scalar
-      [n]).  Checked by the cross-engine/-O/jobs differential oracles.
+      [n]).  Checked by the cross-engine/-O differential oracles.
     - [Nest]: front-end loop nests over the standard [k]/[l]/[x]/[acc]
       environment (see [Oracle.nest_setup]).  Checked by the
       flatten/coalesce translation-validation oracles.

@@ -6,15 +6,12 @@
     [Simd] inputs (cross-engine differential testing):
     - pretty-print / re-parse round-trip is the identity (modulo
       locations and comments);
-    - tree-walk, compiled [-O0]/[-O1]/[-O2]+verify and parallel
-      [-O1]/[-O2] legs agree on final state, [Metrics] and error
-      strings at every lane count in the sweep;
-    - the [-O2] leg runs under [--verify-ir]: the optimizer must never
+    - tree-walk and compiled [-O0]/[-O1] legs agree on final state,
+      [Metrics] and error strings at every lane count in the sweep;
+    - the [-O1] leg runs under [--verify-ir]: the optimizer must never
       emit IR the verifier rejects;
     - the [Counters] section of the stats registry is identical on
-      every leg (the engine-invariance contract), and the [opt.*]
-      counters are identical between compiled and parallel legs at the
-      same [-O] level (the jobs-invariance contract);
+      every leg (the engine-invariance contract);
     - replaying one leg twice yields the identical snapshot (stats
       determinism).
 
@@ -118,11 +115,11 @@ let diags_text diags =
        shown)
   ^ if n > 3 then Fmt.str " (and %d more)" (n - 3) else ""
 
-let run_leg ~fuel ~p ?jobs ?opt ?verify ~what engine prog =
+let run_leg ~fuel ~p ?opt ?verify ~what engine prog =
   Stats.reset ();
   let run =
     match
-      Vm.run ~fuel ~engine ?jobs ?opt ?verify ~p
+      Vm.run ~fuel ~engine ?opt ?verify ~p
         ~setup:(Gen.simd_prog_setup ~p)
         prog
     with
@@ -166,11 +163,8 @@ let check_simd ~fuel prog =
       let others =
         [
           run_leg ~fuel ~p ~opt:0 ~what:"compiled -O0" `Compiled prog;
-          run_leg ~fuel ~p ~opt:1 ~what:"compiled -O1" `Compiled prog;
-          run_leg ~fuel ~p ~opt:2 ~verify:true ~what:"compiled -O2+verify"
+          run_leg ~fuel ~p ~opt:1 ~verify:true ~what:"compiled -O1+verify"
             `Compiled prog;
-          run_leg ~fuel ~p ~jobs:2 ~opt:1 ~what:"parallel -O1 j2" `Parallel prog;
-          run_leg ~fuel ~p ~jobs:3 ~opt:2 ~what:"parallel -O2 j3" `Parallel prog;
         ]
       in
       List.iter (legs_agree ~p leg) others;
@@ -181,28 +175,16 @@ let check_simd ~fuel prog =
             failf "stats-counters" "%s vs %s, p=%d: Counters section diverged"
               leg.what o.what p)
         others;
-      (* jobs-invariance of the opt.* counters at matching -O levels *)
-      (match others with
-      | [ _o0; o1; o2v; p1; p2 ] ->
-          if p1.optc <> o1.optc then
-            failf "stats-opt" "p=%d: opt.* counters differ, compiled vs parallel -O1" p;
-          ignore o2v;
-          ignore p2
-          (* -O2 compiled ran under the verifier and -O2 parallel did
-             not; verify.* lives in the Opt section but is excluded by
-             the opt.* filter, so this comparison is meaningful too *)
-      | _ -> assert false);
-      (match others with
-      | [ _; _; o2v; _; p2 ] ->
-          if p2.optc <> o2v.optc then
-            failf "stats-opt" "p=%d: opt.* counters differ, compiled vs parallel -O2" p
-      | _ -> assert false);
       (* stats determinism: the same leg replayed is bit-identical *)
-      let again = run_leg ~fuel ~p ~opt:1 ~what:"compiled -O1 (replay)" `Compiled prog in
+      let again =
+        run_leg ~fuel ~p ~opt:1 ~verify:true
+          ~what:"compiled -O1+verify (replay)" `Compiled prog
+      in
       (match others with
-      | _ :: o1 :: _ ->
+      | [ _; o1 ] ->
           if again.counters <> o1.counters || again.optc <> o1.optc then
-            failf "stats-determinism" "p=%d: replaying compiled -O1 changed the snapshot" p
+            failf "stats-determinism"
+              "p=%d: replaying compiled -O1+verify changed the snapshot" p
       | _ -> assert false);
       (* fuel exhaustion must be engine-identical (checked by
          [legs_agree] above); record it as the distinct verdict *)

@@ -6,7 +6,7 @@
 
 open Lf_lang
 
-(** Figure 13.  [force] is registered as a pure external function; [f]
+(** Figure 13.  [force] is registered as an external function; [f]
     accumulates the (scalar) force magnitudes per atom.  Declarations use
     the parameters [n] and [maxp] seeded by the driver. *)
 let source =
@@ -81,14 +81,14 @@ let run_sequential (prog : Ast.program) (mol : Lf_md.Molecule.t)
     force array and the VM metrics.  [engine] defaults to the compiled
     engine (every engine, optimizer level and [verify] setting produces
     identical results). *)
-let run_simd ?(engine = `Compiled) ?jobs ?opt ?verify (prog : Ast.program)
+let run_simd ?(engine = `Compiled) ?opt ?verify (prog : Ast.program)
     (mol : Lf_md.Molecule.t) (pl : Lf_md.Pairlist.t) ~p :
     float array * Lf_simd.Metrics.t =
   let n, maxp = params pl in
   let vm =
-    Lf_simd.Vm.run ~engine ?jobs ?opt ?verify ~p
+    Lf_simd.Vm.run ~engine ?opt ?verify ~p
       ~setup:(fun vm ->
-        Lf_simd.Vm.register_func vm ~pure:true "force" (force_fn mol);
+        Lf_simd.Vm.register_func vm "force" (force_fn mol);
         Lf_simd.Vm.bind_scalar vm "n" (Values.VInt n);
         Lf_simd.Vm.bind_scalar vm "maxp" (Values.VInt maxp);
         Lf_simd.Vm.bind_scalar vm "p" (Values.VInt p);
@@ -180,15 +180,15 @@ let onef_simd (mol : Lf_md.Molecule.t) : Lf_simd.Vm.proc =
 (** Run a CALL-based (possibly transformed) program on the SIMD VM and
     return (forces, metrics); the "onef" call count in the metrics is the
     Table 2 quantity. *)
-let run_simd_call ?(engine = `Compiled) ?jobs (prog : Ast.program)
+let run_simd_call ?(engine = `Compiled) (prog : Ast.program)
     (mol : Lf_md.Molecule.t) (pl : Lf_md.Pairlist.t) ~p :
     float array * Lf_simd.Metrics.t =
   let n, maxp = params pl in
   let vm =
-    Lf_simd.Vm.run ~engine ?jobs ~p
+    Lf_simd.Vm.run ~engine ~p
       ~setup:(fun vm ->
         Lf_simd.Vm.register_proc vm "onef" (onef_simd mol);
-        Lf_simd.Vm.register_func vm ~pure:true "force" (force_fn mol);
+        Lf_simd.Vm.register_func vm "force" (force_fn mol);
         Lf_simd.Vm.bind_scalar vm "n" (Values.VInt n);
         Lf_simd.Vm.bind_scalar vm "maxp" (Values.VInt maxp);
         Lf_simd.Vm.bind_scalar vm "p" (Values.VInt p);

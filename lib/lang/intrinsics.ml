@@ -246,10 +246,10 @@ let lane_fn = function
   | _ -> None
 
 (* As [Scalar_ops]' kernels, with its unchecked lane access: the lanes
-   [bp] marks (every lane for [Scalar_ops.all_lanes]) through the
-   runner, ascending within a shard; an operand is a lane vector or a
-   broadcast one-cell array.  [real_map1] and [real_map2] match the
-   operator once, outside the loop; EXP (a C call) and REAL take [_]. *)
+   of [0, p) that [bp] marks (every lane for [Scalar_ops.all_lanes]),
+   ascending; an operand is a lane vector or a broadcast one-cell
+   array.  [real_map1] and [real_map2] match the operator once, outside
+   the loop; EXP (a C call) and REAL take [_]. *)
 
 external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
 external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
@@ -257,55 +257,50 @@ let all_lanes = Scalar_ops.all_lanes
 let[@inline] on bp i = Bytes.unsafe_get bp i <> '\000'
 let[@inline] bcast a = if Array.length a = 1 then 0 else -1
 
-let[@inline] loop_num1 op bp (r : float array) (x : float array) lo hi =
+let[@inline] loop_num1 op bp (r : float array) (x : float array) p =
   let all = bp == all_lanes and kx = bcast x in
-  for i = lo to hi - 1 do
+  for i = 0 to p - 1 do
     if all || on bp i then r.!(i) <- real_num1 op x.!(i land kx)
   done
 
-let real_map1 (run : Scalar_ops.run) bp op r x =
+let real_map1 p bp op r x =
   match op with
-  | Sqrt -> run (fun _ lo hi -> loop_num1 Sqrt bp r x lo hi)
-  | Abs -> run (fun _ lo hi -> loop_num1 Abs bp r x lo hi)
-  | _ -> run (fun _ lo hi -> loop_num1 op bp r x lo hi)
+  | Sqrt -> loop_num1 Sqrt bp r x p
+  | Abs -> loop_num1 Abs bp r x p
+  | _ -> loop_num1 op bp r x p
 
-let int_abs (run : Scalar_ops.run) bp (r : int array) (x : int array) =
-  run (fun _ lo hi ->
-      let all = bp == all_lanes and kx = bcast x in
-      for i = lo to hi - 1 do
-        if all || on bp i then r.!(i) <- abs x.!(i land kx)
-      done)
+let int_abs p bp (r : int array) (x : int array) =
+  let all = bp == all_lanes and kx = bcast x in
+  for i = 0 to p - 1 do
+    if all || on bp i then r.!(i) <- abs x.!(i land kx)
+  done
 
-let to_int (run : Scalar_ops.run) bp ~round (r : int array) (x : float array)
-    =
-  run (fun _ lo hi ->
-      let all = bp == all_lanes and kx = bcast x in
-      for i = lo to hi - 1 do
-        if all || on bp i then r.!(i) <- int_of_real ~round x.!(i land kx)
-      done)
+let to_int p bp ~round (r : int array) (x : float array) =
+  let all = bp == all_lanes and kx = bcast x in
+  for i = 0 to p - 1 do
+    if all || on bp i then r.!(i) <- int_of_real ~round x.!(i land kx)
+  done
 
-let int_map2 (run : Scalar_ops.run) bp op (r : int array) (x : int array)
-    (y : int array) =
-  run (fun _ lo hi ->
-      let all = bp == all_lanes and kx = bcast x and ky = bcast y in
-      for i = lo to hi - 1 do
-        if all || on bp i then
-          r.!(i) <- int_num2 op x.!(i land kx) y.!(i land ky)
-      done)
+let int_map2 p bp op (r : int array) (x : int array) (y : int array) =
+  let all = bp == all_lanes and kx = bcast x and ky = bcast y in
+  for i = 0 to p - 1 do
+    if all || on bp i then
+      r.!(i) <- int_num2 op x.!(i land kx) y.!(i land ky)
+  done
 
 let[@inline] loop_num2 op bp (r : float array) (x : float array)
-    (y : float array) lo hi =
+    (y : float array) p =
   let all = bp == all_lanes and kx = bcast x and ky = bcast y in
-  for i = lo to hi - 1 do
+  for i = 0 to p - 1 do
     if all || on bp i then
       r.!(i) <- real_num2 op x.!(i land kx) y.!(i land ky)
   done
 
-let real_map2 (run : Scalar_ops.run) bp op r x y =
+let real_map2 p bp op r x y =
   match op with
-  | Max -> run (fun _ lo hi -> loop_num2 Max bp r x y lo hi)
-  | Min -> run (fun _ lo hi -> loop_num2 Min bp r x y lo hi)
-  | Mod -> run (fun _ lo hi -> loop_num2 Mod bp r x y lo hi)
+  | Max -> loop_num2 Max bp r x y p
+  | Min -> loop_num2 Min bp r x y p
+  | Mod -> loop_num2 Mod bp r x y p
 
 (** The per-lane cell of a one-operand intrinsic, as its kernel. *)
 let cell key (c : Scalar_ops.cell) : Scalar_ops.cell option =

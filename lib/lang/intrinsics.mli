@@ -32,7 +32,7 @@ val apply : string -> Values.value list -> Values.value option
 
     The numeric intrinsics' semantics is written once, as lane
     functions that [resolve]'s boxed functions and these kernels both
-    apply.  The kernels follow [Scalar_ops]' conventions: a lane runner,
+    apply.  The kernels follow [Scalar_ops]' conventions: a lane count,
     a byte mask or [Scalar_ops.all_lanes], one-cell broadcast operands. *)
 
 (** MAX / MIN / MOD ([Stdlib.max]-style on integers, [Float.max] /
@@ -52,20 +52,20 @@ type lane_fn = Num1 of num1 | Num2 of num2 | To_int of bool
 val lane_fn : string -> lane_fn option
 
 val real_map1 :
-  Scalar_ops.run -> Bytes.t -> num1 -> float array -> float array -> unit
+  int -> Bytes.t -> num1 -> float array -> float array -> unit
 
-val int_abs : Scalar_ops.run -> Bytes.t -> int array -> int array -> unit
+val int_abs : int -> Bytes.t -> int array -> int array -> unit
 
 (** INT / NINT of real lanes. *)
 val to_int :
-  Scalar_ops.run -> Bytes.t -> round:bool -> int array -> float array -> unit
+  int -> Bytes.t -> round:bool -> int array -> float array -> unit
 
 val int_map2 :
-  Scalar_ops.run -> Bytes.t -> num2 -> int array -> int array -> int array ->
+  int -> Bytes.t -> num2 -> int array -> int array -> int array ->
   unit
 
 val real_map2 :
-  Scalar_ops.run -> Bytes.t -> num2 -> float array -> float array ->
+  int -> Bytes.t -> num2 -> float array -> float array ->
   float array -> unit
 
 (** The per-lane cell of a one-operand intrinsic applied to a cell, as

@@ -1,6 +1,6 @@
 (** Scalar operator semantics and the lane kernels of every engine
-    ([Interp], the tree-walking [Lf_simd.Vm], the compiled
-    [Lf_simd.Compile] and its lane-sharded form).  The semantics is
+    ([Interp], the tree-walking [Lf_simd.Vm] and the compiled
+    [Lf_simd.Compile]).  The semantics is
     written once, as [@inline] lane functions: the boxed [apply_binop]
     applies them to values and stays the oracle; a kernel matches its
     operator once per call, outside its loop, whose inlined lane function
@@ -137,13 +137,9 @@ let apply_unop op v =
 (* Lane kernels                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Each kernel is one monomorphic loop handed to [run]: [run f] applies
-   [f shard lo hi] to a partition of the lanes ([Pool.serial_exec]'s
-   runner makes one pass over every lane; [Pool.parallel_exec]'s appends
-   the loop to the pending join region, which runs it per shard).
-   Shards write disjoint lane ranges of the result, and a shard that
-   raises surfaces as the first-failing-lane error, exactly as the
-   serial scan.  [bp] is an activity mask's bytes ([Frame.Mask.bits]
+(* Each kernel is one monomorphic loop over the lanes [0, p), in
+   ascending order, so a raising lane surfaces as the first failing
+   active lane.  [bp] is an activity mask's bytes ([Frame.Mask.bits]
    layout: one byte per lane, ['\000'] inactive), or [all_lanes] for a
    pass over every lane; only the folds require a real mask.
 
@@ -162,8 +158,6 @@ let apply_unop op v =
    over every lane of two whole vectors needs no mask test and no
    broadcast [land]: [map2_{i,r}] give it a loop of its own. *)
 
-type run = (int -> int -> int -> unit) -> unit
-
 (* Unchecked lane access; the primitive is specialised by the array's
    static type, so a [float array] is read and written unboxed. *)
 external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
@@ -176,125 +170,120 @@ let[@inline] whole bp x y =
   bp == all_lanes && Array.length x > 1 && Array.length y > 1
 
 let[@inline] loop2_i op bp (r : int array) (x : int array) (y : int array)
-    lo hi =
+    p =
   if whole bp x y then
-    for i = lo to hi - 1 do r.!(i) <- int_arith op x.!(i) y.!(i) done
+    for i = 0 to p - 1 do r.!(i) <- int_arith op x.!(i) y.!(i) done
   else
     let all = bp == all_lanes and kx = bcast x and ky = bcast y in
-    for i = lo to hi - 1 do
+    for i = 0 to p - 1 do
       if all || on bp i then
         r.!(i) <- int_arith op x.!(i land kx) y.!(i land ky)
     done
 
-let map2_i (run : run) bp op r x y =
+let map2_i p bp op r x y =
   match op with
-  | Ast.Add -> run (fun _ lo hi -> loop2_i Ast.Add bp r x y lo hi)
-  | Ast.Sub -> run (fun _ lo hi -> loop2_i Ast.Sub bp r x y lo hi)
-  | Ast.Mul -> run (fun _ lo hi -> loop2_i Ast.Mul bp r x y lo hi)
-  | _ -> run (fun _ lo hi -> loop2_i op bp r x y lo hi)
+  | Ast.Add -> loop2_i Ast.Add bp r x y p
+  | Ast.Sub -> loop2_i Ast.Sub bp r x y p
+  | Ast.Mul -> loop2_i Ast.Mul bp r x y p
+  | _ -> loop2_i op bp r x y p
 
 let[@inline] loop2_r op bp (r : float array) (x : float array)
-    (y : float array) lo hi =
+    (y : float array) p =
   if whole bp x y then
-    for i = lo to hi - 1 do r.!(i) <- real_arith op x.!(i) y.!(i) done
+    for i = 0 to p - 1 do r.!(i) <- real_arith op x.!(i) y.!(i) done
   else
     let all = bp == all_lanes and kx = bcast x and ky = bcast y in
-    for i = lo to hi - 1 do
+    for i = 0 to p - 1 do
       if all || on bp i then
         r.!(i) <- real_arith op x.!(i land kx) y.!(i land ky)
     done
 
-let map2_r (run : run) bp op r x y =
+let map2_r p bp op r x y =
   match op with
-  | Ast.Add -> run (fun _ lo hi -> loop2_r Ast.Add bp r x y lo hi)
-  | Ast.Sub -> run (fun _ lo hi -> loop2_r Ast.Sub bp r x y lo hi)
-  | Ast.Mul -> run (fun _ lo hi -> loop2_r Ast.Mul bp r x y lo hi)
-  | Ast.Div -> run (fun _ lo hi -> loop2_r Ast.Div bp r x y lo hi)
-  | _ -> run (fun _ lo hi -> loop2_r op bp r x y lo hi)
+  | Ast.Add -> loop2_r Ast.Add bp r x y p
+  | Ast.Sub -> loop2_r Ast.Sub bp r x y p
+  | Ast.Mul -> loop2_r Ast.Mul bp r x y p
+  | Ast.Div -> loop2_r Ast.Div bp r x y p
+  | _ -> loop2_r op bp r x y p
 
 (* Comparisons and LOGICAL operators are total: they compute every
    lane.  [cmp_test] reads any operator but the first five as [Ge]. *)
 
-let map2_b (run : run) op (r : bool array) (x : bool array) (y : bool array) =
-  run (fun _ lo hi ->
-      let kx = bcast x and ky = bcast y in
-      for i = lo to hi - 1 do
-        r.!(i) <- bool_op op x.!(i land kx) y.!(i land ky)
-      done)
-
-let[@inline] loopc_i op (r : bool array) (x : int array) (y : int array) lo
-    hi =
+let map2_b p op (r : bool array) (x : bool array) (y : bool array) =
   let kx = bcast x and ky = bcast y in
-  for i = lo to hi - 1 do
+  for i = 0 to p - 1 do
+    r.!(i) <- bool_op op x.!(i land kx) y.!(i land ky)
+  done
+
+let[@inline] loopc_i op (r : bool array) (x : int array) (y : int array) p =
+  let kx = bcast x and ky = bcast y in
+  for i = 0 to p - 1 do
     r.!(i) <- int_cmp op x.!(i land kx) y.!(i land ky)
   done
 
-let cmp_i (run : run) op r x y =
+let cmp_i p op r x y =
   match op with
-  | Ast.Eq -> run (fun _ lo hi -> loopc_i Ast.Eq r x y lo hi)
-  | Ast.Ne -> run (fun _ lo hi -> loopc_i Ast.Ne r x y lo hi)
-  | Ast.Lt -> run (fun _ lo hi -> loopc_i Ast.Lt r x y lo hi)
-  | Ast.Le -> run (fun _ lo hi -> loopc_i Ast.Le r x y lo hi)
-  | Ast.Gt -> run (fun _ lo hi -> loopc_i Ast.Gt r x y lo hi)
-  | _ -> run (fun _ lo hi -> loopc_i Ast.Ge r x y lo hi)
+  | Ast.Eq -> loopc_i Ast.Eq r x y p
+  | Ast.Ne -> loopc_i Ast.Ne r x y p
+  | Ast.Lt -> loopc_i Ast.Lt r x y p
+  | Ast.Le -> loopc_i Ast.Le r x y p
+  | Ast.Gt -> loopc_i Ast.Gt r x y p
+  | _ -> loopc_i Ast.Ge r x y p
 
 let[@inline] loopc_r op (r : bool array) (x : float array) (y : float array)
-    lo hi =
+    p =
   let kx = bcast x and ky = bcast y in
-  for i = lo to hi - 1 do
+  for i = 0 to p - 1 do
     r.!(i) <- real_cmp op x.!(i land kx) y.!(i land ky)
   done
 
-let cmp_r (run : run) op r x y =
+let cmp_r p op r x y =
   match op with
-  | Ast.Eq -> run (fun _ lo hi -> loopc_r Ast.Eq r x y lo hi)
-  | Ast.Ne -> run (fun _ lo hi -> loopc_r Ast.Ne r x y lo hi)
-  | Ast.Lt -> run (fun _ lo hi -> loopc_r Ast.Lt r x y lo hi)
-  | Ast.Le -> run (fun _ lo hi -> loopc_r Ast.Le r x y lo hi)
-  | Ast.Gt -> run (fun _ lo hi -> loopc_r Ast.Gt r x y lo hi)
-  | _ -> run (fun _ lo hi -> loopc_r Ast.Ge r x y lo hi)
+  | Ast.Eq -> loopc_r Ast.Eq r x y p
+  | Ast.Ne -> loopc_r Ast.Ne r x y p
+  | Ast.Lt -> loopc_r Ast.Lt r x y p
+  | Ast.Le -> loopc_r Ast.Le r x y p
+  | Ast.Gt -> loopc_r Ast.Gt r x y p
+  | _ -> loopc_r Ast.Ge r x y p
 
-let[@inline] loop1_i op bp (r : int array) (x : int array) lo hi =
+let[@inline] loop1_i op bp (r : int array) (x : int array) p =
   let all = bp == all_lanes and kx = bcast x in
-  for i = lo to hi - 1 do
+  for i = 0 to p - 1 do
     if all || on bp i then r.!(i) <- int_un op x.!(i land kx)
   done
 
-let map1_i (run : run) bp op r x =
+let map1_i p bp op r x =
   match op with
-  | None -> run (fun _ lo hi -> loop1_i None bp r x lo hi)
-  | _ -> run (fun _ lo hi -> loop1_i op bp r x lo hi)
+  | None -> loop1_i None bp r x p
+  | _ -> loop1_i op bp r x p
 
-let[@inline] loop1_r op bp (r : float array) (x : float array) lo hi =
+let[@inline] loop1_r op bp (r : float array) (x : float array) p =
   let all = bp == all_lanes and kx = bcast x in
-  for i = lo to hi - 1 do
+  for i = 0 to p - 1 do
     if all || on bp i then r.!(i) <- real_un op x.!(i land kx)
   done
 
-let map1_r (run : run) bp op r x =
+let map1_r p bp op r x =
   match op with
-  | None -> run (fun _ lo hi -> loop1_r None bp r x lo hi)
-  | _ -> run (fun _ lo hi -> loop1_r op bp r x lo hi)
+  | None -> loop1_r None bp r x p
+  | _ -> loop1_r op bp r x p
 
-let map1_b (run : run) bp op (r : bool array) (x : bool array) =
-  run (fun _ lo hi ->
-      let all = bp == all_lanes and kx = bcast x in
-      for i = lo to hi - 1 do
-        if all || on bp i then r.!(i) <- bool_un op x.!(i land kx)
-      done)
+let map1_b p bp op (r : bool array) (x : bool array) =
+  let all = bp == all_lanes and kx = bcast x in
+  for i = 0 to p - 1 do
+    if all || on bp i then r.!(i) <- bool_un op x.!(i land kx)
+  done
 
-let to_real (run : run) (x : int array) =
+let to_real (x : int array) =
   let r = Array.make (Array.length x) 0.0 in
-  run (fun _ lo hi ->
-      for i = lo to hi - 1 do r.!(i) <- float_of_int x.!(i) done);
+  for i = 0 to Array.length x - 1 do r.!(i) <- float_of_int x.!(i) done;
   r
 
-let fill_v (run : run) bp (r : value array) (f : int -> value) =
-  run (fun _ lo hi ->
-      let all = bp == all_lanes in
-      for i = lo to hi - 1 do
-        if all || on bp i then r.!(i) <- f i
-      done)
+let fill_v p bp (r : value array) (f : int -> value) =
+  let all = bp == all_lanes in
+  for i = 0 to p - 1 do
+    if all || on bp i then r.!(i) <- f i
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Gathers and scatters                                                *)
@@ -327,58 +316,53 @@ let[@inline] slot l d1 d2 j1 j2 =
 let bad_lane d1 d2 ix1 ix2 l =
   ignore (offset d1 d2 ix1.(l) ix2.(l land bcast ix2))
 
-let gather_i (run : run) bp (r : int array) (d : int Nd.t) ix1 ix2 =
+let gather_i p bp (r : int array) (d : int Nd.t) ix1 ix2 =
   let d1 = extent d 0 and d2 = extent d 1 and data = d.Nd.data in
-  run (fun _ lo hi ->
-      let all = bp == all_lanes and k2 = bcast ix2 in
-      try
-        for i = lo to hi - 1 do
-          if all || on bp i then
-            r.!(i) <- data.!(slot i d1 d2 ix1.!(i) ix2.!(i land k2))
-        done
-      with Bad_lane l -> bad_lane d1 d2 ix1 ix2 l)
+  let all = bp == all_lanes and k2 = bcast ix2 in
+  try
+    for i = 0 to p - 1 do
+      if all || on bp i then
+        r.!(i) <- data.!(slot i d1 d2 ix1.!(i) ix2.!(i land k2))
+    done
+  with Bad_lane l -> bad_lane d1 d2 ix1 ix2 l
 
-let gather_r (run : run) bp (r : float array) (d : float Nd.t) ix1 ix2 =
+let gather_r p bp (r : float array) (d : float Nd.t) ix1 ix2 =
   let d1 = extent d 0 and d2 = extent d 1 and data = d.Nd.data in
-  run (fun _ lo hi ->
-      let all = bp == all_lanes and k2 = bcast ix2 in
-      try
-        for i = lo to hi - 1 do
-          if all || on bp i then
-            r.!(i) <- data.!(slot i d1 d2 ix1.!(i) ix2.!(i land k2))
-        done
-      with Bad_lane l -> bad_lane d1 d2 ix1 ix2 l)
+  let all = bp == all_lanes and k2 = bcast ix2 in
+  try
+    for i = 0 to p - 1 do
+      if all || on bp i then
+        r.!(i) <- data.!(slot i d1 d2 ix1.!(i) ix2.!(i land k2))
+    done
+  with Bad_lane l -> bad_lane d1 d2 ix1 ix2 l
 
-let gather_at_i (run : run) bp (r : int array) (data : int array) off =
-  run (fun _ lo hi ->
-      let all = bp == all_lanes in
-      for i = lo to hi - 1 do
-        if all || on bp i then r.!(i) <- data.(off i)
-      done)
+let gather_at_i p bp (r : int array) (data : int array) off =
+  let all = bp == all_lanes in
+  for i = 0 to p - 1 do
+    if all || on bp i then r.!(i) <- data.(off i)
+  done
 
-let gather_at_r (run : run) bp (r : float array) (data : float array) off =
-  run (fun _ lo hi ->
-      let all = bp == all_lanes in
-      for i = lo to hi - 1 do
-        if all || on bp i then r.!(i) <- data.(off i)
-      done)
+let gather_at_r p bp (r : float array) (data : float array) off =
+  let all = bp == all_lanes in
+  for i = 0 to p - 1 do
+    if all || on bp i then r.!(i) <- data.(off i)
+  done
 
-let gather_at_b (run : run) bp (r : bool array) (data : bool array) off =
-  run (fun _ lo hi ->
-      let all = bp == all_lanes in
-      for i = lo to hi - 1 do
-        if all || on bp i then r.!(i) <- data.(off i)
-      done)
+let gather_at_b p bp (r : bool array) (data : bool array) off =
+  let all = bp == all_lanes in
+  for i = 0 to p - 1 do
+    if all || on bp i then r.!(i) <- data.(off i)
+  done
 
 (* A scatter stores [x], or [op x y] (the merged scatter-accumulate). *)
 
 let[@inline] store_i op bp (d : int Nd.t) ix1 ix2 (x : int array)
-    (y : int array) lo hi =
+    (y : int array) p =
   let d1 = extent d 0 and d2 = extent d 1 and data = d.Nd.data in
   let all = bp == all_lanes in
   let k2 = bcast ix2 and kx = bcast x and ky = bcast y in
   try
-    for i = lo to hi - 1 do
+    for i = 0 to p - 1 do
       if all || on bp i then begin
         let o = slot i d1 d2 ix1.!(i) ix2.!(i land k2) in
         let v = x.!(i land kx) in
@@ -390,20 +374,20 @@ let[@inline] store_i op bp (d : int Nd.t) ix1 ix2 (x : int array)
     done
   with Bad_lane l -> bad_lane d1 d2 ix1 ix2 l
 
-let scatter_i (run : run) bp d ix1 ix2 op x y =
+let scatter_i p bp d ix1 ix2 op x y =
   match op with
-  | None -> run (fun _ lo hi -> store_i None bp d ix1 ix2 x y lo hi)
+  | None -> store_i None bp d ix1 ix2 x y p
   | Some Ast.Add ->
-      run (fun _ lo hi -> store_i (Some Ast.Add) bp d ix1 ix2 x y lo hi)
-  | _ -> run (fun _ lo hi -> store_i op bp d ix1 ix2 x y lo hi)
+      store_i (Some Ast.Add) bp d ix1 ix2 x y p
+  | _ -> store_i op bp d ix1 ix2 x y p
 
 let[@inline] store_r op bp (d : float Nd.t) ix1 ix2 (x : float array)
-    (y : float array) lo hi =
+    (y : float array) p =
   let d1 = extent d 0 and d2 = extent d 1 and data = d.Nd.data in
   let all = bp == all_lanes in
   let k2 = bcast ix2 and kx = bcast x and ky = bcast y in
   try
-    for i = lo to hi - 1 do
+    for i = 0 to p - 1 do
       if all || on bp i then begin
         let o = slot i d1 d2 ix1.!(i) ix2.!(i land k2) in
         let v = x.!(i land kx) in
@@ -415,34 +399,32 @@ let[@inline] store_r op bp (d : float Nd.t) ix1 ix2 (x : float array)
     done
   with Bad_lane l -> bad_lane d1 d2 ix1 ix2 l
 
-let scatter_r (run : run) bp d ix1 ix2 op x y =
+let scatter_r p bp d ix1 ix2 op x y =
   match op with
-  | None -> run (fun _ lo hi -> store_r None bp d ix1 ix2 x y lo hi)
+  | None -> store_r None bp d ix1 ix2 x y p
   | Some Ast.Add ->
-      run (fun _ lo hi -> store_r (Some Ast.Add) bp d ix1 ix2 x y lo hi)
-  | _ -> run (fun _ lo hi -> store_r op bp d ix1 ix2 x y lo hi)
+      store_r (Some Ast.Add) bp d ix1 ix2 x y p
+  | _ -> store_r op bp d ix1 ix2 x y p
 
 (* A store through a per-lane flat offset, for any rank and subscript
    form: lane [i]'s value is read before [off i] converts its
    subscripts. *)
 
-let scatter_at_i (run : run) bp (data : int array) off (x : int array) =
-  run (fun _ lo hi ->
-      let all = bp == all_lanes and kx = bcast x in
-      for i = lo to hi - 1 do
-        if all || on bp i then
-          let v = x.!(i land kx) in
-          data.(off i) <- v
-      done)
+let scatter_at_i p bp (data : int array) off (x : int array) =
+  let all = bp == all_lanes and kx = bcast x in
+  for i = 0 to p - 1 do
+    if all || on bp i then
+      let v = x.!(i land kx) in
+      data.(off i) <- v
+  done
 
-let scatter_at_r (run : run) bp (data : float array) off (x : float array) =
-  run (fun _ lo hi ->
-      let all = bp == all_lanes and kx = bcast x in
-      for i = lo to hi - 1 do
-        if all || on bp i then
-          let v = x.!(i land kx) in
-          data.(off i) <- v
-      done)
+let scatter_at_r p bp (data : float array) off (x : float array) =
+  let all = bp == all_lanes and kx = bcast x in
+  for i = 0 to p - 1 do
+    if all || on bp i then
+      let v = x.!(i land kx) in
+      data.(off i) <- v
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Per-lane cells                                                      *)
@@ -527,85 +509,64 @@ let[@inline] real_fold r a x =
   | Fold_min -> if real_cmp Ast.Lt a x then a else x
 
 let chunk = 64
+let nchunks p = (p + chunk - 1) / chunk
 
-type scratch = {
-  parts_i : int array;
-  parts_r : float array;
-  filled : Bytes.t;
-  sh_b : bool array;
-}
-
-let scratch ~lanes ~shards =
-  let nc = max 1 ((lanes + chunk - 1) / chunk) in
-  {
-    parts_i = Array.make nc 0;
-    parts_r = Array.make nc 0.0;
-    filled = Bytes.make nc '\000';
-    sh_b = Array.make shards false;
-  }
-
-(* Left fold of [get] over the lanes of [l, h) that [bp] marks into
-   [parts.(c)]; false when there are none. *)
-let fold_span_i r bp (get : int -> int) parts l h c =
-  let acc = ref 0 and seen = ref false in
-  for i = l to h - 1 do
-    if on bp i then
-      if !seen then acc := int_fold r !acc (get i)
+(* The chunked fold of [get] over the lanes [bp] marks: each chunk's
+   partial starts at its first marked lane, and each non-empty partial
+   is merged into the accumulator in ascending chunk order, the left
+   fold of the partials.  [empty ()] when no lane is marked. *)
+let fold_i r bp (get : int -> int) p empty =
+  let acc = ref 0 and have = ref false in
+  for c = 0 to nchunks p - 1 do
+    let part = ref 0 and seen = ref false in
+    for i = c * chunk to min p ((c + 1) * chunk) - 1 do
+      if on bp i then
+        if !seen then part := int_fold r !part (get i)
+        else begin
+          part := get i;
+          seen := true
+        end
+    done;
+    if !seen then
+      if !have then acc := int_fold r !acc !part
       else begin
-        acc := get i;
-        seen := true
+        acc := !part;
+        have := true
       end
   done;
-  if !seen then parts.(c) <- !acc;
-  !seen
+  if !have then VInt !acc else empty ()
 
-let fold_span_r r bp (get : int -> float) (parts : float array) l h c =
-  let acc = ref 0.0 and seen = ref false in
-  for i = l to h - 1 do
-    if on bp i then
-      if !seen then acc := real_fold r !acc (get i)
+let fold_r r bp (get : int -> float) p empty =
+  let acc = ref 0.0 and have = ref false in
+  for c = 0 to nchunks p - 1 do
+    let part = ref 0.0 and seen = ref false in
+    for i = c * chunk to min p ((c + 1) * chunk) - 1 do
+      if on bp i then
+        if !seen then part := real_fold r !part (get i)
+        else begin
+          part := get i;
+          seen := true
+        end
+    done;
+    if !seen then
+      if !have then acc := real_fold r !acc !part
       else begin
-        acc := get i;
-        seen := true
+        acc := !part;
+        have := true
       end
   done;
-  if !seen then parts.(c) <- !acc;
-  !seen
+  if !have then VReal !acc else empty ()
 
-(* One lane pass folding every chunk of the runner's lanes, then the
-   join, which makes the partials readable. *)
-let chunked (run : run) join sc span =
-  Bytes.fill sc.filled 0 (Bytes.length sc.filled) '\000';
-  run (fun _ lo hi ->
-      for c = lo / chunk to ((hi + chunk - 1) / chunk) - 1 do
-        if span (c * chunk) (min hi ((c + 1) * chunk)) c then
-          Bytes.unsafe_set sc.filled c '\001'
-      done);
-  join ()
-
-let fold_i run join sc bp r get =
-  let parts = sc.parts_i in
-  chunked run join sc (fold_span_i r bp get parts);
-  fold_span_i r sc.filled (Array.get parts) parts 0 (Bytes.length sc.filled) 0
-
-let fold_r run join sc bp r get =
-  let parts = sc.parts_r in
-  chunked run join sc (fold_span_r r bp get parts);
-  fold_span_r r sc.filled (Array.get parts) parts 0 (Bytes.length sc.filled) 0
-
-(* ANY over the active lanes.  A raising [f] visits every active lane (a
-   raising lane must still raise); a raise-free one stops at the first
-   true lane — the OR-fold order is then unobservable. *)
-let any_b (run : run) join sc bp ~raising (f : int -> bool) =
-  run (fun s lo hi ->
-      let r = ref false and i = ref lo in
-      while (raising || not !r) && !i < hi do
-        if on bp !i && f !i then r := true;
-        incr i
-      done;
-      sc.sh_b.(s) <- !r);
-  join ();
-  Array.exists Fun.id sc.sh_b
+(* ANY over the marked lanes.  A raising [f] visits every marked lane
+   (a raising lane must still raise); a raise-free one stops at the
+   first true lane, where the OR-fold order is unobservable. *)
+let any_b p bp ~raising (f : int -> bool) =
+  let r = ref false and i = ref 0 in
+  while (raising || not !r) && !i < p do
+    if on bp !i && f !i then r := true;
+    incr i
+  done;
+  !r
 
 let reduces key cell =
   match (fold_of_key key, cell) with
@@ -613,21 +574,17 @@ let reduces key cell =
   | None, FB _ -> key = "count" || key = "any" || key = "all"
   | _ -> false
 
-let lane_reduce run join sc ~raising key cell bp empty =
+let no_lane () = VInt 0
+
+let lane_reduce ~raising key cell bp empty =
+  let p = Bytes.length bp in
   match (fold_of_key key, cell) with
-  | Some r, FI f ->
-      if fold_i run join sc bp r f then VInt sc.parts_i.(0) else empty ()
-  | Some r, FR f ->
-      if fold_r run join sc bp r f then VReal sc.parts_r.(0) else empty ()
+  | Some r, FI f -> fold_i r bp f p empty
+  | Some r, FR f -> fold_r r bp f p empty
   | None, FB f -> (
       match key with
-      | "count" ->
-          let one_if i = if f i then 1 else 0 in
-          let some = fold_i run join sc bp Fold_sum one_if in
-          VInt (if some then sc.parts_i.(0) else 0)
-      | "any" -> VBool (any_b run join sc bp ~raising f)
-      | "all" ->
-          let nf i = not (f i) in
-          VBool (not (any_b run join sc bp ~raising nf))
+      | "count" -> fold_i Fold_sum bp (fun i -> Bool.to_int (f i)) p no_lane
+      | "any" -> VBool (any_b p bp ~raising f)
+      | "all" -> VBool (not (any_b p bp ~raising (fun i -> not (f i))))
       | _ -> invalid_arg "Scalar_ops.lane_reduce")
   | _ -> invalid_arg "Scalar_ops.lane_reduce"

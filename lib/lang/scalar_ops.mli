@@ -6,7 +6,7 @@
     [apply_binop] applies them to values and is the independent oracle;
     the lane kernels below apply them to whole lane vectors and are the
     only typed lane loops of both SIMD engines (the tree-walker and the
-    compiled/parallel engine).  Every loop lives here, next to the lane
+    compiled engine).  Every loop lives here, next to the lane
     functions it inlines: dev builds pass [-opaque], so a lane function
     called from another module would box each float it returns.
 
@@ -31,11 +31,8 @@ val apply_unop : Ast.unop -> Values.value -> Values.value
 
 (** {1 Lane kernels}
 
-    A kernel runs one loop through a lane runner: [run f] applies
-    [f shard lo hi] to a partition of the lanes, at once (a serial
-    runner: one pass over every lane) or at the next join (the parallel
-    engine's pending region).  Lanes are visited in ascending order
-    within a shard, so the first failing active lane raises.
+    A kernel is one loop over the lanes [0, p) of its first argument,
+    in ascending order, so the first failing active lane raises.
 
     [bp] is an activity mask's bytes, one per lane ([Frame.Mask.bits]
     layout, ['\000'] inactive), or [all_lanes] for every lane.  Only
@@ -43,49 +40,47 @@ val apply_unop : Ast.unop -> Values.value -> Values.value
     vector or a one-cell array broadcasting a front-end scalar, and a
     result may alias an operand. *)
 
-type run = (int -> int -> int -> unit) -> unit
-
 (** The mask of a pass over every lane (compared physically). *)
 val all_lanes : Bytes.t
 
 (** [r.(i) <- op x.(i) y.(i)] for [+ - * /] and MOD; int [/] and MOD
     raise on a zero divisor. *)
-val map2_i : run -> Bytes.t -> Ast.binop -> int array -> int array ->
+val map2_i : int -> Bytes.t -> Ast.binop -> int array -> int array ->
   int array -> unit
 
-val map2_r : run -> Bytes.t -> Ast.binop -> float array -> float array ->
+val map2_r : int -> Bytes.t -> Ast.binop -> float array -> float array ->
   float array -> unit
 
 (** A comparison, [.AND.] or [.OR.] on LOGICAL lanes.  Comparisons and
     LOGICAL operators are total, so they take no mask: they compute
     every lane. *)
-val map2_b : run -> Ast.binop -> bool array -> bool array -> bool array ->
+val map2_b : int -> Ast.binop -> bool array -> bool array -> bool array ->
   unit
 
 (** A comparison, through [compare] (so NaN = NaN). *)
-val cmp_i : run -> Ast.binop -> bool array -> int array -> int array -> unit
+val cmp_i : int -> Ast.binop -> bool array -> int array -> int array -> unit
 
-val cmp_r : run -> Ast.binop -> bool array -> float array -> float array ->
+val cmp_r : int -> Ast.binop -> bool array -> float array -> float array ->
   unit
 
 (** [r.(i) <- op x.(i)] for unary minus or [.NOT.], or a masked copy when
     the operator is [None]. *)
-val map1_i : run -> Bytes.t -> Ast.unop option -> int array -> int array ->
+val map1_i : int -> Bytes.t -> Ast.unop option -> int array -> int array ->
   unit
 
-val map1_r : run -> Bytes.t -> Ast.unop option -> float array ->
+val map1_r : int -> Bytes.t -> Ast.unop option -> float array ->
   float array -> unit
 
-val map1_b : run -> Bytes.t -> Ast.unop option -> bool array ->
+val map1_b : int -> Bytes.t -> Ast.unop option -> bool array ->
   bool array -> unit
 
 (** Every lane of an int vector converted with [float_of_int], into a
     fresh vector. *)
-val to_real : run -> int array -> float array
+val to_real : int array -> float array
 
 (** [r.(i) <- f i]: a per-lane function. *)
 val fill_v :
-  run -> Bytes.t -> Values.value array -> (int -> Values.value) -> unit
+  int -> Bytes.t -> Values.value array -> (int -> Values.value) -> unit
 
 (** {2 Gathers and scatters}
 
@@ -95,39 +90,39 @@ val fill_v :
     message. *)
 
 (** [r.(i) <- d(ix1.(i), ix2.(i))]. *)
-val gather_i : run -> Bytes.t -> int array -> int Nd.t ->
+val gather_i : int -> Bytes.t -> int array -> int Nd.t ->
   int array -> int array -> unit
 
-val gather_r : run -> Bytes.t -> float array -> float Nd.t ->
+val gather_r : int -> Bytes.t -> float array -> float Nd.t ->
   int array -> int array -> unit
 
 (** [r.(i) <- data.(off i)]: a gather through a per-lane flat offset,
     for any rank and subscript form; [off] checks the bounds. *)
-val gather_at_i : run -> Bytes.t -> int array -> int array -> (int -> int) ->
+val gather_at_i : int -> Bytes.t -> int array -> int array -> (int -> int) ->
   unit
 
-val gather_at_r : run -> Bytes.t -> float array -> float array ->
+val gather_at_r : int -> Bytes.t -> float array -> float array ->
   (int -> int) -> unit
 
-val gather_at_b : run -> Bytes.t -> bool array -> bool array ->
+val gather_at_b : int -> Bytes.t -> bool array -> bool array ->
   (int -> int) -> unit
 
 (** [d(ix1.(i), ix2.(i)) <- x.(i)], or [op x.(i) y.(i)] with an [op] of
     [+ - * /] or MOD; the subscript is checked before the value is
     read. *)
-val scatter_i : run -> Bytes.t -> int Nd.t -> int array ->
+val scatter_i : int -> Bytes.t -> int Nd.t -> int array ->
   int array -> Ast.binop option -> int array -> int array -> unit
 
-val scatter_r : run -> Bytes.t -> float Nd.t -> int array ->
+val scatter_r : int -> Bytes.t -> float Nd.t -> int array ->
   int array -> Ast.binop option -> float array -> float array -> unit
 
 (** [data.(off i) <- x.(i)]: a store through a per-lane flat offset, for
     any rank and subscript form; lane [i]'s value is read before [off i]
     converts and checks its subscripts. *)
-val scatter_at_i : run -> Bytes.t -> int array -> (int -> int) ->
+val scatter_at_i : int -> Bytes.t -> int array -> (int -> int) ->
   int array -> unit
 
-val scatter_at_r : run -> Bytes.t -> float array -> (int -> int) ->
+val scatter_at_r : int -> Bytes.t -> float array -> (int -> int) ->
   float array -> unit
 
 (** {2 Per-lane cells}
@@ -157,8 +152,8 @@ val gather_cell :
     seeded at its first active lane (so a lone NaN or -0.0 survives
     verbatim), then the non-empty partials merged left to right in
     ascending chunk order.  The grid depends only on the lane count, so
-    a REAL SUM is bitwise the same on every engine and at any shard
-    count, and equal to the boxed fold over the same grid. *)
+    a REAL SUM is bitwise the same on both engines, and equal to the
+    boxed fold over the same grid. *)
 
 (** The MAXVAL / MINVAL / SUM folds. *)
 type fold = Fold_sum | Fold_max | Fold_min
@@ -169,27 +164,21 @@ val fold_of_key : string -> fold option
 (** The lanes per chunk of the fold grid. *)
 val chunk : int
 
-(** A reduction site's partials: one per chunk, one ANY per shard. *)
-type scratch
-
-val scratch : lanes:int -> shards:int -> scratch
+(** The chunks of [p] lanes. *)
+val nchunks : int -> int
 
 (** Whether [lane_reduce] has a kernel for the reduction [key] of a
     cell: ["any"], ["all"] and ["count"] of LOGICAL cells, ["maxval"],
     ["minval"] and ["sum"] of int or real ones. *)
 val reduces : string -> cell -> bool
 
-(** [lane_reduce run join sc ~raising key cell bp empty]: the reduction
-    [key] of [cell] over the lanes [bp] marks (a real mask), [empty ()]
-    for MAXVAL / MINVAL / SUM when none is.  The lane pass goes through
-    [run], then [join ()] must complete every pending loop.  A [raising]
-    cell makes ANY and ALL visit every active lane; otherwise they stop
-    at the first deciding lane.
+(** [lane_reduce ~raising key cell bp empty]: the reduction [key] of
+    [cell] over the lanes [bp] marks (a real mask, one byte per lane),
+    [empty ()] for MAXVAL / MINVAL / SUM when none is.  A [raising] cell
+    makes ANY and ALL visit every active lane; otherwise they stop at
+    the first deciding lane.
     @raise Invalid_argument unless [reduces key cell]. *)
 val lane_reduce :
-  run ->
-  (unit -> unit) ->
-  scratch ->
   raising:bool ->
   string ->
   cell ->

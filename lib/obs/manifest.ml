@@ -17,7 +17,7 @@ type t = {
   program_bytes : int;
   engine : string;  (** "tree-walk" | "compiled" | "parallel" | "seq" *)
   opt : int;  (** [-O] level (0 when the engine ignores it) *)
-  jobs : int;  (** shard bound; 1 for the serial engines *)
+  jobs : int;  (** the jobs a "parallel" run names; 1 otherwise *)
   p : int;  (** lane count *)
   wall_ns : int64;  (** monotonic wall time of the run *)
   cpu_s : float;  (** [Sys.time] delta of the run *)

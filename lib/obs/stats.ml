@@ -4,16 +4,7 @@
     branched on by every recording entry point, nothing else.  Handles
     are interned in a hashtable guarded by a mutex — registration is
     cold (module init, compile time, CLI setup); recording through a
-    handle touches only the handle's own mutable fields and never locks.
-
-    Sharded accumulators give pool workers a place to record without
-    races: each participant of a dispatch owns one cell (the control
-    thread is cell 0), and the pool's join supplies the happens-before
-    edge before anyone reads, so plain (non-atomic) cell writes are
-    sound.  The merge folds cells in ascending order, making the merged
-    value deterministic for a fixed cell assignment — though which
-    participant drained which shard is scheduler-dependent, which is
-    exactly why everything sharded lives in the [volatile] section. *)
+    handle touches only the handle's own mutable fields and never locks. *)
 
 type section = Counters | Opt | Volatile
 
@@ -44,18 +35,10 @@ type timer = {
   mutable t_max_ns : int64;
 }
 
-(* Enough cells for every possible pool participant: the control thread
-   plus [Pool.max_jobs] workers; out-of-range indices fold into the last
-   cell rather than racing or raising off the hot path. *)
-let max_cells = 65
-
-type sharded = { s_name : string; s_section : section; s_cells : int array }
-
 type metric =
   | MCounter of counter
   | MGauge of gauge
   | MTimer of timer
-  | MSharded of sharded
 
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
 let reg_mu = Mutex.create ()
@@ -127,21 +110,6 @@ let span t f =
     Fun.protect ~finally:(fun () -> add_span_ns t (Int64.sub (now_ns ()) t0)) f
   end
 
-let sharded ?(section = Volatile) name =
-  intern name
-    (fun () ->
-      MSharded
-        { s_name = name; s_section = section; s_cells = Array.make max_cells 0 })
-    (function MSharded s -> Some s | _ -> None)
-
-let cell_add s ~cell n =
-  if !on then begin
-    let cell = if cell < 0 then 0 else min cell (max_cells - 1) in
-    s.s_cells.(cell) <- s.s_cells.(cell) + n
-  end
-
-let merged_value s = Array.fold_left ( + ) 0 s.s_cells
-
 (* ------------------------------------------------------------------ *)
 (* Reset / enable                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -155,8 +123,7 @@ let reset () =
       | MTimer t ->
           t.t_count <- 0;
           t.t_total_ns <- 0L;
-          t.t_max_ns <- 0L
-      | MSharded s -> Array.fill s.s_cells 0 max_cells 0)
+          t.t_max_ns <- 0L)
     registry;
   Mutex.unlock reg_mu
 
@@ -230,21 +197,11 @@ let metric_name = function
   | MCounter c -> c.c_name
   | MGauge g -> g.g_name
   | MTimer t -> t.t_name
-  | MSharded s -> s.s_name
 
 let metric_section = function
   | MCounter c -> c.c_section
   | MGauge g -> g.g_section
   | MTimer t -> t.t_section
-  | MSharded s -> s.s_section
-
-(* Trim trailing zero cells so the dump stays readable at small jobs
-   counts; the merged value is what consumers should read anyway. *)
-let cells_json (s : sharded) =
-  let last = ref (-1) in
-  Array.iteri (fun i v -> if v <> 0 then last := i) s.s_cells;
-  Json.List
-    (List.init (!last + 1) (fun i -> Json.Int s.s_cells.(i)))
 
 let metric_json = function
   | MCounter c -> Json.Int c.c_v
@@ -256,8 +213,6 @@ let metric_json = function
           ("total_ns", Json.Int (Int64.to_int t.t_total_ns));
           ("max_ns", Json.Int (Int64.to_int t.t_max_ns));
         ]
-  | MSharded s ->
-      Json.Obj [ ("merged", Json.Int (merged_value s)); ("cells", cells_json s) ]
 
 let section_members sec =
   Mutex.lock reg_mu;
@@ -273,7 +228,6 @@ let metric_int_value = function
   | MCounter c -> c.c_v
   | MGauge g -> int_of_float g.g_v
   | MTimer t -> t.t_count
-  | MSharded s -> merged_value s
 
 let snapshot ?(sections = [ Counters; Opt ]) () =
   List.concat_map
@@ -296,8 +250,8 @@ let to_json () =
         Json.Obj
           [
             ("counters", Json.Str "stable");
-            ("opt", Json.Str "jobs-invariant, varies with -O");
-            ("volatile", Json.Str "exempt (GC, pool health, timers)");
+            ("opt", Json.Str "varies with -O");
+            ("volatile", Json.Str "exempt (GC, timers)");
           ] );
       section Counters;
       section Opt;
@@ -312,8 +266,6 @@ let pp ppf () =
     | MTimer t ->
         Format.fprintf ppf "  %-28s %12d spans  total %Ld ns  max %Ld ns"
           t.t_name t.t_count t.t_total_ns t.t_max_ns
-    | MSharded s ->
-        Format.fprintf ppf "  %-28s %12d (merged)" s.s_name (merged_value s)
   in
   List.iter
     (fun sec ->

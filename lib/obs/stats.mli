@@ -1,6 +1,6 @@
-(** Process-wide telemetry registry: named monotonic counters, gauges,
-    timers and per-shard accumulators, shared by all three SIMD engines,
-    the optimizer, the Domain pool and the sequential interpreter.
+(** Process-wide telemetry registry: named monotonic counters, gauges
+    and timers, shared by both SIMD engines, the optimizer and the
+    sequential interpreter.
 
     {b Cost model.}  The registry mirrors the trace-sink design
     ([Trace.enabled]): every recording entry point loads one global
@@ -14,30 +14,24 @@
     declared at registration and embedded in the JSON schema:
 
     - {!Counters} — {e stable}: identical (byte-for-byte in the JSON
-      dump) across engines, [--jobs] and [-O] levels for the same
-      program, because every tick fires on the control thread per
-      {e source} operation (the [Metrics] fusion-invariance contract).
-      Per-opcode dispatch counts and mask-density buckets live here.
-    - {!Opt} — {e jobs-invariant} but optimizer-dependent: compile-time
-      annotation counts and control-thread runtime counts of optimized
-      paths taken.  Identical across [--jobs]; expected to differ
+      dump) across engines and [-O] levels for the same program,
+      because every tick fires per {e source} operation (the [Metrics]
+      fusion-invariance contract).  Per-opcode dispatch counts and
+      mask-density buckets live here.
+    - {!Opt} — optimizer-dependent: compile-time annotation counts and
+      runtime counts of optimized paths taken; expected to differ
       between [-O0] and [-O1].
-    - {!Volatile} — exempt from determinism: GC deltas, pool health,
-      wall-clock timers.  Anything recorded from worker domains or from
-      clocks belongs here.
+    - {!Volatile} — exempt from determinism: GC deltas and wall-clock
+      timers.  Anything recorded from clocks belongs here.
 
-    {b Domain-safety.}  Counters, gauges and timers must only be
-    recorded from the control thread.  Worker domains record through
-    {!sharded} accumulators: one cell per pool participant, written
-    exclusively by that participant during a dispatch (the pool's join
-    provides the happens-before edge), merged in ascending cell order at
-    read time so the merged value is deterministic for a fixed cell
-    assignment. *)
+    {b Domain-safety.}  Metrics are plain mutable fields: record only
+    from one domain at a time (the batch driver runs one worker while
+    the registry is enabled). *)
 
 type section =
-  | Counters  (** stable across engines, jobs and opt levels *)
-  | Opt  (** jobs-invariant, varies with [-O] *)
-  | Volatile  (** exempt: GC, pool health, timers *)
+  | Counters  (** stable across engines and opt levels *)
+  | Opt  (** varies with [-O] *)
+  | Volatile  (** exempt: GC, timers *)
 
 (* ------------------------------------------------------------------ *)
 (* Global switch                                                       *)
@@ -66,7 +60,6 @@ val reset : unit -> unit
 type counter
 type gauge
 type timer
-type sharded
 
 val counter : ?section:section -> string -> counter
 (** Intern (find or create) the named monotonic counter.  The section
@@ -94,17 +87,6 @@ val span : timer -> (unit -> 'a) -> 'a
     recorded. *)
 
 val add_span_ns : timer -> int64 -> unit
-
-val sharded : ?section:section -> string -> sharded
-(** A per-participant cell array (one cell per pool participant, index 0
-    = the control thread); default section {!Volatile}. *)
-
-val cell_add : sharded -> cell:int -> int -> unit
-(** Add into one participant's cell.  Safe to call concurrently from
-    distinct participants; out-of-range cells fold into the last cell. *)
-
-val merged_value : sharded -> int
-(** Sum of the cells in ascending cell order. *)
 
 external now_ns : unit -> (int64[@unboxed])
   = "clock_linux_get_time_bytecode" "clock_linux_get_time_native"
@@ -142,11 +124,11 @@ val snapshot : ?sections:section list -> unit -> (string * int) list
 (** A flat, name-sorted [(name, value)] view of the registry restricted
     to [sections] (default [[Counters; Opt]], i.e. the deterministic
     sections).  Values are the natural integer reading of each metric:
-    counter value, timer span count, sharded merged value, truncated
-    gauge.  This is the fuzzer's coverage signal: an input is
-    "interesting" when it makes a counter nonzero that no earlier input
-    reached (new opcode dispatched, new mask-density bucket, new
-    optimizer annotation or optimized path). *)
+    counter value, timer span count, truncated gauge.  This is the
+    fuzzer's coverage signal: an input is "interesting" when it makes a
+    counter nonzero that no earlier input reached (new opcode
+    dispatched, new mask-density bucket, new optimizer annotation or
+    optimized path). *)
 
 val to_json : unit -> Json.t
 (** The full registry as one JSON object:
@@ -155,7 +137,7 @@ val to_json : unit -> Json.t
     Keys within each section are sorted, so the dump is byte-stable
     under registration order; the [stability] object marks the
     determinism contract of each section (the [volatile] section — and
-    it alone — is exempt from cross-jobs byte identity). *)
+    it alone — is exempt from byte identity across runs). *)
 
 val pp : Format.formatter -> unit -> unit
 (** Human-readable table, one section per block, keys sorted. *)

@@ -772,7 +772,7 @@ let obs_nbforce ppf =
       let vm =
         Lf_simd.Vm.run ~engine:`Compiled ~p:p_lanes
           ~setup:(fun vm ->
-            Lf_simd.Vm.register_func vm ~pure:true "force"
+            Lf_simd.Vm.register_func vm "force"
               (Lf_kernels.Nbforce_src.force_fn mol);
             Lf_simd.Vm.bind_scalar vm "n" (Values.VInt n);
             Lf_simd.Vm.bind_scalar vm "maxp" (Values.VInt maxp);

@@ -28,6 +28,8 @@ type item = {
 exception Bad_jobs of string
 exception Bad_value of string
 
+let default_jobs () = max 1 (min 8 (Domain.recommended_domain_count ()))
+
 (* -- seed-value parsing (shared with simdsim's --set/--fill) -------- *)
 
 (* Whether [v] is an optionally signed run of decimal digits that
@@ -176,11 +178,12 @@ let item_of_json i j =
         | Some n -> bad "item %d: p = %d: must be >= 1" i n
         | None -> bad "item %d: missing required field \"p\"" i
       in
-      let engine =
+      (* "parallel" names the compiled engine; only the record keeps it *)
+      let engine, parallel =
         match get_str ~what:(what "engine") (field j "engine") with
-        | None | Some "compiled" -> `Compiled
-        | Some "tree-walk" -> `Tree_walk
-        | Some "parallel" -> `Parallel
+        | None | Some "compiled" -> (`Compiled, false)
+        | Some "tree-walk" -> (`Tree_walk, false)
+        | Some "parallel" -> (`Compiled, true)
         | Some s ->
             bad
               "item %d: engine %S: expected tree-walk, compiled or parallel"
@@ -195,10 +198,10 @@ let item_of_json i j =
       let jobs =
         match get_int ~what:(what "jobs") (field j "jobs") with
         | Some n when n < 1 -> bad "item %d: jobs = %d: must be >= 1" i n
-        | v ->
-            if v <> None && engine <> `Parallel then
-              bad "item %d: jobs requires \"engine\": \"parallel\"" i
-            else v
+        | Some _ when not parallel ->
+            bad "item %d: jobs requires \"engine\": \"parallel\"" i
+        | Some n -> Some n
+        | None -> if parallel then Some (default_jobs ()) else None
       in
       let fuel =
         match get_int ~what:(what "fuel") (field j "fuel") with
@@ -260,25 +263,15 @@ let load path =
 
 (* -- execution ------------------------------------------------------ *)
 
-let engine_name = function
-  | `Tree_walk -> "tree-walk"
-  | `Compiled -> "compiled"
-  | `Parallel -> "parallel"
+(* The engine name, jobs count and -O level an item's record reports. *)
+let engine_name it =
+  match (it.bi_jobs, it.bi_engine) with
+  | Some _, _ -> "parallel"
+  | None, `Tree_walk -> "tree-walk"
+  | None, `Compiled -> "compiled"
 
-(* The jobs count and -O level an item's record reports. *)
-let jobs_used it =
-  match it.bi_engine with
-  | `Parallel -> Option.value it.bi_jobs ~default:(Pool.default_jobs ())
-  | _ -> 1
-
+let jobs_used it = Option.value it.bi_jobs ~default:1
 let opt_used it = match it.bi_engine with `Tree_walk -> 0 | _ -> it.bi_opt
-
-(* Whether the item shards its lanes over the domain pool itself. *)
-let shards_lanes it =
-  it.bi_engine = `Parallel
-  &&
-  let jobs = jobs_used it in
-  jobs > 1 && Array.length (Pool.ranges ~p:it.bi_p ~jobs) > 1
 
 let read_file path =
   let ic = open_in_bin path in
@@ -326,9 +319,8 @@ let run_item ~cache ~src ~fill ~setup (it : item) : (Vm.t, string) result =
     for _ = 1 to it.bi_repeat do
       vm :=
         Some
-          (Vm.run_src ?fuel:it.bi_fuel ~engine:it.bi_engine ?jobs:it.bi_jobs
-             ~opt:it.bi_opt ~verify:it.bi_verify ~cache ~p:it.bi_p
-             ~setup:vm_setup src)
+          (Vm.run_src ?fuel:it.bi_fuel ~engine:it.bi_engine ~opt:it.bi_opt
+             ~verify:it.bi_verify ~cache ~p:it.bi_p ~setup:vm_setup src)
     done;
     Ok (Option.get !vm)
   with
@@ -362,7 +354,7 @@ let record ~index (it : item) ~src ~wall_ns outcome =
           ]
       | None -> [])
     @ [
-        ("engine", Json.Str (engine_name it.bi_engine));
+        ("engine", Json.Str (engine_name it));
         ("opt", Json.Int (opt_used it));
         ("jobs", Json.Int (jobs_used it));
         ("p", Json.Int it.bi_p);
@@ -377,7 +369,7 @@ let record ~index (it : item) ~src ~wall_ns outcome =
         @ [
             ("status", Json.Str "ok");
             ( "metrics",
-              Metrics.to_json ~engine:(engine_name it.bi_engine)
+              Metrics.to_json ~engine:(engine_name it)
                 ~opt:(opt_used it) ~jobs:(jobs_used it) vm.Vm.metrics );
           ])
   | Error msg ->
@@ -386,7 +378,7 @@ let record ~index (it : item) ~src ~wall_ns outcome =
 (* The texts of [item-NNN.metrics.json] and [item-NNN.state.txt]. *)
 let artifact_texts (vm : Vm.t) (it : item) =
   ( Json.to_string
-      (Metrics.to_json ~engine:(engine_name it.bi_engine) ~opt:(opt_used it)
+      (Metrics.to_json ~engine:(engine_name it) ~opt:(opt_used it)
          ~jobs:(jobs_used it) vm.Vm.metrics)
     ^ "\n",
     Format.asprintf "%a" dump_state vm )
@@ -416,57 +408,28 @@ type finished =
   | Done of { record : Json.t; texts : (string * string) option; ok : bool }
   | Raised of exn * Printexc.raw_backtrace
 
-(* The state the workers and the emitter share, under [mu]; [cv] is
-   broadcast on every change. *)
+(* The state the workers and the emitter share, under [mu]. *)
 type sched = {
   mu : Mutex.t;
-  cv : Condition.t;
   results : finished option array;  (** by index, until emitted *)
   mutable next_chain : int;
   mutable cutoff : int;  (** no item at or past this index starts *)
-  mutable in_flight : int;
-  mutable sharding : bool;  (** the item in flight shards its lanes *)
-  mutable sharders_waiting : int;
 }
 
 (* Items sharing a program-cache key form one chain (see [run]); a
    source that could not be read has no key, only its path. *)
 type chain_key = Key of Progcache.key | Unread of string
 
-(* Admit item [i], or refuse it once the batch is cut off before it.
-   An item that shards lanes waits for every other item to finish and
-   holds off any item that has not started yet. *)
-let enter s i ~shards =
-  Mutex.protect s.mu (fun () ->
-      if shards then s.sharders_waiting <- s.sharders_waiting + 1;
-      let blocked () =
-        if shards then s.in_flight > 0
-        else s.sharding || s.sharders_waiting > 0
-      in
-      while i < s.cutoff && blocked () do
-        Condition.wait s.cv s.mu
-      done;
-      let go = i < s.cutoff in
-      if shards then begin
-        s.sharders_waiting <- s.sharders_waiting - 1;
-        if not go then Condition.broadcast s.cv
-      end;
-      if go then begin
-        s.in_flight <- s.in_flight + 1;
-        s.sharding <- shards
-      end;
-      go)
+(* Admit item [i], or refuse it once the batch is cut off before it. *)
+let enter s i = Mutex.protect s.mu (fun () -> i < s.cutoff)
 
 let leave s i r =
   Mutex.protect s.mu (fun () ->
-      s.in_flight <- s.in_flight - 1;
-      s.sharding <- false;
       s.results.(i) <- Some r;
-      (match r with Raised _ -> s.cutoff <- min s.cutoff i | Done _ -> ());
-      Condition.broadcast s.cv)
+      match r with Raised _ -> s.cutoff <- min s.cutoff i | Done _ -> ())
 
 let run ?read ?(setup = fun _ _ -> ()) ?(emit = fun _ -> ()) ?artifacts
-    ?(workers = Pool.default_jobs ()) items =
+    ?(workers = default_jobs ()) items =
   if workers < 1 then invalid_arg "Batch.run: workers < 1";
   let read = Option.value read ~default:read_file in
   Option.iter prepare_artifacts artifacts;
@@ -527,13 +490,9 @@ let run ?read ?(setup = fun _ _ -> ()) ?(emit = fun _ -> ()) ?artifacts
   let s =
     {
       mu = Mutex.create ();
-      cv = Condition.create ();
       results = Array.make n None;
       next_chain = 0;
       cutoff = n;
-      in_flight = 0;
-      sharding = false;
-      sharders_waiting = 0;
     }
   in
   let execute cache i =
@@ -588,9 +547,7 @@ let run ?read ?(setup = fun _ _ -> ()) ?(emit = fun _ -> ()) ?artifacts
               drain ()
           | exception e ->
               failure := Some (e, Printexc.get_raw_backtrace ());
-              Mutex.protect s.mu (fun () ->
-                  s.cutoff <- -1;
-                  Condition.broadcast s.cv))
+              Mutex.protect s.mu (fun () -> s.cutoff <- -1))
   in
   (* A worker takes the next chain until none is left and runs it with a
      cache of its own, dropped when the chain ends. *)
@@ -608,7 +565,7 @@ let run ?read ?(setup = fun _ _ -> ()) ?(emit = fun _ -> ()) ?artifacts
         let cache = Progcache.create () in
         List.iter
           (fun i ->
-            if enter s i ~shards:(shards_lanes items.(i)) then begin
+            if enter s i then begin
               leave s i (execute cache i);
               Mutex.protect emit_mu drain
             end)

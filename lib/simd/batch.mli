@@ -18,10 +18,12 @@
       { "program": "path.f",        (required; source file)
         "p": 8,                     (required; lane count)
         "engine": "compiled",       ("tree-walk" | "compiled" | "parallel";
-                                     default "compiled")
+                                     default "compiled"; "parallel" runs
+                                     the compiled engine and is kept
+                                     for existing work lists)
         "opt": 1,                   (0..2; default 1)
-        "jobs": 2,                  (parallel engine shard bound; default
-                                     machine count; serial engines: omit)
+        "jobs": 2,                  (>= 1, only with "parallel"; recorded
+                                     as given, default [default_jobs ()])
         "verify": false,
         "fuel": 50000000,
         "timeout_ms": 1000,         (wall-clock cutoff, checked where
@@ -45,6 +47,9 @@ type item = {
   bi_engine : Vm.engine;
   bi_opt : int;
   bi_jobs : int option;
+      (** [Some n] for an item written with ["engine": "parallel"], which
+          runs the compiled engine; [n] is the ["jobs"] its records
+          report: as given, else [default_jobs ()] *)
   bi_verify : bool;
   bi_fuel : int option;
   bi_timeout_ms : int option;
@@ -75,6 +80,11 @@ val scalar_value : string -> Values.value
     [float_of_string]). *)
 val fill_array : string -> Values.arr
 
+(** The host's domain count, between 1 and 8: the default number of
+    batch workers, and the ["jobs"] a ["parallel"] item without one
+    reports. *)
+val default_jobs : unit -> int
+
 val items_of_json : Lf_obs.Json.t -> item list
 
 (** Read and parse a work-list file.  A JSON integer literal past the
@@ -90,11 +100,7 @@ val load : string -> item list
     form one {e chain}.  A chain runs in work-list order on one domain,
     with a [Progcache] of its own that is dropped when the chain ends,
     so a chain's first run is its only cold one.  Up to [workers] domains (default
-    [Pool.default_jobs ()]) take chains in order of their first item.
-    An item that shards its lanes itself (engine [parallel] with more
-    than one [Pool.ranges] shard) runs with no other item in flight.
-    Narrow widths (below [2 * Pool.min_shard] lanes) run on one shard,
-    so such an item is scheduled like a serial one.
+    [default_jobs ()]) take chains in order of their first item.
     While the [Lf_obs.Stats] registry is enabled the calling domain is
     the only worker, since the registry's fields are plain mutable ones.
 

@@ -38,12 +38,10 @@ open Lf_lang.Ast
 open Values
 
 (* Runtime optimizer telemetry (section [Opt]).  The counters tick
-   on the control thread only, once per fused construct {e executed}
-   (not per lane and not per shard), so they are deterministic across
-   jobs; they vary with [-O] by construction.  [opt.short_circuits]
-   counts executions of short-circuit-{e eligible} fused any/all plans
-   (raise-free boolean regions) rather than lanes actually skipped —
-   the latter depends on shard geometry. *)
+   once per fused construct {e executed} (not per lane), so they vary
+   with [-O] by construction.  [opt.short_circuits] counts executions
+   of short-circuit-{e eligible} fused any/all plans (raise-free
+   boolean regions) rather than lanes actually skipped. *)
 module Stats = Lf_obs.Stats
 
 (* No elementwise region runs any more, so this key always reads 0.  It
@@ -123,18 +121,12 @@ let rv_to_pval ~exact (m : Frame.Mask.t) v =
    of a boxed vector by its active lanes ([Pval.specialize]), so
    downstream operators stay on their typed paths.  Inactive lanes of
    computed temporaries are unobservable (every escape point launders
-   them to inert [VInt 0]).  Both read lanes on the control thread: a
-   join. *)
+   them to inert [VInt 0]). *)
 
-let box_lift exec (m : Frame.Mask.t) f =
-  Pool.sync exec;
-  rv_of_lanes (Pval.map_active ~mask:m f)
+let box_lift (m : Frame.Mask.t) f = rv_of_lanes (Pval.map_active ~mask:m f)
+let box_lift2 m f x y = box_lift m (fun i -> f (rv_lane x i) (rv_lane y i))
 
-let box_lift2 exec m f x y =
-  box_lift exec m (fun i -> f (rv_lane x i) (rv_lane y i))
-
-let renorm exec (m : Frame.Mask.t) (vs : value array) : rv =
-  Pool.sync exec;
+let renorm (m : Frame.Mask.t) (vs : value array) : rv =
   rv_of_lanes (Pval.specialize ~mask:m vs)
 
 (* ------------------------------------------------------------------ *)
@@ -144,8 +136,8 @@ let renorm exec (m : Frame.Mask.t) (vs : value array) : rv =
 (** A lane operation that can raise, by error identity.  A fused plan
     admits at most one distinct class: every instance of the same class
     raises the same message for the same lane inputs, so the fused
-    per-lane order hits the same first-failing-lane (serial and
-    lowest-shard alike) as the unfused per-operator passes.  Two
+    per-lane order hits the same first failing lane as the unfused
+    per-operator passes.  Two
     distinct classes could surface the {e other} error first, so such
     regions fall back. *)
 type rclass =
@@ -179,11 +171,8 @@ let kind = function
 (* ------------------------------------------------------------------ *)
 
 (* The typed lane loops are [Scalar_ops]' and [Intrinsics]' kernels, the
-   tree-walker's too; this module only picks one per operand shape.
-   Each runs through [exec.x_run]: inline for the serial engine, an
-   entry of the pending join region for the parallel one, which runs it
-   per shard at the next [Pool.sync].  A result is only read on the
-   control thread after a join.  The tree-walker stays an independent
+   tree-walker's too; this module only picks one per operand shape, and
+   each is one loop over the [p] lanes.  The tree-walker stays an independent
    check of control (masks, order, accounting); the arithmetic is
    checked against the boxed [Scalar_ops.apply_binop], [Interp] and the
    test suite's boxed tree-walk oracle. *)
@@ -202,9 +191,9 @@ let int_view = function
 
 (* int lanes promote into a fresh vector, a lane loop of its own: an
    operand of a mixed int/real operation *)
-let real_view run = function
+let real_view = function
   | RR a -> a
-  | RI a -> Scalar_ops.to_real run a
+  | RI a -> Scalar_ops.to_real a
   | RS (VReal x) -> [| x |]
   | RS (VInt n) -> [| float_of_int n |]
   | _ -> invalid_arg "real_view"
@@ -249,24 +238,24 @@ let bufs ri rr rb = { ri; rr; rb; res_i = RI ri; res_r = RR rr; res_b = RB rb }
     holds the value the boxed path computes, and the result has the one
     type the boxed path's [renorm] picks for a non-empty mask.  All
     these kernels are total, so they compute every lane. *)
-let intrinsic_kernel run b (k : Intrinsics.lane_fn) (args : rv list) :
+let intrinsic_kernel p b (k : Intrinsics.lane_fn) (args : rv list) :
     rv option =
   let bp = all_lanes in
   match (k, args) with
   | Num1 Abs, [ RI a ] ->
-      Intrinsics.int_abs run bp b.ri a;
+      Intrinsics.int_abs p bp b.ri a;
       Some b.res_i
   | Num1 k, [ ((RI _ | RR _) as a) ] ->
-      Intrinsics.real_map1 run bp k b.rr (real_view run a);
+      Intrinsics.real_map1 p bp k b.rr (real_view a);
       Some b.res_r
   | To_int round, [ ((RI _ | RR _) as a) ] ->
-      Intrinsics.to_int run bp ~round b.ri (real_view run a);
+      Intrinsics.to_int p bp ~round b.ri (real_view a);
       Some b.res_i
   | Num2 k, [ x; y ] when is_int x && is_int y ->
-      Intrinsics.int_map2 run bp k b.ri (int_view x) (int_view y);
+      Intrinsics.int_map2 p bp k b.ri (int_view x) (int_view y);
       Some b.res_i
   | Num2 k, [ x; y ] when is_num x && is_num y ->
-      Intrinsics.real_map2 run bp k b.rr (real_view run x) (real_view run y);
+      Intrinsics.real_map2 p bp k b.rr (real_view x) (real_view y);
       Some b.res_r
   | _ -> None
 
@@ -280,8 +269,7 @@ let intrinsic_kernel run b (k : Intrinsics.lane_fn) (args : rv list) :
     vectors at [-O1]: a site's previous result is always consumed
     (copied into frame storage, a mask, a Pval, ...) before the site can
     evaluate again, so reusing them is invisible. *)
-let binop_rv (exec : Pool.exec) b op : Frame.Mask.t -> rv -> rv -> rv =
-  let run = exec.Pool.x_run in
+let binop_rv p b op : Frame.Mask.t -> rv -> rv -> rv =
   let app = Scalar_ops.apply_binop op in
   let typed =
     match kind op with
@@ -290,32 +278,31 @@ let binop_rv (exec : Pool.exec) b op : Frame.Mask.t -> rv -> rv -> rv =
         fun m x y ->
           if is_int x && is_int y then begin
             let bp = if raising then m.Frame.Mask.bits else all_lanes in
-            Scalar_ops.map2_i run bp op b.ri (int_view x) (int_view y);
+            Scalar_ops.map2_i p bp op b.ri (int_view x) (int_view y);
             b.res_i
           end
           else if is_num x && is_num y then begin
-            Scalar_ops.map2_r run all_lanes op b.rr (real_view run x)
-              (real_view run y);
+            Scalar_ops.map2_r p all_lanes op b.rr (real_view x) (real_view y);
             b.res_r
           end
-          else box_lift2 exec m app x y
+          else box_lift2 m app x y
     | (Cmp | Logic) as k ->
         fun m x y ->
           if is_bool x && is_bool y then begin
-            Scalar_ops.map2_b run op b.rb (bool_view x) (bool_view y);
+            Scalar_ops.map2_b p op b.rb (bool_view x) (bool_view y);
             b.res_b
           end
-          else if k = Logic then box_lift2 exec m app x y
+          else if k = Logic then box_lift2 m app x y
           else if is_int x && is_int y then begin
-            Scalar_ops.cmp_i run op b.rb (int_view x) (int_view y);
+            Scalar_ops.cmp_i p op b.rb (int_view x) (int_view y);
             b.res_b
           end
           else if is_num x && is_num y then begin
-            Scalar_ops.cmp_r run op b.rb (real_view run x) (real_view run y);
+            Scalar_ops.cmp_r p op b.rb (real_view x) (real_view y);
             b.res_b
           end
-          else box_lift2 exec m app x y
-    | Boxed -> fun m x y -> box_lift2 exec m app x y
+          else box_lift2 m app x y
+    | Boxed -> fun m x y -> box_lift2 m app x y
   in
   fun m x y ->
     match (x, y) with
@@ -358,72 +345,61 @@ let stage sc ~lane (fs : (int -> int) array) i =
 (** Partition [parent] into [mt] (condition holds) and [mf] (does not),
     writing into the preallocated per-site buffers.  Only active lanes
     evaluate the condition, exactly like the tree-walker's [Pval.split].
-    The unboxed [RB] split is one lane loop: each shard clears and fills
-    its own byte range of the two masks and reports in [nts] how many
-    lanes it sent to [mt]; the control thread joins, sums them and gives
-    [mf] the rest.  Every other split is [Pval.split], on the control
-    thread after a join.  Either way no mask is left pending: the control
-    thread may read any mask's bits and count at any time. *)
-let split_mask (exec : Pool.exec) nts (parent : Frame.Mask.t) cv
-    (mt : Frame.Mask.t) (mf : Frame.Mask.t) =
+    The unboxed [RB] split is one lane loop that clears and fills both
+    masks and counts the lanes it sends to [mt]; [mf] gets the rest.
+    Every other split is [Pval.split]. *)
+let split_mask (parent : Frame.Mask.t) cv (mt : Frame.Mask.t)
+    (mf : Frame.Mask.t) =
   match cv with
   | RB a ->
       let bp = parent.Frame.Mask.bits in
       let bt = mt.Frame.Mask.bits and bf = mf.Frame.Mask.bits in
-      exec.Pool.x_run (fun s lo hi ->
-          Bytes.fill bt lo (hi - lo) '\000';
-          Bytes.fill bf lo (hi - lo) '\000';
-          let nt = ref 0 in
-          for i = lo to hi - 1 do
-            if Bytes.unsafe_get bp i <> '\000' then
-              if Array.unsafe_get a i then begin
-                Bytes.unsafe_set bt i '\001';
-                incr nt
-              end
-              else Bytes.unsafe_set bf i '\001'
-          done;
-          nts.(s) <- !nt);
-      Pool.sync exec;
-      let nt = Array.fold_left ( + ) 0 nts in
-      mt.Frame.Mask.active_n <- nt;
-      mf.Frame.Mask.active_n <- Frame.Mask.active parent - nt
-  | _ ->
-      Pool.sync exec;
-      Pval.split ~mask:parent (pval_of_rv cv) mt mf
+      let p = Bytes.length bp in
+      Bytes.fill bt 0 p '\000';
+      Bytes.fill bf 0 p '\000';
+      let nt = ref 0 in
+      for i = 0 to p - 1 do
+        if Bytes.unsafe_get bp i <> '\000' then
+          if Array.unsafe_get a i then begin
+            Bytes.unsafe_set bt i '\001';
+            incr nt
+          end
+          else Bytes.unsafe_set bf i '\001'
+      done;
+      mt.Frame.Mask.active_n <- !nt;
+      mf.Frame.Mask.active_n <- Frame.Mask.active parent - !nt
+  | _ -> Pval.split ~mask:parent (pval_of_rv cv) mt mf
 
 (* ------------------------------------------------------------------ *)
 (* Variable writes                                                     *)
 (* ------------------------------------------------------------------ *)
 
 (** Masked store into an existing plural slot.  Type-matched writes go
-    straight into the unboxed storage (a masked copy, a lane loop over
-    [exec]); a type-changing write renormalizes through the boxed view
-    (producing exactly the mixed array the tree-walker would hold,
-    modulo re-specialization) on the control thread, after a join. *)
-let write_plural (exec : Pool.exec) frame si lanes (m : Frame.Mask.t) rhs =
-  let run = exec.Pool.x_run and bp = m.Frame.Mask.bits in
+    straight into the unboxed storage (a masked copy); a type-changing
+    write renormalizes through the boxed view (producing exactly the
+    mixed array the tree-walker would hold, modulo re-specialization). *)
+let write_plural p frame si lanes (m : Frame.Mask.t) rhs =
+  let bp = m.Frame.Mask.bits in
   match (lanes, rhs) with
   | Frame.LInt d, (RI _ | RS (VInt _)) ->
-      Scalar_ops.map1_i run bp None d (int_view rhs)
+      Scalar_ops.map1_i p bp None d (int_view rhs)
   | Frame.LReal d, (RR _ | RS (VReal _)) ->
-      Scalar_ops.map1_r run bp None d (real_view run rhs)
+      Scalar_ops.map1_r p bp None d (real_view rhs)
   | Frame.LBool d, (RB _ | RS (VBool _)) ->
-      Scalar_ops.map1_b run bp None d (bool_view rhs)
+      Scalar_ops.map1_b p bp None d (bool_view rhs)
   | _ ->
-      Pool.sync exec;
       let vs = Frame.values_of_lanes lanes in
-      Scalar_ops.fill_v (fun f -> f 0 0 (Array.length vs)) bp vs (rv_lane rhs);
+      Scalar_ops.fill_v p bp vs (rv_lane rhs);
       Frame.set frame si (Frame.Plural (Frame.lanes_of_values vs))
 
 (** First assignment to an unbound name: the tree-walker binds a scalar,
     a global, or a fresh plural whose inactive lanes are [VInt 0]
-    ([Pval.expose], on the control thread, after a join). *)
-let bind_fresh exec frame si (m : Frame.Mask.t) rhs =
+    ([Pval.expose]). *)
+let bind_fresh frame si (m : Frame.Mask.t) rhs =
   match rhs with
   | RS v -> Frame.set frame si (Frame.Scalar (ref v))
   | RA a -> Frame.set frame si (Frame.Global a)
   | _ ->
-      Pool.sync exec;
       Frame.set frame si
         (Frame.Plural (Pval.expose ~exact:false ~mask:m (lanes_of_rv rhs)))
 
@@ -434,11 +410,7 @@ let bind_fresh exec frame si (m : Frame.Mask.t) rhs =
 type env = {
   vm : Vmstate.t;  (** the run's VM: procedures, functions, accounting *)
   frame : Frame.t;
-  p : int;
-  exec : Pool.exec;  (** lane-loop dispatcher: serial or pool-sharded *)
-  join : unit -> unit;  (** [Pool.sync exec] *)
-  serial : Scalar_ops.run;
-      (** one pass over all lanes in lane order, whatever [exec] is *)
+  p : int;  (** number of lanes *)
   mutable cur_loc : Errors.pos;
       (** location of the [SLoc] wrapper being compiled; every tick site
           captures it at compile time, so the run-time closures carry
@@ -452,23 +424,14 @@ let observe env (m : Frame.Mask.t) s =
   match env.vm.Vmstate.observer with
   | None -> ()
   | Some f ->
-      (* observers read VM state (the state probes of the tests): join,
-         then expose it *)
-      Pool.sync env.exec;
+      (* observers read VM state (the state probes of the tests) *)
       Vmstate.flush_frame env.vm env.frame;
       f env.vm ~mask:(Frame.Mask.to_bool_array m) s
 
-(* A trace event reads the step's mask and happens at its place in
-   program order, so with a sink attached every vector step and
-   reduction is a join of [exec]'s pending lane loops: an earlier lane
-   error is raised before the event is emitted. *)
 let tick_vector env ~loc ~kind (m : Frame.Mask.t) =
-  if env.vm.Vmstate.trace.Lf_obs.Trace.enabled then Pool.sync env.exec;
   Vmstate.tick_vector env.vm ~loc ~kind m
 
-let reduction env ~loc (m : Frame.Mask.t) =
-  if env.vm.Vmstate.trace.Lf_obs.Trace.enabled then Pool.sync env.exec;
-  Vmstate.reduction env.vm ~loc m
+let reduction env ~loc (m : Frame.Mask.t) = Vmstate.reduction env.vm ~loc m
 
 (** Result buffers for a buffer-owning site: at [-O1] the scratch-pool
     vectors of the site's [Opt.plan_scratch] group ([Ir.x_scr]); fresh
@@ -480,16 +443,6 @@ let site_buffers env (scr : int) : bufs =
       (Frame.scr_real env.frame scr)
       (Frame.scr_bool env.frame scr)
   else bufs (Array.make env.p 0) (Array.make env.p 0.0) (Array.make env.p false)
-
-(** The lane runner of a typed store pass into global storage.  Several
-    lanes may store to the {e same} element of a global array, and the
-    machine model resolves the collision in lane order (last active lane
-    wins), so the pass runs serially on the control thread, after a
-    join.  Pending region entries therefore never write global storage,
-    and a gather never has to join before it reads. *)
-let store_run env =
-  Pool.sync env.exec;
-  env.serial
 
 (* ------------------------------------------------------------------ *)
 (* Fused-reduction regions (-O1)                                       *)
@@ -510,8 +463,6 @@ exception Not_fusible
     When a pin fails the plan is rebuilt; an unfusible result is cached
     the same way, pinned by the bindings that made it unfusible, so the
     fallback closures run without re-planning until something changes.
-    A scalar cell is read when the lane loop runs, so a refresh that
-    changes it joins first.
 
     Operators apply through the operator table, so a cell computes what
     the unfused kernel computes.  A combination is only admitted when
@@ -523,7 +474,6 @@ exception Not_fusible
 let region_plan env (rg : Ir.region) :
     (unit -> bool) array * (fcell * bool) option =
   let frame = env.frame in
-  let exec = env.exec in
   let ops = rg.Ir.rg_ops in
   let nops = Array.length ops in
   let cells = Array.make nops (FI (fun _ -> 0)) in
@@ -538,16 +488,10 @@ let region_plan env (rg : Ir.region) :
     note (fun () -> Frame.get frame slot == b0);
     raise Not_fusible
   in
-  (* a changed scalar cell joins first: pending loops of this site still
-     read the old value *)
-  let set c x same =
-    if not (same x !c) then begin
-      Pool.sync exec;
-      c := x
-    end;
+  let set c x =
+    c := x;
     true
   in
-  let same_bits x y = x = y && Float.sign_bit x = Float.sign_bit y in
   let var_leaf slot =
     match Frame.get frame slot with
     | Frame.Scalar r as b0 -> (
@@ -559,15 +503,15 @@ let region_plan env (rg : Ir.region) :
         match !r with
         | VInt x ->
             let c = ref x in
-            pin (function VInt x -> set c x Int.equal | _ -> false);
+            pin (function VInt x -> set c x | _ -> false);
             (FI (fun _ -> !c), false)
         | VReal x ->
             let c = ref x in
-            pin (function VReal x -> set c x same_bits | _ -> false);
+            pin (function VReal x -> set c x | _ -> false);
             (FR (fun _ -> !c), false)
         | VBool x ->
             let c = ref x in
-            pin (function VBool x -> set c x Bool.equal | _ -> false);
+            pin (function VBool x -> set c x | _ -> false);
             (FB (fun _ -> !c), false)
         | VArr _ ->
             pin (function VArr _ -> true | _ -> false);
@@ -658,10 +602,6 @@ let tick_assign env loc m rhs =
   if rv_is_plural rhs then tick_vector env ~loc ~kind:Lf_obs.Trace.Assign m
   else Vmstate.tick_frontend env.vm
 
-(* a reduction site's partials *)
-let red_scratch env =
-  Scalar_ops.scratch ~lanes:env.p ~shards:(Pool.nshards env.exec)
-
 let rec compile_expr env (e : Ir.expr) : cexpr =
   match e.Ir.x_fused with
   | Some (Ir.FReduce (key, rg)) -> compile_fused_reduction env e key rg
@@ -671,7 +611,7 @@ let rec compile_expr env (e : Ir.expr) : cexpr =
     into the canonical chunk fold ([Scalar_ops.lane_reduce]) — the argument
     vector is never materialized — so the result (including
     non-associative float SUM) stays bitwise identical to the unfused
-    reduction at any shard count. *)
+    reduction. *)
 and compile_fused_reduction env (e : Ir.expr) key rg : cexpr =
   let name, arg =
     match e.Ir.x_node with
@@ -680,11 +620,10 @@ and compile_fused_reduction env (e : Ir.expr) key rg : cexpr =
   in
   let carg = compile_expr env arg in
   let loc = env.cur_loc in
-  let rs = red_scratch env in
   (* regions are never bare variable reads, so the empty-mask witness
      is the tree-walker's inert [VInt 0] (lane 0 is inactive there) *)
   let empty () = Pval.reduction_identity key (VInt 0) in
-  let fb m = RS (reduce_rv env rs ~is_var:false m name key (carg m)) in
+  let fb m = RS (reduce_rv ~is_var:false m name key (carg m)) in
   let checks = ref [||] in
   let runner = ref None in
   let sc_eligible = ref false in
@@ -710,9 +649,7 @@ and compile_fused_reduction env (e : Ir.expr) key rg : cexpr =
     | Some (root, raising) ->
         Stats.incr st_reduce_runs;
         if !sc_eligible then Stats.incr st_short_circuits;
-        RS
-          (Scalar_ops.lane_reduce env.exec.Pool.x_run env.join rs ~raising key
-             root m.Frame.Mask.bits empty)
+        RS (Scalar_ops.lane_reduce ~raising key root m.Frame.Mask.bits empty)
     | None -> fb m)
 
 and compile_expr_node env (e : Ir.expr) : cexpr =
@@ -741,14 +678,12 @@ and compile_expr_node env (e : Ir.expr) : cexpr =
             | Frame.Plural (Frame.LInt a) -> RI a
             | Frame.Plural (Frame.LReal a) -> RR a
             | Frame.Plural (Frame.LBool a) -> RB a
-            | Frame.Plural (Frame.LBox a) ->
-                Pool.sync env.exec;
-                RP (Array.copy a)
+            | Frame.Plural (Frame.LBox a) -> RP (Array.copy a)
             | Frame.Global a | Frame.PluralArr a -> RA a))
   | Ir.XUn (op, a) -> compile_unop env e.Ir.x_scr op (compile_expr env a)
   | Ir.XBin (op, a, b) ->
       let ca = compile_expr env a and cb = compile_expr env b in
-      let apply = binop_rv env.exec (site_buffers env e.Ir.x_scr) op in
+      let apply = binop_rv env.p (site_buffers env e.Ir.x_scr) op in
       fun m ->
         let a = ca m in
         let b = cb m in
@@ -758,23 +693,23 @@ and compile_expr_node env (e : Ir.expr) : cexpr =
 
 and compile_unop env scr op ca : cexpr =
   let gen = Scalar_ops.apply_unop op in
-  let run = env.exec.Pool.x_run in
+  let p = env.p in
   let b = site_buffers env scr in
   let u = Some op in
   fun m ->
     match (op, ca m) with
     | _, RS x -> RS (gen x)
     | Neg, RI a ->
-        Scalar_ops.map1_i run all_lanes u b.ri a;
+        Scalar_ops.map1_i p all_lanes u b.ri a;
         b.res_i
     | Neg, RR a ->
-        Scalar_ops.map1_r run all_lanes u b.rr a;
+        Scalar_ops.map1_r p all_lanes u b.rr a;
         b.res_r
     | Not, RB a ->
-        Scalar_ops.map1_b run all_lanes u b.rb a;
+        Scalar_ops.map1_b p all_lanes u b.rb a;
         b.res_b
     | _, RA _ -> Errors.runtime_error "array operand in a lane-wise operation"
-    | _, v -> box_lift env.exec m (fun i -> gen (rv_lane v i))
+    | _, v -> box_lift m (fun i -> gen (rv_lane v i))
 
 and compile_call env scr name args : cexpr =
   let key = Intrinsics.key name in
@@ -782,103 +717,79 @@ and compile_call env scr name args : cexpr =
   else
     let cargs = List.map (compile_expr env) args in
     let p = env.p in
-    let exec = env.exec in
-    let run = exec.Pool.x_run in
     (* [-O1]: results of a plural call are almost always one scalar type
        across the active lanes — store them straight into per-site
        unboxed buffers, skipping the boxed staging vector and the
-       [renorm] pass.  Each shard's first active lane picks its buffer; a
-       shard that meets a second type re-boxes what it stored (value
-       boxes carry no identity) and stages the rest boxed in [side].
-       After the join the control thread takes the typed buffer when
-       every shard agrees, else renormalizes the boxed vector — what the
-       boxed path computes.  Still exactly one call per active lane,
-       ascending within a shard, and over all lanes for an impure callee
-       (one serial pass). *)
+       [renorm] pass.  The first active lane picks the buffer; at the
+       first lane of a second type the pass re-boxes what it stored
+       (value boxes carry no identity) and stages the rest boxed in
+       [side], which is then renormalized — what the boxed path
+       computes.  Still exactly one call per active lane, ascending. *)
     let typed = env.opt >= 1 in
     let intr = Intrinsics.lane_fn key in
     let b =
       if typed || Option.is_some intr then site_buffers env scr
       else bufs [||] [||] [||]
     in
-    let tags = Array.make (Pool.nshards exec) 0 in
     let side = lazy (Array.make p (VInt 0)) in
     let typed_lane t i =
       match t with 1 -> VInt b.ri.(i) | 2 -> VReal b.rr.(i) | _ -> VBool b.rb.(i)
     in
-    let call_typed ~pure (call : int -> value) (m : Frame.Mask.t) : rv =
+    let call_typed (call : int -> value) (m : Frame.Mask.t) : rv =
       let bp = m.Frame.Mask.bits and side = Lazy.force side in
-      let run, ranges =
-        if pure then (run, exec.Pool.x_shards) else (env.serial, [| (0, p) |])
-      in
-      Array.fill tags 0 (Array.length tags) 0;
-      run (fun s lo hi ->
-          let tag = ref 0 in
-          for i = lo to hi - 1 do
-            if Bytes.unsafe_get bp i <> '\000' then
-              match (call i, !tag) with
-              | VInt x, (0 | 1) ->
-                  tag := 1;
-                  Array.unsafe_set b.ri i x
-              | VReal x, (0 | 2) ->
-                  tag := 2;
-                  Array.unsafe_set b.rr i x
-              | VBool x, (0 | 3) ->
-                  tag := 3;
-                  Array.unsafe_set b.rb i x
-              | v, 4 -> side.(i) <- v
-              | v, t ->
-                  for k = lo to i - 1 do
-                    if Bytes.unsafe_get bp k <> '\000' then
-                      side.(k) <- typed_lane t k
-                  done;
-                  side.(i) <- v;
-                  tag := 4
-          done;
-          tags.(s) <- !tag);
-      Pool.sync exec;
+      let tag = ref 0 in
+      for i = 0 to p - 1 do
+        if Bytes.unsafe_get bp i <> '\000' then
+          match (call i, !tag) with
+          | VInt x, (0 | 1) ->
+              tag := 1;
+              Array.unsafe_set b.ri i x
+          | VReal x, (0 | 2) ->
+              tag := 2;
+              Array.unsafe_set b.rr i x
+          | VBool x, (0 | 3) ->
+              tag := 3;
+              Array.unsafe_set b.rb i x
+          | v, 4 -> side.(i) <- v
+          | v, t ->
+              for k = 0 to i - 1 do
+                if Bytes.unsafe_get bp k <> '\000' then
+                  side.(k) <- typed_lane t k
+              done;
+              side.(i) <- v;
+              tag := 4
+      done;
       (* 0: no active lane; 1-3: one scalar type everywhere; 4: mixed *)
-      let agreed t x = if x = 0 || x = t then t else if t = 0 then x else 4 in
-      match Array.fold_left agreed 0 tags with
+      match !tag with
       | 0 -> RP (Array.make p (VInt 0))
       | 1 -> b.res_i
       | 2 -> b.res_r
       | 3 -> b.res_b
       | _ ->
           let vs = Array.make p (VInt 0) in
-          Array.iteri
-            (fun s (lo, hi) ->
-              for i = lo to hi - 1 do
-                if Bytes.unsafe_get bp i <> '\000' then
-                  vs.(i) <-
-                    (if tags.(s) = 4 then side.(i) else typed_lane tags.(s) i)
-              done)
-            ranges;
-          renorm exec m vs
+          for i = 0 to p - 1 do
+            if Bytes.unsafe_get bp i <> '\000' then vs.(i) <- side.(i)
+          done;
+          renorm m vs
     in
     fun m ->
       match Hashtbl.find_opt env.vm.Vmstate.funcs key with
-      | Some (f, pure) ->
+      | Some f ->
           let vargs = List.map (fun c -> c m) cargs in
-          (* an impure callee may observe any state: it runs after a
-             join; a pure one depends on its arguments alone *)
-          if not pure then Pool.sync exec;
           if List.exists rv_is_plural vargs then begin
-            (* exactly one call per active lane (callees may count
-               invocations); inactive lanes keep the static [VInt 0].
-               Only [pure] functions may run lane-parallel — an impure
-               callee observes the serial ascending application order. *)
+            (* exactly one call per active lane, ascending (callees may
+               count invocations or record their order); inactive lanes
+               keep the static [VInt 0] *)
             let call =
               match vargs with
               | [ a; b ] -> fun i -> f [ rv_lane a i; rv_lane b i ]
               | _ -> fun i -> f (List.map (fun v -> rv_lane v i) vargs)
             in
-            if typed then call_typed ~pure call m
+            if typed then call_typed call m
             else begin
               let vs = Array.make p (VInt 0) in
-              let run = if pure then run else env.serial in
-              Scalar_ops.fill_v run m.Frame.Mask.bits vs call;
-              renorm exec m vs
+              Scalar_ops.fill_v p m.Frame.Mask.bits vs call;
+              renorm m vs
             end
           end
           else RS (f (List.map rv_front_scalar vargs))
@@ -889,28 +800,22 @@ and compile_call env scr name args : cexpr =
             let typed_result =
               match intr with
               | Some k when Frame.Mask.active m > 0 ->
-                  intrinsic_kernel run b k vargs
+                  intrinsic_kernel p b k vargs
               | _ -> None
             in
             match typed_result with
             | Some r -> r
             | None ->
-                (* intrinsics are pure by construction: shardable *)
                 let vs = Array.make p (VInt 0) in
-                Scalar_ops.fill_v run m.Frame.Mask.bits vs (fun i ->
+                Scalar_ops.fill_v p m.Frame.Mask.bits vs (fun i ->
                     match
                       Intrinsics.apply key
                         (List.map (fun v -> rv_lane v i) vargs)
                     with
                     | Some r -> r
                     | None -> Errors.runtime_error "unknown function %s" name);
-                renorm exec m vs)
+                renorm m vs)
           else
-            (* a front-end array argument is read on the control thread *)
-            let () =
-              if List.exists (function RA _ -> true | _ -> false) vargs then
-                Pool.sync exec
-            in
             let scalar_args =
               List.map
                 (function
@@ -925,7 +830,6 @@ and compile_call env scr name args : cexpr =
 
 and compile_reduction env name key args : cexpr =
   let loc = env.cur_loc in
-  let rs = red_scratch env in
   let carg =
     match args with [ a ] -> Some (compile_expr env a) | _ -> None
   in
@@ -939,16 +843,14 @@ and compile_reduction env name key args : cexpr =
       | Some c -> c m
       | None -> Errors.runtime_error "%s expects one argument" name
     in
-    RS (reduce_rv env rs ~is_var m name key v)
+    RS (reduce_rv ~is_var m name key v)
 
 (** Reduction of an evaluated argument: [Pval.reduction], the
-    tree-walker's, over this engine's runner and join and the site's
-    partials.  The witness of a plural-variable read ([is_var]) is its
-    stored lane 0, that of a computed temporary the inert [VInt 0] when
-    lane 0 is inactive. *)
-and reduce_rv env rs ~is_var (m : Frame.Mask.t) name key v =
-  Pval.reduction ~run:env.exec.Pool.x_run ~join:env.join ~scratch:rs ~mask:m
-    ~exact:is_var ~name key (pval_of_rv v)
+    tree-walker's.  The witness of a plural-variable read ([is_var]) is
+    its stored lane 0, that of a computed temporary the inert [VInt 0]
+    when lane 0 is inactive. *)
+and reduce_rv ~is_var (m : Frame.Mask.t) name key v =
+  Pval.reduction ~mask:m ~exact:is_var ~name key (pval_of_rv v)
 
 and compile_index env scr si name args : cexpr =
   let frame = env.frame in
@@ -959,26 +861,18 @@ and compile_index env scr si name args : cexpr =
   (* the name may turn out to be a function at run time (tree-walker
      falls back to the call path when the slot is unbound) *)
   let ccall = compile_call env scr name args in
-  let exec = env.exec in
-  let run = exec.Pool.x_run in
+  let p = env.p in
   let b = site_buffers env scr in
-  (* The generic gather: each lane's subscript vector is staged in a
-     scratch buffer (the compile-time one serially, a fresh shard-local
-     one per shard under the pool) and read through [Nd.get].  A plural
-     array's leading subscript is the lane itself: it reads its own
-     lanes' elements only. *)
+  (* The generic gather: each lane's subscript vector is staged in the
+     site's scratch buffer and read through [Nd.get].  A plural array's
+     leading subscript is the lane itself: it reads its own lanes'
+     elements only. *)
   let gather_boxed m a ~lane fs =
     let go set =
-      run (fun _ lo hi ->
-          let sc =
-            if Pool.nshards exec > 1 then
-              Array.make (nargs + Bool.to_int lane) 0
-            else if lane then scratch1
-            else scratch
-          in
-          for i = lo to hi - 1 do
-            if Frame.Mask.get m i then set i (stage sc ~lane fs i)
-          done)
+      let sc = if lane then scratch1 else scratch in
+      for i = 0 to p - 1 do
+        if Frame.Mask.get m i then set i (stage sc ~lane fs i)
+      done
     in
     match a with
     | AInt d ->
@@ -1000,12 +894,10 @@ and compile_index env scr si name args : cexpr =
         let ivs = List.map (fun c -> c m) cargs in
         match (ivs, a) with
         | ([ RI ix ] | [ RI ix; RI _ ]), AInt d when Nd.rank d = nargs ->
-            Scalar_ops.gather_i run m.Frame.Mask.bits b.ri d ix
-              (subscript2 ivs);
+            Scalar_ops.gather_i p m.Frame.Mask.bits b.ri d ix (subscript2 ivs);
             b.res_i
         | ([ RI ix ] | [ RI ix; RI _ ]), AReal d when Nd.rank d = nargs ->
-            Scalar_ops.gather_r run m.Frame.Mask.bits b.rr d ix
-              (subscript2 ivs);
+            Scalar_ops.gather_r p m.Frame.Mask.bits b.rr d ix (subscript2 ivs);
             b.res_r
         | _ ->
             let sels = List.map rv_sel ivs in
@@ -1013,7 +905,6 @@ and compile_index env scr si name args : cexpr =
               gather_boxed m a ~lane:false (Array.of_list (List.map fst sels))
             else begin
               (* a scalar read of global storage *)
-              Pool.sync exec;
               List.iteri (fun k (f, _) -> scratch.(k) <- f 0) sels;
               RS (arr_get a scratch)
             end)
@@ -1034,10 +925,8 @@ and compile_assign env (l : Ir.lv) : Frame.Mask.t -> rv -> unit =
       fun m rhs -> (
         match Frame.get frame si with
         | Frame.Scalar r -> r := rv_front_scalar rhs
-        | Frame.Plural lanes -> write_plural env.exec frame si lanes m rhs
+        | Frame.Plural lanes -> write_plural env.p frame si lanes m rhs
         | Frame.Global a -> (
-            (* whole-array stores run on the control thread *)
-            Pool.sync env.exec;
             match rhs with
             | RS v -> arr_fill a v
             | RA src ->
@@ -1050,41 +939,30 @@ and compile_assign env (l : Ir.lv) : Frame.Mask.t -> rv -> unit =
                 Errors.runtime_error "plural value assigned to whole array %s"
                   name)
         | Frame.PluralArr a -> (
-            Pool.sync env.exec;
             match rhs with
             | RS v -> arr_fill a v
             | _ ->
                 Errors.runtime_error
                   "unsupported whole-plural-array assignment to %s" name)
-        | Frame.Unbound -> bind_fresh env.exec frame si m rhs)
+        | Frame.Unbound -> bind_fresh frame si m rhs)
   | idxs ->
       let cidx = List.map (compile_expr env) idxs in
       let nargs = List.length idxs in
       let scratch = Array.make nargs 0 in
       let scratch1 = Array.make (nargs + 1) 0 in
-      let exec = env.exec in
-      let run = exec.Pool.x_run in
+      let p = env.p in
       let scatter a m rhs fs ~plural_arr =
-        (* The generic scatter: global-array scatters run serially on
-           the control thread, after a join (lane-order collisions, see
-           [store_run]).  A plural array's leading subscript is the lane
-           itself — element sets are shard-disjoint by construction — so
-           that scatter is a lane loop, with a fresh subscript buffer per
-           shard. *)
-        let shard = plural_arr && Pool.nshards exec > 1 in
-        if not shard then Pool.sync exec;
-        (if shard then run else env.serial) (fun _ lo hi ->
-            let sc =
-              if shard then Array.make (nargs + 1) 0
-              else if plural_arr then scratch1
-              else scratch
-            in
-            for i = lo to hi - 1 do
-              if Frame.Mask.get m i then begin
-                let v = rv_lane rhs i in
-                arr_set a (stage sc ~lane:plural_arr fs i) v
-              end
-            done)
+        (* The generic scatter, in ascending lane order: several lanes
+           may store to the same element of a global array, and the last
+           active lane wins.  A plural array's leading subscript is the
+           lane itself. *)
+        let sc = if plural_arr then scratch1 else scratch in
+        for i = 0 to p - 1 do
+          if Frame.Mask.get m i then begin
+            let v = rv_lane rhs i in
+            arr_set a (stage sc ~lane:plural_arr fs i) v
+          end
+        done
       in
       fun m rhs -> (
         match Frame.get frame si with
@@ -1098,16 +976,14 @@ and compile_assign env (l : Ir.lv) : Frame.Mask.t -> rv -> unit =
             match (ivs, a, rhs) with
             | ([ RI ix ] | [ RI ix; RI _ ]), AInt d, (RI _ | RS (VInt _))
               when Nd.rank d = nargs ->
-                let run = store_run env in
                 let x = int_view rhs in
-                Scalar_ops.scatter_i run bp d ix (subscript2 ivs) None x x
+                Scalar_ops.scatter_i p bp d ix (subscript2 ivs) None x x
             | ( ([ RI ix ] | [ RI ix; RI _ ]),
                 AReal d,
                 (RR _ | RI _ | RS (VReal _)) )
               when Nd.rank d = nargs ->
-                let run = store_run env in
-                let x = real_view run rhs in
-                Scalar_ops.scatter_r run bp d ix (subscript2 ivs) None x x
+                let x = real_view rhs in
+                Scalar_ops.scatter_r p bp d ix (subscript2 ivs) None x x
             | _ ->
                 let sels = List.map rv_sel ivs in
                 if List.exists snd sels || rv_is_plural rhs then
@@ -1115,7 +991,6 @@ and compile_assign env (l : Ir.lv) : Frame.Mask.t -> rv -> unit =
                     (Array.of_list (List.map fst sels))
                     ~plural_arr:false
                 else begin
-                  Pool.sync exec;
                   List.iteri (fun k (f, _) -> scratch.(k) <- f 0) sels;
                   arr_set a scratch (rv_front_scalar rhs)
                 end)
@@ -1143,7 +1018,7 @@ and compile_store_fused env ast (l : Ir.lv) e op ea eb : cstmt =
   let loc = env.cur_loc in
   let frame = env.frame in
   let si = l.Ir.l_slot in
-  let run = env.exec.Pool.x_run in
+  let p = env.p in
   let ce = compile_expr env e in
   let casgn = compile_assign env l in
   (* the leaves are pure reads: a fallback may evaluate them again *)
@@ -1161,14 +1036,13 @@ and compile_store_fused env ast (l : Ir.lv) e op ea eb : cstmt =
     | Frame.Plural (Frame.LInt d)
       when is_int a && is_int b && (lanes a || lanes b) ->
         tick ();
-        Scalar_ops.map2_i run m.Frame.Mask.bits op d (int_view a) (int_view b)
+        Scalar_ops.map2_i p m.Frame.Mask.bits op d (int_view a) (int_view b)
     | Frame.Plural (Frame.LReal d)
       when is_num a && is_num b
            && (lanes a || lanes b)
            && not (is_int a && is_int b) ->
         tick ();
-        Scalar_ops.map2_r run m.Frame.Mask.bits op d (real_view run a)
-          (real_view run b)
+        Scalar_ops.map2_r p m.Frame.Mask.bits op d (real_view a) (real_view b)
     | _ ->
         let rhs = ce m in
         tick_assign env loc m rhs;
@@ -1194,9 +1068,9 @@ and compile_accum env ast (l : Ir.lv) scr g rest : cstmt =
   let sub = match l.Ir.l_index with [ ix ] -> ix | _ -> assert false in
   let cix = compile_expr env sub in
   (* the factored unfused add: same dispatch, its own buffer site *)
-  let add = binop_rv env.exec (site_buffers env scr) Ast.Add in
+  let add = binop_rv env.p (site_buffers env scr) Ast.Add in
   let casgn = compile_assign env l in
-  let exec = env.exec in
+  let p = env.p in
   fun m ->
     observe env m ast;
     let gv = cg m in
@@ -1209,7 +1083,7 @@ and compile_accum env ast (l : Ir.lv) scr g rest : cstmt =
       tick ();
       match cix m with
       | RI ix ->
-          scatter (store_run env) m.Frame.Mask.bits ix;
+          scatter m.Frame.Mask.bits ix;
           Stats.incr st_accum_merged
       | _ ->
           (* non-int-vector subscript: finish unfused (the vector tick
@@ -1218,15 +1092,11 @@ and compile_accum env ast (l : Ir.lv) scr g rest : cstmt =
     in
     match (Frame.get frame si, gv) with
     | Frame.Global (AReal d), RR x when Nd.rank d = 1 && is_num rv ->
-        (* a serial store run joins first, so the promotion loop is
-           complete when the store reads it *)
-        let y = real_view exec.Pool.x_run rv in
-        merged (fun run bp ix ->
-            Scalar_ops.scatter_r run bp d ix one (Some Add) x y)
+        let y = real_view rv in
+        merged (fun bp ix -> Scalar_ops.scatter_r p bp d ix one (Some Add) x y)
     | Frame.Global (AInt d), RI x when Nd.rank d = 1 && is_int rv ->
         let y = int_view rv in
-        merged (fun run bp ix ->
-            Scalar_ops.scatter_i run bp d ix one (Some Add) x y)
+        merged (fun bp ix -> Scalar_ops.scatter_i p bp d ix one (Some Add) x y)
     | _ ->
         let rhs = add m gv rv in
         tick_assign env loc m rhs;
@@ -1240,7 +1110,7 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
   let loc = env.cur_loc in
   let ast = s.Ir.s_ast in
   match s.Ir.s_node with
-  | Ir.LLoc (loc, s) ->
+  | Ir.LLoc (loc, s) -> (
       (* compile the wrapped statement under its location; annotate
          runtime errors escaping the compiled closure (innermost located
          statement wins, already-located errors pass through) *)
@@ -1248,16 +1118,10 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
       env.cur_loc <- loc;
       let cs = compile_stmt env s in
       env.cur_loc <- saved;
-      (* the lane loops this statement issues carry its location to the
-         join that runs them (an exception leaving it ends the run) *)
-      let exec = env.exec and here = Some loc in
       fun m ->
-        let outer = Pool.issue_loc exec in
-        Pool.set_issue_loc exec here;
-        (try cs m
-         with Errors.Runtime_error msg ->
-           raise (Errors.Runtime_error_at (loc, msg)));
-        Pool.set_issue_loc exec outer
+        try cs m
+        with Errors.Runtime_error msg ->
+          raise (Errors.Runtime_error_at (loc, msg)))
   | Ir.LNop -> fun _ -> ()
   | Ir.LAssign (l, e) when s.Ir.s_accum -> (
       match e.Ir.x_node with
@@ -1282,14 +1146,11 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
         List.map (fun (e, exact) -> (compile_expr env e, exact)) args
       in
       fun m ->
-        (* a CALL is a join: the procedure sees the whole state *)
-        Pool.sync env.exec;
         observe env m ast;
         let vm = env.vm in
         match Hashtbl.find_opt vm.Vmstate.procs key with
         | None -> Errors.runtime_error "unknown subroutine %s" name
         | Some f ->
-            (* joined above, so the charge needs no join of its own *)
             Vmstate.call vm key ~loc m;
             let vargs =
               List.map (fun (c, exact) -> rv_to_pval ~exact m (c m)) cargs
@@ -1302,11 +1163,10 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
       let ct = compile_block env t and cf = compile_block env f in
       let mt = Frame.Mask.create_empty env.p in
       let mf = Frame.Mask.create_empty env.p in
-      let nts = Array.make (Pool.nshards env.exec) 0 in
       let where m =
         let cv = cc m in
         tick_vector env ~loc ~kind:Lf_obs.Trace.Where m;
-        split_mask env.exec nts m cv mt mf;
+        split_mask m cv mt mf;
         ct mt;
         cf mf
       in
@@ -1336,7 +1196,6 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
           | cv ->
               (* vector-controlled WHILE (§2): active lanes must agree *)
               tick_vector env ~loc ~kind:Lf_obs.Trace.While m;
-              Pool.sync env.exec;
               Pval.while_test ~mask:m (lanes_of_rv cv)
         in
         while continue_ () do
@@ -1461,21 +1320,7 @@ let lower ~frame ?(opt = 1) ?(verify = false) (body : block) : Ir.block =
   Opt.run ~level:opt ~frame ~verify (Ir.of_block frame body)
 
 (* The back half: emit OCaml closures from an already-lowered IR. *)
-let emit ~vm ~frame ~exec ?(opt = 1) (ir : Ir.block) : Frame.Mask.t -> unit =
-  let p = vm.Vmstate.p in
-  assert (exec.Pool.x_p = p);
-  let env =
-    {
-      vm;
-      frame;
-      p;
-      exec;
-      join = (fun () -> Pool.sync exec);
-      serial = vm.Vmstate.serial;
-      cur_loc = Errors.no_pos;
-      opt;
-    }
-  in
-  let body = compile_block env ir in
-  (* the end of the run is a join; so is an exception leaving it *)
-  fun m -> Pool.settle exec body m
+let emit ~vm ~frame ?(opt = 1) (ir : Ir.block) : Frame.Mask.t -> unit =
+  compile_block
+    { vm; frame; p = vm.Vmstate.p; cur_loc = Errors.no_pos; opt }
+    ir

@@ -35,14 +35,12 @@ val var_names : Ast.program -> string list
     a broken invariant raises [Verify.Error] before anything runs. *)
 val lower : frame:Frame.t -> ?opt:int -> ?verify:bool -> Ast.block -> Ir.block
 
-(** [emit ~vm ~frame ~exec ?opt ir] turns a lowered IR into the
-    executable body; run it by applying it to a full activity mask.
-    [opt] must be the level [ir] was lowered at (it gates the [-O1]
-    store paths).  [exec] dispatches every
-    per-lane loop: [Pool.serial_exec] gives the serial compiled engine,
-    [Pool.parallel_exec] the lane-sharded parallel one — same closures,
-    same bit-identical results (reductions fold the canonical chunked
-    merge tree of [Pool] in every case).
+(** [emit ~vm ~frame ?opt ir] turns a lowered IR into the executable
+    body; run it by applying it to a full activity mask.  [opt] must be
+    the level [ir] was lowered at (it gates the [-O1] store paths).
+    Every per-lane loop is one pass over the lanes in ascending order,
+    and reductions fold the canonical chunked merge tree of
+    [Scalar_ops], so results are bit-identical to the tree-walker's.
 
     Emission never mutates the IR, so one lowered block may be emitted
     repeatedly — against the lowering frame or any other frame created
@@ -50,5 +48,5 @@ val lower : frame:Frame.t -> ?opt:int -> ?verify:bool -> Ast.block -> Ir.block
     of the name list alone), which is how the program cache
     ([Progcache]) re-runs it. *)
 val emit :
-  vm:Vmstate.t -> frame:Frame.t -> exec:Pool.exec -> ?opt:int ->
-  Ir.block -> Frame.Mask.t -> unit
+  vm:Vmstate.t -> frame:Frame.t -> ?opt:int -> Ir.block -> Frame.Mask.t ->
+  unit

@@ -81,9 +81,7 @@ let set f i s = f.slots.(i) <- s
    operator result buffers are never simultaneously live and colors them
    into groups; sites in the same group share one lane vector per
    element type.  Vectors are allocated on first demand and live for the
-   frame's lifetime, so steady-state execution allocates nothing.
-   Shards of the parallel engine write disjoint lane ranges, so sharing
-   the vectors across shards is race-free. *)
+   frame's lifetime, so steady-state execution allocates nothing. *)
 
 let scr_int f g =
   let n = Array.length f.scr_i in

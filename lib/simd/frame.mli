@@ -55,8 +55,7 @@ val set : t -> int -> slot -> unit
     vector per (group, element type), reused for the frame's lifetime:
     steady-state vector-op execution allocates nothing.  Sharing is safe
     because every consumer of an operator result either folds it or
-    copies it before the next site of the same group runs, and the
-    parallel engine's shards write disjoint lane ranges. *)
+    copies it before the next site of the same group runs. *)
 
 val scr_int : t -> int -> int array
 

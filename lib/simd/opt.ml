@@ -420,7 +420,7 @@ let plan_scratch (b : block) : int * int =
 (* ------------------------------------------------------------------ *)
 
 (* Compile-time optimizer telemetry (section [Opt]: deterministic for a
-   given program and [-O] level, independent of the engine and jobs).
+   given program and [-O] level, independent of the engine).
    Counters accumulate across optimizer invocations — one per compile,
    so one per [Vm.run] with a compiled engine. *)
 module Stats = Lf_obs.Stats

@@ -26,9 +26,9 @@
     frame).
 
     Telemetry ([Lf_obs.Stats], recorded only while stats are enabled):
-    the [cache.hits]/[cache.misses] counters live in the jobs-invariant
-    [Opt] section (their values depend on the run mix, not on the shard
-    count); [cache.warm_saved_ns] is a timer in the volatile section
+    the [cache.hits]/[cache.misses] counters live in the [Opt] section
+    (their values depend on the run mix, not on the engine);
+    [cache.warm_saved_ns] is a timer in the volatile section
     crediting, per hit, the front-end nanoseconds measured when the
     entry was built. *)
 

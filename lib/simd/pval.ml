@@ -234,19 +234,20 @@ let reduction_identity key (witness : Values.value) : Values.value =
     [empty] is returned when no lane is active.
 
     The fold follows the canonical chunked merge tree shared by all
-    engines (see [Scalar_ops]): one partial per [Pool.chunk]-lane chunk,
+    engines (see [Scalar_ops]): one partial per [Scalar_ops.chunk]-lane chunk,
     each initialized at its first active lane, then the non-empty
     partials are merged left-to-right in ascending chunk order.  The
     chunk grid depends only on [p], so a float SUM is bitwise identical
     whether the lanes are folded here or by the lane kernels of either
-    engine at any jobs count. *)
+    engine. *)
 let reduce ~(mask : Frame.Mask.t) ~empty f v =
   match v with
   | Plural l ->
       let p = Frame.Mask.length mask in
       let acc = ref empty and have_acc = ref false in
-      for c = 0 to Pool.nchunks p - 1 do
-        let l0 = c * Pool.chunk and h = min p ((c + 1) * Pool.chunk) in
+      for c = 0 to Scalar_ops.nchunks p - 1 do
+        let l0 = c * Scalar_ops.chunk
+        and h = min p ((c + 1) * Scalar_ops.chunk) in
         let part = ref empty and have_part = ref false in
         for i = l0 to h - 1 do
           if on mask i then
@@ -313,25 +314,19 @@ let cell = function
 
 (** The global reduction [key] (["any"], ["all"], ["count"], ["maxval"],
     ["minval"], ["sum"]) of an evaluated argument over the active lanes
-    of [mask].  Typed lanes run the [Scalar_ops] kernel through [run]
-    and [join] with the partials in [scratch]; every other plural folds
-    through the boxed view over the same chunk grid after [join ()].
+    of [mask].  Typed lanes run the [Scalar_ops] kernel; every other
+    plural folds through the boxed view over the same chunk grid.
     [exact] says whether the argument was a variable read or a range
     (see [witness]); [name] is the reduction as written, for
     messages. *)
-let reduction ~run ~join ~scratch ~(mask : Frame.Mask.t) ~exact ~name key v
-    : value =
+let reduction ~(mask : Frame.Mask.t) ~exact ~name key v : value =
   let empty () = reduction_identity key (witness ~exact ~mask v) in
   match (v, cell v) with
   | _, Some c when Scalar_ops.reduces key c ->
-      Scalar_ops.lane_reduce run join scratch ~raising:false key c
-        mask.Frame.Mask.bits empty
+      Scalar_ops.lane_reduce ~raising:false key c mask.Frame.Mask.bits empty
   | FScalar _, _ -> boxed_reduction ~mask ~empty ~name key v
   | FArr a, _ -> (
-      join ();
       match Intrinsics.apply key [ VArr a ] with
       | Some r -> r
       | None -> Errors.runtime_error "bad reduction %s" name)
-  | Plural _, _ ->
-      join ();
-      boxed_reduction ~mask ~empty ~name key v
+  | Plural _, _ -> boxed_reduction ~mask ~empty ~name key v

@@ -96,17 +96,13 @@ val boxed_reduction :
 
 (** The global reduction [key] — ["any"], ["all"], ["count"],
     ["maxval"], ["minval"] or ["sum"] — of an evaluated argument over
-    the active lanes: the [Scalar_ops] kernel through [run] and [join]
-    (partials in [scratch]) for LOGICAL lanes (ANY/ALL/COUNT) and
-    int/real lanes (MAXVAL/MINVAL/SUM), [boxed_reduction] otherwise, a
-    front-end array through [Intrinsics]; both of these read lanes
-    after [join ()].  [exact] marks an argument that was a variable
+    the active lanes: the [Scalar_ops] kernel for LOGICAL lanes
+    (ANY/ALL/COUNT) and int/real lanes (MAXVAL/MINVAL/SUM),
+    [boxed_reduction] otherwise, a front-end array through
+    [Intrinsics].  [exact] marks an argument that was a variable
     read or a range (its witness reads lane 0 even when inactive);
     [name] is the reduction as written, for error messages. *)
 val reduction :
-  run:Scalar_ops.run ->
-  join:(unit -> unit) ->
-  scratch:Scalar_ops.scratch ->
   mask:Frame.Mask.t ->
   exact:bool ->
   name:string ->

@@ -88,13 +88,13 @@ let read_global vm name =
 
    Typed lanes: every vector instruction whose operands have unboxed
    lanes runs one lane kernel from [Scalar_ops] / [Intrinsics] — the
-   compiled engine's kernels — over the mask's bytes, through the VM's
-   serial runner; anything else goes through the boxed view and
-   re-specializes its active lanes ([Pval.map_active]).  Inactive lanes
-   of a computed plural are unspecified (a total kernel computes every
-   lane): nothing reads them except the reduction witness, fresh
-   bindings and procedure arguments, which see them as the inert
-   [VInt 0] unless the plural is [exact]. *)
+   compiled engine's kernels — over the mask's bytes; anything else
+   goes through the boxed view and re-specializes its active lanes
+   ([Pval.map_active]).  Inactive lanes of a computed plural are
+   unspecified (a total kernel computes every lane): nothing reads them
+   except the reduction witness, fresh bindings and procedure arguments,
+   which see them as the inert [VInt 0] unless the plural is
+   [exact]. *)
 
 (* A variable read or a range: a plural whose every lane holds real
    contents, not a temporary computed under the mask. *)
@@ -114,10 +114,10 @@ let view = function
   | _ -> Other
 
 (* a numeric view promoted to real lanes *)
-let real_of vm = function
+let real_of = function
   | VR a -> a
   | VI [| n |] -> [| float_of_int n |]
-  | VI a -> Scalar_ops.to_real vm.serial a
+  | VI a -> Scalar_ops.to_real a
   | VB _ | Other -> invalid_arg "Vm.real_of"
 
 (* a fresh plural whose lanes [f] fills *)
@@ -147,56 +147,56 @@ let binop vm ~mask op va vb =
   | Pval.FArr _, _ | _, Pval.FArr _ ->
       Errors.runtime_error "array operand in a lane-wise operation"
   | _ -> (
-      let run = vm.serial and bp = mask.Frame.Mask.bits in
+      let p = vm.p and bp = mask.Frame.Mask.bits in
       let arith = Scalar_ops.is_arith op and cmp = Scalar_ops.is_cmp op in
       match (view va, view vb) with
       | VI x, VI y when arith ->
-          plural_i vm (fun r -> Scalar_ops.map2_i run bp op r x y)
+          plural_i vm (fun r -> Scalar_ops.map2_i p bp op r x y)
       | VI x, VI y when cmp ->
-          plural_b vm (fun r -> Scalar_ops.cmp_i run op r x y)
+          plural_b vm (fun r -> Scalar_ops.cmp_i p op r x y)
       | ((VI _ | VR _) as x), ((VI _ | VR _) as y) when arith ->
-          let x = real_of vm x and y = real_of vm y in
-          plural_r vm (fun r -> Scalar_ops.map2_r run bp op r x y)
+          let x = real_of x and y = real_of y in
+          plural_r vm (fun r -> Scalar_ops.map2_r p bp op r x y)
       | ((VI _ | VR _) as x), ((VI _ | VR _) as y) when cmp ->
-          let x = real_of vm x and y = real_of vm y in
-          plural_b vm (fun r -> Scalar_ops.cmp_r run op r x y)
+          let x = real_of x and y = real_of y in
+          plural_b vm (fun r -> Scalar_ops.cmp_r p op r x y)
       | VB x, VB y when cmp || op = And || op = Or ->
-          plural_b vm (fun r -> Scalar_ops.map2_b run op r x y)
+          plural_b vm (fun r -> Scalar_ops.map2_b p op r x y)
       | _ -> Pval.lift2 ~mask (Scalar_ops.apply_binop op) va vb)
 
 let unop vm ~mask op v =
-  let run = vm.serial and bp = mask.Frame.Mask.bits and u = Some op in
+  let p = vm.p and bp = mask.Frame.Mask.bits and u = Some op in
   match (op, v) with
   | _, Pval.FScalar x -> Pval.FScalar (Scalar_ops.apply_unop op x)
   | Neg, Pval.Plural (Frame.LInt x) ->
-      plural_i vm (fun r -> Scalar_ops.map1_i run bp u r x)
+      plural_i vm (fun r -> Scalar_ops.map1_i p bp u r x)
   | Neg, Pval.Plural (Frame.LReal x) ->
-      plural_r vm (fun r -> Scalar_ops.map1_r run bp u r x)
+      plural_r vm (fun r -> Scalar_ops.map1_r p bp u r x)
   | Not, Pval.Plural (Frame.LBool x) ->
-      plural_b vm (fun r -> Scalar_ops.map1_b run bp u r x)
+      plural_b vm (fun r -> Scalar_ops.map1_b p bp u r x)
   | _ -> Pval.lift1 ~mask (Scalar_ops.apply_unop op) v
 
 (** A numeric intrinsic with a lane kernel ([Intrinsics.lane_fn]) over
     numeric operands, under a mask with an active lane; [None] for every
     other call, which then runs per lane through the boxed view. *)
 let lane_intrinsic vm ~mask key vargs =
-  let run = vm.serial and bp = mask.Frame.Mask.bits in
+  let p = vm.p and bp = mask.Frame.Mask.bits in
   match (Intrinsics.lane_fn key, List.map view vargs) with
   | _ when Frame.Mask.active mask = 0 -> None
   | Some (Intrinsics.Num1 Intrinsics.Abs), [ VI x ] ->
-      Some (plural_i vm (fun r -> Intrinsics.int_abs run bp r x))
+      Some (plural_i vm (fun r -> Intrinsics.int_abs p bp r x))
   | Some (Intrinsics.Num1 k), [ ((VI _ | VR _) as x) ] ->
-      let x = real_of vm x in
-      Some (plural_r vm (fun r -> Intrinsics.real_map1 run bp k r x))
+      let x = real_of x in
+      Some (plural_r vm (fun r -> Intrinsics.real_map1 p bp k r x))
   | Some (Intrinsics.To_int round), [ ((VI _ | VR _) as x) ] ->
-      let x = real_of vm x in
-      Some (plural_i vm (fun r -> Intrinsics.to_int run bp ~round r x))
+      let x = real_of x in
+      Some (plural_i vm (fun r -> Intrinsics.to_int p bp ~round r x))
   | Some (Intrinsics.Num2 k), [ VI x; VI y ] ->
-      Some (plural_i vm (fun r -> Intrinsics.int_map2 run bp k r x y))
+      Some (plural_i vm (fun r -> Intrinsics.int_map2 p bp k r x y))
   | Some (Intrinsics.Num2 k), [ ((VI _ | VR _) as x); ((VI _ | VR _) as y) ]
     ->
-      let x = real_of vm x and y = real_of vm y in
-      Some (plural_r vm (fun r -> Intrinsics.real_map2 run bp k r x y))
+      let x = real_of x and y = real_of y in
+      Some (plural_r vm (fun r -> Intrinsics.real_map2 p bp k r x y))
   | _ -> None
 
 (* A subscript resolved once per vector instruction: a front-end scalar
@@ -247,52 +247,52 @@ let ix2 = function
 (** Gather one element per active lane into a lane vector of the array's
     element type. *)
 let gather vm ~mask (a : arr) idx ~lead subs : Pval.t =
-  let run = vm.serial and bp = mask.Frame.Mask.bits in
+  let p = vm.p and bp = mask.Frame.Mask.bits in
   match (a, subs) with
   | ( AInt d,
       ( [| Lanes (Frame.LInt ix) |]
       | [| Lanes (Frame.LInt ix); (Const _ | Lanes (Frame.LInt _)) |] ) )
     when kernel_rank d ~lead subs ->
-      plural_i vm (fun r -> Scalar_ops.gather_i run bp r d ix (ix2 subs))
+      plural_i vm (fun r -> Scalar_ops.gather_i p bp r d ix (ix2 subs))
   | ( AReal d,
       ( [| Lanes (Frame.LInt ix) |]
       | [| Lanes (Frame.LInt ix); (Const _ | Lanes (Frame.LInt _)) |] ) )
     when kernel_rank d ~lead subs ->
-      plural_r vm (fun r -> Scalar_ops.gather_r run bp r d ix (ix2 subs))
+      plural_r vm (fun r -> Scalar_ops.gather_r p bp r d ix (ix2 subs))
   | AInt d, _ ->
       let off = offsets d idx ~lead subs in
-      plural_i vm (fun r -> Scalar_ops.gather_at_i run bp r d.Nd.data off)
+      plural_i vm (fun r -> Scalar_ops.gather_at_i p bp r d.Nd.data off)
   | AReal d, _ ->
       let off = offsets d idx ~lead subs in
-      plural_r vm (fun r -> Scalar_ops.gather_at_r run bp r d.Nd.data off)
+      plural_r vm (fun r -> Scalar_ops.gather_at_r p bp r d.Nd.data off)
   | ABool d, _ ->
       let off = offsets d idx ~lead subs in
-      plural_b vm (fun r -> Scalar_ops.gather_at_b run bp r d.Nd.data off)
+      plural_b vm (fun r -> Scalar_ops.gather_at_b p bp r d.Nd.data off)
 
 (** Scatter [rhs] per active lane, ascending: a lane's value is read
     before its subscripts are converted.  Only LOGICAL and boxed lanes,
     and REAL lanes into an INTEGER array, store boxed values. *)
 let scatter vm ~mask (a : arr) idx ~lead subs rhs =
-  let run = vm.serial and bp = mask.Frame.Mask.bits in
+  let p = vm.p and bp = mask.Frame.Mask.bits in
   match (a, view rhs, subs) with
   | ( AReal d,
       ((VI _ | VR _) as x),
       ( [| Lanes (Frame.LInt ix) |]
       | [| Lanes (Frame.LInt ix); (Const _ | Lanes (Frame.LInt _)) |] ) )
     when kernel_rank d ~lead subs ->
-      let x = real_of vm x in
-      Scalar_ops.scatter_r run bp d ix (ix2 subs) None x x
+      let x = real_of x in
+      Scalar_ops.scatter_r p bp d ix (ix2 subs) None x x
   | ( AInt d,
       VI x,
       ( [| Lanes (Frame.LInt ix) |]
       | [| Lanes (Frame.LInt ix); (Const _ | Lanes (Frame.LInt _)) |] ) )
     when kernel_rank d ~lead subs ->
-      Scalar_ops.scatter_i run bp d ix (ix2 subs) None x x
+      Scalar_ops.scatter_i p bp d ix (ix2 subs) None x x
   | AReal d, ((VI _ | VR _) as x), _ ->
-      let x = real_of vm x in
-      Scalar_ops.scatter_at_r run bp d.Nd.data (offsets d idx ~lead subs) x
+      let x = real_of x in
+      Scalar_ops.scatter_at_r p bp d.Nd.data (offsets d idx ~lead subs) x
   | AInt d, VI x, _ ->
-      Scalar_ops.scatter_at_i run bp d.Nd.data (offsets d idx ~lead subs) x
+      Scalar_ops.scatter_at_i p bp d.Nd.data (offsets d idx ~lead subs) x
   | _ ->
       for i = 0 to vm.p - 1 do
         if on mask i then begin
@@ -374,8 +374,7 @@ and eval_call vm ~mask name args : Pval.t =
     in
     let v = eval vm ~mask a in
     Pval.FScalar
-      (Pval.reduction ~run:vm.serial ~join:ignore ~scratch:(Lazy.force vm.red)
-         ~mask ~exact:(is_exact a) ~name key v)
+      (Pval.reduction ~mask ~exact:(is_exact a) ~name key v)
   end
   else
     let func = Hashtbl.find_opt vm.funcs key in
@@ -384,7 +383,7 @@ and eval_call vm ~mask name args : Pval.t =
        registered per-lane function, else the intrinsic *)
     let apply =
       match func with
-      | Some (f, _pure) -> f
+      | Some f -> f
       | None -> (
           let f = Intrinsics.resolve key in
           fun args ->
@@ -428,15 +427,15 @@ and lane_args vargs i =
     side has the variable's lane type, else through the boxed view into
     a fresh, re-specialized vector. *)
 let write_plural vm name (lanes : Frame.lanes) ~mask rhs =
-  let run = vm.serial and bp = mask.Frame.Mask.bits in
+  let p = vm.p and bp = mask.Frame.Mask.bits in
   match (lanes, view rhs) with
-  | Frame.LInt d, VI x -> Scalar_ops.map1_i run bp None d x
-  | Frame.LReal d, VR x -> Scalar_ops.map1_r run bp None d x
-  | Frame.LBool d, VB x -> Scalar_ops.map1_b run bp None d x
+  | Frame.LInt d, VI x -> Scalar_ops.map1_i p bp None d x
+  | Frame.LReal d, VR x -> Scalar_ops.map1_r p bp None d x
+  | Frame.LBool d, VB x -> Scalar_ops.map1_b p bp None d x
   | _ ->
       if Frame.Mask.active mask > 0 then begin
         let vs = Frame.values_of_lanes lanes in
-        Scalar_ops.fill_v run bp vs (Pval.lane rhs);
+        Scalar_ops.fill_v p bp vs (Pval.lane rhs);
         Hashtbl.replace vm.vars name (VPlural (Frame.lanes_of_values vs))
       end
 
@@ -643,7 +642,7 @@ let declare vm (decls : decl list) =
 (* The compiled engine                                                 *)
 (* ------------------------------------------------------------------ *)
 
-type engine = [ `Tree_walk | `Compiled | `Parallel ]
+type engine = [ `Tree_walk | `Compiled ]
 
 (** Frame name table: every variable the program mentions ([from_ast],
     which the program cache precomputes so its warm path does not re-walk
@@ -659,25 +658,13 @@ let frame_names vm from_ast =
   in
   from_ast @ List.sort compare extra
 
-(* The lane-loop dispatcher of a compiled engine: [Pool.serial_exec] for
-   the serial compiled engine, [Pool.parallel_exec] to shard the lanes
-   over the Domain pool while everything sequential — control flow,
-   metrics, fuel, trace emission, front-end state — stays on this
-   thread.  [jobs] is validated only for [`Parallel]. *)
-let exec_of ~p ~jobs = function
-  | `Parallel ->
-      let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-      if jobs < 1 then invalid_arg "Vm.run: jobs must be >= 1";
-      Pool.parallel_exec ~p ~jobs
-  | `Compiled -> Pool.serial_exec ~p
-
 (* Emit [ir] against [frame] (created with the layout [ir] was lowered
    for) and run it under a full mask.  State is imported at the start and
    after every external CALL, and flushed back at the end (also on the
    error path, so a failing compiled run leaves the same partial state
    as a failing tree-walk). *)
-let run_compiled vm ~exec ~opt ~frame ir =
-  let compiled = Compile.emit ~vm ~frame ~exec ~opt ir in
+let run_compiled vm ~opt ~frame ir =
+  let compiled = Compile.emit ~vm ~frame ~opt ir in
   import_frame vm frame;
   Fun.protect
     ~finally:(fun () -> flush_frame vm frame)
@@ -732,25 +719,24 @@ let walk vm body = exec_block vm ~mask:(full_mask vm) body
 
 (* Run a program on the VM.  [setup] may pre-bind globals and parameters
    (problem sizes, input arrays) before declarations are processed.
-   [engine] selects the tree-walking interpreter (default), the serial
-   compiled closure engine, or the lane-sharded parallel engine; all
-   three produce bit-identical state, metrics and errors.  A compiled
+   [engine] selects the tree-walking interpreter (default) or the
+   compiled closure engine; both produce bit-identical state, metrics
+   and errors.  A compiled
    engine lowers [prog.p_body] against a frame covering the program's
    names plus anything pre-seeded in [vm.vars], inside the bracket. *)
-let run ?fuel ?(engine = `Tree_walk) ?jobs ?(opt = 1) ?(verify = false) ~p
+let run ?fuel ?(engine = `Tree_walk) ?(opt = 1) ?(verify = false) ~p
     ?(setup = fun _ -> ()) (prog : program) : t =
   let vm = create ?fuel ~p () in
   setup vm;
   declare vm prog.p_decls;
   (match engine with
   | `Tree_walk -> timed walk vm prog.p_body
-  | (`Compiled | `Parallel) as engine ->
+  | `Compiled ->
       timed
         (fun vm prog ->
-          let exec = exec_of ~p ~jobs engine in
           let names = frame_names vm (Compile.var_names prog) in
           let frame = Frame.create ~p names in
-          run_compiled vm ~exec ~opt ~frame
+          run_compiled vm ~opt ~frame
             (Compile.lower ~frame ~opt ~verify prog.p_body))
         vm prog);
   vm
@@ -759,11 +745,11 @@ let run ?fuel ?(engine = `Tree_walk) ?jobs ?(opt = 1) ?(verify = false) ~p
 (* Source-level entry with the program cache                           *)
 (* ------------------------------------------------------------------ *)
 
-let run_src ?fuel ?(engine = `Tree_walk) ?jobs ?(opt = 1) ?(verify = false)
+let run_src ?fuel ?(engine = `Tree_walk) ?(opt = 1) ?(verify = false)
     ?cache ~p ?(setup = fun _ -> ()) (src : string) : t =
   match cache with
   | None ->
-      run ?fuel ~engine ?jobs ~opt ~verify ~p ~setup
+      run ?fuel ~engine ~opt ~verify ~p ~setup
         (Lf_lang.Parser.program_of_string src)
   | Some cache ->
       let key = Progcache.key ~md5:(Digest.string src) ~opt ~verify ~p in
@@ -784,7 +770,7 @@ let run_src ?fuel ?(engine = `Tree_walk) ?jobs ?(opt = 1) ?(verify = false)
       | `Tree_walk ->
           if hit then Progcache.credit_warm entry;
           timed walk vm prog.p_body
-      | (`Compiled | `Parallel) as engine ->
+      | `Compiled ->
           let layout = frame_names vm entry.Progcache.e_ast_names in
           let ir, warm =
             match entry.Progcache.e_lowered with
@@ -813,8 +799,7 @@ let run_src ?fuel ?(engine = `Tree_walk) ?jobs ?(opt = 1) ?(verify = false)
             (fun () ->
               timed
                 (fun vm frame ->
-                  run_compiled vm ~exec:(exec_of ~p ~jobs engine) ~opt ~frame
-                    ir)
+                  run_compiled vm ~opt ~frame ir)
                 vm frame));
       vm
 

@@ -22,14 +22,12 @@ type proc = t -> mask:bool array -> Pval.t list -> unit
 
 and t = Vmstate.t = {
   p : int;  (** number of lanes *)
-  serial : Scalar_ops.run;
-      (** the lane runner of one pass over every lane, in lane order *)
   vars : (string, entry) Hashtbl.t;
   metrics : Metrics.t;
   mutable fuel : int;
   procs : (string, proc) Hashtbl.t;
-  funcs : (string, (Values.value list -> Values.value) * bool) Hashtbl.t;
-      (** per-lane functions with their purity flag *)
+  funcs : (string, Values.value list -> Values.value) Hashtbl.t;
+      (** per-lane functions *)
   mutable observer : (t -> mask:bool array -> Ast.stmt -> unit) option;
   mutable deadline : (int * string) option;
       (** monotonic-clock cutoff (ns) and the error a step past it raises *)
@@ -40,9 +38,6 @@ and t = Vmstate.t = {
       (** location of the innermost [SLoc]-wrapped statement executing *)
   mutable spare_masks : Frame.Mask.t list;
       (** the tree-walker's WHERE masks, kept for the next WHERE *)
-  red : Scalar_ops.scratch Lazy.t;
-      (** the tree-walker's reduction partials, made at its first
-          reduction *)
 }
 
 val create : ?fuel:int -> p:int -> unit -> t
@@ -50,8 +45,8 @@ val register_proc : t -> string -> proc -> unit
 
 (** Install a per-statement observer, called before each assignment or
     CALL with the activity mask and the VM state as of that statement.
-    On the compiled engines each call joins and flushes the frame, so
-    it is a testing hook (state probes, soundness checks), not a cheap
+    On the compiled engine each call flushes the frame, so it is a
+    testing hook (state probes, soundness checks), not a cheap
     one. *)
 val set_observer : t -> (t -> mask:bool array -> Ast.stmt -> unit) -> unit
 
@@ -71,14 +66,11 @@ val set_deadline : t -> at_ns:int64 -> string -> unit
     the issuing statement's source location and activity mask. *)
 val add_trace_sink : t -> Lf_obs.Trace.sink -> unit
 
-(** Register a per-lane function (applied pointwise under the mask when
-    any argument is plural).  [pure] (default [false]) promises the
-    function has no observable side effects and no dependence on
-    application order, which lets the parallel engine apply it
-    lane-parallel; impure functions always see the serial ascending
-    per-lane order, on every engine. *)
+(** Register a per-lane function, applied pointwise under the mask when
+    any argument is plural: once per active lane, in ascending lane
+    order, on every engine. *)
 val register_func :
-  t -> ?pure:bool -> string -> (Values.value list -> Values.value) -> unit
+  t -> string -> (Values.value list -> Values.value) -> unit
 
 (** A fresh all-active mask. *)
 val full_mask : t -> Frame.Mask.t
@@ -107,26 +99,23 @@ val exec_block : t -> mask:Frame.Mask.t -> Ast.block -> unit
     kept. *)
 val declare : t -> Ast.decl list -> unit
 
-(** Execution engine: the tree-walking interpreter, the compiled closure
-    engine ([Compile] / [Frame]), or the lane-sharded parallel engine
-    (the compiled engine dispatching per-lane loops over the [Pool]
-    Domain pool) — drop-in replacements producing identical variable
-    state, [Metrics], trace events and error messages. *)
-type engine = [ `Tree_walk | `Compiled | `Parallel ]
+(** Execution engine: the tree-walking interpreter or the compiled
+    closure engine ([Compile] / [Frame]) — drop-in replacements
+    producing identical variable state, [Metrics], trace events and
+    error messages. *)
+type engine = [ `Tree_walk | `Compiled ]
 
 (** Run a program on a fresh VM.  [setup] may pre-bind globals and
     parameters before declarations are processed; [engine] defaults to
-    the tree-walker.  [jobs] bounds the [`Parallel] shard count
-    (default [Pool.default_jobs ()]; ignored by the serial engines).
+    the tree-walker.
     [opt] is the compiled-engine optimizer level (see [Compile.lower];
     default 1, ignored by the tree-walker) — every level is bit-identical
     to every other, only the wall-clock changes.
     [verify] runs the IR verifier after every optimizer phase (compiled
     engines only; see [Compile.lower]); raises [Verify.Error] on a
-    broken invariant.
-    @raise Invalid_argument when [engine] is [`Parallel] and [jobs < 1]. *)
+    broken invariant. *)
 val run :
-  ?fuel:int -> ?engine:engine -> ?jobs:int -> ?opt:int -> ?verify:bool ->
+  ?fuel:int -> ?engine:engine -> ?opt:int -> ?verify:bool ->
   p:int -> ?setup:(t -> unit) -> Ast.program -> t
 
 (** [run_src] is [run] from source text, optionally through a program
@@ -143,7 +132,7 @@ val run :
     optimizer genuinely does not run again.  A run under another key
     than the cache's entry is cold and replaces it. *)
 val run_src :
-  ?fuel:int -> ?engine:engine -> ?jobs:int -> ?opt:int -> ?verify:bool ->
+  ?fuel:int -> ?engine:engine -> ?opt:int -> ?verify:bool ->
   ?cache:Progcache.t -> p:int -> ?setup:(t -> unit) -> string -> t
 
 (** The compiled engine's annotated IR for [prog] as JSON (the

@@ -19,25 +19,22 @@ type proc = t -> mask:bool array -> Pval.t list -> unit
 
 and t = {
   p : int;
-  serial : Scalar_ops.run;
   vars : (string, entry) Hashtbl.t;
   metrics : Metrics.t;
   mutable fuel : int;
   procs : (string, proc) Hashtbl.t;
-  funcs : (string, (value list -> value) * bool) Hashtbl.t;
+  funcs : (string, value list -> value) Hashtbl.t;
   mutable observer : (t -> mask:bool array -> Ast.stmt -> unit) option;
   mutable deadline : (int * string) option;
   trace : Lf_obs.Trace.t;
   mutable cur_loc : Errors.pos;
   mutable spare_masks : Frame.Mask.t list;
-  red : Scalar_ops.scratch Lazy.t;
 }
 
 let create ?(fuel = 50_000_000) ~p () =
   let vm =
     {
       p;
-      serial = (fun f -> f 0 0 p);
       vars = Hashtbl.create 64;
       metrics = Metrics.create ();
       fuel;
@@ -48,7 +45,6 @@ let create ?(fuel = 50_000_000) ~p () =
       trace = Lf_obs.Trace.create ();
       cur_loc = Errors.no_pos;
       spare_masks = [];
-      red = lazy (Scalar_ops.scratch ~lanes:p ~shards:1);
     }
   in
   (* the predefined plural processor index, matching Lf_core.Simdize.iproc *)
@@ -63,8 +59,8 @@ let register_proc vm name f =
     soundness checks). *)
 let set_observer vm f = vm.observer <- Some f
 
-let register_func vm ?(pure = false) name f =
-  Hashtbl.replace vm.funcs (String.lowercase_ascii name) (f, pure)
+let register_func vm name f =
+  Hashtbl.replace vm.funcs (String.lowercase_ascii name) f
 
 (** Attach a trace sink (see [Lf_obs.Trace]); arms event emission. *)
 let add_trace_sink vm sink = Lf_obs.Trace.attach vm.trace sink
@@ -81,13 +77,11 @@ let set_deadline vm ~at_ns msg =
 (* Each charge takes the issuing statement's location and the step's
    activity mask, the one mask type of both engines; the event's fresh
    [bool array] copy is made only when a trace sink is attached, so a
-   charge allocates nothing otherwise.  A caller whose lane loops may
-   still be pending joins them before charging while tracing: the event
-   must follow an earlier lane error. *)
+   charge allocates nothing otherwise. *)
 
 (* Telemetry (all recording is behind one flat [Stats.enabled] branch,
    mirroring the trace sinks): dispatch counts and mask-density buckets
-   are [Counters], stable across engines, jobs and opt levels by the
+   are [Counters], stable across engines and opt levels by the
    Metrics fusion-invariance contract. *)
 module Stats = Lf_obs.Stats
 

@@ -150,7 +150,7 @@ let exec_nest_gen =
     and per-lane arrays, bounded while-any loops, and division for the
     error paths.  Nothing in a generated program depends on the lane
     count, so the differential harness can replay the same program at
-    any [p] and any [jobs] — the environment is bound by
+    any [p] — the environment is bound by
     [simd_prog_setup ~p].
 
     Termination is by construction (DO bounds are constants, while-any
@@ -231,7 +231,7 @@ let rec rexpr_sized n =
 let simd_lv name index = { lv_name = name; lv_index = index }
 
 (** A reduction into the front-end scalar [s]: the boolean forms, the
-    integer folds, and — crucially for the shard merge tree — REAL sums. *)
+    integer folds, and — crucially for the chunk merge tree — REAL sums. *)
 let simd_reduction =
   frequency
     [
@@ -350,11 +350,10 @@ let simd_prog_setup ~p:_ vm =
     (Values.AReal
        (Nd.of_array (Array.init simd_global_n (fun i -> 0.5 *. float_of_int (i + 1)))));
   Lf_simd.Vm.bind_plural_arr vm "f" Ast.TInt [| 3 |];
-  (* the extended generators' external subroutine and pure function:
-     [tally] exercises the LScall path (kept serial by the parallel
-     engine), [sq] the pure per-lane call path *)
+  (* the extended generators' external subroutine and function:
+     [tally] exercises the LScall path, [sq] the per-lane call path *)
   Lf_simd.Vm.register_proc vm "tally" (fun _vm ~mask:_ _args -> ());
-  Lf_simd.Vm.register_func vm ~pure:true "sq" (fun vs ->
+  Lf_simd.Vm.register_func vm "sq" (fun vs ->
       match vs with
       | [ Values.VInt n ] -> Values.VInt (n * n)
       | [ v ] -> v
@@ -479,7 +478,7 @@ let exec_nest_ext_gen =
 (* Extended SIMD programs: CALLs, FORALL, deeper WHERE nesting         *)
 (* ------------------------------------------------------------------ *)
 
-(** Integer expressions that may also apply the registered pure function
+(** Integer expressions that may also apply the registered function
     [sq] (see [simd_prog_setup]). *)
 let iexpr_ext_sized n =
   if n <= 0 then iexpr_sized 0
@@ -491,9 +490,8 @@ let iexpr_ext_sized n =
       ]
 
 (** One extended statement: everything [simd_stmt_sized] produces, plus
-    subroutine CALLs (the [LScall] path, serialized by the parallel
-    engine) and FORALL loops over a small constant range — constructs
-    the plain generator never emits. *)
+    subroutine CALLs (the [LScall] path) and FORALL loops over a small
+    constant range — constructs the plain generator never emits. *)
 let rec simd_stmt_ext_sized n =
   let leaf =
     frequency

@@ -11,7 +11,6 @@ open Lf_lang
 open Lf_lang.Ast
 open Values
 module Metrics = Lf_simd.Metrics
-module Pool = Lf_simd.Pool
 
 (* ------------------------------------------------------------------ *)
 (* Plural values                                                       *)
@@ -83,8 +82,9 @@ let reduce ~(mask : bool array) ~empty f v =
   | Plural vs ->
       let p = Array.length mask in
       let acc = ref empty and have_acc = ref false in
-      for c = 0 to Pool.nchunks p - 1 do
-        let l = c * Pool.chunk and h = min p ((c + 1) * Pool.chunk) in
+      for c = 0 to Scalar_ops.nchunks p - 1 do
+        let l = c * Scalar_ops.chunk
+        and h = min p ((c + 1) * Scalar_ops.chunk) in
         let part = ref empty and have_part = ref false in
         for i = l to h - 1 do
           if mask.(i) then

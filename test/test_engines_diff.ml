@@ -1,18 +1,19 @@
 (** Differential engine-equivalence harness.
 
-    The three execution engines — the tree-walking reference, the
-    compiled closure engine, and the lane-sharded parallel engine — are
-    drop-in replacements: same final variable state, same [Metrics],
-    same error messages.  This suite drives that contract with random
-    SIMD-dialect programs ([Gen.simd_prog_gen]) replayed on every engine
-    across a sweep of lane counts (including the degenerate [p = 0] and
-    the multi-chunk [p = 1024]) and shard counts, plus a fixed corpus
-    (the paper's flattened EXAMPLE and the flattened NBFORCE kernel).
+    The two execution engines — the tree-walking reference and the
+    compiled closure engine — are drop-in replacements: same final
+    variable state, same [Metrics], same error messages.  This suite
+    drives that contract with random SIMD-dialect programs
+    ([Gen.simd_prog_gen]) replayed on both engines across a sweep of
+    lane counts (including the degenerate [p = 0] and the multi-chunk
+    [p = 1024]), plus a fixed corpus (the paper's flattened EXAMPLE and
+    the flattened NBFORCE kernel) and fixed programs at widths of many
+    chunks.
 
-    The float-sum contract is checked {e bitwise}: every engine folds
-    the same canonical chunked merge tree ([Pool.chunk]-sized chunks,
-    merged in ascending order), so REAL sums are identical down to the
-    last bit at any jobs count — not merely within tolerance. *)
+    The float-sum contract is checked {e bitwise}: both engines fold
+    the same canonical chunked merge tree ([Scalar_ops.chunk]-sized
+    chunks, merged in ascending order), so REAL sums are identical down
+    to the last bit — not merely within tolerance. *)
 
 open Helpers
 open Lf_lang
@@ -22,13 +23,11 @@ module Metrics = Lf_simd.Metrics
 (* a modest fuel: termination is by construction, fuel exhaustion is
    only a backstop — and must itself be engine-identical *)
 let fuel = 20_000
-let min_shard = Lf_simd.Pool.min_shard
 let ps = [ 0; 1; 5; 64; 1024 ]
-let jobs_sweep = [ 1; 2; 3; 7 ]
 
-let run_one ?jobs ?opt ?verify engine ~p prog : (Vm.t, string) result =
+let run_one ?opt ?verify engine ~p prog : (Vm.t, string) result =
   match
-    Vm.run ~fuel ~engine ?jobs ?opt ?verify ~p
+    Vm.run ~fuel ~engine ?opt ?verify ~p
       ~setup:(Gen.simd_prog_setup ~p)
       prog
   with
@@ -60,82 +59,42 @@ let pair_agrees ~what ~prog a b =
         (Pretty.program_to_string prog)
 
 (* the optimizer sweep crosses the tree-walker against the compiled
-   engine at every optimizer level, the levels against each other, and
-   the parallel engine at -O0 (the -O1/-O2 parallel legs run the full
-   jobs sweep below) — fusion, fused reductions, scatter-accumulate
-   and scratch reuse must all be unobservable.  The -O2 compiled leg runs under the verifier,
-   so every random program also checks the optimizer never emits IR the
+   engine at -O1 and the two optimizer levels against each other —
+   fusion, fused reductions, scatter-accumulate and scratch reuse must
+   all be unobservable.  The -O1 leg runs under the verifier, so every
+   random program also checks the optimizer never emits IR the
    verifier rejects. *)
 let prop_engines_equivalent prog =
   List.for_all
     (fun p ->
       let tree = run_one `Tree_walk ~p prog in
       let compiled0 = run_one ~opt:0 `Compiled ~p prog in
-      let compiled = run_one ~opt:1 `Compiled ~p prog in
-      let compiled2 = run_one ~opt:2 ~verify:true `Compiled ~p prog in
-      pair_agrees ~what:(Fmt.str "tree vs compiled -O1, p=%d" p) ~prog tree
-        compiled
+      let compiled = run_one ~opt:1 ~verify:true `Compiled ~p prog in
+      pair_agrees
+        ~what:(Fmt.str "tree vs compiled -O1+verify, p=%d" p)
+        ~prog tree compiled
       && pair_agrees
-           ~what:(Fmt.str "compiled -O0 vs -O1, p=%d" p)
-           ~prog compiled0 compiled
-      && pair_agrees
-           ~what:(Fmt.str "compiled -O1 vs -O2+verify, p=%d" p)
-           ~prog compiled compiled2
-      && pair_agrees
-           ~what:(Fmt.str "parallel -O0 vs tree, p=%d jobs=3" p)
-           ~prog tree
-           (run_one ~jobs:3 ~opt:0 `Parallel ~p prog)
-      && List.for_all
-           (fun jobs ->
-             let par = run_one ~jobs ~opt:1 `Parallel ~p prog in
-             let par2 = run_one ~jobs ~opt:2 `Parallel ~p prog in
-             pair_agrees
-               ~what:(Fmt.str "tree vs parallel -O1, p=%d jobs=%d" p jobs)
-               ~prog tree par
-             && pair_agrees
-                  ~what:
-                    (Fmt.str "tree vs parallel -O2, p=%d jobs=%d" p jobs)
-                  ~prog tree par2)
-           jobs_sweep)
+           ~what:(Fmt.str "compiled -O0 vs -O1+verify, p=%d" p)
+           ~prog compiled0 compiled)
     ps
 
 let t_random_programs =
-  qcheck_case ~count:500
-    "differential: 3 engines, p in {0,1,5,64,1024}, jobs in {1,2,3,7}"
+  qcheck_case ~count:500 "differential: 2 engines, p in {0,1,5,64,1024}"
     Gen.simd_prog_gen prop_engines_equivalent
-
-(* At p = 1024 (two shard floors) every jobs count above 1 makes two
-   shards; at seven floors the parallel legs make 2, 3 and 7 shards,
-   the 3 uneven (18, 19 and 19 chunks). *)
-let prop_shard_counts prog =
-  let p = 7 * min_shard in
-  let tree = run_one `Tree_walk ~p prog in
-  List.for_all
-    (fun jobs ->
-      pair_agrees
-        ~what:(Fmt.str "tree vs parallel -O1, p=%d jobs=%d" p jobs)
-        ~prog tree
-        (run_one ~jobs ~opt:1 `Parallel ~p prog))
-    [ 2; 3; 7 ]
-
-let t_random_shard_counts =
-  qcheck_case ~count:200
-    "differential: tree vs parallel at 7 shard floors, jobs in {2,3,7}"
-    Gen.simd_prog_gen prop_shard_counts
 
 (* ------------------------------------------------------------------ *)
 (* Bitwise float-sum identity                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* 0.1 is not representable, so naive left-to-right vs shard-partial
+(* 0.1 is not representable, so naive left-to-right vs chunk-partial
    summation of iproc * 0.1 WOULD differ in the low bits at large p; the
-   canonical chunked merge tree makes every engine produce the same
-   bits at every jobs count *)
+   canonical chunked merge tree makes both engines produce the same
+   bits *)
 let t_float_sum_bitwise () =
   let src = "r = iproc * 0.1\nWHERE (iproc - (iproc / 3) * 3 >= 1)\n  s = sum(r)\nENDWHERE\nt = sum(r)" in
   let prog = Ast.program "fsum" (Parser.block_of_string src) in
-  let bits_of ?jobs ?opt engine p name =
-    let vm = Vm.run ~engine ?jobs ?opt ~p prog in
+  let bits_of ?opt engine p name =
+    let vm = Vm.run ~engine ?opt ~p prog in
     match Vm.find vm name with
     | Vm.VScalar { contents = Values.VReal f } -> Int64.bits_of_float f
     | Vm.VScalar { contents = Values.VInt i } -> Int64.of_int i
@@ -152,18 +111,10 @@ let t_float_sum_bitwise () =
             (fun opt ->
               checkb
                 (Fmt.str "compiled -O%d %s bitwise at p=%d" opt name p)
-                (Int64.equal reference (bits_of ~opt `Compiled p name));
-              List.iter
-                (fun jobs ->
-                  checkb
-                    (Fmt.str "parallel -O%d %s bitwise at p=%d jobs=%d" opt
-                       name p jobs)
-                    (Int64.equal reference
-                       (bits_of ~jobs ~opt `Parallel p name)))
-                [ 1; 2; 3; 7; 16 ])
+                (Int64.equal reference (bits_of ~opt `Compiled p name)))
             [ 0; 1; 2 ])
         [ "s"; "t" ])
-    [ 1; 5; 64; 65; 128; 1000; 1024; (2 * min_shard) + 76; 16 * min_shard ]
+    [ 1; 5; 64; 65; 128; 1000; 1024; 1100; 8192 ]
 
 (* ------------------------------------------------------------------ *)
 (* Fixed corpus: the paper's kernels                                   *)
@@ -186,8 +137,8 @@ let derive_example () =
 
 let t_example_corpus () =
   let prog = derive_example () in
-  let run ?jobs engine p =
-    Vm.run ~engine ?jobs ~p
+  let run engine p =
+    Vm.run ~engine ~p
       ~setup:(fun vm ->
         Vm.bind_scalar vm "k" (Values.VInt 8);
         Vm.bind_scalar vm "p" (Values.VInt p);
@@ -197,19 +148,12 @@ let t_example_corpus () =
   in
   List.iter
     (fun p ->
-      let tree = run `Tree_walk p in
-      List.iter
-        (fun (what, vm) ->
-          checkb (Fmt.str "EXAMPLE %s state at p=%d" what p)
-            (Vm.state_equal tree vm);
-          checkb
-            (Fmt.str "EXAMPLE %s metrics at p=%d" what p)
-            (Metrics.equal tree.Vm.metrics vm.Vm.metrics))
-        [
-          ("compiled", run `Compiled p);
-          ("parallel j1", run ~jobs:1 `Parallel p);
-          ("parallel j4", run ~jobs:4 `Parallel p);
-        ])
+      let tree = run `Tree_walk p and vm = run `Compiled p in
+      checkb (Fmt.str "EXAMPLE compiled state at p=%d" p)
+        (Vm.state_equal tree vm);
+      checkb
+        (Fmt.str "EXAMPLE compiled metrics at p=%d" p)
+        (Metrics.equal tree.Vm.metrics vm.Vm.metrics))
     [ 1; 2; 8 ]
 
 let t_nbforce_corpus () =
@@ -237,11 +181,10 @@ let t_nbforce_corpus () =
     Lf_kernels.Nbforce_src.run_simd ~engine:`Tree_walk prog mol pl ~p
   in
   List.iter
-    (fun (what, engine, jobs, opt) ->
+    (fun (what, opt, verify) ->
       let f, m =
-        Lf_kernels.Nbforce_src.run_simd ~engine ?jobs ?opt
-          ~verify:(opt = Some 2 && engine = `Compiled)
-          prog mol pl ~p
+        Lf_kernels.Nbforce_src.run_simd ~engine:`Compiled ~opt ~verify prog
+          mol pl ~p
       in
       checkb (Fmt.str "NBFORCE %s metrics" what) (Metrics.equal m_tree m);
       checki (Fmt.str "NBFORCE %s force count" what) (Array.length f_tree)
@@ -253,13 +196,216 @@ let t_nbforce_corpus () =
             (Int64.equal (Int64.bits_of_float f_tree.(i))
                (Int64.bits_of_float x)))
         f)
-    [
-      ("compiled", `Compiled, None, None);
-      ("compiled -O2+verify", `Compiled, None, Some 2);
-      ("parallel j1", `Parallel, Some 1, None);
-      ("parallel j4", `Parallel, Some 4, None);
-      ("parallel -O2 j4", `Parallel, Some 4, Some 2);
-    ]
+    [ ("compiled -O0", 0, false); ("compiled -O1+verify", 1, true) ]
+
+(* ------------------------------------------------------------------ *)
+(* Fixed programs at widths of many chunks                             *)
+(* ------------------------------------------------------------------ *)
+
+(* dividing by (iproc - 2) fails on lane 2 only; the compiled engine
+   must report that lane's error, as the tree-walker does, across 128
+   chunks at every -O level *)
+let t_first_failing_lane () =
+  let src = "u = 1 / (iproc - 2)\n" in
+  let prog = Ast.program "t" (parse_block src) in
+  let msg ?opt engine =
+    match Vm.run ~engine ?opt ~p:8192 prog with
+    | _ -> Alcotest.fail "expected a division error"
+    | exception ((Errors.Runtime_error _ | Errors.Runtime_error_at _) as e) ->
+        Errors.to_message e
+  in
+  let reference = msg `Tree_walk in
+  List.iter
+    (fun opt ->
+      checks (Fmt.str "compiled -O%d error" opt) reference (msg ~opt `Compiled))
+    [ 0; 1; 2 ]
+
+(* Two instructions fail: line 5's gather on the last two lanes, and
+   line 6's division on the first lane.  The first failing instruction
+   wins, not the lowest failing lane.  The fuel sweep moves a fuel fault
+   (raised by the control unit, not a lane) before, on and after each
+   failing instruction: the first fault in program order must win. *)
+let region_error_src p =
+  Printf.sprintf
+    {|PROGRAM t
+  PLURAL INTEGER a, b, c, d
+  INTEGER g(%d)
+  a = iproc * 2
+  b = g(iproc + 1)
+  c = 7 / (iproc - 1)
+  d = a + c
+END
+|}
+    (p - 1)
+
+let t_first_failing_instruction () =
+  let p = 4096 in
+  let prog = Parser.program_of_string (region_error_src p) in
+  let setup vm =
+    Vm.bind_global vm "g"
+      (Values.AInt (Nd.of_array (Array.init (p - 1) Fun.id)))
+  in
+  let msg ?fuel ?opt engine =
+    match Vm.run ?fuel ~engine ?opt ~p ~setup prog with
+    | _ -> "no error"
+    | exception ((Errors.Runtime_error _ | Errors.Runtime_error_at _) as e) ->
+        Errors.to_message e
+  in
+  let reference = msg `Tree_walk in
+  checkb
+    (Fmt.str "the reference fails at line 5: %s" reference)
+    (Astring_contains.contains reference "at 5:");
+  List.iter
+    (fun fuel ->
+      let reference = msg ?fuel `Tree_walk in
+      let fuel_s = Option.fold ~none:"no fuel limit" ~some:string_of_int fuel in
+      List.iter
+        (fun opt ->
+          checks
+            (Fmt.str "compiled -O%d, %s" opt fuel_s)
+            reference
+            (msg ?fuel ~opt `Compiled))
+        [ 0; 1; 2 ])
+    (None :: List.init 6 (fun k -> Some (k + 1)))
+
+(* DO loops of many vector instructions: a fused region reads the loop
+   variable [k] through a cell that changes every iteration, and a
+   global array is gathered at other lanes' elements, then scattered
+   lane-disjointly.  State and Metrics must match the tree-walker. *)
+let long_loop_src p =
+  Printf.sprintf
+    {|PROGRAM t
+  INTEGER k
+  INTEGER g(%d)
+  PLURAL INTEGER w, y, z
+  w = 0
+  y = 0
+  z = 0
+  DO k = 1, 300
+    y = y + abs(k - 150)
+    w = w + k
+  ENDDO
+  DO k = 1, 100
+    z = z + g(%d - iproc)
+    g(iproc) = y + k
+  ENDDO
+END
+|}
+    p (p + 1)
+
+let agree_with_tree what tree vm =
+  checkb (what ^ " state") (Vm.state_equal tree vm);
+  checkb (what ^ " metrics") (Metrics.equal tree.Vm.metrics vm.Vm.metrics)
+
+let t_long_loops () =
+  let p = 2048 in
+  let prog = Parser.program_of_string (long_loop_src p) in
+  let setup vm =
+    Vm.bind_global vm "g" (Values.AInt (Nd.of_array (Array.init p Fun.id)))
+  in
+  let tree = Vm.run ~engine:`Tree_walk ~p ~setup prog in
+  List.iter
+    (fun opt ->
+      agree_with_tree
+        (Fmt.str "compiled -O%d" opt)
+        tree
+        (Vm.run ~opt ~engine:`Compiled ~p ~setup prog))
+    [ 0; 1; 2 ]
+
+(* Plural calls of user functions at -O1 fill unboxed per-site buffers;
+   the result is typed only when every active lane returned one scalar
+   type.  [within] mixes types among the first lanes, [across] is int
+   on the first 512 lanes and real elsewhere, [boxed] returns an array
+   on one late lane, after a long typed run, and [order] records the
+   order it is called in, which must stay ascending.  Each runs under an
+   empty, a partial and the full mask; state, Metrics and the call
+   order must match the tree-walker. *)
+let typed_call_src =
+  {|PROGRAM t
+  PLURAL REAL a, b, c, d
+  WHERE (iproc > 99999)
+    a = within(iproc)
+  ENDWHERE
+  WHERE (iproc > 3)
+    a = within(iproc)
+    b = across(iproc)
+    c = boxed(iproc)
+    d = order(iproc)
+  ENDWHERE
+  a = within(iproc)
+  b = across(iproc)
+  d = order(iproc)
+END
+|}
+
+let t_typed_calls () =
+  let prog = Parser.program_of_string typed_call_src in
+  let p = 2048 and boxed_at = 1436 in
+  let calls = ref [] in
+  let setup vm =
+    let num n = if n <= 2 then Values.VInt n else Values.VReal (float n) in
+    let arg = function [ Values.VInt n ] -> n | _ -> 0 in
+    Vm.register_func vm "within" (fun a -> num (arg a));
+    Vm.register_func vm "across" (fun a ->
+        let n = arg a in
+        if n <= 512 then Values.VInt n else Values.VReal (float n));
+    Vm.register_func vm "boxed" (fun a ->
+        let n = arg a in
+        if n = boxed_at then Values.VArr (Values.AInt (Nd.of_array [| n |]))
+        else Values.VReal (float n));
+    Vm.register_func vm "order" (fun a ->
+        calls := arg a :: !calls;
+        Values.VReal 1.0)
+  in
+  let run ?opt engine =
+    calls := [];
+    let vm = Vm.run ?opt ~engine ~p ~setup prog in
+    (vm, !calls)
+  in
+  let tree, tree_calls = run `Tree_walk in
+  List.iter
+    (fun opt ->
+      let vm, calls = run ~opt `Compiled in
+      let what = Fmt.str "compiled -O%d" opt in
+      agree_with_tree what tree vm;
+      checkb (what ^ " call order") (calls = tree_calls))
+    [ 0; 1; 2 ]
+
+(* empty-mask reductions at 128 chunks: only the last two chunks have
+   active lanes, so every other partial is absent and must not perturb
+   the merge; a fully empty reduction yields the identity *)
+let t_empty_partials () =
+  let p = 8192 in
+  let lo = p - 124 in
+  let src =
+    Printf.sprintf
+      {|
+  r = iproc * 0.125
+  WHERE (iproc >= %d)
+    s = sum(r)
+    m = maxval(r)
+    c = count(iproc > 0)
+    t = any(iproc > %d)
+    a = all(iproc >= %d)
+  ENDWHERE
+  WHERE (iproc > %d)
+    z = sum(r)
+  ENDWHERE
+|}
+      lo (p - 24) lo (10 * p)
+  in
+  let prog = Ast.program "t" (parse_block src) in
+  let tree = Vm.run ~engine:`Tree_walk ~p prog in
+  List.iter
+    (fun opt ->
+      agree_with_tree
+        (Fmt.str "compiled -O%d" opt)
+        tree
+        (Vm.run ~opt ~engine:`Compiled ~p prog))
+    [ 0; 1; 2 ];
+  match Vm.find tree "z" with
+  | Vm.VScalar { contents = Values.VReal z } -> checkb "empty sum" (z = 0.0)
+  | _ -> Alcotest.fail "z shape"
 
 (* ------------------------------------------------------------------ *)
 (* Shape matrix                                                        *)
@@ -277,24 +423,11 @@ let t_nbforce_corpus () =
    makes it fault.  [bounds_cases] add out-of-bounds subscripts on
    masked-off lanes and in dimension 2 of rank-2 gathers and scatters.
    Each program runs on the tree-walker (the reference) and on the
-   compiled and parallel (jobs 1 and 3) engines at -O0, -O1 and -O2,
-   which must match its state, Metrics and error bytes.  At p = 5 and
-   200 every leg runs on one shard; at the wide p, three shard floors
-   and a ragged chunk, only the 3-job leg runs, on 3 shards. *)
+   compiled engine at -O0, -O1 and -O2, which must match its state,
+   Metrics and error bytes, at p = 5, 200 and 1608 (25 chunks, the
+   last one ragged). *)
 
-let matrix_legs =
-  [
-    ("compiled", `Compiled, None);
-    ("parallel j1", `Parallel, Some 1);
-    ("parallel j3", `Parallel, Some 3);
-  ]
-
-let matrix_ps =
-  [
-    (5, matrix_legs);
-    (200, matrix_legs);
-    ((3 * min_shard) + 72, [ ("parallel j3", `Parallel, Some 3) ]);
-  ]
+let matrix_ps = [ 5; 200; 1608 ]
 
 let matrix_setup ~p vm =
   let n = p - 1 in
@@ -427,9 +560,9 @@ let bounds_cases =
          ( "bounds: " ^ name,
            Ast.program name (matrix_prologue @ Parser.block_of_string src) ))
 
-let matrix_run ?jobs ?(opt = 1) engine ~p prog : (Vm.t, string) result =
+let run_matrix ?(opt = 1) engine ~p prog : (Vm.t, string) result =
   match
-    Vm.run ~fuel ~engine ?jobs ~opt ~verify:(opt = 2) ~p
+    Vm.run ~fuel ~engine ~opt ~verify:(opt = 2) ~p
       ~setup:(matrix_setup ~p) prog
   with
   | vm -> Ok vm
@@ -451,20 +584,16 @@ let matrix_check programs =
   List.iter
     (fun (name, prog) ->
       List.iter
-        (fun (p, legs) ->
-          let tree = matrix_run `Tree_walk ~p prog in
+        (fun p ->
+          let tree = run_matrix `Tree_walk ~p prog in
           incr (if Result.is_error tree then faults else clean);
           List.iter
             (fun opt ->
-              List.iter
-                (fun (what, engine, jobs) ->
-                  if not (same tree (matrix_run ?jobs ~opt engine ~p prog))
-                  then
-                    failures :=
-                      Fmt.str "%s: %s -O%d differs from tree-walk at p=%d"
-                        name what opt p
-                      :: !failures)
-                legs)
+              if not (same tree (run_matrix ~opt `Compiled ~p prog)) then
+                failures :=
+                  Fmt.str "%s: compiled -O%d differs from tree-walk at p=%d"
+                    name opt p
+                  :: !failures)
             [ 0; 1; 2 ])
         matrix_ps)
     programs;
@@ -520,27 +649,22 @@ let t_intrinsic_kernels () =
 (* ------------------------------------------------------------------ *)
 
 (* A failing [Vm.run] returns no VM, so keep the one [setup] is given. *)
-let run_kept ?jobs ?opt engine ~fuel ~p prog : Vm.t * string option =
+let run_kept ?opt engine ~fuel ~p prog : Vm.t * string option =
   let kept = ref None in
   let setup vm =
     kept := Some vm;
     Gen.simd_prog_setup ~p vm
   in
-  match Vm.run ~fuel ~engine ?jobs ?opt ~p ~setup prog with
+  match Vm.run ~fuel ~engine ?opt ~p ~setup prog with
   | vm -> (vm, None)
   | exception ((Errors.Runtime_error _ | Errors.Runtime_error_at _) as e) ->
       (Option.get !kept, Some (Errors.to_message e))
 
-(* The failing-run contract (DESIGN.md "Execution engines"): a serial
-   compiled run that fails leaves the tree-walker's partial state and
-   Metrics, not only its message, at every -O level.  A parallel run may
-   have run lanes ahead of the failing one (DESIGN.md "Error ordering"),
-   so its legs pin the outcome and message only.  Small fuels stop the
-   runs at many different steps; p = 130 spans more than one pool chunk.
-   Every leg runs one shard there; at the wide p, three shard floors and
-   a ragged chunk, only the 3-job leg runs, on 3 shards. *)
+(* The failing-run contract (DESIGN.md "Execution engines"): a compiled
+   run that fails leaves the tree-walker's partial state and Metrics,
+   not only its message, at every -O level.  Small fuels stop the runs
+   at many different steps; p = 130 spans more than one chunk. *)
 let t_failing_runs () =
-  let wide = (3 * min_shard) + 2 in
   let progs =
     QCheck.Gen.generate ~rand:(Random.State.make [| 42 |]) ~n:300
       Gen.simd_prog_gen
@@ -565,27 +689,24 @@ let t_failing_runs () =
                 (show te)
               :: !failures
           in
-          if p <> wide then
-            List.iter
-              (fun opt ->
-                let vm, e = run_kept ~opt `Compiled ~fuel ~p prog in
-                let what = Fmt.str "compiled -O%d" opt in
-                if e <> te then differs what e
-                else if
-                  not
-                    (Vm.state_equal tree vm
-                    && Metrics.equal tree.Vm.metrics vm.Vm.metrics)
-                then
-                  failures :=
-                    Fmt.str "%s: %s state or Metrics differ (outcome %s)" where
-                      what (show e)
-                    :: !failures)
-              [ 0; 1; 2 ];
-          let _, e = run_kept ~jobs:3 `Parallel ~fuel ~p prog in
-          if e <> te then differs "parallel jobs=3" e)
+          List.iter
+            (fun opt ->
+              let vm, e = run_kept ~opt `Compiled ~fuel ~p prog in
+              let what = Fmt.str "compiled -O%d" opt in
+              if e <> te then differs what e
+              else if
+                not
+                  (Vm.state_equal tree vm
+                  && Metrics.equal tree.Vm.metrics vm.Vm.metrics)
+              then
+                failures :=
+                  Fmt.str "%s: %s state or Metrics differ (outcome %s)" where
+                    what (show e)
+                  :: !failures)
+            [ 0; 1; 2 ])
         (List.concat_map
            (fun p -> List.map (fun fuel -> (p, fuel)) [ 7; 40; 300; 20_000 ])
-           [ 1; 5; 64; 130; wide ]))
+           [ 1; 5; 64; 130 ]))
     progs;
   checkb "some runs fail" (!failing > 0);
   checkb "some runs exhaust their fuel" (!fuel_faults > 0);
@@ -601,5 +722,11 @@ let suite =
     case "typed intrinsic kernels x operand shapes x masks" t_intrinsic_kernels;
     case "failing runs: serial engines keep the same partial state"
       t_failing_runs;
-    t_random_shard_counts;
+    case "first failing lane at p = 8192" t_first_failing_lane;
+    case "first failing instruction wins, fuel sweep at p = 4096"
+      t_first_failing_instruction;
+    case "long DO loops: scalar cells and global arrays at p = 2048"
+      t_long_loops;
+    case "typed plural calls at p = 2048" t_typed_calls;
+    case "empty-mask chunk partials at p = 8192" t_empty_partials;
   ]

@@ -6,8 +6,8 @@
 
     Each case draws a lane count (across the 64-lane chunk boundary), an
     empty, full or sparse mask (or [Scalar_ops.all_lanes]), operands
-    that are lane vectors or one-cell broadcasts, a result that may
-    alias an operand, and a runner that is one range or split into two.
+    that are lane vectors or one-cell broadcasts, and a result that may
+    alias an operand.
     A raising lane must raise the boxed path's message for the first
     failing active lane.  A deterministic sweep then runs every operator
     arm of every kernel that matches its operator once per call, and one
@@ -23,7 +23,6 @@ module S = Scalar_ops
 type case = {
   p : int;
   bits : Bytes.t option;  (** [None]: [Scalar_ops.all_lanes] *)
-  split : int;  (** the runner's second range starts here ([p]: none) *)
 }
 
 let pick st l = List.nth l (Random.State.int st (List.length l))
@@ -41,15 +40,7 @@ let draw_case ~masked st =
                if Random.State.float st 1.0 < d then '\001' else '\000'))
     | _ -> None
   in
-  let split = if Random.State.bool st then p else Random.State.int st (p + 1) in
-  { p; bits; split }
-
-let run c f =
-  if c.split <= 0 || c.split >= c.p then f 0 0 c.p
-  else begin
-    f 0 0 c.split;
-    f 1 c.split c.p
-  end
+  { p; bits }
 
 let bp c = match c.bits with Some b -> b | None -> S.all_lanes
 
@@ -59,7 +50,7 @@ let active c i =
 let mask c = Frame.Mask.of_bool_array (Array.init c.p (active c))
 
 let describe c =
-  Fmt.str "p=%d split=%d mask=%s" c.p c.split
+  Fmt.str "p=%d mask=%s" c.p
     (match c.bits with
     | None -> "all_lanes"
     | Some b ->
@@ -155,7 +146,7 @@ let prop_map2_i =
       let init = Array.init c.p (fun _ -> small_int st) in
       agree ~on:(active c) ~eq:Int.equal ~show:string_of_int c
         (op_name op) ~target:(target st c init x)
-        (fun r -> S.map2_i (run c) (bp c) op r x y)
+        (fun r -> S.map2_i c.p (bp c) op r x y)
         (fun i -> as_i (S.apply_binop op (VInt (at x i)) (VInt (at y i)))))
 
 let prop_map2_r =
@@ -165,7 +156,7 @@ let prop_map2_r =
       let init = Array.init c.p (fun _ -> real st) in
       agree ~on:(active c) ~eq:same_real ~show:string_of_float c
         (op_name op) ~target:(target st c init x)
-        (fun r -> S.map2_r (run c) (bp c) op r x y)
+        (fun r -> S.map2_r c.p (bp c) op r x y)
         (fun i -> as_r (S.apply_binop op (VReal (at x i)) (VReal (at y i)))))
 
 let prop_cmp =
@@ -182,15 +173,15 @@ let prop_cmp =
       let lop = pick st (Ast.And :: Ast.Or :: cmps) in
       let xb = vec st c bool and yb = vec st c bool in
       check "cmp_i"
-        (fun r -> S.cmp_i (run c) op r xi yi)
+        (fun r -> S.cmp_i c.p op r xi yi)
         (fun i -> as_b (S.apply_binop op (VInt (at xi i)) (VInt (at yi i))))
       && check "cmp_r"
-           (fun r -> S.cmp_r (run c) op r xr yr)
+           (fun r -> S.cmp_r c.p op r xr yr)
            (fun i ->
              as_b (S.apply_binop op (VReal (at xr i)) (VReal (at yr i))))
       && agree ~eq:Bool.equal ~show:string_of_bool c "map2_b"
            ~target:(target st c init xb)
-           (fun r -> S.map2_b (run c) lop r xb yb)
+           (fun r -> S.map2_b c.p lop r xb yb)
            (fun i ->
              as_b (S.apply_binop lop (VBool (at xb i)) (VBool (at yb i)))))
 
@@ -208,19 +199,19 @@ let prop_map1 =
       let xf = Array.init c.p (fun _ -> small_int st) in
       agree ~on:(active c) ~eq:Int.equal ~show:string_of_int c "map1_i"
         ~target:(target st c ii xi)
-        (fun r -> S.map1_i (run c) (bp c) (u Ast.Neg) r xi)
+        (fun r -> S.map1_i c.p (bp c) (u Ast.Neg) r xi)
         (fun i -> as_i (un Ast.Neg (VInt (at xi i))))
       && agree ~on:(active c) ~eq:same_real ~show:string_of_float c "map1_r"
            ~target:(target st c ir xr)
-           (fun r -> S.map1_r (run c) (bp c) (u Ast.Neg) r xr)
+           (fun r -> S.map1_r c.p (bp c) (u Ast.Neg) r xr)
            (fun i -> as_r (un Ast.Neg (VReal (at xr i))))
       && agree ~on:(active c) ~eq:Bool.equal ~show:string_of_bool c "map1_b"
            ~target:(target st c ib xb)
-           (fun r -> S.map1_b (run c) (bp c) (u Ast.Not) r xb)
+           (fun r -> S.map1_b c.p (bp c) (u Ast.Not) r xb)
            (fun i -> as_b (un Ast.Not (VBool (at xb i))))
       && agree ~eq:same_real ~show:string_of_float c "to_real"
            ~target:(Array.copy ir)
-           (fun r -> Array.blit (S.to_real (run c) xf) 0 r 0 c.p)
+           (fun r -> Array.blit (S.to_real xf) 0 r 0 c.p)
            (fun i -> float_of_int xf.(i)))
 
 let prop_fill =
@@ -232,7 +223,7 @@ let prop_fill =
       in
       agree ~on:(active c) ~eq:same_value ~show:Values.to_string c "fill_v"
         ~target:(Array.init c.p (fun i -> VInt i))
-        (fun r -> S.fill_v (run c) (bp c) r f)
+        (fun r -> S.fill_v c.p (bp c) r f)
         f)
 
 (* -- gathers and scatters ------------------------------------------ *)
@@ -260,11 +251,11 @@ let prop_gather =
       let ir = Array.init c.p (fun _ -> real st) in
       agree ~on:(active c) ~eq:Int.equal ~show:string_of_int c "gather_i"
         ~target:(Array.copy ii)
-        (fun r -> S.gather_i (run c) (bp c) r di i1 i2)
+        (fun r -> S.gather_i c.p (bp c) r di i1 i2)
         (fun i -> Nd.get di (idx_i i))
       && agree ~on:(active c) ~eq:same_real ~show:string_of_float c "gather_r"
            ~target:(Array.copy ir)
-           (fun r -> S.gather_r (run c) (bp c) r dr r1 r2)
+           (fun r -> S.gather_r c.p (bp c) r dr r1 r2)
            (fun i -> Nd.get dr (idx_r i)))
 
 let prop_gather_at =
@@ -277,15 +268,15 @@ let prop_gather_at =
       let on = active c in
       agree ~on ~eq:Int.equal ~show:string_of_int c "gather_at_i"
         ~target:(Array.init c.p (fun _ -> small_int st))
-        (fun r -> S.gather_at_i (run c) (bp c) r di.Nd.data off)
+        (fun r -> S.gather_at_i c.p (bp c) r di.Nd.data off)
         (fun i -> Nd.get di (idx i))
       && agree ~on ~eq:same_real ~show:string_of_float c "gather_at_r"
            ~target:(Array.init c.p (fun _ -> real st))
-           (fun r -> S.gather_at_r (run c) (bp c) r dr.Nd.data off)
+           (fun r -> S.gather_at_r c.p (bp c) r dr.Nd.data off)
            (fun i -> Nd.get dr (idx i))
       && agree ~on ~eq:Bool.equal ~show:string_of_bool c "gather_at_b"
            ~target:(Array.init c.p (fun _ -> bool st))
-           (fun r -> S.gather_at_b (run c) (bp c) r db.Nd.data off)
+           (fun r -> S.gather_at_b c.p (bp c) r db.Nd.data off)
            (fun i -> Nd.get db (idx i)))
 
 (* The scatter against a serial boxed store: the subscript is checked,
@@ -323,10 +314,10 @@ let prop_scatter =
         match op with None -> x | Some op -> S.apply_binop op x y
       in
       scatter_agree ~eq:Int.equal c "scatter_i" di idx_i
-        (fun () -> S.scatter_i (run c) (bp c) di i1 i2 op xi yi)
+        (fun () -> S.scatter_i c.p (bp c) di i1 i2 op xi yi)
         (fun i -> as_i (boxed (VInt (at xi i)) (VInt (at yi i))))
       && scatter_agree ~eq:same_real c "scatter_r" dr idx_r
-           (fun () -> S.scatter_r (run c) (bp c) dr r1 r2 op xr yr)
+           (fun () -> S.scatter_r c.p (bp c) dr r1 r2 op xr yr)
            (fun i -> as_r (boxed (VReal (at xr i)) (VReal (at yr i)))))
 
 let prop_scatter_at =
@@ -337,10 +328,10 @@ let prop_scatter_at =
       let off i = Nd.linear_index di (idx i) in
       let xi = vec st c small_int and xr = vec st c real in
       scatter_agree ~eq:Int.equal c "scatter_at_i" di idx
-        (fun () -> S.scatter_at_i (run c) (bp c) di.Nd.data off xi)
+        (fun () -> S.scatter_at_i c.p (bp c) di.Nd.data off xi)
         (at xi)
       && scatter_agree ~eq:same_real c "scatter_at_r" dr idx
-           (fun () -> S.scatter_at_r (run c) (bp c) dr.Nd.data off xr)
+           (fun () -> S.scatter_at_r c.p (bp c) dr.Nd.data off xr)
            (at xr))
 
 (* -- reductions ---------------------------------------------------- *)
@@ -348,7 +339,6 @@ let prop_scatter_at =
 let prop_reduce =
   prop "lane_reduce equals Pval.boxed_reduction" (fun st ->
       let c = draw_case ~masked:true st in
-      let sc = S.scratch ~lanes:c.p ~shards:2 in
       let kind = Random.State.int st 3 in
       let key =
         if kind = 2 then pick st [ "any"; "all"; "count" ]
@@ -375,8 +365,8 @@ let prop_reduce =
         Pval.boxed_reduction ~mask:m ~empty ~name:key key (Pval.Plural lanes)
       in
       let got =
-        S.lane_reduce (run c) ignore sc ~raising:(Random.State.bool st) key
-          cell m.Frame.Mask.bits empty
+        S.lane_reduce ~raising:(Random.State.bool st) key cell
+          m.Frame.Mask.bits empty
       in
       S.reduces key cell && same_value want got
       || QCheck.Test.fail_reportf "%s, %s: expected %s got %s" key (describe c)
@@ -485,23 +475,23 @@ let prop_intrinsics =
       let int_key = if round then "nint" else "int" in
       agree ~on ~eq:same_real ~show:string_of_float c key1
         ~target:(target st c ir xr)
-        (fun r -> Intrinsics.real_map1 (run c) bp k1 r xr)
+        (fun r -> Intrinsics.real_map1 c.p bp k1 r xr)
         (fun i -> as_r (apply key1 [ VReal (at xr i) ]))
       && agree ~on ~eq:Int.equal ~show:string_of_int c "abs"
            ~target:(target st c ii xi)
-           (fun r -> Intrinsics.int_abs (run c) bp r xi)
+           (fun r -> Intrinsics.int_abs c.p bp r xi)
            (fun i -> as_i (apply "abs" [ VInt (at xi i) ]))
       && agree ~on ~eq:Int.equal ~show:string_of_int c int_key
            ~target:(Array.copy ii)
-           (fun r -> Intrinsics.to_int (run c) bp ~round r xr)
+           (fun r -> Intrinsics.to_int c.p bp ~round r xr)
            (fun i -> as_i (apply int_key [ VReal (at xr i) ]))
       && agree ~on ~eq:Int.equal ~show:string_of_int c key2
            ~target:(target st c ii xi)
-           (fun r -> Intrinsics.int_map2 (run c) bp k2 r xi yi)
+           (fun r -> Intrinsics.int_map2 c.p bp k2 r xi yi)
            (fun i -> as_i (apply key2 [ VInt (at xi i); VInt (at yi i) ]))
       && agree ~on ~eq:same_real ~show:string_of_float c key2
            ~target:(target st c ir xr)
-           (fun r -> Intrinsics.real_map2 (run c) bp k2 r xr yr)
+           (fun r -> Intrinsics.real_map2 c.p bp k2 r xr yr)
            (fun i -> as_r (apply key2 [ VReal (at xr i); VReal (at yr i) ])))
 
 (* -- every operator arm, deterministically ------------------------- *)
@@ -511,8 +501,7 @@ let prop_intrinsics =
    on that operator's lanes.  This sweep runs every arm of every
    specialised kernel on fixed operands, under every mask kind (all
    lanes, empty, full, sparse), operand shape (vec/vec, broadcast/vec,
-   vec/broadcast), a result that aliases an operand, and one and two
-   runner ranges. *)
+   vec/broadcast) and a result that aliases an operand. *)
 
 let sweep_p = 65
 
@@ -520,9 +509,8 @@ let sweep_cases =
   let sparse =
     Bytes.init sweep_p (fun i -> if i mod 3 = 1 then '\000' else '\001')
   in
-  List.concat_map
-    (fun bits ->
-      List.map (fun split -> { p = sweep_p; bits; split }) [ sweep_p; 23 ])
+  List.map
+    (fun bits -> { p = sweep_p; bits })
     [
       None;
       Some (Bytes.make sweep_p '\000');
@@ -599,42 +587,42 @@ let t_arm_sweep () =
       ( "map2_i",
         sweep ~alias:Fun.id ~eq:Int.equal ~show:string_of_int (name "map2_i")
           arith ints_x ints_y ~init:ii
-          (fun c op r x y -> S.map2_i (run c) (bp c) op r x y)
+          (fun c op r x y -> S.map2_i c.p (bp c) op r x y)
           (fun op x y i -> as_i (boxed_i x y (S.apply_binop op) i)) );
       ( "map2_r",
         sweep ~alias:Fun.id ~eq:same_real ~show:string_of_float
           (name "map2_r") arith reals_x reals_y ~init:ir
-          (fun c op r x y -> S.map2_r (run c) (bp c) op r x y)
+          (fun c op r x y -> S.map2_r c.p (bp c) op r x y)
           (fun op x y i -> as_r (boxed_r x y (S.apply_binop op) i)) );
       ( "cmp_i",
         sweep ~total:true ~eq:Bool.equal ~show:string_of_bool (name "cmp_i")
           cmps ints_x ints_y ~init:ib
-          (fun c op r x y -> S.cmp_i (run c) op r x y)
+          (fun c op r x y -> S.cmp_i c.p op r x y)
           (fun op x y i -> as_b (boxed_i x y (S.apply_binop op) i)) );
       ( "cmp_r",
         sweep ~total:true ~eq:Bool.equal ~show:string_of_bool (name "cmp_r")
           cmps reals_x reals_y ~init:ib
-          (fun c op r x y -> S.cmp_r (run c) op r x y)
+          (fun c op r x y -> S.cmp_r c.p op r x y)
           (fun op x y i -> as_b (boxed_r x y (S.apply_binop op) i)) );
       ( "map1_i",
         sweep ~alias:Fun.id ~eq:Int.equal ~show:string_of_int (un_name "map1_i")
           [ None; Some Ast.Neg ] ints_x ints_y ~init:ii
-          (fun c op r x _ -> S.map1_i (run c) (bp c) op r x)
+          (fun c op r x _ -> S.map1_i c.p (bp c) op r x)
           (fun op x _ i -> as_i (un op (VInt (at x i)))) );
       ( "map1_r",
         sweep ~alias:Fun.id ~eq:same_real ~show:string_of_float
           (un_name "map1_r") [ None; Some Ast.Neg ] reals_x reals_y ~init:ir
-          (fun c op r x _ -> S.map1_r (run c) (bp c) op r x)
+          (fun c op r x _ -> S.map1_r c.p (bp c) op r x)
           (fun op x _ i -> as_r (un op (VReal (at x i)))) );
       ( "Intrinsics.real_map1",
         sweep ~alias:Fun.id ~eq:same_real ~show:string_of_float snd num1s
           reals_x reals_y ~init:ir
-          (fun c (k, _) r x _ -> Intrinsics.real_map1 (run c) (bp c) k r x)
+          (fun c (k, _) r x _ -> Intrinsics.real_map1 c.p (bp c) k r x)
           (fun (_, key) x _ i -> as_r (apply key [ VReal (at x i) ])) );
       ( "Intrinsics.real_map2",
         sweep ~alias:Fun.id ~eq:same_real ~show:string_of_float snd num2s
           reals_x reals_y ~init:ir
-          (fun c (k, _) r x y -> Intrinsics.real_map2 (run c) (bp c) k r x y)
+          (fun c (k, _) r x y -> Intrinsics.real_map2 c.p (bp c) k r x y)
           (fun (_, key) x y i ->
             as_r (apply key [ VReal (at x i); VReal (at y i) ])) );
     ]
@@ -674,13 +662,13 @@ let t_scatter_arm_sweep () =
     (stores ~eq:Int.equal "scatter_i"
        (Nd.init [| 13 |] (fun j -> j.(0)))
        ints_x ints_y
-       (fun c d op x y -> S.scatter_i (run c) (bp c) d ix [| 1 |] op x y)
+       (fun c d op x y -> S.scatter_i c.p (bp c) d ix [| 1 |] op x y)
        (fun op x y i -> as_i (boxed op (VInt (at x i)) (VInt (at y i)))));
   checkb "scatter_r"
     (stores ~eq:same_real "scatter_r"
        (Nd.init [| 13 |] (fun j -> float_of_int j.(0) /. 4.0))
        reals_x reals_y
-       (fun c d op x y -> S.scatter_r (run c) (bp c) d ix [| 1 |] op x y)
+       (fun c d op x y -> S.scatter_r c.p (bp c) d ix [| 1 |] op x y)
        (fun op x y i -> as_r (boxed op (VReal (at x i)) (VReal (at y i)))))
 
 (* MAX and MIN on reals are written out in [Intrinsics] rather than
@@ -701,7 +689,7 @@ let t_max_min_bits () =
   List.iter
     (fun (op, name, f) ->
       let r = Array.make n 0.0 in
-      Intrinsics.real_map2 (fun k -> k 0 0 n) S.all_lanes op r x y;
+      Intrinsics.real_map2 n S.all_lanes op r x y;
       Array.iteri
         (fun i got ->
           let want = f x.(i) y.(i) in
@@ -713,12 +701,11 @@ let t_max_min_bits () =
 
 (* -- allocation ---------------------------------------------------- *)
 
-(* One call of a typed kernel allocates its loop closure and nothing per
-   lane, so it allocates the same minor words at 64 lanes as at 4096: a
+(* One call of a typed kernel allocates nothing per lane, so it
+   allocates the same minor words at 64 lanes as at 4096: a
    float boxed per lane fails this (read in the dev profile, where a
    lane function called across modules would box). *)
 let kernel_calls p =
-  let run f = f 0 0 p in
   let ri = Array.make p 0 and rr = Array.make p 0.0 in
   let rb = Array.make p false in
   let xi = Array.init p (fun i -> 1 + (i mod 5)) in
@@ -745,48 +732,48 @@ let kernel_calls p =
   let label = function None -> "copy" | Some _ -> "neg" in
   List.concat
     [
-      arms "map2_i" arith (fun op bp -> S.map2_i run bp op ri xi xi);
-      arms "map2_r" arith (fun op bp -> S.map2_r run bp op rr xr xr);
-      arms "cmp_i" cmps (fun op _ -> S.cmp_i run op rb xi xi);
-      arms "cmp_r" cmps (fun op _ -> S.cmp_r run op rb xr xr);
-      arms "map2_b" [ Ast.And; Ast.Eq ] (fun op _ -> S.map2_b run op rb xb xb);
+      arms "map2_i" arith (fun op bp -> S.map2_i p bp op ri xi xi);
+      arms "map2_r" arith (fun op bp -> S.map2_r p bp op rr xr xr);
+      arms "cmp_i" cmps (fun op _ -> S.cmp_i p op rb xi xi);
+      arms "cmp_r" cmps (fun op _ -> S.cmp_r p op rb xr xr);
+      arms "map2_b" [ Ast.And; Ast.Eq ] (fun op _ -> S.map2_b p op rb xb xb);
       List.concat_map
         (fun op ->
           per_mask ("map1 " ^ label op) (fun bp ->
-              S.map1_i run bp op ri xi;
-              S.map1_r run bp op rr xr))
+              S.map1_i p bp op ri xi;
+              S.map1_r p bp op rr xr))
         un_ops;
-      per_mask "map1_b" (fun bp -> S.map1_b run bp (Some Ast.Not) rb xb);
+      per_mask "map1_b" (fun bp -> S.map1_b p bp (Some Ast.Not) rb xb);
       per_mask "gathers" (fun bp ->
-          S.gather_i run bp ri di xi two;
-          S.gather_r run bp rr dr xi one;
-          S.gather_at_i run bp ri di.Nd.data off;
-          S.gather_at_r run bp rr dr.Nd.data off;
-          S.gather_at_b run bp rb db.Nd.data off);
+          S.gather_i p bp ri di xi two;
+          S.gather_r p bp rr dr xi one;
+          S.gather_at_i p bp ri di.Nd.data off;
+          S.gather_at_r p bp rr dr.Nd.data off;
+          S.gather_at_b p bp rb db.Nd.data off);
       List.concat_map
         (fun op ->
           per_mask
             ("scatters "
             ^ match op with None -> "store" | Some op -> op_name op)
             (fun bp ->
-              S.scatter_i run bp di xi two op xi xi;
-              S.scatter_r run bp dr xi one op xr xr))
+              S.scatter_i p bp di xi two op xi xi;
+              S.scatter_r p bp dr xi one op xr xr))
         (None :: List.map Option.some arith);
       per_mask "scatter_at" (fun bp ->
-          S.scatter_at_i run bp di.Nd.data off xi;
-          S.scatter_at_r run bp dr.Nd.data off xr);
+          S.scatter_at_i p bp di.Nd.data off xi;
+          S.scatter_at_r p bp dr.Nd.data off xr);
       List.concat_map
         (fun (k, key) ->
-          per_mask key (fun bp -> Intrinsics.real_map1 run bp k rr xr))
+          per_mask key (fun bp -> Intrinsics.real_map1 p bp k rr xr))
         num1s;
       List.concat_map
         (fun (k, key) ->
-          per_mask key (fun bp -> Intrinsics.real_map2 run bp k rr xr xr))
+          per_mask key (fun bp -> Intrinsics.real_map2 p bp k rr xr xr))
         num2s;
       per_mask "Intrinsics int kernels" (fun bp ->
-          Intrinsics.int_abs run bp ri xi;
-          Intrinsics.to_int run bp ~round:true ri xr;
-          Intrinsics.int_map2 run bp Intrinsics.Max ri xi xi);
+          Intrinsics.int_abs p bp ri xi;
+          Intrinsics.to_int p bp ~round:true ri xr;
+          Intrinsics.int_map2 p bp Intrinsics.Max ri xi xi);
     ]
 
 let minor_words f =

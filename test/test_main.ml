@@ -24,7 +24,6 @@ let () =
       ("treewalk", Test_treewalk.suite);
       ("opt", Test_opt.suite);
       ("verify", Test_verify.suite);
-      ("pool", Test_pool.suite);
       ("engines-diff", Test_engines_diff.suite);
       ("vm-trace", Test_vm_trace.suite);
       ("stats", Test_stats.suite);

@@ -173,7 +173,7 @@ let nbforce_kernel () =
       (Lf_kernels.Nbforce_src.program ())
   in
   let setup vm =
-    Vm.register_func vm ~pure:true "force" (fun _ -> Values.VReal 1.0);
+    Vm.register_func vm "force" (fun _ -> Values.VReal 1.0);
     Vm.bind_scalar vm "n" (Values.VInt n);
     Vm.bind_scalar vm "maxp" (Values.VInt maxp);
     Vm.bind_scalar vm "p" (Values.VInt p);
@@ -208,27 +208,24 @@ let scatter_stride_kernel () =
   in
   (p, prog, setup)
 
-let runner ?(engine = `Compiled) ?jobs (p, prog, setup) ~opt =
-  Vm.run ~engine ?jobs ~opt ~p ~setup prog
+let runner ?(engine = `Compiled) (p, prog, setup) ~opt =
+  Vm.run ~engine ~opt ~p ~setup prog
 
-let nbforce_1024 ?engine ?jobs () = runner ?engine ?jobs (nbforce_kernel ())
+let nbforce_1024 ?engine () = runner ?engine (nbforce_kernel ())
 
 (* ------------------------------------------------------------------ *)
-(* Targeted -O0/-O1/-O2 behavioural equalities                         *)
+(* Targeted -O0/-O1 behavioural equalities                             *)
 (* ------------------------------------------------------------------ *)
 
+(* -O0 against -O1 with the IR verifier on *)
 let check_levels ?setup name src =
   let prog = parse_program src in
-  let go opt = Vm.run ~engine:`Compiled ~opt ~p:8 ?setup prog in
-  let a = go 0 and b = go 1 and c = go 2 in
+  let a = Vm.run ~engine:`Compiled ~opt:0 ~p:8 ?setup prog in
+  let b = Vm.run ~engine:`Compiled ~opt:1 ~verify:true ~p:8 ?setup prog in
   checkb (name ^ ": state -O0 = -O1") (Vm.state_equal a b);
   checkb
     (name ^ ": metrics -O0 = -O1")
-    (Lf_simd.Metrics.equal a.Vm.metrics b.Vm.metrics);
-  checkb (name ^ ": state -O1 = -O2") (Vm.state_equal b c);
-  checkb
-    (name ^ ": metrics -O1 = -O2")
-    (Lf_simd.Metrics.equal b.Vm.metrics c.Vm.metrics)
+    (Lf_simd.Metrics.equal a.Vm.metrics b.Vm.metrics)
 
 (* the direct-store fast path (v = a op b over resolved leaves) and
    every documented fallback: mixed int/real promotion, in-place
@@ -291,7 +288,7 @@ let t_reduction_raises_like_o0 () =
    changes its return type mid-vector *)
 let t_typed_call_bail () =
   let setup vm =
-    Vm.register_func vm ~pure:true "mix" (fun args ->
+    Vm.register_func vm "mix" (fun args ->
         match args with
         | [ Values.VInt n ] ->
             if n <= 2 then Values.VInt n
@@ -412,10 +409,10 @@ let warm_reading run ~opt =
    (telemetry off, telemetry on).  The readings are deterministic, so
    the gate has no tolerance: an allocation added to a per-lane path
    fails it, in either heap, and one added to the per-step telemetry
-   ([Stats] counters, [Pool]'s statistics, [Vm.timed]) fails the second
+   ([Stats] counters, [Vm.timed]) fails the second
    budget. *)
 let alloc_budget =
-  [ (1, (2_933_843., 2_934_058.)); (2, (2_933_843., 2_934_058.)) ]
+  [ (1, (2_883_953., 2_884_168.)); (2, (2_883_953., 2_884_168.)) ]
 
 let opt_run_pins = [ (1, [ 0; 389; 388 ]); (2, [ 0; 389; 388 ]) ]
 
@@ -463,7 +460,7 @@ let t_alloc_gate () =
    this engine's exact reading (dev profile), pinned with no tolerance.
    Most of it, 4,938,934 words, is the lane vectors each vector
    instruction allocates in the major heap. *)
-let treewalk_alloc_budget = 7_418_152.
+let treewalk_alloc_budget = 7_367_601.
 
 let t_treewalk_alloc_gate () =
   let run = nbforce_1024 ~engine:`Tree_walk () in
@@ -473,44 +470,6 @@ let t_treewalk_alloc_gate () =
     (Fmt.str "tree-walk words %.0f within the budget %.0f" words
        treewalk_alloc_budget)
     (words <= treewalk_alloc_budget)
-
-(* The parallel engine's pool hand-offs on the same run at 2 jobs: one
-   per join region, a function of the program alone (not of the cores or
-   the scheduler), pinned exactly.  At p = 1024, two shard floors, the
-   run has two shards; a narrower run would never dispatch.  Per WHILE
-   iteration the regions end at the ANY test, the two WHERE splits and
-   the [renorm] of the plural [force] call, so at most 4, plus the final
-   ANY test that leaves the loop.  The count stays in the Volatile section
-   ([Counters] must be identical across engines, and the serial engines
-   never dispatch). *)
-let dispatch_pins = [ (1, 1553); (2, 1553) ]
-
-let t_dispatch_gate () =
-  let run = nbforce_1024 ~engine:`Parallel ~jobs:2 () in
-  List.iter
-    (fun (opt, pin) ->
-      ignore (run ~opt);
-      Stats.enable ();
-      Stats.reset ();
-      let vm, dispatches =
-        Fun.protect
-          ~finally:(fun () ->
-            Stats.disable ();
-            Stats.reset ())
-          (fun () ->
-            let vm = run ~opt in
-            ( vm,
-              Stats.counter_value
-                (Stats.counter ~section:Stats.Volatile "pool.dispatches") ))
-      in
-      (* one ANY per WHILE test, the last one false *)
-      let iterations = vm.Vm.metrics.Lf_simd.Metrics.reductions - 1 in
-      checki (Fmt.str "-O%d pool.dispatches" opt) pin dispatches;
-      checkb
-        (Fmt.str "-O%d %d dispatches over %d WHILE iterations, at most 4 each"
-           opt dispatches iterations)
-        (dispatches <= (4 * iterations) + 1))
-    dispatch_pins
 
 (* ------------------------------------------------------------------ *)
 (* Scratch planning against the interference colouring                 *)
@@ -708,9 +667,62 @@ let plan_matches_oracle ~p (prog : Ast.program) =
   && groups = 1 + Array.fold_left max (-1) oracle
   && Array.for_all2 (fun (site : Ir.expr) c -> site.Ir.x_scr = c) sites oracle
 
+(* Programs where [Gen.simd_prog_gen] rarely goes: scatter-accumulates,
+   whose gather, subscript and addend sites are read twice (by the add,
+   then again by the merged store), and DO loops whose bounds own sites.
+   Only planned, never run. *)
+let scratch_prog_gen =
+  let open QCheck.Gen in
+  let accum =
+    let* ix = Gen.simd_idx in
+    let* a, rest =
+      oneof
+        [
+          map (fun e -> ("g", e)) (Gen.iexpr_sized 2);
+          map (fun e -> ("h", e)) (Gen.rexpr_sized 2);
+        ]
+    in
+    return
+      (Ast.SAssign
+         (Gen.simd_lv a [ ix ], Ast.EBin (Ast.Add, Ast.EIdx (a, [ ix ]), rest)))
+  in
+  let bound =
+    frequency
+      [
+        (1, map (fun c -> Ast.EInt c) (1 -- 4));
+        ( 3,
+          map2
+            (fun op c -> Ast.EBin (op, Ast.EVar "s", Ast.EInt c))
+            (oneofl Ast.[ Add; Sub; Mul ])
+            (1 -- 4) );
+      ]
+  in
+  let rec stmt n =
+    let leaf = frequency [ (3, accum); (1, Gen.simd_stmt_sized 0) ] in
+    if n <= 0 then leaf
+    else
+      let blk = list_size (1 -- 3) (stmt (n - 1)) in
+      frequency
+        [
+          (3, leaf);
+          ( 2,
+            let* lo = bound and* hi = bound and* step = opt bound in
+            map
+              (fun b -> Ast.SDo (Ast.do_control ?step "d" lo hi, b))
+              blk );
+          (1, map2 (fun c t -> Ast.SWhere (c, t, [])) Gen.simd_bexpr blk);
+        ]
+  in
+  map
+    (fun body ->
+      Ast.program "scratch"
+        (Ast.SAssign (Gen.simd_lv "s" [], Ast.EInt 1) :: body))
+    (list_size (1 -- 5) (stmt 2))
+
 let prop_scratch_oracle =
   qcheck_case ~count:300 "scratch groups equal the interference colouring"
-    Gen.simd_prog_gen (plan_matches_oracle ~p:5)
+    (QCheck.Gen.oneof [ Gen.simd_prog_gen; scratch_prog_gen ])
+    (plan_matches_oracle ~p:5)
 
 let t_scratch_oracle_nbforce () =
   let prog =
@@ -923,7 +935,7 @@ let t_dump_ir_file () =
    declarations and the re-emission of every closure of the cached IR,
    read with [alloc_words] around the whole call.  Exact reading (dev
    profile), pinned with no tolerance. *)
-let warm_hit_budget = 11_750.
+let warm_hit_budget = 10_595.
 
 let t_warm_hit_gate () =
   let src = Pretty.program_to_string (guarded_simd 6) in
@@ -967,7 +979,6 @@ let suite =
     case "-O2 runs the -O1 pipeline: NBFORCE and scatter stride" t_o2_is_o1;
     case "allocation and fused-run gate: warm NBFORCE p=1024" t_alloc_gate;
     case "allocation gate: tree-walk NBFORCE p=1024" t_treewalk_alloc_gate;
-    case "dispatch gate: parallel NBFORCE p=1024, 2 jobs" t_dispatch_gate;
     prop_ir_json_oracle;
     case "oracle: NBFORCE IR JSON" t_ir_json_oracle_nbforce;
     case "oracle: --dump-ir file of a large nest" t_dump_ir_file;

@@ -6,13 +6,12 @@
     frame-pool layout safety, and the batch driver's cache traffic (one
     miss per chain, a hit for every other run).  The QCheck property is the
     tentpole contract: warm (cache-hit) runs are bit-identical to cold
-    runs — state, [Metrics], error strings — on tree-walk/compiled/
-    parallel at -O0/-O1/-O2.  Batch cases: failing-item isolation, the
+    runs — state, [Metrics], error strings — on tree-walk and compiled
+    at -O0/-O1/-O2.  Batch cases: failing-item isolation, the
     any-failed flag the CLI turns into exit 1, JSONL record schema,
     malformed work lists / seed tokens, and the concurrent scheduler:
-    one and two workers give the same records and artifacts, a
-    lane-sharding item never overlaps another item, and an exception
-    from [setup] leaves after every earlier record. *)
+    one and two workers give the same records and artifacts, and an
+    exception from [setup] leaves after every earlier record. *)
 
 open Helpers
 open Lf_lang
@@ -109,10 +108,9 @@ let t_frame_pool () =
 (* Warm = cold (the tentpole contract)                                 *)
 (* ------------------------------------------------------------------ *)
 
-let run_src_one ?cache ?jobs ?opt ?verify engine ~p src :
-    (Vm.t, string) result =
+let run_src_one ?cache ?opt ?verify engine ~p src : (Vm.t, string) result =
   match
-    Vm.run_src ~fuel ~engine ?jobs ?opt ?verify ?cache ~p
+    Vm.run_src ~fuel ~engine ?opt ?verify ?cache ~p
       ~setup:(Gen.simd_prog_setup ~p) src
   with
   | vm -> Ok vm
@@ -139,34 +137,32 @@ let prop_warm_equals_cold prog =
   List.for_all
     (fun p ->
       List.for_all
-        (fun (engine, jobs, opts) ->
+        (fun (engine, opts) ->
           List.for_all
             (fun opt ->
               let what =
                 Fmt.str "warm vs cold, %s -O%d p=%d"
                   (match engine with
                   | `Tree_walk -> "tree-walk"
-                  | `Compiled -> "compiled"
-                  | `Parallel -> "parallel")
+                  | `Compiled -> "compiled")
                   opt p
               in
               (* a plain (cache-less) run is the reference; then a cold
                  run through a fresh cache, then two warm runs — the
                  second warm run additionally exercises the pooled
                  frame released by the first *)
-              let plain = run_src_one ?jobs ~opt engine ~p src in
+              let plain = run_src_one ~opt engine ~p src in
               let cache = Progcache.create () in
-              let cold = run_src_one ~cache ?jobs ~opt engine ~p src in
-              let warm1 = run_src_one ~cache ?jobs ~opt engine ~p src in
-              let warm2 = run_src_one ~cache ?jobs ~opt engine ~p src in
+              let cold = run_src_one ~cache ~opt engine ~p src in
+              let warm1 = run_src_one ~cache ~opt engine ~p src in
+              let warm2 = run_src_one ~cache ~opt engine ~p src in
               agrees ~what:(what ^ " (cold vs plain)") ~src cold plain
               && agrees ~what:(what ^ " (warm1)") ~src warm1 cold
               && agrees ~what:(what ^ " (warm2)") ~src warm2 cold)
             opts)
         [
-          (`Tree_walk, None, [ 0 ]);
-          (`Compiled, None, [ 0; 1; 2 ]);
-          (`Parallel, Some 2, [ 0; 1; 2 ]);
+          (`Tree_walk, [ 0 ]);
+          (`Compiled, [ 0; 1; 2 ]);
         ])
     [ 0; 3; 64 ]
 
@@ -174,6 +170,7 @@ let prop_warm_equals_cold prog =
 (* Batch driver                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* [~jobs] makes the item one written with ["engine": "parallel"] *)
 let batch_item ?(program = "good.f") ?(p = 4) ?(engine = `Compiled)
     ?(opt = 1) ?jobs ?(verify = false) ?bfuel ?timeout_ms ?(repeat = 1)
     ?kernel ?(sets = []) ?(fills = []) () =
@@ -228,7 +225,7 @@ let t_batch_isolation () =
         batch_item ~program:"missing.f" ();
         batch_item ~program:"loop.f" ~engine:`Tree_walk ~bfuel:10 ();
         (* and a healthy item AFTER the failures proves isolation *)
-        batch_item ~engine:`Parallel ~jobs:2 ~opt:2 ~repeat:2 ();
+        batch_item ~jobs:2 ~opt:2 ~repeat:2 ();
       ]
   in
   checkb "any_failed set" any_failed;
@@ -342,7 +339,7 @@ let t_batch_timeout () =
     [
       ("tree-walk", `Tree_walk, None);
       ("compiled", `Compiled, None);
-      ("parallel", `Parallel, Some 2);
+      ("parallel", `Compiled, Some 2);
     ]
 
 (* An armed deadline reads the clock on every step without allocating:
@@ -401,7 +398,7 @@ let t_items_of_json () =
       | [ a; b ] ->
           checkb "defaults" (a.Batch.bi_engine = `Compiled && a.Batch.bi_opt = 1 && a.Batch.bi_repeat = 1);
           checkb "fields"
-            (b.Batch.bi_engine = `Parallel && b.Batch.bi_jobs = Some 2
+            (b.Batch.bi_engine = `Compiled && b.Batch.bi_jobs = Some 2
            && b.Batch.bi_verify
             && b.Batch.bi_sets = [ ("k", "8") ]
             && b.Batch.bi_fills = [ ("l", "1,2,3") ]);
@@ -426,6 +423,19 @@ let t_items_of_json () =
   rejects "bad engine" {|[{"program": "a.f", "p": 4, "engine": "warp"}]|};
   rejects "bad opt" {|[{"program": "a.f", "p": 4, "opt": 7}]|};
   rejects "jobs without parallel" {|[{"program": "a.f", "p": 4, "jobs": 2}]|};
+  rejects "jobs below 1"
+    {|[{"program": "a.f", "p": 4, "engine": "parallel", "jobs": 0}]|};
+  (match
+     Json.parse {|[{"program": "a.f", "p": 4, "engine": "parallel"}]|}
+   with
+  | Ok j ->
+      checkb "parallel without jobs reports default_jobs"
+        (match Batch.items_of_json j with
+        | [ c ] ->
+            c.Batch.bi_engine = `Compiled
+            && c.Batch.bi_jobs = Some (Batch.default_jobs ())
+        | _ -> false)
+  | Error e -> Alcotest.fail e);
   rejects "bad repeat" {|[{"program": "a.f", "p": 4, "repeat": 0}]|}
 
 (* A JSON integer literal past the int range is not a real number: the
@@ -646,20 +656,20 @@ let t_batch_workers_agree () =
       batch_item ~program:"fillw.f" ~fills ~repeat:2 ();
       batch_item ~program:"good2.f" ~p:128 ~repeat:2 ();
       batch_item ~program:"div0.f" ();
-      batch_item ~program:"good2.f" ~p:128 ~engine:`Parallel ~jobs:2 ~opt:2 ();
+      batch_item ~program:"good2.f" ~p:128 ~jobs:2 ~opt:2 ();
       batch_item ~engine:`Tree_walk ();
       batch_item ~program:"missing.f" ();
       batch_item ~opt:2 ~repeat:2 ();
       batch_item ~program:"loop.f" ~engine:`Tree_walk ~timeout_ms:1 ();
-      batch_item ~program:"good2.f" ~p:128 ~engine:`Parallel ~jobs:1 ~opt:2 ();
-      batch_item ~p:128 ~engine:`Parallel ~jobs:2 ~repeat:2 ();
+      batch_item ~program:"good2.f" ~p:128 ~jobs:1 ~opt:2 ();
+      batch_item ~p:128 ~jobs:2 ~repeat:2 ();
       batch_item ~program:"fillw.f" ~fills ~engine:`Tree_walk ();
-      batch_item ~program:"good2.f" ~engine:`Parallel ~jobs:2 ~opt:2 ();
+      batch_item ~program:"good2.f" ~jobs:2 ~opt:2 ();
       batch_item ~program:"good2.f" ~p:128 ~engine:`Tree_walk ();
       batch_item ~p:128 ~opt:2 ();
       batch_item ~program:"good2.f" ~repeat:3 ();
       batch_item ~program:"missing.f" ~p:128 ();
-      batch_item ~engine:`Parallel ~jobs:1 ();
+      batch_item ~jobs:1 ();
     ]
   in
   let r1, a1, f1 = batch_outputs ~workers:1 items in
@@ -704,57 +714,6 @@ let t_batch_raise_in_order () =
       | _ -> Alcotest.fail "the setup exception was not raised")
     [ 1; 2 ]
 
-(* Every item stamps a global clock when its setup runs and, through an
-   observer, at every statement it executes: no other item may stamp
-   inside the interval of the item that shards its lanes, which needs
-   two shard floors of lanes to shard at all. *)
-let t_batch_sharding_alone () =
-  let items =
-    [
-      batch_item ~program:"spin.f" ~repeat:2 ();
-      batch_item ~program:"spin.f" ~opt:2 ~engine:`Tree_walk ~repeat:2 ();
-      batch_item ~program:"spin.f" ~p:128 ~opt:0 ~repeat:2 ();
-      batch_item ~program:"spin.f" ~p:(2 * Lf_simd.Pool.min_shard)
-        ~engine:`Parallel ~jobs:2 ~repeat:3 ();
-      batch_item ~program:"good2.f" ~p:8 ~repeat:2 ();
-      batch_item ~program:"spin.f" ~p:16 ~engine:`Tree_walk ~repeat:2 ();
-      batch_item ~program:"spin.f" ~p:64 ~opt:2 ~repeat:2 ();
-    ]
-  in
-  let sharder = 3 in
-  let arr = Array.of_list items in
-  let n = Array.length arr in
-  let clock = Atomic.make 0 and setups = Atomic.make 0 in
-  let lo = Array.make n max_int and hi = Array.make n min_int in
-  let stamp k =
-    let t = Atomic.fetch_and_add clock 1 in
-    lo.(k) <- min lo.(k) t;
-    hi.(k) <- max hi.(k) t
-  in
-  let setup it vm =
-    Atomic.incr setups;
-    let k = ref 0 in
-    while arr.(!k) != it do
-      incr k
-    done;
-    let k = !k in
-    stamp k;
-    Vm.set_observer vm (fun _ ~mask:_ _ -> stamp k)
-  in
-  let failed = Batch.run ~read:mixed_read ~setup ~workers:2 items in
-  checkb "no failures" (not failed);
-  checki "one setup per run"
-    (List.fold_left (fun a it -> a + it.Batch.bi_repeat) 0 items)
-    (Atomic.get setups);
-  Array.iteri
-    (fun k _ ->
-      if k <> sharder then
-        checkb
-          (Fmt.str "item %d [%d, %d] outside the sharding item [%d, %d]" k
-             lo.(k) hi.(k) lo.(sharder) hi.(sharder))
-          (hi.(k) < lo.(sharder) || lo.(k) > hi.(sharder)))
-    arr
-
 (* Each chain gets a cache of its own, and a one-entry cache is enough
    for it: over a mixed work list, the first run of a chain whose source
    could be read is its only miss, and every other run hits. *)
@@ -765,7 +724,7 @@ let t_batch_cache_traffic () =
         [
           batch_item ~program ~repeat:2 ();
           batch_item ~program ~engine:`Tree_walk ~opt:2 ();
-          batch_item ~program ~p:8 ~engine:`Parallel ~jobs:1 ~repeat:3 ();
+          batch_item ~program ~p:8 ~jobs:1 ~repeat:3 ();
           batch_item ~program ~opt:2 ~repeat:2 ();
           batch_item ~program ~engine:`Tree_walk ~repeat:2 ();
           batch_item ~program ~p:8 ~opt:2 ();
@@ -812,7 +771,6 @@ let suite =
     case "batch: one cache miss per chain" t_batch_cache_traffic;
     case "batch: 1 and 2 workers write the same records and artifacts"
       t_batch_workers_agree;
-    case "batch: a lane-sharding item runs alone" t_batch_sharding_alone;
     case "batch: a setup exception leaves in index order"
       t_batch_raise_in_order;
     case "seed-token parsing" t_seed_tokens;

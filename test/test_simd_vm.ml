@@ -194,16 +194,12 @@ let t_reduction_identity () =
 let run_both ?(p = 4) ?(setup = fun _ -> ()) src =
   let prog = Ast.program "t" (parse_block src) in
   ( Vm.run ~engine:`Tree_walk ~p ~setup prog,
-    Vm.run ~engine:`Compiled ~p ~setup prog,
-    Vm.run ~engine:`Parallel ~jobs:3 ~p ~setup prog )
+    Vm.run ~engine:`Compiled ~p ~setup prog )
 
-let check_agree name (t, c, par) =
+let check_agree name (t, c) =
   checkb (name ^ ": state") (Vm.state_equal t c);
   checkb (name ^ ": metrics")
     (Lf_simd.Metrics.equal t.Vm.metrics c.Vm.metrics);
-  checkb (name ^ ": parallel state") (Vm.state_equal t par);
-  checkb (name ^ ": parallel metrics")
-    (Lf_simd.Metrics.equal t.Vm.metrics par.Vm.metrics);
   c
 
 let t_compiled_basics () =
@@ -305,8 +301,8 @@ let t_treewalk_offset_stores () =
       checkb "store by a REAL subscript"
         (Nd.to_array d = [| 1.25; 2.25; 3.25; 4.25 |])
   | _ -> Alcotest.fail "b is not REAL");
-  let msg src ?jobs engine =
-    match Vm.run ~engine ?jobs ~p:4 ~setup (Ast.program "t" (parse_block src))
+  let msg src engine =
+    match Vm.run ~engine ~p:4 ~setup (Ast.program "t" (parse_block src))
     with
     | _ -> Alcotest.fail "the store must fail"
     | exception ((Errors.Runtime_error _ | Errors.Runtime_error_at _) as e) ->
@@ -315,10 +311,7 @@ let t_treewalk_offset_stores () =
   List.iter
     (fun src ->
       let want = msg src `Tree_walk in
-      Alcotest.(check string) ("compiled: " ^ src) want (msg src `Compiled);
-      Alcotest.(check string)
-        ("parallel: " ^ src) want
-        (msg src ~jobs:3 `Parallel))
+      Alcotest.(check string) ("compiled: " ^ src) want (msg src `Compiled))
     [
       "i = iproc\nc(i, 3 - i, 1) = i";
       "i = iproc\nb(i * 0.5) = i";
@@ -366,18 +359,16 @@ let t_compiled_procs () =
     (Lf_simd.Metrics.call_count vm.Vm.metrics "probe")
 
 let t_compiled_errors () =
-  (* all engines fail identically: same error, same message *)
+  (* both engines fail identically: same error, same message *)
   let src = "i = iproc\nWHILE (i < 3)\n  i = i + 1\nENDWHILE" in
-  let msg ?jobs engine =
+  let msg engine =
     let prog = Ast.program "t" (parse_block src) in
-    match Vm.run ~engine ?jobs ~p:4 prog with
+    match Vm.run ~engine ~p:4 prog with
     | _ -> Alcotest.fail "divergent vector WHILE must be rejected"
     | exception ((Errors.Runtime_error _ | Errors.Runtime_error_at _) as e) ->
         Errors.to_message e
   in
-  Alcotest.(check string) "same error" (msg `Tree_walk) (msg `Compiled);
-  Alcotest.(check string)
-    "same error (parallel)" (msg `Tree_walk) (msg ~jobs:3 `Parallel)
+  Alcotest.(check string) "same error" (msg `Tree_walk) (msg `Compiled)
 
 (* ------------------------------------------------------------------ *)
 (* Tree-walk aliasing: an [EVar] read shares the variable's lanes       *)
@@ -444,13 +435,13 @@ j = i + 0")
   in
   checkb "variable unchanged" (plural_ints c "i" = [| 1; 2; 3; 4 |]);
   checkb "read after the call" (plural_ints c "j" = [| 1; 2; 3; 4 |]);
-  (* the second argument is its own copy too, on all three engines *)
+  (* the second argument is its own copy too, on both engines *)
   checkb "each argument saw the variable"
-    (List.for_all (fun l -> l = [ 1; 2; 3; 4 ]) !seen && List.length !seen = 6)
+    (List.for_all (fun l -> l = [ 1; 2; 3; 4 ]) !seen && List.length !seen = 4)
 
 let t_nan_compare () =
   (* comparisons use [compare], so NaN = NaN holds: the sequential
-     interpreter, the tree-walker and the compiled engines agree *)
+     interpreter, the tree-walker and the compiled engine agree *)
   let ops = [ "=="; "/="; "<"; "<="; ">"; ">=" ] in
   let rhs = [ "z"; "1.0"; "1" ] in
   let cases =
@@ -470,8 +461,8 @@ let t_nan_compare () =
       (List.mapi (fun k _ -> [ Printf.sprintf "c%d" k; Printf.sprintf "d%d" k ]) cases)
   in
   let seq = Interp.run_block (parse_block (body "z = 0.0 / 0.0")) in
-  let t, c, par = run_both (body "z = iproc * 0.0 / 0.0") in
-  ignore (check_agree "NaN comparisons" (t, c, par));
+  let t, c = run_both (body "z = iproc * 0.0 / 0.0") in
+  ignore (check_agree "NaN comparisons" (t, c));
   List.iter
     (fun n ->
       let want = as_bool (Env.find seq.Interp.env n) in

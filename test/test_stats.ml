@@ -8,11 +8,7 @@
       instrumentation stay compiled into the hot paths);
     - the determinism schema, as a QCheck property: for random
       SIMD-dialect programs the [counters] section of the JSON dump is
-      byte-identical across engines, [--jobs] and [-O] levels, and the
-      [opt] section is byte-identical across [--jobs] at a fixed [-O].
-      Only [volatile] is exempt, but its [pool.dispatches] must not
-      depend on [-O]: the parallel engine joins at the same points at
-      [-O1] and [-O2].
+      byte-identical across engines and [-O] levels.
 
     And one check of the [volatile] GC gauges: a run's major-heap words
     are counted exactly. *)
@@ -53,7 +49,7 @@ let t_kind_mismatch () =
     (Invalid_argument "Stats: test.kind already registered with another kind")
     (fun () -> ignore (Stats.gauge "test.kind"))
 
-let t_gauge_timer_sharded () =
+let t_gauge_timer () =
   Stats.enable ();
   let g = Stats.gauge "test.gauge" in
   Stats.set_gauge g 2.5;
@@ -63,14 +59,7 @@ let t_gauge_timer_sharded () =
   Stats.add_span_ns t 10L;
   Stats.add_span_ns t 30L;
   let v = Stats.span t (fun () -> 42) in
-  checki "span returns the thunk's value" 42 v;
-  let s = Stats.sharded "test.sharded" in
-  Stats.cell_add s ~cell:0 3;
-  Stats.cell_add s ~cell:7 4;
-  (* out-of-range cells fold into the last cell instead of raising *)
-  Stats.cell_add s ~cell:1000 5;
-  Stats.cell_add s ~cell:(-2) 1;
-  checki "sharded merge sums every cell" 13 (Stats.merged_value s)
+  checki "span returns the thunk's value" 42 v
 
 let t_span_exception () =
   Stats.enable ();
@@ -130,17 +119,14 @@ let t_disabled_noop () =
   let c = Stats.counter "test.off.c" in
   let g = Stats.gauge "test.off.g" in
   let t = Stats.timer "test.off.t" in
-  let s = Stats.sharded "test.off.s" in
   Stats.incr c;
   Stats.add c 100;
   Stats.set_gauge g 9.0;
   Stats.add_gauge g 1.0;
   Stats.add_span_ns t 1_000L;
   checki "span still runs the thunk" 7 (Stats.span t (fun () -> 7));
-  Stats.cell_add s ~cell:0 5;
   checki "disabled counter stays 0" 0 (Stats.counter_value c);
   checkb "disabled gauge stays 0" (Stats.gauge_value g = 0.0);
-  checki "disabled sharded stays 0" 0 (Stats.merged_value s);
   (* and the interpreter hook is not installed *)
   checkb "dispatch hook uninstalled when disabled"
     (!Interp.dispatch_hook = None);
@@ -164,12 +150,12 @@ let section_string name =
    errors allowed — the engines abort at the same source operation, so
    the counters accumulated up to the abort must still agree) and
    return the serialized [counters] and [opt] sections *)
-let run_config ?jobs ?opt engine prog =
+let run_config ?opt engine prog =
   Stats.reset ();
   Stats.enable ();
   let ok =
     match
-      Vm.run ~fuel ~engine ?jobs ?opt ~p:prop_p
+      Vm.run ~fuel ~engine ?opt ~p:prop_p
         ~setup:(Gen.simd_prog_setup ~p:prop_p)
         prog
     with
@@ -181,26 +167,6 @@ let run_config ?jobs ?opt engine prog =
   Stats.disable ();
   (ok, counters, opt_s)
 
-(* [pool.dispatches] of a 2-job parallel run at [-O opt].  At [prop_p]
-   lanes the partition has a single shard and never dispatches, so this
-   runs two shard floors wide: two shards. *)
-let dispatches ~opt prog =
-  let p = 2 * Lf_simd.Pool.min_shard in
-  Stats.reset ();
-  Stats.enable ();
-  (match
-     Vm.run ~fuel ~engine:`Parallel ~jobs:2 ~opt ~p
-       ~setup:(Gen.simd_prog_setup ~p) prog
-   with
-  | (_ : Vm.t) -> ()
-  | exception (Errors.Runtime_error _ | Errors.Runtime_error_at _) -> ());
-  let n =
-    Stats.counter_value
-      (Stats.counter ~section:Stats.Volatile "pool.dispatches")
-  in
-  Stats.disable ();
-  n
-
 let prop_counters_deterministic prog =
   let configs =
     [
@@ -208,11 +174,6 @@ let prop_counters_deterministic prog =
       ("compiled -O0", run_config ~opt:0 `Compiled prog);
       ("compiled -O1", run_config ~opt:1 `Compiled prog);
       ("compiled -O2", run_config ~opt:2 `Compiled prog);
-      ("parallel -O1 j1", run_config ~jobs:1 ~opt:1 `Parallel prog);
-      ("parallel -O1 j2", run_config ~jobs:2 ~opt:1 `Parallel prog);
-      ("parallel -O1 j7", run_config ~jobs:7 ~opt:1 `Parallel prog);
-      ("parallel -O2 j2", run_config ~jobs:2 ~opt:2 `Parallel prog);
-      ("parallel -O2 j7", run_config ~jobs:7 ~opt:2 `Parallel prog);
     ]
   in
   let name_ref, (ok_ref, counters_ref, _) = List.hd configs in
@@ -229,29 +190,6 @@ let prop_counters_deterministic prog =
           (Pretty.program_to_string prog)
           counters_ref counters)
     configs;
-  (* the [opt] section is jobs-invariant at a fixed -O level: its run
-     counters tick on the control thread, never per shard *)
-  let opt_of name = match List.assoc name configs with _, _, o -> o in
-  let check_opt ref_name others =
-    let o_ref = opt_of ref_name in
-    List.iter
-      (fun name ->
-        if opt_of name <> o_ref then
-          QCheck.Test.fail_reportf "%s vs %s: opt section diverged on@.%s"
-            ref_name name
-            (Pretty.program_to_string prog))
-      others
-  in
-  check_opt "compiled -O1"
-    [ "parallel -O1 j1"; "parallel -O1 j2"; "parallel -O1 j7" ];
-  check_opt "compiled -O2" [ "parallel -O2 j2"; "parallel -O2 j7" ];
-  (* -O2 runs the -O1 pipeline, so a different dispatch count is a lost
-     or an extra join *)
-  let d1 = dispatches ~opt:1 prog and d2 = dispatches ~opt:2 prog in
-  if d1 <> d2 then
-    QCheck.Test.fail_reportf
-      "parallel j2: %d dispatches at -O1, %d at -O2 on@.%s" d1 d2
-      (Pretty.program_to_string prog);
   true
 
 (* ------------------------------------------------------------------ *)
@@ -259,9 +197,7 @@ let prop_counters_deterministic prog =
 (* ------------------------------------------------------------------ *)
 
 (* a stride-8 flattened loop whose store is a scatter-accumulate: the
-   merged pass runs, the verifier checks every phase boundary, and each
-   counter must move by the same amount on every engine and jobs
-   count *)
+   merged pass runs and the verifier checks every phase boundary *)
 let flat_src =
   "at1 = 1 + (iproc - 1)\n\
    WHILE (any(at1 <= n))\n\
@@ -277,33 +213,19 @@ let t_opt2_counters () =
     Vm.bind_scalar vm "n" (Values.VInt 8);
     Vm.bind_global vm "f" (Values.AReal (Nd.create [| 8 |] 0.0))
   in
-  let snapshot ?jobs engine =
-    Stats.reset ();
-    Stats.enable ();
-    ignore (Vm.run ~engine ?jobs ~opt:2 ~verify:true ~p:8 ~setup prog : Vm.t);
-    let v name = Stats.counter_value (Stats.counter ~section:Stats.Opt name) in
-    let r =
-      ( v "opt.accum_marks",
-        v "opt.accum_merged_runs",
-        v "verify.phases",
-        v "verify.checks" )
-    in
-    Stats.disable ();
-    r
-  in
-  let (marks, merged, vphases, vchecks) as compiled = snapshot `Compiled in
+  Stats.reset ();
+  Stats.enable ();
+  ignore
+    (Vm.run ~engine:`Compiled ~opt:2 ~verify:true ~p:8 ~setup prog : Vm.t);
+  let v name = Stats.counter_value (Stats.counter ~section:Stats.Opt name) in
+  let marks = v "opt.accum_marks" and merged = v "opt.accum_merged_runs" in
+  let vphases = v "verify.phases" and vchecks = v "verify.checks" in
   checki "one scatter-accumulate marked" 1 marks;
   checkb "the merged pass ran" (merged > 0);
   checki "the verifier checked every phase boundary"
     (List.length Lf_simd.Opt.phases)
     vphases;
-  checkb "the verifier made checks" (vchecks > 0);
-  List.iter
-    (fun jobs ->
-      checkb
-        (Fmt.str "opt counters jobs-invariant at jobs=%d" jobs)
-        (snapshot ~jobs `Parallel = compiled))
-    [ 1; 2; 7 ]
+  checkb "the verifier made checks" (vchecks > 0)
 
 (* ------------------------------------------------------------------ *)
 (* The GC gauges                                                       *)
@@ -334,7 +256,7 @@ let t_major_words () =
 
 let t_determinism =
   qcheck_case ~count:60
-    "counters byte-identical across engines/jobs/-O; opt across jobs"
+    "counters byte-identical across engines and -O levels"
     Gen.simd_prog_gen
     (fun prog ->
       Fun.protect
@@ -347,13 +269,12 @@ let suite =
   [
     case "interning finds-or-creates; reset zeroes" (clean t_intern);
     case "kind mismatch raises" (clean t_kind_mismatch);
-    case "gauges, timers, sharded cells" (clean t_gauge_timer_sharded);
+    case "gauges and timers" (clean t_gauge_timer);
     case "span records through exceptions" (clean t_span_exception);
     case "mask-density bucketing" t_mask_bucket;
     case "JSON dump shape and key order" (clean t_dump_shape);
     case "disabled path is a no-op" (clean t_disabled_noop);
-    case "-O2 run counters move and are jobs-invariant"
-      (clean t_opt2_counters);
+    case "-O2 run counters move" (clean t_opt2_counters);
     case "gc.major_words counts major-heap lane vectors"
       (clean t_major_words);
     t_determinism;

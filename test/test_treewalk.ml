@@ -184,7 +184,7 @@ let file_setups () =
   in
   ( (fun vm ->
       both (Vm.bind_scalar vm) (Vm.bind_global vm) (fun name f ->
-          Vm.register_func vm ~pure:true name f)),
+          Vm.register_func vm name f)),
     fun o ->
       both (O.bind_scalar o) (O.bind_global o) (fun name f ->
           Hashtbl.replace o.O.funcs name f) )

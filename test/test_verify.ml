@@ -105,7 +105,7 @@ let t_clean_ir () =
   List.iter
     (fun engine ->
       ignore (Vm.run ~engine ~opt:2 ~verify:true ~p:8 prog : Vm.t))
-    [ `Tree_walk; `Compiled; `Parallel ]
+    [ `Tree_walk; `Compiled ]
 
 (* ------------------------------------------------------------------ *)
 (* Broken-phase mutations                                              *)

@@ -113,9 +113,9 @@ let traced_src =
   ENDWHILE
 END|}
 
-let run_traced ?jobs ?(p = 2) ?opt engine sinks =
+let run_traced ?(p = 2) ?opt engine sinks =
   let prog = Parser.program_of_string traced_src in
-  Lf_simd.Vm.run ~engine ?jobs ?opt ~p
+  Lf_simd.Vm.run ~engine ?opt ~p
     ~setup:(fun vm ->
       Lf_simd.Vm.bind_scalar vm "k" (Values.VInt 8);
       Lf_simd.Vm.bind_scalar vm "p" (Values.VInt p);
@@ -123,7 +123,7 @@ let run_traced ?jobs ?(p = 2) ?opt engine sinks =
       List.iter (Lf_simd.Vm.add_trace_sink vm) sinks)
     prog
 
-(* differential: all three engines emit the exact same event stream *)
+(* differential: both engines emit the exact same event stream *)
 let t_engines_trace_identical () =
   let log_t = Trace.Log.create () and log_c = Trace.Log.create () in
   let vm_t = run_traced `Tree_walk [ Trace.Log.sink log_t ] in
@@ -146,24 +146,14 @@ let t_engines_trace_identical () =
   checki "one event per vector step" m.Lf_simd.Metrics.steps
     (List.length (List.filter Trace.is_step et));
   checki "one event per reduction" m.Lf_simd.Metrics.reductions
-    (List.length (List.filter (fun e -> not (Trace.is_step e)) et));
-  (* the parallel engine emits from its control thread: same stream *)
-  let log_p = Trace.Log.create () in
-  let vm_p = run_traced ~jobs:3 `Parallel [ Trace.Log.sink log_p ] in
-  checkb "parallel state equal" (Lf_simd.Vm.state_equal vm_t vm_p);
-  let ep = Trace.Log.to_list log_p in
-  checki "parallel stream same length" (List.length et) (List.length ep);
-  List.iter2
-    (fun a b ->
-      checkb "parallel events identical" (Trace.equal_event a b))
-    et ep
+    (List.length (List.filter (fun e -> not (Trace.is_step e)) et))
 
 (* the per-line profile's totals reproduce the metrics, on every engine *)
 let t_profile_ties_out () =
   List.iter
-    (fun (engine, jobs) ->
+    (fun engine ->
       let prof = Lf_obs.Profile.create () in
-      let vm = run_traced ?jobs engine [ Lf_obs.Profile.sink prof ] in
+      let vm = run_traced engine [ Lf_obs.Profile.sink prof ] in
       checkb "profile totals reproduce the metrics"
         (Lf_report.Obs_report.check_totals prof vm.Lf_simd.Vm.metrics);
       let rows = Lf_obs.Profile.rows_by_line prof in
@@ -183,13 +173,13 @@ let t_profile_ties_out () =
       Fmt.flush ppf ();
       checkb "table has a totals row"
         (Astring_contains.contains (Buffer.contents buf) "total"))
-    [ (`Tree_walk, None); (`Compiled, None); (`Parallel, Some 3) ]
+    [ `Tree_walk; `Compiled ]
 
 (* fused execution still ticks Metrics per original operator: at -O1
    (fused reductions, scatter-accumulate, scratch reuse all fire on this
    program) the profile totals tie out against the metrics exactly as
    they do at -O0, and the two levels agree on metrics, state and the
-   full event stream — on the serial and the parallel engine *)
+   full event stream *)
 let t_profile_ties_out_optimized () =
   let log0 = Trace.Log.create () and log1 = Trace.Log.create () in
   let vm0 = run_traced ~opt:0 `Compiled [ Trace.Log.sink log0 ] in
@@ -207,36 +197,7 @@ let t_profile_ties_out_optimized () =
   checki "-O1 emits the -O0 event stream" (List.length e0) (List.length e1);
   List.iter2
     (fun a b -> checkb "-O0/-O1 events identical" (Trace.equal_event a b))
-    e0 e1;
-  let prof_p = Lf_obs.Profile.create () in
-  let vm_p =
-    run_traced ~jobs:3 ~opt:1 `Parallel [ Lf_obs.Profile.sink prof_p ]
-  in
-  checkb "parallel -O1 profile ties out"
-    (Lf_report.Obs_report.check_totals prof_p vm_p.Lf_simd.Vm.metrics);
-  checkb "parallel -O1 metrics = -O0 metrics"
-    (Lf_simd.Metrics.equal vm0.Lf_simd.Vm.metrics vm_p.Lf_simd.Vm.metrics)
-
-(* at a multi-shard width the profile still ties out against the metrics
-   under parallel execution, and both are invariant in the jobs count *)
-let t_parallel_profile_multishard () =
-  let p = 200 in
-  let ref_vm = run_traced ~p `Compiled [] in
-  List.iter
-    (fun jobs ->
-      let prof = Lf_obs.Profile.create () in
-      let vm = run_traced ~jobs ~p `Parallel [ Lf_obs.Profile.sink prof ] in
-      checkb
-        (Fmt.str "profile ties out at jobs=%d" jobs)
-        (Lf_report.Obs_report.check_totals prof vm.Lf_simd.Vm.metrics);
-      checkb
-        (Fmt.str "metrics = serial compiled at jobs=%d" jobs)
-        (Lf_simd.Metrics.equal ref_vm.Lf_simd.Vm.metrics
-           vm.Lf_simd.Vm.metrics);
-      checkb
-        (Fmt.str "state = serial compiled at jobs=%d" jobs)
-        (Lf_simd.Vm.state_equal ref_vm vm))
-    [ 1; 2; 3; 7 ]
+    e0 e1
 
 (* occupancy: streaming downsampling keeps its invariants even when the
    run overflows the bucket array many times *)
@@ -402,8 +363,6 @@ let suite =
     case "profile totals reproduce the metrics" t_profile_ties_out;
     case "profile ties out and stream is identical at -O1"
       t_profile_ties_out_optimized;
-    case "parallel profile ties out at multi-shard widths"
-      t_parallel_profile_multishard;
     case "occupancy downsampling invariants" t_occupancy_downsampling;
     case "JSON round-trip (values and events)" t_json_roundtrip;
     case "trace collector disarmed by default" t_trace_disabled_by_default;
