@@ -73,7 +73,7 @@ let nbforce_runner ~p =
     | Error e -> Fmt.failwith "cannot derive SIMD NBFORCE: %s" e
   in
   fun () ->
-    Lf_simd.Vm.run ~engine:`Compiled ~p
+    Lf_simd.Vm.run ~p
       ~setup:(fun vm ->
         Lf_simd.Vm.register_func vm "force" (fun _ -> Values.VReal 1.0);
         Lf_simd.Vm.bind_scalar vm "n" (Values.VInt n);
@@ -130,7 +130,7 @@ let pairs =
       fun () ->
         let cache = Lf_simd.Progcache.create () in
         let run ?cache () =
-          Lf_simd.Vm.run_src ~engine:`Compiled ?cache ~p:small_p small_src
+          Lf_simd.Vm.run_src ?cache ~p:small_p small_src
         in
         [
           pair

@@ -2,12 +2,13 @@
 
    Generates and mutates mini-Fortran programs (both the SIMD dialect
    and front-end loop nests), judges each one with the differential
-   oracle battery in lib/fuzz — cross-engine/-O equivalence under
-   the IR verifier, stats-registry invariance, pretty-print/parse
-   round-trip, flatten/coalesce translation validation — and keeps the
-   inputs that light up new coverage (stats counters, lint rules, error
-   classes).  Failures are shrunk by delta debugging to a minimal
-   reproducer suitable for test/corpus/.
+   oracle battery in lib/fuzz — the engine at -O0 and -O1 (under the
+   IR verifier) against the boxed reference machine, stats-registry
+   invariance, pretty-print/parse round-trip, flatten/coalesce
+   translation validation — and keeps the inputs that light up new
+   coverage (stats counters, lint rules, error classes).  Failures are
+   shrunk by delta debugging to a minimal reproducer suitable for
+   test/corpus/.
 
    A campaign is deterministic in --seed: same seed, same budget, same
    corpus, bit-identical report.
@@ -195,8 +196,8 @@ let cmd =
       & opt int Oracle.default_fuel
       & info [ "fuel" ] ~docv:"STEPS"
           ~doc:
-            "Execution-step budget per engine leg; engine-identical \
-             exhaustion is the distinct 'fuel' verdict, so infinite GOTO \
+            "Execution-step budget per leg; exhaustion on every leg is \
+             the distinct 'fuel' verdict, so infinite GOTO \
              loops fail fast instead of hanging the campaign.")
   in
   let dialect =
@@ -207,9 +208,9 @@ let cmd =
       value & opt dialect_conv `Both
       & info [ "dialect" ] ~docv:"D"
           ~doc:
-            "Input dialect(s) to generate: $(b,simd) (cross-engine \
-             differential legs), $(b,nest) (flatten/coalesce translation \
-             validation) or $(b,both).")
+            "Input dialect(s) to generate: $(b,simd) (differential \
+             legs against the reference machine), $(b,nest) \
+             (flatten/coalesce translation validation) or $(b,both).")
   in
   let no_mutate =
     Arg.(

@@ -100,7 +100,7 @@ let max_abs_err reference f =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let run path seq (engine_name, engine) jobs lanes olevel dump_ir dump_ir_phase
+let run path seq engine_name jobs lanes olevel dump_ir dump_ir_phase
     verify_ir sets fills dumps kernel atoms trace_file profile metrics_json
     occupancy_json chrome_file compare_mimd lint stats stats_json manifest
     warm =
@@ -292,11 +292,13 @@ let run path seq (engine_name, engine) jobs lanes olevel dump_ir dump_ir_phase
           (fun oc -> Lf_simd.Vm.add_trace_sink vm (Lf_obs.Trace.jsonl_sink oc))
           trace_oc
       in
+      (* "tree-walk" is kept for existing command lines: it runs -O0 *)
+      let opt_used = if engine_name = "tree-walk" then 0 else olevel in
       let t0 = Lf_obs.Stats.now_ns () in
       let c0 = Sys.time () in
       let vm =
         if warm = 0 then
-          Lf_simd.Vm.run ~engine ~opt:olevel ~verify:verify_ir
+          Lf_simd.Vm.run ~opt:opt_used ~verify:verify_ir
             ~p:lanes
             ~setup:(fun vm ->
               bind_inputs vm;
@@ -313,7 +315,7 @@ let run path seq (engine_name, engine) jobs lanes olevel dump_ir dump_ir_phase
           for i = 0 to warm do
             last :=
               Some
-                (Lf_simd.Vm.run_src ~engine ~opt:olevel
+                (Lf_simd.Vm.run_src ~opt:opt_used
                    ~verify:verify_ir ~cache ~p:lanes
                    ~setup:(fun vm ->
                      bind_inputs vm;
@@ -328,7 +330,6 @@ let run path seq (engine_name, engine) jobs lanes olevel dump_ir dump_ir_phase
       Option.iter
         (fun oc -> if oc != stdout then close_out oc else flush oc)
         trace_oc;
-      let opt_used = match engine with `Tree_walk -> 0 | _ -> olevel in
       let jobs_used =
         if engine_name = "parallel" then
           Option.value jobs ~default:(Lf_simd.Batch.default_jobs ())
@@ -464,25 +465,19 @@ let cmd =
   let engine =
     let engine_conv =
       Arg.enum
-        (List.map
-           (fun (name, e) -> (name, (name, e)))
-           [
-             ("tree-walk", `Tree_walk);
-             ("compiled", `Compiled);
-             ("parallel", `Compiled);
-           ])
+        (List.map (fun n -> (n, n)) [ "compiled"; "tree-walk"; "parallel" ])
     in
     Arg.(
       value
-      & opt engine_conv ("tree-walk", `Tree_walk)
+      & opt engine_conv "compiled"
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
-            "SIMD execution engine: $(b,tree-walk) (the reference \
-             interpreter) or $(b,compiled) (slot-resolved closures; same \
-             results, faster).  Both produce bit-identical state, metrics, \
-             traces and errors.  $(b,parallel) is accepted for existing \
-             command lines: it runs the compiled engine, and the metrics \
-             and manifest record it under its own name and $(b,--jobs).")
+            "SIMD execution engine: $(b,compiled) (slot-resolved closures; \
+             the default and the only engine).  $(b,tree-walk) and \
+             $(b,parallel) are accepted for existing command lines: both \
+             run the compiled engine, $(b,tree-walk) at $(b,-O 0), and the \
+             metrics and manifest record them under their own names \
+             ($(b,parallel) with $(b,--jobs)).")
   in
   let jobs =
     let jobs_conv =
@@ -517,13 +512,13 @@ let cmd =
       & opt Cli.olevel_conv 1
       & info [ "O"; "opt-level" ] ~docv:"LEVEL"
           ~doc:
-            "Compiled-engine optimizer level: $(b,0) runs the unoptimized \
+            "Optimizer level: $(b,0) runs the unoptimized \
              per-operator closures, $(b,1) (the default) enables fused \
              reductions, merged scatter-accumulates and scratch-slot \
              reuse; $(b,2) is accepted and runs the $(b,1) pipeline.  All \
              levels are bit-identical on state, metrics, traces and errors; \
-             only the wall-clock changes.  Ignored by $(b,tree-walk) and \
-             $(b,--seq).")
+             only the wall-clock changes.  $(b,--engine tree-walk) runs \
+             at $(b,0); ignored by $(b,--seq).")
   in
   let dump_ir =
     Arg.(
@@ -667,7 +662,7 @@ let cmd =
           ~doc:
             "Enable the telemetry registry and write its dump as JSON to \
              $(docv).  The $(b,counters) section is byte-identical across \
-             engines and $(b,-O) levels; $(b,opt) varies only with \
+             $(b,-O) levels; $(b,opt) varies only with \
              $(b,-O); $(b,volatile) (GC, timers) is exempt from any \
              determinism guarantee.")
   in
@@ -703,9 +698,9 @@ let cmd =
              IR) and $(docv) warm runs that skip the front end and go \
              straight to emission.  All outputs (metrics, dumps, traces, \
              profile) come from the last — warm — run; warm runs are \
-             bit-identical to cold ones on every engine and $(b,-O) \
-             level.  With $(b,--stats), the cache.hits / cache.misses \
-             counters account the cache traffic.  Requires a SIMD \
+             bit-identical to cold ones at every $(b,-O) level.  With \
+             $(b,--stats), the cache.hits / cache.misses counters \
+             account the cache traffic.  Requires a SIMD \
              engine (conflicts with $(b,--seq)).")
   in
   Cmd.v

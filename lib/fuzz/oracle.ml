@@ -3,15 +3,17 @@
     One fuzz input is judged by every cheap correctness contract the
     engine exports:
 
-    [Simd] inputs (cross-engine differential testing):
+    [Simd] inputs (differential testing against the reference):
     - pretty-print / re-parse round-trip is the identity (modulo
       locations and comments);
-    - tree-walk and compiled [-O0]/[-O1] legs agree on final state,
-      [Metrics] and error strings at every lane count in the sweep;
+    - the compiled [-O0] and [-O1] legs each agree with the boxed
+      reference machine ([Lf_testgen.Ref_vm]) on final state (bit for
+      bit), [Metrics] and error strings at every lane count in the
+      sweep;
     - the [-O1] leg runs under [--verify-ir]: the optimizer must never
       emit IR the verifier rejects;
     - the [Counters] section of the stats registry is identical on
-      every leg (the engine-invariance contract);
+      both legs (the opt-level invariance contract);
     - replaying one leg twice yields the identical snapshot (stats
       determinism).
 
@@ -23,7 +25,7 @@
       ([Lf_core.Coalesce]) must run to the same [x]/[acc] state and the
       same external-call observation trace.
 
-    Engine-identical fuel exhaustion is the distinct [Fuel] verdict —
+    Fuel exhaustion shared by every leg is the distinct [Fuel] verdict —
     the guard that makes infinite GOTO loops fail fast instead of
     hanging the campaign — and is not a failure.
 
@@ -34,9 +36,8 @@
 
 open Lf_lang
 module Stats = Lf_obs.Stats
-module Vm = Lf_simd.Vm
-module Metrics = Lf_simd.Metrics
 module Gen = Lf_testgen.Gen
+module Ref_vm = Lf_testgen.Ref_vm
 
 module Cov = Set.Make (String)
 
@@ -94,14 +95,12 @@ let with_stats f =
     f
 
 (* ------------------------------------------------------------------ *)
-(* Simd dialect: cross-engine differential legs                        *)
+(* Simd dialect: differential legs against the reference               *)
 (* ------------------------------------------------------------------ *)
-
-type leg_run = LOk of Vm.t | LErr of string
 
 type leg = {
   what : string;
-  run : leg_run;
+  run : Lf_simd.Vm.t * string option;
   counters : (string * int) list;
   optc : (string * int) list;  (** the [opt.*] counters only *)
 }
@@ -115,20 +114,15 @@ let diags_text diags =
        shown)
   ^ if n > 3 then Fmt.str " (and %d more)" (n - 3) else ""
 
-let run_leg ~fuel ~p ?opt ?verify ~what engine prog =
+let run_leg ~fuel ~p ~opt ?verify ~what prog =
   Stats.reset ();
   let run =
-    match
-      Vm.run ~fuel ~engine ?opt ?verify ~p
-        ~setup:(Gen.simd_prog_setup ~p)
+    try
+      Ref_vm.compiled ~fuel ~opt ?verify ~p ~setup:(Gen.simd_prog_setup ~p)
         prog
-    with
-    | vm -> LOk vm
-    | exception ((Errors.Runtime_error _ | Errors.Runtime_error_at _) as e) ->
-        LErr (Errors.to_message e)
-    | exception Lf_simd.Verify.Error diags ->
-        failf "verify-ir" "%s, p=%d: optimizer emitted IR the verifier rejects: %s"
-          what p (diags_text diags)
+    with Lf_simd.Verify.Error diags ->
+      failf "verify-ir" "%s, p=%d: optimizer emitted IR the verifier rejects: %s"
+        what p (diags_text diags)
   in
   let counters = Stats.snapshot ~sections:[ Stats.Counters ] () in
   let optc =
@@ -138,64 +132,45 @@ let run_leg ~fuel ~p ?opt ?verify ~what engine prog =
   in
   { what; run; counters; optc }
 
-let legs_agree ~p a b =
-  match (a.run, b.run) with
-  | LOk va, LOk vb ->
-      if not (Vm.state_equal va vb && Metrics.equal va.Vm.metrics vb.Vm.metrics)
-      then failf "engine-diff" "%s vs %s, p=%d: state/metrics diverged" a.what b.what p
-  | LErr ma, LErr mb ->
-      if ma <> mb then
-        failf "engine-diff" "%s vs %s, p=%d: errors differ (%S vs %S)" a.what
-          b.what p ma mb
-  | LOk _, LErr m ->
-      failf "engine-diff" "%s vs %s, p=%d: only %s failed (%S)" a.what b.what p
-        b.what m
-  | LErr m, LOk _ ->
-      failf "engine-diff" "%s vs %s, p=%d: only %s failed (%S)" a.what b.what p
-        a.what m
-
 let check_simd ~fuel prog =
   let cov = ref Cov.empty in
   let fueled = ref false in
   List.iter
     (fun p ->
-      let leg = run_leg ~fuel ~p ~what:"tree" `Tree_walk prog in
-      let others =
-        [
-          run_leg ~fuel ~p ~opt:0 ~what:"compiled -O0" `Compiled prog;
-          run_leg ~fuel ~p ~opt:1 ~verify:true ~what:"compiled -O1+verify"
-            `Compiled prog;
-        ]
+      let reference =
+        Ref_vm.run ~fuel ~p ~setup:(Gen.simd_prog_setup ~p) prog
       in
-      List.iter (legs_agree ~p leg) others;
-      (* engine-invariance of the stable counter section *)
+      let o0 = run_leg ~fuel ~p ~opt:0 ~what:"compiled -O0" prog in
+      let o1 =
+        run_leg ~fuel ~p ~opt:1 ~verify:true ~what:"compiled -O1+verify" prog
+      in
       List.iter
-        (fun o ->
-          if o.counters <> leg.counters then
-            failf "stats-counters" "%s vs %s, p=%d: Counters section diverged"
-              leg.what o.what p)
-        others;
+        (fun l ->
+          Option.iter
+            (failf "engine-diff" "reference vs %s, p=%d: %s differs" l.what p)
+            (Ref_vm.disagreement reference l.run))
+        [ o0; o1 ];
+      (* opt-level invariance of the stable counter section *)
+      if o0.counters <> o1.counters then
+        failf "stats-counters" "%s vs %s, p=%d: Counters section diverged"
+          o0.what o1.what p;
       (* stats determinism: the same leg replayed is bit-identical *)
       let again =
         run_leg ~fuel ~p ~opt:1 ~verify:true
-          ~what:"compiled -O1+verify (replay)" `Compiled prog
+          ~what:"compiled -O1+verify (replay)" prog
       in
-      (match others with
-      | [ _; o1 ] ->
-          if again.counters <> o1.counters || again.optc <> o1.optc then
-            failf "stats-determinism"
-              "p=%d: replaying compiled -O1+verify changed the snapshot" p
-      | _ -> assert false);
-      (* fuel exhaustion must be engine-identical (checked by
-         [legs_agree] above); record it as the distinct verdict *)
-      (match leg.run with
-      | LErr m when is_fuel_msg m -> fueled := true
-      | LErr m -> cov := add_error !cov m
-      | LOk _ -> ());
+      if again.counters <> o1.counters || again.optc <> o1.optc then
+        failf "stats-determinism"
+          "p=%d: replaying compiled -O1+verify changed the snapshot" p;
+      (* fuel exhaustion must be shared by every leg (checked by
+         [Ref_vm.disagreement] above); record it as the distinct verdict *)
+      (match snd reference with
+      | Some m when is_fuel_msg m -> fueled := true
+      | Some m -> cov := add_error !cov m
+      | None -> ());
       List.iter
-        (fun l ->
-          cov := add_snapshot (add_snapshot !cov l.counters) l.optc)
-        (leg :: others))
+        (fun l -> cov := add_snapshot (add_snapshot !cov l.counters) l.optc)
+        [ o0; o1 ])
     simd_ps;
   (!cov, !fueled)
 

@@ -133,14 +133,14 @@ type run = {
 (** Run one of the layered kernels.  [sweep] selects L¹ ([`Lrs]) vs L²
     ([`MaxLrs]) for the unflattened program and is ignored by the
     flattened one. *)
-let run_kernel ?(sweep = `MaxLrs) ?(engine = `Compiled) (prog : Ast.program)
+let run_kernel ?(sweep = `MaxLrs) (prog : Ast.program)
     (mol : Lf_md.Molecule.t) (pl : Lf_md.Pairlist.t) ~p ~nmax : run =
   let n = Array.length pl.Lf_md.Pairlist.pcnt in
   let lrs = 1 + ((n - 1) / p) in
   let maxlrs = 1 + ((nmax - 1) / p) in
   let maxpcnt = max 1 (Lf_md.Pairlist.max_pcnt pl) in
   let vm =
-    Lf_simd.Vm.run ~engine ~p
+    Lf_simd.Vm.run ~p
       ~setup:(fun vm ->
         Lf_simd.Vm.register_proc vm "onefl" (onefl mol pl);
         Lf_simd.Vm.bind_scalar vm "p" (Values.VInt p);

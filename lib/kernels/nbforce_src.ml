@@ -78,15 +78,14 @@ let run_sequential (prog : Ast.program) (mol : Lf_md.Molecule.t)
   | _ -> Errors.runtime_error "f is not a REAL array"
 
 (** Run a SIMDized version on the SIMD VM with [p] lanes; returns the
-    force array and the VM metrics.  [engine] defaults to the compiled
-    engine (every engine, optimizer level and [verify] setting produces
-    identical results). *)
-let run_simd ?(engine = `Compiled) ?opt ?verify (prog : Ast.program)
+    force array and the VM metrics (every optimizer level and [verify]
+    setting produces identical results). *)
+let run_simd ?opt ?verify (prog : Ast.program)
     (mol : Lf_md.Molecule.t) (pl : Lf_md.Pairlist.t) ~p :
     float array * Lf_simd.Metrics.t =
   let n, maxp = params pl in
   let vm =
-    Lf_simd.Vm.run ~engine ?opt ?verify ~p
+    Lf_simd.Vm.run ?opt ?verify ~p
       ~setup:(fun vm ->
         Lf_simd.Vm.register_func vm "force" (force_fn mol);
         Lf_simd.Vm.bind_scalar vm "n" (Values.VInt n);
@@ -180,12 +179,12 @@ let onef_simd (mol : Lf_md.Molecule.t) : Lf_simd.Vm.proc =
 (** Run a CALL-based (possibly transformed) program on the SIMD VM and
     return (forces, metrics); the "onef" call count in the metrics is the
     Table 2 quantity. *)
-let run_simd_call ?(engine = `Compiled) (prog : Ast.program)
+let run_simd_call (prog : Ast.program)
     (mol : Lf_md.Molecule.t) (pl : Lf_md.Pairlist.t) ~p :
     float array * Lf_simd.Metrics.t =
   let n, maxp = params pl in
   let vm =
-    Lf_simd.Vm.run ~engine ~p
+    Lf_simd.Vm.run ~p
       ~setup:(fun vm ->
         Lf_simd.Vm.register_proc vm "onef" (onef_simd mol);
         Lf_simd.Vm.register_func vm "force" (force_fn mol);

@@ -221,7 +221,7 @@ let assign ctx (l : lvalue) (v : value) =
       Errors.runtime_error "%s is a scalar (%s) but is indexed" l.lv_name
         (type_name v')
 
-let rec exec_block ctx (b : block) =
+let rec exec_stmts ctx (b : block) =
   let stmts = Array.of_list b in
   let n = Array.length stmts in
   let label_at lbl =
@@ -283,19 +283,19 @@ and exec_stmt ctx (s : stmt) =
   | SIf (e, t, f) ->
       dispatched "if";
       tick ctx;
-      if as_bool (eval ctx e) then exec_block ctx t else exec_block ctx f
+      if as_bool (eval ctx e) then exec_stmts ctx t else exec_stmts ctx f
   | SWhile (e, b) ->
       dispatched "while";
       tick ctx;
       while as_bool (eval ctx e) do
-        exec_block ctx b;
+        exec_stmts ctx b;
         tick ctx
       done
   | SDoWhile (b, e) ->
       dispatched "do_while";
       let continue_ = ref true in
       while !continue_ do
-        exec_block ctx b;
+        exec_stmts ctx b;
         tick ctx;
         continue_ := as_bool (eval ctx e)
       done
@@ -312,7 +312,7 @@ and exec_stmt ctx (s : stmt) =
          SIMD VM *)
       dispatched "where";
       tick ctx;
-      if as_bool (eval ctx e) then exec_block ctx t else exec_block ctx f
+      if as_bool (eval ctx e) then exec_stmts ctx t else exec_stmts ctx f
 
 and exec_counted ctx (c : do_control) (b : block) =
   tick ctx;
@@ -326,7 +326,7 @@ and exec_counted ctx (c : do_control) (b : block) =
   let continue_ () = if step > 0 then !i <= hi else !i >= hi in
   while continue_ () do
     Env.set ctx.env c.d_var (VInt !i);
-    exec_block ctx b;
+    exec_stmts ctx b;
     tick ctx;
     i := !i + step
   done;
@@ -359,7 +359,7 @@ let declare ctx (decls : decl list) =
    block and its enclosing blocks only); surface it as an ordinary
    runtime error rather than leaking the internal control exception. *)
 let exec_top ctx (b : block) =
-  try exec_block ctx b
+  try exec_stmts ctx b
   with Jump lbl ->
     Errors.runtime_error "GOTO %s: label not visible from this statement" lbl
 

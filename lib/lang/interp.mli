@@ -56,7 +56,7 @@ val apply_unop : unop -> Values.value -> Values.value
 
 val eval : t -> expr -> Values.value
 val exec_stmt : t -> stmt -> unit
-val exec_block : t -> block -> unit
+val exec_stmts : t -> block -> unit
 
 (** Allocate declared variables; pre-seeded bindings are kept, and array
     dimensions may reference earlier bindings. *)

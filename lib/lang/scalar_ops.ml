@@ -1,6 +1,5 @@
 (** Scalar operator semantics and the lane kernels of every engine
-    ([Interp], the tree-walking [Lf_simd.Vm] and the compiled
-    [Lf_simd.Compile]).  The semantics is
+    ([Interp] and the SIMD VM's [Lf_simd.Compile]).  The semantics is
     written once, as [@inline] lane functions: the boxed [apply_binop]
     applies them to values and stays the oracle; a kernel matches its
     operator once per call, outside its loop, whose inlined lane function
@@ -336,24 +335,6 @@ let gather_r p bp (r : float array) (d : float Nd.t) ix1 ix2 =
     done
   with Bad_lane l -> bad_lane d1 d2 ix1 ix2 l
 
-let gather_at_i p bp (r : int array) (data : int array) off =
-  let all = bp == all_lanes in
-  for i = 0 to p - 1 do
-    if all || on bp i then r.!(i) <- data.(off i)
-  done
-
-let gather_at_r p bp (r : float array) (data : float array) off =
-  let all = bp == all_lanes in
-  for i = 0 to p - 1 do
-    if all || on bp i then r.!(i) <- data.(off i)
-  done
-
-let gather_at_b p bp (r : bool array) (data : bool array) off =
-  let all = bp == all_lanes in
-  for i = 0 to p - 1 do
-    if all || on bp i then r.!(i) <- data.(off i)
-  done
-
 (* A scatter stores [x], or [op x y] (the merged scatter-accumulate). *)
 
 let[@inline] store_i op bp (d : int Nd.t) ix1 ix2 (x : int array)
@@ -405,26 +386,6 @@ let scatter_r p bp d ix1 ix2 op x y =
   | Some Ast.Add ->
       store_r (Some Ast.Add) bp d ix1 ix2 x y p
   | _ -> store_r op bp d ix1 ix2 x y p
-
-(* A store through a per-lane flat offset, for any rank and subscript
-   form: lane [i]'s value is read before [off i] converts its
-   subscripts. *)
-
-let scatter_at_i p bp (data : int array) off (x : int array) =
-  let all = bp == all_lanes and kx = bcast x in
-  for i = 0 to p - 1 do
-    if all || on bp i then
-      let v = x.!(i land kx) in
-      data.(off i) <- v
-  done
-
-let scatter_at_r p bp (data : float array) off (x : float array) =
-  let all = bp == all_lanes and kx = bcast x in
-  for i = 0 to p - 1 do
-    if all || on bp i then
-      let v = x.!(i land kx) in
-      data.(off i) <- v
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Per-lane cells                                                      *)

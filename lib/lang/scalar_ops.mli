@@ -5,8 +5,8 @@
     The semantics is written once as unboxed lane functions.  The boxed
     [apply_binop] applies them to values and is the independent oracle;
     the lane kernels below apply them to whole lane vectors and are the
-    only typed lane loops of both SIMD engines (the tree-walker and the
-    compiled engine).  Every loop lives here, next to the lane
+    only typed lane loops of the SIMD engine ([Lf_simd.Compile]).  Every
+    loop lives here, next to the lane
     functions it inlines: dev builds pass [-opaque], so a lane function
     called from another module would box each float it returns.
 
@@ -17,12 +17,6 @@
     (the C call of [Float.rem], the raise of an int [/] or MOD) share
     the one generic arm, since a call spills the loop's state to the
     stack on every lane. *)
-
-(** [+ - * /] and MOD. *)
-val is_arith : Ast.binop -> bool
-
-(** The six comparisons. *)
-val is_cmp : Ast.binop -> bool
 
 (** {1 Boxed operators} *)
 
@@ -96,17 +90,6 @@ val gather_i : int -> Bytes.t -> int array -> int Nd.t ->
 val gather_r : int -> Bytes.t -> float array -> float Nd.t ->
   int array -> int array -> unit
 
-(** [r.(i) <- data.(off i)]: a gather through a per-lane flat offset,
-    for any rank and subscript form; [off] checks the bounds. *)
-val gather_at_i : int -> Bytes.t -> int array -> int array -> (int -> int) ->
-  unit
-
-val gather_at_r : int -> Bytes.t -> float array -> float array ->
-  (int -> int) -> unit
-
-val gather_at_b : int -> Bytes.t -> bool array -> bool array ->
-  (int -> int) -> unit
-
 (** [d(ix1.(i), ix2.(i)) <- x.(i)], or [op x.(i) y.(i)] with an [op] of
     [+ - * /] or MOD; the subscript is checked before the value is
     read. *)
@@ -115,15 +98,6 @@ val scatter_i : int -> Bytes.t -> int Nd.t -> int array ->
 
 val scatter_r : int -> Bytes.t -> float Nd.t -> int array ->
   int array -> Ast.binop option -> float array -> float array -> unit
-
-(** [data.(off i) <- x.(i)]: a store through a per-lane flat offset, for
-    any rank and subscript form; lane [i]'s value is read before [off i]
-    converts and checks its subscripts. *)
-val scatter_at_i : int -> Bytes.t -> int array -> (int -> int) ->
-  int array -> unit
-
-val scatter_at_r : int -> Bytes.t -> float array -> (int -> int) ->
-  float array -> unit
 
 (** {2 Per-lane cells}
 
@@ -152,7 +126,7 @@ val gather_cell :
     seeded at its first active lane (so a lone NaN or -0.0 survives
     verbatim), then the non-empty partials merged left to right in
     ascending chunk order.  The grid depends only on the lane count, so
-    a REAL SUM is bitwise the same on both engines, and equal to the
+    a REAL SUM is bitwise the same at every [-O] level, and equal to the
     boxed fold over the same grid. *)
 
 (** The MAXVAL / MINVAL / SUM folds. *)

@@ -51,7 +51,7 @@ let run ?fuel ~p ?(procs = []) ?(profile = false)
         List.iter (fun (name, f) -> Interp.register_proc ctx name f) procs;
         setup proc ctx;
         Interp.declare ctx prog.Ast.p_decls;
-        Interp.exec_block ctx prog.Ast.p_body;
+        Interp.exec_stmts ctx prog.Ast.p_body;
         ctx)
   in
   let steps = Array.map (fun c -> c.Interp.steps) contexts in

@@ -15,7 +15,8 @@ type t = {
   program : string;  (** source path as given on the command line *)
   program_md5 : string;  (** MD5 of the source bytes, hex *)
   program_bytes : int;
-  engine : string;  (** "tree-walk" | "compiled" | "parallel" | "seq" *)
+  engine : string;  (** "compiled" | "seq", or "tree-walk" | "parallel",
+                        kept names that run the compiled engine *)
   opt : int;  (** [-O] level (0 when the engine ignores it) *)
   jobs : int;  (** the jobs a "parallel" run names; 1 otherwise *)
   p : int;  (** lane count *)

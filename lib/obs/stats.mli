@@ -1,5 +1,5 @@
 (** Process-wide telemetry registry: named monotonic counters, gauges
-    and timers, shared by both SIMD engines, the optimizer and the
+    and timers, shared by the SIMD engine, the optimizer and the
     sequential interpreter.
 
     {b Cost model.}  The registry mirrors the trace-sink design
@@ -96,7 +96,7 @@ external now_ns : unit -> (int64[@unboxed])
     reads it on every VM step). *)
 
 (* ------------------------------------------------------------------ *)
-(* Shared key helpers (both engines must bucket identically)           *)
+(* Shared key helpers (every caller must bucket identically)           *)
 (* ------------------------------------------------------------------ *)
 
 val dispatch_counter : Trace.kind -> counter

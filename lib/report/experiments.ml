@@ -531,20 +531,18 @@ let layered ppf =
   Fmt.pf ppf "N=%d atoms on %d lanes: Lrs=%d, maxLrs=%d, maxPCnt=%d@.@." n p
     lrs maxlrs
     (Lf_md.Pairlist.max_pcnt pl);
-  (* the compiled engine is a drop-in: identical forces and metrics,
-     less wall-clock per run *)
   let flat =
-    Lf_kernels.Layered_src.run_kernel ~engine:`Compiled
+    Lf_kernels.Layered_src.run_kernel
       (Lf_kernels.Layered_src.flattened ())
       mol pl ~p ~nmax
   in
   let l1 =
-    Lf_kernels.Layered_src.run_kernel ~sweep:`Lrs ~engine:`Compiled
+    Lf_kernels.Layered_src.run_kernel ~sweep:`Lrs
       (Lf_kernels.Layered_src.unflattened ())
       mol pl ~p ~nmax
   in
   let l2 =
-    Lf_kernels.Layered_src.run_kernel ~sweep:`MaxLrs ~engine:`Compiled
+    Lf_kernels.Layered_src.run_kernel ~sweep:`MaxLrs
       (Lf_kernels.Layered_src.unflattened ())
       mol pl ~p ~nmax
   in
@@ -770,7 +768,7 @@ let obs_nbforce ppf =
       let occ = Lf_obs.Occupancy.create ~p:p_lanes () in
       let n, maxp = Lf_kernels.Nbforce_src.params pl in
       let vm =
-        Lf_simd.Vm.run ~engine:`Compiled ~p:p_lanes
+        Lf_simd.Vm.run ~p:p_lanes
           ~setup:(fun vm ->
             Lf_simd.Vm.register_func vm "force"
               (Lf_kernels.Nbforce_src.force_fn mol);

@@ -13,7 +13,7 @@ module Stats = Lf_obs.Stats
 type item = {
   bi_program : string;
   bi_p : int;
-  bi_engine : Vm.engine;
+  bi_engine : string;
   bi_opt : int;
   bi_jobs : int option;
   bi_verify : bool;
@@ -178,23 +178,25 @@ let item_of_json i j =
         | Some n -> bad "item %d: p = %d: must be >= 1" i n
         | None -> bad "item %d: missing required field \"p\"" i
       in
-      (* "parallel" names the compiled engine; only the record keeps it *)
-      let engine, parallel =
+      (* every name runs the compiled engine; only the record keeps it *)
+      let engine =
         match get_str ~what:(what "engine") (field j "engine") with
-        | None | Some "compiled" -> (`Compiled, false)
-        | Some "tree-walk" -> (`Tree_walk, false)
-        | Some "parallel" -> (`Compiled, true)
+        | None -> "compiled"
+        | Some (("compiled" | "tree-walk" | "parallel") as s) -> s
         | Some s ->
             bad
               "item %d: engine %S: expected tree-walk, compiled or parallel"
               i s
       in
+      let parallel = engine = "parallel" in
       let opt =
         match get_int ~what:(what "opt") (field j "opt") with
         | None -> 1
         | Some n when n >= 0 && n <= 2 -> n
         | Some n -> bad "item %d: opt = %d: expected 0, 1 or 2" i n
       in
+      (* "tree-walk" runs -O0, under -O0's cache key *)
+      let opt = if engine = "tree-walk" then 0 else opt in
       let jobs =
         match get_int ~what:(what "jobs") (field j "jobs") with
         | Some n when n < 1 -> bad "item %d: jobs = %d: must be >= 1" i n
@@ -263,15 +265,8 @@ let load path =
 
 (* -- execution ------------------------------------------------------ *)
 
-(* The engine name, jobs count and -O level an item's record reports. *)
-let engine_name it =
-  match (it.bi_jobs, it.bi_engine) with
-  | Some _, _ -> "parallel"
-  | None, `Tree_walk -> "tree-walk"
-  | None, `Compiled -> "compiled"
-
+(* The jobs count an item's record reports. *)
 let jobs_used it = Option.value it.bi_jobs ~default:1
-let opt_used it = match it.bi_engine with `Tree_walk -> 0 | _ -> it.bi_opt
 
 let read_file path =
   let ic = open_in_bin path in
@@ -319,7 +314,7 @@ let run_item ~cache ~src ~fill ~setup (it : item) : (Vm.t, string) result =
     for _ = 1 to it.bi_repeat do
       vm :=
         Some
-          (Vm.run_src ?fuel:it.bi_fuel ~engine:it.bi_engine ~opt:it.bi_opt
+          (Vm.run_src ?fuel:it.bi_fuel ~opt:it.bi_opt
              ~verify:it.bi_verify ~cache ~p:it.bi_p ~setup:vm_setup src)
     done;
     Ok (Option.get !vm)
@@ -354,8 +349,8 @@ let record ~index (it : item) ~src ~wall_ns outcome =
           ]
       | None -> [])
     @ [
-        ("engine", Json.Str (engine_name it));
-        ("opt", Json.Int (opt_used it));
+        ("engine", Json.Str it.bi_engine);
+        ("opt", Json.Int it.bi_opt);
         ("jobs", Json.Int (jobs_used it));
         ("p", Json.Int it.bi_p);
         ("repeat", Json.Int it.bi_repeat);
@@ -369,8 +364,8 @@ let record ~index (it : item) ~src ~wall_ns outcome =
         @ [
             ("status", Json.Str "ok");
             ( "metrics",
-              Metrics.to_json ~engine:(engine_name it)
-                ~opt:(opt_used it) ~jobs:(jobs_used it) vm.Vm.metrics );
+              Metrics.to_json ~engine:it.bi_engine ~opt:it.bi_opt
+                ~jobs:(jobs_used it) vm.Vm.metrics );
           ])
   | Error msg ->
       Json.Obj (base @ [ ("status", Json.Str "error"); ("error", Json.Str msg) ])
@@ -378,7 +373,7 @@ let record ~index (it : item) ~src ~wall_ns outcome =
 (* The texts of [item-NNN.metrics.json] and [item-NNN.state.txt]. *)
 let artifact_texts (vm : Vm.t) (it : item) =
   ( Json.to_string
-      (Metrics.to_json ~engine:(engine_name it) ~opt:(opt_used it)
+      (Metrics.to_json ~engine:it.bi_engine ~opt:it.bi_opt
          ~jobs:(jobs_used it) vm.Vm.metrics)
     ^ "\n",
     Format.asprintf "%a" dump_state vm )

@@ -18,10 +18,12 @@
       { "program": "path.f",        (required; source file)
         "p": 8,                     (required; lane count)
         "engine": "compiled",       ("tree-walk" | "compiled" | "parallel";
-                                     default "compiled"; "parallel" runs
-                                     the compiled engine and is kept
-                                     for existing work lists)
-        "opt": 1,                   (0..2; default 1)
+                                     default "compiled"; "tree-walk" and
+                                     "parallel" are kept for existing
+                                     work lists: both run the compiled
+                                     engine, "tree-walk" at -O 0)
+        "opt": 1,                   (0..2; default 1; ignored, after
+                                     its range check, by "tree-walk")
         "jobs": 2,                  (>= 1, only with "parallel"; recorded
                                      as given, default [default_jobs ()])
         "verify": false,
@@ -44,8 +46,11 @@ open Lf_lang
 type item = {
   bi_program : string;
   bi_p : int;
-  bi_engine : Vm.engine;
-  bi_opt : int;
+  bi_engine : string;
+      (** the engine name the records report: ["compiled"], or
+          ["tree-walk"] or ["parallel"], kept for existing work lists;
+          every name runs the compiled engine *)
+  bi_opt : int;  (** the [-O] level run: 0 for ["tree-walk"] *)
   bi_jobs : int option;
       (** [Some n] for an item written with ["engine": "parallel"], which
           runs the compiled engine; [n] is the ["jobs"] its records

@@ -1,4 +1,4 @@
-(** The compiled execution engine of the SIMD VM.
+(** The execution engine of the SIMD VM.
 
     [lower] and [emit] turn an F90simd block into a tree of OCaml
     closures, resolving every variable reference to a dense [Frame] slot
@@ -7,10 +7,10 @@
     [Frame.Mask] bitset with a cached active count, so WHERE nesting and
     step accounting allocate nothing per vector instruction.
 
-    The contract is {e bit identity} with the tree-walker ([Vm.exec]): the
-    same final variable state, the same [Metrics] counters, the same error
-    messages raised at the same program points.  That includes the
-    tree-walker's quirks, which are deliberately replicated here:
+    The contract is {e bit identity} with the boxed reference machine
+    ([Lf_testgen.Ref_vm]) at every [-O] level: the same final variable
+    state, the same [Metrics] counters, the same error messages raised
+    at the same program points.  That includes the reference's quirks:
     - a plural [IF] is executed as [WHERE] {e after} evaluating its
       condition once for dispatch, so the condition is evaluated twice and
       any reductions inside it are counted twice;
@@ -20,18 +20,17 @@
     - user functions are looked up before intrinsics, reductions before
       both.
 
-    One relaxation, shared with the tree-walker: the inactive lanes of a
-    {e computed} temporary are unspecified (the unboxed fast paths here
-    may compute all lanes, the tree-walker leaves an inert zero).  Every
+    One relaxation: the inactive lanes of a {e computed} temporary are
+    unspecified (the unboxed fast paths here may compute all lanes, the
+    reference leaves an inert zero).  Every
     point where they can escape — fresh binds, external-procedure
     arguments, a reduction's witness — reads them as the inert
     [VInt 0].
 
     The emitted closures read the run's VM state ([Vmstate]: procedures,
     functions, observer, the variable table behind the frame) directly,
-    and charge every step through [Vmstate]'s accounting, the same
-    functions the tree-walker calls.  [Vmstate] sits below this module
-    and [Vm] above it. *)
+    and charge every step through [Vmstate]'s accounting.  [Vmstate]
+    sits below this module and [Vm] above it. *)
 
 open Lf_lang
 open Lf_lang.Ast
@@ -116,7 +115,7 @@ let rv_to_pval ~exact (m : Frame.Mask.t) v =
   | RA a -> Pval.FArr a
   | _ -> Pval.Plural (Pval.expose ~exact ~mask:m (lanes_of_rv v))
 
-(* The boxed fallbacks, the tree-walker's own: [f] on every active lane
+(* The boxed fallbacks: [f] on every active lane
    through the boxed view ([Pval.map_active]), and the re-specialization
    of a boxed vector by its active lanes ([Pval.specialize]), so
    downstream operators stay on their typed paths.  Inactive lanes of
@@ -170,12 +169,12 @@ let kind = function
 (* Lane kernels                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The typed lane loops are [Scalar_ops]' and [Intrinsics]' kernels, the
-   tree-walker's too; this module only picks one per operand shape, and
-   each is one loop over the [p] lanes.  The tree-walker stays an independent
-   check of control (masks, order, accounting); the arithmetic is
-   checked against the boxed [Scalar_ops.apply_binop], [Interp] and the
-   test suite's boxed tree-walk oracle. *)
+(* The typed lane loops are [Scalar_ops]' and [Intrinsics]' kernels;
+   this module only picks one per operand shape, and each is one loop
+   over the [p] lanes.  Control (masks, order, accounting) and the
+   arithmetic are checked against the boxed reference machine
+   ([Lf_testgen.Ref_vm]), which computes lane by lane through
+   [Scalar_ops.apply_binop], and against [Interp]. *)
 
 let all_lanes = Scalar_ops.all_lanes
 let is_int = function RI _ | RS (VInt _) -> true | _ -> false
@@ -263,7 +262,7 @@ let intrinsic_kernel p b (k : Intrinsics.lane_fn) (args : rv list) :
     through [Scalar_ops], plural operands run the typed kernel their
     [kind] and lane types select, anything else the boxed path.
     Division and MOD by zero are only checked on active lanes (the
-    tree-walker never computes inactive lanes); every other kernel is
+    reference never computes inactive lanes); every other kernel is
     exception-free, so it computes all lanes.  The result lands in the
     site's buffers [b] — per-site by default, or the site's scratch-pool
     vectors at [-O1]: a site's previous result is always consumed
@@ -323,7 +322,14 @@ let rv_sel v : (int -> int) * bool =
       let n = as_int s in
       ((fun _ -> n), false)
   | RI a -> ((fun i -> Array.unsafe_get a i), true)
-  | RR a -> ((fun i -> as_int (VReal a.(i))), true)
+  | RR a ->
+      (* [as_int]'s test ([Float.is_integer]) written out, so that only
+         its error boxes *)
+      ( (fun i ->
+          let f = a.(i) in
+          if Float.trunc f = f && f -. f = 0.0 then int_of_float f
+          else as_int (VReal f)),
+        true )
   | RB a -> ((fun i -> as_int (VBool a.(i))), true)
   | RP a -> ((fun i -> as_int a.(i)), true)
   | RA _ -> Errors.runtime_error "array-valued subscript"
@@ -344,7 +350,7 @@ let stage sc ~lane (fs : (int -> int) array) i =
 
 (** Partition [parent] into [mt] (condition holds) and [mf] (does not),
     writing into the preallocated per-site buffers.  Only active lanes
-    evaluate the condition, exactly like the tree-walker's [Pval.split].
+    evaluate the condition, exactly like [Pval.split].
     The unboxed [RB] split is one lane loop that clears and fills both
     masks and counts the lanes it sends to [mt]; [mf] gets the rest.
     Every other split is [Pval.split]. *)
@@ -377,7 +383,7 @@ let split_mask (parent : Frame.Mask.t) cv (mt : Frame.Mask.t)
 (** Masked store into an existing plural slot.  Type-matched writes go
     straight into the unboxed storage (a masked copy); a type-changing
     write renormalizes through the boxed view (producing exactly the
-    mixed array the tree-walker would hold, modulo re-specialization). *)
+    mixed array the reference would hold, modulo re-specialization). *)
 let write_plural p frame si lanes (m : Frame.Mask.t) rhs =
   let bp = m.Frame.Mask.bits in
   match (lanes, rhs) with
@@ -392,7 +398,7 @@ let write_plural p frame si lanes (m : Frame.Mask.t) rhs =
       Scalar_ops.fill_v p bp vs (rv_lane rhs);
       Frame.set frame si (Frame.Plural (Frame.lanes_of_values vs))
 
-(** First assignment to an unbound name: the tree-walker binds a scalar,
+(** First assignment to an unbound name binds a scalar,
     a global, or a fresh plural whose inactive lanes are [VInt 0]
     ([Pval.expose]). *)
 let bind_fresh frame si (m : Frame.Mask.t) rhs =
@@ -621,7 +627,7 @@ and compile_fused_reduction env (e : Ir.expr) key rg : cexpr =
   let carg = compile_expr env arg in
   let loc = env.cur_loc in
   (* regions are never bare variable reads, so the empty-mask witness
-     is the tree-walker's inert [VInt 0] (lane 0 is inactive there) *)
+     is the inert [VInt 0] (lane 0 is inactive there) *)
   let empty () = Pval.reduction_identity key (VInt 0) in
   let fb m = RS (reduce_rv ~is_var:false m name key (carg m)) in
   let checks = ref [||] in
@@ -845,10 +851,9 @@ and compile_reduction env name key args : cexpr =
     in
     RS (reduce_rv ~is_var m name key v)
 
-(** Reduction of an evaluated argument: [Pval.reduction], the
-    tree-walker's.  The witness of a plural-variable read ([is_var]) is
-    its stored lane 0, that of a computed temporary the inert [VInt 0]
-    when lane 0 is inactive. *)
+(** Reduction of an evaluated argument: [Pval.reduction].  The witness
+    of a plural-variable read ([is_var]) is its stored lane 0, that of a
+    computed temporary the inert [VInt 0] when lane 0 is inactive. *)
 and reduce_rv ~is_var (m : Frame.Mask.t) name key v =
   Pval.reduction ~mask:m ~exact:is_var ~name key (pval_of_rv v)
 
@@ -858,8 +863,8 @@ and compile_index env scr si name args : cexpr =
   let nargs = List.length args in
   let scratch = Array.make nargs 0 in
   let scratch1 = Array.make (nargs + 1) 0 in
-  (* the name may turn out to be a function at run time (tree-walker
-     falls back to the call path when the slot is unbound) *)
+  (* the name may turn out to be a function at run time (it falls back
+     to the call path when the slot is unbound) *)
   let ccall = compile_call env scr name args in
   let p = env.p in
   let b = site_buffers env scr in
@@ -879,7 +884,9 @@ and compile_index env scr si name args : cexpr =
         go (fun i sc -> b.ri.(i) <- Nd.get d sc);
         b.res_i
     | AReal d ->
-        go (fun i sc -> b.rr.(i) <- Nd.get d sc);
+        (* [Nd.get] written out: through the polymorphic one each lane's
+           float would be boxed *)
+        go (fun i sc -> b.rr.(i) <- d.Nd.data.(Nd.linear_index d sc));
         b.res_r
     | ABool d ->
         go (fun i sc -> b.rb.(i) <- Nd.get d sc);
@@ -1071,32 +1078,34 @@ and compile_accum env ast (l : Ir.lv) scr g rest : cstmt =
   let add = binop_rv env.p (site_buffers env scr) Ast.Add in
   let casgn = compile_assign env l in
   let p = env.p in
+  (* a non-int-vector subscript finishes unfused (the vector tick has
+     fired — the unfused add result is plural) *)
+  let unfused m gv rv = casgn m (add m gv rv) in
+  (* The merged add-and-store pass: each lane adds into its own element
+     (the gathered pre-statement values are already materialized in
+     [gv]).  Both arms call their kernel directly, so an execution
+     builds no closure. *)
   fun m ->
     observe env m ast;
     let gv = cg m in
     let rv = crest m in
-    let tick () = tick_vector env ~loc ~kind:Lf_obs.Trace.Assign m in
-    (* the merged add-and-store pass; each lane adds into its own
-       element (the gathered pre-statement values are already
-       materialized in [gv]) *)
-    let merged scatter =
-      tick ();
-      match cix m with
-      | RI ix ->
-          scatter m.Frame.Mask.bits ix;
-          Stats.incr st_accum_merged
-      | _ ->
-          (* non-int-vector subscript: finish unfused (the vector tick
-             has fired — the unfused add result is plural) *)
-          casgn m (add m gv rv)
-    in
     match (Frame.get frame si, gv) with
-    | Frame.Global (AReal d), RR x when Nd.rank d = 1 && is_num rv ->
+    | Frame.Global (AReal d), RR x when Nd.rank d = 1 && is_num rv -> (
         let y = real_view rv in
-        merged (fun bp ix -> Scalar_ops.scatter_r p bp d ix one (Some Add) x y)
-    | Frame.Global (AInt d), RI x when Nd.rank d = 1 && is_int rv ->
+        tick_vector env ~loc ~kind:Lf_obs.Trace.Assign m;
+        match cix m with
+        | RI ix ->
+            Scalar_ops.scatter_r p m.Frame.Mask.bits d ix one (Some Add) x y;
+            Stats.incr st_accum_merged
+        | _ -> unfused m gv rv)
+    | Frame.Global (AInt d), RI x when Nd.rank d = 1 && is_int rv -> (
         let y = int_view rv in
-        merged (fun bp ix -> Scalar_ops.scatter_i p bp d ix one (Some Add) x y)
+        tick_vector env ~loc ~kind:Lf_obs.Trace.Assign m;
+        match cix m with
+        | RI ix ->
+            Scalar_ops.scatter_i p m.Frame.Mask.bits d ix one (Some Add) x y;
+            Stats.incr st_accum_merged
+        | _ -> unfused m gv rv)
     | _ ->
         let rhs = add m gv rv in
         tick_assign env loc m rhs;
@@ -1180,7 +1189,7 @@ and compile_stmt env (s : Ir.stmt) : cstmt =
                 if as_bool v then ct m else cf m
             | RA _ -> Errors.runtime_error "array condition"
             | _ ->
-                (* plural IF runs as WHERE, and like the tree-walker's
+                (* plural IF runs as WHERE, and like the reference's
                    [SWhere] dispatch it re-evaluates the condition *)
                 where m))
   | Ir.LWhile (c, body) ->

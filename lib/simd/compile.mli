@@ -1,18 +1,17 @@
-(** Compile-then-execute engine for the SIMD VM.
+(** The SIMD VM's compile-then-execute engine.
 
     Lowers an F90simd block into OCaml closures over a [Frame]: variables
     are resolved to dense slots at compile time, plural int/real scalars
     stay unboxed, and the activity mask is a reusable bitset with a cached
-    active count.  Execution is bit-identical to the tree-walker
-    ([Vm.exec]) — same final variable state, same [Metrics], same errors —
-    with one documented relaxation: the inactive lanes of {e computed}
-    temporaries may hold garbage internally; the tree-walker's inert
-    [VInt 0] is reinstated wherever those lanes can escape (fresh binds,
-    external-procedure arguments).
+    active count.  Execution is bit-identical to the boxed reference
+    machine ([Lf_testgen.Ref_vm]) — same final variable state, same
+    [Metrics], same errors — with one documented relaxation: the
+    inactive lanes of {e computed} temporaries may hold garbage
+    internally; the reference's inert [VInt 0] is reinstated wherever
+    those lanes can escape (fresh binds, external-procedure arguments).
 
     The emitted closures read the run's VM ([Vmstate.t]) directly and
-    charge every step through [Vmstate]'s accounting, the functions the
-    tree-walker calls too. *)
+    charge every step through [Vmstate]'s accounting. *)
 
 open Lf_lang
 
@@ -40,7 +39,7 @@ val lower : frame:Frame.t -> ?opt:int -> ?verify:bool -> Ast.block -> Ir.block
     the level [ir] was lowered at (it gates the [-O1] store paths).
     Every per-lane loop is one pass over the lanes in ascending order,
     and reductions fold the canonical chunked merge tree of
-    [Scalar_ops], so results are bit-identical to the tree-walker's.
+    [Scalar_ops], so results are bit-identical to the reference's.
 
     Emission never mutates the IR, so one lowered block may be emitted
     repeatedly — against the lowering frame or any other frame created

@@ -1,10 +1,9 @@
-(** Execution frame of the compiled SIMD engine, and the lane vectors
-    both SIMD engines store plural scalars in.
+(** Execution frame of the SIMD engine, and the lane vectors it stores
+    plural scalars in.
 
-    The tree-walking VM resolves every variable access through a
-    [(string, entry) Hashtbl.t].  The compiled engine instead resolves
-    each name {e once}, at compile time, to a dense integer slot in a
-    frame.  Both store plural int/real/logical scalars unboxed as
+    The VM's variable table is a [(string, entry) Hashtbl.t]; the engine
+    resolves each name {e once}, at compile time, to a dense integer slot
+    in a frame.  Both store plural int/real/logical scalars unboxed as
     [int array] / [float array] / [bool array] lane vectors ([lanes]).
     A boxed [LBox] fallback keeps the data model permissive: a plural
     scalar whose lanes hold mixed types (e.g. a REAL written under a
@@ -185,13 +184,11 @@ let lane_value (l : lanes) i : Values.value =
 (* ------------------------------------------------------------------ *)
 
 module Mask = struct
-  (** One byte per lane plus a cached population count, the mask of
-      both SIMD engines: [bits] is what the lane kernels of
-      [Scalar_ops] and [Intrinsics] read, and [active m] is O(1), so a
-      step's accounting never scans the mask.  The compiled engine
-      reuses per-site buffers for WHERE nesting, so its masking
-      allocates nothing per step; the tree-walker allocates one pair of
-      masks per WHERE. *)
+  (** One byte per lane plus a cached population count, the SIMD
+      engine's mask: [bits] is what the lane kernels of [Scalar_ops] and
+      [Intrinsics] read, and [active m] is O(1), so a step's accounting
+      never scans the mask.  The engine reuses per-site buffers for
+      WHERE nesting, so its masking allocates nothing per step. *)
   type t = {
     bits : Bytes.t;
     mutable active_n : int;

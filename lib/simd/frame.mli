@@ -3,11 +3,11 @@
     [float array] / [bool array]) with a boxed fallback for mixed-type
     lanes, and reusable activity masks with a cached active count.
 
-    The lane vectors ([lanes]) are the plural-scalar storage of both
-    SIMD engines: the tree-walker's [Vm] variables and [Pval] plurals
-    hold them too, so moving state between a frame and the VM copies
-    lane vectors.  Conversions to and from boxed [Values.value array]s
-    are value-preserving in both directions. *)
+    The lane vectors ([lanes]) are the plural-scalar storage of the
+    frame, of the [Vm] variable table and of [Pval] plurals, so moving
+    state between a frame and the VM copies lane vectors.  Conversions
+    to and from boxed [Values.value array]s are value-preserving in both
+    directions. *)
 
 open Lf_lang
 

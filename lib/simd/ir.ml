@@ -5,7 +5,7 @@
     constructor has a counterpart here — but variable references are
     resolved to dense [Frame] slots once, at lowering time, and every
     node carries its source expression so the emitter can replay the
-    tree-walker's exact behaviour (observer callbacks receive original
+    reference machine's exact behaviour (observer callbacks receive original
     statements, [EIdx] heads that turn out to be functions fall back to
     the call path, reduction witnesses distinguish bare variable
     arguments).
@@ -115,7 +115,7 @@ let slot_of frame name =
     is checked when the region's runtime plan is built. *)
 let fusible_intrinsics = [ "abs"; "sqrt"; "exp"; "real"; "int"; "nint" ]
 
-(** Does the tree-walker leave this expression's inactive lanes intact
+(** Does the reference leave this expression's inactive lanes intact
     (rather than inert [VInt 0])?  Only variable reads and ranges. *)
 let exact_lanes = function Ast.EVar _ | Ast.ERange _ -> true | _ -> false
 

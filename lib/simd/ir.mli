@@ -3,8 +3,8 @@
     [Frame] slot, carrying the optimizer's annotations.
 
     Lowering mirrors the AST one-to-one and keeps each node's source
-    expression/statement, so the emitter can replay the tree-walker's
-    exact behaviour (observer callbacks receive original statements,
+    expression/statement, so the emitter can replay the reference
+    machine's exact behaviour (observer callbacks receive original statements,
     index heads that turn out to be functions fall back to the call
     path, reduction witnesses distinguish bare variable arguments).
 
@@ -90,7 +90,7 @@ and block = stmt array
     numeric operands. *)
 val fusible_intrinsics : string list
 
-(** Does the tree-walker leave this expression's inactive lanes intact
+(** Does the reference leave this expression's inactive lanes intact
     (rather than inert [VInt 0])?  Only variable reads and ranges. *)
 val exact_lanes : Ast.expr -> bool
 

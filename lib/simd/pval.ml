@@ -41,14 +41,10 @@ let lane v i =
   | Plural l -> Frame.lane_value l i
   | FArr _ -> Errors.runtime_error "front-end array used as a plural value"
 
-let is_plural = function Plural _ -> true | _ -> false
-
 let as_front_scalar = function
   | FScalar v -> v
   | Plural _ -> Errors.runtime_error "plural value in a front-end context"
   | FArr _ -> Errors.runtime_error "array value in a scalar context"
-
-let as_front_int v = Values.as_int (as_front_scalar v)
 
 (* Whether lane [i] of [mask] is active. *)
 let[@inline] on (mask : Frame.Mask.t) i =
@@ -99,28 +95,6 @@ let map_active ~(mask : Frame.Mask.t) f =
     if on mask i then r.(i) <- f i
   done;
   specialize ~mask r
-
-(** Lift a scalar binary operation lane-wise through the boxed view;
-    computes only active lanes.  The operand shapes are resolved once
-    per vector, not per lane. *)
-let lift2 ~mask f a b =
-  match (a, b) with
-  | FScalar x, FScalar y -> FScalar (f x y)
-  | Plural xs, Plural ys ->
-      Plural
-        (map_active ~mask (fun i ->
-             f (Frame.lane_value xs i) (Frame.lane_value ys i)))
-  | Plural xs, FScalar y ->
-      Plural (map_active ~mask (fun i -> f (Frame.lane_value xs i) y))
-  | FScalar x, Plural ys ->
-      Plural (map_active ~mask (fun i -> f x (Frame.lane_value ys i)))
-  | _ -> Errors.runtime_error "array operand in a lane-wise operation"
-
-let lift1 ~mask f a =
-  match a with
-  | FScalar x -> FScalar (f x)
-  | Plural xs -> Plural (map_active ~mask (fun i -> f (Frame.lane_value xs i)))
-  | FArr _ -> Errors.runtime_error "array operand in a lane-wise operation"
 
 (** The lanes a plural exposes when it escapes into a binding or a
     procedure: a private copy, with an inert [VInt 0] on every inactive

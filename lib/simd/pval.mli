@@ -23,13 +23,6 @@ val broadcast : int -> Values.value -> t
     raises on arrays. *)
 val lane : t -> int -> Values.value
 
-val is_plural : t -> bool
-
-(** Raise unless the value is a front-end scalar. *)
-val as_front_scalar : t -> Values.value
-
-val as_front_int : t -> int
-
 (** [map_active ~mask f] are the lanes whose lane [i] is [f i] on every
     active lane, visited in ascending order (so the first failing lane
     raises), re-specialized by its active lanes: unboxed (inert zeros on
@@ -39,17 +32,6 @@ val map_active : mask:Frame.Mask.t -> (int -> Values.value) -> Frame.lanes
 
 (** [map_active]'s re-specialization of boxed lanes. *)
 val specialize : mask:Frame.Mask.t -> Values.value array -> Frame.lanes
-
-(** Lift a scalar binary operation lane-wise under the mask, through the
-    boxed view; the operand shapes are resolved once per vector. *)
-val lift2 :
-  mask:Frame.Mask.t ->
-  (Values.value -> Values.value -> Values.value) ->
-  t ->
-  t ->
-  t
-
-val lift1 : mask:Frame.Mask.t -> (Values.value -> Values.value) -> t -> t
 
 (** The lanes a plural exposes when it escapes into a fresh binding or a
     procedure argument: a private copy, holding the inert [VInt 0] on

@@ -1,10 +1,15 @@
-(** The SIMD virtual machine: a lockstep interpreter for F90simd programs.
+(** The SIMD virtual machine: a lockstep machine for F90simd programs.
 
     One control unit issues every instruction; [p] lanes execute it under
     the current WHERE mask.  A masked-out processor still steps through
     each operation, which is why [Metrics.steps] counts every vector
     instruction once regardless of active lanes — reproducing the paper's
     execution model and its Eq. 2 vs Eq. 1′ step counts.
+
+    Programs run on one engine: lowered to IR ([Compile.lower]),
+    annotated by the optimizer ([Opt]) and emitted as closures over a
+    frame of typed slots ([Compile.emit], [Frame]).  Its reference is the
+    boxed, lane-by-lane [Lf_testgen.Ref_vm].
 
     The predefined plural variable [iproc] holds 1..P. *)
 
@@ -36,8 +41,6 @@ and t = Vmstate.t = {
           step, no allocation) until a sink is attached *)
   mutable cur_loc : Errors.pos;
       (** location of the innermost [SLoc]-wrapped statement executing *)
-  mutable spare_masks : Frame.Mask.t list;
-      (** the tree-walker's WHERE masks, kept for the next WHERE *)
 }
 
 val create : ?fuel:int -> p:int -> unit -> t
@@ -45,9 +48,8 @@ val register_proc : t -> string -> proc -> unit
 
 (** Install a per-statement observer, called before each assignment or
     CALL with the activity mask and the VM state as of that statement.
-    On the compiled engine each call flushes the frame, so it is a
-    testing hook (state probes, soundness checks), not a cheap
-    one. *)
+    Each call flushes the frame, so it is a testing hook (state probes,
+    soundness checks), not a cheap one. *)
 val set_observer : t -> (t -> mask:bool array -> Ast.stmt -> unit) -> unit
 
 (** Raised with the message given to [set_deadline].  Never located:
@@ -55,25 +57,22 @@ val set_observer : t -> (t -> mask:bool array -> Ast.stmt -> unit) -> unit
 exception Timed_out of string
 
 (** Arm a wall-clock cutoff: the first vector or front-end step (where
-    fuel is charged, on every engine) after the monotonic clock
+    fuel is charged) after the monotonic clock
     ([Lf_obs.Stats.now_ns]) passes [at_ns] raises [Timed_out msg].
     Without a deadline no step reads the clock; with one a step reads it
     without allocating. *)
 val set_deadline : t -> at_ns:int64 -> string -> unit
 
-(** Attach a per-vector-step trace sink; both engines then emit one
+(** Attach a per-vector-step trace sink; the VM then emits one
     [Lf_obs.Trace] event per vector step (and per reduction), carrying
     the issuing statement's source location and activity mask. *)
 val add_trace_sink : t -> Lf_obs.Trace.sink -> unit
 
 (** Register a per-lane function, applied pointwise under the mask when
     any argument is plural: once per active lane, in ascending lane
-    order, on every engine. *)
+    order. *)
 val register_func :
   t -> string -> (Values.value list -> Values.value) -> unit
-
-(** A fresh all-active mask. *)
-val full_mask : t -> Frame.Mask.t
 
 (* variable binding *)
 
@@ -91,31 +90,21 @@ val read_global : t -> string -> Values.arr
 
 (* execution *)
 
-val exec : t -> mask:Frame.Mask.t -> Ast.stmt -> unit
-val exec_block : t -> mask:Frame.Mask.t -> Ast.block -> unit
-
 (** Allocate declared variables (plural scalars get one slot per lane,
     plural arrays a leading lane dimension); pre-seeded bindings are
-    kept. *)
+    kept.  An array extent is an expression of literals, front-end
+    scalars and operators; any other extent is a runtime error. *)
 val declare : t -> Ast.decl list -> unit
 
-(** Execution engine: the tree-walking interpreter or the compiled
-    closure engine ([Compile] / [Frame]) — drop-in replacements
-    producing identical variable state, [Metrics], trace events and
-    error messages. *)
-type engine = [ `Tree_walk | `Compiled ]
-
 (** Run a program on a fresh VM.  [setup] may pre-bind globals and
-    parameters before declarations are processed; [engine] defaults to
-    the tree-walker.
-    [opt] is the compiled-engine optimizer level (see [Compile.lower];
-    default 1, ignored by the tree-walker) — every level is bit-identical
-    to every other, only the wall-clock changes.
-    [verify] runs the IR verifier after every optimizer phase (compiled
-    engines only; see [Compile.lower]); raises [Verify.Error] on a
-    broken invariant. *)
+    parameters before declarations are processed.
+    [opt] is the optimizer level (see [Compile.lower]; default 1) —
+    every level is bit-identical to every other, only the wall-clock
+    changes.
+    [verify] runs the IR verifier after every optimizer phase (see
+    [Compile.lower]); raises [Verify.Error] on a broken invariant. *)
 val run :
-  ?fuel:int -> ?engine:engine -> ?opt:int -> ?verify:bool ->
+  ?fuel:int -> ?opt:int -> ?verify:bool ->
   p:int -> ?setup:(t -> unit) -> Ast.program -> t
 
 (** [run_src] is [run] from source text, optionally through a program
@@ -124,18 +113,17 @@ val run :
     the source, opt, verify, p): a cold run parses, lowers and optimizes
     exactly as [run] would and stores the parse plus the post-[Opt] IR
     and its frame layout; a warm run skips the whole front end and goes
-    straight to emission (compiled engines) or straight to the parsed
-    AST (tree-walk), reusing a pooled frame.  Warm and cold runs are
-    bit-identical — state, [Metrics], error strings, trace/profile
-    events — on every engine at every [-O] level; only the [opt.*]
+    straight to emission, reusing a pooled frame.  Warm and cold runs
+    are bit-identical — state, [Metrics], error strings, trace/profile
+    events — at every [-O] level; only the [opt.*]
     compile-time telemetry (and the wall clock) can differ, because the
     optimizer genuinely does not run again.  A run under another key
     than the cache's entry is cold and replaces it. *)
 val run_src :
-  ?fuel:int -> ?engine:engine -> ?opt:int -> ?verify:bool ->
+  ?fuel:int -> ?opt:int -> ?verify:bool ->
   ?cache:Progcache.t -> p:int -> ?setup:(t -> unit) -> string -> t
 
-(** The compiled engine's annotated IR for [prog] as JSON (the
+(** The annotated IR for [prog] as JSON (the
     [--dump-ir] payload), without executing anything: lower against the
     same frame name table [run] would use and run the [Opt] pipeline at
     [opt] (default 1), then return the writer that streams the tree to a
@@ -158,7 +146,9 @@ val dump_ir_phases :
     @raise Verify.Error on a broken invariant. *)
 val verify_ir : ?opt:int -> p:int -> ?setup:(t -> unit) -> Ast.program -> unit
 
-(** Same variable table: same names, same entry kinds, equal values.
-    Together with [Metrics.equal] this is the engine-equivalence oracle
-    used by the differential tests. *)
+(** Same variable table: same names, same entry kinds, equal values
+    (reals within [Values.equal_value]'s tolerance).  Together with
+    [Metrics.equal] it compares two runs of the engine, say at two [-O]
+    levels; [Lf_testgen.Ref_vm] compares a run with the reference bit
+    for bit. *)
 val state_equal : t -> t -> bool

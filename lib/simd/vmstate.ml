@@ -1,10 +1,8 @@
-(** The SIMD VM's state and the control unit's step accounting.  Both
-    engines charge through this module: the tree-walker ([Vm.exec]) and
-    the compiled engine ([Compile.emit]) call the same [tick_vector],
-    [reduction], [call] and [tick_frontend], so [Metrics], fuel,
-    deadlines, telemetry and trace events cannot differ between them.
-    It sits below [Compile]; [Vm] re-exports it and documents the
-    fields. *)
+(** The SIMD VM's state and the control unit's step accounting: the
+    engine ([Compile.emit]) charges every step through [tick_vector],
+    [reduction], [call] and [tick_frontend], which keep [Metrics], fuel,
+    deadlines, telemetry and trace events together.  It sits below
+    [Compile]; [Vm] re-exports it and documents the fields. *)
 
 open Lf_lang
 open Values
@@ -28,7 +26,6 @@ and t = {
   mutable deadline : (int * string) option;
   trace : Lf_obs.Trace.t;
   mutable cur_loc : Errors.pos;
-  mutable spare_masks : Frame.Mask.t list;
 }
 
 let create ?(fuel = 50_000_000) ~p () =
@@ -44,7 +41,6 @@ let create ?(fuel = 50_000_000) ~p () =
       deadline = None;
       trace = Lf_obs.Trace.create ();
       cur_loc = Errors.no_pos;
-      spare_masks = [];
     }
   in
   (* the predefined plural processor index, matching Lf_core.Simdize.iproc *)
@@ -75,14 +71,14 @@ let set_deadline vm ~at_ns msg =
 (* ------------------------------------------------------------------ *)
 
 (* Each charge takes the issuing statement's location and the step's
-   activity mask, the one mask type of both engines; the event's fresh
+   activity mask; the event's fresh
    [bool array] copy is made only when a trace sink is attached, so a
    charge allocates nothing otherwise. *)
 
 (* Telemetry (all recording is behind one flat [Stats.enabled] branch,
    mirroring the trace sinks): dispatch counts and mask-density buckets
-   are [Counters], stable across engines and opt levels by the
-   Metrics fusion-invariance contract. *)
+   are [Counters], stable across opt levels by the Metrics
+   fusion-invariance contract. *)
 module Stats = Lf_obs.Stats
 
 (* One unit of fuel.  The clock is read only while a deadline is armed.

@@ -1,16 +1,16 @@
-(** Differential engine-equivalence harness.
+(** Differential harness: the engine against the boxed reference
+    machine ([Lf_testgen.Ref_vm]).
 
-    The two execution engines — the tree-walking reference and the
-    compiled closure engine — are drop-in replacements: same final
-    variable state, same [Metrics], same error messages.  This suite
-    drives that contract with random SIMD-dialect programs
-    ([Gen.simd_prog_gen]) replayed on both engines across a sweep of
-    lane counts (including the degenerate [p = 0] and the multi-chunk
-    [p = 1024]), plus a fixed corpus (the paper's flattened EXAMPLE and
-    the flattened NBFORCE kernel) and fixed programs at widths of many
-    chunks.
+    At every [-O] level the engine must reproduce the reference's final
+    variable state bit for bit, its [Metrics] exactly and its error
+    messages byte for byte, with the partial state a failing run leaves
+    behind.  This suite drives that contract with random SIMD-dialect
+    programs ([Gen.simd_prog_gen]) across a sweep of lane counts
+    (including the degenerate [p = 0] and the multi-chunk [p = 1024]),
+    plus a fixed corpus (the paper's flattened EXAMPLE and the flattened
+    NBFORCE kernel) and fixed programs at widths of many chunks.
 
-    The float-sum contract is checked {e bitwise}: both engines fold
+    The float-sum contract is checked {e bitwise}: both machines fold
     the same canonical chunked merge tree ([Scalar_ops.chunk]-sized
     chunks, merged in ascending order), so REAL sums are identical down
     to the last bit — not merely within tolerance. *)
@@ -19,63 +19,40 @@ open Helpers
 open Lf_lang
 module Vm = Lf_simd.Vm
 module Metrics = Lf_simd.Metrics
+module Ref_vm = Lf_testgen.Ref_vm
 
 (* a modest fuel: termination is by construction, fuel exhaustion is
-   only a backstop — and must itself be engine-identical *)
+   only a backstop — and must itself be identical in both machines *)
 let fuel = 20_000
 let ps = [ 0; 1; 5; 64; 1024 ]
 
-let run_one ?opt ?verify engine ~p prog : (Vm.t, string) result =
-  match
-    Vm.run ~fuel ~engine ?opt ?verify ~p
-      ~setup:(Gen.simd_prog_setup ~p)
-      prog
-  with
-  | vm -> Ok vm
-  | exception ((Errors.Runtime_error _ | Errors.Runtime_error_at _) as e) ->
-      Error (Errors.to_message e)
+(* Fails unless the engine's run [c] (from [Ref_vm.compiled]) agrees
+   with the reference run [r]. *)
+let check_against what r c =
+  match Ref_vm.disagreement r c with
+  | None -> ()
+  | Some d -> Alcotest.failf "%s: %s differs from the reference" what d
 
-(* the oracle: both succeed with equal state and metrics, or both fail
-   with the identical message — anything else is a counterexample *)
-let pair_agrees ~what ~prog a b =
-  match (a, b) with
-  | Ok vm_a, Ok vm_b ->
-      (Vm.state_equal vm_a vm_b
-      && Metrics.equal vm_a.Vm.metrics vm_b.Vm.metrics)
-      || QCheck.Test.fail_reportf "%s: state/metrics diverged on@.%s" what
-           (Pretty.program_to_string prog)
-  | Error m_a, Error m_b ->
-      m_a = m_b
-      || QCheck.Test.fail_reportf "%s: errors differ (%S vs %S) on@.%s" what
-           m_a m_b
-           (Pretty.program_to_string prog)
-  | Ok _, Error m ->
-      QCheck.Test.fail_reportf "%s: only the second engine failed (%S) on@.%s"
-        what m
-        (Pretty.program_to_string prog)
-  | Error m, Ok _ ->
-      QCheck.Test.fail_reportf "%s: only the first engine failed (%S) on@.%s"
-        what m
-        (Pretty.program_to_string prog)
-
-(* the optimizer sweep crosses the tree-walker against the compiled
-   engine at -O1 and the two optimizer levels against each other —
-   fusion, fused reductions, scatter-accumulate and scratch reuse must
-   all be unobservable.  The -O1 leg runs under the verifier, so every
-   random program also checks the optimizer never emits IR the
-   verifier rejects. *)
+(* the engine at -O0 and at -O1 under the verifier against the
+   reference — fusion, fused reductions, scatter-accumulate and scratch
+   reuse must all be unobservable, and the -O1 leg checks that the
+   optimizer never emits IR the verifier rejects *)
 let prop_engines_equivalent prog =
   List.for_all
     (fun p ->
-      let tree = run_one `Tree_walk ~p prog in
-      let compiled0 = run_one ~opt:0 `Compiled ~p prog in
-      let compiled = run_one ~opt:1 ~verify:true `Compiled ~p prog in
-      pair_agrees
-        ~what:(Fmt.str "tree vs compiled -O1+verify, p=%d" p)
-        ~prog tree compiled
-      && pair_agrees
-           ~what:(Fmt.str "compiled -O0 vs -O1+verify, p=%d" p)
-           ~prog compiled0 compiled)
+      let setup = Gen.simd_prog_setup ~p in
+      let reference = Ref_vm.run ~fuel ~p ~setup prog in
+      List.for_all
+        (fun opt ->
+          match
+            Ref_vm.disagreement reference
+              (Ref_vm.compiled ~fuel ~opt ~verify:(opt = 1) ~p ~setup prog)
+          with
+          | None -> true
+          | Some d ->
+              QCheck.Test.fail_reportf "-O%d, p=%d: %s differs on@.%s" opt p d
+                (Pretty.program_to_string prog))
+        [ 0; 1 ])
     ps
 
 let t_random_programs =
@@ -88,16 +65,24 @@ let t_random_programs =
 
 (* 0.1 is not representable, so naive left-to-right vs chunk-partial
    summation of iproc * 0.1 WOULD differ in the low bits at large p; the
-   canonical chunked merge tree makes both engines produce the same
+   canonical chunked merge tree makes both machines produce the same
    bits *)
+let bits name = function
+  | Values.VReal f -> Int64.bits_of_float f
+  | Values.VInt i -> Int64.of_int i
+  | _ -> Alcotest.fail (name ^ " is not a number")
+
+let ref_scalar (r, _) name =
+  match Hashtbl.find_opt r.Ref_vm.vars name with
+  | Some (Ref_vm.VScalar v) -> !v
+  | _ -> Alcotest.fail (name ^ " is not scalar in the reference")
+
 let t_float_sum_bitwise () =
   let src = "r = iproc * 0.1\nWHERE (iproc - (iproc / 3) * 3 >= 1)\n  s = sum(r)\nENDWHERE\nt = sum(r)" in
   let prog = Ast.program "fsum" (Parser.block_of_string src) in
-  let bits_of ?opt engine p name =
-    let vm = Vm.run ~engine ?opt ~p prog in
-    match Vm.find vm name with
-    | Vm.VScalar { contents = Values.VReal f } -> Int64.bits_of_float f
-    | Vm.VScalar { contents = Values.VInt i } -> Int64.of_int i
+  let bits_of ~opt p name =
+    match Vm.find (Vm.run ~opt ~p prog) name with
+    | Vm.VScalar v -> bits name !v
     | _ -> Alcotest.fail (name ^ " is not scalar")
   in
   (* at -O1 the masked [sum(r)] folds as a fused reduction without
@@ -106,12 +91,12 @@ let t_float_sum_bitwise () =
     (fun p ->
       List.iter
         (fun name ->
-          let reference = bits_of `Tree_walk p name in
+          let reference = bits name (ref_scalar (Ref_vm.run ~p prog) name) in
           List.iter
             (fun opt ->
               checkb
                 (Fmt.str "compiled -O%d %s bitwise at p=%d" opt name p)
-                (Int64.equal reference (bits_of ~opt `Compiled p name)))
+                (Int64.equal reference (bits_of ~opt p name)))
             [ 0; 1; 2 ])
         [ "s"; "t" ])
     [ 1; 5; 64; 65; 128; 1000; 1024; 1100; 8192 ]
@@ -137,23 +122,18 @@ let derive_example () =
 
 let t_example_corpus () =
   let prog = derive_example () in
-  let run engine p =
-    Vm.run ~engine ~p
-      ~setup:(fun vm ->
+  List.iter
+    (fun p ->
+      let setup vm =
         Vm.bind_scalar vm "k" (Values.VInt 8);
         Vm.bind_scalar vm "p" (Values.VInt p);
         Vm.bind_global vm "l" (Values.AInt (Nd.of_array paper_l));
-        Vm.bind_global vm "x" (Values.AInt (Nd.create [| 8; 4 |] 0)))
-      prog
-  in
-  List.iter
-    (fun p ->
-      let tree = run `Tree_walk p and vm = run `Compiled p in
-      checkb (Fmt.str "EXAMPLE compiled state at p=%d" p)
-        (Vm.state_equal tree vm);
-      checkb
-        (Fmt.str "EXAMPLE compiled metrics at p=%d" p)
-        (Metrics.equal tree.Vm.metrics vm.Vm.metrics))
+        Vm.bind_global vm "x" (Values.AInt (Nd.create [| 8; 4 |] 0))
+      in
+      check_against
+        (Fmt.str "EXAMPLE at p=%d" p)
+        (Ref_vm.run ~p ~setup prog)
+        (Ref_vm.compiled ~p ~setup prog))
     [ 1; 2; 8 ]
 
 let t_nbforce_corpus () =
@@ -177,23 +157,36 @@ let t_nbforce_corpus () =
     | Ok o -> o.Lf_core.Pipeline.program
     | Error e -> Alcotest.fail e
   in
-  let f_tree, m_tree =
-    Lf_kernels.Nbforce_src.run_simd ~engine:`Tree_walk prog mol pl ~p
+  (* [Nbforce_src.run_simd]'s inputs *)
+  let setup vm =
+    let module Src = Lf_kernels.Nbforce_src in
+    let n, maxp = Src.params pl in
+    Vm.register_func vm "force" (Src.force_fn mol);
+    Vm.bind_scalar vm "n" (Values.VInt n);
+    Vm.bind_scalar vm "maxp" (Values.VInt maxp);
+    Vm.bind_scalar vm "p" (Values.VInt p);
+    Src.bind_arrays pl ~n ~maxp ~set_global:(Vm.bind_global vm)
+  in
+  let r, _ = Ref_vm.run ~p ~setup prog in
+  let f_ref =
+    match Hashtbl.find r.Ref_vm.vars "f" with
+    | Ref_vm.VGlobal (Values.AReal f) -> Nd.to_array f
+    | _ -> Alcotest.fail "f is not a REAL array in the reference"
   in
   List.iter
     (fun (what, opt, verify) ->
       let f, m =
-        Lf_kernels.Nbforce_src.run_simd ~engine:`Compiled ~opt ~verify prog
-          mol pl ~p
+        Lf_kernels.Nbforce_src.run_simd ~opt ~verify prog mol pl ~p
       in
-      checkb (Fmt.str "NBFORCE %s metrics" what) (Metrics.equal m_tree m);
-      checki (Fmt.str "NBFORCE %s force count" what) (Array.length f_tree)
+      checkb (Fmt.str "NBFORCE %s metrics" what)
+        (Metrics.equal r.Ref_vm.metrics m);
+      checki (Fmt.str "NBFORCE %s force count" what) (Array.length f_ref)
         (Array.length f);
       Array.iteri
         (fun i x ->
           checkb
             (Fmt.str "NBFORCE %s force %d bitwise" what i)
-            (Int64.equal (Int64.bits_of_float f_tree.(i))
+            (Int64.equal (Int64.bits_of_float f_ref.(i))
                (Int64.bits_of_float x)))
         f)
     [ ("compiled -O0", 0, false); ("compiled -O1+verify", 1, true) ]
@@ -202,22 +195,20 @@ let t_nbforce_corpus () =
 (* Fixed programs at widths of many chunks                             *)
 (* ------------------------------------------------------------------ *)
 
-(* dividing by (iproc - 2) fails on lane 2 only; the compiled engine
-   must report that lane's error, as the tree-walker does, across 128
-   chunks at every -O level *)
+(* dividing by (iproc - 2) fails on lane 2 only; the engine must
+   report that lane's error, as the reference does, across 128 chunks at
+   every -O level *)
 let t_first_failing_lane () =
   let src = "u = 1 / (iproc - 2)\n" in
   let prog = Ast.program "t" (parse_block src) in
-  let msg ?opt engine =
-    match Vm.run ~engine ?opt ~p:8192 prog with
-    | _ -> Alcotest.fail "expected a division error"
-    | exception ((Errors.Runtime_error _ | Errors.Runtime_error_at _) as e) ->
-        Errors.to_message e
-  in
-  let reference = msg `Tree_walk in
+  let reference = Ref_vm.run ~p:8192 prog in
+  checkb "the reference fails" (Option.is_some (snd reference));
   List.iter
     (fun opt ->
-      checks (Fmt.str "compiled -O%d error" opt) reference (msg ~opt `Compiled))
+      check_against
+        (Fmt.str "compiled -O%d" opt)
+        reference
+        (Ref_vm.compiled ~opt ~p:8192 prog))
     [ 0; 1; 2 ]
 
 (* Two instructions fail: line 5's gather on the last two lanes, and
@@ -245,33 +236,29 @@ let t_first_failing_instruction () =
     Vm.bind_global vm "g"
       (Values.AInt (Nd.of_array (Array.init (p - 1) Fun.id)))
   in
-  let msg ?fuel ?opt engine =
-    match Vm.run ?fuel ~engine ?opt ~p ~setup prog with
-    | _ -> "no error"
-    | exception ((Errors.Runtime_error _ | Errors.Runtime_error_at _) as e) ->
-        Errors.to_message e
+  let reference =
+    Option.value ~default:"no error" (snd (Ref_vm.run ~p ~setup prog))
   in
-  let reference = msg `Tree_walk in
   checkb
     (Fmt.str "the reference fails at line 5: %s" reference)
     (Astring_contains.contains reference "at 5:");
   List.iter
     (fun fuel ->
-      let reference = msg ?fuel `Tree_walk in
+      let reference = Ref_vm.run ?fuel ~p ~setup prog in
       let fuel_s = Option.fold ~none:"no fuel limit" ~some:string_of_int fuel in
       List.iter
         (fun opt ->
-          checks
+          check_against
             (Fmt.str "compiled -O%d, %s" opt fuel_s)
             reference
-            (msg ?fuel ~opt `Compiled))
+            (Ref_vm.compiled ?fuel ~opt ~p ~setup prog))
         [ 0; 1; 2 ])
     (None :: List.init 6 (fun k -> Some (k + 1)))
 
 (* DO loops of many vector instructions: a fused region reads the loop
    variable [k] through a cell that changes every iteration, and a
    global array is gathered at other lanes' elements, then scattered
-   lane-disjointly.  State and Metrics must match the tree-walker. *)
+   lane-disjointly.  State and Metrics must match the reference. *)
 let long_loop_src p =
   Printf.sprintf
     {|PROGRAM t
@@ -293,23 +280,19 @@ END
 |}
     p (p + 1)
 
-let agree_with_tree what tree vm =
-  checkb (what ^ " state") (Vm.state_equal tree vm);
-  checkb (what ^ " metrics") (Metrics.equal tree.Vm.metrics vm.Vm.metrics)
-
 let t_long_loops () =
   let p = 2048 in
   let prog = Parser.program_of_string (long_loop_src p) in
   let setup vm =
     Vm.bind_global vm "g" (Values.AInt (Nd.of_array (Array.init p Fun.id)))
   in
-  let tree = Vm.run ~engine:`Tree_walk ~p ~setup prog in
+  let reference = Ref_vm.run ~p ~setup prog in
   List.iter
     (fun opt ->
-      agree_with_tree
+      check_against
         (Fmt.str "compiled -O%d" opt)
-        tree
-        (Vm.run ~opt ~engine:`Compiled ~p ~setup prog))
+        reference
+        (Ref_vm.compiled ~opt ~p ~setup prog))
     [ 0; 1; 2 ]
 
 (* Plural calls of user functions at -O1 fill unboxed per-site buffers;
@@ -319,7 +302,7 @@ let t_long_loops () =
    on one late lane, after a long typed run, and [order] records the
    order it is called in, which must stay ascending.  Each runs under an
    empty, a partial and the full mask; state, Metrics and the call
-   order must match the tree-walker. *)
+   order must match the reference. *)
 let typed_call_src =
   {|PROGRAM t
   PLURAL REAL a, b, c, d
@@ -357,18 +340,18 @@ let t_typed_calls () =
         calls := arg a :: !calls;
         Values.VReal 1.0)
   in
-  let run ?opt engine =
+  let calls_of run =
     calls := [];
-    let vm = Vm.run ?opt ~engine ~p ~setup prog in
-    (vm, !calls)
+    let r = run () in
+    (r, !calls)
   in
-  let tree, tree_calls = run `Tree_walk in
+  let reference, ref_calls = calls_of (fun () -> Ref_vm.run ~p ~setup prog) in
   List.iter
     (fun opt ->
-      let vm, calls = run ~opt `Compiled in
+      let c, calls = calls_of (fun () -> Ref_vm.compiled ~opt ~p ~setup prog) in
       let what = Fmt.str "compiled -O%d" opt in
-      agree_with_tree what tree vm;
-      checkb (what ^ " call order") (calls = tree_calls))
+      check_against what reference c;
+      checkb (what ^ " call order") (calls = ref_calls))
     [ 0; 1; 2 ]
 
 (* empty-mask reductions at 128 chunks: only the last two chunks have
@@ -395,16 +378,16 @@ let t_empty_partials () =
       lo (p - 24) lo (10 * p)
   in
   let prog = Ast.program "t" (parse_block src) in
-  let tree = Vm.run ~engine:`Tree_walk ~p prog in
+  let reference = Ref_vm.run ~p prog in
   List.iter
     (fun opt ->
-      agree_with_tree
+      check_against
         (Fmt.str "compiled -O%d" opt)
-        tree
-        (Vm.run ~opt ~engine:`Compiled ~p prog))
+        reference
+        (Ref_vm.compiled ~opt ~p prog))
     [ 0; 1; 2 ];
-  match Vm.find tree "z" with
-  | Vm.VScalar { contents = Values.VReal z } -> checkb "empty sum" (z = 0.0)
+  match ref_scalar reference "z" with
+  | Values.VReal z -> checkb "empty sum" (z = 0.0)
   | _ -> Alcotest.fail "z shape"
 
 (* ------------------------------------------------------------------ *)
@@ -422,10 +405,10 @@ let t_empty_partials () =
    / and MOD row divides by zero on an inactive lane before the full mask
    makes it fault.  [bounds_cases] add out-of-bounds subscripts on
    masked-off lanes and in dimension 2 of rank-2 gathers and scatters.
-   Each program runs on the tree-walker (the reference) and on the
-   compiled engine at -O0, -O1 and -O2, which must match its state,
-   Metrics and error bytes, at p = 5, 200 and 1608 (25 chunks, the
-   last one ragged). *)
+   Each program runs on the reference machine and on the engine at
+   -O0, -O1 and -O2, which must match its state, Metrics and error bytes,
+   and on an error its partial state, at p = 5, 200 and 1608 (25 chunks,
+   the last one ragged). *)
 
 let matrix_ps = [ 5; 200; 1608 ]
 
@@ -560,24 +543,8 @@ let bounds_cases =
          ( "bounds: " ^ name,
            Ast.program name (matrix_prologue @ Parser.block_of_string src) ))
 
-let run_matrix ?(opt = 1) engine ~p prog : (Vm.t, string) result =
-  match
-    Vm.run ~fuel ~engine ~opt ~verify:(opt = 2) ~p
-      ~setup:(matrix_setup ~p) prog
-  with
-  | vm -> Ok vm
-  | exception ((Errors.Runtime_error _ | Errors.Runtime_error_at _) as e) ->
-      Error (Errors.to_message e)
-
-let same a b =
-  match (a, b) with
-  | Ok x, Ok y ->
-      Vm.state_equal x y && Metrics.equal x.Vm.metrics y.Vm.metrics
-  | Error x, Error y -> String.equal x y
-  | _ -> false
-
-(* Every program on every engine and level against the tree-walker;
-   returns the mismatches and how many reference runs fault. *)
+(* Every program at every level against the reference; returns the
+   mismatches and how many reference runs fault. *)
 let matrix_check programs =
   let failures = ref [] in
   let faults = ref 0 and clean = ref 0 in
@@ -585,15 +552,20 @@ let matrix_check programs =
     (fun (name, prog) ->
       List.iter
         (fun p ->
-          let tree = run_matrix `Tree_walk ~p prog in
-          incr (if Result.is_error tree then faults else clean);
+          let setup = matrix_setup ~p in
+          let reference = Ref_vm.run ~fuel ~p ~setup prog in
+          incr (if Option.is_some (snd reference) then faults else clean);
           List.iter
             (fun opt ->
-              if not (same tree (run_matrix ~opt `Compiled ~p prog)) then
-                failures :=
-                  Fmt.str "%s: compiled -O%d differs from tree-walk at p=%d"
-                    name opt p
-                  :: !failures)
+              Option.iter
+                (fun d ->
+                  failures :=
+                    Fmt.str "%s: compiled -O%d at p=%d: %s differs" name opt
+                      p d
+                    :: !failures)
+                (Ref_vm.disagreement reference
+                   (Ref_vm.compiled ~fuel ~opt ~verify:(opt = 2) ~p ~setup
+                      prog)))
             [ 0; 1; 2 ])
         matrix_ps)
     programs;
@@ -615,7 +587,7 @@ let t_shape_matrix () =
   report_mismatches "shape-matrix" failures
 
 (* The numeric intrinsics with typed lane kernels (SQRT, EXP, REAL, INT,
-   NINT, ABS, MAX, MIN) against the tree-walker's boxed intrinsics, over
+   NINT, ABS, MAX, MIN) against the reference's boxed intrinsics, over
    every operand shape and pair of shapes, under the empty, partial and
    full masks: the kernels must pick the same result type and compute
    the same lanes, and shapes without a kernel must still fault or
@@ -648,61 +620,38 @@ let t_intrinsic_kernels () =
 (* Failing runs                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* A failing [Vm.run] returns no VM, so keep the one [setup] is given. *)
-let run_kept ?opt engine ~fuel ~p prog : Vm.t * string option =
-  let kept = ref None in
-  let setup vm =
-    kept := Some vm;
-    Gen.simd_prog_setup ~p vm
-  in
-  match Vm.run ~fuel ~engine ?opt ~p ~setup prog with
-  | vm -> (vm, None)
-  | exception ((Errors.Runtime_error _ | Errors.Runtime_error_at _) as e) ->
-      (Option.get !kept, Some (Errors.to_message e))
-
-(* The failing-run contract (DESIGN.md "Execution engines"): a compiled
-   run that fails leaves the tree-walker's partial state and Metrics,
-   not only its message, at every -O level.  Small fuels stop the runs
-   at many different steps; p = 130 spans more than one chunk. *)
+(* The failing-run contract (DESIGN.md "Execution engines"): a run
+   that fails leaves the reference's partial state and Metrics, not only
+   its message, at every -O level.  Small fuels stop the runs at many
+   different steps; p = 130 spans more than one chunk. *)
 let t_failing_runs () =
   let progs =
     QCheck.Gen.generate ~rand:(Random.State.make [| 42 |]) ~n:300
       Gen.simd_prog_gen
   in
   let failures = ref [] and failing = ref 0 and fuel_faults = ref 0 in
-  let show = Option.value ~default:"ok" in
   List.iteri
     (fun k prog ->
       List.iter
         (fun (p, fuel) ->
           let where = Fmt.str "program %d, p=%d, fuel=%d" k p fuel in
-          let tree, te = run_kept `Tree_walk ~fuel ~p prog in
+          let setup = Gen.simd_prog_setup ~p in
+          let reference = Ref_vm.run ~fuel ~p ~setup prog in
           Option.iter
             (fun m ->
               incr failing;
               if String.ends_with ~suffix:"fuel exhausted" m then
                 incr fuel_faults)
-            te;
-          let differs what e =
-            failures :=
-              Fmt.str "%s: %s outcome %s, tree-walk %s" where what (show e)
-                (show te)
-              :: !failures
-          in
+            (snd reference);
           List.iter
             (fun opt ->
-              let vm, e = run_kept ~opt `Compiled ~fuel ~p prog in
-              let what = Fmt.str "compiled -O%d" opt in
-              if e <> te then differs what e
-              else if
-                not
-                  (Vm.state_equal tree vm
-                  && Metrics.equal tree.Vm.metrics vm.Vm.metrics)
-              then
-                failures :=
-                  Fmt.str "%s: %s state or Metrics differ (outcome %s)" where
-                    what (show e)
-                  :: !failures)
+              Option.iter
+                (fun d ->
+                  failures :=
+                    Fmt.str "%s: compiled -O%d: %s differs" where opt d
+                    :: !failures)
+                (Ref_vm.disagreement reference
+                   (Ref_vm.compiled ~fuel ~opt ~p ~setup prog)))
             [ 0; 1; 2 ])
         (List.concat_map
            (fun p -> List.map (fun fuel -> (p, fuel)) [ 7; 40; 300; 20_000 ])

@@ -186,18 +186,12 @@ let prop_simd_roundtrip decomp naive ((en : Gen.exec_nest), p_lanes) =
               (Pretty.program_to_string o.Lf_core.Pipeline.program))
   end
 
-(* differential property: the tree-walking and compiled engines are
-   bit-identical — same final variable table, same metrics counters, and
-   on the error path the same runtime error *)
-let run_engine engine (en : Gen.exec_nest) p_lanes prog :
-    (Lf_simd.Vm.t, string) result =
-  match Lf_simd.Vm.run ~engine ~p:p_lanes ~setup:(vm_setup en p_lanes) prog with
-  | vm -> Ok vm
-  | exception Errors.Runtime_error m -> Error m
-
+(* differential property: the engine and the boxed reference machine
+   are bit-identical — same final variable table, same metrics counters,
+   and on the error path the same runtime error and partial state *)
 let prop_engines_agree decomp naive ((en : Gen.exec_nest), p_lanes) =
   (* unlike the roundtrip property there is no need to exclude carried
-     scalars etc. here: whatever program comes out, both engines must
+     scalars etc. here: whatever program comes out, both machines must
      treat it identically — including identical runtime errors *)
   begin
     let prog = Ast.program "fuzz" en.Gen.src_block in
@@ -217,30 +211,16 @@ let prop_engines_agree decomp naive ((en : Gen.exec_nest), p_lanes) =
     | Error _ -> true
     | Ok o -> (
         let simd = o.Lf_core.Pipeline.program in
-        let tree = run_engine `Tree_walk en p_lanes simd in
-        let compiled = run_engine `Compiled en p_lanes simd in
-        match (tree, compiled) with
-        | Ok vm_t, Ok vm_c ->
-            (Lf_simd.Vm.state_equal vm_t vm_c
-            && Lf_simd.Metrics.equal vm_t.Lf_simd.Vm.metrics
-                 vm_c.Lf_simd.Vm.metrics)
-            || QCheck.Test.fail_reportf
-                 "engines diverged (tree %a vs compiled %a) on@.%s"
-                 Lf_simd.Metrics.pp vm_t.Lf_simd.Vm.metrics
-                 Lf_simd.Metrics.pp vm_c.Lf_simd.Vm.metrics
-                 (Pretty.program_to_string simd)
-        | Error m_t, Error m_c ->
-            m_t = m_c
-            || QCheck.Test.fail_reportf
-                 "engines raised different errors (%S vs %S) on@.%s" m_t m_c
-                 (Pretty.program_to_string simd)
-        | Ok _, Error m ->
-            QCheck.Test.fail_reportf
-              "only the compiled engine failed (%S) on@.%s" m
-              (Pretty.program_to_string simd)
-        | Error m, Ok _ ->
-            QCheck.Test.fail_reportf
-              "only the tree-walker failed (%S) on@.%s" m
+        let setup = vm_setup en p_lanes in
+        match
+          Lf_testgen.Ref_vm.disagreement
+            (Lf_testgen.Ref_vm.run ~p:p_lanes ~setup simd)
+            (Lf_testgen.Ref_vm.compiled ~p:p_lanes ~setup simd)
+        with
+        | None -> true
+        | Some what ->
+            QCheck.Test.fail_reportf "%s differs from the reference on@.%s"
+              what
               (Pretty.program_to_string simd))
   end
 
@@ -367,10 +347,11 @@ let t_chaos_phase_found_and_minimized =
               "PROGRAM t\n  PLURAL INTEGER a, b, r\n  a = iproc\n\
               \  b = iproc + 1\n  r = a * b + (a - b)\nEND"
           in
-          let run engine = Lf_simd.Vm.run ~engine ~opt:1 ~p:4 prog in
-          checkb "unverified engines diverge"
-            (not
-               (Lf_simd.Vm.state_equal (run `Tree_walk) (run `Compiled)));
+          checkb "the unverified engine departs from the reference"
+            (Option.is_some
+               (Lf_testgen.Ref_vm.disagreement
+                  (Lf_testgen.Ref_vm.run ~p:4 prog)
+                  (Lf_testgen.Ref_vm.compiled ~opt:1 ~p:4 prog)));
           List.iter
             (fun f ->
               match f.Fuzz.f_minimized with

@@ -142,7 +142,7 @@ let t_procs () =
   Interp.register_func ctx "twice" (function
     | [ v ] -> VInt (2 * as_int v)
     | _ -> Alcotest.fail "arity");
-  Interp.exec_block ctx
+  Interp.exec_stmts ctx
     (parse_block "DO i = 1, 3\n  CALL trace(i, twice(i))\nENDDO");
   checkb "calls recorded" (!calls = [ [ 3; 6 ]; [ 2; 4 ]; [ 1; 2 ] ]);
   checki "observations" 3 (List.length (Interp.observations ctx));

@@ -1,6 +1,6 @@
 (** The lane kernels of [Scalar_ops] and [Intrinsics] against the boxed
-    semantics, lane by lane.  Both SIMD engines run these kernels, so
-    the engine differential tests no longer check arithmetic; these
+    semantics, lane by lane.  The SIMD engine runs these kernels at
+    every [-O] level, so comparing levels checks no arithmetic; these
     properties do, against [Scalar_ops.apply_binop] / [apply_unop],
     [Intrinsics.apply], [Nd.get] / [Nd.set] and [Pval.boxed_reduction].
 
@@ -258,27 +258,6 @@ let prop_gather =
            (fun r -> S.gather_r c.p (bp c) r dr r1 r2)
            (fun i -> Nd.get dr (idx_r i)))
 
-let prop_gather_at =
-  prop "gather_at_i, gather_at_r and gather_at_b equal Nd.get" (fun st ->
-      let c = draw_case ~masked:false st in
-      let di, _, _, idx = draw_access st c small_int in
-      let dr = Nd.init (Nd.dims di) (fun _ -> real st) in
-      let db = Nd.init (Nd.dims di) (fun _ -> bool st) in
-      let off i = Nd.linear_index di (idx i) in
-      let on = active c in
-      agree ~on ~eq:Int.equal ~show:string_of_int c "gather_at_i"
-        ~target:(Array.init c.p (fun _ -> small_int st))
-        (fun r -> S.gather_at_i c.p (bp c) r di.Nd.data off)
-        (fun i -> Nd.get di (idx i))
-      && agree ~on ~eq:same_real ~show:string_of_float c "gather_at_r"
-           ~target:(Array.init c.p (fun _ -> real st))
-           (fun r -> S.gather_at_r c.p (bp c) r dr.Nd.data off)
-           (fun i -> Nd.get dr (idx i))
-      && agree ~on ~eq:Bool.equal ~show:string_of_bool c "gather_at_b"
-           ~target:(Array.init c.p (fun _ -> bool st))
-           (fun r -> S.gather_at_b c.p (bp c) r db.Nd.data off)
-           (fun i -> Nd.get db (idx i)))
-
 (* The scatter against a serial boxed store: the subscript is checked,
    then the value computed and stored, lane by lane in ascending order;
    the array (also the part a failing lane leaves) and the error must
@@ -319,20 +298,6 @@ let prop_scatter =
       && scatter_agree ~eq:same_real c "scatter_r" dr idx_r
            (fun () -> S.scatter_r c.p (bp c) dr r1 r2 op xr yr)
            (fun i -> as_r (boxed (VReal (at xr i)) (VReal (at yr i)))))
-
-let prop_scatter_at =
-  prop "scatter_at_i and scatter_at_r equal boxed stores" (fun st ->
-      let c = draw_case ~masked:false st in
-      let di, _, _, idx = draw_access st c small_int in
-      let dr = Nd.init (Nd.dims di) (fun _ -> real st) in
-      let off i = Nd.linear_index di (idx i) in
-      let xi = vec st c small_int and xr = vec st c real in
-      scatter_agree ~eq:Int.equal c "scatter_at_i" di idx
-        (fun () -> S.scatter_at_i c.p (bp c) di.Nd.data off xi)
-        (at xi)
-      && scatter_agree ~eq:same_real c "scatter_at_r" dr idx
-           (fun () -> S.scatter_at_r c.p (bp c) dr.Nd.data off xr)
-           (at xr))
 
 (* -- reductions ---------------------------------------------------- *)
 
@@ -713,8 +678,6 @@ let kernel_calls p =
   let xb = Array.init p (fun i -> i land 1 = 0) in
   let di = Nd.init [| 5; 2 |] (fun _ -> 3) in
   let dr = Nd.init [| 5; 2 |] (fun _ -> 0.5) in
-  let db = Nd.init [| 5; 2 |] (fun _ -> true) in
-  let off i = i mod 10 in
   let one = [| 1 |] and two = [| 2 |] in
   let sparse =
     Bytes.init p (fun i -> if i land 1 = 0 then '\001' else '\000')
@@ -746,10 +709,7 @@ let kernel_calls p =
       per_mask "map1_b" (fun bp -> S.map1_b p bp (Some Ast.Not) rb xb);
       per_mask "gathers" (fun bp ->
           S.gather_i p bp ri di xi two;
-          S.gather_r p bp rr dr xi one;
-          S.gather_at_i p bp ri di.Nd.data off;
-          S.gather_at_r p bp rr dr.Nd.data off;
-          S.gather_at_b p bp rb db.Nd.data off);
+          S.gather_r p bp rr dr xi one);
       List.concat_map
         (fun op ->
           per_mask
@@ -759,9 +719,6 @@ let kernel_calls p =
               S.scatter_i p bp di xi two op xi xi;
               S.scatter_r p bp dr xi one op xr xr))
         (None :: List.map Option.some arith);
-      per_mask "scatter_at" (fun bp ->
-          S.scatter_at_i p bp di.Nd.data off xi;
-          S.scatter_at_r p bp dr.Nd.data off xr);
       List.concat_map
         (fun (k, key) ->
           per_mask key (fun bp -> Intrinsics.real_map1 p bp k rr xr))
@@ -790,12 +747,12 @@ let t_kernel_alloc () =
         (minor_words small) (minor_words large))
     (kernel_calls 64) (kernel_calls 4096)
 
-(* A tree-walk gather [v = h(s)] converts each lane's subscript to an
-   index; a REAL subscript must convert without boxing a value per lane.
-   The result lane vector is in the minor heap at p = 64 and in the
-   major heap at p = 4096, so the check reads what the REAL subscript
-   allocates beyond the INTEGER one (same gather, same result vector),
-   which must not grow with p. *)
+(* A gather [v = h(s)] converts each lane's subscript to an index; a
+   REAL subscript must convert without boxing a value per lane.  Lane
+   vectors are in the minor heap at p = 64 and in the major heap at
+   p = 4096, so the check reads what a run with the REAL subscript
+   allocates beyond the same run with an INTEGER one (same program
+   otherwise, same frame), which must not grow with p. *)
 let gather_words p sub =
   let src =
     Printf.sprintf
@@ -803,10 +760,7 @@ let gather_words p sub =
       \  r = iproc * 1.0\n  k = iproc\n  v = h(%s)\nEND\n" p sub
   in
   let prog = Parser.program_of_string src in
-  let vm = Lf_simd.Vm.run ~engine:`Tree_walk ~p prog in
-  let gather = List.nth prog.Ast.p_body (List.length prog.Ast.p_body - 1) in
-  let mask = Lf_simd.Vm.full_mask vm in
-  minor_words (fun () -> Lf_simd.Vm.exec vm ~mask gather)
+  minor_words (fun () -> ignore (Lf_simd.Vm.run ~p prog))
 
 let t_real_subscript_alloc () =
   let extra p = gather_words p "r" -. gather_words p "k" in
@@ -822,9 +776,7 @@ let suite =
     prop_map1;
     prop_fill;
     prop_gather;
-    prop_gather_at;
     prop_scatter;
-    prop_scatter_at;
     prop_reduce;
     prop_cells;
     prop_gather_cell;

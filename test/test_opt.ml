@@ -208,10 +208,9 @@ let scatter_stride_kernel () =
   in
   (p, prog, setup)
 
-let runner ?(engine = `Compiled) (p, prog, setup) ~opt =
-  Vm.run ~engine ~opt ~p ~setup prog
+let runner (p, prog, setup) ~opt = Vm.run ~opt ~p ~setup prog
 
-let nbforce_1024 ?engine () = runner ?engine (nbforce_kernel ())
+let nbforce_1024 () = runner (nbforce_kernel ())
 
 (* ------------------------------------------------------------------ *)
 (* Targeted -O0/-O1 behavioural equalities                             *)
@@ -220,8 +219,8 @@ let nbforce_1024 ?engine () = runner ?engine (nbforce_kernel ())
 (* -O0 against -O1 with the IR verifier on *)
 let check_levels ?setup name src =
   let prog = parse_program src in
-  let a = Vm.run ~engine:`Compiled ~opt:0 ~p:8 ?setup prog in
-  let b = Vm.run ~engine:`Compiled ~opt:1 ~verify:true ~p:8 ?setup prog in
+  let a = Vm.run ~opt:0 ~p:8 ?setup prog in
+  let b = Vm.run ~opt:1 ~verify:true ~p:8 ?setup prog in
   checkb (name ^ ": state -O0 = -O1") (Vm.state_equal a b);
   checkb
     (name ^ ": metrics -O0 = -O1")
@@ -273,7 +272,7 @@ let t_reduction_raises_like_o0 () =
        END"
   in
   let err opt =
-    match Vm.run ~engine:`Compiled ~opt ~p:8 prog with
+    match Vm.run ~opt ~p:8 prog with
     | _ -> None
     | exception ((Errors.Runtime_error _ | Errors.Runtime_error_at _) as e)
       ->
@@ -404,7 +403,7 @@ let warm_reading run ~opt =
           (fun (name, _) -> String.starts_with ~prefix:"dispatch." name)
           (Stats.snapshot ~sections:[ Stats.Counters ] ()) ))
 
-(* The budgets are the compiled engine's readings (default dev profile)
+(* The budgets are the engine's readings (default dev profile)
    of [alloc_words] over the whole warm [Vm.run], setup included, as
    (telemetry off, telemetry on).  The readings are deterministic, so
    the gate has no tolerance: an allocation added to a per-lane path
@@ -412,14 +411,14 @@ let warm_reading run ~opt =
    ([Stats] counters, [Vm.timed]) fails the second
    budget. *)
 let alloc_budget =
-  [ (1, (2_883_953., 2_884_168.)); (2, (2_883_953., 2_884_168.)) ]
+  [ (1, (2_880_451., 2_880_666.)); (2, (2_880_451., 2_880_666.)) ]
 
 let opt_run_pins = [ (1, [ 0; 389; 388 ]); (2, [ 0; 389; 388 ]) ]
 
 (* The per-opcode dispatch counts of the same run, exactly (the
-   Counters section, so identical at every -O level and on every
-   engine): a statement dispatched more or less often fails the gate
-   even when the allocation budget still holds. *)
+   Counters section, so identical at every -O level): a statement
+   dispatched more or less often fails the gate even when the allocation
+   budget still holds. *)
 let dispatch_count_pins =
   let pins =
     [
@@ -454,22 +453,6 @@ let t_alloc_gate () =
         (fun (name, got) want -> checki (Fmt.str "-O%d %s" opt name) want got)
         counts (List.assoc opt opt_run_pins))
     alloc_budget
-
-(* The tree-walking reference engine on the same run, read with
-   [alloc_words] around the whole [Vm.run], setup included.  Budget =
-   this engine's exact reading (dev profile), pinned with no tolerance.
-   Most of it, 4,938,934 words, is the lane vectors each vector
-   instruction allocates in the major heap. *)
-let treewalk_alloc_budget = 7_367_601.
-
-let t_treewalk_alloc_gate () =
-  let run = nbforce_1024 ~engine:`Tree_walk () in
-  ignore (run ~opt:0);
-  let words = alloc_words (fun () -> run ~opt:0) in
-  checkb
-    (Fmt.str "tree-walk words %.0f within the budget %.0f" words
-       treewalk_alloc_budget)
-    (words <= treewalk_alloc_budget)
 
 (* ------------------------------------------------------------------ *)
 (* Scratch planning against the interference colouring                 *)
@@ -935,7 +918,7 @@ let t_dump_ir_file () =
    declarations and the re-emission of every closure of the cached IR,
    read with [alloc_words] around the whole call.  Exact reading (dev
    profile), pinned with no tolerance. *)
-let warm_hit_budget = 10_595.
+let warm_hit_budget = 10_541.
 
 let t_warm_hit_gate () =
   let src = Pretty.program_to_string (guarded_simd 6) in
@@ -944,7 +927,7 @@ let t_warm_hit_gate () =
     Vm.bind_scalar vm "n" (Values.VInt 0);
     Vm.bind_scalar vm "m" (Values.VInt 0)
   in
-  let run () = Vm.run_src ~engine:`Compiled ~opt:1 ~cache ~p:8 ~setup src in
+  let run () = Vm.run_src ~opt:1 ~cache ~p:8 ~setup src in
   ignore (run ());
   ignore (run ());
   let vm = ref None in
@@ -978,7 +961,6 @@ let suite =
     case "typed call path bails on mixed return types" t_typed_call_bail;
     case "-O2 runs the -O1 pipeline: NBFORCE and scatter stride" t_o2_is_o1;
     case "allocation and fused-run gate: warm NBFORCE p=1024" t_alloc_gate;
-    case "allocation gate: tree-walk NBFORCE p=1024" t_treewalk_alloc_gate;
     prop_ir_json_oracle;
     case "oracle: NBFORCE IR JSON" t_ir_json_oracle_nbforce;
     case "oracle: --dump-ir file of a large nest" t_dump_ir_file;

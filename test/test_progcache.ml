@@ -108,9 +108,9 @@ let t_frame_pool () =
 (* Warm = cold (the tentpole contract)                                 *)
 (* ------------------------------------------------------------------ *)
 
-let run_src_one ?cache ?opt ?verify engine ~p src : (Vm.t, string) result =
+let run_src_one ?cache ?opt ?verify ~p src : (Vm.t, string) result =
   match
-    Vm.run_src ~fuel ~engine ?opt ?verify ?cache ~p
+    Vm.run_src ~fuel ?opt ?verify ?cache ~p
       ~setup:(Gen.simd_prog_setup ~p) src
   with
   | vm -> Ok vm
@@ -137,48 +137,37 @@ let prop_warm_equals_cold prog =
   List.for_all
     (fun p ->
       List.for_all
-        (fun (engine, opts) ->
-          List.for_all
-            (fun opt ->
-              let what =
-                Fmt.str "warm vs cold, %s -O%d p=%d"
-                  (match engine with
-                  | `Tree_walk -> "tree-walk"
-                  | `Compiled -> "compiled")
-                  opt p
-              in
-              (* a plain (cache-less) run is the reference; then a cold
-                 run through a fresh cache, then two warm runs — the
-                 second warm run additionally exercises the pooled
-                 frame released by the first *)
-              let plain = run_src_one ~opt engine ~p src in
-              let cache = Progcache.create () in
-              let cold = run_src_one ~cache ~opt engine ~p src in
-              let warm1 = run_src_one ~cache ~opt engine ~p src in
-              let warm2 = run_src_one ~cache ~opt engine ~p src in
-              agrees ~what:(what ^ " (cold vs plain)") ~src cold plain
-              && agrees ~what:(what ^ " (warm1)") ~src warm1 cold
-              && agrees ~what:(what ^ " (warm2)") ~src warm2 cold)
-            opts)
-        [
-          (`Tree_walk, [ 0 ]);
-          (`Compiled, [ 0; 1; 2 ]);
-        ])
+        (fun opt ->
+          let what = Fmt.str "warm vs cold, -O%d p=%d" opt p in
+          (* a plain (cache-less) run is the reference; then a cold run
+             through a fresh cache, then two warm runs — the second warm
+             run additionally exercises the pooled frame released by the
+             first *)
+          let plain = run_src_one ~opt ~p src in
+          let cache = Progcache.create () in
+          let cold = run_src_one ~cache ~opt ~p src in
+          let warm1 = run_src_one ~cache ~opt ~p src in
+          let warm2 = run_src_one ~cache ~opt ~p src in
+          agrees ~what:(what ^ " (cold vs plain)") ~src cold plain
+          && agrees ~what:(what ^ " (warm1)") ~src warm1 cold
+          && agrees ~what:(what ^ " (warm2)") ~src warm2 cold)
+        [ 0; 1; 2 ])
     [ 0; 3; 64 ]
 
 (* ------------------------------------------------------------------ *)
 (* Batch driver                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* [~jobs] makes the item one written with ["engine": "parallel"] *)
-let batch_item ?(program = "good.f") ?(p = 4) ?(engine = `Compiled)
+(* [~jobs] makes the item one written with ["engine": "parallel"]; a
+   ["tree-walk"] item runs -O0, as [Batch.items_of_json] reads it *)
+let batch_item ?(program = "good.f") ?(p = 4) ?(engine = "compiled")
     ?(opt = 1) ?jobs ?(verify = false) ?bfuel ?timeout_ms ?(repeat = 1)
     ?kernel ?(sets = []) ?(fills = []) () =
   {
     Batch.bi_program = program;
     bi_p = p;
-    bi_engine = engine;
-    bi_opt = opt;
+    bi_engine = (if Option.is_some jobs then "parallel" else engine);
+    bi_opt = (if engine = "tree-walk" then 0 else opt);
     bi_jobs = jobs;
     bi_verify = verify;
     bi_fuel = bfuel;
@@ -223,7 +212,7 @@ let t_batch_isolation () =
         batch_item ~program:"bad-parse.f" ();
         batch_item ~program:"div0.f" ();
         batch_item ~program:"missing.f" ();
-        batch_item ~program:"loop.f" ~engine:`Tree_walk ~bfuel:10 ();
+        batch_item ~program:"loop.f" ~engine:"tree-walk" ~bfuel:10 ();
         (* and a healthy item AFTER the failures proves isolation *)
         batch_item ~jobs:2 ~opt:2 ~repeat:2 ();
       ]
@@ -274,10 +263,12 @@ let t_batch_fill_private () =
   let item ?repeat engine =
     batch_item ~program:"fillw.f" ~engine ?repeat ~fills:[ ("v", "1,2,3") ] ()
   in
-  let solo = states [ item `Compiled ] in
+  let solo = states [ item "compiled" ] in
   checkb "the program wrote into its fill"
     (Astring_contains.contains (List.hd solo) "101");
-  let shared = states [ item `Compiled; item `Tree_walk; item ~repeat:2 `Compiled ] in
+  let shared =
+    states [ item "compiled"; item "tree-walk"; item ~repeat:2 "compiled" ]
+  in
   List.iteri
     (fun i st -> checks (Fmt.str "item %d state equals a solo run" i) (List.hd solo) st)
     shared;
@@ -295,7 +286,7 @@ let t_batch_fill_private () =
 
 let t_batch_ok_all () =
   let any_failed, records =
-    run_batch [ batch_item (); batch_item ~engine:`Tree_walk () ]
+    run_batch [ batch_item (); batch_item ~engine:"tree-walk" () ]
   in
   checkb "no failures" (not any_failed);
   checki "records" 2 (List.length records)
@@ -318,7 +309,7 @@ let t_batch_schema () =
   | Error e -> Alcotest.fail ("record does not re-parse: " ^ e)
 
 (* The deadline is checked where fuel is charged, so it fires mid-run
-   on every engine with the same message. *)
+   under every engine name with the same message. *)
 let t_batch_timeout () =
   List.iter
     (fun (what, engine, jobs) ->
@@ -337,9 +328,9 @@ let t_batch_timeout () =
           | None -> Alcotest.fail (what ^ ": no error message"))
       | _ -> Alcotest.fail (what ^ ": expected one record"))
     [
-      ("tree-walk", `Tree_walk, None);
-      ("compiled", `Compiled, None);
-      ("parallel", `Compiled, Some 2);
+      ("tree-walk", "tree-walk", None);
+      ("compiled", "compiled", None);
+      ("parallel", "parallel", Some 2);
     ]
 
 (* An armed deadline reads the clock on every step without allocating:
@@ -359,7 +350,7 @@ let t_deadline_alloc () =
           "deadline passed"
     in
     let run () =
-      ignore (Vm.run_src ~engine:`Compiled ~cache ~p:8 ~setup src : Vm.t)
+      ignore (Vm.run_src ~cache ~p:8 ~setup src : Vm.t)
     in
     run ();
     run ();
@@ -396,9 +387,11 @@ let t_items_of_json () =
   | Ok j -> (
       match Batch.items_of_json j with
       | [ a; b ] ->
-          checkb "defaults" (a.Batch.bi_engine = `Compiled && a.Batch.bi_opt = 1 && a.Batch.bi_repeat = 1);
+          checkb "defaults"
+            (a.Batch.bi_engine = "compiled" && a.Batch.bi_opt = 1
+            && a.Batch.bi_repeat = 1);
           checkb "fields"
-            (b.Batch.bi_engine = `Compiled && b.Batch.bi_jobs = Some 2
+            (b.Batch.bi_engine = "parallel" && b.Batch.bi_jobs = Some 2
            && b.Batch.bi_verify
             && b.Batch.bi_sets = [ ("k", "8") ]
             && b.Batch.bi_fills = [ ("l", "1,2,3") ]);
@@ -432,10 +425,23 @@ let t_items_of_json () =
       checkb "parallel without jobs reports default_jobs"
         (match Batch.items_of_json j with
         | [ c ] ->
-            c.Batch.bi_engine = `Compiled
+            c.Batch.bi_engine = "parallel"
             && c.Batch.bi_jobs = Some (Batch.default_jobs ())
         | _ -> false)
   | Error e -> Alcotest.fail e);
+  (* "tree-walk" runs -O0 whatever its "opt", once that is in range *)
+  (match
+     Json.parse
+       {|[{"program": "a.f", "p": 4, "engine": "tree-walk", "opt": 2}]|}
+   with
+  | Ok j ->
+      checkb "tree-walk runs -O0"
+        (match Batch.items_of_json j with
+        | [ c ] -> c.Batch.bi_engine = "tree-walk" && c.Batch.bi_opt = 0
+        | _ -> false)
+  | Error e -> Alcotest.fail e);
+  rejects "bad opt with tree-walk"
+    {|[{"program": "a.f", "p": 4, "engine": "tree-walk", "opt": 7}]|};
   rejects "bad repeat" {|[{"program": "a.f", "p": 4, "repeat": 0}]|}
 
 (* A JSON integer literal past the int range is not a real number: the
@@ -657,15 +663,15 @@ let t_batch_workers_agree () =
       batch_item ~program:"good2.f" ~p:128 ~repeat:2 ();
       batch_item ~program:"div0.f" ();
       batch_item ~program:"good2.f" ~p:128 ~jobs:2 ~opt:2 ();
-      batch_item ~engine:`Tree_walk ();
+      batch_item ~engine:"tree-walk" ();
       batch_item ~program:"missing.f" ();
       batch_item ~opt:2 ~repeat:2 ();
-      batch_item ~program:"loop.f" ~engine:`Tree_walk ~timeout_ms:1 ();
+      batch_item ~program:"loop.f" ~engine:"tree-walk" ~timeout_ms:1 ();
       batch_item ~program:"good2.f" ~p:128 ~jobs:1 ~opt:2 ();
       batch_item ~p:128 ~jobs:2 ~repeat:2 ();
-      batch_item ~program:"fillw.f" ~fills ~engine:`Tree_walk ();
+      batch_item ~program:"fillw.f" ~fills ~engine:"tree-walk" ();
       batch_item ~program:"good2.f" ~jobs:2 ~opt:2 ();
-      batch_item ~program:"good2.f" ~p:128 ~engine:`Tree_walk ();
+      batch_item ~program:"good2.f" ~p:128 ~engine:"tree-walk" ();
       batch_item ~p:128 ~opt:2 ();
       batch_item ~program:"good2.f" ~repeat:3 ();
       batch_item ~program:"missing.f" ~p:128 ();
@@ -723,16 +729,16 @@ let t_batch_cache_traffic () =
       (fun program ->
         [
           batch_item ~program ~repeat:2 ();
-          batch_item ~program ~engine:`Tree_walk ~opt:2 ();
+          batch_item ~program ~engine:"tree-walk" ~opt:2 ();
           batch_item ~program ~p:8 ~jobs:1 ~repeat:3 ();
           batch_item ~program ~opt:2 ~repeat:2 ();
-          batch_item ~program ~engine:`Tree_walk ~repeat:2 ();
+          batch_item ~program ~engine:"tree-walk" ~repeat:2 ();
           batch_item ~program ~p:8 ~opt:2 ();
         ])
       [ "good.f"; "good2.f" ]
     @ [
         batch_item ~program:"missing.f" ~repeat:2 ();
-        batch_item ~program:"good.f" ~p:8 ~engine:`Tree_walk ();
+        batch_item ~program:"good.f" ~p:8 ~engine:"tree-walk" ();
       ]
   in
   let readable =
@@ -751,7 +757,7 @@ let t_batch_cache_traffic () =
       let failed = Batch.run ~read:mixed_read items in
       checkb "the unreadable item fails the batch" failed;
       let hits, misses = cache_counters () in
-      checki "chains" 8 (List.length chains);
+      checki "chains" 11 (List.length chains);
       checki "one miss per readable chain" (List.length chains) misses;
       checki "every other run hits" (runs - List.length chains) hits)
 

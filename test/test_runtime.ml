@@ -60,26 +60,32 @@ let boxed = function
 
 let mask = Frame.Mask.of_bool_array [| true; false; true |]
 
+(* [Pval.map_active], the boxed lift of the engine's fallbacks *)
 let t_pval_lift () =
   let a = Pv.Plural (Frame.LBox [| VInt 1; VInt 2; VInt 3 |]) in
-  let b = Pv.FScalar (VInt 10) in
-  (let v = Pv.lift2 ~mask (Interp.apply_binop Ast.Add) a b in
-   match boxed v with
-   | Some [| VInt 11; _; VInt 13 |] -> ()
-   | _ -> Alcotest.failf "lift2: %s" (Pv.to_string v));
-  (* two front-end scalars stay front-end *)
-  match Pv.lift2 ~mask (Interp.apply_binop Ast.Mul) b b with
-  | Pv.FScalar (VInt 100) -> ()
-  | v -> Alcotest.failf "scalar lift: %s" (Pv.to_string v)
+  let v =
+    Pv.Plural
+      (Pv.map_active ~mask (fun i ->
+           Interp.apply_binop Ast.Add (Pv.lane a i) (VInt 10)))
+  in
+  (match boxed v with
+  | Some [| VInt 11; _; VInt 13 |] -> ()
+  | _ -> Alcotest.failf "map_active: %s" (Pv.to_string v));
+  (* uniform active lanes re-specialize to unboxed ones *)
+  match v with
+  | Pv.Plural (Frame.LInt _) -> ()
+  | v -> Alcotest.failf "not re-specialized: %s" (Pv.to_string v)
 
 let t_pval_masked_lanes_untouched () =
   (* the inactive lane must not be evaluated: pass a poison value that
      would raise *)
   let a = Pv.Plural (Frame.LBox [| VInt 1; VBool true; VInt 3 |]) in
-  let v = Pv.lift1 ~mask (fun v -> VInt (as_int v * 2)) a in
+  let v =
+    Pv.Plural (Pv.map_active ~mask (fun i -> VInt (as_int (Pv.lane a i) * 2)))
+  in
   match boxed v with
   | Some [| VInt 2; _; VInt 6 |] -> ()
-  | _ -> Alcotest.failf "lift1: %s" (Pv.to_string v)
+  | _ -> Alcotest.failf "map_active: %s" (Pv.to_string v)
 
 let t_pval_reduce () =
   let a = Pv.Plural (Frame.LBox [| VInt 5; VInt 100; VInt 3 |]) in

@@ -6,12 +6,10 @@ open Lf_lang
 open Values
 module Vm = Lf_simd.Vm
 module Pv = Lf_simd.Pval
+module Ref_vm = Lf_testgen.Ref_vm
 
 let run_vm ?(p = 4) ?(setup = fun _ -> ()) src =
-  let vm = Vm.create ~p () in
-  setup vm;
-  Vm.exec_block vm ~mask:(Vm.full_mask vm) (parse_block src);
-  vm
+  Vm.run ~p ~setup (Ast.program "t" (parse_block src))
 
 let plural_ints vm name = Array.map as_int (Vm.read_plural vm name)
 
@@ -137,11 +135,13 @@ let t_metrics () =
 
 let t_procs () =
   let record = ref [] in
-  let vm = Vm.create ~p:2 () in
-  Vm.register_proc vm "probe" (fun _ ~mask args ->
-      record := (Array.to_list mask, List.length args) :: !record);
-  Vm.exec_block vm ~mask:(Vm.full_mask vm)
-    (parse_block "i = iproc\nWHERE (i == 2)\n  CALL probe(i)\nENDWHERE");
+  let vm =
+    run_vm ~p:2
+      ~setup:(fun vm ->
+        Vm.register_proc vm "probe" (fun _ ~mask args ->
+            record := (Array.to_list mask, List.length args) :: !record))
+      "i = iproc\nWHERE (i == 2)\n  CALL probe(i)\nENDWHERE"
+  in
   (match !record with
   | [ ([ false; true ], 1) ] -> ()
   | _ -> Alcotest.fail "proc mask");
@@ -188,19 +188,20 @@ let t_reduction_identity () =
   checkb "empty minval over INTEGER" (scalar_of vm2 "n" = VInt max_int)
 
 (* ------------------------------------------------------------------ *)
-(* Compiled engine                                                     *)
+(* Against the reference machine                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* the reference run and the engine's, both kept when they fail *)
 let run_both ?(p = 4) ?(setup = fun _ -> ()) src =
   let prog = Ast.program "t" (parse_block src) in
-  ( Vm.run ~engine:`Tree_walk ~p ~setup prog,
-    Vm.run ~engine:`Compiled ~p ~setup prog )
+  (Ref_vm.run ~p ~setup prog, Ref_vm.compiled ~p ~setup prog)
 
-let check_agree name (t, c) =
-  checkb (name ^ ": state") (Vm.state_equal t c);
-  checkb (name ^ ": metrics")
-    (Lf_simd.Metrics.equal t.Vm.metrics c.Vm.metrics);
-  c
+(* the engine's machine, once it agrees with the reference *)
+let check_agree name (r, c) =
+  (match Ref_vm.disagreement r c with
+  | None -> ()
+  | Some what -> Alcotest.failf "%s: %s differs from the reference" name what);
+  fst c
 
 let t_compiled_basics () =
   let setup vm =
@@ -259,12 +260,12 @@ let t_compiled_plural_array () =
   in
   checkb "compiled per-lane storage" (plural_ints c "v" = [| 2; 4; 6; 8 |])
 
-(* The tree-walker's stores by subscripts the rank-1/2 scatter kernels
-   do not take: a PLURAL array (INTEGER lanes into REAL storage, under a
-   mask), rank 3, a REAL subscript, and REAL lanes into an INTEGER
-   array.  State, Metrics and the first failing lane's error agree with
-   the compiled and parallel engines. *)
-let t_treewalk_offset_stores () =
+(* Stores by subscripts the rank-1/2 scatter kernels do not take: a
+   PLURAL array (INTEGER lanes into REAL storage, under a mask), rank 3,
+   a REAL subscript, and REAL lanes into an INTEGER array.  State,
+   Metrics and the first failing lane's error agree with the
+   reference. *)
+let t_offset_stores () =
   let setup vm =
     Vm.bind_plural_arr vm "g" Ast.TReal [| 3 |];
     Vm.bind_global vm "c" (AInt (Nd.create [| 4; 2; 2 |] 0));
@@ -301,17 +302,11 @@ let t_treewalk_offset_stores () =
       checkb "store by a REAL subscript"
         (Nd.to_array d = [| 1.25; 2.25; 3.25; 4.25 |])
   | _ -> Alcotest.fail "b is not REAL");
-  let msg src engine =
-    match Vm.run ~engine ~p:4 ~setup (Ast.program "t" (parse_block src))
-    with
-    | _ -> Alcotest.fail "the store must fail"
-    | exception ((Errors.Runtime_error _ | Errors.Runtime_error_at _) as e) ->
-        Errors.to_message e
-  in
   List.iter
     (fun src ->
-      let want = msg src `Tree_walk in
-      Alcotest.(check string) ("compiled: " ^ src) want (msg src `Compiled))
+      let r, c = run_both ~setup src in
+      checkb ("the store fails: " ^ src) (Option.is_some (snd c));
+      ignore (check_agree src (r, c)))
     [
       "i = iproc\nc(i, 3 - i, 1) = i";
       "i = iproc\nb(i * 0.5) = i";
@@ -320,7 +315,7 @@ let t_treewalk_offset_stores () =
 
 let t_compiled_type_changes () =
   (* a plural that changes element type under a partial mask must degrade
-     to the same mixed representation the tree-walker holds *)
+     to the same mixed representation the reference holds *)
   let c =
     check_agree "mixed lanes"
       (run_both
@@ -343,7 +338,7 @@ let t_compiled_procs () =
       (parse_block "i = iproc\nWHERE (i == 2)\n  CALL probe(i)\nENDWHERE")
   in
   let vm =
-    Vm.run ~engine:`Compiled ~p:2
+    Vm.run ~p:2
       ~setup:(fun vm ->
         Vm.register_proc vm "probe" (fun _ ~mask args ->
             record := (Array.to_list mask, args) :: !record))
@@ -359,19 +354,13 @@ let t_compiled_procs () =
     (Lf_simd.Metrics.call_count vm.Vm.metrics "probe")
 
 let t_compiled_errors () =
-  (* both engines fail identically: same error, same message *)
-  let src = "i = iproc\nWHILE (i < 3)\n  i = i + 1\nENDWHILE" in
-  let msg engine =
-    let prog = Ast.program "t" (parse_block src) in
-    match Vm.run ~engine ~p:4 prog with
-    | _ -> Alcotest.fail "divergent vector WHILE must be rejected"
-    | exception ((Errors.Runtime_error _ | Errors.Runtime_error_at _) as e) ->
-        Errors.to_message e
-  in
-  Alcotest.(check string) "same error" (msg `Tree_walk) (msg `Compiled)
+  (* the engine fails as the reference does: same error, same message *)
+  let r, c = run_both "i = iproc\nWHILE (i < 3)\n  i = i + 1\nENDWHILE" in
+  checkb "divergent vector WHILE is rejected" (Option.is_some (snd c));
+  ignore (check_agree "divergent WHILE" (r, c))
 
 (* ------------------------------------------------------------------ *)
-(* Tree-walk aliasing: an [EVar] read shares the variable's lanes       *)
+(* Aliasing: a variable read must not share the variable's lanes       *)
 (* ------------------------------------------------------------------ *)
 
 let t_alias_copy_then_write () =
@@ -409,7 +398,7 @@ let t_alias_copy_then_write () =
 
 let t_alias_proc_arg () =
   (* a procedure owns its arguments: clobbering a plural argument must
-     leave the variable it was read from unchanged, on every engine *)
+     leave the variable it was read from unchanged, in both machines *)
   let seen = ref [] in
   let setup vm =
     Vm.register_proc vm "clobber" (fun _ ~mask:_ args ->
@@ -435,13 +424,13 @@ j = i + 0")
   in
   checkb "variable unchanged" (plural_ints c "i" = [| 1; 2; 3; 4 |]);
   checkb "read after the call" (plural_ints c "j" = [| 1; 2; 3; 4 |]);
-  (* the second argument is its own copy too, on both engines *)
+  (* the second argument is its own copy too, in both machines *)
   checkb "each argument saw the variable"
     (List.for_all (fun l -> l = [ 1; 2; 3; 4 ]) !seen && List.length !seen = 4)
 
 let t_nan_compare () =
   (* comparisons use [compare], so NaN = NaN holds: the sequential
-     interpreter, the tree-walker and the compiled engine agree *)
+     interpreter, the reference and the engine agree *)
   let ops = [ "=="; "/="; "<"; "<="; ">"; ">=" ] in
   let rhs = [ "z"; "1.0"; "1" ] in
   let cases =
@@ -461,14 +450,15 @@ let t_nan_compare () =
       (List.mapi (fun k _ -> [ Printf.sprintf "c%d" k; Printf.sprintf "d%d" k ]) cases)
   in
   let seq = Interp.run_block (parse_block (body "z = 0.0 / 0.0")) in
-  let t, c = run_both (body "z = iproc * 0.0 / 0.0") in
-  ignore (check_agree "NaN comparisons" (t, c));
+  let c =
+    check_agree "NaN comparisons" (run_both (body "z = iproc * 0.0 / 0.0"))
+  in
   List.iter
     (fun n ->
       let want = as_bool (Env.find seq.Interp.env n) in
       Array.iter
         (fun v -> checkb (n ^ " agrees with Interp") (as_bool v = want))
-        (Vm.read_plural t n))
+        (Vm.read_plural c n))
     names;
   checkb "NaN == NaN" (as_bool (Env.find seq.Interp.env "c0"))
 
@@ -492,8 +482,7 @@ let suite =
     case "compiled: where/gather/scatter/reductions" t_compiled_basics;
     case "compiled: loops and plural IF" t_compiled_loops;
     case "compiled: plural arrays" t_compiled_plural_array;
-    case "tree-walk stores by offset agree with the compiled engine"
-      t_treewalk_offset_stores;
+    case "stores by offset agree with the reference" t_offset_stores;
     case "compiled: lanes changing element type" t_compiled_type_changes;
     case "compiled: vector subroutine calls" t_compiled_procs;
     case "compiled: identical runtime errors" t_compiled_errors;

@@ -2,13 +2,13 @@
 
     Three layers of checks:
     - registry units: interning (find-or-create), kind mismatches,
-      reset, the mask-density bucketing shared by every engine;
+      reset, the mask-density bucketing shared by every -O level;
     - the disabled path: with the registry off, every recording entry
       point must be a no-op (the cost-model contract that lets the
       instrumentation stay compiled into the hot paths);
     - the determinism schema, as a QCheck property: for random
       SIMD-dialect programs the [counters] section of the JSON dump is
-      byte-identical across engines and [-O] levels.
+      byte-identical across [-O] levels.
 
     And one check of the [volatile] GC gauges: a run's major-heap words
     are counted exactly. *)
@@ -147,15 +147,15 @@ let section_string name =
   | None -> QCheck.Test.fail_reportf "stats dump has no %S section" name
 
 (* one configuration, with a fresh registry: run the program (runtime
-   errors allowed — the engines abort at the same source operation, so
+   errors allowed — every -O level aborts at the same source operation, so
    the counters accumulated up to the abort must still agree) and
    return the serialized [counters] and [opt] sections *)
-let run_config ?opt engine prog =
+let run_config ~opt prog =
   Stats.reset ();
   Stats.enable ();
   let ok =
     match
-      Vm.run ~fuel ~engine ?opt ~p:prop_p
+      Vm.run ~fuel ~opt ~p:prop_p
         ~setup:(Gen.simd_prog_setup ~p:prop_p)
         prog
     with
@@ -170,10 +170,9 @@ let run_config ?opt engine prog =
 let prop_counters_deterministic prog =
   let configs =
     [
-      ("tree-walk", run_config `Tree_walk prog);
-      ("compiled -O0", run_config ~opt:0 `Compiled prog);
-      ("compiled -O1", run_config ~opt:1 `Compiled prog);
-      ("compiled -O2", run_config ~opt:2 `Compiled prog);
+      ("-O0", run_config ~opt:0 prog);
+      ("-O1", run_config ~opt:1 prog);
+      ("-O2", run_config ~opt:2 prog);
     ]
   in
   let name_ref, (ok_ref, counters_ref, _) = List.hd configs in
@@ -216,7 +215,7 @@ let t_opt2_counters () =
   Stats.reset ();
   Stats.enable ();
   ignore
-    (Vm.run ~engine:`Compiled ~opt:2 ~verify:true ~p:8 ~setup prog : Vm.t);
+    (Vm.run ~opt:2 ~verify:true ~p:8 ~setup prog : Vm.t);
   let v name = Stats.counter_value (Stats.counter ~section:Stats.Opt name) in
   let marks = v "opt.accum_marks" and merged = v "opt.accum_merged_runs" in
   let vphases = v "verify.phases" and vchecks = v "verify.checks" in
@@ -232,23 +231,24 @@ let t_opt2_counters () =
 (* ------------------------------------------------------------------ *)
 
 (* At p = 1024 a lane vector has 1,025 words, more than
-   [Max_young_wosize], so the tree-walker allocates each of the loop's
-   ten [iproc * 0.5] and ten [+ k] results straight in the major heap:
-   [gc.major_words] must count at least those twenty vectors. *)
+   [Max_young_wosize], so the private copy of its plural argument each of
+   the loop's twenty CALLs hands the procedure is allocated straight in
+   the major heap: [gc.major_words] must count at least those twenty
+   vectors. *)
 let t_major_words () =
   let prog =
     parse_program
       "PROGRAM a\n\
-      \  PLURAL REAL x\n\
       \  INTEGER k\n\
-      \  DO k = 1, 10\n\
-      \    x = iproc * 0.5 + k\n\
+      \  DO k = 1, 20\n\
+      \    CALL sink(iproc * 0.5 + k)\n\
       \  ENDDO\n\
        END"
   in
+  let setup vm = Vm.register_proc vm "sink" (fun _ ~mask:_ _ -> ()) in
   Stats.enable ();
   Stats.reset ();
-  ignore (Vm.run ~engine:`Tree_walk ~p:1024 prog : Vm.t);
+  ignore (Vm.run ~p:1024 ~setup prog : Vm.t);
   let words = Stats.gauge_value (Stats.gauge "gc.major_words") in
   checkb
     (Fmt.str "gc.major_words %.0f counts twenty 1,025-word vectors" words)

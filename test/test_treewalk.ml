@@ -1,8 +1,9 @@
-(** The typed tree-walker against its boxed predecessor
-    ([Oracle_treewalk]): final variable state compared bit for bit
-    (reals by their bits, not [equal_value]'s tolerance), [Metrics]
-    compared exactly, and runtime errors compared by message — with the
-    partial state a failing run leaves behind compared too. *)
+(** The engine against the boxed reference machine
+    ([Lf_testgen.Ref_vm]), at [-O0] and at [-O1] under the IR verifier:
+    final variable state compared bit for bit (reals by their bits, not
+    [equal_value]'s tolerance), [Metrics] compared exactly, and runtime
+    errors compared by message — with the partial state a failing run
+    leaves behind compared too. *)
 
 open Helpers
 open Lf_lang
@@ -10,100 +11,30 @@ open Values
 module Vm = Lf_simd.Vm
 module Frame = Lf_simd.Frame
 module Pval = Lf_simd.Pval
-module Metrics = Lf_simd.Metrics
-module O = Oracle_treewalk
+module Ref_vm = Lf_testgen.Ref_vm
 
 let fuel = 20_000
 
-(* -- bitwise comparison -------------------------------------------- *)
-
-let bits x = Int64.bits_of_float x
-
-let same_value a b =
-  match (a, b) with
-  | VReal x, VReal y -> Int64.equal (bits x) (bits y)
-  | VArr (AReal x), VArr (AReal y) ->
-      Nd.dims x = Nd.dims y
-      && Array.for_all2
-           (fun a b -> Int64.equal (bits a) (bits b))
-           (Nd.to_array x) (Nd.to_array y)
-  | _ -> a = b
-
-let same_entry (o : O.entry) (n : Vm.entry) =
-  match (o, n) with
-  | O.VScalar r, Vm.VScalar r' -> same_value !r !r'
-  | O.VPlural vs, Vm.VPlural l ->
-      Array.length vs = Frame.lanes_length l
-      && Array.for_all Fun.id
-           (Array.mapi (fun i v -> same_value v (Frame.lane_value l i)) vs)
-  | O.VGlobal a, Vm.VGlobal b | O.VPluralArr a, Vm.VPluralArr b ->
-      same_value (VArr a) (VArr b)
-  | _ -> false
-
-(* the first variable whose state differs, if any *)
-let state_diff (o : O.t) (n : Vm.t) =
-  let names tbl =
-    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
-  in
-  if names o.O.vars <> names n.Vm.vars then Some "(the variable sets)"
-  else
-    Hashtbl.fold
-      (fun k e acc ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-            if same_entry e (Hashtbl.find n.Vm.vars k) then None else Some k)
-      o.O.vars None
-
 (* -- running both -------------------------------------------------- *)
 
-(* The typed tree-walker's run, keeping the machine on an error so its
-   partial state can be compared: [Vm.run] with [`Tree_walk], unrolled. *)
-let run_typed ~p ~setup (prog : Ast.program) =
-  let vm = Vm.create ~fuel ~p () in
-  match
-    setup vm;
-    Vm.declare vm prog.Ast.p_decls;
-    Vm.exec_block vm ~mask:(Vm.full_mask vm) prog.Ast.p_body
-  with
-  | () -> (vm, None)
-  | exception ((Errors.Runtime_error _ | Errors.Runtime_error_at _) as e) ->
-      (vm, Some (Errors.to_message e))
+(* How the engine at -O0, or at -O1 with the verifier, departs from the
+   reference, if it does. *)
+let disagreement ~p ~setup prog =
+  let reference = Ref_vm.run ~fuel ~p ~setup prog in
+  List.find_map
+    (fun opt ->
+      Ref_vm.disagreement reference
+        (Ref_vm.compiled ~fuel ~opt ~verify:(opt = 1) ~p ~setup prog)
+      |> Option.map (Fmt.str "-O%d: %s" opt))
+    [ 0; 1 ]
 
-let disagreement ~p ~setup ~oracle_setup prog =
-  let o, oe = O.run ~fuel ~p ~setup:oracle_setup prog in
-  let n, ne = run_typed ~p ~setup prog in
-  let show = Option.value ~default:"ok" in
-  if oe <> ne then
-    Some (Fmt.str "outcome: typed %s, boxed %s" (show ne) (show oe))
-  else if not (Metrics.equal o.O.metrics n.Vm.metrics) then Some "metrics"
-  else
-    Option.map (fun v -> Fmt.str "state of %s (outcome %s)" v (show ne))
-      (state_diff o n)
-
-(* -- the generated programs' environment --------------------------- *)
-
-let oracle_simd_setup (o : O.t) =
-  let n = Lf_testgen.Gen.simd_global_n in
-  O.bind_scalar o "n" (VInt n);
-  O.bind_global o "g"
-    (AInt (Nd.of_array (Array.init n (fun i -> 10 * (i + 1)))));
-  O.bind_global o "h"
-    (AReal (Nd.of_array (Array.init n (fun i -> 0.5 *. float_of_int (i + 1)))));
-  O.bind_plural_arr o "f" Ast.TInt [| 3 |];
-  Hashtbl.replace o.O.procs "tally" (fun ~mask:_ _ -> ());
-  Hashtbl.replace o.O.funcs "sq" (function
-    | [ VInt n ] -> VInt (n * n)
-    | [ v ] -> v
-    | _ -> VInt 0)
+(* -- the generated programs --------------------------------------- *)
 
 let agrees_at ps prog =
   List.for_all
     (fun p ->
       match
-        disagreement ~p
-          ~setup:(Lf_testgen.Gen.simd_prog_setup ~p)
-          ~oracle_setup:oracle_simd_setup prog
+        disagreement ~p ~setup:(Lf_testgen.Gen.simd_prog_setup ~p) prog
       with
       | None -> true
       | Some what ->
@@ -158,8 +89,7 @@ let simd_flatten ~p prog =
   | Error _ -> None
 
 (* EXAMPLE's inputs (k, l), and NBFORCE's (n, maxp, pcnt, partners and
-   a pure [force]) on a small SOD pairlist, bound alike in both
-   machines; the generated programs' environment for everything else *)
+   a pure [force]) on a small SOD pairlist *)
 let example_l = [| 4; 1; 2; 1; 1; 3; 1; 3 |]
 let mol = lazy (Lf_md.Workload.sod ~n:24 ())
 let force args = Lf_kernels.Nbforce_src.force_fn (Lazy.force mol) args
@@ -172,27 +102,20 @@ let nbforce_arrays () =
       arrays := (name, a) :: !arrays);
   (n, maxp, List.rev !arrays)
 
-let file_setups () =
+let file_setup () =
   let n, maxp, arrays = nbforce_arrays () in
-  let both bind_s bind_g register =
-    bind_s "k" (VInt 8);
-    bind_g "l" (AInt (Nd.of_array example_l));
-    bind_s "n" (VInt n);
-    bind_s "maxp" (VInt maxp);
-    List.iter (fun (name, a) -> bind_g name (arr_copy a)) arrays;
-    register "force" force
-  in
-  ( (fun vm ->
-      both (Vm.bind_scalar vm) (Vm.bind_global vm) (fun name f ->
-          Vm.register_func vm name f)),
-    fun o ->
-      both (O.bind_scalar o) (O.bind_global o) (fun name f ->
-          Hashtbl.replace o.O.funcs name f) )
+  fun vm ->
+    Vm.bind_scalar vm "k" (VInt 8);
+    Vm.bind_global vm "l" (AInt (Nd.of_array example_l));
+    Vm.bind_scalar vm "n" (VInt n);
+    Vm.bind_scalar vm "maxp" (VInt maxp);
+    List.iter (fun (name, a) -> Vm.bind_global vm name (arr_copy a)) arrays;
+    Vm.register_func vm "force" force
 
 let t_files () =
   let files = sources "../examples/fortran" @ sources "corpus" in
   checkb "example and corpus files found" (List.length files >= 8);
-  let setup, oracle_setup = file_setups () in
+  let setup = file_setup () in
   List.iter
     (fun path ->
       match Parser.program_of_string (read_file path) with
@@ -211,7 +134,7 @@ let t_files () =
             (fun (form, prog) ->
               List.iter
                 (fun p ->
-                  match disagreement ~p ~setup ~oracle_setup prog with
+                  match disagreement ~p ~setup prog with
                   | None -> ()
                   | Some what ->
                       Alcotest.failf "%s (%s) at p=%d: %s differs" path form p
@@ -224,11 +147,11 @@ let t_files () =
 
 let named_p = [ 1; 3; 8; 130 ]
 
-let check_named ?(setup = fun _ -> ()) ?(oracle_setup = fun _ -> ()) name src =
+let check_named ?(setup = fun _ -> ()) name src =
   let prog = Parser.program_of_string ("PROGRAM t\n" ^ src ^ "\nEND\n") in
   List.iter
     (fun p ->
-      match disagreement ~p ~setup ~oracle_setup prog with
+      match disagreement ~p ~setup prog with
       | None -> ()
       | Some what -> Alcotest.failf "%s at p=%d: %s differs" name p what)
     named_p
@@ -332,36 +255,40 @@ let t_int_real_extrema () =
      n2 = .NOT. (iproc > 2)"
 
 let t_masked_temporary_call () =
-  (* the arguments each machine's procedure saw, per call, boxed *)
-  let typed = ref [] and boxed = ref [] in
+  (* the arguments each run's procedure saw, per call, boxed: the
+     reference runs first, then -O0, then -O1 *)
+  let runs = ref [] in
   let setup vm =
+    let log = ref [] in
+    runs := log :: !runs;
     Vm.register_proc vm "probe" (fun _ ~mask args ->
-        typed :=
+        log :=
           ( Array.to_list mask,
             List.map
               (function
                 | Pval.Plural l -> Array.to_list (Frame.values_of_lanes l)
                 | v -> [ Pval.lane v 0 ])
               args )
-          :: !typed)
+          :: !log)
   in
-  let oracle_setup o =
-    Hashtbl.replace o.O.procs "probe" (fun ~mask args ->
-        boxed :=
-          ( Array.to_list mask,
-            List.map
-              (function O.Plural vs -> Array.to_list vs | v -> [ O.lane v 0 ])
-              args )
-          :: !boxed)
-  in
-  check_named ~setup ~oracle_setup "a procedure receiving masked temporaries"
+  check_named ~setup "a procedure receiving masked temporaries"
     "PLURAL REAL x\n\
      x = iproc * 1.5\n\
      WHERE (iproc > 2)\n\
     \  CALL probe(iproc * 2, iproc, x * 1.5, x, -x, iproc > 3, 4)\n\
      ENDWHERE\n\
      CALL probe(iproc * 2, x)";
-  checkb "procedures saw the same calls" (!typed <> [] && !typed = !boxed)
+  let logs = List.map ( ! ) !runs in
+  checkb "procedures saw the same calls"
+    (List.length logs = 3 * List.length named_p
+    && List.for_all (fun l -> l <> []) logs
+    &&
+    let rec triples = function
+      | o1 :: o0 :: r :: rest -> o1 = r && o0 = r && triples rest
+      | [] -> true
+      | _ -> false
+    in
+    triples logs)
 
 let suite =
   [

@@ -101,11 +101,10 @@ let t_clean_ir () =
   (* the pipeline self-check: every phase output verifies *)
   let prog = parse_program clean_src in
   Vm.verify_ir ~opt:2 ~p:8 prog;
-  (* and the executing entry point accepts ?verify on every engine *)
+  (* and the executing entry point accepts ?verify at every level *)
   List.iter
-    (fun engine ->
-      ignore (Vm.run ~engine ~opt:2 ~verify:true ~p:8 prog : Vm.t))
-    [ `Tree_walk; `Compiled ]
+    (fun opt -> ignore (Vm.run ~opt ~verify:true ~p:8 prog : Vm.t))
+    [ 0; 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Broken-phase mutations                                              *)

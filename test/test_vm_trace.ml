@@ -12,38 +12,38 @@ module E = Lf_kernels.Example_kernel
     lane's (local i, j). *)
 let record_body_trace prog =
   let trace : (int * int) option list list ref = ref [] in
-  let vm = Lf_simd.Vm.create ~p:2 () in
-  Lf_simd.Vm.bind_scalar vm "k" (Values.VInt 8);
-  Lf_simd.Vm.bind_scalar vm "p" (Values.VInt 2);
-  Lf_simd.Vm.bind_global vm "l" (Values.AInt (Nd.of_array paper_l));
-  Lf_simd.Vm.bind_global vm "x" (Values.AInt (Nd.create [| 8; 4 |] 0));
-  Lf_simd.Vm.set_observer vm (fun vm ~mask s ->
-      match s with
-      | SAssign ({ lv_name = "x"; _ }, _) ->
-          let lane_val name lane =
-            match Lf_simd.Vm.find vm name with
-            | Lf_simd.Vm.VPlural vs ->
-                Values.as_int (Lf_simd.Frame.lane_value vs lane)
-            | Lf_simd.Vm.VScalar r -> Values.as_int !r
-            | _ -> Alcotest.fail (name ^ " has unexpected shape")
+  let setup vm =
+    Lf_simd.Vm.bind_scalar vm "k" (Values.VInt 8);
+    Lf_simd.Vm.bind_scalar vm "p" (Values.VInt 2);
+    Lf_simd.Vm.bind_global vm "l" (Values.AInt (Nd.of_array paper_l));
+    Lf_simd.Vm.bind_global vm "x" (Values.AInt (Nd.create [| 8; 4 |] 0));
+    Lf_simd.Vm.set_observer vm (fun vm ~mask s ->
+        match s with
+        | SAssign ({ lv_name = "x"; _ }, _) ->
+            let lane_val name lane =
+              match Lf_simd.Vm.find vm name with
+              | Lf_simd.Vm.VPlural vs ->
+                  Values.as_int (Lf_simd.Frame.lane_value vs lane)
+              | Lf_simd.Vm.VScalar r -> Values.as_int !r
+              | _ -> Alcotest.fail (name ^ " has unexpected shape")
           in
-          let row =
-            List.init 2 (fun lane ->
-                if mask.(lane) then
-                  let gi =
-                    (* the flattened code uses the global index i; the
-                       naive code uses the auxiliary i_p *)
-                    if Lf_simd.Vm.find_opt vm "i_p" <> None then
-                      lane_val "i_p" lane
-                    else lane_val "i" lane
+            let row =
+              List.init 2 (fun lane ->
+                  if mask.(lane) then
+                    let gi =
+                      (* the flattened code uses the global index i; the
+                         naive code uses the auxiliary i_p *)
+                      if Lf_simd.Vm.find_opt vm "i_p" <> None then
+                        lane_val "i_p" lane
+                      else lane_val "i" lane
                   in
-                  Some (gi - (lane * 4), lane_val "j" lane)
-                else None)
+                    Some (gi - (lane * 4), lane_val "j" lane)
+                  else None)
           in
-          trace := row :: !trace
-      | _ -> ());
-  Lf_simd.Vm.declare vm prog.p_decls;
-  Lf_simd.Vm.exec_block vm ~mask:(Lf_simd.Vm.full_mask vm) prog.p_body;
+            trace := row :: !trace
+        | _ -> ())
+  in
+  ignore (Lf_simd.Vm.run ~p:2 ~setup prog : Lf_simd.Vm.t);
   List.rev !trace
 
 let cells_of_trace rows =
@@ -113,9 +113,9 @@ let traced_src =
   ENDWHILE
 END|}
 
-let run_traced ?(p = 2) ?opt engine sinks =
+let run_traced ?(p = 2) ~opt sinks =
   let prog = Parser.program_of_string traced_src in
-  Lf_simd.Vm.run ~engine ?opt ~p
+  Lf_simd.Vm.run ~opt ~p
     ~setup:(fun vm ->
       Lf_simd.Vm.bind_scalar vm "k" (Values.VInt 8);
       Lf_simd.Vm.bind_scalar vm "p" (Values.VInt p);
@@ -123,11 +123,11 @@ let run_traced ?(p = 2) ?opt engine sinks =
       List.iter (Lf_simd.Vm.add_trace_sink vm) sinks)
     prog
 
-(* differential: both engines emit the exact same event stream *)
+(* differential: -O0 and -O1 emit the exact same event stream *)
 let t_engines_trace_identical () =
   let log_t = Trace.Log.create () and log_c = Trace.Log.create () in
-  let vm_t = run_traced `Tree_walk [ Trace.Log.sink log_t ] in
-  let vm_c = run_traced `Compiled [ Trace.Log.sink log_c ] in
+  let vm_t = run_traced ~opt:0 [ Trace.Log.sink log_t ] in
+  let vm_c = run_traced ~opt:1 [ Trace.Log.sink log_c ] in
   checkb "states equal" (Lf_simd.Vm.state_equal vm_t vm_c);
   checkb "metrics equal"
     (Lf_simd.Metrics.equal vm_t.Lf_simd.Vm.metrics vm_c.Lf_simd.Vm.metrics);
@@ -148,12 +148,12 @@ let t_engines_trace_identical () =
   checki "one event per reduction" m.Lf_simd.Metrics.reductions
     (List.length (List.filter (fun e -> not (Trace.is_step e)) et))
 
-(* the per-line profile's totals reproduce the metrics, on every engine *)
+(* the per-line profile's totals reproduce the metrics, at every level *)
 let t_profile_ties_out () =
   List.iter
-    (fun engine ->
+    (fun opt ->
       let prof = Lf_obs.Profile.create () in
-      let vm = run_traced engine [ Lf_obs.Profile.sink prof ] in
+      let vm = run_traced ~opt [ Lf_obs.Profile.sink prof ] in
       checkb "profile totals reproduce the metrics"
         (Lf_report.Obs_report.check_totals prof vm.Lf_simd.Vm.metrics);
       let rows = Lf_obs.Profile.rows_by_line prof in
@@ -173,7 +173,7 @@ let t_profile_ties_out () =
       Fmt.flush ppf ();
       checkb "table has a totals row"
         (Astring_contains.contains (Buffer.contents buf) "total"))
-    [ `Tree_walk; `Compiled ]
+    [ 0; 1 ]
 
 (* fused execution still ticks Metrics per original operator: at -O1
    (fused reductions, scatter-accumulate, scratch reuse all fire on this
@@ -182,11 +182,10 @@ let t_profile_ties_out () =
    full event stream *)
 let t_profile_ties_out_optimized () =
   let log0 = Trace.Log.create () and log1 = Trace.Log.create () in
-  let vm0 = run_traced ~opt:0 `Compiled [ Trace.Log.sink log0 ] in
+  let vm0 = run_traced ~opt:0 [ Trace.Log.sink log0 ] in
   let prof = Lf_obs.Profile.create () in
   let vm1 =
-    run_traced ~opt:1 `Compiled
-      [ Trace.Log.sink log1; Lf_obs.Profile.sink prof ]
+    run_traced ~opt:1 [ Trace.Log.sink log1; Lf_obs.Profile.sink prof ]
   in
   checkb "-O1 profile totals reproduce the -O1 metrics"
     (Lf_report.Obs_report.check_totals prof vm1.Lf_simd.Vm.metrics);
@@ -203,7 +202,7 @@ let t_profile_ties_out_optimized () =
    run overflows the bucket array many times *)
 let t_occupancy_downsampling () =
   let occ = Lf_obs.Occupancy.create ~width:3 ~p:2 () in
-  let vm = run_traced `Compiled [ Lf_obs.Occupancy.sink occ ] in
+  let vm = run_traced ~opt:1 [ Lf_obs.Occupancy.sink occ ] in
   checki "every vector step recorded"
     vm.Lf_simd.Vm.metrics.Lf_simd.Metrics.steps
     occ.Lf_obs.Occupancy.steps;
@@ -237,7 +236,7 @@ let t_json_roundtrip () =
   | Ok v' -> checkb "round-trip preserves the value" (v = v')
   | Error m -> Alcotest.fail m);
   let log = Trace.Log.create () in
-  let _vm = run_traced `Compiled [ Trace.Log.sink log ] in
+  let _vm = run_traced ~opt:1 [ Trace.Log.sink log ] in
   List.iter
     (fun ev ->
       match J.parse (J.to_string (Trace.event_to_json ev)) with
@@ -297,14 +296,14 @@ let t_mimd_line_steps () =
   checkb "profiling is off by default"
     (plain.Lf_mimd.Mimd_vm.line_steps = [])
 
-(* QCheck: on random flattened programs, the two engines emit identical
+(* QCheck: on random flattened programs, -O0 and -O1 emit identical
    trace streams — also on the error path, where the prefixes up to the
    failure must agree *)
-let run_engine_traced engine (en : Gen.exec_nest) p_lanes prog =
+let run_engine_traced ~opt (en : Gen.exec_nest) p_lanes prog =
   let log = Trace.Log.create () in
   let maxl = Array.fold_left max 1 en.Gen.l in
   match
-    Lf_simd.Vm.run ~engine ~p:p_lanes
+    Lf_simd.Vm.run ~opt ~p:p_lanes
       ~setup:(fun vm ->
         Lf_simd.Vm.bind_scalar vm "p" (Values.VInt p_lanes);
         Lf_simd.Vm.bind_scalar vm "k" (Values.VInt en.Gen.k);
@@ -339,8 +338,8 @@ let t_trace_streams_random =
       | Error _ -> true
       | Ok o -> (
           let simd = o.Lf_core.Pipeline.program in
-          let t = run_engine_traced `Tree_walk en p_lanes simd in
-          let c = run_engine_traced `Compiled en p_lanes simd in
+          let t = run_engine_traced ~opt:0 en p_lanes simd in
+          let c = run_engine_traced ~opt:1 en p_lanes simd in
           let streams_equal a b =
             List.length a = List.length b
             && List.for_all2 Trace.equal_event a b
@@ -352,7 +351,7 @@ let t_trace_streams_random =
                    (Pretty.program_to_string simd)
           | Ok _, Error _ | Error _, Ok _ ->
               QCheck.Test.fail_reportf
-                "engines disagreed on success on@.%s"
+                "-O0 and -O1 disagreed on success on@.%s"
                 (Pretty.program_to_string simd)))
 
 let suite =
